@@ -7,22 +7,17 @@ million packets that is multiple gigabytes.  The streaming engine
 chunk-by-chunk: memory stays bounded by the chunk size plus the packets in
 flight inside delay/reorder holdback windows (plus the ground-truth delay
 record, one float per delivered packet per domain), and the results are
-byte-identical to the batch engine.
+byte-identical to the batch engine.  The engine runs in one process; more
+cores come from dispatching a campaign's intervals to workers
+(``repro dispatch --workers N``).
 
-With ``--shards N`` the chunk range additionally splits across a process
-pool; per-shard collector states are merged exactly, so receipts stay
-byte-identical to the single-process run.  Shard speedup is reported as
-measured — it requires actual cores (each shard replays the sequential
-propagation prefix but splits the collector work, so on a single-CPU box
-sharding only adds overhead).
-
-Run:  python examples/streaming_scale.py [--packets N] [--shards N]
-      [--chunk-size N] [--profile-out FILE] [--verify]
+Run:  python examples/streaming_scale.py [--packets N] [--chunk-size N]
+      [--profile-out FILE] [--verify]
 
 ``--verify`` additionally runs the batch engine on a 200k-packet slice of
-the same scenario and asserts byte-identical results for every engine
-configuration (the conformance suite does this exhaustively on small
-scenarios; here it is a smoke check at scale).
+the same scenario and asserts byte-identical results from the streaming
+engine at two chunk sizes (the conformance suite does this exhaustively on
+small scenarios; here it is a smoke check at scale).
 """
 
 from __future__ import annotations
@@ -75,10 +70,6 @@ def scale_spec(packet_count: int) -> ExperimentSpec:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--packets", type=int, default=10_000_000)
-    parser.add_argument(
-        "--shards", type=int, default=min(4, os.cpu_count() or 1),
-        help="process-parallel shards (default: min(4, cpu count))",
-    )
     parser.add_argument("--chunk-size", type=int, default=1 << 17)
     parser.add_argument("--profile-out", type=str, default=None,
                         help="write a JSON memory/throughput profile here")
@@ -96,12 +87,12 @@ def main() -> None:
     if args.verify:
         small = scale_spec(200_000)
         reference = run_cell(small, engine="batch").to_json()
-        for shards in (1, 4):
+        for chunk_size in (50_000, 8_192):
             streamed = run_cell(
-                small, engine="streaming", shards=shards, chunk_size=50_000
+                small, engine="streaming", chunk_size=chunk_size
             ).to_json()
-            assert streamed == reference, f"engine mismatch at shards={shards}"
-        print("verify: batch == streaming(shards=1) == streaming(shards=4) "
+            assert streamed == reference, f"engine mismatch at chunk_size={chunk_size}"
+        print("verify: batch == streaming(chunk 50000) == streaming(chunk 8192) "
               "on 200k packets (byte-identical results)")
 
     spec = scale_spec(args.packets)
@@ -124,26 +115,6 @@ def main() -> None:
           f"median delay estimated {target.estimate.delay_quantile(0.5)*1e3:.3f} ms "
           f"vs true {target.truth.delay_quantile(0.5)*1e3:.3f} ms; "
           f"verification accepted: {target.verification.accepted}")
-
-    if args.shards > 1:
-        print(f"\nStreaming with shards={args.shards} "
-              f"(collector work split across processes) ...")
-        started = time.perf_counter()
-        run_cell(
-            spec, engine="streaming", shards=args.shards, chunk_size=args.chunk_size
-        )
-        sharded_elapsed = time.perf_counter() - started
-        speedup = elapsed / sharded_elapsed
-        print(f"  {sharded_elapsed:.1f} s  ->  speedup {speedup:.2f}x over "
-              f"single-process streaming on {os.cpu_count()} CPU core(s)")
-        if (os.cpu_count() or 1) < args.shards:
-            print("  (shards exceed available cores: each shard replays the "
-                  "sequential propagation prefix, so speedup needs real cores)")
-        profile["sharded"] = {
-            "shards": args.shards,
-            "seconds": sharded_elapsed,
-            "speedup_vs_single_process": speedup,
-        }
 
     if args.profile_out:
         with open(args.profile_out, "w") as handle:

@@ -1,16 +1,11 @@
 #!/usr/bin/env python3
 """Perf-regression guard: measure engine throughput against checked-in floors.
 
-Runs four quick probes:
+Runs five quick probes:
 
 * the **batch** engine on a fixed 300k-packet cell (jitter delay + bursty
   loss in X, paper-scale aggregation knobs),
-* the **streaming** engine (same cell, chunked execution), plus the same
-  streaming cell under ``shards=2`` (seek-dispatched worker processes) —
-  reported as ``streaming_shard2`` together with its speedup ratio over
-  ``shards=1``; the per-shard floor and the ``min_shard2_speedup`` ratio are
-  enforced only on hosts with >= 2 CPUs (on a single core the ratio is
-  physically unreachable and is reported unenforced),
+* the **streaming** engine (same cell, chunked execution),
 * the **mesh** runner on a 4-path star mesh (60k packets per path, shared
   transit core, per-path verification + triangulation) — throughput counted
   over the total packets of all paths, and
@@ -42,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 import time
@@ -74,7 +68,7 @@ MESH_PACKETS_PER_PATH = 60_000
 CAMPAIGN_INTERVALS = 4
 CAMPAIGN_PACKETS_PER_INTERVAL = 60_000
 STREAMING_CHUNK = 1 << 16
-ENGINES = ("batch", "streaming", "streaming_shard2", "mesh", "campaign")
+ENGINES = ("batch", "streaming", "mesh", "campaign")
 SKETCH_INTERVALS = 200
 SKETCH_PACKETS_PER_INTERVAL = 600
 SKETCH_SCALE_FACTOR = 8
@@ -185,20 +179,6 @@ def measure() -> dict[str, float]:
         measurements[f"{engine}_packets_per_second"] = PACKETS / elapsed
         measurements[f"{engine}_seconds"] = elapsed
 
-    # Same streaming cell split across two seek-dispatched worker processes;
-    # the ratio over shards=1 is the parallel-efficiency measurement the
-    # perf guard enforces on multi-core hosts.
-    clear_trace_cache()
-    started = time.perf_counter()
-    run_cell(spec, engine="streaming", chunk_size=STREAMING_CHUNK, shards=2)
-    elapsed = time.perf_counter() - started
-    measurements["streaming_shard2_packets_per_second"] = PACKETS / elapsed
-    measurements["streaming_shard2_seconds"] = elapsed
-    measurements["shard2_speedup"] = (
-        measurements["streaming_shard2_packets_per_second"]
-        / measurements["streaming_packets_per_second"]
-    )
-
     started = time.perf_counter()
     run_mesh_cell(mesh_probe_spec(), engine="batch")
     elapsed = time.perf_counter() - started
@@ -277,12 +257,8 @@ def main() -> int:
 
     config = json.loads(THRESHOLDS_PATH.read_text())
     tolerance = float(config["regression_tolerance"])
-    multicore = (os.cpu_count() or 1) >= 2
     failed = False
     for engine, floor in config["thresholds_packets_per_second"].items():
-        if engine == "streaming_shard2" and not multicore:
-            print("streaming_shard2: floor not enforced (single-CPU host)")
-            continue
         measured = measurements[f"{engine}_packets_per_second"]
         minimum = floor * (1.0 - tolerance)
         status = "ok" if measured >= minimum else "REGRESSION"
@@ -291,22 +267,6 @@ def main() -> int:
             f"floor {floor/1e3:,.0f}k (fail under {minimum/1e3:,.0f}k) -> {status}"
         )
         failed |= measured < minimum
-
-    min_speedup = float(config.get("min_shard2_speedup", 0.0))
-    if min_speedup:
-        speedup = measurements["shard2_speedup"]
-        if multicore:
-            status = "ok" if speedup >= min_speedup else "REGRESSION"
-            print(
-                f"shard2 parallel efficiency: {speedup:.2f}x over shards=1 "
-                f"(floor {min_speedup:.2f}x) -> {status}"
-            )
-            failed |= speedup < min_speedup
-        else:
-            print(
-                f"shard2 parallel efficiency: {speedup:.2f}x over shards=1 "
-                f"(not enforced on a single-CPU host)"
-            )
 
     byte_ceiling = float(config.get("max_sketch_record_bytes", 0.0))
     if byte_ceiling:

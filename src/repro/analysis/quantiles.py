@@ -27,7 +27,9 @@ def _checked_samples(samples: Sequence[float] | np.ndarray) -> np.ndarray:
     A NaN would silently poison the pool: ``np.sort`` parks NaNs at the end,
     so every subsequent merge and quantile would be computed over a corrupted
     order, and ``state_digest()`` would still look healthy.  Refuse at the
-    boundary instead.
+    boundary instead.  ``-0.0`` is folded to ``0.0`` here too: the two
+    compare equal, so a stable sort/merge keeps whichever arrived first and
+    the pool's bytes would depend on merge order.
     """
     array = np.asarray(samples, dtype=np.float64)
     if array.size and not np.isfinite(array).all():
@@ -35,7 +37,7 @@ def _checked_samples(samples: Sequence[float] | np.ndarray) -> np.ndarray:
             "delay samples must be finite; got NaN or infinity "
             "(check the matched-delay extraction upstream)"
         )
-    return array
+    return array + 0.0
 
 
 def _merge_sorted(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -61,7 +63,7 @@ class MergedDelayPool:
     yield the identical sorted array that ``np.sort`` over the concatenation
     of every sample ever added would — order of extends/merges never matters —
     so campaign statistics computed from the pool are bit-identical however
-    the intervals were grouped (run in one go, checkpoint/resumed, sharded).
+    the intervals were grouped (run in one go, checkpoint/resumed, dispatched).
     """
 
     def __init__(self, samples: Sequence[float] | np.ndarray = ()) -> None:

@@ -33,7 +33,7 @@ of the sample values and the size budget, there is no randomness to seed — so
 two sketches built from the same multiset have byte-identical
 ``state_digest()`` regardless of how the samples were grouped into
 ``extend()`` calls or in which order sketches were ``merge()``-d.  That makes
-merge associative *and* commutative byte-for-byte, which is what lets sharded
+merge associative *and* commutative byte-for-byte, which is what lets dispatched
 and resumed campaigns fold sketch state in any grouping and still converge on
 identical stores.
 """
@@ -59,6 +59,16 @@ DEFAULT_SKETCH_SIZE = 512
 MIN_SKETCH_SIZE = 8
 
 _STATE_VERSION = 1
+
+
+def _unsigned_zero(value: float) -> float:
+    """``value`` with ``-0.0`` folded to ``0.0`` (every other float unchanged).
+
+    ``min``/``max`` return whichever of two equal operands comes first, so
+    without this a merge of a ``0.0`` sketch with a ``-0.0`` sketch would
+    keep a different bound — and digest differently — depending on order.
+    """
+    return value + 0.0
 
 
 class DelayQuantileSketch:
@@ -154,8 +164,8 @@ class DelayQuantileSketch:
                 for index, count in zip(*np.unique(indices, return_counts=True)):
                     key = int(index)
                     mapping[key] = mapping.get(key, 0) + int(count)
-        low = float(array.min())
-        high = float(array.max())
+        low = _unsigned_zero(float(array.min()))
+        high = _unsigned_zero(float(array.max()))
         self._min = low if self._min is None else min(self._min, low)
         self._max = high if self._max is None else max(self._max, high)
         return self
@@ -164,7 +174,7 @@ class DelayQuantileSketch:
         """Fold another sketch in; returns self.
 
         Merging is exact bucket-count addition, so it is associative and
-        commutative byte-for-byte — any grouping of shards or intervals
+        commutative byte-for-byte — any grouping of intervals
         converges on the identical state.  Both sketches must share the same
         size budget (their bucket grids differ otherwise).
         """
@@ -185,9 +195,11 @@ class DelayQuantileSketch:
         self._zero += other._zero
         self._count += other._count
         if other._min is not None:
-            self._min = other._min if self._min is None else min(self._min, other._min)
+            low = _unsigned_zero(other._min)
+            self._min = low if self._min is None else min(self._min, low)
         if other._max is not None:
-            self._max = other._max if self._max is None else max(self._max, other._max)
+            high = _unsigned_zero(other._max)
+            self._max = high if self._max is None else max(self._max, high)
         return self
 
     # -- queries -----------------------------------------------------------------------
@@ -331,9 +343,9 @@ class DelayQuantileSketch:
                 f"bucket total {expected}"
             )
         if state.get("min") is not None:
-            sketch._min = float.fromhex(state["min"])
+            sketch._min = _unsigned_zero(float.fromhex(state["min"]))
         if state.get("max") is not None:
-            sketch._max = float.fromhex(state["max"])
+            sketch._max = _unsigned_zero(float.fromhex(state["max"]))
         if sketch._count and (sketch._min is None or sketch._max is None):
             raise ValueError("non-empty sketch state is missing its min/max bounds")
         return sketch

@@ -170,10 +170,8 @@ def _build_cell(payload: dict[str, Any]) -> StreamingCell:
 
     The single construction path for all three engines — any spec field that
     must influence cell construction is wired here exactly once, which is
-    what keeps the engines' byte-identical contract honest.  Top-level (and
-    fed a plain dict) so ``shards > 1`` worker processes can unpickle and
-    re-execute it; a cell is a pure function of the spec's seeds, so every
-    rebuild is identical.
+    what keeps the engines' byte-identical contract honest.  A cell is a
+    pure function of the spec's seeds, so every rebuild is identical.
     """
     spec = ExperimentSpec.from_dict(payload)
     scenario = spec.path.build(spec.seed)
@@ -249,7 +247,6 @@ class CellRun(NamedTuple):
 def run_cell_full(
     spec: ExperimentSpec,
     engine: str | None = None,
-    shards: int = 1,
     chunk_size: int | None = None,
     policy: ExecutionPolicy | None = None,
     checkpoint_sink=None,
@@ -263,20 +260,17 @@ def run_cell_full(
 
     ``policy`` is the declarative form of the execution knobs
     (:class:`~repro.api.spec.ExecutionPolicy`); the individual ``engine`` /
-    ``shards`` / ``chunk_size`` keywords keep working and normalize into one.
+    ``chunk_size`` keywords keep working and normalize into one.
     ``checkpoint_sink`` / ``resume_from`` forward to
     :class:`~repro.engine.streaming.StreamingRunner` for mid-run
-    checkpointing (streaming, ``shards=1`` only).
+    checkpointing (streaming only).
     """
-    policy = ExecutionPolicy.coerce(
-        policy, engine=engine, shards=shards, chunk_size=chunk_size
-    ).bind(spec)
+    policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size).bind(spec)
 
     if policy.engine == "streaming":
         runner = StreamingRunner(
-            partial(_build_cell, spec.to_dict()),
+            _build_cell(spec.to_dict()),
             chunk_size=policy.chunk_size or DEFAULT_CHUNK_SIZE,
-            shards=policy.shards,
             checkpoint_every=policy.checkpoint_every,
             checkpoint_sink=checkpoint_sink,
             resume_from=resume_from,
@@ -304,7 +298,6 @@ def run_cell_full(
 def run_cell(
     spec: ExperimentSpec,
     engine: str | None = None,
-    shards: int = 1,
     chunk_size: int | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> CellResult:
@@ -313,13 +306,11 @@ def run_cell(
     ``engine`` overrides the spec's engine *for execution only* — the result
     still embeds the spec unchanged, so the same spec run under different
     engines yields byte-identical ``CellResult.to_json()`` (the engines'
-    exactness guarantee, asserted by the conformance suite).  ``shards`` and
-    ``chunk_size`` apply to the streaming engine; ``policy`` is the
-    declarative equivalent of all three.
+    exactness guarantee, asserted by the conformance suite).  ``chunk_size``
+    applies to the streaming engine; ``policy`` is the declarative
+    equivalent of both.
     """
-    return run_cell_full(
-        spec, engine=engine, shards=shards, chunk_size=chunk_size, policy=policy
-    ).result
+    return run_cell_full(spec, engine=engine, chunk_size=chunk_size, policy=policy).result
 
 
 # -- mesh cells ----------------------------------------------------------------------
@@ -328,9 +319,8 @@ def run_cell(
 def _build_mesh_cell(payload: dict[str, Any]) -> MeshCell:
     """Build the (mesh scenario, per-path traces, mesh session) triple.
 
-    The single construction path for the batch and streaming mesh engines —
-    top-level and dict-fed so ``shards > 1`` worker processes can rebuild the
-    identical cell (a mesh cell is a pure function of the spec's seeds).
+    The single construction path for the batch and streaming mesh engines (a
+    mesh cell is a pure function of the spec's seeds).
     """
     spec = MeshSpec.from_dict(payload)
     topology, paths = spec.topology.build(spec.seed)
@@ -498,20 +488,16 @@ class MeshRun(NamedTuple):
 def run_mesh_cell_full(
     spec: MeshSpec,
     engine: str | None = None,
-    shards: int = 1,
     chunk_size: int | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> MeshRun:
     """Execute one mesh cell and return the result *and* its session/receipts."""
-    policy = ExecutionPolicy.coerce(
-        policy, engine=engine, shards=shards, chunk_size=chunk_size
-    ).bind(spec)
+    policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size).bind(spec)
 
     if policy.engine == "streaming":
         runner = MeshRunner(
-            partial(_build_mesh_cell, spec.to_dict()),
+            _build_mesh_cell(spec.to_dict()),
             chunk_size=policy.chunk_size or DEFAULT_CHUNK_SIZE,
-            shards=policy.shards,
         )
         streamed = runner.run()
         result = _summarize_mesh(spec, streamed.session, streamed.truth_for)
@@ -531,19 +517,16 @@ def run_mesh_cell_full(
 def run_mesh_cell(
     spec: MeshSpec,
     engine: str | None = None,
-    shards: int = 1,
     chunk_size: int | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> MeshResult:
     """Execute one mesh cell and summarize everything it produced.
 
     Like :func:`run_cell`, ``engine`` overrides the spec's engine for
-    execution only; batch and streaming (any ``shards``/``chunk_size``)
-    produce byte-identical ``MeshResult.to_json()``.
+    execution only; batch and streaming (any ``chunk_size``) produce
+    byte-identical ``MeshResult.to_json()``.
     """
-    return run_mesh_cell_full(
-        spec, engine=engine, shards=shards, chunk_size=chunk_size, policy=policy
-    ).result
+    return run_mesh_cell_full(spec, engine=engine, chunk_size=chunk_size, policy=policy).result
 
 
 def _run_cell_payload(
@@ -591,7 +574,6 @@ class Experiment:
     def run(
         self,
         engine: str | None = None,
-        shards: int = 1,
         chunk_size: int | None = None,
         policy: ExecutionPolicy | None = None,
     ) -> CellResult | MeshResult:
@@ -599,15 +581,14 @@ class Experiment:
 
         By default the spec's engine runs (the batch fast path unless the
         spec says otherwise).  ``engine="streaming"`` drives the chunked
-        bounded-memory engine; ``shards=N`` additionally splits the stream
-        across a process pool, byte-identical to the single-process run::
+        bounded-memory engine::
 
-            Experiment(spec).run(engine="streaming", shards=4)
+            Experiment(spec).run(engine="streaming", chunk_size=65536)
 
         or, equivalently, as one declarative value::
 
             Experiment(spec).run(policy=ExecutionPolicy(engine="streaming",
-                                                        shards=4))
+                                                        chunk_size=65536))
 
         The override affects execution only — the returned result embeds the
         spec unchanged, so results are directly comparable across engines.
@@ -616,14 +597,12 @@ class Experiment:
             return run_mesh_cell(
                 self.spec,
                 engine=engine,
-                shards=shards,
                 chunk_size=chunk_size,
                 policy=policy,
             )
         return run_cell(
             self.spec,
             engine=engine,
-            shards=shards,
             chunk_size=chunk_size,
             policy=policy,
         )
@@ -737,7 +716,6 @@ class Experiment:
         name: str | None = None,
         store=None,
         engine: str | None = None,
-        shards: int = 1,
         chunk_size: int | None = None,
         policy: ExecutionPolicy | None = None,
     ):
@@ -764,7 +742,6 @@ class Experiment:
             spec,
             store=store,
             engine=engine,
-            shards=shards,
             chunk_size=chunk_size,
             policy=policy,
         )

@@ -672,8 +672,7 @@ class ExperimentSpec:
     ``engine`` selects the execution path: ``"batch"`` (the default) drives the
     vectorized collector fast path; ``"scalar"`` drives the per-packet object
     path; ``"streaming"`` drives the chunked engine
-    (:mod:`repro.engine`), which runs in bounded memory and accepts
-    ``shards=N`` at run time for process-parallel execution.  All engines
+    (:mod:`repro.engine`), which runs in bounded memory.  All engines
     produce identical results for every streamable registered component (they
     consume the same RNG streams in the same order), so the choice is a
     performance/memory knob, not a semantic one.
@@ -802,7 +801,7 @@ class MeshSpec:
     path's outcome bit-identical to running it in isolation.
 
     ``engine`` is ``"batch"`` (materialize every path's trace) or
-    ``"streaming"`` (chunked lockstep execution, ``shards=N`` at run time);
+    ``"streaming"`` (chunked lockstep execution);
     both produce byte-identical results.  Estimation is fixed-form: every
     transit domain of every path is estimated and verified (observed by that
     path's source domain), and the per-path suspect links are triangulated
@@ -986,7 +985,7 @@ class CampaignSpec:
     (see :class:`repro.engine.campaign.CampaignRunner` and
     :class:`repro.store.RunStore`).
 
-    Execution knobs (engine override, shards, chunk size) are deliberately
+    Execution knobs (engine override, chunk size, pacing) are deliberately
     *not* part of the spec: the engines are byte-identical, so they may vary
     freely between a run and its resume without perturbing the stored record.
     They live in :class:`ExecutionPolicy` instead.
@@ -1132,7 +1131,7 @@ class ExecutionPolicy:
     """*How* to execute a cell, as a frozen, JSON-round-trippable value.
 
     Specs above describe *what* to measure; an execution policy describes
-    *how* to run it — engine choice, sharding, chunking, pacing and
+    *how* to run it — engine choice, chunking, pacing and
     mid-interval checkpointing.  Because every engine is byte-identical, a
     policy never changes a result: it is deliberately excluded from
     :meth:`CampaignSpec.spec_hash` and from every stored record, and may vary
@@ -1143,12 +1142,6 @@ class ExecutionPolicy:
     engine:
         ``"batch"``, ``"scalar"`` or ``"streaming"``; ``None`` defers to the
         cell spec's own ``engine`` field.
-    shards:
-        Worker processes for the streaming engines.  The coordinator runs one
-        cheap propagation-plan pass, captures a
-        :class:`~repro.engine.checkpoint.StreamCheckpoint` per shard
-        boundary, and workers seek straight to their chunk span — zero
-        prefix replay.
     chunk_size:
         Streaming chunk size in packets; ``None`` uses the engine default.
     throttle:
@@ -1156,17 +1149,16 @@ class ExecutionPolicy:
         mid-interval checkpoint write) — the pacing knob long soak runs use.
     checkpoint_every:
         Emit a mid-interval :class:`~repro.engine.streaming.RunnerCheckpoint`
-        every this many chunks (streaming, ``shards=1`` only): a killed run
-        resumes from the last checkpoint bit-identically.
+        every this many chunks (streaming only): a killed run resumes from
+        the last checkpoint bit-identically.
 
-    Validation is eager: impossible combinations (``scalar`` with shards,
-    ``checkpoint_every`` with ``shards > 1``) are rejected at construction,
+    Validation is eager: impossible combinations (``batch`` or ``scalar``
+    with a streaming-only knob) are rejected at construction,
     and :meth:`bind` rejects spec-dependent conflicts (mesh cells have no
     scalar engine) before any work starts.
     """
 
     engine: str | None = None
-    shards: int = 1
     chunk_size: int | None = None
     throttle: float = 0.0
     checkpoint_every: int | None = None
@@ -1176,24 +1168,12 @@ class ExecutionPolicy:
             raise ValueError(
                 f"engine must be 'batch', 'scalar' or 'streaming', got {self.engine!r}"
             )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.chunk_size is not None:
             check_positive("chunk_size", self.chunk_size)
         check_non_negative("throttle", self.throttle)
         if self.checkpoint_every is not None:
             check_positive("checkpoint_every", self.checkpoint_every)
-            if self.shards != 1:
-                raise ValueError(
-                    "mid-interval checkpointing requires shards=1; a sharded "
-                    "run has no single resumable stream position"
-                )
         if self.engine is not None and self.engine != "streaming":
-            if self.shards != 1:
-                raise ValueError(
-                    f"engine {self.engine!r} does not support shards; "
-                    f"use engine='streaming'"
-                )
             if self.chunk_size is not None:
                 raise ValueError(
                     f"engine {self.engine!r} does not support chunk_size; "
@@ -1213,7 +1193,6 @@ class ExecutionPolicy:
         policy: "ExecutionPolicy | None" = None,
         *,
         engine: str | None = None,
-        shards: int = 1,
         chunk_size: int | None = None,
         throttle: float = 0.0,
         checkpoint_every: int | None = None,
@@ -1231,19 +1210,17 @@ class ExecutionPolicy:
                 )
             if (
                 engine is not None
-                or shards != 1
                 or chunk_size is not None
                 or throttle != 0.0
                 or checkpoint_every is not None
             ):
                 raise ValueError(
-                    "pass either policy= or the individual engine/shards/"
-                    "chunk_size/throttle/checkpoint_every arguments, not both"
+                    "pass either policy= or the individual engine/chunk_size/"
+                    "throttle/checkpoint_every arguments, not both"
                 )
             return policy
         return cls(
             engine=engine,
-            shards=shards,
             chunk_size=chunk_size,
             throttle=throttle,
             checkpoint_every=checkpoint_every,
@@ -1268,11 +1245,6 @@ class ExecutionPolicy:
                     "only; mesh intervals checkpoint at interval boundaries"
                 )
         if engine != "streaming":
-            if self.shards != 1:
-                raise ValueError(
-                    f"engine {engine!r} does not support shards; "
-                    f"use engine='streaming'"
-                )
             if self.chunk_size is not None:
                 raise ValueError(
                     f"engine {engine!r} does not support chunk_size; "
@@ -1288,13 +1260,12 @@ class ExecutionPolicy:
     # -- convenience -------------------------------------------------------------------
 
     def with_overrides(self, overrides: Mapping[str, Any]) -> "ExecutionPolicy":
-        """A copy with field overrides applied (``{"shards": 4}``)."""
+        """A copy with field overrides applied (``{"chunk_size": 4096}``)."""
         return _apply_overrides(self, overrides)
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "engine": self.engine,
-            "shards": self.shards,
             "chunk_size": self.chunk_size,
             "throttle": self.throttle,
             "checkpoint_every": self.checkpoint_every,

@@ -24,8 +24,8 @@ The CLI covers that whole lifecycle plus the repo's golden-fixture workflow:
   (``--check``) regenerate into a scratch directory and diff against the
   committed ones, failing with a readable diff on drift.
 
-Engine selection (``--engine``, ``--shards``, ``--chunk-size``,
-``--checkpoint-every``, or one declarative ``--policy policy.json`` — an
+Engine selection (``--engine``, ``--chunk-size``, ``--checkpoint-every``,
+or one declarative ``--policy policy.json`` — an
 :class:`~repro.api.spec.ExecutionPolicy`) is an execution-only knob: the
 engines produce byte-identical results, so a store written by one engine
 resumes and verifies under any other.
@@ -66,7 +66,6 @@ def _build_policy(spec: CampaignSpec, args: argparse.Namespace) -> ExecutionPoli
     spec's cell, before any work (and before a store is created)."""
     knobs_given = (
         args.engine is not None
-        or args.shards != 1
         or args.chunk_size is not None
         or args.throttle != 0.0
         or args.checkpoint_every is not None
@@ -74,8 +73,8 @@ def _build_policy(spec: CampaignSpec, args: argparse.Namespace) -> ExecutionPoli
     if args.policy is not None:
         if knobs_given:
             _fail(
-                "pass either --policy or the individual --engine/--shards/"
-                "--chunk-size/--throttle/--checkpoint-every knobs, not both"
+                "pass either --policy or the individual --engine/--chunk-size/"
+                "--throttle/--checkpoint-every knobs, not both"
             )
         policy_path = Path(args.policy)
         if not policy_path.exists():
@@ -88,7 +87,6 @@ def _build_policy(spec: CampaignSpec, args: argparse.Namespace) -> ExecutionPoli
         try:
             policy = ExecutionPolicy(
                 engine=args.engine,
-                shards=args.shards,
                 chunk_size=args.chunk_size,
                 throttle=args.throttle,
                 checkpoint_every=args.checkpoint_every,
@@ -102,12 +100,10 @@ def _build_policy(spec: CampaignSpec, args: argparse.Namespace) -> ExecutionPoli
         )
     effective = policy.engine or spec.cell.engine
     if effective != "streaming" and (
-        policy.shards != 1
-        or policy.chunk_size is not None
-        or policy.checkpoint_every is not None
+        policy.chunk_size is not None or policy.checkpoint_every is not None
     ):
         _fail(
-            f"--shards/--chunk-size/--checkpoint-every apply to the streaming "
+            f"--chunk-size/--checkpoint-every apply to the streaming "
             f"engine only (this run executes on {effective!r}; add --engine "
             f"streaming)"
         )
@@ -135,12 +131,6 @@ def _execution_knobs(parser: argparse.ArgumentParser) -> None:
         help="execution-only engine override (results are byte-identical)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="process-parallel shards (streaming engine only)",
-    )
-    parser.add_argument(
         "--chunk-size",
         type=int,
         default=None,
@@ -152,7 +142,7 @@ def _execution_knobs(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="persist a mid-interval stream checkpoint every N chunks "
-        "(streaming engine, shards=1); a killed run resumes from the last "
+        "(streaming engine); a killed run resumes from the last "
         "chunk boundary instead of the interval start",
     )
     parser.add_argument(
@@ -284,7 +274,6 @@ def _http_worker(args: argparse.Namespace) -> int:
         _fail("--chaos-seed/--chaos-kills apply to the coordinator only")
     knobs_given = (
         args.engine is not None
-        or args.shards != 1
         or args.chunk_size is not None
         or args.throttle != 0.0
         or args.checkpoint_every is not None

@@ -118,17 +118,6 @@ class Aggregator:
         self._observed_packets = 0
         self._cut_count = 0
         self._max_window_occupancy = 0
-        # Boundary bookkeeping for merge(): the previous shard needs to know
-        # what happened in this aggregator's first J seconds (its packets feed
-        # the predecessor's AggTrans windows and sliding-window occupancy) and
-        # whether the very first packet would have cut the predecessor's open
-        # aggregate (a cut-digest first packet records no cut on a fresh
-        # aggregator because there is nothing to close yet).
-        self._first_time: float | None = None
-        self._last_time: float | None = None
-        self._lead: list[tuple[int, float]] = []
-        self._first_cut_suppressed = False
-        self._flushed = False
 
     # -- observation ---------------------------------------------------------
 
@@ -141,15 +130,6 @@ class Aggregator:
         if not 0 <= digest <= MASK64:
             raise ValueError(f"digest must be a 64-bit value, got {digest!r}")
         is_cut = digest > self._partition_threshold
-        if self._observed_packets == 0:
-            self._first_time = time
-            self._first_cut_suppressed = is_cut and (
-                self._open is None or self._open.pkt_count == 0
-            )
-        if self._first_time is not None and time <= self._first_time + self._window:
-            self._lead.append((digest, time))
-        if self._last_time is None or time > self._last_time:
-            self._last_time = time
         self._observed_packets += 1
         self._finalize_pending(time)
         if is_cut and self._open is not None and self._open.pkt_count > 0:
@@ -224,26 +204,8 @@ class Aggregator:
             return cut_mask
 
         window = self._window
-        if self._observed_packets == 0:
-            self._first_time = float(time_array[0])
-            self._first_cut_suppressed = bool(cut_mask[0]) and (
-                self._open is None or self._open.pkt_count == 0
-            )
-        if self._first_time is not None:
-            lead_covered = int(
-                np.searchsorted(time_array, self._first_time + window, side="right")
-            )
-            if lead_covered:
-                self._lead.extend(
-                    (int(digest), float(time))
-                    for digest, time in zip(
-                        digest_array[:lead_covered], time_array[:lead_covered]
-                    )
-                )
         self._observed_packets += count
         last_time = float(time_array[-1])
-        if self._last_time is None or last_time > self._last_time:
-            self._last_time = last_time
 
         # 1. Feed and finalize carry-in pending receipts (their cuts precede
         #    every cut in this batch, so they finalize first — same order as
@@ -337,159 +299,6 @@ class Aggregator:
         )
         return cut_mask
 
-    # -- merging -----------------------------------------------------------------
-
-    def merge(self, other: "Aggregator") -> "Aggregator":
-        """Fold ``other``'s state into this aggregator, in stream order.
-
-        ``other`` must have observed the packets that *follow* this
-        aggregator's in the same (time-ordered) path stream, starting from a
-        fresh instance — the shard-parallel execution contract.  The merge
-        stitches the boundary exactly as Algorithm 2 would have processed the
-        concatenated stream:
-
-        * this aggregator's open aggregate is continued by ``other``'s first
-          aggregate (or closed by it, when ``other``'s first packet was a
-          cutting point);
-        * AggTrans windows spanning the boundary are completed on both sides
-          (our pending receipts receive ``other``'s first ``J`` seconds of
-          packet IDs; ``other``'s early cutting points receive our trailing
-          sliding-window IDs);
-        * the sliding window, its peak occupancy, and all counters are
-          reconciled.
-
-        Receipts, windows, counters and buffer statistics come out identical
-        to a single whole-stream run — except an aggregate's ``time_sum``,
-        which (as with the batch fast path) may differ in the last ulps
-        because partial sums are added in a different order.  The operation is
-        associative, so shard grouping never matters.  ``other`` is consumed
-        and must not be used afterwards; merge both before ``flush``.
-        Returns ``self``.
-        """
-        if other.config != self.config:
-            raise ValueError(
-                f"cannot merge aggregators with different configs: "
-                f"{self.config} vs {other.config}"
-            )
-        if self._flushed or other._flushed:
-            raise ValueError("cannot merge flushed aggregators; merge before flush")
-        if other._observed_packets == 0:
-            return self
-        if self._observed_packets == 0:
-            self._adopt(other)
-            return self
-        if other._first_time < self._last_time:
-            raise ValueError(
-                "merge requires time-ordered spans: other's first observation "
-                f"({other._first_time}) precedes this aggregator's last "
-                f"({self._last_time})"
-            )
-        window = self._window
-
-        # 1. Our pending receipts' post-cut windows extend into other's span.
-        for pending in self._pending:
-            deadline = pending.cut_time + window
-            pending.trans_after.extend(
-                digest for digest, time in other._lead if time <= deadline
-            )
-        still_pending: list[_PendingReceipt] = []
-        for pending in self._pending:
-            if other._last_time > pending.cut_time + window:
-                self._finalized.append(pending)
-            else:
-                still_pending.append(pending)
-
-        # 2. The boundary: other's first packet either cuts our open
-        #    aggregate or continues it.
-        boundary: _PendingReceipt | None = None
-        if other._first_cut_suppressed:
-            cut_time = other._first_time
-            self._cut_count += 1
-            boundary = _PendingReceipt(
-                aggregate=self._open,
-                cut_time=cut_time,
-                trans_before=tuple(
-                    digest for digest, seen in self._recent if seen >= cut_time - window
-                ),
-                trans_after=[
-                    digest for digest, time in other._lead if time <= cut_time + window
-                ],
-            )
-            if other._last_time > cut_time + window:
-                self._finalized.append(boundary)
-                boundary = None
-        else:
-            first_aggregate = other._first_aggregate()
-            first_aggregate.first_pkt_id = self._open.first_pkt_id
-            first_aggregate.start_time = self._open.start_time
-            first_aggregate.pkt_count += self._open.pkt_count
-            first_aggregate.time_sum += self._open.time_sum
-
-        # 3. Other's early cutting points may have truncated pre-cut windows:
-        #    prepend our trailing sliding-window IDs where the window reaches
-        #    back across the boundary.
-        for pending in other._finalized + other._pending:
-            if pending.cut_time - window <= self._last_time:
-                carried = tuple(
-                    digest
-                    for digest, seen in self._recent
-                    if seen >= pending.cut_time - window
-                )
-                if carried:
-                    pending.trans_before = carried + pending.trans_before
-
-        # 4. Sliding-window occupancy: other's first J seconds of packets also
-        #    counted our still-in-window trailing packets.
-        left_times = [seen for _, seen in self._recent]
-        for position, (_, time) in enumerate(other._lead):
-            carried = sum(1 for seen in left_times if seen >= time - window)
-            occupancy = position + 1 + carried
-            if occupancy > self._max_window_occupancy:
-                self._max_window_occupancy = occupancy
-        if other._max_window_occupancy > self._max_window_occupancy:
-            self._max_window_occupancy = other._max_window_occupancy
-
-        # 5. Adopt other's receipts, window and cursors.
-        self._finalized.extend(other._finalized)
-        self._pending = still_pending + ([boundary] if boundary is not None else [])
-        self._pending.extend(other._pending)
-        merged_recent = deque(
-            entry for entry in self._recent if entry[1] >= other._last_time - window
-        )
-        merged_recent.extend(other._recent)
-        self._recent = merged_recent
-        self._open = other._open
-        self._observed_packets += other._observed_packets
-        self._cut_count += other._cut_count
-        if other._first_time <= self._first_time + window:
-            limit = self._first_time + window
-            self._lead.extend(entry for entry in other._lead if entry[1] <= limit)
-        self._last_time = other._last_time
-        return self
-
-    def _first_aggregate(self) -> _OpenAggregate:
-        """The first aggregate this aggregator opened (still referenced by its
-        earliest receipt, or still open)."""
-        if self._finalized:
-            return self._finalized[0].aggregate
-        if self._pending:
-            return self._pending[0].aggregate
-        return self._open
-
-    def _adopt(self, other: "Aggregator") -> None:
-        """Copy ``other``'s state wholesale (merge into an empty aggregator)."""
-        self._open = other._open
-        self._recent = deque(other._recent)
-        self._pending = list(other._pending)
-        self._finalized = list(other._finalized)
-        self._observed_packets = other._observed_packets
-        self._cut_count = other._cut_count
-        self._max_window_occupancy = other._max_window_occupancy
-        self._first_time = other._first_time
-        self._last_time = other._last_time
-        self._lead = list(other._lead)
-        self._first_cut_suppressed = other._first_cut_suppressed
-
     def state_digest(self) -> str:
         """A stable hex digest of the aggregator's complete observable state.
 
@@ -555,7 +364,6 @@ class Aggregator:
         Called at the end of a reporting period (or of the simulation); the
         final, possibly partial aggregate is reported like any other.
         """
-        self._flushed = True
         if self._open is not None and self._open.pkt_count > 0:
             trans_before = tuple(pkt_id for pkt_id, _ in self._recent)
             self._finalized.extend(self._pending)

@@ -96,11 +96,11 @@ class DomainAgent:
         return self._collectors[hop_id]
 
     def replace_collector(self, hop_id: int, collector: HOPCollector) -> None:
-        """Install a collector (e.g. merged shard state) at one of the HOPs.
+        """Install a collector (e.g. checkpointed state) at one of the HOPs.
 
-        The shard-parallel streaming engine merges per-shard collector states
-        into one collector per HOP and installs it here before reports are
-        generated; the replacement gets a fresh processor.
+        The streaming engine installs the collectors of a mid-interval
+        checkpoint here when it resumes a run; the replacement gets a fresh
+        processor.
         """
         if hop_id not in self._collectors:
             raise KeyError(f"domain {self.domain_name!r} has no HOP {hop_id}")

@@ -239,43 +239,12 @@ class HOPCollector:
             state.observed_bytes += int(batch.length[selected].sum(dtype=np.int64))
         return classified
 
-    # -- merging ----------------------------------------------------------------
-
-    def merge(self, other: "HOPCollector") -> "HOPCollector":
-        """Fold ``other``'s collector state into this one, in stream order.
-
-        ``other`` must be a collector for the *same HOP and configuration*
-        that observed the packets following this collector's in each path's
-        stream (shard-parallel execution over contiguous spans).  Per-path
-        delay samplers and aggregators merge exactly
-        (:meth:`~repro.core.sampling.DelaySampler.merge`,
-        :meth:`~repro.core.aggregation.Aggregator.merge`), so reports
-        generated from the merged collector equal a single whole-stream run's.
-        Associative; ``other`` is consumed.  Returns ``self``.
-        """
-        if other.hop != self.hop:
-            raise ValueError(f"cannot merge collectors of {self.hop} and {other.hop}")
-        if other.config != self.config:
-            raise ValueError("cannot merge collectors with different configurations")
-        if set(other._paths) != set(self._paths):
-            raise ValueError("cannot merge collectors with different registered paths")
-        for prefix_pair, state in self._paths.items():
-            other_state = other._paths[prefix_pair]
-            if other_state.path_id != state.path_id:
-                raise ValueError(f"PathID mismatch for {prefix_pair}")
-            state.sampler.merge(other_state.sampler)
-            state.aggregator.merge(other_state.aggregator)
-            state.observed_packets += other_state.observed_packets
-            state.observed_bytes += other_state.observed_bytes
-        self._unclassified_packets += other._unclassified_packets
-        return self
-
     def state_digest(self) -> str:
         """A stable hex digest of all per-path collector state.
 
         Equal digests mean bit-identical samplers, aggregators and counters;
-        used by the conformance and shard-parity tests to assert that merged
-        shard state reproduces the single-process run.
+        used by the parity tests to assert that a collector fed in chunks
+        ends up in the state of one fed the whole stream.
         """
         hasher = hashlib.blake2b(digest_size=16)
         hasher.update(repr((self.hop.hop_id, self._unclassified_packets)).encode())

@@ -103,13 +103,6 @@ class DelaySampler:
         self._observed_packets = 0
         self._marker_count = 0
         self._max_buffer_occupancy = 0
-        # Boundary bookkeeping for merge(): packets buffered before this
-        # sampler's first marker meet their fate in the *previous* shard's
-        # merge, so the first marker's identity and the pre-marker buffer
-        # length must survive until then.
-        self._seen_marker = False
-        self._first_marker_digest: int | None = None
-        self._prefix_len = 0
 
     # -- observation --------------------------------------------------------
 
@@ -134,9 +127,6 @@ class DelaySampler:
         self._observed_packets += 1
         if digest > self._marker_threshold:
             self._marker_count += 1
-            if not self._seen_marker:
-                self._seen_marker = True
-                self._first_marker_digest = digest
             for buffered_digest, buffered_time in self._temp_buffer:
                 if sample_function(buffered_digest, digest) > self._sampling_threshold:
                     self._samples.append(
@@ -145,8 +135,6 @@ class DelaySampler:
             self._temp_buffer.clear()
             self._samples.append(SampleRecord(pkt_id=digest, time=time))
             return True
-        if not self._seen_marker:
-            self._prefix_len += 1
         self._temp_buffer.append((digest, time))
         if len(self._temp_buffer) > self._max_buffer_occupancy:
             self._max_buffer_occupancy = len(self._temp_buffer)
@@ -177,14 +165,6 @@ class DelaySampler:
         self._observed_packets += count
         marker_positions = np.flatnonzero(marker_mask)
         self._marker_count += len(marker_positions)
-        if not self._seen_marker:
-            if marker_positions.size:
-                first_marker = int(marker_positions[0])
-                self._prefix_len += first_marker
-                self._seen_marker = True
-                self._first_marker_digest = int(digest_array[first_marker])
-            else:
-                self._prefix_len += count
         sampling_threshold = np.uint64(self._sampling_threshold)
 
         carry_digests = np.fromiter(
@@ -242,84 +222,12 @@ class DelaySampler:
             self._temp_buffer = []
         return marker_mask
 
-    # -- merging -------------------------------------------------------------
-
-    def merge(self, other: "DelaySampler") -> "DelaySampler":
-        """Fold ``other``'s state into this sampler, in stream order.
-
-        ``other`` must have observed the packets that *follow* this sampler's
-        in the same path stream (the contract of shard-parallel execution:
-        each shard runs a fresh sampler over a contiguous span).  After the
-        merge, this sampler's state — samples (including order), temporary
-        buffer, counters, and peak buffer occupancy — is **exactly** what one
-        sampler observing the concatenated stream would hold, because the
-        packets this sampler still had buffered are judged against ``other``'s
-        first marker, precisely as Algorithm 1 would have judged them.
-
-        The operation is associative: merging shards pairwise in any grouping
-        (left-to-right, balanced tree, ...) yields identical state, so shard
-        scheduling order never affects receipts.  Returns ``self``.
-        """
-        if other.config != self.config:
-            raise ValueError(
-                f"cannot merge samplers with different configs: "
-                f"{self.config} vs {other.config}"
-            )
-        if other._observed_packets == 0:
-            return self
-        if self._observed_packets == 0:
-            self._adopt(other)
-            return self
-
-        if other._prefix_len:
-            occupancy = len(self._temp_buffer) + other._prefix_len
-            if occupancy > self._max_buffer_occupancy:
-                self._max_buffer_occupancy = occupancy
-        if other._max_buffer_occupancy > self._max_buffer_occupancy:
-            self._max_buffer_occupancy = other._max_buffer_occupancy
-
-        if other._seen_marker:
-            # Our buffered packets meet their next marker inside `other`'s
-            # span; their surviving samples precede everything `other`
-            # sampled at (and after) that marker.
-            marker_digest = other._first_marker_digest
-            boundary = [
-                SampleRecord(pkt_id=digest, time=time)
-                for digest, time in self._temp_buffer
-                if sample_function(digest, marker_digest) > self._sampling_threshold
-            ]
-            self._samples = self._samples + boundary + other._samples
-            self._temp_buffer = list(other._temp_buffer)
-        else:
-            # `other` never saw a marker: its whole span is still buffered.
-            self._samples = self._samples + other._samples
-            self._temp_buffer = self._temp_buffer + list(other._temp_buffer)
-
-        if not self._seen_marker:
-            self._prefix_len += other._prefix_len
-            self._seen_marker = other._seen_marker
-            self._first_marker_digest = other._first_marker_digest
-        self._observed_packets += other._observed_packets
-        self._marker_count += other._marker_count
-        return self
-
-    def _adopt(self, other: "DelaySampler") -> None:
-        """Copy ``other``'s state wholesale (merge into an empty sampler)."""
-        self._temp_buffer = list(other._temp_buffer)
-        self._samples = list(other._samples)
-        self._observed_packets = other._observed_packets
-        self._marker_count = other._marker_count
-        self._max_buffer_occupancy = other._max_buffer_occupancy
-        self._seen_marker = other._seen_marker
-        self._first_marker_digest = other._first_marker_digest
-        self._prefix_len = other._prefix_len
-
     def state_digest(self) -> str:
         """A stable hex digest of the sampler's complete observable state.
 
         Two samplers with equal digests hold bit-identical samples, buffers
-        and counters — the cheap way for tests (and shard orchestration) to
-        assert that split-run-merge reproduced a whole run.
+        and counters — the cheap way for tests to assert that feeding a
+        stream in chunks reproduced a whole-stream run.
         """
         hasher = hashlib.blake2b(digest_size=16)
         hasher.update(
@@ -332,9 +240,6 @@ class DelaySampler:
                     self._observed_packets,
                     self._marker_count,
                     self._max_buffer_occupancy,
-                    self._seen_marker,
-                    self._first_marker_digest,
-                    self._prefix_len,
                 )
             ).encode()
         )

@@ -565,8 +565,6 @@ class DispatchCoordinator:
         ]
         if self.policy.engine is not None:
             argv += ["--engine", self.policy.engine]
-        if self.policy.shards != 1:
-            argv += ["--shards", str(self.policy.shards)]
         if self.policy.chunk_size is not None:
             argv += ["--chunk-size", str(self.policy.chunk_size)]
         if self.policy.throttle:

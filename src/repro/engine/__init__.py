@@ -5,12 +5,11 @@ The scalar and batch engines live with the scenario
 materialize every HOP's whole observation stream.  This package adds the
 third engine: **streaming** execution
 (:class:`~repro.engine.streaming.StreamingRunner`), which drives a scenario
-chunk-by-chunk in ``O(chunk)`` memory and optionally splits the stream across
-a process pool (``shards=N``), merging the per-shard collector states exactly
-(:meth:`repro.core.hop.HOPCollector.merge`).  Sharding is *seek-based*: the
-coordinator's cheap propagation-plan pass captures a
-:class:`~repro.engine.checkpoint.StreamCheckpoint` at every shard boundary
-and each worker seeks straight to its chunk span — zero prefix replay.
+chunk-by-chunk in ``O(chunk)`` memory, in one process.  Its propagation
+state is seekable (:class:`~repro.engine.checkpoint.StreamCheckpoint`), which
+is what lets a campaign interval killed mid-stream resume at its last chunk
+boundary.  More cores come from interval-level dispatch
+(:mod:`repro.dist.dispatch`), not from splitting one interval.
 
 All three engines produce identical receipts and results for every streamable
 component (see ``README.md`` § Engines); the only documented difference is

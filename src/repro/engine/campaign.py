@@ -3,8 +3,8 @@
 The paper's framing is a contract held over a long horizon ("a certain level
 of packet loss per month") audited from per-interval receipts.
 :class:`CampaignRunner` executes a :class:`~repro.api.spec.CampaignSpec` one
-interval at a time on the fast engines (batch, streaming with any shard
-count, or the mesh engines, per the cell spec / runtime override), folds each
+interval at a time on the fast engines (batch, streaming, or the mesh
+engines, per the cell spec / runtime override), folds each
 interval into campaign-level statistics **incrementally** — pooled delay
 quantiles live in a :class:`~repro.analysis.quantiles.MergedDelayPool`, never
 re-pooled from raw samples, or (with ``EstimationSpec.mode="sketch"``) in a
@@ -18,8 +18,8 @@ any instant resumes from its last completed interval and finishes with a
 store **byte-identical** to an uninterrupted run — the property the
 ``campaign-smoke`` CI job and the resume property suite enforce.  Engine
 choice never perturbs the store either: the engines' byte-identical results
-contract means a run started on the batch engine may resume on streaming
-``shards=4`` and still match.
+contract means a run started on the batch engine may resume on the
+streaming engine, at any chunk size, and still match.
 
 An :class:`~repro.api.spec.ExecutionPolicy` with ``checkpoint_every`` set
 tightens the granularity further: the streaming engine persists a
@@ -263,7 +263,6 @@ def interval_record(
     spec: CampaignSpec,
     index: int,
     engine: str | None = None,
-    shards: int = 1,
     chunk_size: int | None = None,
     policy: ExecutionPolicy | None = None,
     checkpoint_sink: Callable[[RunnerCheckpoint], None] | None = None,
@@ -277,13 +276,11 @@ def interval_record(
     ``time_sum``, the one tolerant field, is canonicalized inside the
     receipts digest).  This purity is the whole checkpoint/resume story.
     ``checkpoint_sink`` / ``resume_from`` enable *mid-interval* streaming
-    checkpoints (single-path cells, ``shards=1``): resuming from a sink-fed
+    checkpoints (single-path streaming cells): resuming from a sink-fed
     :class:`~repro.engine.streaming.RunnerCheckpoint` yields the identical
     record.
     """
-    policy = ExecutionPolicy.coerce(
-        policy, engine=engine, shards=shards, chunk_size=chunk_size
-    )
+    policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
     cell = spec.interval_cell(index)
     if isinstance(cell, MeshSpec):
         if checkpoint_sink is not None or resume_from is not None:
@@ -550,12 +547,12 @@ class CampaignRunner:
         The durable :class:`~repro.store.RunStore` to checkpoint into.  With
         ``store=None`` the runner keeps records in memory only (useful for
         programmatic one-shot campaigns and tests).
-    engine, shards, chunk_size, policy:
+    engine, chunk_size, policy:
         Execution-only knobs forwarded to every interval's cell run — either
         the individual keywords or one declarative
         :class:`~repro.api.spec.ExecutionPolicy` (not both); the stored
         records never depend on them.  A policy with ``checkpoint_every`` set
-        (streaming, ``shards=1``, single-path cell, durable store) also
+        (streaming, single-path cell, durable store) also
         persists *mid-interval* stream checkpoints to
         ``<store>/interval.ckpt``, so a kill inside a long interval resumes
         from the last chunk boundary instead of the interval's start; the
@@ -571,7 +568,6 @@ class CampaignRunner:
         spec: CampaignSpec | None = None,
         store: RunStore | None = None,
         engine: str | None = None,
-        shards: int = 1,
         chunk_size: int | None = None,
         policy: ExecutionPolicy | None = None,
     ) -> None:
@@ -585,9 +581,7 @@ class CampaignRunner:
             store.repair_torn_tail()
         self.spec = spec if spec is not None else store.spec()
         self.store = store
-        self.policy = ExecutionPolicy.coerce(
-            policy, engine=engine, shards=shards, chunk_size=chunk_size
-        )
+        self.policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
         # Resolve against the cell eagerly: impossible combinations (mesh +
         # scalar, checkpoint_every off the streaming engine) die here, not
         # forty intervals into a soak run.
@@ -607,10 +601,6 @@ class CampaignRunner:
         return self.policy.engine
 
     @property
-    def shards(self) -> int:
-        return self.policy.shards
-
-    @property
     def chunk_size(self) -> int | None:
         return self.policy.chunk_size
 
@@ -619,7 +609,6 @@ class CampaignRunner:
         cls,
         store: RunStore | str,
         engine: str | None = None,
-        shards: int = 1,
         chunk_size: int | None = None,
         policy: ExecutionPolicy | None = None,
     ) -> "CampaignRunner":
@@ -637,7 +626,6 @@ class CampaignRunner:
             spec=None,
             store=store,
             engine=engine,
-            shards=shards,
             chunk_size=chunk_size,
             policy=policy,
         )
@@ -659,7 +647,7 @@ class CampaignRunner:
         """The persisted mid-interval checkpoint for ``index``, if compatible.
 
         Compatibility is strict — same spec hash, same interval, a streaming
-        ``shards=1`` policy with the same chunk size — and anything else
+        policy with the same chunk size — and anything else
         (including an unreadable file) discards the checkpoint and re-runs
         the interval from its start, which is always correct.
         """
@@ -675,7 +663,6 @@ class CampaignRunner:
                 and payload["interval"] == index
                 and isinstance(checkpoint, RunnerCheckpoint)
                 and self._bound.engine == "streaming"
-                and self._bound.shards == 1
                 and checkpoint.chunk_size
                 == (self._bound.chunk_size or DEFAULT_CHUNK_SIZE)
             )

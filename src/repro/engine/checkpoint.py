@@ -16,17 +16,16 @@ bit-identically at a chunk boundary:
   watermark but not yet emitted;
 * the stream's watermark, chunk position, zero-row template batch, and the
   per-link lost-``uid`` sets;
-* optionally (``include_truth=True``) the ground-truth accumulators, for
-  checkpoints that must restore a truth-collecting stream (mid-interval
-  campaign resume) rather than just plan a shard start.
+* the ground-truth accumulators, so a seeked stream keeps collecting the
+  same truth (mid-interval campaign resume).
 
 ``state_digest()`` canonically hashes the *propagation* state (not the
-optional truth payload), so two streams that would produce identical futures
-digest identically — the property the checkpoint/seek test suite pins down.
+truth payload), so two streams that would produce identical futures digest
+identically — the property the checkpoint/seek test suite pins down.
 
-Checkpoints are plain picklable values: the sharded runners ship them to
-worker processes, and the campaign engine persists one next to its
-:class:`~repro.store.runstore.RunStore` records for mid-interval resume.
+Checkpoints are plain picklable values: the campaign engine persists one
+next to its :class:`~repro.store.runstore.RunStore` records for
+mid-interval resume.
 """
 
 from __future__ import annotations
@@ -127,8 +126,8 @@ class StreamCheckpoint:
     clocks:
         One snapshot mapping per path hop, in hop order.
     truth:
-        Ground-truth accumulator snapshots (``include_truth=True`` only);
-        never part of :meth:`state_digest`.
+        Ground-truth accumulator snapshots; never part of
+        :meth:`state_digest`.
     """
 
     chunk_index: int
@@ -136,14 +135,14 @@ class StreamCheckpoint:
     template: PacketBatch | None
     stages: tuple[dict, ...]
     clocks: tuple[dict, ...]
-    truth: dict | None = field(default=None, compare=False)
+    truth: dict = field(compare=False)
 
     def state_digest(self) -> str:
         """A canonical BLAKE2b digest of the propagation state.
 
         Two checkpoints digest equal iff the streams they were captured from
         are in bit-identical propagation states — same RNG cursors, same
-        holdbacks, same watermark/position.  The optional truth payload is
+        holdbacks, same watermark/position.  The truth payload is
         excluded: truth is an *output* accumulator, not propagation state.
         """
         hasher = hashlib.blake2b(digest_size=16)

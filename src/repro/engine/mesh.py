@@ -1,4 +1,4 @@
-"""Mesh execution: N paths over one topology, batch or chunked/sharded.
+"""Mesh execution: N paths over one topology, batch or chunked.
 
 Two engines drive a :class:`~repro.simulation.mesh.MeshScenario`:
 
@@ -8,42 +8,31 @@ Two engines drive a :class:`~repro.simulation.mesh.MeshScenario`:
 * :class:`MeshRunner` streams all paths *in lockstep*, one trace chunk per
   path per round, pushing each path's chunk through its own
   :class:`~repro.engine.streaming.ScenarioStream` and feeding each HOP the
-  chunk-wise timestamp-merged union.  ``shards=N`` splits the chunk-index
-  range across a process pool exactly as the single-path streaming engine
-  does: the coordinator runs a cheap propagation-plan pass over all paths,
-  captures one :class:`~repro.engine.checkpoint.StreamCheckpoint` per path at
-  each shard boundary, and workers seek every path stream straight to their
-  span (zero prefix replay), merging per-shard collector states in stream
-  order (:meth:`~repro.core.hop.HOPCollector.merge` handles multi-path
-  state).
+  chunk-wise timestamp-merged union.
 
 Both engines leave every collector in bit-identical state: per-path collector
 state depends only on that path's sub-stream (in its own time order), which
 both the whole-run merge and the chunk-wise merges preserve — so receipts,
-estimates, verdicts and triangulation byte-match across engines and shard
-counts (``time_sum`` at its documented tolerance), which the mesh conformance
+estimates, verdicts and triangulation byte-match across engines and chunk
+sizes (``time_sum`` at its documented tolerance), which the mesh conformance
 suite asserts.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.hop import HOPCollector, HOPReport
 from repro.core.protocol import MeshSession
-from repro.engine.checkpoint import StreamCheckpoint
 from repro.engine.streaming import (
     DEFAULT_CHUNK_SIZE,
     ScenarioStream,
     StreamingTruth,
     _collectors_by_hop,
-    _merge_shard_states,
     _session_digesters,
-    _shard_bounds,
 )
 from repro.net.batch import PacketBatch
 from repro.net.topology import Domain
@@ -75,11 +64,7 @@ class MeshStreamingResult:
     session: MeshSession
     path_truth: tuple[dict[str, StreamingTruth], ...]
     chunk_size: int
-    shards: int
     chunks: int
-    #: Chunk rounds each shard actually evaluated, in shard order (span
-    #: sizes — zero prefix replay); ``(chunks,)`` for a single-process run.
-    shard_chunks: tuple[int, ...] = ()
 
     def truth_for(self, path_index: int, domain: Domain | str) -> StreamingTruth:
         name = domain.name if isinstance(domain, Domain) else domain
@@ -132,91 +117,29 @@ def _advance_round(
     return per_path
 
 
-def _run_mesh_shard(
-    setup: Callable[[], MeshCell],
-    chunk_size: int,
-    start: int,
-    stop: int,
-    checkpoints: tuple[StreamCheckpoint, ...] | None,
-    flush: bool,
-) -> tuple[dict[int, HOPCollector], int]:
-    """Worker entry point: rebuild the mesh cell, seek every path's stream to
-    this shard's round boundary, feed exactly rounds ``[start, stop)``, and
-    return the collector states plus the rounds actually evaluated.
-
-    The chunk index is synchronized across paths, so a shard's span covers a
-    contiguous sub-stream of *every* path — exactly what stream-order
-    collector merging requires.  Paths shorter than ``start`` chunks arrive
-    exhausted (their checkpoint already sits at their end of stream) and
-    contribute nothing until the flush.
-    """
-    cell = setup()
-    collectors = _collectors_by_hop(cell.session)
-    digesters = _session_digesters(cell.session)
-    streams = [
-        ScenarioStream(scenario, collect_truth=False, predigest=digesters)
-        for scenario in cell.scenario.path_scenarios
-    ]
-    if checkpoints is not None:
-        for stream, checkpoint in zip(streams, checkpoints):
-            stream.seek(checkpoint)
-    iterators = [
-        trace.iter_batches(chunk_size, start_chunk=start) for trace in cell.traces
-    ]
-    evaluated = 0
-    for _ in range(start, stop):
-        _feed_merged(collectors, _advance_round(streams, iterators))
-        evaluated += 1
-    if flush:
-        _feed_merged(collectors, _advance_round(streams, iterators, flush=True))
-    return collectors, evaluated
-
-
 class MeshRunner:
-    """Drives a mesh measurement interval chunk-by-chunk, optionally sharded.
+    """Drives a mesh measurement interval chunk-by-chunk, all paths in lockstep.
 
-    Mirrors :class:`~repro.engine.streaming.StreamingRunner`: ``setup`` is a
-    ready :class:`MeshCell` or a picklable zero-argument callable returning
-    one (required for ``shards > 1``).  The coordinator runs one cheap
-    propagation-plan pass over all paths in lockstep (truth included, nothing
-    hashed), captures per-path checkpoints at each shard's round boundary,
-    and dispatches shards to a process pool as soon as their checkpoints
-    exist; workers seek to their boundary and evaluate only their own span.
-    Collector states merge in stream order — receipt-identical to
-    ``shards=1``, which is receipt-identical to the batch engine.
+    Mirrors :class:`~repro.engine.streaming.StreamingRunner`: each round
+    pushes one trace chunk per path through that path's
+    :class:`~repro.engine.streaming.ScenarioStream` and feeds every HOP the
+    timestamp-merged union of the round's emissions — receipt-identical to
+    the batch engine.
     """
 
-    def __init__(
-        self,
-        setup: MeshCell | Callable[[], MeshCell],
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        shards: int = 1,
-    ) -> None:
+    def __init__(self, cell: MeshCell, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if shards > 1 and not callable(setup):
-            raise ValueError(
-                "shards > 1 needs a picklable zero-argument setup callable so "
-                "worker processes can rebuild the mesh cell"
-            )
-        self._setup = setup
+        self._cell = cell
         self.chunk_size = int(chunk_size)
-        self.shards = int(shards)
 
     def run(self) -> MeshStreamingResult:
-        cell = self._setup() if callable(self._setup) else self._setup
+        cell = self._cell
         total_chunks = _total_chunks(cell.traces, self.chunk_size)
-        if self.shards == 1:
-            return self._run_single(cell, total_chunks)
-        return self._run_sharded(cell, total_chunks)
-
-    def _run_single(self, cell: MeshCell, total_chunks: int) -> MeshStreamingResult:
         collectors = _collectors_by_hop(cell.session)
         digesters = _session_digesters(cell.session)
         streams = [
-            ScenarioStream(scenario, collect_truth=True, predigest=digesters)
+            ScenarioStream(scenario, predigest=digesters)
             for scenario in cell.scenario.path_scenarios
         ]
         iterators = [trace.iter_batches(self.chunk_size) for trace in cell.traces]
@@ -229,67 +152,5 @@ class MeshRunner:
             session=cell.session,
             path_truth=tuple(stream.domain_truth for stream in streams),
             chunk_size=self.chunk_size,
-            shards=1,
             chunks=total_chunks,
-            shard_chunks=(total_chunks,),
-        )
-
-    def _run_sharded(self, cell: MeshCell, total_chunks: int) -> MeshStreamingResult:
-        bounds = _shard_bounds(total_chunks, self.shards)
-        plan_streams = [
-            ScenarioStream(scenario, collect_truth=True, predigest=())
-            for scenario in cell.scenario.path_scenarios
-        ]
-        iterators = [trace.iter_batches(self.chunk_size) for trace in cell.traces]
-        futures: list = [None] * self.shards
-        with ProcessPoolExecutor(max_workers=self.shards) as pool:
-
-            def dispatch(
-                shard: int, checkpoints: tuple[StreamCheckpoint, ...] | None
-            ) -> None:
-                futures[shard] = pool.submit(
-                    _run_mesh_shard,
-                    self._setup,
-                    self.chunk_size,
-                    bounds[shard],
-                    bounds[shard + 1],
-                    checkpoints,
-                    shard == self.shards - 1,
-                )
-
-            dispatch(0, None)
-            next_shard = 1
-            for round_index in range(total_chunks):
-                _advance_round(plan_streams, iterators)
-                while (
-                    next_shard < self.shards
-                    and round_index + 1 == bounds[next_shard]
-                ):
-                    dispatch(
-                        next_shard,
-                        tuple(stream.checkpoint() for stream in plan_streams),
-                    )
-                    next_shard += 1
-            while next_shard < self.shards:
-                dispatch(
-                    next_shard,
-                    tuple(stream.checkpoint() for stream in plan_streams),
-                )
-                next_shard += 1
-            # Flush only after every checkpoint is captured, so held-back
-            # packets complete the downstream domains' ground truth without
-            # perturbing the dispatched propagation states.
-            _advance_round(plan_streams, iterators, flush=True)
-            shard_results = [future.result() for future in futures]
-
-        _merge_shard_states([state for state, _ in shard_results], cell.session)
-        reports = cell.session.collect_reports()
-        return MeshStreamingResult(
-            reports=reports,
-            session=cell.session,
-            path_truth=tuple(stream.domain_truth for stream in plan_streams),
-            chunk_size=self.chunk_size,
-            shards=self.shards,
-            chunks=total_chunks,
-            shard_chunks=tuple(evaluated for _, evaluated in shard_results),
         )

@@ -1,4 +1,4 @@
-"""Chunked, shard-parallel scenario execution with exact batch-engine parity.
+"""Chunked scenario execution with exact batch-engine parity.
 
 The batch engine (:meth:`repro.simulation.scenario.PathScenario.run_batch`)
 materializes every HOP's whole observation stream; at tens of millions of
@@ -21,13 +21,9 @@ simulation as a stream:
   continues bit-identically — in another process, or in a later run.
 
 * :class:`StreamingRunner` feeds those emissions to the VPM collectors
-  chunk-by-chunk (single process), or splits the chunk index range across a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (``shards=N``): the
-  coordinator makes one cheap propagation-plan pass (no hashing, no
-  collectors), captures a checkpoint at each shard boundary, and every worker
-  seeks straight to its span — zero prefix replay.  Per-shard collector
-  states are merged exactly (:meth:`repro.core.hop.HOPCollector.merge`), so a
-  sharded run's receipts equal the single-process run's.
+  chunk-by-chunk in one process, and can hand a
+  :class:`RunnerCheckpoint` (stream state plus collector state) to a sink
+  every N chunks, so a killed run resumes mid-interval.
 
 Exactness contract: every component must be *streamable* — delay and loss
 models declare it (:attr:`repro.traffic.delay_models.DelayModel.streamable`),
@@ -41,7 +37,6 @@ batch).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -326,7 +321,6 @@ class ScenarioStream:
     def __init__(
         self,
         scenario: PathScenario,
-        collect_truth: bool = True,
         predigest: Sequence[PacketDigester] = (),
     ) -> None:
         check_scenario_streamable(scenario)
@@ -339,10 +333,9 @@ class ScenarioStream:
         self._watermark = -np.inf
         self._template: PacketBatch | None = None
 
-        if collect_truth:
-            for segment in scenario.path.domain_segments():
-                name = segment[0].name
-                self.domain_truth[name] = StreamingTruth(domain=name)
+        for segment in scenario.path.domain_segments():
+            name = segment[0].name
+            self.domain_truth[name] = StreamingTruth(domain=name)
 
         self._stages: list[tuple[object, HOP]] = []
         hops = scenario.path.hops
@@ -393,26 +386,22 @@ class ScenarioStream:
             emissions.append((next_hop.hop_id, current_batch, current_times))
         return emissions
 
-    def checkpoint(self, include_truth: bool = False) -> StreamCheckpoint:
+    def checkpoint(self) -> StreamCheckpoint:
         """Freeze the complete propagation state at the current chunk boundary.
 
         The checkpoint is a plain picklable value; a fresh stream over the
         same scenario spec that :meth:`seek`\\ s to it continues the run
         bit-identically — same emissions, same holdback contents, same model
-        draws.  ``include_truth`` additionally snapshots the ground-truth
-        accumulators (needed when the seeked stream must keep collecting
-        truth, e.g. a mid-interval campaign resume); plan-pass checkpoints
-        shipped to truthless shard workers leave it off.
+        draws — and keeps accumulating the same ground truth, which the
+        checkpoint snapshots too.
         """
         template = None
         if self._template is not None:
             template = self._template.take(np.empty(0, dtype=np.int64)).detach_root()
-        truth = None
-        if include_truth:
-            truth = {
-                name: accumulator.snapshot()
-                for name, accumulator in self.domain_truth.items()
-            }
+        truth = {
+            name: accumulator.snapshot()
+            for name, accumulator in self.domain_truth.items()
+        }
         return StreamCheckpoint(
             chunk_index=self.chunks_pushed,
             watermark=float(self._watermark),
@@ -454,11 +443,8 @@ class ScenarioStream:
         self._watermark = checkpoint.watermark
         self._template = checkpoint.template
         self.chunks_pushed = checkpoint.chunk_index
-        if checkpoint.truth is not None:
-            for name, state in checkpoint.truth.items():
-                accumulator = self.domain_truth.get(name)
-                if accumulator is not None:
-                    accumulator.restore(state)
+        for name, state in checkpoint.truth.items():
+            self.domain_truth[name].restore(state)
 
 
 def check_scenario_streamable(scenario: PathScenario) -> None:
@@ -504,12 +490,7 @@ class StreamingResult:
     domain_truth: dict[str, StreamingTruth]
     link_losses: dict[tuple[int, int], set[int]]
     chunk_size: int
-    shards: int
     chunks: int
-    #: Chunks each shard actually evaluated, in shard order.  With seekable
-    #: sharding this equals each shard's span size (zero prefix replay) and
-    #: makes span skew visible; ``(chunks,)`` for a single-process run.
-    shard_chunks: tuple[int, ...] = ()
 
     def truth_for(self, domain: Domain | str) -> StreamingTruth:
         name = domain.name if isinstance(domain, Domain) else domain
@@ -534,41 +515,6 @@ def _session_digesters(session: VPMSession) -> list[PacketDigester]:
     )
 
 
-def _shard_bounds(total_chunks: int, shards: int) -> list[int]:
-    """Chunk-index boundaries of each shard's span, remainder balanced.
-
-    ``divmod`` spread: the first ``total_chunks % shards`` shards take one
-    extra chunk each, so span sizes differ by at most one (any empty spans —
-    more shards than chunks — land at the end, where the flush-owning last
-    shard still drains the holdbacks correctly).
-    """
-    base, extra = divmod(total_chunks, shards)
-    bounds = [0]
-    for shard in range(shards):
-        bounds.append(bounds[-1] + base + (1 if shard < extra else 0))
-    return bounds
-
-
-def _merge_shard_states(
-    shard_states: list[dict[int, HOPCollector]],
-    session,
-) -> None:
-    """Fold shard collector states in stream order and install the result.
-
-    ``shard_states`` are the shards' collectors in shard (= stream) order.
-    The merged collectors replace the session agents' — shared by the
-    single-path and mesh runners so the merge discipline cannot drift
-    between engines.
-    """
-    merged = shard_states[0]
-    for state in shard_states[1:]:
-        for hop_id, collector in merged.items():
-            collector.merge(state[hop_id])
-    for agent in session.agents.values():
-        for hop_id in agent.hop_ids:
-            agent.replace_collector(hop_id, merged[hop_id])
-
-
 def _feed(
     collectors: dict[int, HOPCollector],
     emissions: Iterable[tuple[int, PacketBatch, np.ndarray]],
@@ -579,49 +525,9 @@ def _feed(
             collector.observe_batch(batch, times)
 
 
-def _run_streaming_shard(
-    setup: Callable[[], StreamingCell],
-    chunk_size: int,
-    start: int,
-    stop: int,
-    checkpoint: StreamCheckpoint | None,
-    flush: bool,
-) -> tuple[dict[int, HOPCollector], int]:
-    """Worker entry point: rebuild the cell, seek the stream to this shard's
-    chunk boundary, feed exactly chunks ``[start, stop)``, and return the
-    collector states plus the number of chunks actually evaluated.
-
-    Zero prefix replay: the trace iterator seeks by fast-forwarding flow
-    counters (no materialization) and the scenario stream seeks by restoring
-    the coordinator's checkpoint (no propagation), so the worker's cost is
-    proportional to its own span — this is what makes ``shards=N`` scale on
-    N cores.  The returned chunk count therefore equals ``stop - start`` by
-    construction, and the parity tests assert exactly that.
-    """
-    cell = setup()
-    collectors = _collectors_by_hop(cell.session)
-    stream = ScenarioStream(
-        cell.scenario, collect_truth=False, predigest=_session_digesters(cell.session)
-    )
-    if checkpoint is not None:
-        if checkpoint.chunk_index != start:
-            raise ValueError(
-                f"shard starts at chunk {start} but checkpoint was captured "
-                f"at chunk {checkpoint.chunk_index}"
-            )
-        stream.seek(checkpoint)
-    for chunk in cell.trace.iter_batches(chunk_size, start_chunk=start):
-        if stream.chunks_pushed >= stop:
-            break
-        _feed(collectors, stream.push(chunk))
-    if flush:
-        _feed(collectors, stream.flush())
-    return collectors, stream.chunks_pushed - start
-
-
 @dataclass
 class RunnerCheckpoint:
-    """A mid-interval resume point for a ``shards=1`` streaming run.
+    """A mid-interval resume point for a streaming run.
 
     Couples the stream's propagation state (with ground truth) to the VPM
     collectors' state at the same chunk boundary, so a killed run can resume
@@ -638,31 +544,19 @@ class RunnerCheckpoint:
 
 
 class StreamingRunner:
-    """Drives a VPM measurement interval chunk-by-chunk, optionally sharded.
+    """Drives a VPM measurement interval chunk-by-chunk in one process.
 
     Parameters
     ----------
-    setup:
-        Either a ready :class:`StreamingCell` or a zero-argument callable
-        returning one.  With ``shards > 1`` it must be a *picklable* callable
-        (worker processes rebuild the cell themselves — a cell is a pure
-        function of its seeds, so every rebuild is identical).
+    cell:
+        The :class:`StreamingCell` to run.
     chunk_size:
         Trace packets per chunk; memory scales with this, results never
         depend on it.
-    shards:
-        Number of contiguous chunk spans processed in parallel.  The
-        coordinator runs one cheap propagation-plan pass (models + holdbacks
-        only — no hashing, no collectors) that also accumulates ground
-        truth, captures a :class:`StreamCheckpoint` at each shard boundary,
-        and dispatches every shard to a process pool the moment its
-        checkpoint exists; workers seek to their boundary and evaluate only
-        their own span.  Collector states merge in stream order before
-        reports are generated — byte-identical to ``shards=1``.
     checkpoint_every:
-        With ``shards=1``: hand a :class:`RunnerCheckpoint` to
-        ``checkpoint_sink`` after every ``checkpoint_every`` chunks (skipping
-        the final boundary, where finishing beats resuming).
+        Hand a :class:`RunnerCheckpoint` to ``checkpoint_sink`` after every
+        ``checkpoint_every`` chunks (skipping the final boundary, where
+        finishing beats resuming).
     checkpoint_sink:
         Callable receiving those mid-interval checkpoints.
     resume_from:
@@ -677,52 +571,32 @@ class StreamingRunner:
 
     def __init__(
         self,
-        setup: StreamingCell | Callable[[], StreamingCell],
+        cell: StreamingCell,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        shards: int = 1,
         checkpoint_every: int | None = None,
         checkpoint_sink: Callable[[RunnerCheckpoint], None] | None = None,
         resume_from: RunnerCheckpoint | None = None,
     ) -> None:
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if shards > 1 and not callable(setup):
-            raise ValueError(
-                "shards > 1 needs a picklable zero-argument setup callable so "
-                "worker processes can rebuild the cell"
-            )
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise ValueError(
                 f"checkpoint_every must be positive, got {checkpoint_every}"
             )
-        if shards > 1 and (
-            checkpoint_every is not None
-            or checkpoint_sink is not None
-            or resume_from is not None
-        ):
-            raise ValueError("mid-interval checkpointing requires shards=1")
         if resume_from is not None and resume_from.chunk_size != chunk_size:
             raise ValueError(
                 f"resume checkpoint was captured at chunk_size="
                 f"{resume_from.chunk_size}, runner uses {chunk_size}"
             )
-        self._setup = setup
+        self._cell = cell
         self.chunk_size = int(chunk_size)
-        self.shards = int(shards)
         self.checkpoint_every = checkpoint_every
         self._checkpoint_sink = checkpoint_sink
         self._resume_from = resume_from
 
     def run(self) -> StreamingResult:
-        cell = self._setup() if callable(self._setup) else self._setup
+        cell = self._cell
         total_chunks = -(-cell.trace.config.packet_count // self.chunk_size)
-        if self.shards == 1:
-            return self._run_single(cell, total_chunks)
-        return self._run_sharded(cell, total_chunks)
-
-    def _run_single(self, cell: StreamingCell, total_chunks: int) -> StreamingResult:
         session = cell.session
         resume = self._resume_from
         start_chunk = 0
@@ -735,11 +609,7 @@ class StreamingRunner:
                     agent.replace_collector(hop_id, resume.collectors[hop_id])
             start_chunk = resume.stream.chunk_index
         collectors = _collectors_by_hop(session)
-        stream = ScenarioStream(
-            cell.scenario,
-            collect_truth=True,
-            predigest=_session_digesters(session),
-        )
+        stream = ScenarioStream(cell.scenario, predigest=_session_digesters(session))
         if resume is not None:
             stream.seek(resume.stream)
         for chunk in cell.trace.iter_batches(self.chunk_size, start_chunk=start_chunk):
@@ -752,7 +622,7 @@ class StreamingRunner:
             ):
                 self._checkpoint_sink(
                     RunnerCheckpoint(
-                        stream=stream.checkpoint(include_truth=True),
+                        stream=stream.checkpoint(),
                         collectors=collectors,
                         chunk_size=self.chunk_size,
                     )
@@ -765,62 +635,5 @@ class StreamingRunner:
             domain_truth=stream.domain_truth,
             link_losses=stream.link_losses,
             chunk_size=self.chunk_size,
-            shards=1,
             chunks=total_chunks,
-            shard_chunks=(stream.chunks_pushed - start_chunk,),
-        )
-
-    def _run_sharded(self, cell: StreamingCell, total_chunks: int) -> StreamingResult:
-        bounds = _shard_bounds(total_chunks, self.shards)
-        # Plan pass: drive propagation (truth included, emissions discarded,
-        # nothing hashed) and dispatch each shard the moment the plan reaches
-        # its boundary, so workers run concurrently with the plan pass.
-        plan_stream = ScenarioStream(cell.scenario, collect_truth=True, predigest=())
-        futures: list = [None] * self.shards
-        with ProcessPoolExecutor(max_workers=self.shards) as pool:
-
-            def dispatch(shard: int, checkpoint: StreamCheckpoint | None) -> None:
-                futures[shard] = pool.submit(
-                    _run_streaming_shard,
-                    self._setup,
-                    self.chunk_size,
-                    bounds[shard],
-                    bounds[shard + 1],
-                    checkpoint,
-                    shard == self.shards - 1,
-                )
-
-            dispatch(0, None)
-            next_shard = 1
-            for chunk in cell.trace.iter_batches(self.chunk_size):
-                plan_stream.push(chunk)
-                while (
-                    next_shard < self.shards
-                    and plan_stream.chunks_pushed == bounds[next_shard]
-                ):
-                    dispatch(next_shard, plan_stream.checkpoint())
-                    next_shard += 1
-            while next_shard < self.shards:
-                # Empty trailing spans (more shards than chunks): they start
-                # at end-of-stream; the last one still owns the flush.
-                dispatch(next_shard, plan_stream.checkpoint())
-                next_shard += 1
-            # Flush only after every checkpoint is captured: packets held
-            # back upstream reach downstream domains' truth accumulators
-            # here, completing the ground truth without touching the
-            # propagation state the shards were dispatched with.
-            plan_stream.flush()
-            shard_results = [future.result() for future in futures]
-
-        _merge_shard_states([state for state, _ in shard_results], cell.session)
-        reports = cell.session.collect_reports()
-        return StreamingResult(
-            reports=reports,
-            session=cell.session,
-            domain_truth=plan_stream.domain_truth,
-            link_losses=plan_stream.link_losses,
-            chunk_size=self.chunk_size,
-            shards=self.shards,
-            chunks=total_chunks,
-            shard_chunks=tuple(evaluated for _, evaluated in shard_results),
         )

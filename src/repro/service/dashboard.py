@@ -182,7 +182,7 @@ DASHBOARD_HTML = r"""<!DOCTYPE html>
   <h2>Submit a campaign</h2>
   <form class="submit" id="submit-form">
     <textarea id="spec-input" placeholder='CampaignSpec JSON, e.g. {"name": "...", "intervals": 6, "cell": {...}, "sla": {...}}' spellcheck="false"></textarea>
-    <input id="policy-input" placeholder='optional ExecutionPolicy JSON, e.g. {"engine": "streaming", "shards": 4}' spellcheck="false">
+    <input id="policy-input" placeholder='optional ExecutionPolicy JSON, e.g. {"engine": "streaming", "chunk_size": 65536}' spellcheck="false">
     <div class="row">
       <input id="runid-input" placeholder="optional run id" style="flex:1">
       <button type="submit">Submit</button>

@@ -357,8 +357,6 @@ class JobQueue:
         argv: list[str] = []
         if policy.engine is not None:
             argv += ["--engine", policy.engine]
-        if policy.shards != 1:
-            argv += ["--shards", str(policy.shards)]
         if policy.chunk_size is not None:
             argv += ["--chunk-size", str(policy.chunk_size)]
         if policy.checkpoint_every is not None:

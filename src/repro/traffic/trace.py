@@ -288,7 +288,7 @@ class SyntheticTrace:
         ``start_chunk`` onward, bit-identical to the tail of a full pass.
         Seeking only fast-forwards the plan's per-flow sequence counters
         (a vectorized count over the skipped flow-id prefix) — it never
-        materializes the skipped packets, so a shard starting deep into a
+        materializes the skipped packets, so a run resuming deep into a
         long trace pays a small fraction of the replay it would otherwise.
 
         Like :meth:`packet_batch`, this consumes the trace's RNG — use a

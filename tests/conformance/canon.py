@@ -6,12 +6,10 @@ campaign run store records the same form's digest per interval; re-exported
 here so the conformance/engine tests keep one import site.  Exact float hex
 for every timestamp; ``time_sum`` rounded to 10 significant digits — the one
 field whose float accumulation order legitimately differs between the scalar,
-batch and streaming engines (and between shard counts).
+batch and streaming engines (and between chunk sizes).
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from repro.api.runner import _build_cell, _build_mesh_cell
 from repro.engine import DEFAULT_CHUNK_SIZE, MeshRunner, StreamingRunner
@@ -42,13 +40,9 @@ def run_batch_reports(spec):
     return cell.session.run(observation)
 
 
-def run_streaming_reports(spec, shards: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE):
+def run_streaming_reports(spec, chunk_size: int = DEFAULT_CHUNK_SIZE):
     """The streaming engine's receipts for a spec."""
-    runner = StreamingRunner(
-        partial(_build_cell, spec.to_dict()),
-        chunk_size=chunk_size,
-        shards=shards,
-    )
+    runner = StreamingRunner(_build_cell(spec.to_dict()), chunk_size=chunk_size)
     return runner.run().reports
 
 
@@ -59,11 +53,7 @@ def run_mesh_batch_reports(spec):
     return cell.session._last_reports
 
 
-def run_mesh_streaming_reports(spec, shards: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE):
+def run_mesh_streaming_reports(spec, chunk_size: int = DEFAULT_CHUNK_SIZE):
     """The streaming mesh engine's receipts for a MeshSpec."""
-    runner = MeshRunner(
-        partial(_build_mesh_cell, spec.to_dict()),
-        chunk_size=chunk_size,
-        shards=shards,
-    )
+    runner = MeshRunner(_build_mesh_cell(spec.to_dict()), chunk_size=chunk_size)
     return runner.run().reports

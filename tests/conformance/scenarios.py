@@ -9,8 +9,8 @@ estimates/verdicts and the cross-path triangulation output).
 
 The golden fixtures in ``goldens/`` freeze each scenario's output as produced
 by the batch engine; the conformance tests additionally require the streaming
-engine (single-process and ``shards=4``) to reproduce them byte-for-byte
-(``time_sum`` compared at its documented 10-significant-digit tolerance).
+engine to reproduce them byte-for-byte (``time_sum`` compared at its
+documented 10-significant-digit tolerance).
 """
 
 from __future__ import annotations

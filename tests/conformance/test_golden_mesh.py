@@ -11,10 +11,10 @@ For each canonical mesh scenario the suite freezes, as JSON fixtures under
 
 ``pytest --regen-goldens`` rewrites the fixtures from the current batch mesh
 engine instead of comparing.  On top of the golden comparison, the streaming
-mesh engine — single-process and with ``shards=4`` — must reproduce the batch
-engine's mesh result **byte-identically** and its receipts exactly
-(``time_sum`` at its documented tolerance), the acceptance bar for
-shard-parallel mesh execution.
+mesh engine must reproduce the batch engine's mesh result
+**byte-identically** and its receipts exactly (``time_sum`` at its documented
+tolerance) — both over several lockstep rounds and in the degenerate single
+round where every path's whole trace is one chunk.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.runner import run_mesh_cell
+from repro.api.runner import _build_mesh_cell, run_mesh_cell
+from repro.engine import MeshRunner
 
 from tests.conformance.canon import (
     canonical_receipts,
@@ -40,11 +41,11 @@ GOLDEN_DIR = Path(
     os.environ.get("REPRO_GOLDEN_DIR") or Path(__file__).parent / "goldens"
 )
 
-# Small enough to slice the 1500-packet per-path traces into several chunks
-# (and give every shard real work), so the lockstep merge and the holdback
-# machinery are actually exercised.
+# Small enough to slice the 1500-packet per-path traces into several chunks,
+# so the lockstep merge and the holdback machinery are actually exercised.
 CHUNK_SIZE = 320
-SHARDS = 4
+# Larger than every per-path trace: the whole interval is one lockstep round.
+ONE_ROUND_CHUNK_SIZE = 1 << 16
 
 
 @pytest.fixture(scope="session")
@@ -112,18 +113,21 @@ class TestMeshConformance:
         ).to_json()
         assert streaming_json == batch_json
         assert canonical_receipts(
-            run_mesh_streaming_reports(spec, shards=1, chunk_size=CHUNK_SIZE)
+            run_mesh_streaming_reports(spec, chunk_size=CHUNK_SIZE)
         ) == canonical_receipts(run_mesh_batch_reports(spec))
 
-    def test_streaming_sharded_byte_identical(self, name, regen):
+    def test_streaming_one_round_byte_identical(self, name, regen):
         if regen:
             pytest.skip("regenerating goldens")
         spec = MESH_CONFORMANCE_SCENARIOS[name]
-        batch_json = run_mesh_cell(spec, engine="batch").to_json()
-        sharded_json = run_mesh_cell(
-            spec, engine="streaming", shards=SHARDS, chunk_size=CHUNK_SIZE
+        streamed = MeshRunner(
+            _build_mesh_cell(spec.to_dict()), chunk_size=ONE_ROUND_CHUNK_SIZE
+        ).run()
+        assert streamed.chunks == 1
+        assert canonical_receipts(streamed.reports) == canonical_receipts(
+            run_mesh_batch_reports(spec)
+        )
+        streaming_json = run_mesh_cell(
+            spec, engine="streaming", chunk_size=ONE_ROUND_CHUNK_SIZE
         ).to_json()
-        assert sharded_json == batch_json
-        assert canonical_receipts(
-            run_mesh_streaming_reports(spec, shards=SHARDS, chunk_size=CHUNK_SIZE)
-        ) == canonical_receipts(run_mesh_batch_reports(spec))
+        assert streaming_json == run_mesh_cell(spec, engine="batch").to_json()

@@ -11,20 +11,22 @@ For each canonical scenario the suite freezes, as JSON fixtures under
 
 ``pytest --regen-goldens`` rewrites the fixtures from the current batch
 engine instead of comparing.  On top of the golden comparison, the streaming
-engine — single-process and with ``shards=4`` — must reproduce the batch
-engine's cell result **byte-identically** and its receipts exactly (the
-acceptance bar for shard-parallel execution).
+engine must reproduce the batch engine's cell result **byte-identically** and
+its receipts exactly — also when the run is killed between chunks and resumed
+from a pickled mid-run checkpoint.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 from pathlib import Path
 
 import pytest
 
-from repro.api.runner import run_cell
+from repro.api.runner import run_cell, run_cell_full
+from repro.api.spec import ExecutionPolicy
 
 from tests.conformance.canon import (
     canonical_receipts,
@@ -41,10 +43,8 @@ GOLDEN_DIR = Path(
 )
 
 # Small enough to slice the 3000-packet conformance traces into several
-# chunks (and give every shard real work), so the holdback/merge machinery is
-# actually exercised.
+# chunks, so the holdback machinery is actually exercised.
 CHUNK_SIZE = 640
-SHARDS = 4
 
 
 @pytest.fixture(scope="session")
@@ -93,19 +93,32 @@ class TestConformance:
             spec, engine="streaming", chunk_size=CHUNK_SIZE
         ).to_json()
         assert streaming_json == batch_json
-        assert canonical_receipts(run_streaming_reports(spec, shards=1, chunk_size=CHUNK_SIZE)) == (
+        assert canonical_receipts(run_streaming_reports(spec, chunk_size=CHUNK_SIZE)) == (
             canonical_receipts(run_batch_reports(spec))
         )
 
-    def test_streaming_sharded_byte_identical(self, name, regen):
+    def test_streaming_resumed_mid_run_byte_identical(self, name, regen):
         if regen:
             pytest.skip("regenerating goldens")
         spec = CONFORMANCE_SCENARIOS[name]
-        batch_json = run_cell(spec, engine="batch").to_json()
-        sharded_json = run_cell(
-            spec, engine="streaming", shards=SHARDS, chunk_size=CHUNK_SIZE
-        ).to_json()
-        assert sharded_json == batch_json
-        assert canonical_receipts(run_streaming_reports(spec, shards=SHARDS, chunk_size=CHUNK_SIZE)) == (
+        blobs: list[bytes] = []
+        run_cell_full(
+            spec,
+            policy=ExecutionPolicy(
+                engine="streaming", chunk_size=CHUNK_SIZE, checkpoint_every=1
+            ),
+            checkpoint_sink=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
+        )
+        assert len(blobs) >= 2, "the trace must span several chunk boundaries"
+        checkpoint = pickle.loads(blobs[len(blobs) // 2])
+        assert checkpoint.stream.chunk_index == len(blobs) // 2 + 1
+
+        resumed = run_cell_full(
+            spec,
+            policy=ExecutionPolicy(engine="streaming", chunk_size=CHUNK_SIZE),
+            resume_from=checkpoint,
+        )
+        assert resumed.result.to_json() == run_cell(spec, engine="batch").to_json()
+        assert canonical_receipts(resumed.reports) == (
             canonical_receipts(run_batch_reports(spec))
         )

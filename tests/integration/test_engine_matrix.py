@@ -15,11 +15,10 @@ refuse it with a clear error rather than silently produce different traffic,
 and the scalar/batch pair is still compared.
 
 The mesh matrix runs every registered *topology* through the mesh runner on
-both mesh engines (batch vs streaming, plus a sharded pass), with the same
-byte-identity requirements on ``MeshResult.to_json()`` and receipts, and a
+both mesh engines (batch vs streaming), with the same byte-identity
+requirements on ``MeshResult.to_json()`` and receipts, and a
 registry-completeness guard so new topologies cannot silently skip it.  The
-acceptance-scale case — a ≥8-domain, ≥6-path random mesh under ``shards=4``
-— lives here too.
+acceptance-scale case — a ≥8-domain, ≥6-path random mesh — lives here too.
 """
 
 from __future__ import annotations
@@ -203,14 +202,12 @@ def _mesh_spec(name: str, lying_domain: str | None = None) -> MeshSpec:
     )
 
 
-def _assert_mesh_two_way(spec: MeshSpec, shards: int = 1) -> None:
+def _assert_mesh_two_way(spec: MeshSpec) -> None:
     batch = run_mesh_cell(spec, engine="batch")
-    streaming = run_mesh_cell(
-        spec, engine="streaming", shards=shards, chunk_size=MESH_CHUNK_SIZE
-    )
+    streaming = run_mesh_cell(spec, engine="streaming", chunk_size=MESH_CHUNK_SIZE)
     assert streaming.to_json() == batch.to_json()
     assert canonical_receipts(
-        run_mesh_streaming_reports(spec, shards=shards, chunk_size=MESH_CHUNK_SIZE)
+        run_mesh_streaming_reports(spec, chunk_size=MESH_CHUNK_SIZE)
     ) == canonical_receipts(run_mesh_batch_reports(spec))
 
 
@@ -240,15 +237,14 @@ def test_topology_mesh_engine_parity(name):
 
 
 def test_star_mesh_lying_engine_parity():
-    _assert_mesh_two_way(_mesh_spec("star", lying_domain="X"), shards=2)
+    _assert_mesh_two_way(_mesh_spec("star", lying_domain="X"))
 
 
-def test_acceptance_scale_mesh_sharded_byte_identical():
-    """A ≥8-domain, ≥6-path mesh: batch vs streaming shards=4, byte-identical.
+def test_acceptance_scale_mesh_byte_identical():
+    """A ≥8-domain, ≥6-path mesh: batch vs streaming, byte-identical.
 
-    The ISSUE-4 acceptance bar: per-HOP receipts equal across engines and
-    shard counts at mesh scale, with the isolation-parity machinery already
-    covered by the property suite.
+    Per-HOP receipts equal across engines at mesh scale, with the
+    isolation-parity machinery already covered by the property suite.
     """
     topology = TopologySpec(
         kind="mesh-random",
@@ -287,4 +283,4 @@ def test_acceptance_scale_mesh_sharded_byte_identical():
         > 1
     }
     assert shared, "acceptance mesh must actually share HOPs between paths"
-    _assert_mesh_two_way(spec, shards=4)
+    _assert_mesh_two_way(spec)

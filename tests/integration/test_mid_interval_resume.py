@@ -1,25 +1,19 @@
-"""Seek-based sharding and mid-interval checkpoints, end to end.
+"""Mid-interval checkpoints for streaming campaigns, end to end.
 
-Two contracts from the streaming engine's seekable-state redesign:
-
-* **Zero prefix replay** — a ``shards=N`` run dispatches each worker with a
-  :class:`StreamCheckpoint` at its span boundary, so every worker evaluates
-  *exactly* its own chunk span (``result.shard_chunks`` is the per-worker
-  evaluation counter) while receipts and ground truth stay byte-identical to
-  ``shards=1``.  Holds for the single-path and the mesh runner.
-
-* **Mid-interval campaign resume** — a streaming campaign interval killed
-  between chunk boundaries resumes from its persisted
-  :class:`RunnerCheckpoint` (``<store>/interval.ckpt``) and finishes with a
-  store byte-identical to an uninterrupted run; incompatible checkpoints are
-  discarded and the interval simply reruns.
+A streaming campaign interval killed between chunk boundaries resumes from
+its persisted :class:`RunnerCheckpoint` (``<store>/interval.ckpt``) and
+finishes with a store byte-identical to an uninterrupted run; incompatible
+checkpoints are discarded and the interval simply reruns.  A resumed run
+seeks instead of replaying: it materializes only the chunks after its
+checkpoint, and the runners evaluate exactly the chunks the trace yields.
+Also here: a declarative :class:`ExecutionPolicy` runs a cell exactly like
+the legacy keyword arguments it replaces.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
-from functools import partial
 
 import numpy as np
 import pytest
@@ -40,9 +34,10 @@ from repro.api.spec import (
 )
 from repro.engine.campaign import CampaignRunner, interval_record
 from repro.engine.mesh import MeshRunner
-from repro.engine.streaming import StreamingRunner, _shard_bounds
+from repro.engine.streaming import StreamingRunner
 from repro.reporting.serialization import receipts_digest
 from repro.store import RunStore
+from repro.traffic.trace import SyntheticTrace
 
 CHUNK = 256
 
@@ -56,13 +51,24 @@ _CONDITION = ConditionSpec(
 )
 
 
-def _spec(packet_count: int = 1800) -> ExperimentSpec:
+def _spec(packet_count: int = 900) -> ExperimentSpec:
     return ExperimentSpec(
-        name="seek-shard",
+        name="mid-interval",
         seed=42,
         traffic=TrafficSpec(workload="smoke-sequence", packet_count=packet_count),
         path=PathSpec(conditions={"X": _CONDITION}),
     )
+
+
+class TestPolicyApiParity:
+    def test_policy_equals_legacy_kwargs(self):
+        spec = _spec()
+        legacy = run_cell_full(spec, engine="streaming", chunk_size=CHUNK)
+        declarative = run_cell_full(
+            spec, policy=ExecutionPolicy(engine="streaming", chunk_size=CHUNK)
+        )
+        assert declarative.result.to_json() == legacy.result.to_json()
+        assert receipts_digest(declarative.reports) == receipts_digest(legacy.reports)
 
 
 def _assert_truth_equal(truth_a, truth_b) -> None:
@@ -71,66 +77,89 @@ def _assert_truth_equal(truth_a, truth_b) -> None:
     assert np.array_equal(truth_b.delays(), truth_a.delays())
 
 
-class TestShardedZeroReplay:
-    def test_shards_match_single_and_evaluate_only_their_span(self):
+@pytest.fixture
+def materialized(monkeypatch) -> list[tuple[int, int]]:
+    """Record the ``[start, stop)`` span of every trace chunk materialized."""
+    spans: list[tuple[int, int]] = []
+    original = SyntheticTrace._materialize
+
+    def recording(self, plan, start, stop):
+        spans.append((start, stop))
+        return original(self, plan, start, stop)
+
+    monkeypatch.setattr(SyntheticTrace, "_materialize", recording)
+    return spans
+
+
+def _checkpointed_run(spec: ExperimentSpec) -> tuple[object, list[bytes]]:
+    blobs: list[bytes] = []
+    result = StreamingRunner(
+        _build_cell(spec.to_dict()),
+        chunk_size=CHUNK,
+        checkpoint_every=1,
+        checkpoint_sink=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
+    ).run()
+    return result, blobs
+
+
+class TestResumeZeroReplay:
+    def test_resume_materializes_only_the_remaining_chunks(self, materialized):
+        spec = _spec()  # 900 packets → chunks of 256, 256, 256, 132
+        reference, blobs = _checkpointed_run(spec)
+        assert materialized == [(0, 256), (256, 512), (512, 768), (768, 900)]
+        assert reference.chunks == 4 and len(blobs) == 3
+
+        materialized.clear()
+        checkpoint = pickle.loads(blobs[0])
+        assert checkpoint.stream.chunk_index == 1
+        resumed = StreamingRunner(
+            _build_cell(spec.to_dict()), chunk_size=CHUNK, resume_from=checkpoint
+        ).run()
+        assert materialized == [(256, 512), (512, 768), (768, 900)]
+        assert receipts_digest(resumed.reports) == receipts_digest(reference.reports)
+        for name, truth in reference.domain_truth.items():
+            _assert_truth_equal(truth, resumed.domain_truth[name])
+        assert resumed.link_losses == reference.link_losses
+
+    def test_resume_from_every_boundary_matches_uninterrupted(self):
         spec = _spec()
-        setup = partial(_build_cell, spec.to_dict())
-        single = StreamingRunner(setup, chunk_size=CHUNK).run()
-        sharded = StreamingRunner(setup, chunk_size=CHUNK, shards=3).run()
+        reference, blobs = _checkpointed_run(spec)
+        for index, blob in enumerate(blobs):
+            checkpoint = pickle.loads(blob)
+            assert checkpoint.stream.chunk_index == index + 1
+            resumed = StreamingRunner(
+                _build_cell(spec.to_dict()), chunk_size=CHUNK, resume_from=checkpoint
+            ).run()
+            assert receipts_digest(resumed.reports) == receipts_digest(
+                reference.reports
+            )
+            for name, truth in reference.domain_truth.items():
+                _assert_truth_equal(truth, resumed.domain_truth[name])
 
-        # The per-worker evaluation counters equal the balanced span sizes —
-        # seek-based dispatch means no worker replayed a single prefix chunk.
-        bounds = _shard_bounds(single.chunks, 3)
-        spans = tuple(stop - start for start, stop in zip(bounds, bounds[1:]))
-        assert sharded.shard_chunks == spans
-        assert sum(sharded.shard_chunks) == single.chunks
-        assert single.shard_chunks == (single.chunks,)
+    def test_resume_rejects_checkpoint_from_another_chunk_size(self):
+        spec = _spec()
+        _, blobs = _checkpointed_run(spec)
+        with pytest.raises(ValueError, match="chunk_size=256"):
+            StreamingRunner(
+                _build_cell(spec.to_dict()),
+                chunk_size=CHUNK * 2,
+                resume_from=pickle.loads(blobs[0]),
+            )
 
-        assert receipts_digest(sharded.reports) == receipts_digest(single.reports)
-        for name, truth in single.domain_truth.items():
-            _assert_truth_equal(truth, sharded.domain_truth[name])
-        assert sharded.link_losses == single.link_losses
-
-    def test_more_shards_than_chunks(self):
-        spec = _spec(packet_count=600)  # 3 chunks of 256
-        setup = partial(_build_cell, spec.to_dict())
-        single = StreamingRunner(setup, chunk_size=CHUNK).run()
-        sharded = StreamingRunner(setup, chunk_size=CHUNK, shards=5).run()
-        assert single.chunks == 3
-        assert sharded.shard_chunks == (1, 1, 1, 0, 0)
-        assert receipts_digest(sharded.reports) == receipts_digest(single.reports)
-
-    def test_mesh_shards_match_single_and_evaluate_only_their_span(self):
+    def test_mesh_rounds_materialize_each_path_chunk_once(self, materialized):
         spec = MeshSpec(
-            name="seek-shard-mesh",
+            name="mesh-rounds",
             seed=42,
             topology=TopologySpec(kind="star", params={"path_count": 2}, seed=0),
             traffic=TrafficSpec(workload="smoke-sequence", packet_count=900),
             conditions={"X": _CONDITION},
         )
-        setup = partial(_build_mesh_cell, spec.to_dict())
-        single = MeshRunner(setup, chunk_size=CHUNK).run()
-        sharded = MeshRunner(setup, chunk_size=CHUNK, shards=2).run()
-
-        bounds = _shard_bounds(single.chunks, 2)
-        spans = tuple(stop - start for start, stop in zip(bounds, bounds[1:]))
-        assert sharded.shard_chunks == spans
-        assert single.shard_chunks == (single.chunks,)
-        assert receipts_digest(sharded.reports) == receipts_digest(single.reports)
-        for index, path_truth in enumerate(single.path_truth):
-            for name, truth in path_truth.items():
-                _assert_truth_equal(truth, sharded.path_truth[index][name])
-
-
-class TestPolicyApiParity:
-    def test_policy_equals_legacy_kwargs(self):
-        spec = _spec(packet_count=900)
-        legacy = run_cell_full(spec, engine="streaming", shards=2, chunk_size=CHUNK)
-        declarative = run_cell_full(
-            spec, policy=ExecutionPolicy(engine="streaming", shards=2, chunk_size=CHUNK)
-        )
-        assert declarative.result.to_json() == legacy.result.to_json()
-        assert receipts_digest(declarative.reports) == receipts_digest(legacy.reports)
+        cell = _build_mesh_cell(spec.to_dict())
+        result = MeshRunner(cell, chunk_size=CHUNK).run()
+        assert len(cell.traces) == 2
+        assert result.chunks == 4
+        per_path = [(0, 256), (256, 512), (512, 768), (768, 900)]
+        assert sorted(materialized) == sorted(per_path * 2)
 
 
 # -- mid-interval campaign checkpoints -------------------------------------------------

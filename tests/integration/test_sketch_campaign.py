@@ -1,8 +1,8 @@
-"""End-to-end sketch-mode campaigns: sharding, kill/resume, reporting.
+"""End-to-end sketch-mode campaigns: engine invariance, kill/resume, reporting.
 
 Sketch mode changes what a campaign *commits* (bounded sketch state instead
 of raw sample hex) — so the invariants the exact tier proves must be re-proven
-on the wire: engine/shard invariance byte-for-byte over the mesh conformance
+on the wire: engine invariance byte-for-byte over the mesh conformance
 scenario, byte-identical ``repro resume`` after a real SIGINT delivered to a
 live ``repro run`` subprocess, and the error-bound annotations surfacing
 through reports, ``repro compare`` and :func:`compare_runs`.
@@ -72,8 +72,8 @@ def _store_files(path) -> dict[str, bytes]:
     }
 
 
-def test_sketch_mesh_campaign_is_shard_invariant(tmp_path):
-    """Sketch-mode mesh campaign: shards=4 store == shards=1 store, byte-for-byte."""
+def test_sketch_mesh_campaign_is_engine_invariant(tmp_path):
+    """Sketch-mode mesh campaign: streaming store == batch store, byte-for-byte."""
     cell = MESH_CONFORMANCE_SCENARIOS["mesh-honest"].with_overrides(
         {"estimation_mode": "sketch", "sketch_size": 128}
     )
@@ -84,13 +84,13 @@ def test_sketch_mesh_campaign_is_shard_invariant(tmp_path):
         sla=SLATargetSpec(delay_bound=50e-3, delay_quantile=0.9, loss_bound=0.3),
     )
 
-    single = RunStore.create(tmp_path / "shards-1", spec)
-    CampaignRunner(spec, single, shards=1).run()
-    sharded = RunStore.create(tmp_path / "shards-4", spec)
-    CampaignRunner(spec, sharded, engine="streaming", shards=4).run()
+    single = RunStore.create(tmp_path / "batch", spec)
+    CampaignRunner(spec, single, engine="batch").run()
+    streamed = RunStore.create(tmp_path / "streaming", spec)
+    CampaignRunner(spec, streamed, engine="streaming", chunk_size=320).run()
 
-    assert single.digest() == sharded.digest()
-    assert _store_files(tmp_path / "shards-1") == _store_files(tmp_path / "shards-4")
+    assert single.digest() == streamed.digest()
+    assert _store_files(tmp_path / "batch") == _store_files(tmp_path / "streaming")
 
     # the committed records carry sketch state only — and it decodes
     for record in single.records():

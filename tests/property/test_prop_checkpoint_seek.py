@@ -7,9 +7,9 @@ built stream to it, and push chunks ``k`` onward — every emission, the final
 ground truth and the terminal ``state_digest()`` come out byte-identical to
 an uninterrupted run.  This must hold for **every streamable registered
 model** (delay, loss, reordering) and for arbitrary chunk sizes, because it
-is what both shard workers and mid-interval campaign resumes stand on.
+is what mid-interval campaign resumes stand on.
 
-The runner-level twin: a ``shards=1`` streaming run checkpointed every N
+The runner-level twin: a streaming run checkpointed every N
 chunks (:class:`RunnerCheckpoint` through ``checkpoint_sink``), killed, and
 resumed from the pickled checkpoint yields byte-identical ``CellResult``
 JSON and receipts.
@@ -129,7 +129,7 @@ class TestStreamSeekEquality:
             if stream_a.chunks_pushed > resume_at:
                 suffix_a.append(emitted)
             if stream_a.chunks_pushed == resume_at:
-                checkpoint = stream_a.checkpoint(include_truth=True)
+                checkpoint = stream_a.checkpoint()
         suffix_a.append(stream_a.flush())
         assert checkpoint is not None
 
@@ -168,12 +168,12 @@ class TestStreamSeekEquality:
         self, condition, seed, chunk_size
     ):
         """``state_digest()`` survives a pickle round-trip unchanged (it is the
-        cross-process identity shard workers and resume validation lean on)."""
+        cross-process identity resume validation leans on)."""
         cell = _build_cell(_spec(seed, condition).to_dict())
         stream = ScenarioStream(cell.scenario)
         chunks = cell.trace.iter_batches(chunk_size)
         stream.push(next(chunks))
-        checkpoint = stream.checkpoint(include_truth=True)
+        checkpoint = stream.checkpoint()
         restored = pickle.loads(pickle.dumps(checkpoint))
         assert restored.state_digest() == checkpoint.state_digest()
         assert restored.chunk_index == checkpoint.chunk_index

@@ -196,8 +196,6 @@ class TestMeshStreamingParity:
         run_mesh_batch(batch_cell)
         batch_receipts = canonical_receipts(batch_cell.session._last_reports)
 
-        runner = MeshRunner(
-            _build_mesh_cell(spec.to_dict()), chunk_size=chunk_size, shards=1
-        )
+        runner = MeshRunner(_build_mesh_cell(spec.to_dict()), chunk_size=chunk_size)
         streamed = runner.run()
         assert canonical_receipts(streamed.reports) == batch_receipts

@@ -22,7 +22,7 @@ import math
 import pickle
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sketch import DelayQuantileSketch
@@ -42,28 +42,58 @@ _sample = st.one_of(
 )
 _samples = st.lists(_sample, min_size=0, max_size=120)
 _sizes = st.sampled_from([8, 32, 512])
+# Split points and orderings as plain lists (not ``st.data()``) so that
+# falsifying cases can be pinned with ``@example``.
+_flags = st.lists(st.booleans(), max_size=121)
+_keys = st.lists(st.integers(min_value=0, max_value=1000), max_size=121)
 
 
+def _permuted(items: list, keys: list[int]) -> list:
+    """``items`` stably sorted by ``keys`` (missing keys count as 0)."""
+    rank = [(keys[i] if i < len(keys) else 0, i) for i in range(len(items))]
+    return [items[i] for _, i in sorted(rank)]
+
+
+# Signed zero: -0.0 == 0.0, so min/max keep whichever arrives first unless
+# the sketch canonicalises it; merging the -0.0 piece first must not change
+# the digest.
+@example(
+    samples=[0.0, -0.0],
+    size=8,
+    splits=[False, True],
+    merge_keys=[1, 0],
+    extend_keys=[1, 0],
+)
+@example(
+    samples=[0.0, 0.0, -0.0],
+    size=8,
+    splits=[False, False, True],
+    merge_keys=[1, 0],
+    extend_keys=[2, 1, 0],
+)
 @settings(max_examples=120, deadline=None)
-@given(samples=_samples, size=_sizes, data=st.data())
-def test_merge_grouping_and_order_invariance(samples, size, data):
+@given(
+    samples=_samples, size=_sizes, splits=_flags, merge_keys=_keys, extend_keys=_keys
+)
+def test_merge_grouping_and_order_invariance(
+    samples, size, splits, merge_keys, extend_keys
+):
     one_shot = DelayQuantileSketch(size, samples)
 
     # arbitrary partition, arbitrary merge order
     pieces: list[list[float]] = [[]]
-    for value in samples:
-        if data.draw(st.booleans(), label="split-here"):
+    for index, value in enumerate(samples):
+        if index < len(splits) and splits[index]:
             pieces.append([])
         pieces[-1].append(value)
-    order = data.draw(st.permutations(range(len(pieces))), label="merge-order")
 
     merged = DelayQuantileSketch(size)
-    for index in order:
-        merged.merge(DelayQuantileSketch(size, pieces[index]))
+    for piece in _permuted(pieces, merge_keys):
+        merged.merge(DelayQuantileSketch(size, piece))
     assert merged.state_digest() == one_shot.state_digest()
 
     # fold order within one sketch doesn't matter either
-    shuffled = data.draw(st.permutations(samples), label="extend-order")
+    shuffled = _permuted(samples, extend_keys)
     assert (
         DelayQuantileSketch(size, shuffled).state_digest()
         == one_shot.state_digest()

@@ -1,18 +1,18 @@
-"""Property tests for mergeable collector state and streaming parity.
+"""Property tests for chunk-size invariance of collector state and traces.
 
-The shard-parallel streaming engine rests on three algebraic facts, each
-hammered here with hypothesis-generated streams and arbitrary split points:
+The streaming engine feeds every collector the whole-run observation stream
+one chunk at a time, so it rests on two facts, each hammered here with
+hypothesis-generated streams and arbitrary chunk boundaries:
 
-* **split-run-merge == whole-run** — observing a stream in one go or
-  splitting it at any boundaries into fresh samplers/aggregators and merging
-  them back yields bit-identical state (``state_digest``) and receipts;
-* **merge is associative** — folding shard states left-to-right, right-to-
-  left, or in a balanced grouping produces identical state, so shard
-  scheduling order never matters;
+* **chunked feed == whole feed** — one sampler/aggregator/collector fed a
+  stream in arbitrary chunks ends up in bit-identical state
+  (``state_digest``) and emits identical receipts to one fed the whole
+  stream in a single call;
+* **state survives pickling at every chunk boundary** — round-tripping a
+  sampler/aggregator/collector through :mod:`pickle` between chunks (what a
+  mid-interval :class:`RunnerCheckpoint` does) changes nothing downstream;
 * **trace chunking is invariant** — ``SyntheticTrace.iter_batches`` yields
-  chunks whose concatenation equals ``packet_batch()`` for every chunk size,
-  and the streaming scenario driver reproduces ``run_batch``'s per-HOP
-  observations for every chunking.
+  chunks whose concatenation equals ``packet_batch()`` for every chunk size.
 
 ``time_sum`` is covered by the ``state_digest`` comparison at its documented
 10-significant-digit tolerance; every other quantity is exact.
@@ -20,7 +20,7 @@ hammered here with hypothesis-generated streams and arbitrary split points:
 
 from __future__ import annotations
 
-import copy
+import pickle
 
 import numpy as np
 from hypothesis import given, settings
@@ -47,7 +47,7 @@ def _path_id() -> PathID:
 
 @st.composite
 def digest_time_stream(draw, max_size=400):
-    """A (digests, sorted times) stream plus split boundaries into >= 2 parts."""
+    """A (digests, sorted times) stream plus chunk boundaries (>= 2 chunks)."""
     size = draw(st.integers(min_value=0, max_value=max_size))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -80,48 +80,42 @@ def _observe(component, digests, times, batched: bool) -> None:
             component.observe(int(digest), float(time))
 
 
-class TestSamplerMerge:
+class TestSamplerChunking:
     @settings(max_examples=60, deadline=None)
     @given(digest_time_stream(), st.booleans())
-    def test_split_run_merge_equals_whole_run(self, stream, batched):
+    def test_chunked_feed_equals_whole_feed(self, stream, batched):
         digests, times, bounds = stream
         config = SamplerConfig(sampling_rate=0.4, marker_rate=0.08)
         whole = DelaySampler(config)
         _observe(whole, digests, times, batched)
 
-        merged = DelaySampler(config)
+        chunked = DelaySampler(config)
         for start, stop in zip(bounds, bounds[1:]):
-            part = DelaySampler(config)
-            _observe(part, digests[start:stop], times[start:stop], batched)
-            merged.merge(part)
+            _observe(chunked, digests[start:stop], times[start:stop], batched)
 
-        assert merged.state_digest() == whole.state_digest()
+        assert chunked.state_digest() == whole.state_digest()
         path_id = _path_id()
-        assert merged.receipt(path_id) == whole.receipt(path_id)
+        assert chunked.receipt(path_id) == whole.receipt(path_id)
 
-    @settings(max_examples=60, deadline=None)
+
+    @settings(max_examples=40, deadline=None)
     @given(digest_time_stream())
-    def test_merge_is_associative(self, stream):
+    def test_pickled_between_chunks_resumes_identically(self, stream):
         digests, times, bounds = stream
         config = SamplerConfig(sampling_rate=0.4, marker_rate=0.08)
-        parts = []
+        plain = DelaySampler(config)
+        resumed = DelaySampler(config)
         for start, stop in zip(bounds, bounds[1:]):
-            part = DelaySampler(config)
-            part.observe_batch(digests[start:stop], times[start:stop])
-            parts.append(part)
+            plain.observe_batch(digests[start:stop], times[start:stop])
+            resumed.observe_batch(digests[start:stop], times[start:stop])
+            resumed = pickle.loads(pickle.dumps(resumed))
 
-        left_fold = copy.deepcopy(parts[0])
-        for part in parts[1:]:
-            left_fold.merge(copy.deepcopy(part))
-
-        right_fold = copy.deepcopy(parts[-1])
-        for part in reversed(parts[:-1]):
-            right_fold = copy.deepcopy(part).merge(right_fold)
-
-        assert left_fold.state_digest() == right_fold.state_digest()
+        assert resumed.state_digest() == plain.state_digest()
+        path_id = _path_id()
+        assert resumed.receipt(path_id) == plain.receipt(path_id)
 
 
-class TestAggregatorMerge:
+class TestAggregatorChunking:
     @settings(max_examples=60, deadline=None)
     @given(
         digest_time_stream(),
@@ -129,29 +123,27 @@ class TestAggregatorMerge:
         st.sampled_from([0.0, 2.5e-4, 1e-3, 1e-2]),
         st.integers(min_value=2, max_value=40),
     )
-    def test_split_run_merge_equals_whole_run(self, stream, batched, window, agg_size):
+    def test_chunked_feed_equals_whole_feed(self, stream, batched, window, agg_size):
         digests, times, bounds = stream
         config = AggregatorConfig(expected_aggregate_size=agg_size, reorder_window=window)
         whole = Aggregator(config)
         _observe(whole, digests, times, batched)
 
-        merged = Aggregator(config)
+        chunked = Aggregator(config)
         for start, stop in zip(bounds, bounds[1:]):
-            part = Aggregator(config)
-            _observe(part, digests[start:stop], times[start:stop], batched)
-            merged.merge(part)
+            _observe(chunked, digests[start:stop], times[start:stop], batched)
 
-        assert merged.state_digest() == whole.state_digest()
+        assert chunked.state_digest() == whole.state_digest()
 
         # Receipts (including AggTrans windows and order) must agree; time_sum
         # at its documented tolerance.
         path_id = _path_id()
         whole.flush()
-        merged.flush()
+        chunked.flush()
         whole_receipts = whole.receipts(path_id)
-        merged_receipts = merged.receipts(path_id)
-        assert len(merged_receipts) == len(whole_receipts)
-        for mine, reference in zip(merged_receipts, whole_receipts):
+        chunked_receipts = chunked.receipts(path_id)
+        assert len(chunked_receipts) == len(whole_receipts)
+        for mine, reference in zip(chunked_receipts, whole_receipts):
             assert mine.agg_id == reference.agg_id
             assert mine.pkt_count == reference.pkt_count
             assert mine.start_time == reference.start_time
@@ -160,54 +152,33 @@ class TestAggregatorMerge:
             assert mine.trans_after == reference.trans_after
             assert np.isclose(mine.time_sum, reference.time_sum, rtol=1e-9, atol=1e-12)
 
-    @settings(max_examples=60, deadline=None)
+
+    @settings(max_examples=40, deadline=None)
     @given(digest_time_stream(), st.sampled_from([0.0, 1e-3, 1e-2]))
-    def test_merge_is_associative(self, stream, window):
+    def test_pickled_between_chunks_resumes_identically(self, stream, window):
         digests, times, bounds = stream
         config = AggregatorConfig(expected_aggregate_size=7, reorder_window=window)
-        parts = []
+        plain = Aggregator(config)
+        resumed = Aggregator(config)
         for start, stop in zip(bounds, bounds[1:]):
-            part = Aggregator(config)
-            part.observe_batch(digests[start:stop], times[start:stop])
-            parts.append(part)
+            plain.observe_batch(digests[start:stop], times[start:stop])
+            resumed.observe_batch(digests[start:stop], times[start:stop])
+            resumed = pickle.loads(pickle.dumps(resumed))
 
-        left_fold = copy.deepcopy(parts[0])
-        for part in parts[1:]:
-            left_fold.merge(copy.deepcopy(part))
-
-        right_fold = copy.deepcopy(parts[-1])
-        for part in reversed(parts[:-1]):
-            right_fold = copy.deepcopy(part).merge(right_fold)
-
-        assert left_fold.state_digest() == right_fold.state_digest()
-
-    def test_merge_rejects_mismatched_config_and_flushed_state(self):
-        first = Aggregator(AggregatorConfig(expected_aggregate_size=5))
-        second = Aggregator(AggregatorConfig(expected_aggregate_size=6))
-        try:
-            first.merge(second)
-        except ValueError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("config mismatch not rejected")
-        third = Aggregator(AggregatorConfig(expected_aggregate_size=5))
-        third.observe(1, 0.0)
-        third.flush()
-        try:
-            Aggregator(AggregatorConfig(expected_aggregate_size=5)).merge(third)
-        except ValueError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("flushed merge not rejected")
+        assert resumed.state_digest() == plain.state_digest()
+        plain.flush()
+        resumed.flush()
+        path_id = _path_id()
+        assert resumed.receipts(path_id) == plain.receipts(path_id)
 
 
-class TestCollectorMerge:
+class TestCollectorChunking:
     @settings(max_examples=20, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=2, max_value=4),
     )
-    def test_collector_split_feed_merge_equals_whole(self, seed, parts):
+    def test_collector_chunked_feed_equals_whole(self, seed, parts):
         _, path = figure1_topology()
         hop = path.hops[1]
         config = HOPConfig(
@@ -224,17 +195,46 @@ class TestCollectorMerge:
         rng = np.random.default_rng(seed)
         boundaries = sorted(int(value) for value in rng.integers(0, 601, size=parts - 1))
         bounds = [0] + boundaries + [600]
-        merged = None
+        chunked = HOPCollector(hop, config)
+        chunked.register_path(path)
         for start, stop in zip(bounds, bounds[1:]):
-            collector = HOPCollector(hop, config)
-            collector.register_path(path)
             span = batch.take(np.arange(start, stop))
-            collector.observe_batch(span, span.send_time)
-            merged = collector if merged is None else merged.merge(collector)
+            chunked.observe_batch(span, span.send_time)
 
-        assert merged.state_digest() == whole.state_digest()
-        assert merged.observed_packets == whole.observed_packets
-        assert merged.observed_bytes == whole.observed_bytes
+        assert chunked.state_digest() == whole.state_digest()
+        assert chunked.observed_packets == whole.observed_packets
+        assert chunked.observed_bytes == whole.observed_bytes
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=4),
+    )
+    def test_collector_pickled_between_chunks_resumes_identically(self, seed, parts):
+        _, path = figure1_topology()
+        hop = path.hops[1]
+        config = HOPConfig(
+            sampler=SamplerConfig(sampling_rate=0.3, marker_rate=0.05),
+            aggregator=AggregatorConfig(expected_aggregate_size=50),
+        )
+        batch = SyntheticTrace(config=TraceConfig(packet_count=600), seed=seed).packet_batch()
+        rng = np.random.default_rng(seed)
+        boundaries = sorted(int(value) for value in rng.integers(0, 601, size=parts - 1))
+        bounds = [0] + boundaries + [600]
+
+        plain = HOPCollector(hop, config)
+        plain.register_path(path)
+        resumed = HOPCollector(hop, config)
+        resumed.register_path(path)
+        for start, stop in zip(bounds, bounds[1:]):
+            span = batch.take(np.arange(start, stop))
+            plain.observe_batch(span, span.send_time)
+            resumed.observe_batch(span, span.send_time)
+            resumed = pickle.loads(pickle.dumps(resumed))
+
+        assert resumed.state_digest() == plain.state_digest()
+        assert resumed.observed_packets == plain.observed_packets
+        assert resumed.observed_bytes == plain.observed_bytes
 
 
 class TestTraceChunking:

@@ -112,10 +112,10 @@ class TestRun:
                   "--engine", "scalar", "--quiet"])
         assert not (tmp_path / "run").exists()  # rejected before any work
 
-    def test_run_rejects_shards_without_streaming(self, tmp_path, spec_file):
+    def test_run_rejects_chunk_size_without_streaming(self, tmp_path, spec_file):
         with pytest.raises(SystemExit, match="streaming engine only"):
             main(["run", str(spec_file), "--run-dir", str(tmp_path / "run"),
-                  "--shards", "4", "--quiet"])
+                  "--chunk-size", "64", "--quiet"])
 
 
 class TestPolicyOption:

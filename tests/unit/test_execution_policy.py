@@ -1,10 +1,15 @@
-"""Unit tests for :class:`ExecutionPolicy` and the shard-span arithmetic."""
+"""Unit tests for :class:`ExecutionPolicy`."""
 
 from __future__ import annotations
+
+import dataclasses
+import io
+import json
 
 import pytest
 
 from repro.api.spec import (
+    CampaignSpec,
     ConditionSpec,
     ExecutionPolicy,
     ExperimentSpec,
@@ -13,7 +18,8 @@ from repro.api.spec import (
     TopologySpec,
     TrafficSpec,
 )
-from repro.engine.streaming import _shard_bounds
+from repro.cli import main
+from repro.service import JobQueue, ServiceApp
 
 
 def _path_spec(engine: str = "batch") -> ExperimentSpec:
@@ -36,7 +42,6 @@ class TestValidation:
     def test_defaults_are_valid(self):
         policy = ExecutionPolicy()
         assert policy.engine is None
-        assert policy.shards == 1
         assert policy.chunk_size is None
         assert policy.throttle == 0.0
         assert policy.checkpoint_every is None
@@ -48,40 +53,40 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"shards": 0},
             {"chunk_size": 0},
             {"throttle": -1.0},
             {"checkpoint_every": 0},
+            {"chunk_size": -5},
+            {"checkpoint_every": -2},
         ],
     )
     def test_out_of_range_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExecutionPolicy(engine="streaming", **kwargs)
 
-    def test_checkpointing_needs_single_shard(self):
-        with pytest.raises(ValueError, match="requires shards=1"):
-            ExecutionPolicy(engine="streaming", shards=2, checkpoint_every=4)
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"shards": 2}, {"chunk_size": 64}, {"checkpoint_every": 2}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"chunk_size": 64}, {"checkpoint_every": 2}])
     def test_streaming_knobs_rejected_on_explicit_batch(self, kwargs):
         with pytest.raises(ValueError, match="use engine='streaming'"):
             ExecutionPolicy(engine="batch", **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"chunk_size": 64}, {"checkpoint_every": 2}])
+    def test_streaming_knobs_rejected_on_explicit_scalar(self, kwargs):
+        with pytest.raises(ValueError, match="use engine='streaming'"):
+            ExecutionPolicy(engine="scalar", **kwargs)
+
     def test_streaming_knobs_allowed_when_engine_deferred(self):
         # engine=None defers the decision to bind(); the knobs stay legal
         # until the effective engine turns out not to be streaming.
-        policy = ExecutionPolicy(shards=4, chunk_size=64)
+        policy = ExecutionPolicy(chunk_size=64)
         assert policy.bind(_path_spec(engine="streaming")).engine == "streaming"
-        with pytest.raises(ValueError, match="does not support shards"):
+        with pytest.raises(ValueError, match="does not support chunk_size"):
             policy.bind(_path_spec(engine="batch"))
 
 
 class TestCoerce:
     def test_kwargs_build_a_policy(self):
-        policy = ExecutionPolicy.coerce(None, engine="streaming", shards=3)
-        assert policy == ExecutionPolicy(engine="streaming", shards=3)
+        policy = ExecutionPolicy.coerce(None, engine="streaming", chunk_size=64)
+        assert policy == ExecutionPolicy(engine="streaming", chunk_size=64)
 
     def test_ready_policy_passes_through(self):
         policy = ExecutionPolicy(engine="streaming")
@@ -89,7 +94,7 @@ class TestCoerce:
 
     def test_policy_plus_kwargs_is_ambiguous(self):
         with pytest.raises(ValueError, match="not both"):
-            ExecutionPolicy.coerce(ExecutionPolicy(), shards=2)
+            ExecutionPolicy.coerce(ExecutionPolicy(), chunk_size=64)
 
     def test_non_policy_rejected(self):
         with pytest.raises(ValueError, match="must be an ExecutionPolicy"):
@@ -114,11 +119,17 @@ class TestBind:
             ExecutionPolicy(engine="streaming", checkpoint_every=2).bind(_mesh_spec())
 
 
+    def test_deferred_checkpointing_rejected_when_spec_runs_batch(self):
+        policy = ExecutionPolicy(checkpoint_every=2)
+        assert policy.bind(_path_spec(engine="streaming")).checkpoint_every == 2
+        with pytest.raises(ValueError, match="does not support checkpoint_every"):
+            policy.bind(_path_spec(engine="batch"))
+
+
 class TestRoundTrip:
     def test_json_round_trip_is_identity(self):
         policy = ExecutionPolicy(
-            engine="streaming", shards=1, chunk_size=512, throttle=0.5,
-            checkpoint_every=8,
+            engine="streaming", chunk_size=512, throttle=0.5, checkpoint_every=8,
         )
         assert ExecutionPolicy.from_json(policy.to_json()) == policy
         assert ExecutionPolicy.from_dict(policy.to_dict()) == policy
@@ -131,26 +142,57 @@ class TestRoundTrip:
             ExecutionPolicy.from_dict({"engine": "batch", "workers": 4})
 
     def test_with_overrides(self):
-        policy = ExecutionPolicy(engine="streaming").with_overrides({"shards": 4})
-        assert policy.shards == 4
+        policy = ExecutionPolicy(engine="streaming").with_overrides({"chunk_size": 64})
+        assert policy.chunk_size == 64
         assert policy.engine == "streaming"
 
 
-class TestShardBounds:
-    def test_even_split(self):
-        assert _shard_bounds(8, 4) == [0, 2, 4, 6, 8]
+class TestShardsRemoved:
+    """``shards`` is no execution knob: every outside input rejects it by name."""
 
-    def test_remainder_goes_to_first_shards(self):
-        assert _shard_bounds(10, 4) == [0, 3, 6, 8, 10]
+    def test_shards_rejected_on_every_outside_input(self, tmp_path, capsys):
+        assert [field.name for field in dataclasses.fields(ExecutionPolicy)] == [
+            "engine", "chunk_size", "throttle", "checkpoint_every"
+        ]
 
-    def test_more_shards_than_chunks_leaves_empty_tail_spans(self):
-        assert _shard_bounds(2, 4) == [0, 1, 2, 2, 2]
+        # 1. the declarative policy
+        with pytest.raises(ValueError, match="'shards'"):
+            ExecutionPolicy.from_dict({"shards": 2})
 
-    @pytest.mark.parametrize("total", [1, 5, 17, 100])
-    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
-    def test_spans_are_balanced_and_cover_everything(self, total, shards):
-        bounds = _shard_bounds(total, shards)
-        spans = [stop - start for start, stop in zip(bounds, bounds[1:])]
-        assert bounds[0] == 0 and bounds[-1] == total
-        assert len(spans) == shards
-        assert max(spans) - min(spans) <= 1
+        # 2. the CLI
+        spec = CampaignSpec(name="no-shards", intervals=1, cell=_path_spec())
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(spec.to_json())
+        with pytest.raises(SystemExit):
+            main(["run", str(spec_file), "--run-dir", str(tmp_path / "run"),
+                  "--shards", "2", "--quiet"])
+        assert "--shards" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+        # 3. the service: the uniform 400 error envelope, not a 500
+        queue = JobQueue(tmp_path / "runs", workers=1, execution="inprocess")
+        try:
+            app = ServiceApp(tmp_path / "runs", queue=queue)
+            body = json.dumps(
+                {"spec": spec.to_dict(), "policy": {"engine": "streaming", "shards": 2}}
+            ).encode("utf-8")
+            environ = {
+                "REQUEST_METHOD": "POST",
+                "PATH_INFO": "/api/v1/jobs",
+                "QUERY_STRING": "",
+                "CONTENT_TYPE": "application/json",
+                "CONTENT_LENGTH": str(len(body)),
+                "wsgi.input": io.BytesIO(body),
+            }
+            statuses: list[str] = []
+            payload = b"".join(
+                app(environ, lambda status, headers, *_: statuses.append(status))
+            )
+        finally:
+            queue.shutdown(wait=True)
+        assert statuses[0].startswith("400")
+        error = json.loads(payload)["error"]
+        assert error["code"] == "bad_request"
+        assert error["message"].startswith("invalid execution policy: ")
+        assert "'shards'" in error["message"]
+        assert not list((tmp_path / "runs").glob("*"))  # no store created

@@ -133,7 +133,7 @@ class TestSyntheticTrace:
 
 
 class TestTraceSeek:
-    """``iter_batches(start_chunk=k)`` — the trace side of shard seeking."""
+    """``iter_batches(start_chunk=k)`` — the trace side of mid-interval resume."""
 
     _COLUMNS = (
         "src_ip", "dst_ip", "src_port", "dst_port", "protocol",
@@ -168,6 +168,26 @@ class TestTraceSeek:
         trace = SyntheticTrace(config=TraceConfig(packet_count=300), seed=13)
         with pytest.raises(ValueError, match="start_chunk"):
             list(trace.iter_batches(128, start_chunk=-1))
+
+
+class TestChunkSpans:
+    """The chunk arithmetic that checkpoint indices and resume offsets rely on."""
+
+    @pytest.mark.parametrize("packet_count", [1, 5, 17, 100])
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7])
+    def test_chunks_are_full_but_the_last_and_cover_everything(
+        self, chunk_size, packet_count
+    ):
+        config = TraceConfig(packet_count=packet_count)
+        chunks = list(SyntheticTrace(config=config, seed=21).iter_batches(chunk_size))
+        whole = SyntheticTrace(config=config, seed=21).packet_batch()
+
+        assert len(chunks) == -(-packet_count // chunk_size)
+        assert all(len(chunk) == chunk_size for chunk in chunks[:-1])
+        assert 1 <= len(chunks[-1]) <= chunk_size
+        assert np.array_equal(
+            np.concatenate([chunk.uid for chunk in chunks]), whole.uid
+        )
 
 
 class TestWorkloads:

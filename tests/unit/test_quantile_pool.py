@@ -50,6 +50,13 @@ class TestMergedDelayPool:
             backward.extend(span)
         assert forward.state_digest() == backward.state_digest()
 
+    def test_signed_zero_does_not_make_merge_order_visible(self):
+        # -0.0 == 0.0, so a stable merge would keep whichever came first.
+        forward = MergedDelayPool([0.0]).merge(MergedDelayPool([-0.0]))
+        backward = MergedDelayPool([-0.0]).merge(MergedDelayPool([0.0]))
+        assert forward.state_digest() == backward.state_digest()
+        assert MergedDelayPool.from_hex(["-0x0.0p+0"]).to_hex() == ["0x0.0p+0"]
+
     def test_ties_survive_merging(self):
         pool = MergedDelayPool([2.0, 1.0, 2.0]).extend([2.0, 1.0])
         assert np.asarray(pool.sorted_samples).tolist() == [1.0, 1.0, 2.0, 2.0, 2.0]
