@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Distributed dispatch without a shared mount: the HTTP transport.
+"""Distributed dispatch without a shared mount.
 
-The filesystem transport (``repro dispatch --workers N``) assumes every
-worker can mount the run directory.  The HTTP transport drops that
-assumption: the coordinator serves the versioned dispatch protocol
-(``/api/v1/dispatch/<run_id>/…``) and workers need nothing but its URL and
+The dispatch coordinator serves the versioned dispatch protocol
+(``/api/v1/dispatch/<run_id>/…``), and workers need nothing but its URL and
 the run id — spec, policy and lease all come from the coordinator's config
-endpoint.  This example drives the whole story in one process:
+endpoint, and no worker ever touches the run directory.  This example
+drives the whole story in one process:
 
-1. starts a commit-only HTTP coordinator (``workers=0``) over a fresh store;
+1. starts a commit-only coordinator (``workers=0``) over a fresh store;
 2. plays a *hostile network* against the protocol by hand: a truncated
    upload is rejected by its digest (``400 digest_mismatch``), the intact
    re-upload lands, and an identical duplicate (a retry after a lost
@@ -21,10 +20,9 @@ endpoint.  This example drives the whole story in one process:
 
 The same topology from the shell::
 
-    repro dispatch runs/big --spec campaign.json --transport http --workers 0
+    repro dispatch runs/big --spec campaign.json --workers 0
     # on each worker host — no mount, no spec file:
-    repro dispatch --worker-only --transport http \\
-        --coordinator http://coordinator:PORT --run-id big
+    repro dispatch --worker-only --coordinator http://coordinator:PORT --run-id big
 
 Run:  python examples/dispatch_http_demo.py
 """
@@ -96,7 +94,7 @@ def main() -> None:
 
     # --- 1. a commit-only coordinator serving the dispatch protocol ---------
     store = RunStore.create(root / "dispatched", SPEC)
-    coordinator = DispatchCoordinator(store, workers=0, transport="http")
+    coordinator = DispatchCoordinator(store, workers=0)
     committer = threading.Thread(target=coordinator.run, daemon=True)
     committer.start()
     base = f"{coordinator.http_url}/api/v1/dispatch/{coordinator.run_id}"

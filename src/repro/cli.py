@@ -42,7 +42,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 from repro.api.spec import CampaignSpec, ExecutionPolicy, MeshSpec
 from repro.engine.campaign import (
@@ -245,8 +245,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _drive(runner, args, store)
 
 
-def _http_worker(args: argparse.Namespace) -> int:
-    """The ``--worker-only --transport http`` body: a mount-less worker.
+def _worker(args: argparse.Namespace) -> int:
+    """The ``--worker-only`` body: a worker with no access to the store.
 
     Everything but the coordinator URL, run id and worker identity is
     rejected — the spec, execution policy and lease all come from the
@@ -258,18 +258,18 @@ def _http_worker(args: argparse.Namespace) -> int:
 
     if args.coordinator is None or args.run_id is None:
         _fail(
-            "--worker-only --transport http needs --coordinator URL and "
-            "--run-id (printed by the coordinator at startup)"
+            "--worker-only needs --coordinator URL and --run-id (printed by "
+            "the coordinator at startup)"
         )
     if args.run_dir is not None:
         _fail(
-            "an HTTP worker shares no filesystem with the coordinator; drop "
-            "the RUN_DIR argument"
+            "a worker shares no filesystem with the coordinator; drop the "
+            "RUN_DIR argument"
         )
     if args.spec is not None:
-        _fail("--spec applies to the coordinator; HTTP workers fetch it from it")
+        _fail("--spec applies to the coordinator; workers fetch it from it")
     if args.lease is not None:
-        _fail("the lease is coordinator-defined under --transport http")
+        _fail("the lease is coordinator-defined; --lease applies to the coordinator")
     if args.chaos_seed is not None or args.chaos_kills:
         _fail("--chaos-seed/--chaos-kills apply to the coordinator only")
     knobs_given = (
@@ -281,8 +281,8 @@ def _http_worker(args: argparse.Namespace) -> int:
     )
     if knobs_given:
         _fail(
-            "execution knobs apply to the coordinator; HTTP workers compute "
-            "under the policy its config endpoint serves"
+            "execution knobs apply to the coordinator; workers compute under "
+            "the policy its config endpoint serves"
         )
     try:
         transport = HTTPTransport(
@@ -303,21 +303,20 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
         ChaosSchedule,
         DispatchCoordinator,
         DispatchError,
-        DispatchWorker,
         validate_dispatch_policy,
     )
 
-    if args.worker_only and args.transport == "http":
-        return _http_worker(args)
+    if args.worker_only:
+        return _worker(args)
     if args.coordinator is not None or args.run_id is not None:
         _fail(
             "--coordinator/--run-id describe a remote coordinator and apply "
-            "to `--worker-only --transport http` workers only"
+            "to `--worker-only` workers only"
         )
     if args.run_dir is None:
         _fail(
             "dispatch needs the run-store directory (RUN_DIR) except for "
-            "`--worker-only --transport http` workers"
+            "`--worker-only` workers"
         )
     run_dir = Path(args.run_dir).resolve()
     if args.spec is not None and not (run_dir / "spec.json").exists():
@@ -351,18 +350,6 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
         policy = validate_dispatch_policy(store.spec(), policy)
     except ValueError as exc:
         _fail(str(exc))
-
-    if args.worker_only:
-        if args.chaos_seed is not None or args.chaos_kills:
-            _fail("--chaos-seed/--chaos-kills apply to the coordinator only")
-        worker = DispatchWorker(
-            run_dir, policy=policy, worker_id=args.worker_id, lease=lease
-        )
-        computed = worker.run()
-        if not args.quiet:
-            print(f"worker {worker.worker_id}: computed {computed} interval(s)")
-        return 0
-
     if args.chaos_kills and args.chaos_seed is None:
         _fail("--chaos-kills needs --chaos-seed so the kill schedule reproduces")
     chaos = None
@@ -386,16 +373,15 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
         lease=lease,
         chaos=chaos,
         on_event=progress,
-        transport=args.transport,
         http_host=args.http_host,
         http_port=args.http_port,
     )
-    if coordinator.http_url is not None and not args.quiet:
+    if not args.quiet:
         print(
             f"dispatch coordinator: {coordinator.http_url}/api/v1/dispatch/"
             f"{coordinator.run_id} (workers connect with: repro dispatch "
-            f"--worker-only --transport http --coordinator "
-            f"{coordinator.http_url} --run-id {coordinator.run_id})",
+            f"--worker-only --coordinator {coordinator.http_url} "
+            f"--run-id {coordinator.run_id})",
             flush=True,
         )
     try:
@@ -829,10 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run_dir",
         nargs="?",
         default=None,
-        help="the run-store directory (shared by every worker and the "
-        "coordinator; create it here with --spec if it does not exist yet). "
-        "Omitted for `--worker-only --transport http` workers, which need "
-        "no filesystem access at all",
+        help="the run-store directory the coordinator writes (create it here "
+        "with --spec if it does not exist yet).  Omitted for `--worker-only` "
+        "workers, which need no filesystem access at all",
     )
     dispatch_parser.add_argument(
         "--spec",
@@ -853,54 +838,43 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="interval claim lease; a worker that stops heartbeating for this "
-        "long is presumed dead and its interval is re-claimed (default: 30; "
-        "under --transport http the coordinator defines it for every worker)",
-    )
-    dispatch_parser.add_argument(
-        "--transport",
-        choices=("fs", "http"),
-        default="fs",
-        help="how workers reach the coordinator: 'fs' = the shared run "
-        "directory (claim files + staged files), 'http' = the versioned "
-        "service API (coordinator-clock leases, digest-checked uploads, no "
-        "shared filesystem)",
+        help="interval claim lease, timed on the coordinator's clock; a worker "
+        "that stops heartbeating for this long is presumed dead and its "
+        "interval is re-claimed (default: 30; coordinator only)",
     )
     dispatch_parser.add_argument(
         "--coordinator",
         default=None,
         metavar="URL",
-        help="the coordinator's base URL (with --worker-only --transport "
-        "http; printed by the coordinator at startup)",
+        help="the coordinator's base URL (with --worker-only; printed by the "
+        "coordinator at startup)",
     )
     dispatch_parser.add_argument(
         "--run-id",
         default=None,
-        help="the dispatching run's id on the coordinator (with "
-        "--worker-only --transport http)",
+        help="the dispatching run's id on the coordinator (with --worker-only)",
     )
     dispatch_parser.add_argument(
         "--http-host",
         default="127.0.0.1",
         metavar="HOST",
-        help="bind address for the coordinator's dispatch endpoints under "
-        "--transport http (default: 127.0.0.1; use 0.0.0.0 for remote "
-        "workers)",
+        help="bind address for the coordinator's dispatch endpoints "
+        "(default: 127.0.0.1; use 0.0.0.0 for remote workers)",
     )
     dispatch_parser.add_argument(
         "--http-port",
         type=int,
         default=0,
         metavar="PORT",
-        help="bind port for the coordinator's dispatch endpoints under "
-        "--transport http (default: 0 = ephemeral)",
+        help="bind port for the coordinator's dispatch endpoints "
+        "(default: 0 = ephemeral)",
     )
     dispatch_parser.add_argument(
         "--worker-only",
         action="store_true",
-        help="run one claim/compute/stage worker against RUN_DIR and exit "
-        "when no work remains (the remote-host role; a coordinator elsewhere "
-        "commits)",
+        help="run one claim/compute/upload worker against --coordinator URL "
+        "--run-id ID and exit when no work remains (the remote-host role; "
+        "the coordinator commits)",
     )
     dispatch_parser.add_argument(
         "--worker-id",
@@ -987,12 +961,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--execution",
-        choices=("subprocess", "inprocess", "dispatch", "dispatch_http"),
+        choices=("subprocess", "inprocess", "dispatch"),
         default="subprocess",
         help="run campaigns as kill-safe `repro resume` subprocesses (default), "
-        "in worker threads, or as distributed `repro dispatch` coordinators "
-        "(dispatch_http routes the worker pool through the HTTP dispatch "
-        "protocol instead of the shared filesystem)",
+        "in worker threads, or as distributed `repro dispatch` coordinators",
     )
     serve_parser.add_argument(
         "--dispatch-workers",

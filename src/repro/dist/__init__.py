@@ -1,28 +1,26 @@
 """Distributed campaign dispatch across worker processes and hosts.
 
-See :mod:`repro.dist.dispatch` for the coordinator/worker protocol and the
-transport interface, :mod:`repro.dist.claims` for the file-based lease board
-(shared-filesystem transport), and :mod:`repro.dist.net` for the HTTP
-transport (coordinator-clock leases, digest-checked uploads, no shared
-mount).
+See :mod:`repro.dist.dispatch` for the coordinator (the store's single,
+in-order writer) and the worker loop, and :mod:`repro.dist.net` for the
+HTTP protocol between them: coordinator-clock leases, digest-checked
+uploads, and workers that need no access to the run store.
 """
 
-from repro.dist.claims import Claim, ClaimBoard, LeaseRenewer
 from repro.dist.dispatch import (
     DISPATCH_DIR,
     ChaosSchedule,
     DispatchCoordinator,
     DispatchError,
-    DispatchTransport,
     DispatchWorker,
-    FilesystemTransport,
     StagingArea,
     dispatch_campaign,
     validate_dispatch_policy,
 )
 from repro.dist.net import (
+    Claim,
     DispatchHub,
     HTTPTransport,
+    LeaseRenewer,
     NetworkClaimBoard,
     ProtocolError,
     TransportError,
@@ -32,13 +30,10 @@ __all__ = [
     "DISPATCH_DIR",
     "ChaosSchedule",
     "Claim",
-    "ClaimBoard",
     "DispatchCoordinator",
     "DispatchError",
     "DispatchHub",
-    "DispatchTransport",
     "DispatchWorker",
-    "FilesystemTransport",
     "HTTPTransport",
     "LeaseRenewer",
     "NetworkClaimBoard",

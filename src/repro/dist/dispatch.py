@@ -4,36 +4,23 @@ The campaign engine already has every ingredient exactly-once distributed
 execution needs: interval ``i`` is a pure function of ``(spec, i)``,
 accumulator state folds associatively from the stored records, and the
 :class:`~repro.store.RunStore` validates spec hashes.  This module arranges
-those pieces into a coordinator/worker protocol over a shared run directory
-(worker processes on one host, or remote hosts mounting the same store
-root):
+those pieces into a coordinator/worker protocol over HTTP (worker processes
+on one host, or on hosts that share no filesystem with the store):
 
 * **Workers** (:class:`DispatchWorker`) claim pending intervals, compute the
   interval record with the ordinary pure
-  :func:`~repro.engine.campaign.interval_record`, and deliver the result to
-  the coordinator.  *How* they claim and deliver is a
-  :class:`DispatchTransport`:
-
-  - :class:`FilesystemTransport` — the shared-mount protocol: lease files on
-    the lease-based :class:`~repro.dist.claims.ClaimBoard` (work-stealing:
-    lowest unclaimed interval first, expired leases taken over) and one
-    atomic staged file per interval under ``<run_dir>/dispatch/staging``.
-    Leases compare wall clocks across hosts, so the lease must dominate
-    clock skew.
-  - :class:`~repro.dist.net.HTTPTransport` — the network protocol: workers
-    claim/renew/release leases and upload digest-checked record bytes over
-    the coordinator's ``/api/v1/dispatch/...`` endpoints.  The coordinator's
-    **monotonic clock is the only clock** in lease arbitration, and workers
-    need no filesystem access to the run directory at all.
-
-  Either way, workers never touch ``records.jsonl``.
+  :func:`~repro.engine.campaign.interval_record`, and upload the result —
+  all through an :class:`~repro.dist.net.HTTPTransport` speaking the
+  coordinator's ``/api/v1/dispatch/...`` endpoints.  Leases are arbitrated
+  on the coordinator's **monotonic clock** only, and workers never touch
+  the run directory.
 * **The coordinator** (:class:`DispatchCoordinator`) is the store's single
-  writer.  The staging directory *is* its reorder buffer: staged records
-  commit to the store strictly in interval order, each one folded into a
-  :class:`~repro.engine.campaign.CampaignAccumulator` exactly as a
-  single-host :class:`~repro.engine.campaign.CampaignRunner` would fold it,
-  so the finished store — records, summary, everything — is **byte-identical**
-  to an uninterrupted ``repro run`` of the same spec.
+  writer.  Accepted uploads land in a :class:`StagingArea` — its reorder
+  buffer — and commit to the store strictly in interval order, each one
+  folded into a :class:`~repro.engine.campaign.CampaignAccumulator` exactly
+  as a single-host :class:`~repro.engine.campaign.CampaignRunner` would fold
+  it, so the finished store — records, summary, everything — is
+  **byte-identical** to an uninterrupted ``repro run`` of the same spec.
 * **Duplicates are asserted, not assumed.**  Straggler re-execution (a
   worker SIGKILLed mid-interval, a lease takeover race) can produce the same
   interval twice.  Determinism makes the duplicate byte-identical; both the
@@ -50,7 +37,6 @@ claim, i.e. mid-interval — on a reproducible schedule.
 
 from __future__ import annotations
 
-import abc
 import json
 import os
 import random
@@ -63,10 +49,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.api.spec import CampaignSpec, ExecutionPolicy
-from repro.dist.claims import ClaimBoard, LeaseRenewer
 from repro.engine.campaign import (
     CampaignAccumulator,
     CampaignEvent,
@@ -76,16 +61,17 @@ from repro.engine.campaign import (
     interval_record,
 )
 from repro.store import RunStore, stable_json
-from repro.store.runstore import RECORDS_FILE, SPEC_FILE
+from repro.store.runstore import SPEC_FILE
+
+if TYPE_CHECKING:
+    from repro.dist.net import HTTPTransport
 
 __all__ = [
     "DISPATCH_DIR",
     "ChaosSchedule",
     "DispatchCoordinator",
     "DispatchError",
-    "DispatchTransport",
     "DispatchWorker",
-    "FilesystemTransport",
     "StagingArea",
     "committed_line",
     "dispatch_campaign",
@@ -96,8 +82,8 @@ __all__ = [
 #: completes so a dispatched store diffs clean against a single-host run.
 DISPATCH_DIR = "dispatch"
 
-#: Default lease (seconds) on one interval claim; see claims.py for the
-#: clock-skew caveat.
+#: Default lease (seconds) on one interval claim, timed on the
+#: coordinator's monotonic clock.
 DEFAULT_LEASE = 30.0
 
 
@@ -123,15 +109,6 @@ def validate_dispatch_policy(
     return policy.bind(spec.cell)
 
 
-def _committed_count(store: RunStore) -> int:
-    """Committed records right now (newline count; tolerates a torn tail)."""
-    records_path = Path(store.path) / RECORDS_FILE
-    try:
-        return records_path.read_bytes().count(b"\n")
-    except OSError:
-        return 0
-
-
 def committed_line(store: RunStore, interval: int) -> bytes:
     """The exact committed bytes of record ``interval`` (for duplicate checks)."""
     payload = store.records_path.read_bytes()
@@ -145,6 +122,9 @@ class StagingArea:
     A staged record is one atomically-renamed file whose bytes are exactly
     the ``records.jsonl`` line the coordinator will append (stable JSON plus
     the trailing newline), so staging a duplicate reduces to a byte compare.
+    Only the coordinator writes here, one stage at a time (the
+    :class:`~repro.dist.net.DispatchHub` serializes uploads), so a single
+    fixed scratch name per interval suffices.
     """
 
     def __init__(self, dispatch_dir: Path | str) -> None:
@@ -154,22 +134,22 @@ class StagingArea:
     def path(self, interval: int) -> Path:
         return self.staging_dir / f"interval-{interval:06d}.json"
 
-    def stage(self, interval: int, record: Mapping[str, Any], worker: str) -> bool:
+    def stage(self, interval: int, record: Mapping[str, Any]) -> bool:
         """Stage one computed record; False when an identical copy already sits.
 
         A pre-existing staged record must be byte-identical (determinism);
         anything else is a :class:`DispatchError`, never a silent overwrite.
         """
         line = (stable_json(dict(record)) + "\n").encode("utf-8")
-        return self.stage_line(interval, line, worker)
+        return self.stage_line(interval, line)
 
-    def stage_line(self, interval: int, line: bytes, worker: str) -> bool:
+    def stage_line(self, interval: int, line: bytes) -> bool:
         """Stage one record's exact line bytes (see :meth:`stage`).
 
-        The byte-level entry point exists for the HTTP transport: an
-        uploaded record is staged exactly as received (after its digest
-        verified), never re-serialized, so the duplicate byte-assert compares
-        what workers actually produced.
+        The byte-level entry point exists for uploads: an uploaded record
+        is staged exactly as received (after its digest verified), never
+        re-serialized, so the duplicate byte-assert compares what workers
+        actually produced.
         """
         path = self.path(interval)
         existing = self._read(path)
@@ -181,7 +161,7 @@ class StagingArea:
                     f"functions of (spec, interval)"
                 )
             return False
-        scratch = path.with_name(f"{path.name}.{worker}.tmp")
+        scratch = path.with_name(f"{path.name}.tmp")
         with open(scratch, "wb") as handle:
             handle.write(line)
             handle.flush()
@@ -220,152 +200,22 @@ class StagingArea:
         self.path(interval).unlink(missing_ok=True)
 
 
-def default_worker_id() -> str:
-    return f"{socket.gethostname()}-{os.getpid()}"
-
-
-class DispatchTransport(abc.ABC):
-    """Everything a :class:`DispatchWorker` needs from the outside world.
-
-    A transport answers four questions — what is pending, may I compute
-    interval *i* (lease acquire/renew/release), and how do I deliver the
-    finished record — without the worker knowing whether the other side is a
-    shared filesystem (:class:`FilesystemTransport`) or a coordinator
-    reached over HTTP (:class:`~repro.dist.net.HTTPTransport`).  Instances
-    expose ``spec``, ``policy``, ``worker_id`` and ``lease`` attributes; the
-    policy always comes *through* the transport so every worker in a pool
-    computes under the coordinator's exact execution policy.
-    """
-
-    spec: CampaignSpec
-    policy: ExecutionPolicy
-    worker_id: str
-    lease: float
-
-    @abc.abstractmethod
-    def pending(self) -> list[int]:
-        """Intervals not yet committed and not yet staged, lowest first."""
-
-    @abc.abstractmethod
-    def try_claim(self, interval: int) -> bool:
-        """Acquire the lease on ``interval``; True when this worker owns it."""
-
-    @abc.abstractmethod
-    def renew(self, interval: int) -> None:
-        """Heartbeat the lease on ``interval`` (best-effort, never raises)."""
-
-    @abc.abstractmethod
-    def release(self, interval: int) -> None:
-        """Drop the lease on ``interval`` (after delivering its record)."""
-
-    @abc.abstractmethod
-    def deliver(self, interval: int, record: Mapping[str, Any]) -> bool:
-        """Hand the finished record to the coordinator; False on duplicate.
-
-        Delivery must be idempotent and byte-asserted: re-delivering the
-        same interval is legal only when the bytes are identical, and a
-        divergent duplicate raises :class:`DispatchError`.
-        """
-
-    def close(self) -> None:
-        """Release any transport resources (optional)."""
-
-
-class FilesystemTransport(DispatchTransport):
-    """The shared-mount transport: lease files plus atomic staged files.
-
-    Requires every worker (and the coordinator) to mount the run directory.
-    Lease expiry compares wall clocks across hosts — see
-    :mod:`repro.dist.claims` for the skew caveat the HTTP transport removes.
-    """
-
-    def __init__(
-        self,
-        run_dir: Path | str,
-        policy: ExecutionPolicy | None = None,
-        worker_id: str | None = None,
-        lease: float = DEFAULT_LEASE,
-    ) -> None:
-        self.store = RunStore.open(run_dir)
-        self.spec = self.store.spec()
-        self.policy = validate_dispatch_policy(self.spec, policy)
-        self.worker_id = worker_id if worker_id is not None else default_worker_id()
-        self.lease = lease
-        dispatch_dir = Path(self.store.path) / DISPATCH_DIR
-        self.claims = ClaimBoard(dispatch_dir, worker=self.worker_id, lease=lease)
-        self.staging = StagingArea(dispatch_dir)
-
-    def pending(self) -> list[int]:
-        committed = _committed_count(self.store)
-        if committed >= self.spec.intervals:
-            return []
-        staged = self.staging.staged()
-        return [
-            interval
-            for interval in range(committed, self.spec.intervals)
-            if interval not in staged
-        ]
-
-    def try_claim(self, interval: int) -> bool:
-        return self.claims.try_claim(interval)
-
-    def renew(self, interval: int) -> None:
-        try:
-            self.claims.renew(interval)
-        except OSError:
-            # A vanished claims dir means the coordinator finished cleanup
-            # around us; the computed result still lands via staging.
-            pass
-
-    def release(self, interval: int) -> None:
-        self.claims.release(interval)
-
-    def deliver(self, interval: int, record: Mapping[str, Any]) -> bool:
-        return self.staging.stage(interval, record, worker=self.worker_id)
-
-
 class DispatchWorker:
-    """One claim/compute/deliver loop over a :class:`DispatchTransport`.
+    """One claim/compute/deliver loop against a coordinator.
 
     Run it in-process (tests, embedding) or as a ``repro dispatch
-    --worker-only`` subprocess — either against a shared run directory
-    (filesystem transport) or against a coordinator URL (HTTP transport,
-    no filesystem sharing at all).  The worker never writes the store;
-    committed progress and staged results are whatever the transport
-    reports, and finished records travel back through the transport.
+    --worker-only`` subprocess.  The worker never writes the store:
+    committed progress and staged results are whatever the coordinator
+    reports through ``transport``, finished records travel back through it,
+    and the spec and execution policy are the coordinator's own.
     """
 
-    def __init__(
-        self,
-        target: DispatchTransport | Path | str,
-        policy: ExecutionPolicy | None = None,
-        worker_id: str | None = None,
-        lease: float = DEFAULT_LEASE,
-        poll: float = 0.05,
-    ) -> None:
-        if isinstance(target, DispatchTransport):
-            if policy is not None:
-                raise ValueError(
-                    "policy travels through the transport; construct the "
-                    "transport with it instead of passing both"
-                )
-            self.transport = target
-        else:
-            self.transport = FilesystemTransport(
-                target, policy=policy, worker_id=worker_id, lease=lease
-            )
-        self.spec = self.transport.spec
-        self.policy = self.transport.policy
-        self.worker_id = self.transport.worker_id
+    def __init__(self, transport: "HTTPTransport", poll: float = 0.05) -> None:
+        self.transport = transport
+        self.spec = transport.spec
+        self.policy = transport.policy
+        self.worker_id = transport.worker_id
         self.poll = poll
-        # Filesystem-transport internals, surfaced for tests and embedders
-        # (None under transports that have no local store access).
-        self.store = getattr(self.transport, "store", None)
-        self.claims = getattr(self.transport, "claims", None)
-        self.staging = getattr(self.transport, "staging", None)
-
-    def _pending(self) -> list[int]:
-        return self.transport.pending()
 
     def run_one(self) -> int | None:
         """Claim and compute one interval; its index, or None when idle.
@@ -375,10 +225,10 @@ class DispatchWorker:
         intervals under live leases — the caller decides whether to wait for
         a straggler's lease to lapse).
         """
-        for interval in self._pending():
+        for interval in self.transport.pending():
             if not self.transport.try_claim(interval):
                 continue
-            with LeaseRenewer(self.transport, interval):
+            with self.transport.heartbeat(interval):
                 record = interval_record(self.spec, interval, policy=self.policy)
             self.transport.deliver(interval, record)
             self.transport.release(interval)
@@ -397,7 +247,7 @@ class DispatchWorker:
             if self.run_one() is not None:
                 computed += 1
                 continue
-            if not self._pending():
+            if not self.transport.pending():
                 return computed
             # Every pending interval is claimed under a live lease; wait for
             # progress (a commit, a staged result) or a lease expiry.
@@ -420,20 +270,18 @@ class ChaosSchedule:
 class DispatchCoordinator:
     """The run store's single writer plus the local worker supervisor.
 
+    The coordinator embeds a service app serving this run's
+    ``/api/v1/dispatch/…`` endpoints (``http_host`` / ``http_port``; port 0
+    binds an ephemeral port, the bound URL lands in ``self.http_url``).
+    Leases live on a coordinator-monotonic
+    :class:`~repro.dist.net.NetworkClaimBoard`, and local worker
+    subprocesses connect over loopback HTTP exactly as remote ones would.
+
     ``workers=0`` runs commit-only: the coordinator folds whatever remote
     (or pre-staged) workers deliver, which is the multi-host topology — one
     ``repro dispatch <dir> --workers 0`` next to the store, any number of
-    ``repro dispatch <dir> --worker-only`` processes on other hosts (a
-    shared mount under ``transport="fs"``, or ``--transport http
-    --coordinator URL`` with no shared filesystem at all).
-
-    Under ``transport="http"`` the coordinator embeds a service app serving
-    the ``/api/v1/dispatch/…`` endpoints for this run (``http_host`` /
-    ``http_port``; port 0 binds an ephemeral port, the bound URL lands in
-    ``self.http_url``).  Leases then live on a coordinator-monotonic
-    :class:`~repro.dist.net.NetworkClaimBoard` instead of claim files, and
-    local worker subprocesses connect over loopback HTTP exactly as remote
-    ones would.
+    ``repro dispatch --worker-only --coordinator URL --run-id ID`` processes
+    on hosts with no access to the store at all.
     """
 
     def __init__(
@@ -445,14 +293,11 @@ class DispatchCoordinator:
         poll: float = 0.05,
         chaos: ChaosSchedule | None = None,
         on_event: Callable[[CampaignEvent], None] | None = None,
-        transport: str = "fs",
         http_host: str = "127.0.0.1",
         http_port: int = 0,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if transport not in ("fs", "http"):
-            raise ValueError(f"transport must be 'fs' or 'http', got {transport!r}")
         self.store = store
         self.spec = store.spec()
         self.policy = validate_dispatch_policy(self.spec, policy)
@@ -461,29 +306,20 @@ class DispatchCoordinator:
         self.poll = poll
         self.chaos = chaos
         self.on_event = on_event
-        self.transport = transport
         self.dispatch_dir = Path(store.path) / DISPATCH_DIR
         self.staging = StagingArea(self.dispatch_dir)
         self.run_id = Path(store.path).resolve().name
-        self.http_url: str | None = None
-        self._http_server: Any = None
-        self._http_thread: threading.Thread | None = None
-        if transport == "http":
-            self._start_http_server(http_host, http_port)
-        else:
-            self.claims = ClaimBoard(
-                self.dispatch_dir, worker="coordinator", lease=lease
-            )
         self._children: dict[str, subprocess.Popen] = {}
         self._spawned = 0
+        self._start_http_server(http_host, http_port)
 
-    # -- HTTP transport ----------------------------------------------------------------
+    # -- HTTP endpoints ----------------------------------------------------------------
 
     def _start_http_server(self, host: str, port: int) -> None:
         """Serve this run's ``/api/v1/dispatch/…`` endpoints in-process.
 
-        Imported lazily: the filesystem transport must keep working in
-        environments that never load the service layer.
+        Imported here rather than at module top: the service app imports
+        :mod:`repro.dist.net`, which imports this module.
         """
         from repro.dist.net import DispatchHub, NetworkClaimBoard
         from repro.service.app import ServiceApp, make_service_server
@@ -511,7 +347,7 @@ class DispatchCoordinator:
         self._http_thread.start()
 
     def close(self) -> None:
-        """Shut down the embedded HTTP server (idempotent; fs mode is a no-op)."""
+        """Shut down the embedded HTTP server (idempotent)."""
         server, self._http_server = self._http_server, None
         if server is None:
             return
@@ -530,46 +366,23 @@ class DispatchCoordinator:
     # -- worker subprocesses -----------------------------------------------------------
 
     def _worker_argv(self, worker_id: str) -> list[str]:
-        if self.transport == "http":
-            # No run directory, no policy flags: the worker learns the spec,
-            # policy and lease from the coordinator's config endpoint, which
-            # is exactly what a remote worker with no mount would do.
-            return [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "dispatch",
-                "--worker-only",
-                "--transport",
-                "http",
-                "--coordinator",
-                self.http_url,
-                "--run-id",
-                self.run_id,
-                "--worker-id",
-                worker_id,
-                "--quiet",
-            ]
-        argv = [
+        # No run directory, no policy flags: the worker learns the spec,
+        # policy and lease from the coordinator's config endpoint, which is
+        # exactly what a remote worker with no mount does.
+        return [
             sys.executable,
             "-m",
             "repro.cli",
             "dispatch",
-            str(Path(self.store.path).resolve()),
             "--worker-only",
+            "--coordinator",
+            self.http_url,
+            "--run-id",
+            self.run_id,
             "--worker-id",
             worker_id,
-            "--lease",
-            repr(self.lease),
             "--quiet",
         ]
-        if self.policy.engine is not None:
-            argv += ["--engine", self.policy.engine]
-        if self.policy.chunk_size is not None:
-            argv += ["--chunk-size", str(self.policy.chunk_size)]
-        if self.policy.throttle:
-            argv += ["--throttle", repr(self.policy.throttle)]
-        return argv
 
     def _spawn_worker(self) -> None:
         import repro
@@ -751,7 +564,7 @@ def dispatch_campaign(
     poll: float = 0.05,
     chaos: ChaosSchedule | None = None,
     on_event: Callable[[CampaignEvent], None] | None = None,
-    transport: str = "fs",
+    transport: str = "http",
     http_host: str = "127.0.0.1",
     http_port: int = 0,
 ) -> CampaignRunOutcome:
@@ -759,11 +572,19 @@ def dispatch_campaign(
 
     With ``spec`` given, a fresh store is created at ``run_dir`` (or, when a
     store already exists there, the spec is validated against it — the
-    resume-a-killed-dispatch path).  ``transport="http"`` serves the run's
-    dispatch endpoints and routes the local pool through them (see
-    :class:`DispatchCoordinator`).  The finished store is byte-identical to
-    a single-host ``repro run`` of the same spec.
+    resume-a-killed-dispatch path).  The local pool reaches the coordinator
+    over loopback HTTP (see :class:`DispatchCoordinator`).  The finished
+    store is byte-identical to a single-host ``repro run`` of the same spec.
+
+    ``transport`` is accepted for callers written when a second transport
+    existed; ``"http"`` is the only value.
     """
+    if transport != "http":
+        raise ValueError(
+            f"transport must be 'http', got {transport!r}; the shared-"
+            f"filesystem transport ('fs') was removed — workers reach the "
+            f"coordinator over HTTP"
+        )
     run_dir = Path(run_dir)
     if (run_dir / SPEC_FILE).exists():
         store = RunStore.open(run_dir)
@@ -783,7 +604,6 @@ def dispatch_campaign(
         poll=poll,
         chaos=chaos,
         on_event=on_event,
-        transport=transport,
         http_host=http_host,
         http_port=http_port,
     )

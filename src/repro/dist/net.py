@@ -1,24 +1,25 @@
-"""Network transport for distributed dispatch (no shared filesystem).
+"""The HTTP dispatch protocol: leases, the coordinator's hub, the worker's transport.
 
-This module is both halves of the HTTP dispatch protocol the service layer
+This module is both halves of the dispatch protocol the service layer
 exposes under ``/api/v1/dispatch/<run_id>/…``:
 
 * **Coordinator side** — :class:`NetworkClaimBoard` arbitrates interval
   leases entirely on the coordinator's **monotonic clock** (workers' clocks
   never enter expiry decisions, so cross-host skew cannot corrupt a lease),
   and :class:`DispatchHub` is the per-run request brain: it answers
-  claim/renew/release/upload with the exact same invariants the filesystem
-  transport enforces — uploads are digest-verified over the received bytes,
-  staged exactly as received (never re-serialized), and duplicates are
-  **byte-asserted** against the staged or committed record rather than
-  silently dropped.
-* **Worker side** — :class:`HTTPTransport` implements
-  :class:`~repro.dist.dispatch.DispatchTransport` over :mod:`urllib`.  It
-  learns the spec, execution policy and lease from the coordinator's config
-  endpoint (a remote worker needs nothing but the URL and run id), retries
-  transient failures (connection errors, timeouts, 5xx) with exponential
-  backoff, and re-uploads idempotently — a duplicate upload after a lost
-  response is a byte-compare on the coordinator, not a second commit.
+  claim/renew/release/upload — uploads are digest-verified over the
+  received bytes, staged exactly as received (never re-serialized), and
+  duplicates are **byte-asserted** against the staged or committed record
+  rather than silently dropped.
+* **Worker side** — :class:`HTTPTransport` is what a
+  :class:`~repro.dist.dispatch.DispatchWorker` claims, heartbeats and
+  delivers through, over :mod:`urllib`.  It learns the spec, execution
+  policy and lease from the coordinator's config endpoint (a worker needs
+  nothing but the URL and run id), retries transient failures (connection
+  errors, timeouts, 5xx) with exponential backoff, and re-uploads
+  idempotently — a duplicate upload after a lost response is a
+  byte-compare on the coordinator, not a second commit.
+  :class:`LeaseRenewer` is its heartbeat while an interval computes.
 
 Protocol (all under ``/api/v1/dispatch/<run_id>``; worker identity travels
 in the ``X-Repro-Worker`` header):
@@ -47,28 +48,31 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import os
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.api.spec import CampaignSpec, ExecutionPolicy
-from repro.dist.claims import Claim
 from repro.dist.dispatch import (
     DispatchError,
-    DispatchTransport,
     StagingArea,
-    _committed_count,
     committed_line,
-    default_worker_id,
     validate_dispatch_policy,
 )
 from repro.store import RunStore, stable_json
+from repro.store.runstore import RECORDS_FILE
 
 __all__ = [
+    "Claim",
     "DispatchHub",
     "HTTPTransport",
+    "LeaseRenewer",
     "NetworkClaimBoard",
     "ProtocolError",
     "TransportError",
@@ -108,18 +112,46 @@ class ProtocolError(DispatchError):
         self.detail = dict(detail) if detail is not None else None
 
 
+def _committed_count(store: RunStore) -> int:
+    """Committed records right now (newline count; tolerates a torn tail)."""
+    try:
+        return (Path(store.path) / RECORDS_FILE).read_bytes().count(b"\n")
+    except OSError:
+        return 0
+
+
+def default_worker_id() -> str:
+    return f"{socket.gethostname()}-{os.getpid()}"
+
+
 def record_digest(line: bytes) -> str:
     """The content digest the upload protocol uses: ``sha256:<hex>``."""
     return f"sha256:{hashlib.sha256(line).hexdigest()}"
 
 
+@dataclass(frozen=True)
+class Claim:
+    """One interval claim: who owns an interval, and until when.
+
+    ``expires_at`` is a deadline on the :class:`NetworkClaimBoard`'s
+    monotonic clock; only that clock may judge it.
+    """
+
+    interval: int
+    worker: str
+    expires_at: float
+
+    def expired(self, now: float) -> bool:
+        """Whether the lease has lapsed at ``now`` (the board's clock)."""
+        return now >= self.expires_at
+
+
 class NetworkClaimBoard:
     """Interval leases arbitrated on one process-local monotonic clock.
 
-    The HTTP analogue of :class:`~repro.dist.claims.ClaimBoard`: claims live
-    in coordinator memory, deadlines are minted and compared on the
-    coordinator's ``time.monotonic()`` — the **only** clock in lease
-    arbitration, which is what makes the network transport clock-skew-proof.
+    Claims live in coordinator memory; deadlines are minted and compared on
+    the coordinator's ``time.monotonic()`` — the **only** clock in lease
+    arbitration, so cross-host clock skew cannot corrupt a lease.
     A claim lost to a coordinator restart is equivalent to an expired lease:
     the interval is simply re-claimed and recomputed, and determinism plus
     the byte-asserted duplicate path make the re-execution safe.
@@ -220,12 +252,12 @@ class NetworkClaimBoard:
 class DispatchHub:
     """One run's coordinator-side dispatch state behind the HTTP endpoints.
 
-    The hub owns nothing the filesystem protocol doesn't already have — it
-    reuses the run's :class:`~repro.dist.dispatch.StagingArea` as the
-    reorder buffer and a :class:`NetworkClaimBoard` for leases — so the
-    coordinator's commit loop (:meth:`DispatchCoordinator._commit_ready`)
-    drains HTTP-delivered records exactly as it drains filesystem-staged
-    ones, and the committed store stays byte-identical either way.
+    The hub stages accepted uploads into the run's
+    :class:`~repro.dist.dispatch.StagingArea` — the coordinator's reorder
+    buffer — and keeps leases on a :class:`NetworkClaimBoard`; the
+    coordinator's commit loop
+    (:meth:`~repro.dist.dispatch.DispatchCoordinator._commit_ready`) drains
+    that buffer strictly in interval order.
     """
 
     def __init__(
@@ -375,7 +407,7 @@ class DispatchHub:
                     )
                 return {"interval": interval, "duplicate": True, "committed": True}
             try:
-                fresh = self.staging.stage_line(interval, line, worker=worker)
+                fresh = self.staging.stage_line(interval, line)
             except DispatchError as exc:
                 raise ProtocolError(409, "record_divergence", str(exc)) from exc
         self.claims.release(interval, worker)
@@ -411,8 +443,39 @@ class DispatchHub:
         return canonical
 
 
-class HTTPTransport(DispatchTransport):
-    """Worker-side :class:`~repro.dist.dispatch.DispatchTransport` over HTTP.
+class LeaseRenewer:
+    """Background heartbeat renewing one claim while its owner computes.
+
+    Renewal happens every ``lease / 3`` so a single missed beat never lets
+    the lease lapse; a SIGKILLed owner simply stops beating and the lease
+    expires on schedule.  Each beat is a renew request arbitrated on the
+    coordinator's clock.
+    """
+
+    def __init__(self, transport: HTTPTransport, interval: int) -> None:
+        self._transport = transport
+        self._interval = interval
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, name=f"repro-lease-renew-{interval}", daemon=True
+        )
+
+    def _run(self) -> None:
+        period = self._transport.lease / 3.0
+        while not self._stop.wait(period):
+            self._transport.renew(self._interval)
+
+    def __enter__(self) -> "LeaseRenewer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._stop.set()
+        self._thread.join(timeout=self._transport.lease)
+
+
+class HTTPTransport:
+    """A worker's connection to one run's coordinator.
 
     Construction fetches the coordinator's config endpoint, so ``spec``,
     ``policy`` and ``lease`` are the coordinator's own — a worker needs no
@@ -515,7 +578,7 @@ class HTTPTransport(DispatchTransport):
             pass
         return {}
 
-    # -- DispatchTransport -------------------------------------------------------------
+    # -- the worker's view of the protocol -------------------------------------------
 
     def pending(self) -> list[int]:
         """Committed/staged-free intervals from the coordinator's status.
@@ -543,6 +606,7 @@ class HTTPTransport(DispatchTransport):
         ]
 
     def try_claim(self, interval: int) -> bool:
+        """Acquire the lease on ``interval``; True when this worker owns it."""
         try:
             self._request("POST", f"/claims/{interval}")
         except ProtocolError:
@@ -550,6 +614,10 @@ class HTTPTransport(DispatchTransport):
             # there first; the scan moves on.
             return False
         return True
+
+    def heartbeat(self, interval: int) -> LeaseRenewer:
+        """A context manager renewing our lease on ``interval`` while it runs."""
+        return LeaseRenewer(self, interval)
 
     def renew(self, interval: int) -> None:
         # Heartbeats are best-effort: a lost renew at worst lets the lease
@@ -587,6 +655,3 @@ class HTTPTransport(DispatchTransport):
                 return False
             raise
         return not payload.get("duplicate", False)
-
-    def close(self) -> None:
-        pass

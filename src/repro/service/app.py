@@ -6,11 +6,9 @@
 WSGI server pointed at an app instance — the service deliberately adds **no**
 dependency beyond the standard library.
 
-The API is versioned under ``/api/v1/``.  The original unversioned ``/api/…``
-paths survive as **deprecated aliases**: they serve the same handlers but
-every response carries a ``Deprecation: true`` header and a ``Link:
-</api/v1/…>; rel="successor-version"`` pointer.  The dispatch endpoints are
-v1-only — no legacy alias exists for them.
+The API is versioned: every route lives under ``/api/v1/``.  Any other
+``/api/…`` path answers the uniform 404 error envelope, pointing at
+``/api/v1/``.
 
 Endpoints (all JSON, byte-stable serialization):
 
@@ -182,7 +180,7 @@ class ServiceApp:
 
     ``dispatch`` is an optional
     :class:`~repro.service.dispatchapi.DispatchRegistry` exposing live
-    dispatch coordinations under ``/api/v1/dispatch/…`` — the HTTP-transport
+    dispatch coordinations under ``/api/v1/dispatch/…`` — every
     :class:`~repro.dist.dispatch.DispatchCoordinator` embeds an app with
     exactly one registered run.
     """
@@ -206,7 +204,6 @@ class ServiceApp:
         environ: dict[str, Any],
         start_response: Callable[..., Any],
     ) -> Iterable[bytes]:
-        path = environ.get("PATH_INFO", "/") or "/"
         try:
             status, content_type, body = self._dispatch(environ)
         except HTTPError as exc:
@@ -227,21 +224,8 @@ class ServiceApp:
             ("Content-Length", str(len(body))),
             ("Cache-Control", "no-store"),
         ]
-        if self._is_legacy(path):
-            successor = f"/api/{API_VERSION}" + path[len("/api") :]
-            headers.append(("Deprecation", "true"))
-            headers.append(("Link", f'<{successor}>; rel="successor-version"'))
         start_response(STATUS_TEXT[status], headers)
         return [body]
-
-    @staticmethod
-    def _is_legacy(path: str) -> bool:
-        """Whether ``path`` is an unversioned ``/api/…`` alias."""
-        if path != "/api" and not path.startswith("/api/"):
-            return False
-        tail = path[len("/api") :].lstrip("/")
-        first = tail.split("/", 1)[0]
-        return first != API_VERSION
 
     # -- routing -----------------------------------------------------------------------
 
@@ -254,19 +238,14 @@ class ServiceApp:
         if not segments:
             self._require(method, "GET", path)
             return (200, "text/html", DASHBOARD_HTML.encode("utf-8"))
-        if segments[0] != "api":
-            raise HTTPError(404, f"no such path: {path}")
-        route = segments[1:]
-        versioned = bool(route) and route[0] == API_VERSION
-        if versioned:
-            route = route[1:]
+        if segments[:2] != ["api", API_VERSION]:
+            raise HTTPError(
+                404,
+                f"no such path: {path} (the API lives under /api/{API_VERSION}/)",
+            )
+        route = segments[2:]
 
         if route[:1] == ["dispatch"]:
-            if not versioned:
-                # Dispatch was born versioned; no legacy alias to honor.
-                raise HTTPError(
-                    404, f"dispatch endpoints live under /api/{API_VERSION}/ only"
-                )
             if self.dispatch is None:
                 raise HTTPError(
                     503,

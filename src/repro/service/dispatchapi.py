@@ -4,12 +4,11 @@ The service app routes every ``/api/v1/dispatch/<run_id>/…`` request here;
 this module translates WSGI mechanics (headers, raw bodies, path segments)
 into calls on the run's :class:`~repro.dist.net.DispatchHub` and its
 :class:`~repro.dist.net.ProtocolError` rejections into the service's
-standard error envelope.  Dispatch endpoints exist **only** under
-``/api/v1/`` — they were born versioned, so no legacy alias exists.
+standard error envelope.
 
 A :class:`DispatchRegistry` maps run ids to live hubs.  The usual host is a
-:class:`~repro.dist.dispatch.DispatchCoordinator` in HTTP mode, which
-registers exactly one run; a long-lived service could register many.
+:class:`~repro.dist.dispatch.DispatchCoordinator`, which registers exactly
+one run; a long-lived service could register many.
 """
 
 from __future__ import annotations

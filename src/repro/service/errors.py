@@ -1,7 +1,7 @@
 """The service API's single error shape.
 
-Every error any ``/api/v1/…`` (or legacy ``/api/…``) route produces — bad
-query parameters, missing runs, queue rejections, dispatch protocol
+Every error the service produces — bad query parameters, missing runs,
+unknown or unversioned paths, queue rejections, dispatch protocol
 violations, even handler bugs — serializes through one envelope::
 
     {"error": {"code": "<machine-readable>", "message": "<human-readable>"}}

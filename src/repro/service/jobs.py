@@ -21,16 +21,14 @@ three modes:
     stream on the job (useful for embedding and tests; a worker thread cannot
     be killed, so crash-handoff coverage lives in subprocess mode).
 
-``dispatch`` / ``dispatch_http``
+``dispatch``
     Each attempt runs ``repro dispatch <run_dir>`` in a child process: a
     distributed coordinator (see :mod:`repro.dist`) fanning the campaign's
-    intervals across ``dispatch_workers`` worker processes — over the
-    shared-filesystem transport (``dispatch``) or over loopback HTTP through
-    the versioned dispatch endpoints (``dispatch_http``), exercising the
-    exact protocol remote mount-less workers use.  The same kill/retry
-    contract as subprocess mode applies — re-dispatch continues from the
-    committed prefix plus any staged interval results, and the finished
-    store is byte-identical to single-host execution.
+    intervals across ``dispatch_workers`` worker processes over loopback
+    HTTP, through the same versioned dispatch endpoints remote workers use.
+    The same kill/retry contract as subprocess mode applies — re-dispatch
+    continues from the committed prefix plus any staged interval results,
+    and the finished store is byte-identical to single-host execution.
 
 Either way, per-interval *progress* is read from the store (the service's
 ``?since=`` record cursor), never from worker memory — what the queue knows
@@ -139,10 +137,10 @@ class JobQueue:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if execution not in ("subprocess", "inprocess", "dispatch", "dispatch_http"):
+        if execution not in ("subprocess", "inprocess", "dispatch"):
             raise ValueError(
-                f"execution must be 'subprocess', 'inprocess', 'dispatch' or "
-                f"'dispatch_http', got {execution!r}"
+                f"execution must be 'subprocess', 'inprocess' or 'dispatch', "
+                f"got {execution!r}"
             )
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -186,10 +184,7 @@ class JobQueue:
         policy = policy if policy is not None else ExecutionPolicy()
         # Impossible spec/policy pairings die at submission, not in a worker.
         policy = policy.bind(spec.cell)
-        if (
-            self.execution in ("dispatch", "dispatch_http")
-            and policy.checkpoint_every is not None
-        ):
+        if self.execution == "dispatch" and policy.checkpoint_every is not None:
             raise JobRejected(
                 "dispatch execution re-claims intervals from their start; "
                 "checkpoint_every applies to single-host execution modes"
@@ -376,7 +371,7 @@ class JobQueue:
             if env.get("PYTHONPATH")
             else [package_parent]
         )
-        if self.execution in ("dispatch", "dispatch_http"):
+        if self.execution == "dispatch":
             # Distributed mode: the child is a dispatch coordinator fanning
             # the campaign's intervals out across its own worker pool (see
             # repro.dist).  Re-dispatch after a kill is exactly as safe as
@@ -393,8 +388,6 @@ class JobQueue:
                 "--quiet",
                 *self._policy_argv(job.policy),
             ]
-            if self.execution == "dispatch_http":
-                argv += ["--transport", "http"]
         else:
             argv = [
                 sys.executable,

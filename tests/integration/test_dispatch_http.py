@@ -1,6 +1,6 @@
-"""Integration tests: HTTP-transport dispatch over real sockets.
+"""Integration tests: distributed dispatch over real sockets.
 
-The ISSUE acceptance criterion, end to end: a campaign dispatched over the
+The acceptance criterion, end to end: a campaign dispatched over the
 ``/api/v1/dispatch/…`` protocol — worker subprocesses that share **no**
 filesystem with the coordinator, including workers SIGKILLed mid-interval
 on a seeded chaos schedule and uploads truncated mid-body — finishes with a
@@ -104,9 +104,7 @@ class _CommitOnlyCoordinator:
 
     def __init__(self, run_dir: Path, spec: CampaignSpec, lease: float = 30.0):
         store = RunStore.create(run_dir, spec)
-        self.coordinator = DispatchCoordinator(
-            store, workers=0, lease=lease, transport="http"
-        )
+        self.coordinator = DispatchCoordinator(store, workers=0, lease=lease)
         self.thread = threading.Thread(target=self.coordinator.run, daemon=True)
 
     def __enter__(self) -> DispatchCoordinator:
@@ -124,7 +122,7 @@ class TestHTTPPool:
         direct = _direct_run(tmp_path, spec)
         outcome = dispatch_campaign(
             tmp_path / "dispatched", spec=spec, workers=4, transport="http"
-        )
+        )  # the one transport value dispatch_campaign still accepts
         assert outcome.completed
         _assert_stores_identical(tmp_path / "dispatched", Path(direct.path))
 
@@ -140,7 +138,6 @@ class TestHTTPPool:
             workers=4,
             lease=3.0,  # short lease so a killed worker's claim lapses fast
             chaos=ChaosSchedule(seed=4242, kills=3, min_delay=0.2, max_delay=0.8),
-            transport="http",
         )
         assert outcome.completed
         _assert_stores_identical(tmp_path / "dispatched", Path(direct.path))
@@ -227,8 +224,6 @@ class TestCLI:
                     "repro.cli",
                     "dispatch",
                     "--worker-only",
-                    "--transport",
-                    "http",
                     "--coordinator",
                     coordinator.http_url,
                     "--run-id",
@@ -261,8 +256,6 @@ class TestCLI:
                 str(run_dir),
                 "--spec",
                 str(spec_file),
-                "--transport",
-                "http",
                 "--workers",
                 "2",
                 "--quiet",
@@ -283,8 +276,6 @@ class TestCLI:
             "repro.cli",
             "dispatch",
             "--worker-only",
-            "--transport",
-            "http",
             "--coordinator",
             "http://127.0.0.1:1",
             "--run-id",
@@ -327,20 +318,18 @@ class TestCLI:
             timeout=120.0,
         )
         assert result.returncode != 0
-        assert "--worker-only --transport http" in result.stderr
+        assert "--worker-only" in result.stderr
 
 
 class TestResume:
     def test_interrupted_http_dispatch_resumes(self, tmp_path):
         # A coordinator that commits a prefix and "dies" must finish from
-        # the committed prefix on re-dispatch — same contract as fs mode.
+        # the committed prefix on re-dispatch — the `repro resume` contract.
         spec = _spec("http-resume", intervals=4)
         direct = _direct_run(tmp_path, spec)
         store = RunStore.create(tmp_path / "dispatched", spec)
         CampaignRunner(spec, store).run(max_intervals=2)  # the "first life"
-        outcome = dispatch_campaign(
-            tmp_path / "dispatched", workers=2, transport="http"
-        )
+        outcome = dispatch_campaign(tmp_path / "dispatched", workers=2)
         assert outcome.completed
         assert outcome.intervals_run == 2  # only the remaining tail
         _assert_stores_identical(tmp_path / "dispatched", Path(direct.path))

@@ -226,23 +226,16 @@ def _raw_get(base, path, method="GET"):
         return exc.code, dict(exc.headers), json.loads(exc.read())
 
 
-def test_legacy_paths_alias_v1_with_deprecation(service):
-    status, headers, legacy = _raw_get(service["base"], "/api/health")
-    assert status == 200
-    assert headers.get("Deprecation") == "true"
-    assert headers.get("Link") == '</api/v1/health>; rel="successor-version"'
-    v1_status, v1_headers, v1 = _raw_get(service["base"], "/api/v1/health")
+def test_unversioned_paths_answer_404_pointing_at_v1(service):
+    v1_status, v1_headers, _ = _raw_get(service["base"], "/api/v1/health")
     assert v1_status == 200
-    assert "Deprecation" not in v1_headers
-    assert legacy == v1
-    # Errors on legacy paths carry the deprecation headers too.
-    status, headers, _ = _raw_get(service["base"], "/api/nowhere")
-    assert status == 404 and headers.get("Deprecation") == "true"
-    # Dispatch endpoints were born versioned: no legacy alias exists.
-    status, _, body = _raw_get(service["base"], "/api/dispatch/some-run")
-    assert status == 404
-    assert "/api/v1" in body["error"]["message"]
-    # ...and this instance hosts no dispatch registry under v1 either.
+    for path in ("/api/health", "/api/nowhere", "/api/dispatch/some-run", "/api"):
+        status, headers, body = _raw_get(service["base"], path)
+        assert status == 404, path
+        assert body["error"]["code"] == "not_found"
+        assert "/api/v1/" in body["error"]["message"]
+        assert "Deprecation" not in headers and "Link" not in headers
+    # This instance hosts no dispatch registry under v1 either.
     status, _, body = _raw_get(service["base"], "/api/v1/dispatch/some-run")
     assert status == 503 and body["error"]["code"] == "no_dispatch"
 
@@ -366,7 +359,7 @@ def test_compare_across_runs(service):
 
 
 def test_job_endpoints_hammered_while_events_stream(tmp_path):
-    """Hammer /api/jobs while an inprocess job appends events concurrently.
+    """Hammer /api/v1/jobs while an inprocess job appends events concurrently.
 
     Inprocess workers append to ``job.events`` on every interval commit;
     the HTTP layer serializes jobs through the queue's lock-holding

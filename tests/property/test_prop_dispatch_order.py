@@ -82,7 +82,7 @@ def test_any_completion_order_commits_byte_identical_store(case, tmp_path_factor
     coordinator = DispatchCoordinator(store, workers=0)
     accumulator = CampaignAccumulator.from_records(spec, store.records())
     for interval in order:
-        staging.stage(interval, interval_record(spec, interval), worker="prop")
+        staging.stage(interval, interval_record(spec, interval))
         # Commit whatever the reorder buffer releases right now — the
         # interleaving is the point: a permutation starting high holds
         # everything back, one starting at 0 streams commits immediately.

@@ -1,16 +1,18 @@
 """Unit tests for the distributed dispatch layer (claims, staging, commit).
 
-Everything here runs in-process — workers are driven as plain objects and
-the coordinator runs with ``workers=0`` (commit-only) over pre-staged
-records, so these tests cover the protocol's invariants without subprocess
-spawn latency.  Subprocess pools, chaos kills and the CLI live in
-``tests/integration/test_dispatch_chaos.py``.
+Everything here runs in-process — workers are driven as plain objects
+against a ``workers=0`` (commit-only) coordinator's loopback endpoints, and
+the commit loop runs over pre-staged records, so these tests cover the
+protocol's invariants without subprocess spawn latency.  Subprocess pools,
+chaos kills and the CLI live in ``tests/integration/test_dispatch_http.py``
+and ``tests/integration/test_dispatch_chaos.py``.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import urllib.request
 
 import pytest
 
@@ -27,16 +29,17 @@ from repro.api.spec import (
 )
 from repro.dist import (
     DISPATCH_DIR,
-    ClaimBoard,
     DispatchCoordinator,
     DispatchError,
     DispatchWorker,
+    HTTPTransport,
     StagingArea,
     dispatch_campaign,
     validate_dispatch_policy,
 )
+from repro.dist.dispatch import DEFAULT_LEASE
 from repro.engine.campaign import CampaignRunner, interval_record
-from repro.store import RunStore
+from repro.store import RunStore, SpecMismatchError
 
 
 def _spec(name: str = "dispatch-test", intervals: int = 3) -> CampaignSpec:
@@ -68,66 +71,11 @@ def _direct_run(tmp_path, spec: CampaignSpec) -> RunStore:
     return store
 
 
-class TestClaimBoard:
-    def test_fresh_claim_single_winner(self, tmp_path):
-        a = ClaimBoard(tmp_path, worker="a", lease=30.0)
-        b = ClaimBoard(tmp_path, worker="b", lease=30.0)
-        assert a.try_claim(0) is True
-        assert b.try_claim(0) is False  # live lease held by a
-        assert a.holder(0).worker == "a"
-        assert b.try_claim(1) is True
-
-    def test_release_frees_the_interval(self, tmp_path):
-        a = ClaimBoard(tmp_path, worker="a", lease=30.0)
-        b = ClaimBoard(tmp_path, worker="b", lease=30.0)
-        assert a.try_claim(0)
-        a.release(0)
-        assert a.holder(0) is None
-        assert b.try_claim(0) is True
-
-    def test_expired_lease_taken_over(self, tmp_path):
-        dead = ClaimBoard(tmp_path, worker="dead", lease=0.01)
-        live = ClaimBoard(tmp_path, worker="live", lease=30.0)
-        assert dead.try_claim(0)
-        time.sleep(0.05)  # the dead worker's heartbeat never came
-        assert live.try_claim(0) is True
-        assert live.holder(0).worker == "live"
-
-    def test_renew_extends_the_lease(self, tmp_path):
-        a = ClaimBoard(tmp_path, worker="a", lease=0.2)
-        b = ClaimBoard(tmp_path, worker="b", lease=30.0)
-        assert a.try_claim(0)
-        for _ in range(3):
-            time.sleep(0.1)
-            a.renew(0)  # the heartbeat a live worker keeps sending
-            assert b.try_claim(0) is False
-
-    def test_corrupt_claim_file_is_takeover_eligible(self, tmp_path):
-        a = ClaimBoard(tmp_path, worker="a", lease=30.0)
-        a.path(0).write_bytes(b"garbage from a crash mid-create")
-        claim = a.holder(0)
-        assert claim.expired()
-        assert a.try_claim(0) is True
-        assert a.holder(0).worker == "a"
-
-    def test_claims_listing(self, tmp_path):
-        a = ClaimBoard(tmp_path, worker="a", lease=30.0)
-        a.try_claim(2)
-        a.try_claim(0)
-        held = a.claims()
-        assert sorted(held) == [0, 2]
-        assert all(claim.worker == "a" for claim in held.values())
-
-    def test_nonpositive_lease_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="lease"):
-            ClaimBoard(tmp_path, worker="a", lease=0.0)
-
-
 class TestStagingArea:
     def test_stage_then_load_round_trips(self, tmp_path):
         staging = StagingArea(tmp_path)
         record = {"interval": 0, "value": 1.5}
-        assert staging.stage(0, record, worker="w") is True
+        assert staging.stage(0, record) is True
         loaded, line = staging.load(0)
         assert loaded == record
         assert line.endswith(b"\n") and json.loads(line) == record
@@ -138,15 +86,15 @@ class TestStagingArea:
     def test_identical_duplicate_is_dropped_not_rewritten(self, tmp_path):
         staging = StagingArea(tmp_path)
         record = {"interval": 1, "value": 2.0}
-        assert staging.stage(1, record, worker="w1") is True
+        assert staging.stage(1, record) is True
         # A straggler re-executes the interval: same bytes, benign.
-        assert staging.stage(1, dict(record), worker="w2") is False
+        assert staging.stage(1, dict(record)) is False
 
     def test_differing_duplicate_is_a_hard_error(self, tmp_path):
         staging = StagingArea(tmp_path)
-        staging.stage(1, {"interval": 1, "value": 2.0}, worker="w1")
+        staging.stage(1, {"interval": 1, "value": 2.0})
         with pytest.raises(DispatchError, match="pure functions"):
-            staging.stage(1, {"interval": 1, "value": 999.0}, worker="w2")
+            staging.stage(1, {"interval": 1, "value": 999.0})
 
 
 class TestPolicyValidation:
@@ -161,35 +109,125 @@ class TestPolicyValidation:
         assert bound.engine is not None  # bind() resolved the engine
 
 
-class TestWorker:
-    def test_worker_stages_every_pending_interval(self, tmp_path):
-        spec = _spec(intervals=3)
+@pytest.fixture
+def serving(tmp_path):
+    """A commit-only coordinator whose endpoints serve but never commit.
+
+    The HTTP server starts at construction and ``run()`` is never called,
+    so whatever workers upload stays in the staging area for inspection.
+    """
+    coordinators = []
+
+    def serve(spec: CampaignSpec, lease: float = DEFAULT_LEASE) -> DispatchCoordinator:
         store = RunStore.create(tmp_path / "run", spec)
-        worker = DispatchWorker(tmp_path / "run", worker_id="w0")
-        assert worker.run() == 3
-        staged = worker.staging.staged()
+        coordinators.append(DispatchCoordinator(store, workers=0, lease=lease))
+        return coordinators[-1]
+
+    yield serve
+    for coordinator in coordinators:
+        coordinator.close()
+
+
+def _transport(coordinator: DispatchCoordinator, worker_id: str) -> HTTPTransport:
+    return HTTPTransport(coordinator.http_url, coordinator.run_id, worker_id=worker_id)
+
+
+def _worker(coordinator: DispatchCoordinator, worker_id: str = "w0") -> DispatchWorker:
+    return DispatchWorker(_transport(coordinator, worker_id))
+
+
+class TestClaimBoard:
+    """The coordinator's lease algebra as workers see it over the wire.
+
+    ``TestNetworkClaimBoard`` drives the board on a fake clock; here every
+    claim, renew and release is a real request to a live coordinator, and
+    leases lapse on its real monotonic clock.
+    """
+
+    def test_fresh_claim_single_winner(self, serving):
+        coordinator = serving(_spec(intervals=2))
+        a, b = _transport(coordinator, "a"), _transport(coordinator, "b")
+        assert a.try_claim(0) is True
+        assert b.try_claim(0) is False  # live lease held by a
+        assert coordinator.claims.holder(0).worker == "a"
+        assert b.try_claim(1) is True
+
+    def test_release_frees_the_interval(self, serving):
+        coordinator = serving(_spec(intervals=1))
+        a, b = _transport(coordinator, "a"), _transport(coordinator, "b")
+        assert a.try_claim(0)
+        a.release(0)
+        assert coordinator.claims.holder(0) is None
+        assert b.try_claim(0) is True
+
+    def test_expired_lease_taken_over(self, serving):
+        coordinator = serving(_spec(intervals=1), lease=0.05)
+        dead, live = _transport(coordinator, "dead"), _transport(coordinator, "live")
+        assert dead.try_claim(0)
+        time.sleep(0.2)  # the dead worker's heartbeat never came
+        assert live.try_claim(0) is True
+        assert coordinator.claims.holder(0).worker == "live"
+
+    def test_renew_extends_the_lease(self, serving):
+        coordinator = serving(_spec(intervals=1), lease=1.0)
+        a, b = _transport(coordinator, "a"), _transport(coordinator, "b")
+        assert a.try_claim(0)
+        for _ in range(3):  # 1.2 s in all: longer than one lease
+            time.sleep(0.4)
+            a.renew(0)  # the heartbeat a live worker keeps sending
+            assert b.try_claim(0) is False
+
+    def test_heartbeat_renews_until_its_owner_stops(self, serving):
+        coordinator = serving(_spec(intervals=1), lease=0.6)
+        a, b = _transport(coordinator, "a"), _transport(coordinator, "b")
+        assert a.try_claim(0)
+        with a.heartbeat(0):
+            time.sleep(1.5)  # two and a half leases of computing
+            assert b.try_claim(0) is False
+        time.sleep(1.0)  # the beats stopped: the lease lapses on schedule
+        assert b.try_claim(0) is True
+
+    def test_claims_listing(self, serving):
+        coordinator = serving(_spec(intervals=3))
+        a = _transport(coordinator, "a")
+        a.try_claim(2)
+        a.try_claim(0)
+        status_url = f"{coordinator.http_url}/api/v1/dispatch/{coordinator.run_id}"
+        with urllib.request.urlopen(status_url, timeout=30) as response:
+            held = json.loads(response.read())["claims"]
+        assert sorted(claim["interval"] for claim in held) == [0, 2]
+        assert all(claim["worker"] == "a" for claim in held)
+
+    def test_nonpositive_lease_rejected(self, serving):
+        with pytest.raises(ValueError, match="lease"):
+            serving(_spec(), lease=0.0)
+
+
+class TestWorker:
+    def test_worker_stages_every_pending_interval(self, serving):
+        coordinator = serving(_spec(intervals=3))
+        assert _worker(coordinator).run() == 3
+        staged = coordinator.staging.staged()
         assert sorted(staged) == [0, 1, 2]
         # Staged bytes are exactly the future records.jsonl lines.
         for interval in staged:
-            _, line = worker.staging.load(interval)
+            _, line = coordinator.staging.load(interval)
             assert json.loads(line)["interval"] == interval
-        assert store.record_count == 0  # workers never touch the store
+        assert coordinator.store.record_count == 0  # workers never touch the store
 
-    def test_worker_skips_committed_prefix(self, tmp_path):
+    def test_worker_skips_committed_prefix(self, serving):
         spec = _spec(intervals=3)
-        store = RunStore.create(tmp_path / "run", spec)
-        CampaignRunner(spec, store).run(max_intervals=2)
-        worker = DispatchWorker(tmp_path / "run", worker_id="w0")
-        assert worker.run() == 1
-        assert sorted(worker.staging.staged()) == [2]
+        coordinator = serving(spec)
+        CampaignRunner(spec, coordinator.store).run(max_intervals=1)
+        coordinator.staging.stage(1, interval_record(spec, 1))
+        # Interval 0 is committed and interval 1 staged: only 2 is pending.
+        assert _worker(coordinator).run() == 1
+        assert sorted(coordinator.staging.staged()) == [1, 2]
 
-    def test_worker_respects_live_foreign_claims(self, tmp_path):
-        spec = _spec(intervals=1)
-        RunStore.create(tmp_path / "run", spec)
-        other = ClaimBoard(tmp_path / "run" / DISPATCH_DIR, worker="other", lease=30.0)
-        assert other.try_claim(0)
-        worker = DispatchWorker(tmp_path / "run", worker_id="w0")
-        assert worker.run_one() is None  # idle: the only interval is claimed
+    def test_worker_respects_live_foreign_claims(self, serving):
+        coordinator = serving(_spec(intervals=1))
+        assert coordinator.claims.try_claim(0, "other")[0]
+        assert _worker(coordinator).run_one() is None  # the only interval is claimed
 
 
 class TestCommitOnlyCoordinator:
@@ -201,7 +239,7 @@ class TestCommitOnlyCoordinator:
         # Stage every interval out of order (worst-case completion order).
         for interval in (3, 1, 0, 2):
             record = interval_record(spec, interval)
-            staging.stage(interval, record, worker="remote")
+            staging.stage(interval, record)
         outcome = DispatchCoordinator(store, workers=0).run()
         assert outcome.completed and outcome.intervals_run == 4
         assert store.records_path.read_bytes() == direct.records_path.read_bytes()
@@ -217,8 +255,8 @@ class TestCommitOnlyCoordinator:
         staging = StagingArea(tmp_path / "run" / DISPATCH_DIR)
         # A straggler re-delivers interval 0 (already committed) plus the
         # genuinely-missing interval 1.
-        staging.stage(0, interval_record(spec, 0), worker="straggler")
-        staging.stage(1, interval_record(spec, 1), worker="straggler")
+        staging.stage(0, interval_record(spec, 0))
+        staging.stage(1, interval_record(spec, 1))
         outcome = DispatchCoordinator(store, workers=0).run()
         assert outcome.intervals_run == 1  # only interval 1 commits
         direct = _direct_run(tmp_path, spec)
@@ -231,7 +269,7 @@ class TestCommitOnlyCoordinator:
         staging = StagingArea(tmp_path / "run" / DISPATCH_DIR)
         tampered = dict(interval_record(spec, 0))
         tampered["receipts_digest"] = "0" * 16
-        staging.stage(0, tampered, worker="liar")
+        staging.stage(0, tampered)
         with pytest.raises(DispatchError, match="disagrees with its committed"):
             DispatchCoordinator(store, workers=0).run()
 
@@ -247,14 +285,29 @@ class TestDispatchCampaign:
         with pytest.raises(DispatchError, match="no run store"):
             dispatch_campaign(tmp_path / "nowhere", workers=0)
 
-    def test_in_process_worker_plus_commit_only_coordinator(self, tmp_path):
-        # The multi-host topology in miniature: a worker process somewhere
-        # stages results, a commit-only coordinator folds them.
+    def test_existing_store_with_another_spec_rejected(self, tmp_path):
+        # Re-dispatching a killed run must pair it with its own spec.
+        RunStore.create(tmp_path / "run", _spec(intervals=2))
+        with pytest.raises(SpecMismatchError):
+            dispatch_campaign(tmp_path / "run", spec=_spec(intervals=3), workers=0)
+        assert not (tmp_path / "run" / DISPATCH_DIR).exists()
+
+    def test_only_the_http_transport_is_accepted(self, tmp_path):
+        for removed in ("fs", "tcp"):
+            with pytest.raises(ValueError, match="filesystem transport"):
+                dispatch_campaign(tmp_path / "run", spec=_spec(), transport=removed)
+        assert not (tmp_path / "run").exists()  # rejected before any store exists
+
+    def test_in_process_worker_plus_commit_only_coordinator(self, serving, tmp_path):
+        # A worker somewhere uploads every interval to a coordinator that
+        # then dies before committing; a fresh commit-only coordinator on
+        # the same store folds the staged results left behind.
         spec = _spec(intervals=3)
-        RunStore.create(tmp_path / "run", spec)
-        DispatchWorker(tmp_path / "run", worker_id="remote-host").run()
+        first_life = serving(spec)
+        _worker(first_life, worker_id="remote-host").run()
+        first_life.close()
         outcome = dispatch_campaign(tmp_path / "run", workers=0)
-        assert outcome.completed
+        assert outcome.completed and outcome.intervals_run == 3
         direct = _direct_run(tmp_path, spec)
         dispatched = RunStore.open(tmp_path / "run")
         assert dispatched.digest() == direct.digest()

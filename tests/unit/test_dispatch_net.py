@@ -30,6 +30,8 @@ from repro.api.spec import (
 )
 from repro.dist import DISPATCH_DIR, StagingArea
 from repro.dist.net import (
+    DIGEST_HEADER,
+    WORKER_HEADER,
     DispatchHub,
     HTTPTransport,
     NetworkClaimBoard,
@@ -38,6 +40,8 @@ from repro.dist.net import (
     record_digest,
 )
 from repro.engine.campaign import interval_record
+from repro.service.app import ServiceApp
+from repro.service.dispatchapi import DispatchRegistry
 from repro.store import RunStore, stable_json
 
 
@@ -216,6 +220,35 @@ class TestDispatchHubUpload:
         with pytest.raises(ProtocolError) as exc:
             hub.upload(0, wrong, record_digest(wrong), worker="w0")
         assert exc.value.code == "malformed_record"
+
+    def test_hostile_worker_header_is_only_an_identity(self, hub, tmp_path):
+        # The worker id is a header value, never a file name: a path
+        # separator or an over-long id must upload like any other worker.
+        registry = DispatchRegistry()
+        registry.register("run", hub)
+        app = ServiceApp(tmp_path, dispatch=registry)
+        for interval, worker in enumerate(("a/b", "w" * 300)):
+            line = _line(hub, interval)
+            environ = {
+                "REQUEST_METHOD": "PUT",
+                "PATH_INFO": f"/api/v1/dispatch/run/records/{interval}",
+                "QUERY_STRING": "",
+                "CONTENT_LENGTH": str(len(line)),
+                "wsgi.input": io.BytesIO(line),
+                "HTTP_" + WORKER_HEADER.upper().replace("-", "_"): worker,
+                "HTTP_" + DIGEST_HEADER.upper().replace("-", "_"): record_digest(line),
+            }
+            statuses: list[str] = []
+            payload = b"".join(
+                app(environ, lambda status, headers, *_: statuses.append(status))
+            )
+            assert statuses == ["200 OK"], payload
+            assert json.loads(payload) == {
+                "interval": interval,
+                "duplicate": False,
+                "committed": False,
+            }
+            assert hub.staging.path(interval).read_bytes() == line
 
     def test_interval_out_of_range(self, hub):
         line = _line(hub, 0)

@@ -246,34 +246,6 @@ class TestDispatchMode:
         with pytest.raises(ValueError, match="dispatch_workers"):
             JobQueue(tmp_path, execution="dispatch", dispatch_workers=0)
 
-    def test_dispatch_http_is_a_valid_mode_with_the_same_rules(self, tmp_path):
-        queue = JobQueue(tmp_path / "runs", workers=1, execution="dispatch_http")
-        try:
-            with pytest.raises(JobRejected, match="checkpoint_every"):
-                queue.submit(
-                    _spec(),
-                    policy=ExecutionPolicy(engine="streaming", checkpoint_every=1),
-                )
-        finally:
-            queue.shutdown(wait=True)
-
-    def test_dispatch_http_run_matches_direct_run(self, tmp_path):
-        spec = _spec(name="dispatched-http")
-        queue = JobQueue(
-            tmp_path / "runs", workers=1, execution="dispatch_http", dispatch_workers=2
-        )
-        try:
-            job = queue.submit(spec, run_id="via-http")
-            assert queue.wait_idle(timeout=240.0)
-            assert queue.job(job.id).state == "completed", queue.job(job.id).error
-        finally:
-            queue.shutdown(wait=True)
-        direct = RunStore.create(tmp_path / "direct", spec)
-        CampaignRunner(spec, direct).run()
-        dispatched = RunStore.open(tmp_path / "runs" / "via-http")
-        assert dispatched.records_path.read_bytes() == direct.records_path.read_bytes()
-        assert dispatched.digest() == direct.digest()
-
 
 class TestSubprocessMode:
     def test_subprocess_run_matches_direct_run(self, tmp_path):
@@ -295,6 +267,8 @@ class TestSubprocessMode:
         assert worker_store.digest() == direct.digest()
 
     def test_dispatch_run_matches_direct_run(self, tmp_path):
+        # Each attempt is a `repro dispatch` child whose worker pool
+        # reaches it over loopback HTTP.
         spec = _spec(name="dispatched")
         queue = JobQueue(
             tmp_path / "runs", workers=1, execution="dispatch", dispatch_workers=2
