@@ -9,9 +9,12 @@ and uses the localization helper to name the offending provider and any link
 whose receipts disagreed.
 
 The path conditions, protocol knobs and measurement question live in one
-declarative ``repro.api`` spec; ``Experiment.campaign()`` materializes the
-:class:`~repro.core.campaign.MeasurementCampaign` and
-``Experiment.interval_packets()`` derives seed-spaced per-interval traffic.
+declarative ``repro.api`` spec, wrapped in a
+:class:`~repro.api.CampaignSpec` with an SLA target.  A
+:class:`~repro.engine.campaign.CampaignRunner` executes it in memory:
+interval ``i`` is a pure function of ``(spec, i)``, ``runner.records()`` is
+the per-interval audit trail and ``runner.summary()`` the campaign-level
+statistics folded from those records.
 
 Run:  python examples/measurement_campaign.py
 """
@@ -19,20 +22,19 @@ Run:  python examples/measurement_campaign.py
 from __future__ import annotations
 
 from repro.analysis.localization import localize_performance
-from repro.analysis.sla import SLASpec
 from repro.api import (
+    CampaignSpec,
     ConditionSpec,
     EstimationSpec,
-    Experiment,
     ExperimentSpec,
     HOPSpec,
     PathSpec,
     ProtocolSpec,
+    SLATargetSpec,
     TrafficSpec,
+    run_cell_full,
 )
-from repro.core.protocol import VPMSession
-
-INTERVALS = 4
+from repro.engine.campaign import CampaignRunner
 
 SPEC = ExperimentSpec(
     name="monthly-campaign",
@@ -59,46 +61,42 @@ SPEC = ExperimentSpec(
     estimation=EstimationSpec(observer="S", targets=("X",)),
 )
 
+SLA = SLATargetSpec(delay_bound=15e-3, delay_quantile=0.9, loss_bound=0.005)
+
+CAMPAIGN = CampaignSpec(intervals=4, cell=SPEC, sla=SLA)
+
 
 def main() -> None:
-    experiment = Experiment(SPEC)
-    campaign = experiment.campaign()
-    traces = experiment.interval_packets(INTERVALS)
-    result = campaign.run(traces)
+    runner = CampaignRunner(CAMPAIGN)
+    runner.run()
+    summary = runner.summary()
+    target = summary["domains"]["X"]
+    p90 = target["pooled_quantiles"]["0.9"]["estimate"]
 
-    sla = SLASpec(delay_bound=15e-3, delay_quantile=0.9, loss_bound=0.005, name="monthly-gold")
-    verdict = result.check_sla(sla)
-    pooled = result.pooled_delay_quantiles()
-
-    print(f"Campaign over {result.interval_count} intervals "
-          f"({result.total_offered_packets} packets offered to X)")
-    print(f"  pooled p90 delay: {pooled[0.9] * 1e3:.2f} ms")
-    print(f"  campaign loss:    {result.loss_rate * 100:.3f}%")
-    print(f"  receipts accepted in {result.acceptance_rate * 100:.0f}% of intervals")
-    print(f"  SLA {sla.name!r}: {'COMPLIANT' if verdict.compliant else 'IN VIOLATION'}")
+    print(f"Campaign over {summary['intervals']} intervals "
+          f"({target['offered_packets']} packets offered to X)")
+    print(f"  pooled p90 delay: {p90 * 1e3:.2f} ms")
+    print(f"  campaign loss:    {target['loss_rate'] * 100:.3f}%")
+    print(f"  receipts accepted in {target['acceptance_rate'] * 100:.0f}% of intervals")
+    print(f"  SLA {SLA.name!r}: {'COMPLIANT' if target['sla_compliant'] else 'IN VIOLATION'}")
 
     print("\nPer-interval history:")
-    for interval in result.intervals:
-        q90 = (
-            interval.performance.delay_quantile(0.9) * 1e3
-            if interval.performance.delay_quantiles
-            else float("nan")
-        )
+    for record in runner.records():
+        estimate = record["estimates"]["X"]
+        quantiles = estimate["quantiles"]
+        q90 = quantiles["0.9"]["estimate"] * 1e3 if quantiles else float("nan")
+        accepted = record["verdicts"]["X"]["accepted"]
         print(
-            f"  interval {interval.index}: p90 {q90:6.2f} ms, "
-            f"loss {interval.performance.loss_rate * 100:5.2f}%, "
-            f"{'ok' if interval.accepted else 'INCONSISTENT'}"
+            f"  interval {record['interval']}: p90 {q90:6.2f} ms, "
+            f"loss {estimate['loss_rate'] * 100:5.2f}%, "
+            f"{'ok' if accepted else 'INCONSISTENT'}"
         )
 
-    # Localize: run one extra diagnostic interval through the path diagnosis.
-    # (The campaign's scenario persists across intervals, so this drives the
-    # engine layer directly with the spec-built components.)
-    scenario = campaign.scenario
-    observation = scenario.run(experiment.interval_packets(1, first=INTERVALS)[0])
-    session = VPMSession(scenario.path, configs=campaign.configs)
-    session.run(observation)
-    diagnosis = localize_performance(session.verifier_for("S"), sla=sla)
-    print("\nLocalization (diagnostic interval):")
+    # Localize: one diagnostic run of the cell, read through the observer's
+    # verifier.
+    session = run_cell_full(SPEC).session
+    diagnosis = localize_performance(session.verifier_for("S"), sla=SLA.build())
+    print("\nLocalization (diagnostic run):")
     for entry in diagnosis.domains:
         marker = " <-- violating" if entry.violating else ""
         print(

@@ -43,7 +43,6 @@ from repro.api.spec import (
     ExperimentSpec,
     MeshSpec,
     TrafficSpec,
-    derive_seed,
 )
 from repro.adversary.lying import MeshLyingDomainAgent
 from repro.core.hop import HOPConfig
@@ -675,40 +674,6 @@ class Experiment:
 
     # -- campaigns -------------------------------------------------------------------
 
-    def campaign(self):
-        """Build a :class:`~repro.core.campaign.MeasurementCampaign` from the spec.
-
-        The campaign tracks the spec's first estimation target, observed by the
-        spec's observer, over the scenario and per-domain configs the spec
-        describes; agent-role adversaries are rebuilt fresh each interval.
-        Feed it interval traces (e.g. from :meth:`interval_packets`).
-        """
-        from repro.core.campaign import MeasurementCampaign
-
-        spec = self.spec
-        if isinstance(spec, MeshSpec):
-            raise ValueError(
-                "campaigns run over single-path ExperimentSpecs; run a mesh "
-                "with Experiment.run() / .sweep() instead"
-            )
-        scenario = spec.path.build(spec.seed)
-        _apply_condition_adversaries(spec, scenario)
-        configs = spec.protocol.build_configs(scenario.path)
-
-        agents_factory = None
-        if any(adversary.role == "agent" for adversary in spec.adversaries):
-
-            def agents_factory(path: HOPPath) -> dict[str, Any]:
-                return _build_agent_adversaries(spec, path, configs)
-
-        return MeasurementCampaign(
-            scenario,
-            target=spec.estimation.targets[0],
-            observer=spec.estimation.observer,
-            configs=configs,
-            agents_factory=agents_factory,
-        )
-
     def campaign_runner(
         self,
         intervals: int,
@@ -745,19 +710,3 @@ class Experiment:
             chunk_size=chunk_size,
             policy=policy,
         )
-
-    def interval_packets(self, count: int, first: int = 0) -> list[list[Packet]]:
-        """Per-interval packet sequences with seed-spaced traffic.
-
-        Interval ``i`` uses the traffic spec re-seeded with
-        ``derive_seed(root, f"interval.{i}")``, so campaigns are as
-        reproducible as single cells.  ``first`` shifts the interval index
-        (e.g. ``interval_packets(1, first=4)`` synthesizes just interval 4).
-        """
-        sequences: list[list[Packet]] = []
-        for index in range(first, first + count):
-            traffic = dataclasses.replace(
-                self.spec.traffic, seed=derive_seed(self.spec.seed, f"interval.{index}")
-            )
-            sequences.append(traffic.build(self.spec.seed).packets())
-        return sequences

@@ -27,10 +27,12 @@ Modules
 ``protocol``
     ``VPMSession`` — end-to-end orchestration of collectors, receipt
     dissemination and verification over one HOP path.
+
+Multi-interval campaigns (receipts folded into SLA-horizon statistics) are
+built on these pieces in :mod:`repro.engine.campaign`.
 """
 
 from repro.core.aggregation import Aggregator, AggregatorConfig
-from repro.core.campaign import CampaignResult, IntervalResult, MeasurementCampaign
 from repro.core.consistency import (
     Inconsistency,
     check_aggregate_consistency,
@@ -62,7 +64,6 @@ __all__ = [
     "AggregateReceipt",
     "Aggregator",
     "AggregatorConfig",
-    "CampaignResult",
     "DelayQuantileEstimate",
     "DelaySampler",
     "DomainAgent",
@@ -71,8 +72,6 @@ __all__ = [
     "HOPConfig",
     "HOPProcessor",
     "Inconsistency",
-    "IntervalResult",
-    "MeasurementCampaign",
     "PartitionSet",
     "PathID",
     "SampleReceipt",

@@ -1,7 +1,6 @@
-"""Discrete-event simulation substrate: engine, queueing, congestion, scenarios."""
+"""Simulation substrate: queueing, congestion, path and mesh scenarios."""
 
 from repro.simulation.congestion import CongestionScenario
-from repro.simulation.engine import Event, EventScheduler
 from repro.simulation.mesh import MeshObservation, MeshScenario, merge_hop_streams
 from repro.simulation.queueing import BottleneckQueue, QueueStats
 from repro.simulation.scenario import (
@@ -15,8 +14,6 @@ __all__ = [
     "BottleneckQueue",
     "CongestionScenario",
     "DomainGroundTruth",
-    "Event",
-    "EventScheduler",
     "MeshObservation",
     "MeshScenario",
     "PathObservation",

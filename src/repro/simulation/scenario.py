@@ -218,35 +218,6 @@ class BatchPathObservation:
         name = domain.name if isinstance(domain, Domain) else domain
         return self.domain_truth[name]
 
-    def to_path_observation(self) -> PathObservation:
-        """Materialize the object-based observation (for the scalar pipeline).
-
-        Expensive for large batches; intended for cross-checking the two
-        representations and for downstream code not yet batch-aware.
-        """
-        observations: dict[int, list[tuple[Packet, float]]] = {}
-        for hop_id, batch in self.batches.items():
-            packets = batch.to_packets()
-            observations[hop_id] = list(zip(packets, (float(t) for t in self.times[hop_id])))
-        domain_truth: dict[str, DomainGroundTruth] = {}
-        for name, truth in self.domain_truth.items():
-            domain_truth[name] = DomainGroundTruth(
-                domain=name,
-                delivered={
-                    int(uid): (float(ingress), float(egress))
-                    for uid, ingress, egress in zip(
-                        truth.delivered_uids, truth.ingress_times, truth.egress_times
-                    )
-                },
-                lost=truth.lost,
-            )
-        return PathObservation(
-            path=self.path,
-            observations=observations,
-            domain_truth=domain_truth,
-            link_losses={key: set(value) for key, value in self.link_losses.items()},
-        )
-
 
 class PathScenario:
     """Propagates traffic along a HOP path under configurable conditions.

@@ -30,7 +30,6 @@ from repro.api import (
     SweepResult,
     TrafficSpec,
 )
-from repro.core.campaign import MeasurementCampaign
 from repro.core.protocol import VPMSession
 from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import JitterDelayModel
@@ -272,25 +271,35 @@ class TestCampaignFromSpec:
             traffic=TrafficSpec(workload=None, packet_count=2000),
             estimation=EstimationSpec(observer="S", targets=("X",)),
         )
-        experiment = Experiment(spec)
-        campaign = experiment.campaign()
-        assert isinstance(campaign, MeasurementCampaign)
-        result = campaign.run(experiment.interval_packets(2))
-        assert result.interval_count == 2
-        assert result.total_offered_packets > 0
-        assert result.loss_rate == pytest.approx(0.1, abs=0.05)
+        runner = Experiment(spec).campaign_runner(intervals=2)
+        outcome = runner.run()
+        assert outcome.completed
+        assert outcome.summary["intervals"] == 2
+        entry = outcome.summary["domains"]["X"]
+        assert entry["offered_packets"] > 0
+        assert entry["loss_rate"] == pytest.approx(0.1, abs=0.05)
+        assert entry["acceptance_rate"] == 1.0
 
-    def test_from_spec_classmethod(self):
-        campaign = MeasurementCampaign.from_spec(_smoke_spec())
-        assert campaign.target == "X"
-        assert campaign.observer == "L"
+    def test_interval_traffic_is_seed_spaced_and_reproducible(self):
+        spec = _smoke_spec(traffic=TrafficSpec(workload=None, packet_count=500))
+        first = Experiment(spec).campaign_runner(intervals=2)
+        second = Experiment(spec).campaign_runner(intervals=2)
+        first.run()
+        second.run()
+        assert first.records() == second.records()
+        zero, one = first.records()
+        assert zero["seed"] != one["seed"]
+        assert zero["receipts_digest"] != one["receipts_digest"]
 
-    def test_interval_packets_are_seed_spaced_and_reproducible(self):
-        experiment = Experiment(_smoke_spec(traffic=TrafficSpec(workload=None, packet_count=500)))
-        first = experiment.interval_packets(2)
-        second = experiment.interval_packets(2)
-        assert [p.uid for p in first[0]] == [p.uid for p in second[0]]
-        assert [p.send_time for p in first[0]] != [p.send_time for p in first[1]]
+    def test_campaign_domains_follow_the_estimation_targets(self):
+        spec = _smoke_spec(
+            traffic=TrafficSpec(workload=None, packet_count=500),
+            estimation=EstimationSpec(observer="L", targets=("X", "N")),
+        )
+        runner = Experiment(spec).campaign_runner(intervals=1)
+        summary = runner.run().summary
+        assert sorted(summary["domains"]) == ["N", "X"]
+        assert sorted(runner.records()[0]["verdicts"]) == ["N", "X"]
 
 
 class TestSessionErgonomics:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.api import Experiment
 from repro.api.spec import (
+    AdversarySpec,
     CampaignSpec,
     ConditionSpec,
     EstimationSpec,
@@ -19,6 +23,7 @@ from repro.api.spec import (
     TopologySpec,
     TrafficSpec,
 )
+from repro.core.estimation import estimate_delay_quantiles
 from repro.engine.campaign import (
     CampaignAccumulator,
     CampaignRunner,
@@ -69,8 +74,6 @@ class TestIntervalDerivation:
         assert spec.interval_cell(0) != spec.interval_cell(1)
 
     def test_pinned_traffic_seed_is_respaced_per_interval(self):
-        import dataclasses
-
         cell = _cell()
         pinned = dataclasses.replace(
             cell, traffic=dataclasses.replace(cell.traffic, seed=777)
@@ -207,6 +210,45 @@ class TestCampaignRunner:
         with pytest.raises(ValueError, match="spec, a store, or both"):
             CampaignRunner()
 
+    def test_negative_max_intervals_rejected(self):
+        with pytest.raises(ValueError, match="max_intervals must be >= 0"):
+            CampaignRunner(_spec(intervals=1)).run(max_intervals=-1)
+
+    def test_memory_mode_runs_in_slices(self):
+        spec = _spec(intervals=3)
+        whole = CampaignRunner(spec)
+        whole.run()
+
+        sliced = CampaignRunner(spec)
+        first = sliced.run(max_intervals=1)
+        assert not first.completed
+        assert first.intervals_run == 1 and first.next_interval == 1
+        assert first.summary is None
+        rest = sliced.run()
+        assert rest.completed and rest.intervals_run == 2
+        assert sliced.records() == whole.records()
+        assert rest.summary == whole.summary()
+
+    def test_rerunning_a_completed_campaign_runs_nothing(self, tmp_path):
+        spec = _spec(intervals=2)
+        store = RunStore.create(tmp_path / "run", spec)
+        runner = CampaignRunner(spec, store)
+        first = runner.run()
+        digest = store.digest()
+        again = runner.run()
+        assert again.completed and again.intervals_run == 0
+        assert again.summary == first.summary
+        assert store.digest() == digest
+
+    def test_memory_and_store_modes_produce_the_same_records(self, tmp_path):
+        spec = _spec(intervals=2)
+        memory = CampaignRunner(spec)
+        memory.run()
+        store = RunStore.create(tmp_path / "run", spec)
+        CampaignRunner(spec, store).run()
+        assert memory.records() == store.records()
+        assert memory.summary() == store.summary()
+
 
 class TestCampaignStatistics:
     def test_record_carries_auditable_fields(self):
@@ -260,6 +302,140 @@ class TestCampaignStatistics:
         summary = CampaignRunner(spec).run().summary
         assert summary["domains"]["X"]["sla_compliant"] is None
         assert summary["sla"] is None
+
+    def test_lying_domain_is_rejected_in_every_interval(self):
+        cell = dataclasses.replace(
+            _cell(packet_count=1500),
+            adversaries=(AdversarySpec(kind="lying", domain="X"),),
+            estimation=EstimationSpec(observer="L", targets=("X",)),
+        )
+        runner = CampaignRunner(CampaignSpec(intervals=2, cell=cell))
+        runner.run()
+        records = runner.records()
+        assert len(records) == 2
+        assert all(record["verdicts"]["X"]["accepted"] is False for record in records)
+        assert runner.summary()["domains"]["X"]["acceptance_rate"] == 0.0
+
+    def test_empty_accumulator_summary_is_benign(self):
+        summary = CampaignAccumulator(_spec()).summary()
+        assert summary["intervals"] == 0
+        assert summary["domains"] == {}
+
+    def test_pooled_loss_tracks_the_configured_loss_rate(self):
+        runner = CampaignRunner(_spec(intervals=3, packet_count=1500))
+        runner.run()
+        entry = runner.summary()["domains"]["X"]
+        records = runner.records()
+        lost = sum(r["estimates"]["X"]["lost_packets"] for r in records)
+        offered = sum(r["estimates"]["X"]["offered_packets"] for r in records)
+        assert entry["lost_packets"] == lost
+        assert entry["loss_rate"] == lost / offered
+        # X drops 3 % of its packets (Bernoulli); jitter is centred on 1 ms.
+        assert entry["loss_rate"] == pytest.approx(0.03, abs=0.015)
+        assert entry["pooled_quantiles"]["0.5"]["estimate"] == pytest.approx(
+            1e-3, rel=0.2
+        )
+
+    def test_pooled_quantiles_equal_one_shot_estimate(self):
+        """Folding interval by interval equals estimating over all samples at once."""
+        spec = _spec(intervals=3)
+        runner = CampaignRunner(spec)
+        runner.run()
+        raw = np.asarray(
+            [
+                float.fromhex(value)
+                for record in runner.records()
+                for value in record["delay_samples"]["X"]
+            ]
+        )
+        pool = runner.accumulator.pools["X"]
+        assert np.array_equal(np.asarray(pool.sorted_samples), np.sort(raw))
+        one_shot = estimate_delay_quantiles(raw, spec.cell.estimation.quantiles)
+        pooled = runner.summary()["domains"]["X"]["pooled_quantiles"]
+        assert set(pooled) == {repr(q) for q in spec.cell.estimation.quantiles}
+        for quantile, estimate in one_shot.items():
+            entry = pooled[repr(quantile)]
+            assert entry["estimate"] == estimate.estimate
+            assert entry["lower"] == estimate.lower
+            assert entry["upper"] == estimate.upper
+
+    def test_sla_target_changes_verdicts_not_measurements(self):
+        def campaign(sla: SLATargetSpec) -> CampaignRunner:
+            runner = CampaignRunner(CampaignSpec(intervals=2, cell=_cell(), sla=sla))
+            runner.run()
+            return runner
+
+        strict = campaign(
+            SLATargetSpec(delay_bound=0.5e-3, delay_quantile=0.9, loss_bound=0.01)
+        )
+        relaxed = campaign(
+            SLATargetSpec(delay_bound=50e-3, delay_quantile=0.9, loss_bound=0.5)
+        )
+        for mine, theirs in zip(strict.records(), relaxed.records()):
+            assert mine["estimates"] == theirs["estimates"]
+            assert mine["receipts_digest"] == theirs["receipts_digest"]
+        assert strict.summary()["domains"]["X"]["sla_compliant"] is False
+        assert relaxed.summary()["domains"]["X"]["sla_compliant"] is True
+
+    def test_summary_snapshot_is_not_mutated_by_later_intervals(self):
+        runner = CampaignRunner(_spec(intervals=2))
+        runner.run_interval(0)
+        first = runner.summary()
+        frozen = copy.deepcopy(first)
+        runner.run_interval(1)
+        assert first == frozen
+        later = runner.summary()["domains"]["X"]
+        assert later["delay_sample_count"] > first["domains"]["X"]["delay_sample_count"]
+        assert later["pool_digest"] != first["domains"]["X"]["pool_digest"]
+
+    def test_acceptance_rate_counts_only_verified_intervals(self):
+        spec = _spec(intervals=3)
+        runner = CampaignRunner(spec)
+        runner.run()
+        records = copy.deepcopy(runner.records())
+        records[1]["verdicts"]["X"]["accepted"] = False
+        records[2]["verdicts"]["X"]["accepted"] = None
+        summary = CampaignAccumulator.from_records(spec, records).summary()
+        # one accepted and one rejected verified interval; the unverified
+        # interval still contributes packets but no verdict
+        assert summary["domains"]["X"]["acceptance_rate"] == 0.5
+        assert summary["domains"]["X"]["offered_packets"] == sum(
+            r["estimates"]["X"]["offered_packets"] for r in records
+        )
+
+
+class TestCampaignAccumulator:
+    def test_fold_rejects_out_of_order_records(self):
+        spec = _spec(intervals=2)
+        accumulator = CampaignAccumulator(spec)
+        with pytest.raises(ValueError, match="expected record for interval 0"):
+            accumulator.fold(interval_record(spec, 1))
+        assert accumulator.intervals_folded == 0
+
+    def test_sketch_mode_rejects_exact_mode_records(self):
+        exact = _spec(intervals=1)
+        sketch = dataclasses.replace(
+            exact,
+            cell=dataclasses.replace(
+                exact.cell,
+                estimation=dataclasses.replace(exact.cell.estimation, mode="sketch"),
+            ),
+        )
+        with pytest.raises(ValueError, match="carries no delay_sketch"):
+            CampaignAccumulator(sketch).fold(interval_record(exact, 0))
+
+    def test_every_prefix_summary_equals_a_refold(self):
+        spec = _spec(intervals=3)
+        runner = CampaignRunner(spec)
+        prefixes = []
+        for index in range(spec.intervals):
+            runner.run_interval(index)
+            prefixes.append(runner.summary())
+        records = runner.records()
+        for count, summary in enumerate(prefixes, start=1):
+            refolded = CampaignAccumulator.from_records(spec, records[:count])
+            assert refolded.summary() == summary
+            assert summary["intervals"] == count
 
 
 class TestMeshCampaign:
@@ -316,9 +492,20 @@ class TestExperimentBridge:
         assert outcome.completed
         assert store.is_complete
 
-    def test_legacy_campaign_bridge_still_works(self):
-        experiment = Experiment(_cell())
-        campaign = experiment.campaign()
-        result = campaign.run(experiment.interval_packets(2))
-        assert result.interval_count == 2
-        assert result.pooled_delay_quantiles()
+    def test_in_memory_campaign_runner_from_experiment(self):
+        sla = SLATargetSpec(delay_bound=10e-3, delay_quantile=0.9, loss_bound=0.1)
+        runner = Experiment(_cell()).campaign_runner(intervals=2, sla=sla)
+        assert runner.store is None
+        assert runner.spec.name == "campaign-cell-campaign"
+        assert runner.spec.sla == sla
+        outcome = runner.run()
+        assert outcome.completed
+        assert outcome.summary["intervals"] == 2
+        assert outcome.summary["domains"]["X"]["sla_compliant"] is True
+
+    def test_experiment_campaign_runs_the_interval_records(self):
+        runner = Experiment(_cell()).campaign_runner(intervals=2, engine="streaming")
+        runner.run()
+        assert runner.records() == [
+            interval_record(runner.spec, index) for index in range(2)
+        ]

@@ -1,4 +1,4 @@
-"""Unit tests for repro.analysis.localization and repro.core.campaign."""
+"""Unit tests for repro.analysis.localization."""
 
 from __future__ import annotations
 
@@ -6,9 +6,18 @@ import pytest
 
 from repro.adversary.lying import LyingDomainAgent
 from repro.analysis.localization import identify_suspects, localize_performance
+from repro.api import (
+    ConditionSpec,
+    ExperimentSpec,
+    HOPSpec,
+    PathSpec,
+    ProtocolSpec,
+    TrafficSpec,
+)
+from repro.api.runner import run_cell_full
+from repro.api.spec import SLATargetSpec
 from repro.analysis.sla import SLASpec
 from repro.core.aggregation import AggregatorConfig
-from repro.core.campaign import MeasurementCampaign
 from repro.core.consistency import Inconsistency
 from repro.core.hop import HOPConfig
 from repro.core.protocol import VPMSession
@@ -102,6 +111,34 @@ class TestLocalization:
         assert (suspect.upstream_domain, suspect.downstream_domain) == ("X", "N")
         assert suspect.finding_kinds
 
+    def test_localizes_a_spec_built_cell(self):
+        """The campaign example's path: a spec-built cell and a declarative SLA."""
+        spec = ExperimentSpec(
+            name="localize-cell",
+            seed=29,
+            traffic=TrafficSpec(workload=None, packet_count=2500),
+            path=PathSpec(
+                conditions={
+                    "X": ConditionSpec(
+                        delay="jitter",
+                        delay_params={"base_delay": 12e-3, "jitter_std": 1e-3},
+                        loss="bernoulli",
+                        loss_params={"loss_rate": 0.1},
+                    )
+                }
+            ),
+            protocol=ProtocolSpec(
+                default=HOPSpec(sampling_rate=0.2, marker_rate=0.02, aggregate_size=300)
+            ),
+        )
+        sla = SLATargetSpec(delay_bound=5e-3, delay_quantile=0.9, loss_bound=0.01)
+        verifier = run_cell_full(spec).session.verifier_for("S")
+        diagnosis = localize_performance(verifier, sla=sla.build())
+        assert diagnosis.worst_delay_domain.domain == "X"
+        assert diagnosis.worst_loss_domain.domain == "X"
+        assert diagnosis.violating_domains == ("X",)
+        assert diagnosis.suspects == ()
+
     def test_identify_suspects_groups_by_link(self, path):
         findings = [
             Inconsistency(kind="count-mismatch", upstream_hop=5, downstream_hop=6),
@@ -114,119 +151,3 @@ class TestLocalization:
         assert suspects[0].finding_kinds == ("count-mismatch", "missing-downstream")
         assert suspects[1].upstream_domain == "N"
         assert suspects[1].downstream_domain == "D"
-
-
-class TestMeasurementCampaign:
-    def _interval_traces(self, prefix_pair, count: int, size: int = 1500):
-        traces = []
-        for index in range(count):
-            config = TraceConfig(
-                packet_count=size,
-                packets_per_second=100_000.0,
-                flow_config=FlowGeneratorConfig(),
-            )
-            traces.append(
-                SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=900 + index).packets()
-            )
-        return traces
-
-    def test_campaign_accumulates_intervals(self, prefix_pair):
-        scenario = configured_scenario(seed=91)
-        campaign = MeasurementCampaign(
-            scenario,
-            target="X",
-            observer="S",
-            configs={d.name: TEST_CONFIG for d in scenario.path.domains},
-        )
-        result = campaign.run(self._interval_traces(prefix_pair, count=3))
-        assert result.interval_count == 3
-        assert result.total_offered_packets > 0
-        assert result.loss_rate == pytest.approx(0.1, abs=0.05)
-        assert result.acceptance_rate == 1.0
-        pooled = result.pooled_delay_quantiles()
-        assert pooled[0.9] == pytest.approx(12e-3, rel=0.1)
-
-    def test_campaign_sla_check(self, prefix_pair):
-        scenario = configured_scenario(seed=92)
-        campaign = MeasurementCampaign(
-            scenario,
-            target="X",
-            configs={d.name: TEST_CONFIG for d in scenario.path.domains},
-        )
-        result = campaign.run(self._interval_traces(prefix_pair, count=2))
-        strict = SLASpec(delay_bound=5e-3, delay_quantile=0.9, loss_bound=0.01)
-        relaxed = SLASpec(delay_bound=50e-3, delay_quantile=0.9, loss_bound=0.5)
-        assert not result.check_sla(strict).compliant
-        assert result.check_sla(relaxed).compliant
-
-    def test_campaign_detects_lying_intervals(self, prefix_pair):
-        scenario = configured_scenario(seed=93)
-
-        def liar_factory(path):
-            return {"X": LyingDomainAgent("X", path, config=TEST_CONFIG)}
-
-        campaign = MeasurementCampaign(
-            scenario,
-            target="X",
-            observer="L",
-            configs={d.name: TEST_CONFIG for d in scenario.path.domains},
-            agents_factory=liar_factory,
-        )
-        result = campaign.run(self._interval_traces(prefix_pair, count=2))
-        assert result.acceptance_rate == 0.0
-
-    def test_empty_campaign_is_benign(self):
-        scenario = configured_scenario(seed=94)
-        campaign = MeasurementCampaign(scenario, target="X")
-        result = campaign.result()
-        assert result.interval_count == 0
-        assert result.loss_rate == 0.0
-        assert result.acceptance_rate == 1.0
-        assert result.pooled_delay_quantiles() == {}
-
-    def test_pooled_equals_merged(self, prefix_pair):
-        """The incremental MergedDelayPool must equal one-shot re-pooling."""
-        import numpy as np
-
-        scenario = configured_scenario(seed=95)
-        campaign = MeasurementCampaign(
-            scenario,
-            target="X",
-            configs={d.name: TEST_CONFIG for d in scenario.path.domains},
-        )
-        result = campaign.run(self._interval_traces(prefix_pair, count=3))
-
-        raw = np.asarray(
-            [delay for interval in result.intervals for delay in interval.delay_samples]
-        )
-        pooled = np.sort(raw)
-        merged = np.asarray(result.delay_pool().sorted_samples)
-        assert np.array_equal(merged, pooled)
-
-        # and the quantiles the campaign reports come out identical to the
-        # naive re-pool-every-time computation the old implementation did
-        from repro.core.estimation import estimate_delay_quantiles
-
-        naive = {
-            quantile: estimate.estimate
-            for quantile, estimate in estimate_delay_quantiles(
-                raw, result.quantiles
-            ).items()
-        }
-        assert result.pooled_delay_quantiles() == naive
-
-    def test_result_pool_snapshot_is_stable(self, prefix_pair):
-        """A returned result must not see samples from later intervals."""
-        scenario = configured_scenario(seed=96)
-        campaign = MeasurementCampaign(
-            scenario,
-            target="X",
-            configs={d.name: TEST_CONFIG for d in scenario.path.domains},
-        )
-        traces = self._interval_traces(prefix_pair, count=2)
-        campaign.run_interval(traces[0])
-        first = campaign.result()
-        count_before = first.delay_pool().sample_count
-        campaign.run_interval(traces[1])
-        assert first.delay_pool().sample_count == count_before
-        assert campaign.result().delay_pool().sample_count > count_before

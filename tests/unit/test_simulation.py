@@ -1,4 +1,4 @@
-"""Unit tests for the simulation substrate: engine, queueing, congestion."""
+"""Unit tests for the simulation substrate: queueing, congestion."""
 
 from __future__ import annotations
 
@@ -6,68 +6,7 @@ import numpy as np
 import pytest
 
 from repro.simulation.congestion import CongestionScenario
-from repro.simulation.engine import EventScheduler
 from repro.simulation.queueing import BottleneckQueue, TCPSawtoothSource, UDPBurstSource
-
-
-class TestEventScheduler:
-    def test_events_fire_in_time_order(self):
-        scheduler = EventScheduler()
-        fired: list[str] = []
-        scheduler.schedule(2.0, lambda: fired.append("late"))
-        scheduler.schedule(1.0, lambda: fired.append("early"))
-        scheduler.run()
-        assert fired == ["early", "late"]
-
-    def test_ties_fire_in_fifo_order(self):
-        scheduler = EventScheduler()
-        fired: list[int] = []
-        for index in range(5):
-            scheduler.schedule(1.0, lambda index=index: fired.append(index))
-        scheduler.run()
-        assert fired == [0, 1, 2, 3, 4]
-
-    def test_now_advances(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(3.5, lambda: None)
-        scheduler.run()
-        assert scheduler.now == 3.5
-
-    def test_schedule_in_past_rejected(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(1.0, lambda: None)
-        scheduler.run()
-        with pytest.raises(ValueError):
-            scheduler.schedule(0.5, lambda: None)
-
-    def test_schedule_after(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.schedule(1.0, lambda: scheduler.schedule_after(0.5, lambda: fired.append(1)))
-        scheduler.run()
-        assert fired == [1]
-        assert scheduler.now == pytest.approx(1.5)
-
-    def test_run_until_limit(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.schedule(1.0, lambda: fired.append(1))
-        scheduler.schedule(5.0, lambda: fired.append(5))
-        scheduler.run(until=2.0)
-        assert fired == [1]
-        assert scheduler.pending_events == 1
-
-    def test_max_events_limit(self):
-        scheduler = EventScheduler()
-        for index in range(10):
-            scheduler.schedule(float(index), lambda: None)
-        processed = scheduler.run(max_events=4)
-        assert processed == 4
-        assert scheduler.pending_events == 6
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventScheduler().schedule_after(-1.0, lambda: None)
 
 
 class TestBottleneckQueue:
