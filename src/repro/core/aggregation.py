@@ -215,7 +215,7 @@ class Aggregator:
             deadline = pending.cut_time + window
             covered = int(np.searchsorted(time_array, deadline, side="right"))
             if covered:
-                pending.trans_after.extend(int(value) for value in digest_array[:covered])
+                pending.trans_after.extend(digest_array[:covered].tolist())
             if last_time > deadline:
                 self._finalized.append(pending)
             else:
@@ -260,15 +260,13 @@ class Aggregator:
                 self._cut_count += 1
                 cut_time = float(time_array[position])
                 lo = int(np.searchsorted(all_times, cut_time - window, side="left"))
-                trans_before = tuple(
-                    int(value) for value in all_digests[lo : offset + position]
-                )
+                trans_before = tuple(all_digests[lo : offset + position].tolist())
                 hi = int(np.searchsorted(time_array, cut_time + window, side="right"))
                 pending = _PendingReceipt(
                     aggregate=self._open,
                     cut_time=cut_time,
                     trans_before=trans_before,
-                    trans_after=[int(value) for value in digest_array[position:hi]],
+                    trans_after=digest_array[position:hi].tolist(),
                 )
                 if last_time > cut_time + window:
                     self._finalized.append(pending)
@@ -292,10 +290,7 @@ class Aggregator:
             self._max_window_occupancy = peak
         keep_from = int(window_starts[-1])
         self._recent = deque(
-            zip(
-                (int(value) for value in all_digests[keep_from:]),
-                (float(value) for value in all_times[keep_from:]),
-            )
+            zip(all_digests[keep_from:].tolist(), all_times[keep_from:].tolist())
         )
         return cut_mask
 

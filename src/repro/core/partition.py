@@ -245,16 +245,12 @@ def aligned_aggregates(
         for boundary_index in range(len(common)):
             up_receipt = combined_up[boundary_index]
             down_receipt = combined_down[boundary_index]
-            up_before = set(up_receipt.trans_before)
-            up_after = set(up_receipt.trans_after)
-            down_before = set(down_receipt.trans_before)
-            down_after = set(down_receipt.trans_after)
             # Packets upstream counted before the cut but downstream after it:
             # migrate them into the earlier downstream aggregate.
-            to_earlier = len(up_before & down_after)
+            to_earlier = len(set(up_receipt.trans_before).intersection(down_receipt.trans_after))
             # Packets upstream counted after the cut but downstream before it:
             # migrate them into the later downstream aggregate.
-            to_later = len(up_after & down_before)
+            to_later = len(set(up_receipt.trans_after).intersection(down_receipt.trans_before))
             delta = to_earlier - to_later
             migrations[boundary_index] += delta
             migrations[boundary_index + 1] -= delta

@@ -194,9 +194,10 @@ class DelaySampler:
                 selected = keys > sampling_threshold
                 if selected.any():
                     self._samples.extend(
-                        SampleRecord(pkt_id=int(pkt_id), time=float(pkt_time))
+                        SampleRecord(pkt_id=pkt_id, time=pkt_time)
                         for pkt_id, pkt_time in zip(
-                            buffered_digests[selected], buffered_times[selected]
+                            buffered_digests[selected].tolist(),
+                            buffered_times[selected].tolist(),
                         )
                     )
             self._samples.append(
@@ -208,8 +209,8 @@ class DelaySampler:
         if len(carry_digests) or len(tail_digests):
             new_buffer = list(
                 zip(
-                    (int(value) for value in np.concatenate([carry_digests, tail_digests])),
-                    (float(value) for value in np.concatenate([carry_times, time_array[segment_start:]])),
+                    np.concatenate([carry_digests, tail_digests]).tolist(),
+                    np.concatenate([carry_times, time_array[segment_start:]]).tolist(),
                 )
             )
             if marker_positions.size:

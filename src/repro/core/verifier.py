@@ -16,7 +16,7 @@ them to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -119,6 +119,17 @@ class Verifier:
         The delay quantiles to estimate.
     confidence:
         Confidence level for the quantile bounds.
+
+    Every receipt product a query needs is computed once per verifier and
+    memoised: the combined sample receipt and the time-sorted aggregate
+    receipts of each HOP, the aligned aggregate pairs of each (upstream,
+    downstream) HOP pair, each ``(domain, ingress, egress)`` performance and
+    the link-consistency findings.  Estimation, verification and the
+    consistency check therefore share one alignment per HOP pair instead of
+    re-deriving it per query.  :meth:`add_report` clears the memo, so a
+    query after new receipts arrive sees them.  Lists handed to callers are
+    fresh copies; receipts and :class:`DomainPerformance` results are shared
+    between queries and must not be mutated.
     """
 
     def __init__(
@@ -132,11 +143,21 @@ class Verifier:
         self.confidence = float(confidence)
         self._sample_receipts: dict[int, list[SampleReceipt]] = {}
         self._aggregate_receipts: dict[int, list[AggregateReceipt]] = {}
+        self._memo: dict[tuple, Any] = {}
+
+    def _memoised(self, key: tuple, compute: Callable[[], Any]) -> Any:
+        """``compute()``'s value, computed once per key until the next report."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     # -- receipt collection -------------------------------------------------------
 
     def add_report(self, report: HOPReport) -> None:
         """Add one HOP's report to the verifier's receipt store."""
+        self._memo.clear()
         samples = self._sample_receipts.setdefault(report.hop_id, [])
         samples.extend(report.sample_receipts)
         aggregates = self._aggregate_receipts.setdefault(report.hop_id, [])
@@ -151,16 +172,41 @@ class Verifier:
 
     def sample_receipt_for(self, hop_id: int) -> SampleReceipt | None:
         """The (combined) sample receipt of one HOP, or ``None``."""
-        receipts = self._sample_receipts.get(hop_id)
-        if not receipts:
-            return None
-        return combine_sample_receipts(receipts)
+
+        def combine() -> SampleReceipt | None:
+            receipts = self._sample_receipts.get(hop_id)
+            return combine_sample_receipts(receipts) if receipts else None
+
+        return self._memoised(("samples", hop_id), combine)
 
     def aggregate_receipts_for(self, hop_id: int) -> list[AggregateReceipt]:
         """The aggregate receipts of one HOP, in observation order."""
-        receipts = list(self._aggregate_receipts.get(hop_id, []))
-        receipts.sort(key=lambda receipt: receipt.start_time)
-        return receipts
+        return list(self._sorted_aggregates(hop_id))
+
+    def _sorted_aggregates(self, hop_id: int) -> tuple[AggregateReceipt, ...]:
+        return self._memoised(
+            ("aggregates", hop_id),
+            lambda: tuple(
+                sorted(
+                    self._aggregate_receipts.get(hop_id, []),
+                    key=lambda receipt: receipt.start_time,
+                )
+            ),
+        )
+
+    def _aligned(
+        self, upstream_hop: int, downstream_hop: int
+    ) -> tuple[AlignedAggregates, ...]:
+        """The aligned aggregate pairs between two HOPs."""
+        return self._memoised(
+            ("aligned", upstream_hop, downstream_hop),
+            lambda: tuple(
+                aligned_aggregates(
+                    self._sorted_aggregates(upstream_hop),
+                    self._sorted_aggregates(downstream_hop),
+                )
+            ),
+        )
 
     # -- estimation ------------------------------------------------------------------
 
@@ -177,6 +223,14 @@ class Verifier:
     def _performance_between(
         self, name: str, ingress_hop: int, egress_hop: int
     ) -> DomainPerformance:
+        return self._memoised(
+            ("performance", name, ingress_hop, egress_hop),
+            lambda: self._compute_performance(name, ingress_hop, egress_hop),
+        )
+
+    def _compute_performance(
+        self, name: str, ingress_hop: int, egress_hop: int
+    ) -> DomainPerformance:
         ingress_samples = self.sample_receipt_for(ingress_hop)
         egress_samples = self.sample_receipt_for(egress_hop)
         delay_quantiles: dict[float, DelayQuantileEstimate] = {}
@@ -189,9 +243,7 @@ class Verifier:
                     delays, self.quantiles, self.confidence
                 )
 
-        ingress_aggregates = self.aggregate_receipts_for(ingress_hop)
-        egress_aggregates = self.aggregate_receipts_for(egress_hop)
-        aligned = tuple(aligned_aggregates(ingress_aggregates, egress_aggregates))
+        aligned = self._aligned(ingress_hop, egress_hop)
         offered = sum(pair.upstream.pkt_count for pair in aligned)
         lost = sum(max(pair.lost_packets, 0) for pair in aligned)
         granularity = tuple(pair.duration for pair in aligned)
@@ -241,14 +293,16 @@ class Verifier:
 
     def check_consistency(self) -> list[Inconsistency]:
         """Cross-check receipts across every inter-domain link of the path."""
+        return list(self._memoised(("findings",), self._link_findings))
+
+    def _link_findings(self) -> tuple[Inconsistency, ...]:
         findings: list[Inconsistency] = []
         for upstream_hop, downstream_hop in self.path.inter_domain_pairs():
-            upstream_samples = self._sample_receipts.get(upstream_hop.hop_id, [])
-            downstream_samples = self._sample_receipts.get(downstream_hop.hop_id, [])
-            upstream_aggregates = self.aggregate_receipts_for(upstream_hop.hop_id)
-            downstream_aggregates = self.aggregate_receipts_for(downstream_hop.hop_id)
-            if not (upstream_samples or upstream_aggregates) or not (
-                downstream_samples or downstream_aggregates
+            up, down = upstream_hop.hop_id, downstream_hop.hop_id
+            upstream_samples = self._sample_receipts.get(up, [])
+            downstream_samples = self._sample_receipts.get(down, [])
+            if not (upstream_samples or self._sorted_aggregates(up)) or not (
+                downstream_samples or self._sorted_aggregates(down)
             ):
                 # One side has not deployed VPM (partial deployment) — nothing
                 # to cross-check on this link.
@@ -257,11 +311,12 @@ class Verifier:
                 check_link_consistency(
                     upstream_samples,
                     downstream_samples,
-                    upstream_aggregates,
-                    downstream_aggregates,
+                    aggregate_pairs=[
+                        (pair.upstream, pair.downstream) for pair in self._aligned(up, down)
+                    ],
                 )
             )
-        return findings
+        return tuple(findings)
 
     def verify_domain(self, domain: Domain | str) -> VerificationResult:
         """Estimate a domain and check whether its receipts survive verification."""

@@ -230,8 +230,8 @@ class DispatchWorker:
                 continue
             with self.transport.heartbeat(interval):
                 record = interval_record(self.spec, interval, policy=self.policy)
+            # A successful upload releases the lease on the coordinator.
             self.transport.deliver(interval, record)
-            self.transport.release(interval)
             if self.policy.throttle > 0:
                 # The delivered record is durable on the coordinator side;
                 # the pause gives chaos harnesses a deterministic kill

@@ -405,13 +405,36 @@ class DispatchHub:
                         f"committed record; interval records must be pure "
                         f"functions of (spec, interval)",
                     )
-                return {"interval": interval, "duplicate": True, "committed": True}
+                return {
+                    "interval": interval,
+                    "duplicate": True,
+                    "committed": True,
+                    "remaining": self._remaining(),
+                }
             try:
                 fresh = self.staging.stage_line(interval, line)
             except DispatchError as exc:
                 raise ProtocolError(409, "record_divergence", str(exc)) from exc
         self.claims.release(interval, worker)
-        return {"interval": interval, "duplicate": not fresh, "committed": False}
+        return {
+            "interval": interval,
+            "duplicate": not fresh,
+            "committed": False,
+            "remaining": self._remaining(),
+        }
+
+    def _remaining(self) -> int:
+        """Intervals neither committed nor staged: work still owed by some worker.
+
+        The staged set is read before the committed count, so an interval the
+        commit loop moves from staged to committed between the two reads
+        still counts as done: the count may err high, never low.
+        """
+        staged = self.staging.staged()
+        committed = _committed_count(self.store)
+        return sum(
+            1 for interval in range(committed, self.spec.intervals) if interval not in staged
+        )
 
     def _validate_line(self, interval: int, payload: bytes) -> bytes:
         """Check the upload is one stable-JSON record line for ``interval``."""
@@ -504,7 +527,7 @@ class HTTPTransport:
         self.backoff = backoff
         self.max_backoff = max_backoff
         self._base = f"{self.coordinator_url}/api/v1/dispatch/{self.run_id}"
-        self._last_complete = False
+        self._finished = False
         config = self._request("GET", "?config=true")
         self.spec = CampaignSpec.from_dict(config["spec"])
         self.policy = ExecutionPolicy.from_dict(config["policy"])
@@ -583,27 +606,24 @@ class HTTPTransport:
     def pending(self) -> list[int]:
         """Committed/staged-free intervals from the coordinator's status.
 
-        Once the coordinator has reported the run complete, a later
-        unreachable coordinator (it shut down after committing everything)
-        reads as "nothing pending" instead of an error — the normal end of a
-        worker's life.
+        Once the coordinator has said that no interval is left to compute —
+        a status in which every interval is committed or staged, or the
+        response to the upload that staged the last outstanding one —
+        nothing is pending ever again, and the worker asks no more: the
+        coordinator may already have committed everything and shut down.
         """
-        try:
-            status = self._request("GET", "")
-        except TransportError:
-            if self._last_complete:
-                return []
-            raise
-        self._last_complete = bool(status.get("complete"))
-        if self._last_complete:
+        if self._finished:
             return []
+        status = self._request("GET", "")
         committed = int(status["committed"])
         staged = set(status.get("staged", []))
-        return [
+        pending = [
             interval
             for interval in range(committed, int(status["intervals"]))
             if interval not in staged
         ]
+        self._finished = not pending
+        return pending
 
     def try_claim(self, interval: int) -> bool:
         """Acquire the lease on ``interval``; True when this worker owns it."""
@@ -634,7 +654,12 @@ class HTTPTransport:
             pass
 
     def deliver(self, interval: int, record: Mapping[str, Any]) -> bool:
-        """Upload the record line; idempotent, digest-checked, byte-asserted."""
+        """Upload the record line; idempotent, digest-checked, byte-asserted.
+
+        A successful upload also releases this worker's lease on the
+        coordinator, and its response says how many intervals are still
+        owed; when none are, :meth:`pending` is empty from then on.
+        """
         line = (stable_json(dict(record)) + "\n").encode("utf-8")
         try:
             payload = self._request(
@@ -654,4 +679,6 @@ class HTTPTransport:
                 # Committed while we were uploading — a benign duplicate.
                 return False
             raise
+        if payload.get("remaining") == 0:
+            self._finished = True
         return not payload.get("duplicate", False)

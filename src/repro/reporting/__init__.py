@@ -1,4 +1,4 @@
-"""Receipt dissemination, storage and the Section 7.1 overhead model."""
+"""Receipt dissemination, serialization and the Section 7.1 overhead model."""
 
 from repro.reporting.dissemination import ReceiptBus
 from repro.reporting.overhead import (
@@ -7,7 +7,6 @@ from repro.reporting.overhead import (
     PerPacketProcessingModel,
     ResourceProfile,
 )
-from repro.reporting.receipt_store import ReceiptStore
 from repro.reporting.serialization import (
     decode_report,
     encode_report,
@@ -20,7 +19,6 @@ __all__ = [
     "CollectorMemoryModel",
     "PerPacketProcessingModel",
     "ReceiptBus",
-    "ReceiptStore",
     "ResourceProfile",
     "decode_report",
     "encode_report",

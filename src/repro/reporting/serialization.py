@@ -343,8 +343,13 @@ def canonical_receipts(reports: Mapping[int, HOPReport]) -> dict[str, Any]:
     Everything else — sample sets and order, thresholds, aggregate boundaries,
     packet counts, AggTrans windows — is engine-invariant, so two engines (or
     an interrupted-and-resumed campaign interval and an uninterrupted one)
-    agree on this form byte-for-byte.  Shared by the conformance suite and the
-    campaign run store's receipt digests.
+    agree on this form byte-for-byte.
+
+    This is the specification of :func:`receipts_digest`, which streams the
+    same bytes into its hash without building this form: the digest equals
+    BLAKE2b-128 over ``json.dumps(canonical_receipts(reports),
+    sort_keys=True, separators=(",", ":"))``.  The conformance suite and the
+    digest tests compare against it; no run path calls it.
     """
     canonical: dict[str, Any] = {}
     for hop_id in sorted(reports):
@@ -378,14 +383,65 @@ def canonical_receipts(reports: Mapping[int, HOPReport]) -> dict[str, Any]:
     return canonical
 
 
+class _IntSpellings(dict):
+    """Memo of the JSON spelling of integers (``int.__repr__``, as ``json`` uses)."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = int.__repr__(value)
+        return text
+
+
 def receipts_digest(reports: Mapping[int, HOPReport]) -> str:
     """Stable hex digest of every HOP's receipts in canonical form.
 
     Equal digests mean equal receipts up to the documented ``time_sum``
     tolerance — the auditable per-interval fingerprint a campaign run store
     records so a customer can later prove which receipts a verdict rests on.
+
+    The digest is BLAKE2b-128 over the canonical JSON of
+    :func:`canonical_receipts` (sorted keys, so HOP ids in string order;
+    compact separators), but that JSON is written straight into the hash one
+    HOP at a time: neither the canonical dict nor the whole document is ever
+    built.  Spellings are memoised for one call — an interval's AggTrans
+    windows repeat a few thousand distinct packet IDs hundreds of thousands
+    of times, and each window recurs at both ends of an inter-domain link.
     """
-    payload = json.dumps(
-        canonical_receipts(reports), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
+    ids = _IntSpellings()
+    windows: dict[tuple[int, ...], str] = {}
+
+    def window(values) -> str:
+        values = tuple(values)
+        text = windows.get(values)
+        if text is None:
+            text = windows[values] = ",".join(map(ids.__getitem__, values))
+        return text
+
+    def records(samples) -> str:
+        return ",".join(f'[{ids[record.pkt_id]},"{record.time.hex()}"]' for record in samples)
+
+    hasher = hashlib.blake2b(digest_size=16)
+    hasher.update(b"{")
+    for position, (key, hop_id) in enumerate(sorted((str(hop_id), hop_id) for hop_id in reports)):
+        report = reports[hop_id]
+        aggregates = ",".join(
+            f'{{"end_time":"{receipt.end_time.hex()}",'
+            f'"first_pkt_id":{ids[receipt.first_pkt_id]},'
+            f'"last_pkt_id":{ids[receipt.last_pkt_id]},'
+            f'"pkt_count":{ids[receipt.pkt_count]},'
+            f'"start_time":"{receipt.start_time.hex()}",'
+            f'"time_sum":"{receipt.time_sum:.9e}",'
+            f'"trans_after":[{window(receipt.trans_after)}],'
+            f'"trans_before":[{window(receipt.trans_before)}]}}'
+            for receipt in report.aggregate_receipts
+        )
+        samples = ",".join(
+            f'{{"path":{json.dumps(str(receipt.path_id.prefix_pair))},'
+            f'"records":[{records(receipt.samples)}],'
+            f'"reporting_hop":{json.dumps(receipt.path_id.reporting_hop)},'
+            f'"threshold":{json.dumps(receipt.sampling_threshold)}}}'
+            for receipt in report.sample_receipts
+        )
+        hop = f'{json.dumps(key)}:{{"aggregates":[{aggregates}],"samples":[{samples}]}}'
+        hasher.update(f'{"," if position else ""}{hop}'.encode("ascii"))
+    hasher.update(b"}")
+    return hasher.hexdigest()

@@ -1,9 +1,11 @@
 """Canonical receipt serialization shared by conformance and engine tests.
 
 The canonical form itself lives in :mod:`repro.reporting.serialization`
-(:func:`~repro.reporting.serialization.canonical_receipts`) because the
-campaign run store records the same form's digest per interval; re-exported
-here so the conformance/engine tests keep one import site.  Exact float hex
+(:func:`~repro.reporting.serialization.canonical_receipts`) beside
+:func:`~repro.reporting.serialization.receipts_digest`, the per-interval
+digest the campaign run store records, which streams the same form's JSON
+into its hash; re-exported here so the conformance/engine tests keep one
+import site.  Exact float hex
 for every timestamp; ``time_sum`` rounded to 10 significant digits — the one
 field whose float accumulation order legitimately differs between the scalar,
 batch and streaming engines (and between chunk sizes).

@@ -209,6 +209,33 @@ class TestUploadFaults:
             ).run()
 
 
+class TestEndOfRun:
+    def test_last_commit_then_coordinator_exit_then_worker_poll(self, tmp_path):
+        # The worker's first exchange after its last upload happens only once
+        # the coordinator has committed that upload and shut down: the events
+        # are ordered by joining the coordinator thread, not by sleeping.
+        spec = _spec("http-end-of-run", intervals=2)
+        direct = _direct_run(tmp_path, spec)
+        run_dir = tmp_path / "dispatched"
+        serving = _CommitOnlyCoordinator(run_dir, spec)
+        with serving as coordinator:
+            transport = HTTPTransport(
+                coordinator.http_url, coordinator.run_id, worker_id="last", retries=1
+            )
+            upload = transport.deliver
+
+            def deliver_then_await_exit(interval, record):
+                delivered = upload(interval, record)
+                if interval == spec.intervals - 1:
+                    serving.thread.join(timeout=120.0)
+                    assert not serving.thread.is_alive()
+                return delivered
+
+            transport.deliver = deliver_then_await_exit
+            assert DispatchWorker(transport).run() == spec.intervals
+        _assert_stores_identical(run_dir, Path(direct.path))
+
+
 class TestCLI:
     def test_worker_only_http_cli_no_shared_filesystem(self, tmp_path):
         # The real multi-host shape: the worker subprocess gets a URL and a

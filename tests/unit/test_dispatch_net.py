@@ -162,8 +162,17 @@ class TestDispatchHubUpload:
     def test_upload_stages_exact_bytes(self, hub):
         line = _line(hub, 0)
         out = hub.upload(0, line, record_digest(line), worker="w0")
-        assert out == {"interval": 0, "duplicate": False, "committed": False}
+        assert out == {"interval": 0, "duplicate": False, "committed": False, "remaining": 2}
         assert hub.staging.path(0).read_bytes() == line
+
+    def test_upload_counts_remaining_until_everything_is_staged(self, hub):
+        # Staged and committed intervals are both done: the response to the
+        # upload that stages the last owed interval says nothing remains.
+        hub.store.append(json.loads(_line(hub, 0)))
+        line = _line(hub, 2)
+        assert hub.upload(2, line, record_digest(line), worker="w0")["remaining"] == 1
+        line = _line(hub, 1)
+        assert hub.upload(1, line, record_digest(line), worker="w1")["remaining"] == 0
 
     def test_digest_mismatch_rejected_and_nothing_staged(self, hub):
         line = _line(hub, 0)
@@ -203,7 +212,7 @@ class TestDispatchHubUpload:
         line = _line(hub, 0)
         hub.store.append(json.loads(line))
         out = hub.upload(0, line, record_digest(line), worker="w0")
-        assert out == {"interval": 0, "duplicate": True, "committed": True}
+        assert out == {"interval": 0, "duplicate": True, "committed": True, "remaining": 2}
         record = json.loads(line)
         record["receipts_digest"] = "0" * 64
         forged = (stable_json(record) + "\n").encode("utf-8")
@@ -247,6 +256,7 @@ class TestDispatchHubUpload:
                 "interval": interval,
                 "duplicate": False,
                 "committed": False,
+                "remaining": 2 - interval,
             }
             assert hub.staging.path(interval).read_bytes() == line
 
@@ -458,7 +468,39 @@ class TestHTTPTransportRetry:
             retries=3,
         )
         assert transport.pending() == []
-        assert transport.pending() == []  # unreachable, but we saw complete
+        assert transport.pending() == []  # we saw complete: no second poll
+        assert len(fake.requests) == 2  # config + one status
+
+    def test_everything_staged_finishes_the_worker(self, monkeypatch, no_sleep):
+        transport, fake = _transport(
+            monkeypatch,
+            [
+                {"intervals": 3, "committed": 1, "complete": False, "staged": [1, 2]},
+                urllib.error.URLError("coordinator exited"),
+            ],
+        )
+        assert transport.pending() == []
+        assert transport.pending() == []  # staged is done too: no second poll
+        assert len(fake.requests) == 2
+
+    def test_last_upload_finishes_the_worker_without_a_status_poll(
+        self, monkeypatch, no_sleep
+    ):
+        record = dict(interval_record(_spec(), 2))
+        transport, fake = _transport(
+            monkeypatch,
+            [
+                {"interval": 2, "duplicate": False, "committed": False, "remaining": 1},
+                {"interval": 2, "duplicate": True, "committed": False, "remaining": 0},
+                urllib.error.URLError("coordinator exited"),
+            ],
+        )
+        assert transport.deliver(2, record) is True
+        assert transport.deliver(2, record) is False
+        # Nothing is owed any more: the coordinator may be gone, and the
+        # worker does not ask it.
+        assert transport.pending() == []
+        assert len(fake.requests) == 3  # config + two uploads
 
     def test_renew_and_release_swallow_failures(self, monkeypatch, no_sleep):
         transport, fake = _transport(

@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.api.runner import run_cell_full
+from repro.api.spec import (
+    AdversarySpec,
+    ConditionSpec,
+    EstimationSpec,
+    ExperimentSpec,
+    HOPSpec,
+    PathSpec,
+    ProtocolSpec,
+    TrafficSpec,
+)
 from repro.core.aggregation import AggregatorConfig
 from repro.core.domain import DomainAgent
-from repro.core.hop import HOPConfig
+from repro.core.hop import HOPConfig, HOPReport
+from repro.core.receipts import SampleRecord
 from repro.core.sampling import SamplerConfig
 from repro.core.verifier import Verifier
 from repro.simulation.scenario import PathScenario, SegmentCondition
@@ -179,3 +193,100 @@ class TestVerifierConsistency:
         verifier = Verifier(path)
         verifier.add_reports(list(all_reports.values()))
         assert verifier.estimate_domain("X").offered_packets > 0
+
+
+class _Unmemoised(Verifier):
+    """The same verifier with its memo switched off: every query recomputes."""
+
+    def _memoised(self, key, compute):
+        return compute()
+
+
+class TestVerifierMemo:
+    def test_add_report_after_a_query_changes_the_next_answer(self, path, all_reports):
+        verifier = Verifier(path)
+        verifier.add_reports({hop: report for hop, report in all_reports.items() if hop != 6})
+        # Without N's ingress HOP the neighbor view of X has no downstream side.
+        assert verifier.sample_receipt_for(6) is None
+        assert verifier.aggregate_receipts_for(6) == []
+        assert verifier.estimate_domain_via_neighbors("X").offered_packets == 0
+        assert verifier.check_consistency() == []
+
+        verifier.add_report(all_reports[6])
+        complete = Verifier(path)
+        complete.add_reports(all_reports)
+        assert verifier.sample_receipt_for(6) == complete.sample_receipt_for(6)
+        assert verifier.estimate_domain_via_neighbors("X").offered_packets > 0
+        assert verifier.estimate_domain_via_neighbors("X") == (
+            complete.estimate_domain_via_neighbors("X")
+        )
+
+        # A forged sample at N's ingress that X's egress never delivered.
+        genuine = all_reports[6].sample_receipts[0]
+        forged = HOPReport(
+            hop_id=6,
+            sample_receipts=(
+                dataclasses.replace(
+                    genuine, samples=(SampleRecord(pkt_id=1, time=genuine.samples[-1].time),)
+                ),
+            ),
+        )
+        assert verifier.verify_domain("N").accepted
+        verifier.add_report(forged)
+        assert [finding.kind for finding in verifier.check_consistency()] == ["missing-upstream"]
+        assert not verifier.verify_domain("N").accepted
+
+    def test_mutating_returned_lists_does_not_poison_the_memo(self, path, all_reports):
+        verifier = Verifier(path)
+        verifier.add_reports(all_reports)
+        ingress = verifier.aggregate_receipts_for(4)
+        expected = list(ingress)
+        ingress.reverse()
+        ingress.pop()
+        verifier.check_consistency().append("not a finding")
+        assert verifier.aggregate_receipts_for(4) == expected
+        assert verifier.check_consistency() == []
+        reference = _Unmemoised(path)
+        reference.add_reports(all_reports)
+        assert verifier.estimate_domain("X") == reference.estimate_domain("X")
+
+    def test_memoised_verification_equals_unmemoised_on_a_lying_domain(self):
+        spec = ExperimentSpec(
+            seed=5,
+            traffic=TrafficSpec(workload=None, packet_count=3000),
+            path=PathSpec(
+                conditions={
+                    "X": ConditionSpec(
+                        delay="jitter",
+                        delay_params={"base_delay": 1.2e-3, "jitter_std": 0.4e-3},
+                        loss="bernoulli",
+                        loss_params={"loss_rate": 0.02},
+                    ),
+                    "N": ConditionSpec(
+                        delay="jitter",
+                        delay_params={"base_delay": 0.8e-3, "jitter_std": 0.2e-3},
+                        loss="bernoulli",
+                        loss_params={"loss_rate": 0.01},
+                    ),
+                }
+            ),
+            protocol=ProtocolSpec(default=HOPSpec(sampling_rate=0.2, aggregate_size=200)),
+            adversaries=(
+                AdversarySpec(kind="lying", domain="N", params={"claimed_delay": 0.2e-3}),
+            ),
+            estimation=EstimationSpec(observer="L", targets=("X", "N")),
+        )
+        session = run_cell_full(spec).session
+        memoised = session.verifier_for("L")
+        reference = _Unmemoised(session.path)
+        reference.add_reports(session.bus.reports_visible_to("L"))
+        # Query the memoised verifier repeatedly and in a different order.
+        for _ in range(2):
+            for target in ("N", "X"):
+                memoised.estimate_domain(target)
+                memoised.estimate_domain_via_neighbors(target)
+                memoised.check_consistency()
+        for target in ("X", "N"):
+            assert memoised.verify_domain(target) == reference.verify_domain(target)
+        assert not memoised.verify_domain("N").accepted
+        assert memoised.check_consistency() == reference.check_consistency()

@@ -1,5 +1,4 @@
-"""Unit tests for repro.core.protocol, repro.reporting.dissemination and
-repro.reporting.receipt_store."""
+"""Unit tests for repro.core.protocol and repro.reporting.dissemination."""
 
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ from repro.core.hop import HOPConfig, HOPReport
 from repro.core.protocol import VPMSession
 from repro.core.sampling import SamplerConfig
 from repro.reporting.dissemination import ReceiptBus
-from repro.reporting.receipt_store import ReceiptStore
 from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import JitterDelayModel
 from repro.traffic.loss_models import BernoulliLossModel
@@ -130,34 +128,3 @@ class TestReceiptBus:
         bus = ReceiptBus(path)
         bus.publish("X", HOPReport(hop_id=4))
         assert bus.total_bytes == 0
-
-
-class TestReceiptStore:
-    def test_add_and_query(self, path, observation):
-        session = VPMSession(path, configs={d.name: TEST_CONFIG for d in path.domains})
-        reports = session.run(observation)
-        store = ReceiptStore()
-        for report in reports.values():
-            store.add(report)
-        stats = store.stats()
-        assert stats.reports == 8
-        assert stats.aggregate_receipts > 0
-        assert stats.sample_records > 0
-        assert stats.stored_bytes > 0
-        assert store.reports_for_hop(4)
-        pair = path.prefix_pair
-        assert store.sample_receipts_for_path(pair)
-        assert store.aggregate_receipts_for_path(pair)
-        assert store.paths() == [pair]
-
-    def test_clear(self, path):
-        store = ReceiptStore()
-        store.add(HOPReport(hop_id=1))
-        store.clear()
-        assert store.stats().reports == 0
-        assert store.paths() == []
-
-    def test_unknown_queries_empty(self, path, prefix_pair):
-        store = ReceiptStore()
-        assert store.reports_for_hop(1) == []
-        assert store.sample_receipts_for_path(prefix_pair) == []
