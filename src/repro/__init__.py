@@ -63,11 +63,7 @@ from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 from repro.net.topology import Domain, HOP, HOPPath, Topology
 from repro.simulation.mesh import MeshObservation, MeshScenario
-from repro.simulation.scenario import (
-    BatchDomainTruth,
-    BatchPathObservation,
-    PathScenario,
-)
+from repro.simulation.scenario import BatchPathObservation, PathScenario
 from repro.traffic.trace import SyntheticTrace, TraceConfig
 from repro.store import RunStore
 from repro.traffic.workload import make_workload
@@ -77,7 +73,6 @@ __version__ = "1.2.0"
 __all__ = [
     "Aggregator",
     "AggregateReceipt",
-    "BatchDomainTruth",
     "BatchPathObservation",
     "CampaignRunner",
     "CampaignSpec",

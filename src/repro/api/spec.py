@@ -670,8 +670,9 @@ class ExperimentSpec:
     """One evaluation cell: traffic × path × protocol × adversaries × question.
 
     ``engine`` selects the execution path: ``"batch"`` (the default) drives the
-    vectorized collector fast path; ``"scalar"`` drives the per-packet object
-    path; ``"streaming"`` drives the chunked engine
+    vectorized collector fast path over one whole-trace pass of the
+    propagation stream; ``"scalar"`` drives the per-packet object path;
+    ``"streaming"`` drives the same stream chunk by chunk
     (:mod:`repro.engine`), which runs in bounded memory.  All engines
     produce identical results for every streamable registered component (they
     consume the same RNG streams in the same order), so the choice is a
@@ -1173,17 +1174,22 @@ class ExecutionPolicy:
         check_non_negative("throttle", self.throttle)
         if self.checkpoint_every is not None:
             check_positive("checkpoint_every", self.checkpoint_every)
-        if self.engine is not None and self.engine != "streaming":
-            if self.chunk_size is not None:
-                raise ValueError(
-                    f"engine {self.engine!r} does not support chunk_size; "
-                    f"use engine='streaming'"
-                )
-            if self.checkpoint_every is not None:
-                raise ValueError(
-                    f"engine {self.engine!r} does not support checkpoint_every; "
-                    f"use engine='streaming'"
-                )
+        if self.engine is not None:
+            self._check_streaming_knobs(self.engine)
+
+    def _check_streaming_knobs(self, engine: str) -> None:
+        """Reject streaming-only knobs when ``engine`` is not streaming."""
+        if engine == "streaming":
+            return
+        if self.chunk_size is not None:
+            raise ValueError(
+                f"engine {engine!r} does not support chunk_size; use engine='streaming'"
+            )
+        if self.checkpoint_every is not None:
+            raise ValueError(
+                f"engine {engine!r} does not support checkpoint_every; "
+                f"use engine='streaming'"
+            )
 
     # -- normalization -----------------------------------------------------------------
 
@@ -1244,17 +1250,7 @@ class ExecutionPolicy:
                     "checkpoint_every applies to single-path streaming cells "
                     "only; mesh intervals checkpoint at interval boundaries"
                 )
-        if engine != "streaming":
-            if self.chunk_size is not None:
-                raise ValueError(
-                    f"engine {engine!r} does not support chunk_size; "
-                    f"use engine='streaming'"
-                )
-            if self.checkpoint_every is not None:
-                raise ValueError(
-                    f"engine {engine!r} does not support checkpoint_every; "
-                    f"use engine='streaming'"
-                )
+        self._check_streaming_knobs(engine)
         return dataclasses.replace(self, engine=engine)
 
     # -- convenience -------------------------------------------------------------------

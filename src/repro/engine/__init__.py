@@ -1,15 +1,17 @@
 """Execution engines for driving scenarios at scale.
 
-The scalar and batch engines live with the scenario
-(:meth:`repro.simulation.scenario.PathScenario.run` / ``run_batch``) and
-materialize every HOP's whole observation stream.  This package adds the
-third engine: **streaming** execution
-(:class:`~repro.engine.streaming.StreamingRunner`), which drives a scenario
-chunk-by-chunk in ``O(chunk)`` memory, in one process.  Its propagation
-state is seekable (:class:`~repro.engine.checkpoint.StreamCheckpoint`), which
-is what lets a campaign interval killed mid-stream resume at its last chunk
-boundary.  More cores come from interval-level dispatch
-(:mod:`repro.dist.dispatch`), not from splitting one interval.
+The scalar engine (:meth:`repro.simulation.scenario.PathScenario.run`) is
+the per-packet oracle.  The one vectorised traversal lives here, in
+:class:`~repro.engine.streaming.ScenarioStream`, and drives the other two
+engines: **batch** (``PathScenario.run_batch``) runs it as one whole-trace
+pass and materializes every HOP's whole observation stream, and
+**streaming** (:class:`~repro.engine.streaming.StreamingRunner`) drives it
+chunk-by-chunk in ``O(chunk)`` memory, in one process.  The stream's
+propagation state is seekable
+(:class:`~repro.engine.checkpoint.StreamCheckpoint`), which is what lets a
+campaign interval killed mid-stream resume at its last chunk boundary.  More
+cores come from interval-level dispatch (:mod:`repro.dist.dispatch`), not
+from splitting one interval.
 
 All three engines produce identical receipts and results for every streamable
 component (see ``README.md`` § Engines); the only documented difference is
@@ -33,12 +35,7 @@ from repro.engine.campaign import (
     interval_record,
 )
 from repro.engine.checkpoint import StreamCheckpoint
-from repro.engine.mesh import (
-    MeshCell,
-    MeshRunner,
-    MeshStreamingResult,
-    run_mesh_batch,
-)
+from repro.engine.mesh import MeshCell, MeshRunner, MeshStreamingResult
 from repro.engine.streaming import (
     DEFAULT_CHUNK_SIZE,
     RunnerCheckpoint,
@@ -69,5 +66,4 @@ __all__ = [
     "StreamingRunner",
     "StreamingTruth",
     "interval_record",
-    "run_mesh_batch",
 ]

@@ -1,10 +1,13 @@
-"""Mesh execution: N paths over one topology, batch or chunked.
+"""Mesh execution: N paths over one topology, in one pass or chunked.
 
 Two engines drive a :class:`~repro.simulation.mesh.MeshScenario`:
 
-* :func:`run_mesh_batch` materializes every path's whole trace, propagates it
-  (:meth:`MeshScenario.run_batch`), and feeds each HOP's merged observation
-  union to the session's collectors in one call;
+* the batch engine — :meth:`MeshScenario.run_batch` then
+  :meth:`~repro.core.protocol.MeshSession.run`, as
+  :func:`repro.api.runner.run_mesh_cell_full` calls them — runs every path's
+  whole trace as one pass of its :class:`~repro.engine.streaming.ScenarioStream`
+  and feeds each HOP's merged observation union to the session's collectors
+  in one call;
 * :class:`MeshRunner` streams all paths *in lockstep*, one trace chunk per
   path per round, pushing each path's chunk through its own
   :class:`~repro.engine.streaming.ScenarioStream` and feeding each HOP the
@@ -36,10 +39,10 @@ from repro.engine.streaming import (
 )
 from repro.net.batch import PacketBatch
 from repro.net.topology import Domain
-from repro.simulation.mesh import MeshObservation, MeshScenario, merge_hop_streams
+from repro.simulation.mesh import MeshScenario, merge_hop_streams
 from repro.traffic.trace import SyntheticTrace
 
-__all__ = ["MeshCell", "MeshRunner", "MeshStreamingResult", "run_mesh_batch"]
+__all__ = ["MeshCell", "MeshRunner", "MeshStreamingResult"]
 
 
 class MeshCell(NamedTuple):
@@ -56,7 +59,7 @@ class MeshStreamingResult:
 
     ``path_truth[i]`` maps domain name to that domain's
     :class:`~repro.engine.streaming.StreamingTruth` on path ``i`` — the same
-    read API as the batch engine's per-path ground truth, and elementwise
+    type as the batch engine's per-path ground truth, with elementwise
     identical delay/loss values.
     """
 
@@ -69,14 +72,6 @@ class MeshStreamingResult:
     def truth_for(self, path_index: int, domain: Domain | str) -> StreamingTruth:
         name = domain.name if isinstance(domain, Domain) else domain
         return self.path_truth[path_index][name]
-
-
-def run_mesh_batch(cell: MeshCell) -> MeshObservation:
-    """Drive a mesh cell through the batch engine (observe + report)."""
-    batches = [trace.packet_batch() for trace in cell.traces]
-    observation = cell.scenario.run_batch(batches)
-    cell.session.run(observation)
-    return observation
 
 
 def _total_chunks(traces: Sequence[SyntheticTrace], chunk_size: int) -> int:

@@ -1,17 +1,20 @@
-"""Chunked scenario execution with exact batch-engine parity.
+"""Vectorised scenario propagation: one whole-trace pass, or chunk by chunk.
 
-The batch engine (:meth:`repro.simulation.scenario.PathScenario.run_batch`)
-materializes every HOP's whole observation stream; at tens of millions of
-packets that costs multiple gigabytes.  This module drives the *same*
-simulation as a stream:
+The one vectorised traversal of a
+:class:`~repro.simulation.scenario.PathScenario` (its scalar ``run`` is the
+oracle):
 
 * :class:`ScenarioStream` pushes one trace chunk at a time through the path.
   Each propagation stage (domain segment, inter-domain link) applies its
-  models to the chunk — consuming every model's RNG in exactly the order the
-  whole-batch run would — and holds packets back in a small sort buffer until
-  the **watermark** (the last source send time seen) guarantees no future
-  packet can precede them.  Emissions at every HOP are therefore the
-  whole-run observation stream, delivered incrementally, bit-for-bit.
+  models to the chunk — consuming every model's RNG in exactly the order one
+  whole-trace pass would — and holds packets back in a small sort buffer
+  until the **watermark** (the last source send time seen) guarantees no
+  future packet can precede them.  Emissions at every HOP are therefore the
+  whole-run observation stream, delivered incrementally, bit-for-bit.  The
+  batch engine (``PathScenario.run_batch``) is the same stream given the
+  whole sorted trace as its final chunk (:meth:`ScenarioStream.flush`), so
+  every stage emits everything in one call and each model sees the whole
+  series at once.
 
 * :class:`ScenarioStream` is **seekable**: :meth:`ScenarioStream.checkpoint`
   freezes the complete propagation state at a chunk boundary (every model RNG
@@ -29,8 +32,9 @@ Exactness contract: every component must be *streamable* — delay and loss
 models declare it (:attr:`repro.traffic.delay_models.DelayModel.streamable`),
 reordering models expose a sequential :meth:`perturb` with non-negative
 offsets.  Non-streamable components (``CongestionDelayModel``, which
-simulates the whole arrival series per call) are rejected with a clear error;
-run those under the batch engine.  The one documented deviation is
+simulates the whole arrival series per call) are rejected with a clear error
+at the first :meth:`ScenarioStream.push`; run them as one whole-trace pass
+(the batch engine).  The one documented deviation is
 ``AggregateReceipt.time_sum`` (float accumulation order, as with scalar vs
 batch).
 """
@@ -79,12 +83,11 @@ class StreamingTruth:
     """Ground truth of one domain, accumulated chunk-by-chunk.
 
     Stores per-chunk true-delay arrays plus loss/delivery counts — the pieces
-    result summaries actually consume — instead of the full per-uid maps the
-    batch engine keeps, so memory stays proportional to delivered packets
-    (one float each) rather than three columns.  The accessors mirror
-    :class:`repro.simulation.scenario.BatchDomainTruth`, and the delay values
-    are elementwise identical to the batch engine's, so quantiles match
-    exactly.
+    result summaries actually consume — instead of per-uid maps, so memory
+    stays proportional to delivered packets (one float each).  The accessors
+    mirror :class:`repro.simulation.scenario.DomainGroundTruth`, and the delay
+    values are elementwise identical to the scalar oracle's, so quantiles
+    match exactly.  Both vectorised engines (batch and streaming) record it.
     """
 
     domain: str
@@ -205,7 +208,7 @@ class _StreamSorter:
 
 
 class _DomainStage:
-    """Streaming twin of ``PathScenario._traverse_domain_batch``."""
+    """One domain segment: delay, loss, egress sort and extra reordering."""
 
     def __init__(
         self,
@@ -269,7 +272,7 @@ class _DomainStage:
 
 
 class _LinkStage:
-    """Streaming twin of ``PathScenario._traverse_link_batch``."""
+    """One inter-domain link: transfer losses and arrival-time sort."""
 
     def __init__(self, link, key: tuple[int, int], losses: dict) -> None:
         self._link = link
@@ -309,9 +312,9 @@ class ScenarioStream:
     Push source chunks in send order (:meth:`push`), then :meth:`flush` once;
     each call returns the newly emitted ``(hop_id, batch, times)`` observation
     spans per HOP, whose concatenation over the whole run is bit-identical to
-    :meth:`PathScenario.run_batch`'s per-HOP observations.  Memory is bounded
+    one whole-trace pass (:meth:`PathScenario.run_batch`).  Memory is bounded
     by the chunk size plus the packets in flight inside delay/reorder
-    holdback windows.
+    holdback windows.  Only :meth:`push` requires a streamable scenario.
 
     ``predigest`` lists the packet digesters in play; each chunk is digested
     once up front so every downstream slice and splice reuses the cached
@@ -323,7 +326,6 @@ class ScenarioStream:
         scenario: PathScenario,
         predigest: Sequence[PacketDigester] = (),
     ) -> None:
-        check_scenario_streamable(scenario)
         self.scenario = scenario
         self.link_losses: dict[tuple[int, int], set[int]] = {}
         self.domain_truth: dict[str, StreamingTruth] = {}
@@ -359,6 +361,7 @@ class ScenarioStream:
         """Propagate one source chunk; return the emissions at every HOP."""
         if len(chunk) == 0:
             return []
+        check_scenario_streamable(self.scenario)
         for digester in self._predigest:
             digester.digest_batch(chunk)
         self.chunks_pushed += 1
@@ -366,12 +369,20 @@ class ScenarioStream:
         self._watermark = float(chunk.send_time[-1])
         return self._advance(chunk, chunk.send_time.copy(), self._watermark)
 
-    def flush(self) -> list[tuple[int, PacketBatch, np.ndarray]]:
-        """Drain every holdback buffer (end of stream)."""
-        if self._template is None:
-            return []
-        empty = self._template.take(np.empty(0, dtype=np.int64))
-        return self._advance(empty, np.empty(0, dtype=np.float64), np.inf)
+    def flush(
+        self, final_chunk: PacketBatch | None = None
+    ) -> list[tuple[int, PacketBatch, np.ndarray]]:
+        """Drain every holdback buffer (end of stream), after ``final_chunk``.
+
+        ``final_chunk`` runs under the unbounded end-of-stream watermark, so
+        every stage emits everything in this one call: ``flush(whole_trace)``
+        on a fresh stream is the one-pass run of :meth:`PathScenario.run_batch`.
+        """
+        if final_chunk is None:
+            if self._template is None:
+                return []
+            final_chunk = self._template.take(np.empty(0, dtype=np.int64))
+        return self._advance(final_chunk, final_chunk.send_time.copy(), np.inf)
 
     def _advance(
         self, batch: PacketBatch, times: np.ndarray, watermark: float

@@ -21,18 +21,20 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.net.batch import PacketBatch
 from repro.net.topology import Domain, HOP, HOPPath, Topology
 from repro.simulation.scenario import (
-    BatchDomainTruth,
     BatchPathObservation,
     PathScenario,
     SegmentCondition,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.streaming import StreamingTruth
 
 __all__ = ["MeshObservation", "MeshScenario", "merge_hop_streams"]
 
@@ -78,7 +80,7 @@ class MeshObservation:
         """One path's isolated batch observation."""
         return self.path_observations[path_index]
 
-    def truth_for(self, path_index: int, domain: Domain | str) -> BatchDomainTruth:
+    def truth_for(self, path_index: int, domain: Domain | str) -> StreamingTruth:
         """Ground truth of one domain on one path."""
         return self.path_observations[path_index].truth_for(domain)
 

@@ -13,6 +13,12 @@ treatment of selected packets) and per-link conditions, and records
 This module contains no VPM logic; it is the substrate that stands in for the
 paper's trace-driven methodology (trace + ns-2 delays + Gilbert-Elliott loss).
 
+There are two traversals.  :meth:`PathScenario.run` is the per-packet object
+path, the oracle.  The vectorised one lives in the streaming stages of
+:mod:`repro.engine.streaming`; :meth:`PathScenario.run_batch` is that stream
+run as one whole-trace pass, and :meth:`PathScenario.domain_effects_batch` is
+the per-domain step of those stages.
+
 Scenarios are the engine layer under the declarative experiment API: the
 Figure-1 builder is registered as the ``"figure1"`` scenario in
 :mod:`repro.api.registry`, per-domain :class:`SegmentCondition` values are
@@ -23,7 +29,7 @@ in via :func:`repro.api.register_scenario`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -36,10 +42,12 @@ from repro.traffic.loss_models import LossModel, NoLossModel
 from repro.traffic.reordering import NoReordering, ReorderingModel
 from repro.util.rng import make_rng
 
+if TYPE_CHECKING:
+    from repro.engine.streaming import StreamingTruth
+
 __all__ = [
     "SegmentCondition",
     "DomainGroundTruth",
-    "BatchDomainTruth",
     "PathObservation",
     "BatchPathObservation",
     "PathScenario",
@@ -121,50 +129,6 @@ class DomainGroundTruth:
 
 
 @dataclass
-class BatchDomainTruth:
-    """Columnar ground truth of one domain during a batch scenario run.
-
-    The arrays are aligned: ``delivered_uids[i]`` entered the domain at
-    ``ingress_times[i]`` and left at ``egress_times[i]``.  ``lost_uids`` holds
-    the uids dropped inside the domain.  The accessors mirror
-    :class:`DomainGroundTruth`, so evaluation code accepts either.
-    """
-
-    domain: str
-    delivered_uids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    ingress_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    egress_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    lost_uids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    @property
-    def lost(self) -> set[int]:
-        """The set of uids dropped inside the domain (object-path API)."""
-        return set(int(uid) for uid in self.lost_uids)
-
-    @property
-    def offered_packets(self) -> int:
-        """Packets that entered the domain."""
-        return len(self.delivered_uids) + len(self.lost_uids)
-
-    @property
-    def loss_rate(self) -> float:
-        """True fraction of entering packets dropped inside the domain."""
-        offered = self.offered_packets
-        return len(self.lost_uids) / offered if offered else 0.0
-
-    def delays(self) -> np.ndarray:
-        """True per-packet delays of the packets the domain delivered."""
-        return self.egress_times - self.ingress_times
-
-    def delay_quantiles(self, quantiles: Sequence[float]) -> dict[float, float]:
-        """True delay quantiles of the delivered packets."""
-        delays = self.delays()
-        if delays.size == 0:
-            return {quantile: 0.0 for quantile in quantiles}
-        return {quantile: float(np.quantile(delays, quantile)) for quantile in quantiles}
-
-
-@dataclass
 class PathObservation:
     """The result of propagating a packet sequence along a path."""
 
@@ -196,12 +160,15 @@ class BatchPathObservation:
     pair in observation order — exactly what
     :meth:`repro.core.hop.HOPCollector.observe_batch` consumes.  This is the
     representation that lets a scenario drive millions of packets per run.
+    Ground truth is the streaming engine's columnar
+    :class:`~repro.engine.streaming.StreamingTruth` (counts and true delays,
+    no per-uid maps).
     """
 
     path: HOPPath
     batches: dict[int, PacketBatch]
     times: dict[int, np.ndarray]
-    domain_truth: dict[str, BatchDomainTruth]
+    domain_truth: dict[str, StreamingTruth]
     link_losses: dict[tuple[int, int], set[int]] = field(default_factory=dict)
 
     def at_hop(self, hop: HOP | int) -> tuple[PacketBatch, np.ndarray]:
@@ -213,7 +180,7 @@ class BatchPathObservation:
         """Number of packets observed at a HOP."""
         return len(self.at_hop(hop)[0])
 
-    def truth_for(self, domain: Domain | str) -> BatchDomainTruth:
+    def truth_for(self, domain: Domain | str) -> StreamingTruth:
         """Ground truth for one domain."""
         name = domain.name if isinstance(domain, Domain) else domain
         return self.domain_truth[name]
@@ -306,10 +273,13 @@ class PathScenario:
         )
 
     def run_batch(self, batch: PacketBatch) -> BatchPathObservation:
-        """Propagate a columnar packet batch along the path.
+        """Propagate a columnar packet batch along the path in one pass.
 
-        The batch twin of :meth:`run`: per-domain delays, losses and
-        reordering are applied with array operations, and each HOP's
+        The batch twin of :meth:`run`: the send-time-sorted batch is the one
+        and final chunk of a :class:`~repro.engine.streaming.ScenarioStream`
+        (:meth:`~repro.engine.streaming.ScenarioStream.flush`), so per-domain
+        delays, losses and reordering are applied with array operations,
+        each model is called once on the whole series, and each HOP's
         observation is recorded as a (batch, times) pair.  For honest
         conditions (no per-packet predicates) the simulated outcome — who was
         dropped where and every observation timestamp — is identical to
@@ -321,40 +291,17 @@ class PathScenario:
         and must return a boolean mask (a per-packet predicate written for
         :class:`Packet` objects belongs to the object path).
         """
-        observations: dict[int, PacketBatch] = {}
-        observation_times: dict[int, np.ndarray] = {}
-        domain_truth: dict[str, BatchDomainTruth] = {
-            segment[0].name: BatchDomainTruth(domain=segment[0].name)
-            for segment in self.path.domain_segments()
-        }
-        link_losses: dict[tuple[int, int], set[int]] = {}
+        from repro.engine.streaming import ScenarioStream
 
         order = np.argsort(batch.send_time, kind="stable")
-        current_batch = batch.take(order)
-        current_times = current_batch.send_time.copy()
-
-        hops = self.path.hops
-        for index, hop in enumerate(hops):
-            observations[hop.hop_id] = current_batch
-            observation_times[hop.hop_id] = current_times
-            if index + 1 >= len(hops):
-                break
-            next_hop = hops[index + 1]
-            if hop.domain == next_hop.domain:
-                current_batch, current_times = self._traverse_domain_batch(
-                    hop.domain, current_batch, current_times, domain_truth
-                )
-            else:
-                current_batch, current_times = self._traverse_link_batch(
-                    hop, next_hop, current_batch, current_times, link_losses
-                )
-
+        stream = ScenarioStream(self)
+        emissions = stream.flush(batch.take(order))
         return BatchPathObservation(
             path=self.path,
-            batches=observations,
-            times=observation_times,
-            domain_truth=domain_truth,
-            link_losses=link_losses,
+            batches={hop_id: span for hop_id, span, _ in emissions},
+            times={hop_id: times for hop_id, _, times in emissions},
+            domain_truth=stream.domain_truth,
+            link_losses=stream.link_losses,
         )
 
     # -- internals ------------------------------------------------------------------
@@ -415,57 +362,6 @@ class PathScenario:
             preferential, arrival_times + condition.preferential_delay, arrival_times + delays
         )
         return lost, egress_times
-
-    def _traverse_domain_batch(
-        self,
-        domain: Domain,
-        batch: PacketBatch,
-        arrival_times: np.ndarray,
-        domain_truth: dict[str, BatchDomainTruth],
-    ) -> tuple[PacketBatch, np.ndarray]:
-        condition = self.condition_for(domain)
-        truth = domain_truth[domain.name]
-        count = len(batch)
-        if count == 0:
-            return batch, arrival_times
-
-        lost, egress_times = self.domain_effects_batch(condition, batch, arrival_times)
-        delivered = ~lost
-
-        truth.lost_uids = np.concatenate([truth.lost_uids, batch.uid[lost]])
-        truth.delivered_uids = np.concatenate([truth.delivered_uids, batch.uid[delivered]])
-        truth.ingress_times = np.concatenate([truth.ingress_times, arrival_times[delivered]])
-        truth.egress_times = np.concatenate([truth.egress_times, egress_times[delivered]])
-
-        survivors = np.flatnonzero(delivered)
-        survivor_egress = egress_times[survivors]
-        # Natural reordering from variable delays, then any extra reordering.
-        sort_order = np.argsort(survivor_egress, kind="stable")
-        survivors = survivors[sort_order]
-        survivor_egress = survivor_egress[sort_order]
-        reorder, perturbed_times = condition.reordering.apply(survivor_egress)
-        reorder = np.asarray(reorder)
-        return (
-            batch.take(survivors[reorder]),
-            np.asarray(perturbed_times, dtype=np.float64),
-        )
-
-    def _traverse_link_batch(
-        self,
-        upstream: HOP,
-        downstream: HOP,
-        batch: PacketBatch,
-        arrival_times: np.ndarray,
-        link_losses: dict[tuple[int, int], set[int]],
-    ) -> tuple[PacketBatch, np.ndarray]:
-        link = self.topology.link_between(upstream, downstream)
-        key = (upstream.hop_id, downstream.hop_id)
-        lost = link_losses.setdefault(key, set())
-        delivered, far_times = link.transfer_batch(arrival_times)
-        lost.update(int(uid) for uid in batch.uid[~delivered])
-        survivors = np.flatnonzero(delivered)
-        sort_order = np.argsort(far_times, kind="stable")
-        return batch.take(survivors[sort_order]), far_times[sort_order]
 
     def _traverse_domain(
         self,

@@ -13,17 +13,19 @@ batch and streaming engines (and between chunk sizes).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.api.runner import _build_cell, _build_mesh_cell
 from repro.engine import DEFAULT_CHUNK_SIZE, MeshRunner, StreamingRunner
-from repro.engine.mesh import run_mesh_batch
 from repro.reporting.serialization import canonical_receipts
 
 __all__ = [
+    "assert_same_propagation",
     "canonical_receipts",
     "run_scalar_reports",
     "run_batch_reports",
     "run_streaming_reports",
-    "run_mesh_batch_reports",
+    "run_batch_mesh_reports",
     "run_mesh_streaming_reports",
 ]
 
@@ -48,14 +50,29 @@ def run_streaming_reports(spec, chunk_size: int = DEFAULT_CHUNK_SIZE):
     return runner.run().reports
 
 
-def run_mesh_batch_reports(spec):
+def run_batch_mesh_reports(spec):
     """The batch mesh engine's receipts for a MeshSpec (fresh cell)."""
     cell = _build_mesh_cell(spec.to_dict())
-    run_mesh_batch(cell)
-    return cell.session._last_reports
+    batches = [trace.packet_batch() for trace in cell.traces]
+    return cell.session.run(cell.scenario.run_batch(batches))
 
 
 def run_mesh_streaming_reports(spec, chunk_size: int = DEFAULT_CHUNK_SIZE):
     """The streaming mesh engine's receipts for a MeshSpec."""
     runner = MeshRunner(_build_mesh_cell(spec.to_dict()), chunk_size=chunk_size)
     return runner.run().reports
+
+
+def assert_same_propagation(observation, batch_observation):
+    """A scalar and a batch run agree per HOP (uids, times) and per domain (truth)."""
+    for hop in observation.path.hops:
+        listed = observation.at_hop(hop)
+        batch, times = batch_observation.at_hop(hop)
+        assert [packet.uid for packet, _ in listed] == batch.uid.tolist()
+        assert np.array_equal(np.array([moment for _, moment in listed]), times)
+    for segment in observation.path.domain_segments():
+        truth = observation.truth_for(segment[0])
+        batch_truth = batch_observation.truth_for(segment[0])
+        assert len(truth.lost) == batch_truth.lost_packets
+        assert truth.offered_packets == batch_truth.offered_packets
+        assert np.array_equal(truth.delays(), batch_truth.delays())

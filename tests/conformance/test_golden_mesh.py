@@ -30,7 +30,7 @@ from repro.engine import MeshRunner
 
 from tests.conformance.canon import (
     canonical_receipts,
-    run_mesh_batch_reports,
+    run_batch_mesh_reports,
     run_mesh_streaming_reports,
 )
 from tests.conformance.scenarios import MESH_CONFORMANCE_SCENARIOS
@@ -58,7 +58,7 @@ class TestMeshConformance:
     def test_batch_matches_golden(self, name, regen):
         spec = MESH_CONFORMANCE_SCENARIOS[name]
         mesh_json = run_mesh_cell(spec, engine="batch").to_json()
-        receipts = canonical_receipts(run_mesh_batch_reports(spec))
+        receipts = canonical_receipts(run_batch_mesh_reports(spec))
         golden_path = GOLDEN_DIR / f"{name}.json"
 
         if regen:
@@ -114,7 +114,7 @@ class TestMeshConformance:
         assert streaming_json == batch_json
         assert canonical_receipts(
             run_mesh_streaming_reports(spec, chunk_size=CHUNK_SIZE)
-        ) == canonical_receipts(run_mesh_batch_reports(spec))
+        ) == canonical_receipts(run_batch_mesh_reports(spec))
 
     def test_streaming_one_round_byte_identical(self, name, regen):
         if regen:
@@ -125,7 +125,7 @@ class TestMeshConformance:
         ).run()
         assert streamed.chunks == 1
         assert canonical_receipts(streamed.reports) == canonical_receipts(
-            run_mesh_batch_reports(spec)
+            run_batch_mesh_reports(spec)
         )
         streaming_json = run_mesh_cell(
             spec, engine="streaming", chunk_size=ONE_ROUND_CHUNK_SIZE

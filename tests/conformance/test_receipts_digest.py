@@ -18,7 +18,7 @@ from repro.core.hop import HOPReport
 from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt, SampleRecord
 from repro.reporting.serialization import canonical_receipts, receipts_digest
 
-from tests.conformance.canon import run_batch_reports, run_mesh_batch_reports
+from tests.conformance.canon import run_batch_mesh_reports, run_batch_reports
 from tests.conformance.scenarios import CONFORMANCE_SCENARIOS, MESH_CONFORMANCE_SCENARIOS
 
 SUBNORMAL = 5e-324
@@ -38,7 +38,7 @@ def test_conformance_scenario(name):
 
 @pytest.mark.parametrize("name", sorted(MESH_CONFORMANCE_SCENARIOS))
 def test_mesh_cell(name):
-    reports = run_mesh_batch_reports(MESH_CONFORMANCE_SCENARIOS[name])
+    reports = run_batch_mesh_reports(MESH_CONFORMANCE_SCENARIOS[name])
     assert receipts_digest(reports) == oracle_digest(reports)
 
 

@@ -12,7 +12,9 @@ execution engines on the same spec; the engines must produce
 The one declared exception: ``CongestionDelayModel`` simulates the whole
 arrival series per call and is not streamable — the streaming engine must
 refuse it with a clear error rather than silently produce different traffic,
-and the scalar/batch pair is still compared.
+and the scalar/batch pair is still compared.  The batch engine is one
+whole-trace pass of the same ``ScenarioStream``, so the refusal sits in the
+stream's first ``push``, not its constructor.
 
 The mesh matrix runs every registered *topology* through the mesh runner on
 both mesh engines (batch vs streaming), with the same byte-identity
@@ -27,7 +29,7 @@ import pytest
 
 from repro.api import ExperimentSpec
 from repro.api.registry import ADVERSARIES, DELAY_MODELS, LOSS_MODELS, TOPOLOGIES
-from repro.api.runner import _build_mesh_cell, run_cell, run_mesh_cell
+from repro.api.runner import _build_cell, _build_mesh_cell, run_cell, run_mesh_cell
 from repro.api.spec import (
     AdversarySpec,
     ConditionSpec,
@@ -36,11 +38,13 @@ from repro.api.spec import (
     TopologySpec,
     TrafficSpec,
 )
+from repro.engine.streaming import ScenarioStream
 
 from tests.conformance.canon import (
+    assert_same_propagation,
     canonical_receipts,
+    run_batch_mesh_reports,
     run_batch_reports,
-    run_mesh_batch_reports,
     run_mesh_streaming_reports,
     run_scalar_reports,
     run_streaming_reports,
@@ -97,6 +101,7 @@ def _assert_three_way(spec: ExperimentSpec, streaming_ok: bool = True) -> None:
     if not streaming_ok:
         with pytest.raises(ValueError, match="not streamable"):
             run_cell(spec, engine="streaming", chunk_size=CHUNK_SIZE)
+        _assert_one_pass_only(spec)
         return
 
     streaming = run_cell(spec, engine="streaming", chunk_size=CHUNK_SIZE)
@@ -105,6 +110,22 @@ def _assert_three_way(spec: ExperimentSpec, streaming_ok: bool = True) -> None:
         canonical_receipts(run_streaming_reports(spec, chunk_size=CHUNK_SIZE))
         == batch_receipts
     )
+
+
+def _assert_one_pass_only(spec: ExperimentSpec) -> None:
+    """A non-streamable scenario runs as one pass; only ``push`` refuses it."""
+    cell = _build_cell(spec.to_dict())
+    stream = ScenarioStream(cell.scenario)
+
+    scalar = _build_cell(spec.to_dict())
+    one_pass = _build_cell(spec.to_dict())
+    assert_same_propagation(
+        scalar.scenario.run(scalar.trace.packets()),
+        one_pass.scenario.run_batch(one_pass.trace.packet_batch()),
+    )
+
+    with pytest.raises(ValueError, match="not streamable"):
+        stream.push(next(cell.trace.iter_batches(CHUNK_SIZE)))
 
 
 class TestRegistryCoverage:
@@ -208,7 +229,7 @@ def _assert_mesh_two_way(spec: MeshSpec) -> None:
     assert streaming.to_json() == batch.to_json()
     assert canonical_receipts(
         run_mesh_streaming_reports(spec, chunk_size=MESH_CHUNK_SIZE)
-    ) == canonical_receipts(run_mesh_batch_reports(spec))
+    ) == canonical_receipts(run_batch_mesh_reports(spec))
 
 
 class TestMeshRegistryCoverage:

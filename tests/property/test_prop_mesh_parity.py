@@ -35,13 +35,13 @@ from repro.api.spec import (
     TrafficSpec,
 )
 from repro.core.protocol import VPMSession
-from repro.engine.mesh import MeshRunner, run_mesh_batch
+from repro.engine.mesh import MeshRunner
 from repro.reporting.dissemination import report_for_pair
 from repro.simulation.mesh import MeshScenario
 from repro.simulation.scenario import PathScenario
 from repro.traffic.trace import SyntheticTrace
 
-from tests.conformance.canon import canonical_receipts
+from tests.conformance.canon import canonical_receipts, run_batch_mesh_reports
 
 # Aggressive knobs so a few hundred packets exercise sampler buffers,
 # aggregate boundaries and AggTrans windows at every HOP.
@@ -141,8 +141,9 @@ class TestMeshIsolationParity:
         topology, traffic, condition_seed, _, root_seed = case
         spec = _spec_for(topology, traffic, condition_seed, root_seed)
         cell = _build_mesh_cell(spec.to_dict())
-        run_mesh_batch(cell)
-        mesh_reports = cell.session._last_reports
+        mesh_reports = cell.session.run(
+            cell.scenario.run_batch([trace.packet_batch() for trace in cell.traces])
+        )
 
         for index, path in enumerate(cell.scenario.paths):
             isolated = PathScenario(cell.scenario.topology, path, seed=spec.seed)
@@ -192,9 +193,7 @@ class TestMeshStreamingParity:
         topology, traffic, condition_seed, chunk_size, root_seed = case
         spec = _spec_for(topology, traffic, condition_seed, root_seed)
 
-        batch_cell = _build_mesh_cell(spec.to_dict())
-        run_mesh_batch(batch_cell)
-        batch_receipts = canonical_receipts(batch_cell.session._last_reports)
+        batch_receipts = canonical_receipts(run_batch_mesh_reports(spec))
 
         runner = MeshRunner(_build_mesh_cell(spec.to_dict()), chunk_size=chunk_size)
         streamed = runner.run()

@@ -14,7 +14,6 @@ from repro.analysis.localization import SuspectLink, triangulate_suspects
 from repro.api.spec import ConditionSpec, MeshSpec, TopologySpec, TrafficSpec
 from repro.api.runner import _build_mesh_cell
 from repro.core.protocol import MeshSession
-from repro.engine.mesh import run_mesh_batch
 from repro.net.topology import star_topology
 from repro.reporting.dissemination import MeshReceiptBus, report_for_pair
 from repro.simulation.mesh import MeshScenario
@@ -43,7 +42,7 @@ def _fed_cell(adversaries=()):
         adversaries=adversaries,
     )
     cell = _build_mesh_cell(spec.to_dict())
-    run_mesh_batch(cell)
+    cell.session.run(cell.scenario.run_batch([trace.packet_batch() for trace in cell.traces]))
     return spec, cell
 
 
