@@ -349,12 +349,10 @@ class PathScenario:
         if preferential.any() or targeted.any():
             # Mirror the scalar path's draw order exactly: the loss model is
             # only consulted for packets that are neither preferential nor
-            # already dropped by the targeted predicate.
+            # already dropped by the targeted predicate, in arrival order.
             lost = targeted.copy()
-            loss_model = condition.loss_model
-            for position in np.flatnonzero(~(preferential | targeted)):
-                if loss_model.drops(int(position)):
-                    lost[position] = True
+            consulted = ~(preferential | targeted)
+            lost[consulted] = condition.loss_model.drops_batch(0, int(consulted.sum()))
         else:
             lost = condition.loss_model.drops_batch(0, count)
 

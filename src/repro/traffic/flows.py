@@ -17,7 +17,7 @@ expands them into interleaved packet sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -139,26 +139,115 @@ class FlowGenerator:
         return sizes.astype(int)
 
     def generate(self, total_packets: int) -> list[Flow]:
-        """Generate flows whose sizes sum to at least ``total_packets``."""
+        """Generate flows whose sizes sum to at least ``total_packets``.
+
+        Flow sizes come from :meth:`_flow_sizes` in pareto batches; each flow
+        then draws, in order, a TCP/UDP coin and a start time (two doubles)
+        and five bounded integers (two host offsets, the source port, a
+        random destination port and the destination-port choice).  On a
+        PCG64 generator a batch's flows are synthesized columnar from one
+        raw-word block that consumes exactly that stream (see
+        :meth:`_columnar_flows`); :meth:`_make_flow`, one flow at a time,
+        is the exactness fallback and the oracle the columnar path is
+        tested against.
+        """
+        return self._generate_columns(total_packets).flows()
+
+    def _generate_columns(self, total_packets: int) -> "_FlowColumns":
+        """:meth:`generate` as flow columns, building no :class:`Flow` objects."""
         if total_packets <= 0:
             raise ValueError(f"total_packets must be positive, got {total_packets}")
-        config = self.config
-        flows: list[Flow] = []
+        batches: list[_FlowColumns] = []
         generated = 0
-        expected_flows = max(4, int(total_packets / config.mean_flow_size))
+        expected_flows = max(4, int(total_packets / self.config.mean_flow_size))
         while generated < total_packets:
             batch = max(4, expected_flows // 4)
             sizes = self._flow_sizes(batch)
-            for size in sizes:
-                if generated >= total_packets:
-                    break
-                size = int(min(size, total_packets - generated)) or 1
-                flow = self._make_flow(size)
-                flows.append(flow)
-                generated += size
-        return flows
+            # The batch feeds flows until the total is reached; the last one
+            # is clipped to the packets still missing.
+            remaining = total_packets - generated
+            before = np.cumsum(sizes) - sizes
+            used = int(np.searchsorted(before, remaining))
+            sizes = np.minimum(sizes[:used], remaining - before[:used])
+            columns = self._columnar_flows(sizes)
+            if columns is None:
+                columns = self._scalar_flows(sizes)
+            batches.append(columns)
+            generated += int(sizes.sum())
+        return _FlowColumns.concatenate(batches)
+
+    def _scalar_flows(self, sizes: np.ndarray) -> "_FlowColumns":
+        return _FlowColumns.of([self._make_flow(int(size)) for size in sizes])
+
+    def _columnar_flows(self, sizes: np.ndarray) -> "_FlowColumns | None":
+        """Draw one batch of flows as :meth:`_make_flow` would, columnar.
+
+        PCG64 serves a double from one 64-bit word (``word >> 11``) and a
+        32-bit draw from the low half of a fresh word, buffering the high
+        half for the next 32-bit draw.  A flow therefore reads two double
+        words, then 2 or 3 integer words depending on whether a 32-bit draw
+        was buffered when it started; the buffer carries across flows.  The
+        integers are numpy's bounded Lemire draws.  Returns ``None`` —
+        leaving the generator untouched — when the generator is not PCG64
+        or when some bounded draw of the batch would be rejected and redraw,
+        so the caller falls back to the scalar loop.
+        """
+        bit_generator = self._rng.bit_generator
+        if type(bit_generator) is not np.random.PCG64:
+            return None
+        config = self.config
+        flows = len(sizes)
+        entry = bit_generator.state
+        buffered = entry["has_uint32"]
+        # Flow i starts with a buffered draw iff (buffered + i) is odd.
+        int_words = 3 - (buffered + np.arange(flows)) % 2
+        words = 2 + int_words
+        starts = np.cumsum(words) - words
+        raw = bit_generator.random_raw(int(words.sum()))
+        is_int = np.ones(len(raw), dtype=bool)
+        is_int[starts] = False
+        is_int[starts + 1] = False
+        stream = raw[is_int].astype("<u8").view("<u4")
+        if buffered:
+            stream = np.concatenate([np.asarray([entry["uinteger"]], np.uint32), stream])
+        draws = stream[: 5 * flows].reshape(flows, 5).astype(np.uint64)
+        bounds = np.asarray([1 << 16, 1 << 16, 64512, 64512, 6], dtype=np.uint64)
+        scaled = draws * bounds
+        thresholds = ((1 << 32) - bounds) % bounds
+        if ((scaled & 0xFFFFFFFF) < thresholds).any():
+            bit_generator.state = entry
+            return None
+        values = (scaled >> np.uint64(32)).astype(np.int64)
+        final = bit_generator.state
+        # Whether or not the last high half is still buffered, it is the
+        # generator's (possibly stale) ``uinteger``.
+        final["has_uint32"] = len(stream) - 5 * flows
+        final["uinteger"] = int(stream[-1])
+        bit_generator.state = final
+
+        # numpy's double: the top 53 bits of a word, times 2**-53.
+        tcp_coin = (raw[starts] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+        start_unit = (raw[starts + 1] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+        choice = values[:, 4]
+        fixed_ports = np.asarray([80, 443, 53, 25, 8080, 0])
+        # Mirror _make_flow's scalar arithmetic operation by operation.
+        flow_span = np.minimum(config.duration, 0.01 + 0.002 * sizes)
+        first_id = self._next_flow_id
+        self._next_flow_id += flows
+        return _FlowColumns(
+            flow_id=np.arange(first_id, first_id + flows, dtype=np.int64),
+            src_ip=self.prefix_pair.source.host(values[:, 0]),
+            dst_ip=self.prefix_pair.destination.host(values[:, 1]),
+            src_port=1024 + values[:, 2],
+            dst_port=np.where(choice == 5, 1024 + values[:, 3], fixed_ports[choice]),
+            protocol=np.where(tcp_coin < config.tcp_fraction, 6, 17),
+            packet_count=sizes.astype(np.int64),
+            start_time=0.0 + config.duration * start_unit,
+            mean_interarrival=np.maximum(flow_span / sizes, 1e-6),
+        )
 
     def _make_flow(self, packet_count: int) -> Flow:
+        """Draw one flow, draw by draw: the oracle of :meth:`_columnar_flows`."""
         config = self.config
         rng = self._rng
         flow_id = self._next_flow_id
@@ -186,3 +275,40 @@ class FlowGenerator:
         sizes = np.array([mode for mode, _ in PACKET_SIZE_MODES])
         probabilities = np.array([weight for _, weight in PACKET_SIZE_MODES])
         return self._rng.choice(sizes, size=count, p=probabilities)
+
+
+@dataclass(frozen=True)
+class _FlowColumns:
+    """A flow population as one array per :class:`Flow` field."""
+
+    flow_id: np.ndarray
+    src_ip: np.ndarray
+    dst_ip: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    protocol: np.ndarray
+    packet_count: np.ndarray
+    start_time: np.ndarray
+    mean_interarrival: np.ndarray
+
+    @classmethod
+    def of(cls, flows: list[Flow]) -> "_FlowColumns":
+        return cls(
+            *(
+                np.asarray([getattr(flow, field.name) for flow in flows])
+                for field in fields(Flow)
+            )
+        )
+
+    @classmethod
+    def concatenate(cls, parts: list["_FlowColumns"]) -> "_FlowColumns":
+        return cls(
+            *(
+                np.concatenate([getattr(part, field.name) for part in parts])
+                for field in fields(cls)
+            )
+        )
+
+    def flows(self) -> list[Flow]:
+        columns = (getattr(self, field.name).tolist() for field in fields(self))
+        return [Flow(*row) for row in zip(*columns)]

@@ -9,6 +9,7 @@ no-loss model, all behind a common :class:`LossModel` interface.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ __all__ = [
     "GilbertElliottLossModel",
 ]
 
+#: Uniforms per block of :meth:`GilbertElliottLossModel.drops_batch`; bounds
+#: its transient memory on multi-million packet batches.
+_RUN_BLOCK = 1 << 14
+
 
 class LossModel(RNGStateMixin):
     """Decides, packet by packet, whether a packet is dropped.
@@ -30,23 +35,32 @@ class LossModel(RNGStateMixin):
     ``streamable`` declares that consecutive :meth:`drops`/:meth:`drops_batch`
     calls over a split packet sequence draw the same RNG stream (and reach the
     same states) as one whole-sequence call.  That is true by construction for
-    the base per-packet implementation and for every built-in model; a custom
-    ``drops_batch`` override whose draw pattern depends on the call size must
-    set it ``False`` to be excluded from the streaming engine.
+    the base per-packet implementation and for every built-in override —
+    Bernoulli's array draw and Gilbert-Elliott's run-length walk, which
+    gives back the uniforms a block over-draws; a custom ``drops_batch``
+    override whose draw pattern depends on the call size must set it
+    ``False`` to be excluded from the streaming engine.
     """
 
     streamable: bool = True
 
     def drops(self, packet_index: int) -> bool:
-        """Return ``True`` if the ``packet_index``-th packet is dropped."""
+        """Return ``True`` if the ``packet_index``-th packet is dropped.
+
+        The index is advisory: callers pass positions relative to whatever
+        span they hold (a chunk, or only the packets a domain consults), and
+        every built-in model ignores it — the decision depends only on the
+        model's state and its position in its random stream.
+        """
         raise NotImplementedError
 
     def drops_batch(self, first_index: int, count: int) -> np.ndarray:
         """Vectorized :meth:`drops` for ``count`` consecutive packets.
 
         The base implementation advances the model packet by packet, so any
-        subclass is batch-capable with identical results; memoryless models
-        override it with a single array draw from the same RNG stream.
+        subclass is batch-capable with identical results.  The built-in
+        models override it on the same RNG stream: memoryless models with a
+        single array draw, Gilbert-Elliott with a walk over its state runs.
         """
         return np.fromiter(
             (self.drops(first_index + offset) for offset in range(count)),
@@ -180,6 +194,81 @@ class GilbertElliottLossModel(LossModel):
         if loss_probability <= 0.0:
             return False
         return bool(self._rng.random() < loss_probability)
+
+    def drops_batch(self, first_index: int, count: int) -> np.ndarray:
+        """:meth:`drops` for ``count`` packets, walked one state run at a time.
+
+        A packet consumes one transition draw, plus one loss draw when the
+        state it lands in has a loss probability above 0.  While the chain
+        stays in a state, its packets' transition draws are therefore evenly
+        spaced, so the next flip is the first qualifying draw at that spacing
+        (a bisection per run) and the run's loss draws are every second draw
+        from its first; one gathered comparison decides a block's losses.
+        Uniforms come in blocks of at most :data:`_RUN_BLOCK`; the unconsumed
+        tail of a block is given back by restoring the generator and drawing
+        exactly the consumed count again, so the mask, the chain state and the
+        generator state equal :meth:`drops`'s for every split of the packet
+        sequence.
+        """
+        lost = np.zeros(count, dtype=bool)
+        loss = (self.loss_good, self.loss_bad)
+        flip = (self.p, self.r)
+        # Draws per packet in each state (bad is index 1).
+        stride = tuple(2 if probability > 0.0 else 1 for probability in loss)
+        rng = self._rng
+        bad = int(self._in_bad_state)
+        done = 0
+        while done < count:
+            entry = rng.bit_generator.state
+            uniforms = rng.random(min(_RUN_BLOCK, 2 * (count - done)))
+            size = len(uniforms)
+            # Flip draw positions per state, indexed by draw parity (a state
+            # whose packets take two draws only flips on its own parity).
+            flips = []
+            for state in (0, 1):
+                positions = np.flatnonzero(uniforms < flip[state])
+                if stride[state] == 1:
+                    flips.append((positions.tolist(),) * 2)
+                else:
+                    even = positions % 2 == 0
+                    flips.append((positions[even].tolist(), positions[~even].tolist()))
+            # Lossy runs as (first packet, packets, first loss draw, state).
+            runs = []
+            position = 0
+            # Whether the run's first packet is already in the state (it
+            # flipped into it) rather than still to be checked for a flip.
+            entered = 0
+            while done < count:
+                step = stride[bad]
+                first = position + step * entered
+                candidates = flips[bad][first % 2]
+                found = bisect_left(candidates, first)
+                end = candidates[found] if found < len(candidates) else size
+                packets = min(entered + (end - first) // step, count - done)
+                if step == 2:
+                    runs.append((done, packets, position + 1, bad))
+                done += packets
+                position += step * packets
+                # Stop at the end of the packets, of the block, or before a
+                # flipped packet whose draws the block does not hold.
+                if done == count or end == size or position + stride[1 - bad] > size:
+                    break
+                bad = 1 - bad
+                entered = 1
+            if runs:
+                first_packet, packets, first_draw, state = map(np.asarray, zip(*runs))
+                offsets = np.arange(packets.sum()) - np.repeat(
+                    np.cumsum(packets) - packets, packets
+                )
+                draws = uniforms[np.repeat(first_draw, packets) + 2 * offsets]
+                lost[np.repeat(first_packet, packets) + offsets] = draws < np.repeat(
+                    np.asarray(loss)[state], packets
+                )
+            if position < size:
+                rng.bit_generator.state = entry
+                rng.random(out=uniforms[:position])
+        self._in_bad_state = bool(bad)
+        return lost
 
     def expected_loss_rate(self) -> float:
         if self.p == 0.0:

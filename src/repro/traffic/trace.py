@@ -149,6 +149,14 @@ class SyntheticTrace:
         regardless of the chunk size.  The RNG draw order here is the
         historical ``packet_batch()`` order, so seeds reproduce the same
         traffic they always have.
+
+        The flows arrive as columns, never as :class:`Flow` objects.  On the
+        default PCG64 generator they are read from raw 64-bit words: two
+        double words per flow, then its five bounded 32-bit draws served low
+        half first with the high half buffered, so a flow spans 5 or 4 words
+        depending on the buffer it inherits.  A batch that any bounded draw
+        would reject, or another bit generator, falls back to the per-flow
+        scalar loop (:meth:`FlowGenerator.generate` documents both).
         """
         config = self.config
         rng = self._rng
@@ -157,23 +165,18 @@ class SyntheticTrace:
         flow_generator = FlowGenerator(
             self.prefix_pair, config=config.flow_config, seed=rng
         )
-        flows = flow_generator.generate(count)
+        flows = flow_generator._generate_columns(count)
 
         # Assign each packet slot to a flow proportionally to flow size, then
         # interleave flows by drawing a random permutation of slots — this
         # approximates the natural interleaving of concurrent flows without a
         # per-flow arrival process (which the protocol is insensitive to).
-        flow_ids = np.repeat(
-            np.asarray([flow.flow_id for flow in flows]),
-            np.asarray([flow.packet_count for flow in flows]),
-        )[:count]
+        flow_ids = np.repeat(flows.flow_id, flows.packet_count)[:count]
         rng.shuffle(flow_ids)
 
         send_times = np.cumsum(self._interarrival_times(count))
         sizes = flow_generator.draw_packet_sizes(count).astype(np.uint16)
 
-        flow_id_index = np.asarray([flow.flow_id for flow in flows])
-        order = np.argsort(flow_id_index)
         payload_words = rng.integers(0, 1 << 32, size=count, dtype=np.uint64)
 
         return _TracePlan(
@@ -186,14 +189,12 @@ class SyntheticTrace:
             sizes=sizes,
             # Values are < 2**32; stored narrow and widened per chunk.
             payload_words=payload_words.astype(np.uint32),
-            sorted_flow_id_index=flow_id_index[order],
-            order=order,
-            flow_src_ip=np.asarray([flow.src_ip for flow in flows], dtype=np.uint32),
-            flow_dst_ip=np.asarray([flow.dst_ip for flow in flows], dtype=np.uint32),
-            flow_src_port=np.asarray([flow.src_port for flow in flows], dtype=np.uint16),
-            flow_dst_port=np.asarray([flow.dst_port for flow in flows], dtype=np.uint16),
-            flow_protocol=np.asarray([flow.protocol for flow in flows], dtype=np.uint8),
-            flow_counts=np.zeros(len(flows), dtype=np.int64),
+            flow_src_ip=flows.src_ip.astype(np.uint32),
+            flow_dst_ip=flows.dst_ip.astype(np.uint32),
+            flow_src_port=flows.src_port.astype(np.uint16),
+            flow_dst_port=flows.dst_port.astype(np.uint16),
+            flow_protocol=flows.protocol.astype(np.uint8),
+            flow_counts=np.zeros(len(flows.flow_id), dtype=np.int64),
         )
 
     def _materialize(self, plan: "_TracePlan", start: int, stop: int) -> PacketBatch:
@@ -205,13 +206,12 @@ class SyntheticTrace:
         flow_ids = plan.flow_ids[start:stop].astype(np.int64)
         count = len(flow_ids)
 
-        # Map each packet to its flow's five-tuple by position in the flow list.
-        positions = plan.order[np.searchsorted(plan.sorted_flow_id_index, flow_ids)]
-        src_ip = plan.flow_src_ip[positions]
-        dst_ip = plan.flow_dst_ip[positions]
-        src_port = plan.flow_src_port[positions]
-        dst_port = plan.flow_dst_port[positions]
-        protocol = plan.flow_protocol[positions]
+        # Flow ids are the flows' positions in the plan's per-flow columns.
+        src_ip = plan.flow_src_ip[flow_ids]
+        dst_ip = plan.flow_dst_ip[flow_ids]
+        src_port = plan.flow_src_port[flow_ids]
+        dst_port = plan.flow_dst_port[flow_ids]
+        protocol = plan.flow_protocol[flow_ids]
 
         # Per-flow sequence counters feed ip_id so repeated packets of a flow
         # still have distinct digests.  Vectorized rank-within-group: sort by
@@ -230,10 +230,8 @@ class SyntheticTrace:
         )
         sequence = np.empty(count, dtype=np.int64)
         sequence[stable] = ranks
-        sequence += plan.flow_counts[positions]
-        plan.flow_counts += np.bincount(
-            positions, minlength=len(plan.flow_counts)
-        ).astype(np.int64)
+        sequence += plan.flow_counts[flow_ids]
+        plan.flow_counts += np.bincount(flow_ids, minlength=len(plan.flow_counts))
         ip_id = ((flow_ids * 7919 + sequence) & 0xFFFF).astype(np.uint16)
 
         # Payload: an 8-byte big-endian random word, zero-padded/truncated to
@@ -317,13 +315,10 @@ class SyntheticTrace:
         """
         span = 1 << 20
         for start in range(0, stop, span):
-            flow_ids = plan.flow_ids[start : min(start + span, stop)].astype(np.int64)
-            positions = plan.order[
-                np.searchsorted(plan.sorted_flow_id_index, flow_ids)
-            ]
             plan.flow_counts += np.bincount(
-                positions, minlength=len(plan.flow_counts)
-            ).astype(np.int64)
+                plan.flow_ids[start : min(start + span, stop)],
+                minlength=len(plan.flow_counts),
+            )
 
     def packets(self) -> list[Packet]:
         """Generate the full packet sequence, ordered by send time."""
@@ -346,8 +341,6 @@ class _TracePlan:
     send_times: np.ndarray
     sizes: np.ndarray
     payload_words: np.ndarray
-    sorted_flow_id_index: np.ndarray
-    order: np.ndarray
     flow_src_ip: np.ndarray
     flow_dst_ip: np.ndarray
     flow_src_port: np.ndarray

@@ -56,6 +56,87 @@ class TestFlowGenerator:
             FlowGeneratorConfig(mean_flow_size=0)
 
 
+def _scalar_generate(generator: FlowGenerator, total: int, monkeypatch) -> list[Flow]:
+    """The per-flow ``_make_flow`` loop: generate with the columnar path off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(FlowGenerator, "_columnar_flows", lambda self, sizes: None)
+        return generator.generate(total)
+
+
+class TestColumnarFlowsMatchScalarLoop:
+    """The columnar PCG64 draw consumes exactly the scalar loop's stream."""
+
+    @staticmethod
+    def _assert_same(columnar: FlowGenerator, scalar: FlowGenerator, flows, expected):
+        assert flows == expected
+        assert columnar._next_flow_id == scalar._next_flow_id == len(expected)
+        # repr: Philox's state holds arrays.
+        assert repr(columnar._rng.bit_generator.state) == repr(scalar._rng.bit_generator.state)
+        # The generator continues identically, 32-bit buffer included.
+        assert columnar._rng.integers(0, 1000, 9).tolist() == (
+            scalar._rng.integers(0, 1000, 9).tolist()
+        )
+        assert columnar._rng.random() == scalar._rng.random()
+
+    # Totals from one flow to many pareto batches; both exit parities of the
+    # 32-bit buffer occur across the seeds.
+    @pytest.mark.parametrize("total", [1, 3, 57, 1000, 12_345])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
+    @pytest.mark.parametrize("buffered_on_entry", [False, True])
+    def test_same_flows_and_generator_state(
+        self, prefix_pair, monkeypatch, total, seed, buffered_on_entry
+    ):
+        columnar = FlowGenerator(prefix_pair, seed=seed)
+        scalar = FlowGenerator(prefix_pair, seed=seed)
+        if buffered_on_entry:
+            # A 32-bit draw leaves the high half of its word buffered.
+            for generator in (columnar, scalar):
+                generator._rng.integers(0, 7)
+                assert generator._rng.bit_generator.state["has_uint32"] == 1
+        flows = columnar.generate(total)
+        expected = _scalar_generate(scalar, total, monkeypatch)
+        self._assert_same(columnar, scalar, flows, expected)
+
+    def test_consecutive_calls_continue_the_stream(self, prefix_pair, monkeypatch):
+        columnar = FlowGenerator(prefix_pair, seed=8)
+        scalar = FlowGenerator(prefix_pair, seed=8)
+        for total in (5, 777, 2):
+            flows = columnar.generate(total)
+            expected = _scalar_generate(scalar, total, monkeypatch)
+            assert flows == expected
+        assert columnar._next_flow_id == scalar._next_flow_id
+        assert columnar._rng.bit_generator.state == scalar._rng.bit_generator.state
+
+    def test_lemire_rejection_falls_back_to_the_scalar_loop(self, prefix_pair, monkeypatch):
+        # Seed 49 draws a source port (bounded over 64512) in the rejection
+        # zone of numpy's Lemire sampler: that batch must take the loop.
+        fallbacks = []
+        scalar_flows = FlowGenerator._scalar_flows
+
+        def spy(self, sizes):
+            fallbacks.append(len(sizes))
+            return scalar_flows(self, sizes)
+
+        columnar = FlowGenerator(prefix_pair, seed=49)
+        with monkeypatch.context() as patch:
+            patch.setattr(FlowGenerator, "_scalar_flows", spy)
+            flows = columnar.generate(20_000)
+        assert len(fallbacks) == 1
+
+        scalar = FlowGenerator(prefix_pair, seed=49)
+        self._assert_same(
+            columnar, scalar, flows, _scalar_generate(scalar, 20_000, monkeypatch)
+        )
+
+    def test_other_bit_generators_take_the_scalar_loop(self, prefix_pair, monkeypatch):
+        columnar = FlowGenerator(prefix_pair, seed=np.random.Generator(np.random.Philox(4)))
+        scalar = FlowGenerator(prefix_pair, seed=np.random.Generator(np.random.Philox(4)))
+        flows = columnar.generate(500)
+        self._assert_same(
+            columnar, scalar, flows, _scalar_generate(scalar, 500, monkeypatch)
+        )
+
+
 class TestSyntheticTrace:
     def test_packet_count_and_ordering(self):
         config = TraceConfig(packet_count=3000, packets_per_second=100_000.0)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.traffic import loss_models
 from repro.traffic.loss_models import (
     BernoulliLossModel,
     GilbertElliottLossModel,
@@ -96,3 +98,94 @@ class TestGilbertElliott:
     def test_expected_rate_formula(self):
         model = GilbertElliottLossModel(p=0.1, r=0.3, loss_good=0.0, loss_bad=1.0)
         assert model.expected_loss_rate() == pytest.approx(0.1 / 0.4)
+
+
+#: Parameter corners of the chain: the benchmark's 2% loss, transition
+#: probabilities at 0 and 1, a lossy good state (two draws per packet in both
+#: states), a lossless bad state (one draw in both), and both states lossy.
+GE_CORNERS = [
+    dict(p=0.0025, r=0.125),
+    dict(p=0.0, r=0.5),
+    dict(p=1.0, r=0.5),
+    dict(p=0.3, r=0.0),
+    dict(p=0.3, r=1.0),
+    dict(p=1.0, r=1.0),
+    dict(p=0.1, r=0.2, loss_good=0.05),
+    dict(p=0.1, r=0.2, loss_bad=0.0),
+    dict(p=0.05, r=0.3, loss_good=0.1, loss_bad=0.7),
+]
+
+
+def _corner_id(corner: dict) -> str:
+    return ",".join(f"{name}={value}" for name, value in corner.items())
+
+
+def _per_packet(model, count: int) -> np.ndarray:
+    return np.asarray([model.drops(index) for index in range(count)], dtype=bool)
+
+
+def _assert_same_chain(batched, scalar) -> None:
+    assert batched._in_bad_state == scalar._in_bad_state
+    assert batched._rng.bit_generator.state == scalar._rng.bit_generator.state
+
+
+class TestGilbertElliottRunLengthBatch:
+    """``drops_batch`` walks state runs but equals per-packet ``drops``."""
+
+    @pytest.mark.parametrize("corner", GE_CORNERS, ids=_corner_id)
+    @pytest.mark.parametrize("start_bad", [False, True])
+    @pytest.mark.parametrize("chunks", [[600], [0, 1, 7, 0, 13, 301], [1] * 40])
+    def test_mask_chain_and_generator_match_per_packet(self, corner, start_bad, chunks):
+        for seed in range(4):
+            batched = GilbertElliottLossModel(seed=seed, **corner)
+            scalar = GilbertElliottLossModel(seed=seed, **corner)
+            batched._in_bad_state = scalar._in_bad_state = start_bad
+            for count in chunks:
+                mask = batched.drops_batch(0, count)
+                assert mask.dtype == np.bool_ and mask.shape == (count,)
+                assert np.array_equal(mask, _per_packet(scalar, count))
+                _assert_same_chain(batched, scalar)
+
+    @pytest.mark.parametrize("corner", GE_CORNERS, ids=_corner_id)
+    @pytest.mark.parametrize("block", [2, 3, 5, 16])
+    def test_tiny_blocks_split_runs_and_flips_anywhere(self, monkeypatch, corner, block):
+        # Shrunk blocks put block ends inside runs and between a flip's
+        # transition and loss draws.
+        monkeypatch.setattr(loss_models, "_RUN_BLOCK", block)
+        for seed in range(3):
+            batched = GilbertElliottLossModel(seed=seed, **corner)
+            scalar = GilbertElliottLossModel(seed=seed, **corner)
+            for count in (1, 50, 9):
+                assert np.array_equal(batched.drops_batch(0, count), _per_packet(scalar, count))
+                _assert_same_chain(batched, scalar)
+
+    @pytest.mark.parametrize(
+        "corner", [GE_CORNERS[0], GE_CORNERS[6], GE_CORNERS[7]], ids=_corner_id
+    )
+    def test_batches_larger_than_a_block(self, corner):
+        count = loss_models._RUN_BLOCK + 4321
+        batched = GilbertElliottLossModel(seed=11, **corner)
+        scalar = GilbertElliottLossModel(seed=11, **corner)
+        assert np.array_equal(batched.drops_batch(0, count), _per_packet(scalar, count))
+        _assert_same_chain(batched, scalar)
+
+    def test_snapshot_restore_mid_chain(self):
+        corner = dict(p=0.2, r=0.3, loss_good=0.05)
+        original = GilbertElliottLossModel(seed=12, **corner)
+        original.drops_batch(0, 333)
+        while not original._in_bad_state:
+            original.drops_batch(0, 1)
+        snapshot = original.state_snapshot()
+        continuation = original.drops_batch(0, 501)
+
+        batched = GilbertElliottLossModel(seed=98, **corner)
+        scalar = GilbertElliottLossModel(seed=99, **corner)
+        batched.state_restore(snapshot)
+        scalar.state_restore(snapshot)
+        masks = []
+        for count in (200, 301):
+            masks.append(batched.drops_batch(0, count))
+            assert np.array_equal(masks[-1], _per_packet(scalar, count))
+            _assert_same_chain(batched, scalar)
+        assert np.array_equal(np.concatenate(masks), continuation)
+        _assert_same_chain(batched, original)
