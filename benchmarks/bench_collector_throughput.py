@@ -20,8 +20,10 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import bench_packet_count, make_hop_config, print_table
+from repro.core.aggregation import Aggregator
 from repro.core.hop import HOPCollector
-from repro.net.hashing import PacketDigester
+from repro.core.sampling import DelaySampler
+from repro.net.hashing import MASK64, PacketDigester
 from repro.reporting.overhead import PerPacketProcessingModel
 from repro.traffic.trace import SyntheticTrace, TraceConfig
 
@@ -148,6 +150,33 @@ def test_batch_digest_throughput(benchmark, path):
         return int(digester.digest_batch(batch)[-1])
 
     benchmark(run_once)
+
+
+#: One HOP batch of the streaming engine's bulk workload (four 32k chunks).
+SAMPLER_KERNEL_PACKETS = 131_072
+
+
+def test_batch_sampler_aggregator_throughput(benchmark):
+    """Time the per-path batch kernels alone: ``DelaySampler.observe_batch``
+    then ``Aggregator.observe_batch`` on one 131k-packet digest array.
+
+    The digests are precomputed, so this isolates the marker/SampleFcn pass
+    and the partition cut from hashing and classification (the whole-collector
+    benchmark above includes both).
+    """
+    config = make_hop_config(sampling_rate=0.005, aggregate_size=100_000)
+    rng = np.random.default_rng(4242)
+    digests = rng.integers(0, MASK64, size=SAMPLER_KERNEL_PACKETS, dtype=np.uint64)
+    times = np.cumsum(rng.exponential(1e-5, size=SAMPLER_KERNEL_PACKETS))
+
+    def run_once():
+        sampler = DelaySampler(config.sampler)
+        aggregator = Aggregator(config.aggregator)
+        sampler.observe_batch(digests, times)
+        aggregator.observe_batch(digests, times)
+        return sampler.sample_count
+
+    assert benchmark(run_once) > 0
 
 
 def test_processing_operation_counts(benchmark):

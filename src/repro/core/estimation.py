@@ -134,10 +134,13 @@ def estimate_delay_quantiles(
     if delays.size == 0:
         raise ValueError("cannot estimate quantiles from zero delay samples")
     sorted_delays = np.sort(delays)
-    estimates: dict[float, DelayQuantileEstimate] = {}
+    quantiles = list(quantiles)
     for quantile in quantiles:
         check_probability("quantile", quantile)
-        point = float(np.quantile(sorted_delays, quantile))
+    # One vectorised call; each point equals its own np.quantile call bit for bit.
+    points = np.quantile(sorted_delays, quantiles).tolist()
+    estimates: dict[float, DelayQuantileEstimate] = {}
+    for quantile, point in zip(quantiles, points):
         lower, upper = quantile_confidence_bounds(sorted_delays, quantile, confidence)
         estimates[quantile] = DelayQuantileEstimate(
             quantile=quantile,

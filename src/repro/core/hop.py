@@ -191,7 +191,7 @@ class HOPCollector:
             time_array = batch.send_time
         else:
             time_array = np.asarray(true_times, dtype=np.float64)
-            if time_array.shape != (len(batch),) :
+            if time_array.shape != (len(batch),):
                 raise ValueError(
                     f"true_times must have shape ({len(batch)},), got {time_array.shape}"
                 )
@@ -233,10 +233,18 @@ class HOPCollector:
         classified = 0
         for state, selected in path_members:
             classified += len(selected)
-            state.sampler.observe_batch(digests[selected], local_times[selected])
-            state.aggregator.observe_batch(digests[selected], local_times[selected])
+            if len(selected) == len(batch):
+                # One path claimed every packet: its sub-arrays are the whole
+                # arrays, so skip the gathers.
+                path_digests, path_times, path_lengths = digests, local_times, batch.length
+            else:
+                path_digests = digests[selected]
+                path_times = local_times[selected]
+                path_lengths = batch.length[selected]
+            state.sampler.observe_batch(path_digests, path_times)
+            state.aggregator.observe_batch(path_digests, path_times)
             state.observed_packets += len(selected)
-            state.observed_bytes += int(batch.length[selected].sum(dtype=np.int64))
+            state.observed_bytes += int(path_lengths.sum(dtype=np.int64))
         return classified
 
     def state_digest(self) -> str:

@@ -33,6 +33,7 @@ from repro.net.hashing import (
     rate_for_threshold,
     sample_function,
     sample_function_batch,
+    splitmix64_batch,
     threshold_for_rate,
 )
 from repro.util.validation import check_fraction
@@ -143,12 +144,17 @@ class DelaySampler:
     def observe_batch(self, digests, times) -> np.ndarray:
         """Vectorized :meth:`observe` over arrays of digests and timestamps.
 
-        Marker detection and the ``SampleFcn`` evaluation over each marker's
-        buffered packets run as array operations; Python-level work is
-        proportional to the number of markers and samples, not packets.  The
-        resulting sampler state (samples, temporary buffer, counters) is
-        exactly what the same sequence of scalar :meth:`observe` calls would
-        produce, and the two paths can be freely interleaved.
+        One pass per batch, whatever its marker count: each packet up to the
+        batch's last marker is keyed against its owning marker (the first
+        marker at or after it) by a single ``SampleFcn`` evaluation over the
+        whole prefix, and the samples are the keyed packets above ``σ`` plus
+        every marker, in observation order.  Packets carried in the temporary
+        buffer from earlier calls belong to the batch's first marker.
+        Python-level work is proportional to the number of samples (plus the
+        carried and newly buffered packets), not to the number of markers or
+        packets.  The resulting sampler state (samples, temporary buffer,
+        counters) is exactly what the same sequence of scalar :meth:`observe`
+        calls would produce, and the two paths can be freely interleaved.
 
         Returns the boolean marker mask for the batch.
         """
@@ -164,63 +170,55 @@ class DelaySampler:
             return marker_mask
         self._observed_packets += count
         marker_positions = np.flatnonzero(marker_mask)
+        if not marker_positions.size:
+            self._temp_buffer.extend(zip(digest_array.tolist(), time_array.tolist()))
+            self._max_buffer_occupancy = max(
+                self._max_buffer_occupancy, len(self._temp_buffer)
+            )
+            return marker_mask
         self._marker_count += len(marker_positions)
         sampling_threshold = np.uint64(self._sampling_threshold)
+        marker_keys = splitmix64_batch(digest_array[marker_positions])
 
-        carry_digests = np.fromiter(
-            (entry[0] for entry in self._temp_buffer),
-            dtype=np.uint64,
-            count=len(self._temp_buffer),
-        )
-        carry_times = np.fromiter(
-            (entry[1] for entry in self._temp_buffer),
-            dtype=np.float64,
-            count=len(self._temp_buffer),
-        )
-        segment_start = 0
-        for position in marker_positions:
-            buffered_digests = digest_array[segment_start:position]
-            buffered_times = time_array[segment_start:position]
-            if len(carry_digests):
-                buffered_digests = np.concatenate([carry_digests, buffered_digests])
-                buffered_times = np.concatenate([carry_times, buffered_times])
-                carry_digests = carry_digests[:0]
-                carry_times = carry_times[:0]
-            if len(buffered_digests) > self._max_buffer_occupancy:
-                self._max_buffer_occupancy = len(buffered_digests)
-            marker_digest = digest_array[position]
-            if len(buffered_digests):
-                keys = sample_function_batch(buffered_digests, marker_digest)
-                selected = keys > sampling_threshold
-                if selected.any():
-                    self._samples.extend(
-                        SampleRecord(pkt_id=pkt_id, time=pkt_time)
-                        for pkt_id, pkt_time in zip(
-                            buffered_digests[selected].tolist(),
-                            buffered_times[selected].tolist(),
-                        )
-                    )
-            self._samples.append(
-                SampleRecord(pkt_id=int(marker_digest), time=float(time_array[position]))
+        # The carried buffer is decided by the batch's first marker.
+        buffer = self._temp_buffer
+        carry = len(buffer)
+        if carry:
+            carry_digests = np.fromiter((entry[0] for entry in buffer), np.uint64, carry)
+            carry_keys = sample_function_batch(
+                carry_digests, int(digest_array[marker_positions[0]])
             )
-            segment_start = int(position) + 1
+            self._samples.extend(
+                SampleRecord(*buffer[index])
+                for index in np.flatnonzero(carry_keys > sampling_threshold).tolist()
+            )
 
-        tail_digests = digest_array[segment_start:]
-        if len(carry_digests) or len(tail_digests):
-            new_buffer = list(
-                zip(
-                    np.concatenate([carry_digests, tail_digests]).tolist(),
-                    np.concatenate([carry_times, time_array[segment_start:]]).tolist(),
-                )
+        # Everything up to the last marker: SampleFcn(q, owning marker) > σ,
+        # or q is itself a marker.  Each marker owns the run of packets ending
+        # at it, so repeating its key over that run keys every packet.
+        runs = np.diff(marker_positions, prepend=-1)
+        last = int(marker_positions[-1])
+        owner_keys = np.repeat(marker_keys, runs)
+        keys = splitmix64_batch(digest_array[: last + 1] ^ owner_keys)
+        selected = np.flatnonzero((keys > sampling_threshold) | marker_mask[: last + 1])
+        self._samples.extend(
+            SampleRecord(pkt_id=pkt_id, time=pkt_time)
+            for pkt_id, pkt_time in zip(
+                digest_array[selected].tolist(), time_array[selected].tolist()
             )
-            if marker_positions.size:
-                self._temp_buffer = new_buffer
-            else:
-                self._temp_buffer.extend(new_buffer[len(carry_digests):])
-            if len(self._temp_buffer) > self._max_buffer_occupancy:
-                self._max_buffer_occupancy = len(self._temp_buffer)
-        elif marker_positions.size:
-            self._temp_buffer = []
+        )
+
+        # Buffer occupancy peaks just before each marker (the carry plus the
+        # first run, then each later run, minus the marker) and at the new tail.
+        self._max_buffer_occupancy = max(
+            self._max_buffer_occupancy,
+            carry + int(runs[0]) - 1,
+            int(runs[1:].max()) - 1 if len(runs) > 1 else 0,
+            count - last - 1,
+        )
+        self._temp_buffer = list(
+            zip(digest_array[last + 1 :].tolist(), time_array[last + 1 :].tolist())
+        )
         return marker_mask
 
     def state_digest(self) -> str:

@@ -91,6 +91,17 @@ class TransportError(DispatchError):
     """The coordinator could not be reached (after retries)."""
 
 
+class _CoordinatorGone(TransportError):
+    """The coordinator refused a connection the caller had marked final."""
+
+
+def _connection_refused(exc: BaseException) -> bool:
+    """True when ``exc`` (possibly wrapped by urllib) is a refused connection."""
+    return isinstance(exc, ConnectionRefusedError) or isinstance(
+        getattr(exc, "reason", None), ConnectionRefusedError
+    )
+
+
 class ProtocolError(DispatchError):
     """The coordinator answered with a protocol rejection.
 
@@ -528,6 +539,10 @@ class HTTPTransport:
         self.max_backoff = max_backoff
         self._base = f"{self.coordinator_url}/api/v1/dispatch/{self.run_id}"
         self._finished = False
+        # Set while this worker's latest claim attempt met another worker's
+        # live lease and it holds none itself: the run then ends on someone
+        # else's upload, and the coordinator may exit before our next poll.
+        self._held_elsewhere = False
         config = self._request("GET", "?config=true")
         self.spec = CampaignSpec.from_dict(config["spec"])
         self.policy = ExecutionPolicy.from_dict(config["policy"])
@@ -542,12 +557,15 @@ class HTTPTransport:
         body: bytes | None = None,
         headers: Mapping[str, str] | None = None,
         retry_digest_mismatch: bool = False,
+        refusal_is_final: bool = False,
     ) -> dict[str, Any]:
         """One protocol request with transient-failure retry/backoff.
 
         Raises :class:`ProtocolError` on a 4xx/409 envelope (never retried,
         except ``digest_mismatch`` when the caller opts in) and
-        :class:`TransportError` when the coordinator stays unreachable.
+        :class:`TransportError` when the coordinator stays unreachable.  With
+        ``refusal_is_final`` a refused connection raises
+        :class:`_CoordinatorGone` at once instead of retrying.
         """
         url = self._base + path
         last_error: Exception | None = None
@@ -583,6 +601,10 @@ class HTTPTransport:
                 TimeoutError,
                 OSError,
             ) as exc:
+                if refusal_is_final and _connection_refused(exc):
+                    raise _CoordinatorGone(
+                        f"coordinator {self.coordinator_url} refused {method} {path}: {exc}"
+                    ) from None
                 last_error = exc
                 continue
         raise TransportError(
@@ -611,10 +633,20 @@ class HTTPTransport:
         response to the upload that staged the last outstanding one —
         nothing is pending ever again, and the worker asks no more: the
         coordinator may already have committed everything and shut down.
+
+        The same holds for an idle worker: when its latest claim attempt
+        found the interval held by another worker's live lease, a coordinator
+        that now refuses the connection has committed that worker's upload
+        and exited, so the run is complete — the poll returns ``[]`` at once
+        instead of spending the retry budget.
         """
         if self._finished:
             return []
-        status = self._request("GET", "")
+        try:
+            status = self._request("GET", "", refusal_is_final=self._held_elsewhere)
+        except _CoordinatorGone:
+            self._finished = True
+            return []
         committed = int(status["committed"])
         staged = set(status.get("staged", []))
         pending = [
@@ -629,10 +661,12 @@ class HTTPTransport:
         """Acquire the lease on ``interval``; True when this worker owns it."""
         try:
             self._request("POST", f"/claims/{interval}")
-        except ProtocolError:
+        except ProtocolError as exc:
             # claim_held / interval_done / interval_staged: someone else got
             # there first; the scan moves on.
+            self._held_elsewhere = self._held_elsewhere or exc.code == "claim_held"
             return False
+        self._held_elsewhere = False
         return True
 
     def heartbeat(self, interval: int) -> LeaseRenewer:

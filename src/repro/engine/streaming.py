@@ -164,6 +164,13 @@ class _StreamSorter:
     The emitted concatenation across pushes equals one stable whole-stream
     argsort — including tie-breaks, because held rows stay ordered ahead of
     later arrivals.
+
+    Order-keeping stages (no delay variation, constant link latency) hand
+    over keys that are already non-decreasing.  A stable argsort of those is
+    the identity, so :meth:`push` skips it and emits the prefix as a
+    zero-copy slice of the input batch.  Held rows are always gathered into
+    a detached copy (columns, digests and keys), so a handful of in-flight
+    packets never pins a whole source chunk.
     """
 
     def __init__(self) -> None:
@@ -184,19 +191,26 @@ class _StreamSorter:
             else:
                 batch, keys = self._batch, self._keys
             self._batch = self._keys = None
-        if len(batch) == 0:
+        count = len(batch)
+        if count == 0:
             return batch, keys
+        if np.all(keys[1:] >= keys[:-1]):
+            cut = int(np.searchsorted(keys, watermark, side="right"))
+            if cut == count:
+                return batch, keys  # already sorted and fully emittable
+            self._hold(batch.take(np.arange(cut, count)), keys[cut:])
+            return batch.take(slice(0, cut)), keys[:cut]
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         cut = int(np.searchsorted(sorted_keys, watermark, side="right"))
-        if cut < len(order):
-            # Detach the held rows from their source chunk so a handful of
-            # in-flight packets never pins a whole chunk (plus its digests).
-            self._batch = batch.take(order[cut:]).detach_root()
-            self._keys = sorted_keys[cut:]
-        if cut == len(order) and np.array_equal(order, np.arange(len(order))):
-            return batch, keys  # already sorted and fully emittable
+        if cut < count:
+            self._hold(batch.take(order[cut:]), sorted_keys[cut:])
         return batch.take(order[:cut]), sorted_keys[:cut]
+
+    def _hold(self, rows: PacketBatch, keys: np.ndarray) -> None:
+        """Keep gathered rows for a later push, sharing no memory with the input."""
+        self._batch = rows.detach_root()
+        self._keys = keys.copy()
 
     def snapshot(self) -> dict:
         """The held rows and their keys (shared, never mutated in place)."""
@@ -233,14 +247,14 @@ class _DomainStage:
             lost, egress_times = self._scenario.domain_effects_batch(
                 self._condition, batch, times
             )
-            delivered = ~lost
+            if lost.any():
+                survivors = np.flatnonzero(~lost)
+                batch = batch.take(survivors)
+                ingress_times, times = times[survivors], egress_times[survivors]
+            else:
+                ingress_times, times = times, egress_times
             if self._truth is not None:
-                self._truth.record(
-                    times[delivered], egress_times[delivered], int(lost.sum())
-                )
-            survivors = np.flatnonzero(delivered)
-            batch = batch.take(survivors)
-            times = egress_times[survivors]
+                self._truth.record(ingress_times, times, len(lost) - len(times))
         # Natural reordering from variable delays, then any extra reordering —
         # the model's perturbation draws run in sorted-egress order, exactly
         # as one whole-stream ``reordering.apply`` would consume them.

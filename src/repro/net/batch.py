@@ -25,6 +25,12 @@ from repro.net.packet import HEADER_PACK_BYTES, Packet, PacketHeaders, pack_head
 
 __all__ = ["PacketBatch"]
 
+#: The per-packet columns of a batch, in field order.
+_COLUMNS = (
+    "src_ip", "dst_ip", "src_port", "dst_port", "protocol", "ip_id",
+    "length", "payload", "uid", "send_time", "flow_id",
+)
+
 
 @dataclass
 class PacketBatch:
@@ -54,11 +60,12 @@ class PacketBatch:
     # Digest memoization, keyed by (seed, payload_prefix) — the columnar twin
     # of Packet._invariant_cache (every HOP of a path shares the same digests).
     _digest_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    # Batches derived via take() remember their source rows so digests are
-    # computed once on the root batch and sliced, mirroring how the scalar
-    # path memoizes digests on Packet objects shared across HOPs.
+    # Batches derived via take() remember their source rows (an index array,
+    # or a step-1 slice for a zero-copy view) so digests are computed once on
+    # the root batch and sliced, mirroring how the scalar path memoizes
+    # digests on Packet objects shared across HOPs.
     _digest_root: "PacketBatch | None" = field(default=None, repr=False, compare=False)
-    _root_indices: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _root_indices: np.ndarray | slice | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.src_ip = np.ascontiguousarray(self.src_ip, dtype=np.uint32)
@@ -76,10 +83,7 @@ class PacketBatch:
         self.send_time = np.ascontiguousarray(self.send_time, dtype=np.float64)
         self.flow_id = np.ascontiguousarray(self.flow_id, dtype=np.int64)
         count = len(self.src_ip)
-        for name in (
-            "dst_ip", "src_port", "dst_port", "protocol", "ip_id",
-            "length", "payload", "uid", "send_time", "flow_id",
-        ):
+        for name in _COLUMNS[1:]:
             if len(getattr(self, name)) != count:
                 raise ValueError(f"column {name!r} has length {len(getattr(self, name))}, expected {count}")
 
@@ -152,19 +156,35 @@ class PacketBatch:
         """Materialize a single packet (for spot checks and error messages)."""
         return self.take(np.asarray([index])).to_packets()[0]
 
-    def take(self, indices: np.ndarray) -> "PacketBatch":
+    def take(self, indices: np.ndarray | slice) -> "PacketBatch":
         """Return a new batch holding the selected rows (in the given order).
+
+        ``indices`` is an index array (the rows are gathered into fresh
+        columns) or a ``slice`` (the columns are zero-copy views of this
+        batch's, so the result shares memory with it — cheap for emitting a
+        prefix, wrong for rows meant to outlive this batch; see
+        :meth:`detach_root`).
 
         The result keeps a reference to its root batch, so digests computed
         through :meth:`repro.net.hashing.PacketDigester.digest_batch` are
         shared across every batch derived from the same source (the several
         HOPs of a simulated path hash each packet only once).
         """
-        indices = np.asarray(indices)
+        if isinstance(indices, slice):
+            start, stop, step = indices.indices(len(self))
+            indices = slice(start, max(start, stop)) if step == 1 else np.arange(start, stop, step)
+        else:
+            indices = np.asarray(indices)
         root = self if self._digest_root is None else self._digest_root
-        root_indices = (
-            indices if self._root_indices is None else self._root_indices[indices]
-        )
+        inherited = self._root_indices
+        if inherited is None:
+            root_indices = indices
+        elif not isinstance(inherited, slice):
+            root_indices = inherited[indices]
+        elif isinstance(indices, slice):
+            root_indices = slice(inherited.start + indices.start, inherited.start + indices.stop)
+        else:
+            root_indices = np.arange(inherited.start, inherited.stop)[indices]
         return PacketBatch(
             src_ip=self.src_ip[indices],
             dst_ip=self.dst_ip[indices],
@@ -234,12 +254,21 @@ class PacketBatch:
         are computed once per root.  Long-lived holdback buffers (the
         streaming engine's sort reservoirs) call this so a few retained rows
         do not pin a whole source chunk — the child's own cache is filled by
-        slicing the root's, then the reference is released.  Returns ``self``.
+        slicing the root's, then the reference is released.  A child taken
+        by ``slice`` also copies its columns and digests, which are views of
+        the root's.  Returns ``self``.
         """
         root = self._digest_root
         if root is not None:
             for key in set(root._digest_cache) - set(self._digest_cache):
                 self._digest_cache[key] = root._digest_cache[key][self._root_indices]
+            if isinstance(self._root_indices, slice):
+                # A slice child's columns and digests are views of its root's.
+                for name in _COLUMNS:
+                    setattr(self, name, getattr(self, name).copy())
+                self._digest_cache = {
+                    key: values.copy() for key, values in self._digest_cache.items()
+                }
             self._digest_root = None
             self._root_indices = None
         return self

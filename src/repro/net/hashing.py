@@ -17,12 +17,15 @@ algorithms:
 All digests are uniform 64-bit integers; thresholds are expressed as fractions
 of the 64-bit space via :func:`threshold_for_rate`.
 
-Every scalar kernel has an array twin (``*_batch``) operating on NumPy uint64
+Every scalar kernel has an array twin (``*_batch``) operating on NumPy
 arrays.  The batch kernels are bit-for-bit identical to the scalar ones — the
 scalar implementations remain the reference oracle, and the property tests in
 ``tests/property/test_prop_batch_parity.py`` cross-check them on random
-inputs.  The batch path is what lets the collector hot loop run millions of
-packets per second instead of a few hundred thousand.
+inputs.  Each batch kernel computes in its algorithm's native lane width and
+lets the lanes wrap instead of masking: lookup2 runs on uint32 lanes (its
+result widened to uint64 once, at the end), FNV-1a and splitmix64 on uint64
+lanes updated in place.  The batch path is what lets the collector hot loop
+run millions of packets per second instead of a few hundred thousand.
 """
 
 from __future__ import annotations
@@ -119,11 +122,13 @@ def bob_hash(data: bytes, initval: int = 0) -> int:
 
 
 def _mix_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-    """Array twin of :func:`_mix`: uint64 lanes masked to 32 bits per step.
+    """Array twin of :func:`_mix` on native uint32 lanes.
 
-    Mutates ``a``/``b``/``c`` in place — callers must own the arrays.
+    Subtraction and left shifts wrap modulo 2**32 in the lane width itself,
+    so no step needs the scalar routine's ``& MASK32``.  Mutates
+    ``a``/``b``/``c`` in place — callers must own the arrays.
     """
-    mask = np.uint64(MASK32)
+    spare = np.empty_like(a)
     for left, mid, right, shift, direction in (
         (a, b, c, 13, ">>"),
         (b, c, a, 8, "<<"),
@@ -137,11 +142,11 @@ def _mix_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
     ):
         left -= mid
         left -= right
-        left &= mask
         if direction == ">>":
-            left ^= right >> np.uint64(shift)
+            np.right_shift(right, np.uint32(shift), out=spare)
         else:
-            left ^= (right << np.uint64(shift)) & mask
+            np.left_shift(right, np.uint32(shift), out=spare)
+        left ^= spare
 
 
 def as_digest_array(digests) -> np.ndarray:
@@ -189,41 +194,34 @@ def bob_hash_batch(data: np.ndarray, initval: int = 0) -> np.ndarray:
         raise ValueError(f"initval must be non-negative, got {initval}")
     matrix = _as_byte_matrix(data)
     count, length = matrix.shape
-    mask = np.uint64(MASK32)
 
     # Zero-pad each row to whole 12-byte blocks plus one spare block, then
     # view the bytes as little-endian 32-bit words: the per-block adds become
     # three word adds, and the per-byte tail adds of the original routine
     # collapse into word adds too (zero padding contributes nothing, and the
     # third tail word is shifted one byte because the length occupies byte 8).
+    # The state lanes are uint32, so every add wraps exactly as ``& MASK32``.
     full_blocks = length // 12
     padded = np.zeros((count, (full_blocks + 1) * 12), dtype=np.uint8)
     padded[:, :length] = matrix
-    words = np.ascontiguousarray(padded).view("<u4").astype(np.uint64)
+    words = padded.view("<u4")
 
-    a = np.full(count, _GOLDEN_RATIO_32, dtype=np.uint64)
+    a = np.full(count, _GOLDEN_RATIO_32, dtype=np.uint32)
     b = a.copy()
-    c = np.full(count, initval & MASK32, dtype=np.uint64)
+    c = np.full(count, initval & MASK32, dtype=np.uint32)
 
     for block in range(full_blocks):
         a += words[:, 3 * block]
-        a &= mask
         b += words[:, 3 * block + 1]
-        b &= mask
         c += words[:, 3 * block + 2]
-        c &= mask
         _mix_batch(a, b, c)
 
-    c += np.uint64(length)
-    c &= mask
+    c += np.uint32(length & MASK32)
     a += words[:, 3 * full_blocks]
-    a &= mask
     b += words[:, 3 * full_blocks + 1]
-    b &= mask
-    c += (words[:, 3 * full_blocks + 2] << np.uint64(8)) & mask
-    c &= mask
+    c += words[:, 3 * full_blocks + 2] << np.uint32(8)
     _mix_batch(a, b, c)
-    return c
+    return c.astype(np.uint64)
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -236,14 +234,18 @@ def fnv1a_64(data: bytes) -> int:
 
 
 def fnv1a_64_batch(data: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`fnv1a_64` over a ``(n, length)`` uint8 matrix."""
+    """Array twin of :func:`fnv1a_64` over a ``(n, length)`` uint8 matrix.
+
+    Each byte column is XORed and multiplied into the uint64 state in place;
+    the multiply wraps modulo 2**64 like the scalar ``& MASK64``.
+    """
     matrix = _as_byte_matrix(data)
     count, length = matrix.shape
     prime = np.uint64(0x100000001B3)
     value = np.full(count, 0xCBF29CE484222325, dtype=np.uint64)
-    words = matrix.astype(np.uint64)
     for column in range(length):
-        value = (value ^ words[:, column]) * prime
+        value ^= matrix[:, column]
+        value *= prime
     return value
 
 
@@ -257,11 +259,13 @@ def splitmix64(value: int) -> int:
 
 def splitmix64_batch(values: np.ndarray) -> np.ndarray:
     """Array twin of :func:`splitmix64` over a uint64 array."""
-    value = np.asarray(values, dtype=np.uint64)
-    value = value + np.uint64(0x9E3779B97F4A7C15)
-    value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return value ^ (value >> np.uint64(31))
+    value = np.add(np.asarray(values, dtype=np.uint64), np.uint64(0x9E3779B97F4A7C15))
+    value ^= value >> np.uint64(30)
+    value *= np.uint64(0xBF58476D1CE4E5B9)
+    value ^= value >> np.uint64(27)
+    value *= np.uint64(0x94D049BB133111EB)
+    value ^= value >> np.uint64(31)
+    return value
 
 
 def combine64(first: int, second: int) -> int:

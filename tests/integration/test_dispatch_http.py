@@ -235,6 +235,32 @@ class TestEndOfRun:
             assert DispatchWorker(transport).run() == spec.intervals
         _assert_stores_identical(run_dir, Path(direct.path))
 
+    def test_idle_worker_poll_after_other_workers_last_upload_and_exit(self, tmp_path):
+        # The idle worker's claim is refused because another worker holds the
+        # last interval; that worker uploads, the coordinator commits and
+        # exits, and only then does the idle worker poll again.  The events
+        # are ordered by joining the coordinator thread, not by sleeping.
+        spec = _spec("http-idle-end-of-run", intervals=1)
+        direct = _direct_run(tmp_path, spec)
+        run_dir = tmp_path / "dispatched"
+        serving = _CommitOnlyCoordinator(run_dir, spec)
+        with serving as coordinator:
+            busy = HTTPTransport(coordinator.http_url, coordinator.run_id, worker_id="busy")
+            idle = HTTPTransport(coordinator.http_url, coordinator.run_id, worker_id="idle")
+            assert busy.try_claim(0)
+            claim = idle.try_claim
+
+            def refused_then_other_finishes(interval):
+                assert not claim(interval)  # held by "busy" under a live lease
+                busy.deliver(interval, interval_record(spec, interval))
+                serving.thread.join(timeout=120.0)
+                assert not serving.thread.is_alive()
+                return False
+
+            idle.try_claim = refused_then_other_finishes
+            assert DispatchWorker(idle).run() == 0
+        _assert_stores_identical(run_dir, Path(direct.path))
+
 
 class TestCLI:
     def test_worker_only_http_cli_no_shared_filesystem(self, tmp_path):

@@ -70,6 +70,19 @@ class TestQuantileEstimation:
                 covered += 1
         assert covered >= 0.8 * trials
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 1000])
+    def test_points_equal_one_quantile_call_each_bit_for_bit(self, count):
+        # The estimates come from one vectorised np.quantile call; each must
+        # be the exact float a per-quantile call returns.
+        rng = np.random.default_rng(count)
+        for scale in (1e-6, 5e-3, 1e3):
+            delays = rng.exponential(scale, size=count)
+            estimates = estimate_delay_quantiles(delays)
+            sorted_delays = np.sort(delays)
+            for quantile in DEFAULT_QUANTILES:
+                expected = float(np.quantile(sorted_delays, quantile))
+                assert estimates[quantile].estimate.hex() == expected.hex()
+
     def test_default_quantiles_used(self):
         estimates = estimate_delay_quantiles(np.linspace(0, 1, 100))
         assert set(estimates) == set(DEFAULT_QUANTILES)

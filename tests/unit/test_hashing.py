@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.net.hashing import (
@@ -9,8 +10,10 @@ from repro.net.hashing import (
     MASK64,
     PacketDigester,
     bob_hash,
+    bob_hash_batch,
     combine64,
     fnv1a_64,
+    fnv1a_64_batch,
     rate_for_threshold,
     sample_function,
     splitmix64,
@@ -50,6 +53,46 @@ class TestBobHash:
         # loop and the tail handling.
         values = {bob_hash(bytes(range(n))) for n in (11, 12, 13, 23, 24, 25)}
         assert len(values) == 6
+
+
+class TestBatchKernelsAtEveryWidth:
+    """The uint32/uint64-lane batch kernels against the scalar oracles.
+
+    Row widths 0-40 cover three whole 12-byte lookup2 blocks and every tail
+    length after each of them; all-0xFF rows drive every lane add to wrap.
+    """
+
+    WIDTHS = range(41)
+
+    @staticmethod
+    def rows(width: int) -> np.ndarray:
+        random_rows = np.random.default_rng(width).integers(
+            0, 256, size=(6, width), dtype=np.uint8
+        )
+        edge_rows = np.array([[0x00] * width, [0xFF] * width], dtype=np.uint8).reshape(2, width)
+        return np.vstack([random_rows, edge_rows])
+
+    @pytest.mark.parametrize("initval", [0, MASK32])
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_bob_hash_batch_matches_scalar(self, width, initval):
+        matrix = self.rows(width)
+        hashed = bob_hash_batch(matrix, initval)
+        assert hashed.dtype == np.uint64
+        assert hashed.tolist() == [bob_hash(row.tobytes(), initval) for row in matrix]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_fnv1a_64_batch_matches_scalar(self, width):
+        matrix = self.rows(width)
+        hashed = fnv1a_64_batch(matrix)
+        assert hashed.dtype == np.uint64
+        assert hashed.tolist() == [fnv1a_64(row.tobytes()) for row in matrix]
+
+    def test_batch_kernels_leave_their_input_untouched(self):
+        matrix = self.rows(25)
+        before = matrix.copy()
+        bob_hash_batch(matrix, MASK32)
+        fnv1a_64_batch(matrix)
+        assert np.array_equal(matrix, before)
 
 
 class TestAuxiliaryHashes:

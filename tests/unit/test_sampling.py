@@ -171,3 +171,57 @@ class TestNestingProperty:
         drive(low, digests)
         drive(high, digests)
         assert low.marker_count == high.marker_count
+
+
+class TestObserveBatchChunking:
+    """``observe_batch`` fed in chunks against the scalar ``observe`` oracle.
+
+    Each chunk is a pattern: ``M`` a marker, ``.`` a non-marker.  The
+    one-pass batch path keys every packet against its owning marker, keys a
+    carried-in buffer against the chunk's first marker and reconstructs the
+    peak buffer occupancy from marker gaps; each case below stresses one of
+    those rules at a chunk edge.
+    """
+
+    CONFIG = SamplerConfig(sampling_rate=0.5, marker_rate=0.05)
+
+    @classmethod
+    def stream(cls, chunks: list[str], seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+        rng = np.random.default_rng(seed)
+        marker_threshold = np.uint64(cls.CONFIG.marker_threshold)
+        parts, moment = [], 0.0
+        for pattern in chunks:
+            digests = rng.integers(0, marker_threshold, size=len(pattern), dtype=np.uint64)
+            markers = np.array([symbol == "M" for symbol in pattern], dtype=bool)
+            digests[markers] = marker_threshold + rng.integers(
+                1, 2**40, size=int(markers.sum()), dtype=np.uint64
+            )
+            times = moment + 1e-5 * np.arange(1, len(pattern) + 1)
+            moment = float(times[-1]) if len(pattern) else moment
+            parts.append((digests, times))
+        return parts
+
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            pytest.param(["", ".." + "." * 20 + "M...", ""], id="empty-batch"),
+            pytest.param(["." * 30, "....", "..M.."], id="no-marker"),
+            pytest.param(["." * 30, "M" + "." * 25 + "M."], id="marker-at-index-0"),
+            pytest.param([".." * 15 + "M", "." * 25 + "M"], id="marker-last"),
+            pytest.param(["." * 30 + "MMM" + "." * 12, "M", "MM.."], id="consecutive-markers"),
+            pytest.param(["." * 60, "..", ".M", "." * 40 + "M" + "." * 5], id="carry-longer"),
+        ],
+    )
+    def test_chunked_batches_match_scalar_observe(self, chunks):
+        parts = self.stream(chunks)
+        scalar = DelaySampler(self.CONFIG)
+        batched = DelaySampler(self.CONFIG)
+        for digests, times in parts:
+            for digest, moment in zip(digests.tolist(), times.tolist()):
+                scalar.observe(digest, moment)
+            markers = batched.observe_batch(digests, times)
+            assert markers.tolist() == [digest > self.CONFIG.marker_threshold for digest in digests]
+            assert batched.state_digest() == scalar.state_digest()
+            assert batched.max_buffer_occupancy == scalar.max_buffer_occupancy
+        # The carried-in buffers were keyed too: some buffered packets were sampled.
+        assert batched.sample_count > batched.marker_count
