@@ -3,11 +3,12 @@
 
 The paper's Section 7.1 argument is that per-packet HOP work is cheap enough
 to run at line rate.  The scalar (object-per-packet) reproduction pays full
-interpreter overhead per packet; this example uses the columnar
-:class:`repro.net.batch.PacketBatch` representation and the vectorized
-collector path to push a multi-million-packet sequence through traffic
-synthesis, path propagation, receipt generation, estimation and verification
-in seconds — with results identical to the scalar path.
+interpreter overhead per packet; this example runs
+:class:`repro.engine.streaming.StreamingRunner` as one whole-trace pass over
+the columnar :class:`repro.net.batch.PacketBatch` representation, pushing a
+multi-million-packet sequence through traffic synthesis, path propagation and
+the vectorized collectors, then estimates and verifies from the receipts — in
+seconds, with results identical to the scalar path.
 
 Run:  python examples/batch_throughput.py [packet_count]
 """
@@ -21,6 +22,7 @@ from repro.core.aggregation import AggregatorConfig
 from repro.core.hop import HOPConfig
 from repro.core.protocol import VPMSession
 from repro.core.sampling import SamplerConfig
+from repro.engine.streaming import StreamingCell, StreamingRunner
 from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import CongestionDelayModel
 from repro.traffic.loss_models import GilbertElliottLossModel
@@ -35,12 +37,6 @@ def main() -> None:
         config=TraceConfig(packet_count=packet_count, packets_per_second=100_000.0),
         seed=1,
     )
-    batch = trace.packet_batch()
-    generated = time.perf_counter()
-    print(
-        f"Synthesized {len(batch):,} packets "
-        f"({batch.send_time[-1]:.1f} s of traffic) in {generated - started:.2f} s"
-    )
 
     scenario = PathScenario(seed=2)
     scenario.configure_domain(
@@ -50,10 +46,6 @@ def main() -> None:
             loss_model=GilbertElliottLossModel.from_target_rate(0.05, seed=4),
         ),
     )
-    observation = scenario.run_batch(batch)
-    propagated = time.perf_counter()
-    print(f"Propagated across {len(observation.path.hops)} HOPs in {propagated - generated:.2f} s")
-
     config = HOPConfig(
         sampler=SamplerConfig(sampling_rate=0.01),
         aggregator=AggregatorConfig(expected_aggregate_size=100_000),
@@ -61,18 +53,23 @@ def main() -> None:
     session = VPMSession(
         scenario.path, configs={d.name: config for d in scenario.path.domains}
     )
-    session.run(observation)
+    # One whole-trace pass: synthesis, propagation and the collectors.
+    result = StreamingRunner(
+        StreamingCell((scenario,), (trace,), session), chunk_size=None
+    ).run()
     collected = time.perf_counter()
     overhead = session.overhead()
-    rate = overhead.observed_packets / (collected - propagated)
+    rate = overhead.observed_packets / (collected - started)
     print(
-        f"Collected receipts for {overhead.observed_packets:,} HOP observations "
-        f"in {collected - propagated:.2f} s ({rate:,.0f} packets/s through the collectors)"
+        f"Synthesized {packet_count:,} packets ({trace.config.duration:.1f} s of "
+        f"traffic), propagated them across {len(scenario.path.hops)} HOPs and "
+        f"collected receipts for {overhead.observed_packets:,} HOP observations "
+        f"in {collected - started:.2f} s ({rate:,.0f} HOP observations/s)"
     )
 
     performance = session.estimate("L", "X")
     verification = session.verify("L", "X")
-    truth = observation.truth_for("X")
+    truth = result.truth_for("X")
     print(
         f"Domain X: loss {performance.loss_rate * 100:.2f}% estimated vs "
         f"{truth.loss_rate * 100:.2f}% true; receipts consistent: {verification.accepted}"

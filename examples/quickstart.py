@@ -24,6 +24,7 @@ from repro.core.aggregation import AggregatorConfig
 from repro.core.hop import HOPConfig
 from repro.core.protocol import VPMSession
 from repro.core.sampling import SamplerConfig
+from repro.engine.streaming import StreamingCell, StreamingRunner
 from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import CongestionDelayModel
 from repro.traffic.loss_models import GilbertElliottLossModel
@@ -33,12 +34,12 @@ from repro.traffic.workload import make_workload
 def main() -> None:
     # 1. Traffic: ~0.3 s of a 100k packet-per-second path (scaled down from
     #    the paper's trace; see DESIGN.md for the substitution rationale).
-    #    The columnar batch drives the vectorized fast path end to end; see
-    #    examples/batch_throughput.py for the same pipeline at millions of
-    #    packets per run.
-    batch = make_workload("bench-sequence", seed=1).packet_batch()
-    print(f"Generated {len(batch)} packets "
-          f"({batch.send_time[-1] - batch.send_time[0]:.2f} s of traffic)")
+    #    The runner synthesizes it as one columnar batch and drives the
+    #    vectorized fast path end to end; see examples/batch_throughput.py for
+    #    the same pipeline at millions of packets per run.
+    trace = make_workload("bench-sequence", seed=1)
+    print(f"Generated {trace.config.packet_count} packets "
+          f"({trace.config.duration:.2f} s of traffic)")
 
     # 2. The Figure-1 path with domain X congested.
     scenario = PathScenario(seed=2)
@@ -49,8 +50,6 @@ def main() -> None:
             loss_model=GilbertElliottLossModel.from_target_rate(0.10, seed=4),
         ),
     )
-    observation = scenario.run_batch(batch)
-    truth = observation.truth_for("X")
 
     # 3. Every domain deploys VPM: 1% delay sampling, 5000-packet aggregates.
     #    (A single HOPConfig applies to every domain on the path; pass a
@@ -60,7 +59,12 @@ def main() -> None:
         aggregator=AggregatorConfig(expected_aggregate_size=5000),
     )
     session = VPMSession(scenario.path, configs=config)
-    session.run(observation)
+    # One whole-trace pass (chunk_size=None): the runner propagates the trace
+    # and feeds every HOP's observations to that HOP's collector.
+    result = StreamingRunner(
+        StreamingCell((scenario,), (trace,), session), chunk_size=None
+    ).run()
+    truth = result.truth_for("X")
 
     # 4. Domain L estimates and verifies X.
     performance = session.estimate("L", "X")

@@ -54,7 +54,6 @@ from repro.core.sampling import DelaySampler
 from repro.core.verifier import Verifier
 from repro.engine import (
     CampaignRunner,
-    MeshRunner,
     ScenarioStream,
     StreamingResult,
     StreamingRunner,
@@ -62,7 +61,7 @@ from repro.engine import (
 from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 from repro.net.topology import Domain, HOP, HOPPath, Topology
-from repro.simulation.mesh import MeshObservation, MeshScenario
+from repro.simulation.mesh import MeshScenario
 from repro.simulation.scenario import BatchPathObservation, PathScenario
 from repro.traffic.trace import SyntheticTrace, TraceConfig
 from repro.store import RunStore
@@ -85,8 +84,6 @@ __all__ = [
     "HOPCollector",
     "HOPPath",
     "HOPProcessor",
-    "MeshObservation",
-    "MeshRunner",
     "MeshScenario",
     "MeshSession",
     "MeshSpec",

@@ -23,7 +23,6 @@ from repro.analysis.quantiles import (
 )
 from repro.analysis.sketch import DEFAULT_SKETCH_SIZE, DelayQuantileSketch
 from repro.analysis.sla import SLASpec, SLAVerdict, check_sla
-from repro.analysis.statistics import summarize
 
 __all__ = [
     "AccuracyReport",
@@ -45,6 +44,5 @@ __all__ = [
     "loss_granularity_report",
     "quantile_error",
     "relative_error",
-    "summarize",
     "triangulate_suspects",
 ]

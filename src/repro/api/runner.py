@@ -47,11 +47,13 @@ from repro.api.spec import (
 from repro.adversary.lying import MeshLyingDomainAgent
 from repro.core.hop import HOPConfig
 from repro.core.protocol import MeshSession, VPMSession
-from repro.engine.mesh import MeshCell, MeshRunner
-from repro.engine.streaming import DEFAULT_CHUNK_SIZE, StreamingCell, StreamingRunner
-from repro.net.batch import PacketBatch
+from repro.engine.streaming import (
+    DEFAULT_CHUNK_SIZE,
+    StreamingCell,
+    StreamingResult,
+    StreamingRunner,
+)
 from repro.net.packet import Packet
-from repro.net.prefixes import PrefixPair
 from repro.net.topology import HOPPath
 from repro.simulation.mesh import MeshScenario
 from repro.simulation.scenario import PathScenario
@@ -69,24 +71,10 @@ __all__ = [
 ]
 
 
-# Traffic synthesis is the one reusable piece of a cell (scenarios and
-# sessions are stateful and must be rebuilt per cell, but a trace is a pure
-# function of its spec, seed and prefix pair).  A small per-process cache
-# means a sweep over protocol knobs synthesizes its packet sequence once, and
-# — for batches — every cell shares one digest pass through the memoized
-# root.  The batch cache is sized to hold a whole mesh's per-path traces, so
-# mesh sweeps that don't touch traffic reuse them too.
-@lru_cache(maxsize=8)
-def _cached_batch(
-    traffic: TrafficSpec, seed: int, prefix_pair: PrefixPair | None = None
-) -> PacketBatch:
-    return SyntheticTrace(
-        config=traffic.trace_config(),
-        prefix_pair=prefix_pair or default_prefix_pair(),
-        seed=seed,
-    ).packet_batch()
-
-
+# The scalar oracle's packet objects are the one reusable piece of a cell
+# (scenarios and sessions are stateful and must be rebuilt per cell, but a
+# trace is a pure function of its spec and seed).  A small per-process cache
+# means a scalar sweep over protocol knobs builds its packet objects once.
 @lru_cache(maxsize=4)
 def _cached_packets(traffic: TrafficSpec, seed: int) -> tuple[Packet, ...]:
     return tuple(
@@ -97,13 +85,12 @@ def _cached_packets(traffic: TrafficSpec, seed: int) -> tuple[Packet, ...]:
 
 
 def clear_trace_cache() -> None:
-    """Release the cached traffic traces (and their memoized digest arrays).
+    """Release the scalar engine's cached packet tuples.
 
-    The cache holds at most 8 batches + 4 packet tuples, but at million-packet
-    scale those pin substantial memory for the process lifetime — call this
-    after a large run to hand it back.
+    The cache holds at most 4 packet tuples, but at million-packet scale
+    those pin substantial memory for the process lifetime — call this after
+    a large run to hand it back.
     """
-    _cached_batch.cache_clear()
     _cached_packets.cache_clear()
 
 
@@ -165,7 +152,7 @@ def _build_agent_adversaries(
 
 
 def _build_cell(payload: dict[str, Any]) -> StreamingCell:
-    """Build the (scenario, trace, session) triple every engine drives.
+    """Build the one-path (scenarios, traces, session) cell every engine drives.
 
     The single construction path for all three engines — any spec field that
     must influence cell construction is wired here exactly once, which is
@@ -185,7 +172,7 @@ def _build_cell(payload: dict[str, Any]) -> StreamingCell:
     session = VPMSession(
         scenario.path, configs=configs, agents=agents, max_diff=spec.protocol.max_diff
     )
-    return StreamingCell(scenario=scenario, trace=trace, session=session)
+    return StreamingCell(scenarios=(scenario,), traces=(trace,), session=session)
 
 
 def _summarize_cell(spec: ExperimentSpec, session: VPMSession, truth_source) -> CellResult:
@@ -243,6 +230,13 @@ class CellRun(NamedTuple):
     reports: dict[str, Any]
 
 
+def _chunk_size(policy: ExecutionPolicy) -> int | None:
+    """The runner's chunk size for a bound vectorised policy (batch: one pass)."""
+    if policy.engine == "batch":
+        return None
+    return policy.chunk_size or DEFAULT_CHUNK_SIZE
+
+
 def run_cell_full(
     spec: ExperimentSpec,
     engine: str | None = None,
@@ -265,33 +259,31 @@ def run_cell_full(
     checkpointing (streaming only).
     """
     policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size).bind(spec)
-
-    if policy.engine == "streaming":
-        runner = StreamingRunner(
-            _build_cell(spec.to_dict()),
-            chunk_size=policy.chunk_size or DEFAULT_CHUNK_SIZE,
-            checkpoint_every=policy.checkpoint_every,
-            checkpoint_sink=checkpoint_sink,
-            resume_from=resume_from,
-        )
-        streamed = runner.run()
-        result = _summarize_cell(spec, streamed.session, streamed)
-        return CellRun(result=result, session=streamed.session, reports=streamed.reports)
-
-    if checkpoint_sink is not None or resume_from is not None:
-        raise ValueError(
-            f"mid-run checkpointing requires the streaming engine "
-            f"(this cell executes on {policy.engine!r})"
-        )
     cell = _build_cell(spec.to_dict())
-    traffic_seed = spec.traffic.effective_seed(spec.seed)
-    if policy.engine == "batch":
-        observation = cell.scenario.run_batch(_cached_batch(spec.traffic, traffic_seed))
-    else:
-        observation = cell.scenario.run(_cached_packets(spec.traffic, traffic_seed))
-    reports = cell.session.run(observation)
-    result = _summarize_cell(spec, cell.session, observation)
-    return CellRun(result=result, session=cell.session, reports=reports)
+
+    if policy.engine == "scalar":
+        if checkpoint_sink is not None or resume_from is not None:
+            raise ValueError(
+                "mid-run checkpointing requires the streaming engine "
+                "(this cell executes on 'scalar')"
+            )
+        observation = cell.scenarios[0].run(
+            _cached_packets(spec.traffic, spec.traffic.effective_seed(spec.seed))
+        )
+        reports = cell.session.run(observation)
+        result = _summarize_cell(spec, cell.session, observation)
+        return CellRun(result=result, session=cell.session, reports=reports)
+
+    runner = StreamingRunner(
+        cell,
+        chunk_size=_chunk_size(policy),
+        checkpoint_every=policy.checkpoint_every,
+        checkpoint_sink=checkpoint_sink,
+        resume_from=resume_from,
+    )
+    streamed = runner.run()
+    result = _summarize_cell(spec, streamed.session, streamed)
+    return CellRun(result=result, session=streamed.session, reports=streamed.reports)
 
 
 def run_cell(
@@ -315,8 +307,8 @@ def run_cell(
 # -- mesh cells ----------------------------------------------------------------------
 
 
-def _build_mesh_cell(payload: dict[str, Any]) -> MeshCell:
-    """Build the (mesh scenario, per-path traces, mesh session) triple.
+def _build_mesh_cell(payload: dict[str, Any]) -> StreamingCell:
+    """Build the (per-path scenarios, per-path traces, mesh session) cell.
 
     The single construction path for the batch and streaming mesh engines (a
     mesh cell is a pure function of the spec's seeds).
@@ -412,16 +404,15 @@ def _build_mesh_cell(payload: dict[str, Any]) -> MeshCell:
         )
         for index, path in enumerate(paths)
     )
-    return MeshCell(scenario=scenario, traces=traces, session=session)
+    return StreamingCell(
+        scenarios=scenario.path_scenarios, traces=traces, session=session
+    )
 
 
-def _summarize_mesh(spec: MeshSpec, session: MeshSession, truth_for) -> MeshResult:
-    """Turn a fed mesh session (+ per-path ground truth) into a :class:`MeshResult`.
-
-    ``truth_for(path_index, domain)`` returns the ground truth of one domain
-    on one path — the batch observation and the streaming result both provide
-    it, with elementwise-identical values.
-    """
+def _summarize_mesh(
+    spec: MeshSpec, session: MeshSession, streamed: StreamingResult
+) -> MeshResult:
+    """Turn a fed mesh session (+ per-path ground truth) into a :class:`MeshResult`."""
     path_results: list[MeshPathResult] = []
     suspects_by_path: dict[str, tuple] = {}
     for index, path in enumerate(session.paths):
@@ -435,7 +426,7 @@ def _summarize_mesh(spec: MeshSpec, session: MeshSession, truth_for) -> MeshResu
         for domain, _, _ in path.domain_segments():
             performance = verifier.estimate_domain(domain)
             truth = TruthSummary.from_truth(
-                truth_for(index, domain.name), spec.quantiles
+                streamed.truth_for(domain.name, index), spec.quantiles
             )
             verification = VerificationSummary.from_result(
                 verifier.verify_domain(domain)
@@ -492,25 +483,12 @@ def run_mesh_cell_full(
 ) -> MeshRun:
     """Execute one mesh cell and return the result *and* its session/receipts."""
     policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size).bind(spec)
-
-    if policy.engine == "streaming":
-        runner = MeshRunner(
-            _build_mesh_cell(spec.to_dict()),
-            chunk_size=policy.chunk_size or DEFAULT_CHUNK_SIZE,
-        )
-        streamed = runner.run()
-        result = _summarize_mesh(spec, streamed.session, streamed.truth_for)
-        return MeshRun(result=result, session=streamed.session, reports=streamed.reports)
-
-    cell = _build_mesh_cell(spec.to_dict())
-    batches = [
-        _cached_batch(spec.traffic, spec.traffic_seed(index), path.prefix_pair)
-        for index, path in enumerate(cell.scenario.paths)
-    ]
-    observation = cell.scenario.run_batch(batches)
-    reports = cell.session.run(observation)
-    result = _summarize_mesh(spec, cell.session, observation.truth_for)
-    return MeshRun(result=result, session=cell.session, reports=reports)
+    runner = StreamingRunner(
+        _build_mesh_cell(spec.to_dict()), chunk_size=_chunk_size(policy)
+    )
+    streamed = runner.run()
+    result = _summarize_mesh(spec, streamed.session, streamed)
+    return MeshRun(result=result, session=streamed.session, reports=streamed.reports)
 
 
 def run_mesh_cell(

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from repro.core.hop import HOPCollector, HOPConfig, HOPProcessor, HOPReport
 from repro.net.topology import Domain, HOPPath
-from repro.simulation.scenario import BatchPathObservation, PathObservation
+from repro.simulation.scenario import PathObservation
 
 __all__ = ["DomainAgent"]
 
@@ -107,19 +107,13 @@ class DomainAgent:
         self._collectors[hop_id] = collector
         self._processors[hop_id] = HOPProcessor(collector)
 
-    def observe(self, observation: PathObservation | BatchPathObservation) -> None:
-        """Feed each of the domain's HOPs the traffic it observed.
+    def observe(self, observation: PathObservation) -> None:
+        """Feed each of the domain's HOPs the traffic it observed (scalar path).
 
-        Accepts either the object-based observation (fed through the scalar
-        per-packet path) or a :class:`BatchPathObservation` (fed through the
-        vectorized collector fast path); both leave the collectors in the
-        same state.
+        The vectorised engines feed the collectors through
+        :class:`~repro.engine.streaming.StreamingRunner` instead; both leave
+        the collectors in the same state.
         """
-        if isinstance(observation, BatchPathObservation):
-            for hop_id, collector in self._collectors.items():
-                batch, times = observation.at_hop(hop_id)
-                collector.observe_batch(batch, times)
-            return
         for hop_id, collector in self._collectors.items():
             collector.observe_sequence(observation.at_hop(hop_id))
 

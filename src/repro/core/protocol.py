@@ -3,8 +3,9 @@
 :class:`VPMSession` wires the pieces together for one measurement interval:
 
 1. each participating domain runs a :class:`~repro.core.domain.DomainAgent`
-   over the traffic its HOPs observed (a :class:`PathObservation` produced by
-   the path scenario);
+   over the traffic its HOPs observed (a scalar :class:`PathObservation`, or
+   the emissions :class:`~repro.engine.streaming.StreamingRunner` feeds to its
+   collectors);
 2. the domains' receipts are disseminated (Assumption 2 of the paper: an
    authenticated channel exists; here an in-memory
    :class:`~repro.reporting.dissemination.ReceiptBus`);
@@ -26,8 +27,7 @@ from repro.core.verifier import DomainPerformance, VerificationResult, Verifier
 from repro.net.prefixes import PrefixPair
 from repro.net.topology import Domain, HOPPath
 from repro.reporting.dissemination import MeshReceiptBus, ReceiptBus
-from repro.simulation.mesh import MeshObservation
-from repro.simulation.scenario import BatchPathObservation, PathObservation
+from repro.simulation.scenario import PathObservation
 
 __all__ = ["MeshSession", "SessionOverhead", "VPMSession"]
 
@@ -130,21 +130,16 @@ class VPMSession:
 
         self.bus = ReceiptBus(path)
         self._last_reports: dict[int, HOPReport] = {}
-        self._last_observation: PathObservation | BatchPathObservation | None = None
 
     # -- execution --------------------------------------------------------------------
 
-    def run(
-        self, observation: PathObservation | BatchPathObservation
-    ) -> dict[int, HOPReport]:
-        """Feed one interval's observations to every agent and collect reports.
+    def run(self, observation: PathObservation) -> dict[int, HOPReport]:
+        """Feed one interval's scalar observations to every agent and collect reports.
 
-        A :class:`BatchPathObservation` (from :meth:`PathScenario.run_batch`)
-        drives the vectorized collector fast path; the object-based
-        observation drives the scalar path.  Receipts are identical either
-        way.
+        This is the scalar oracle's entry point.  The vectorised engines feed
+        the collectors through :class:`~repro.engine.streaming.StreamingRunner`
+        and then call :meth:`collect_reports`; receipts are identical.
         """
-        self._last_observation = observation
         for agent in self.agents.values():
             agent.observe(observation)
         return self.collect_reports()
@@ -152,10 +147,9 @@ class VPMSession:
     def collect_reports(self) -> dict[int, HOPReport]:
         """Generate, transform and publish reports from already-fed collectors.
 
-        The back half of :meth:`run`, exposed separately for execution engines
-        that feed the collectors incrementally (the streaming engine drives
-        chunks through every agent's collectors itself, then calls this once
-        at end of stream).
+        The back half of :meth:`run`, exposed separately for
+        :class:`~repro.engine.streaming.StreamingRunner`, which feeds every
+        agent's collectors itself and calls this once at end of stream.
         """
         reports: dict[int, HOPReport] = {}
         for agent in self.agents.values():
@@ -271,20 +265,12 @@ class MeshSession:
 
     # -- execution ---------------------------------------------------------------------
 
-    def observe(self, observation: MeshObservation) -> None:
-        """Feed every collector its HOP's merged traffic union."""
-        for agent in self.agents.values():
-            for hop_id in agent.hop_ids:
-                batch, times = observation.at_hop(hop_id)
-                agent.collector(hop_id).observe_batch(batch, times)
-
-    def run(self, observation: MeshObservation) -> dict[int, HOPReport]:
-        """Observe one interval's mesh traffic and collect all reports."""
-        self.observe(observation)
-        return self.collect_reports()
-
     def collect_reports(self) -> dict[int, HOPReport]:
-        """Generate, transform and publish reports from already-fed collectors."""
+        """Generate, transform and publish reports from already-fed collectors.
+
+        :class:`~repro.engine.streaming.StreamingRunner` feeds each collector
+        its HOP's merged traffic union, then calls this once.
+        """
         reports: dict[int, HOPReport] = {}
         for agent in self.agents.values():
             for hop_id, report in agent.reports(flush=True).items():

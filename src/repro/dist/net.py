@@ -420,7 +420,7 @@ class DispatchHub:
                     "interval": interval,
                     "duplicate": True,
                     "committed": True,
-                    "remaining": self._remaining(),
+                    **self._outstanding(),
                 }
             try:
                 fresh = self.staging.stage_line(interval, line)
@@ -431,21 +431,27 @@ class DispatchHub:
             "interval": interval,
             "duplicate": not fresh,
             "committed": False,
-            "remaining": self._remaining(),
+            **self._outstanding(),
         }
 
-    def _remaining(self) -> int:
-        """Intervals neither committed nor staged: work still owed by some worker.
+    def _outstanding(self) -> dict[str, int]:
+        """Work still owed: ``remaining`` and, of those, ``unclaimed`` intervals.
 
+        ``remaining`` counts intervals neither committed nor staged;
+        ``unclaimed`` counts the remaining ones that no live lease covers.
         The staged set is read before the committed count, so an interval the
         commit loop moves from staged to committed between the two reads
-        still counts as done: the count may err high, never low.
+        still counts as done: ``remaining`` may err high, never low.
         """
         staged = self.staging.staged()
         committed = _committed_count(self.store)
-        return sum(
-            1 for interval in range(committed, self.spec.intervals) if interval not in staged
-        )
+        remaining = [
+            interval
+            for interval in range(committed, self.spec.intervals)
+            if interval not in staged
+        ]
+        unclaimed = sum(1 for interval in remaining if self.claims.holder(interval) is None)
+        return {"remaining": len(remaining), "unclaimed": unclaimed}
 
     def _validate_line(self, interval: int, payload: bytes) -> bytes:
         """Check the upload is one stable-JSON record line for ``interval``."""
@@ -635,10 +641,12 @@ class HTTPTransport:
         coordinator may already have committed everything and shut down.
 
         The same holds for an idle worker: when its latest claim attempt
-        found the interval held by another worker's live lease, a coordinator
-        that now refuses the connection has committed that worker's upload
-        and exited, so the run is complete — the poll returns ``[]`` at once
-        instead of spending the retry budget.
+        found the interval held by another worker's live lease, or its latest
+        upload reported every remaining interval leased to other workers
+        (``unclaimed == 0``), a coordinator that now refuses the connection
+        has committed those workers' uploads and exited, so the run is
+        complete — the poll returns ``[]`` at once instead of spending the
+        retry budget.
         """
         if self._finished:
             return []
@@ -692,7 +700,10 @@ class HTTPTransport:
 
         A successful upload also releases this worker's lease on the
         coordinator, and its response says how many intervals are still
-        owed; when none are, :meth:`pending` is empty from then on.
+        owed; when none are, :meth:`pending` is empty from then on.  When
+        some are but other workers' live leases cover all of them, the run
+        ends on someone else's upload: a refused connection at the next
+        poll then means the coordinator committed everything and exited.
         """
         line = (stable_json(dict(record)) + "\n").encode("utf-8")
         try:
@@ -713,6 +724,8 @@ class HTTPTransport:
                 # Committed while we were uploading — a benign duplicate.
                 return False
             raise
-        if payload.get("remaining") == 0:
+        remaining = payload.get("remaining")
+        if remaining == 0:
             self._finished = True
+        self._held_elsewhere = bool(remaining) and payload.get("unclaimed") == 0
         return not payload.get("duplicate", False)

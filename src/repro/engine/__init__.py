@@ -2,12 +2,12 @@
 
 The scalar engine (:meth:`repro.simulation.scenario.PathScenario.run`) is
 the per-packet oracle.  The one vectorised traversal lives here, in
-:class:`~repro.engine.streaming.ScenarioStream`, and drives the other two
-engines: **batch** (``PathScenario.run_batch``) runs it as one whole-trace
-pass and materializes every HOP's whole observation stream, and
-**streaming** (:class:`~repro.engine.streaming.StreamingRunner`) drives it
-chunk-by-chunk in ``O(chunk)`` memory, in one process.  The stream's
-propagation state is seekable
+:class:`~repro.engine.streaming.ScenarioStream`, and one runner,
+:class:`~repro.engine.streaming.StreamingRunner`, drives it for every
+vectorised cell: a single path or a mesh of N paths in lockstep.  With
+``chunk_size=None`` the runner makes one whole-trace pass — the **batch**
+engine; with a chunk size it is the **streaming** engine, in ``O(chunk)``
+memory, in one process.  The stream's propagation state is seekable
 (:class:`~repro.engine.checkpoint.StreamCheckpoint`), which is what lets a
 campaign interval killed mid-stream resume at its last chunk boundary.  More
 cores come from interval-level dispatch (:mod:`repro.dist.dispatch`), not
@@ -35,7 +35,6 @@ from repro.engine.campaign import (
     interval_record,
 )
 from repro.engine.checkpoint import StreamCheckpoint
-from repro.engine.mesh import MeshCell, MeshRunner, MeshStreamingResult
 from repro.engine.streaming import (
     DEFAULT_CHUNK_SIZE,
     RunnerCheckpoint,
@@ -54,9 +53,6 @@ __all__ = [
     "CampaignRunner",
     "CheckpointWritten",
     "IntervalCommitted",
-    "MeshCell",
-    "MeshRunner",
-    "MeshStreamingResult",
     "RunComplete",
     "RunnerCheckpoint",
     "ScenarioStream",

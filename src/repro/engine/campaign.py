@@ -586,23 +586,10 @@ class CampaignRunner:
         # scalar, checkpoint_every off the streaming engine) die here, not
         # forty intervals into a soak run.
         self._bound = self.policy.bind(self.spec.cell)
-        if self._bound.checkpoint_every is not None and isinstance(
-            self.spec.cell, MeshSpec
-        ):  # pragma: no cover - bind() already rejects this
-            raise ValueError("mid-interval checkpointing needs a single-path cell")
         self._memory_records: list[dict[str, Any]] = []
         self._event_sink: Callable[[CampaignEvent], None] | None = None
         existing = store.records() if store is not None else []
         self.accumulator = CampaignAccumulator.from_records(self.spec, existing)
-
-    # Back-compat views of the policy (the pre-policy constructor surface).
-    @property
-    def engine(self) -> str | None:
-        return self.policy.engine
-
-    @property
-    def chunk_size(self) -> int | None:
-        return self.policy.chunk_size
 
     @classmethod
     def resume(

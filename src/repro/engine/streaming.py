@@ -1,4 +1,4 @@
-"""Vectorised scenario propagation: one whole-trace pass, or chunk by chunk.
+"""Vectorised scenario propagation and the one runner that feeds the collectors.
 
 The one vectorised traversal of a
 :class:`~repro.simulation.scenario.PathScenario` (its scalar ``run`` is the
@@ -10,11 +10,10 @@ oracle):
   whole-trace pass would — and holds packets back in a small sort buffer
   until the **watermark** (the last source send time seen) guarantees no
   future packet can precede them.  Emissions at every HOP are therefore the
-  whole-run observation stream, delivered incrementally, bit-for-bit.  The
-  batch engine (``PathScenario.run_batch``) is the same stream given the
-  whole sorted trace as its final chunk (:meth:`ScenarioStream.flush`), so
-  every stage emits everything in one call and each model sees the whole
-  series at once.
+  whole-run observation stream, delivered incrementally, bit-for-bit.  A
+  whole sorted trace given as the final chunk (:meth:`ScenarioStream.flush`)
+  is one pass: every stage emits everything in one call and each model sees
+  the whole series at once.
 
 * :class:`ScenarioStream` is **seekable**: :meth:`ScenarioStream.checkpoint`
   freezes the complete propagation state at a chunk boundary (every model RNG
@@ -23,20 +22,23 @@ oracle):
   :meth:`ScenarioStream.seek` restores a fresh stream to that point so it
   continues bit-identically — in another process, or in a later run.
 
-* :class:`StreamingRunner` feeds those emissions to the VPM collectors
-  chunk-by-chunk in one process, and can hand a
+* :class:`StreamingRunner` is the only code in the vectorised engines that
+  feeds the VPM collectors.  It drives one stream per path in lockstep and
+  feeds every HOP the timestamp-merged union of the paths' emissions.
+  ``chunk_size=None`` is the **batch** engine (each trace is its stream's
+  final chunk); a chunk size is the **streaming** engine, which can hand a
   :class:`RunnerCheckpoint` (stream state plus collector state) to a sink
-  every N chunks, so a killed run resumes mid-interval.
+  every N chunks, so a killed single-path run resumes mid-interval.
 
-Exactness contract: every component must be *streamable* — delay and loss
-models declare it (:attr:`repro.traffic.delay_models.DelayModel.streamable`),
-reordering models expose a sequential :meth:`perturb` with non-negative
-offsets.  Non-streamable components (``CongestionDelayModel``, which
-simulates the whole arrival series per call) are rejected with a clear error
-at the first :meth:`ScenarioStream.push`; run them as one whole-trace pass
-(the batch engine).  The one documented deviation is
-``AggregateReceipt.time_sum`` (float accumulation order, as with scalar vs
-batch).
+Exactness contract: every component must be *streamable* for a chunked run —
+delay and loss models declare it
+(:attr:`repro.traffic.delay_models.DelayModel.streamable`), reordering models
+expose a sequential :meth:`perturb` with non-negative offsets.  Non-streamable
+components (``CongestionDelayModel``, which simulates the whole arrival series
+per call) are rejected with a clear error at the first
+:meth:`ScenarioStream.push`; they run as one whole-trace pass (the batch
+engine).  The one documented deviation is ``AggregateReceipt.time_sum``
+(float accumulation order, as with scalar vs batch).
 """
 
 from __future__ import annotations
@@ -47,11 +49,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.hop import HOPCollector, HOPReport
-from repro.core.protocol import VPMSession
+from repro.core.protocol import MeshSession, VPMSession
 from repro.engine.checkpoint import StreamCheckpoint
 from repro.net.batch import PacketBatch
 from repro.net.hashing import PacketDigester
 from repro.net.topology import HOP, Domain
+from repro.simulation.mesh import merge_hop_streams
 from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.trace import SyntheticTrace
 
@@ -71,11 +74,17 @@ DEFAULT_CHUNK_SIZE = 1 << 18
 
 
 class StreamingCell(NamedTuple):
-    """Everything one streaming run needs: scenario, trace, VPM session."""
+    """Everything one run needs: one scenario and one trace per path, a session.
 
-    scenario: PathScenario
-    trace: SyntheticTrace
-    session: VPMSession
+    A single-path cell holds one :class:`PathScenario`, its trace and a
+    :class:`VPMSession`; a mesh cell holds the mesh's per-path scenarios
+    (:attr:`~repro.simulation.mesh.MeshScenario.path_scenarios`), one trace
+    per path and a :class:`MeshSession`.
+    """
+
+    scenarios: tuple[PathScenario, ...]
+    traces: tuple[SyntheticTrace, ...]
+    session: VPMSession | MeshSession
 
 
 @dataclass
@@ -503,26 +512,34 @@ def check_scenario_streamable(scenario: PathScenario) -> None:
 
 @dataclass
 class StreamingResult:
-    """Everything a streaming run produced.
+    """Everything a run produced.
 
-    ``truth_for``/``domain_truth`` mirror the batch observation's read API so
-    result summarization code accepts either.  ``session`` is the (parent)
-    VPM session whose bus now holds the published reports.
+    ``path_truth[i]`` and ``link_losses[i]`` are path ``i``'s ground truth.
+    ``domain_truth`` and :meth:`truth_for` read path 0 by default, the only
+    path of a single-path cell, so result summarization code accepts this and
+    the scalar :class:`~repro.simulation.scenario.PathObservation` alike.
+    ``session`` is the VPM session whose bus now holds the published reports.
+    ``chunk_size`` is ``None`` for a one-pass run, which counts as one chunk.
     """
 
     reports: dict[int, HOPReport]
-    session: VPMSession
-    domain_truth: dict[str, StreamingTruth]
-    link_losses: dict[tuple[int, int], set[int]]
-    chunk_size: int
+    session: VPMSession | MeshSession
+    path_truth: tuple[dict[str, StreamingTruth], ...]
+    link_losses: tuple[dict[tuple[int, int], set[int]], ...]
+    chunk_size: int | None
     chunks: int
 
-    def truth_for(self, domain: Domain | str) -> StreamingTruth:
+    @property
+    def domain_truth(self) -> dict[str, StreamingTruth]:
+        """Path 0's per-domain ground truth."""
+        return self.path_truth[0]
+
+    def truth_for(self, domain: Domain | str, path_index: int = 0) -> StreamingTruth:
         name = domain.name if isinstance(domain, Domain) else domain
-        return self.domain_truth[name]
+        return self.path_truth[path_index][name]
 
 
-def _collectors_by_hop(session: VPMSession) -> dict[int, HOPCollector]:
+def _collectors_by_hop(session: VPMSession | MeshSession) -> dict[int, HOPCollector]:
     collectors: dict[int, HOPCollector] = {}
     for agent in session.agents.values():
         for hop_id in agent.hop_ids:
@@ -530,7 +547,7 @@ def _collectors_by_hop(session: VPMSession) -> dict[int, HOPCollector]:
     return collectors
 
 
-def _session_digesters(session: VPMSession) -> list[PacketDigester]:
+def _session_digesters(session: VPMSession | MeshSession) -> list[PacketDigester]:
     return list(
         dict.fromkeys(
             agent.collector(hop_id).config.digester
@@ -542,17 +559,28 @@ def _session_digesters(session: VPMSession) -> list[PacketDigester]:
 
 def _feed(
     collectors: dict[int, HOPCollector],
-    emissions: Iterable[tuple[int, PacketBatch, np.ndarray]],
+    per_path_emissions: Iterable[list[tuple[int, PacketBatch, np.ndarray]]],
 ) -> None:
-    for hop_id, batch, times in emissions:
+    """Feed one round's emissions to the collectors, merged across paths per HOP.
+
+    This is the only place the vectorised engines hand packets to a collector.
+    A HOP on one path gets its span as is; a shared HOP gets the stable
+    timestamp merge of the paths' spans (:func:`merge_hop_streams`).
+    """
+    spans_by_hop: dict[int, list[tuple[PacketBatch, np.ndarray]]] = {}
+    for emissions in per_path_emissions:
+        for hop_id, batch, times in emissions:
+            if len(batch):
+                spans_by_hop.setdefault(hop_id, []).append((batch, times))
+    for hop_id, spans in spans_by_hop.items():
         collector = collectors.get(hop_id)
-        if collector is not None and len(batch):
-            collector.observe_batch(batch, times)
+        if collector is not None:
+            collector.observe_batch(*merge_hop_streams(spans))
 
 
 @dataclass
 class RunnerCheckpoint:
-    """A mid-interval resume point for a streaming run.
+    """A mid-interval resume point for a chunked single-path run.
 
     Couples the stream's propagation state (with ground truth) to the VPM
     collectors' state at the same chunk boundary, so a killed run can resume
@@ -569,7 +597,14 @@ class RunnerCheckpoint:
 
 
 class StreamingRunner:
-    """Drives a VPM measurement interval chunk-by-chunk in one process.
+    """Drives a VPM measurement interval over N >= 1 paths in one process.
+
+    Each round pushes one trace chunk per path through that path's
+    :class:`ScenarioStream`, all paths in lockstep, and feeds every HOP the
+    timestamp-merged union of the round's emissions; with one path the merge
+    is the identity.  Per-path collector state depends only on that path's
+    sub-stream in its own time order, which every merge preserves, so
+    receipts do not depend on the chunk size.
 
     Parameters
     ----------
@@ -577,54 +612,75 @@ class StreamingRunner:
         The :class:`StreamingCell` to run.
     chunk_size:
         Trace packets per chunk; memory scales with this, results never
-        depend on it.
+        depend on it.  ``None`` runs one pass: each path's whole trace is its
+        stream's final chunk (:meth:`ScenarioStream.flush`).  That pass is the
+        batch engine, and it runs non-streamable components too.
     checkpoint_every:
         Hand a :class:`RunnerCheckpoint` to ``checkpoint_sink`` after every
         ``checkpoint_every`` chunks (skipping the final boundary, where
-        finishing beats resuming).
+        finishing beats resuming).  Chunked single-path runs only.
     checkpoint_sink:
         Callable receiving those mid-interval checkpoints.
     resume_from:
         A previously captured :class:`RunnerCheckpoint` (typically pickled
         across a process boundary); the run installs its collectors, seeks
-        its stream state, and continues from its chunk boundary.
+        its stream state, and continues from its chunk boundary.  Chunked
+        single-path runs only.
 
     :meth:`run` returns a :class:`StreamingResult`; afterwards the session's
-    receipt bus holds the published reports, exactly as after
-    :meth:`VPMSession.run`.
+    receipt bus holds the published reports.
     """
 
     def __init__(
         self,
         cell: StreamingCell,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        chunk_size: int | None = DEFAULT_CHUNK_SIZE,
         checkpoint_every: int | None = None,
         checkpoint_sink: Callable[[RunnerCheckpoint], None] | None = None,
         resume_from: RunnerCheckpoint | None = None,
     ) -> None:
-        if chunk_size <= 0:
+        if not cell.scenarios or len(cell.scenarios) != len(cell.traces):
+            raise ValueError(
+                f"a cell needs one trace per path, got {len(cell.scenarios)} "
+                f"scenarios and {len(cell.traces)} traces"
+            )
+        if chunk_size is not None and chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise ValueError(
                 f"checkpoint_every must be positive, got {checkpoint_every}"
             )
+        for name, value in (
+            ("checkpoint_every", checkpoint_every),
+            ("resume_from", resume_from),
+        ):
+            if value is None:
+                continue
+            if chunk_size is None:
+                raise ValueError(
+                    f"{name} needs a chunked run; chunk_size=None is one "
+                    f"whole-trace pass with no chunk boundary to resume at"
+                )
+            if len(cell.scenarios) > 1:
+                raise ValueError(
+                    f"{name} applies to single-path cells only; this cell "
+                    f"has {len(cell.scenarios)} paths"
+                )
         if resume_from is not None and resume_from.chunk_size != chunk_size:
             raise ValueError(
                 f"resume checkpoint was captured at chunk_size="
                 f"{resume_from.chunk_size}, runner uses {chunk_size}"
             )
         self._cell = cell
-        self.chunk_size = int(chunk_size)
+        self.chunk_size = chunk_size
         self.checkpoint_every = checkpoint_every
         self._checkpoint_sink = checkpoint_sink
         self._resume_from = resume_from
 
     def run(self) -> StreamingResult:
         cell = self._cell
-        total_chunks = -(-cell.trace.config.packet_count // self.chunk_size)
         session = cell.session
         resume = self._resume_from
-        start_chunk = 0
         if resume is not None:
             # Install the checkpointed collectors *before* wiring digesters,
             # so predigested chunks land in the caches the restored
@@ -632,33 +688,65 @@ class StreamingRunner:
             for agent in session.agents.values():
                 for hop_id in agent.hop_ids:
                     agent.replace_collector(hop_id, resume.collectors[hop_id])
-            start_chunk = resume.stream.chunk_index
         collectors = _collectors_by_hop(session)
-        stream = ScenarioStream(cell.scenario, predigest=_session_digesters(session))
-        if resume is not None:
-            stream.seek(resume.stream)
-        for chunk in cell.trace.iter_batches(self.chunk_size, start_chunk=start_chunk):
-            _feed(collectors, stream.push(chunk))
+        digesters = _session_digesters(session)
+        streams = [
+            ScenarioStream(scenario, predigest=digesters) for scenario in cell.scenarios
+        ]
+        if self.chunk_size is None:
+            chunks = 1
+            _feed(
+                collectors,
+                [
+                    stream.flush(trace.packet_batch())
+                    for stream, trace in zip(streams, cell.traces)
+                ],
+            )
+        else:
+            chunks = self._run_chunked(streams, collectors)
+        return StreamingResult(
+            reports=session.collect_reports(),
+            session=session,
+            path_truth=tuple(stream.domain_truth for stream in streams),
+            link_losses=tuple(stream.link_losses for stream in streams),
+            chunk_size=self.chunk_size,
+            chunks=chunks,
+        )
+
+    def _run_chunked(
+        self, streams: list[ScenarioStream], collectors: dict[int, HOPCollector]
+    ) -> int:
+        """Push every path chunk by chunk, in lockstep; the number of rounds."""
+        traces = self._cell.traces
+        total_chunks = max(
+            -(-trace.config.packet_count // self.chunk_size) for trace in traces
+        )
+        start_chunk = 0
+        if self._resume_from is not None:
+            streams[0].seek(self._resume_from.stream)
+            start_chunk = self._resume_from.stream.chunk_index
+        iterators = [
+            trace.iter_batches(self.chunk_size, start_chunk=start_chunk)
+            for trace in traces
+        ]
+        for pushed in range(start_chunk + 1, total_chunks + 1):
+            rounds = []
+            for stream, iterator in zip(streams, iterators):
+                chunk = next(iterator, None)
+                rounds.append(stream.push(chunk) if chunk is not None else [])
+            _feed(collectors, rounds)
             if (
                 self._checkpoint_sink is not None
                 and self.checkpoint_every
-                and stream.chunks_pushed < total_chunks
-                and stream.chunks_pushed % self.checkpoint_every == 0
+                and pushed < total_chunks
+                and pushed % self.checkpoint_every == 0
             ):
                 self._checkpoint_sink(
                     RunnerCheckpoint(
-                        stream=stream.checkpoint(),
+                        stream=streams[0].checkpoint(),
                         collectors=collectors,
                         chunk_size=self.chunk_size,
                     )
                 )
-        _feed(collectors, stream.flush())
-        reports = session.collect_reports()
-        return StreamingResult(
-            reports=reports,
-            session=session,
-            domain_truth=stream.domain_truth,
-            link_losses=stream.link_losses,
-            chunk_size=self.chunk_size,
-            chunks=total_chunks,
-        )
+        _feed(collectors, [stream.flush() for stream in streams])
+        return total_chunks

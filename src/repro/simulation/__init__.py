@@ -1,7 +1,7 @@
 """Simulation substrate: queueing, congestion, path and mesh scenarios."""
 
 from repro.simulation.congestion import CongestionScenario
-from repro.simulation.mesh import MeshObservation, MeshScenario, merge_hop_streams
+from repro.simulation.mesh import MeshScenario, merge_hop_streams
 from repro.simulation.queueing import BottleneckQueue, QueueStats
 from repro.simulation.scenario import (
     DomainGroundTruth,
@@ -14,7 +14,6 @@ __all__ = [
     "BottleneckQueue",
     "CongestionScenario",
     "DomainGroundTruth",
-    "MeshObservation",
     "MeshScenario",
     "PathObservation",
     "PathScenario",

@@ -10,6 +10,12 @@ sees in the paper's mesh setting; the per-(prefix-pair) classification inside
 :class:`~repro.core.hop.HOPCollector` then recovers per-path receipts that
 byte-match the isolated runs (the mesh/isolation parity property).
 
+This module propagates and merges; it feeds no collector.
+:class:`~repro.engine.streaming.StreamingRunner` drives
+:attr:`MeshScenario.path_scenarios` one stream per path, in lockstep, and
+feeds each HOP the :func:`merge_hop_streams` union of a round's spans — one
+round on the batch engine, one per chunk on the streaming engine.
+
 Per-path condition models (rather than one shared model applied to the
 union) are a deliberate modelling choice: the stationary delay/loss models
 are statistically exchangeable across the split, and per-path independence
@@ -20,23 +26,19 @@ the foundation of the conformance test subsystem.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.net.batch import PacketBatch
-from repro.net.topology import Domain, HOP, HOPPath, Topology
+from repro.net.topology import Domain, HOPPath, Topology
 from repro.simulation.scenario import (
     BatchPathObservation,
     PathScenario,
     SegmentCondition,
 )
 
-if TYPE_CHECKING:
-    from repro.engine.streaming import StreamingTruth
-
-__all__ = ["MeshObservation", "MeshScenario", "merge_hop_streams"]
+__all__ = ["MeshScenario", "merge_hop_streams"]
 
 
 def merge_hop_streams(
@@ -55,34 +57,6 @@ def merge_hop_streams(
     times = np.concatenate([entry[1] for entry in spans])
     order = np.argsort(times, kind="stable")
     return batch.take(order), times[order]
-
-
-@dataclass
-class MeshObservation:
-    """The result of propagating every path's traffic through a mesh.
-
-    ``hop_batches``/``hop_times`` hold each HOP's merged observation union;
-    ``path_observations`` keeps the per-path batch observations (including
-    per-(path, domain) ground truth) in path order.
-    """
-
-    paths: tuple[HOPPath, ...]
-    path_observations: tuple[BatchPathObservation, ...]
-    hop_batches: dict[int, PacketBatch] = field(default_factory=dict)
-    hop_times: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def at_hop(self, hop: HOP | int) -> tuple[PacketBatch, np.ndarray]:
-        """The merged (batch, observation times) union observed at a HOP."""
-        hop_id = hop.hop_id if isinstance(hop, HOP) else hop
-        return self.hop_batches[hop_id], self.hop_times[hop_id]
-
-    def observation_for(self, path_index: int) -> BatchPathObservation:
-        """One path's isolated batch observation."""
-        return self.path_observations[path_index]
-
-    def truth_for(self, path_index: int, domain: Domain | str) -> StreamingTruth:
-        """Ground truth of one domain on one path."""
-        return self.path_observations[path_index].truth_for(domain)
 
 
 class MeshScenario:
@@ -198,36 +172,24 @@ class MeshScenario:
 
     # -- execution ---------------------------------------------------------------------
 
-    def run_batch(self, batches: Sequence[PacketBatch]) -> MeshObservation:
-        """Propagate one batch per path and merge the per-HOP observations.
+    def run_batch(
+        self, batches: Sequence[PacketBatch]
+    ) -> tuple[BatchPathObservation, ...]:
+        """Propagate one batch per path in one pass each; the per-path observations.
 
         ``batches[i]`` is path ``i``'s source traffic (its packets must carry
         addresses inside path ``i``'s prefix pair).  Each path propagates
-        independently; every HOP's observation union is then merged
-        timestamp-stably across the paths crossing it.
+        independently (:meth:`PathScenario.run_batch`).  A shared HOP's
+        collector sees the :func:`merge_hop_streams` union of the paths'
+        spans, which :class:`~repro.engine.streaming.StreamingRunner` builds
+        when it feeds the collectors.
         """
         if len(batches) != len(self.paths):
             raise ValueError(
                 f"expected {len(self.paths)} batches (one per path), "
                 f"got {len(batches)}"
             )
-        observations = tuple(
+        return tuple(
             scenario.run_batch(batch)
             for scenario, batch in zip(self.path_scenarios, batches)
-        )
-        hop_batches: dict[int, PacketBatch] = {}
-        hop_times: dict[int, np.ndarray] = {}
-        spans_by_hop: dict[int, list[tuple[PacketBatch, np.ndarray]]] = {}
-        for observation in observations:
-            for hop_id, batch in observation.batches.items():
-                spans_by_hop.setdefault(hop_id, []).append(
-                    (batch, observation.times[hop_id])
-                )
-        for hop_id, spans in spans_by_hop.items():
-            hop_batches[hop_id], hop_times[hop_id] = merge_hop_streams(spans)
-        return MeshObservation(
-            paths=self.paths,
-            path_observations=observations,
-            hop_batches=hop_batches,
-            hop_times=hop_times,
         )

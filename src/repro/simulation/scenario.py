@@ -15,9 +15,12 @@ paper's trace-driven methodology (trace + ns-2 delays + Gilbert-Elliott loss).
 
 There are two traversals.  :meth:`PathScenario.run` is the per-packet object
 path, the oracle.  The vectorised one lives in the streaming stages of
-:mod:`repro.engine.streaming`; :meth:`PathScenario.run_batch` is that stream
-run as one whole-trace pass, and :meth:`PathScenario.domain_effects_batch` is
-the per-domain step of those stages.
+:mod:`repro.engine.streaming`, and :meth:`PathScenario.domain_effects_batch`
+is the per-domain step of those stages.  The engines drive it through
+:class:`~repro.engine.streaming.StreamingRunner`, which feeds the collectors
+as the stages emit; :meth:`PathScenario.run_batch` is the same stream run as
+one whole-trace pass that keeps every HOP's observation, for code that
+inspects propagation itself.
 
 Scenarios are the engine layer under the declarative experiment API: the
 Figure-1 builder is registered as the ``"figure1"`` scenario in
@@ -158,9 +161,8 @@ class BatchPathObservation:
 
     Per HOP, the observation is a (:class:`PacketBatch`, true-times array)
     pair in observation order — exactly what
-    :meth:`repro.core.hop.HOPCollector.observe_batch` consumes.  This is the
-    representation that lets a scenario drive millions of packets per run.
-    Ground truth is the streaming engine's columnar
+    :meth:`repro.core.hop.HOPCollector.observe_batch` consumes.  Ground truth
+    is the streaming engine's columnar
     :class:`~repro.engine.streaming.StreamingTruth` (counts and true delays,
     no per-uid maps).
     """

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.runner import _build_cell, _build_mesh_cell
-from repro.engine import DEFAULT_CHUNK_SIZE, MeshRunner, StreamingRunner
+from repro.engine import DEFAULT_CHUNK_SIZE, StreamingRunner
 from repro.reporting.serialization import canonical_receipts
 
 __all__ = [
@@ -33,15 +33,13 @@ __all__ = [
 def run_scalar_reports(spec):
     """The scalar (per-packet object) engine's receipts for a spec."""
     cell = _build_cell(spec.to_dict())
-    observation = cell.scenario.run(cell.trace.packets())
+    observation = cell.scenarios[0].run(cell.traces[0].packets())
     return cell.session.run(observation)
 
 
 def run_batch_reports(spec):
-    """The batch engine's receipts for a spec (fresh cell, full batch)."""
-    cell = _build_cell(spec.to_dict())
-    observation = cell.scenario.run_batch(cell.trace.packet_batch())
-    return cell.session.run(observation)
+    """The batch engine's receipts for a spec: one whole-trace pass."""
+    return StreamingRunner(_build_cell(spec.to_dict()), chunk_size=None).run().reports
 
 
 def run_streaming_reports(spec, chunk_size: int = DEFAULT_CHUNK_SIZE):
@@ -51,15 +49,13 @@ def run_streaming_reports(spec, chunk_size: int = DEFAULT_CHUNK_SIZE):
 
 
 def run_batch_mesh_reports(spec):
-    """The batch mesh engine's receipts for a MeshSpec (fresh cell)."""
-    cell = _build_mesh_cell(spec.to_dict())
-    batches = [trace.packet_batch() for trace in cell.traces]
-    return cell.session.run(cell.scenario.run_batch(batches))
+    """The batch mesh engine's receipts for a MeshSpec: one pass per path."""
+    return StreamingRunner(_build_mesh_cell(spec.to_dict()), chunk_size=None).run().reports
 
 
 def run_mesh_streaming_reports(spec, chunk_size: int = DEFAULT_CHUNK_SIZE):
     """The streaming mesh engine's receipts for a MeshSpec."""
-    runner = MeshRunner(_build_mesh_cell(spec.to_dict()), chunk_size=chunk_size)
+    runner = StreamingRunner(_build_mesh_cell(spec.to_dict()), chunk_size=chunk_size)
     return runner.run().reports
 
 

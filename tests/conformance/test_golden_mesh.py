@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.api.runner import _build_mesh_cell, run_mesh_cell
-from repro.engine import MeshRunner
+from repro.engine import StreamingRunner
 
 from tests.conformance.canon import (
     canonical_receipts,
@@ -120,7 +120,7 @@ class TestMeshConformance:
         if regen:
             pytest.skip("regenerating goldens")
         spec = MESH_CONFORMANCE_SCENARIOS[name]
-        streamed = MeshRunner(
+        streamed = StreamingRunner(
             _build_mesh_cell(spec.to_dict()), chunk_size=ONE_ROUND_CHUNK_SIZE
         ).run()
         assert streamed.chunks == 1

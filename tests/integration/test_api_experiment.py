@@ -31,6 +31,7 @@ from repro.api import (
     TrafficSpec,
 )
 from repro.core.protocol import VPMSession
+from repro.engine.streaming import StreamingCell, StreamingRunner
 from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import JitterDelayModel
 from repro.traffic.loss_models import BernoulliLossModel
@@ -68,14 +69,15 @@ class TestCellEquivalence:
         # Hand-wire the same experiment: same traffic seed, same model seeds
         # (the spec derives them, so we build the spec's own condition), same
         # protocol knobs.
-        batch = spec.traffic.build(spec.seed).packet_batch()
+        trace = spec.traffic.build(spec.seed)
         scenario = PathScenario(seed=spec.path.effective_seed(spec.seed))
         scenario.configure_domain("X", spec.path.conditions["X"].build(spec.seed, "X"))
-        observation = scenario.run_batch(batch)
         session = VPMSession(
             scenario.path, configs=spec.protocol.build_configs(scenario.path)
         )
-        session.run(observation)
+        streamed = StreamingRunner(
+            StreamingCell((scenario,), (trace,), session), chunk_size=None
+        ).run()
         performance = session.verifier_for("L", quantiles=spec.estimation.quantiles
                                            ).estimate_domain("X")
 
@@ -86,7 +88,7 @@ class TestCellEquivalence:
             assert entry.estimate == performance.delay_quantiles[entry.quantile].estimate
             assert entry.lower == performance.delay_quantiles[entry.quantile].lower
             assert entry.upper == performance.delay_quantiles[entry.quantile].upper
-        truth = observation.truth_for("X")
+        truth = streamed.truth_for("X")
         assert target.truth.loss_rate == truth.loss_rate
         assert target.truth.offered_packets == truth.offered_packets
 

@@ -261,6 +261,43 @@ class TestEndOfRun:
             assert DispatchWorker(idle).run() == 0
         _assert_stores_identical(run_dir, Path(direct.path))
 
+    def test_upload_while_rest_is_leased_then_other_workers_last_upload_and_exit(
+        self, tmp_path
+    ):
+        # Worker "a" uploads interval 0 while interval 1, the only one left,
+        # is leased to worker "b".  Then "b" makes the last upload, the
+        # coordinator commits and exits, and only then does "a" poll.  The
+        # events are ordered by joining the coordinator thread, not by
+        # sleeping; "a"'s retry budget is kept small so a regression fails
+        # fast instead of backing off.
+        spec = _spec("http-upload-end-of-run", intervals=2)
+        direct = _direct_run(tmp_path, spec)
+        run_dir = tmp_path / "dispatched"
+        serving = _CommitOnlyCoordinator(run_dir, spec)
+        with serving as coordinator:
+            first = HTTPTransport(
+                coordinator.http_url,
+                coordinator.run_id,
+                worker_id="a",
+                retries=3,
+                backoff=0.01,
+            )
+            last = HTTPTransport(coordinator.http_url, coordinator.run_id, worker_id="b")
+            assert last.try_claim(1)
+            upload = first.deliver
+
+            def upload_then_other_finishes(interval, record):
+                assert interval == 0
+                delivered = upload(interval, record)
+                last.deliver(1, interval_record(spec, 1))
+                serving.thread.join(timeout=120.0)
+                assert not serving.thread.is_alive()
+                return delivered
+
+            first.deliver = upload_then_other_finishes
+            assert DispatchWorker(first).run() == 1
+        _assert_stores_identical(run_dir, Path(direct.path))
+
 
 class TestCLI:
     def test_worker_only_http_cli_no_shared_filesystem(self, tmp_path):

@@ -16,10 +16,11 @@ and the scalar/batch pair is still compared.  The batch engine is one
 whole-trace pass of the same ``ScenarioStream``, so the refusal sits in the
 stream's first ``push``, not its constructor.
 
-The mesh matrix runs every registered *topology* through the mesh runner on
-both mesh engines (batch vs streaming), with the same byte-identity
-requirements on ``MeshResult.to_json()`` and receipts, and a
-registry-completeness guard so new topologies cannot silently skip it.  The
+The mesh matrix runs every registered *topology* through the runner on both
+mesh engines (batch vs streaming), with the same byte-identity requirements
+on ``MeshResult.to_json()`` and receipts, and a registry-completeness guard
+so new topologies cannot silently skip it.  A congested mesh runs on the
+batch engine only, like a congested path.  The
 acceptance-scale case — a ≥8-domain, ≥6-path random mesh — lives here too.
 """
 
@@ -115,17 +116,17 @@ def _assert_three_way(spec: ExperimentSpec, streaming_ok: bool = True) -> None:
 def _assert_one_pass_only(spec: ExperimentSpec) -> None:
     """A non-streamable scenario runs as one pass; only ``push`` refuses it."""
     cell = _build_cell(spec.to_dict())
-    stream = ScenarioStream(cell.scenario)
+    stream = ScenarioStream(cell.scenarios[0])
 
     scalar = _build_cell(spec.to_dict())
     one_pass = _build_cell(spec.to_dict())
     assert_same_propagation(
-        scalar.scenario.run(scalar.trace.packets()),
-        one_pass.scenario.run_batch(one_pass.trace.packet_batch()),
+        scalar.scenarios[0].run(scalar.traces[0].packets()),
+        one_pass.scenarios[0].run_batch(one_pass.traces[0].packet_batch()),
     )
 
     with pytest.raises(ValueError, match="not streamable"):
-        stream.push(next(cell.trace.iter_batches(CHUNK_SIZE)))
+        stream.push(next(cell.traces[0].iter_batches(CHUNK_SIZE)))
 
 
 class TestRegistryCoverage:
@@ -261,6 +262,28 @@ def test_star_mesh_lying_engine_parity():
     _assert_mesh_two_way(_mesh_spec("star", lying_domain="X"))
 
 
+def test_star_mesh_congestion_runs_one_pass_only():
+    """A non-streamable mesh runs on the batch engine; streaming names the domain."""
+    spec = MeshSpec(
+        name="mesh-matrix-star-congestion",
+        seed=42,
+        topology=TOPOLOGY_SPECS["star"][0],
+        traffic=TrafficSpec(workload="smoke-sequence", packet_count=1200),
+        conditions={
+            "X": ConditionSpec(delay="congestion", delay_params=DELAY_PARAMS["congestion"])
+        },
+    )
+    batch = run_mesh_cell(spec, engine="batch")
+    assert batch.to_json() == run_mesh_cell(spec, engine="batch").to_json()
+    for path in batch.paths:
+        (congested,) = [target for target in path.targets if target.estimate.domain == "X"]
+        assert congested.estimate.offered_packets == congested.truth.offered_packets > 0
+    with pytest.raises(
+        ValueError, match="domain 'X': delay model CongestionDelayModel is not streamable"
+    ):
+        run_mesh_cell(spec, engine="streaming", chunk_size=MESH_CHUNK_SIZE)
+
+
 def test_acceptance_scale_mesh_byte_identical():
     """A ≥8-domain, ≥6-path mesh: batch vs streaming, byte-identical.
 
@@ -295,11 +318,11 @@ def test_acceptance_scale_mesh_byte_identical():
     shared = {
         hop_id
         for hop_id in {
-            hop.hop_id for path in cell.scenario.paths for hop in path.hops
+            hop.hop_id for path in cell.session.paths for hop in path.hops
         }
         if sum(
             any(hop.hop_id == hop_id for hop in path.hops)
-            for path in cell.scenario.paths
+            for path in cell.session.paths
         )
         > 1
     }

@@ -33,7 +33,6 @@ from repro.api.spec import (
     TrafficSpec,
 )
 from repro.engine.campaign import CampaignRunner, interval_record
-from repro.engine.mesh import MeshRunner
 from repro.engine.streaming import StreamingRunner
 from repro.reporting.serialization import receipts_digest
 from repro.store import RunStore
@@ -69,6 +68,16 @@ class TestPolicyApiParity:
         )
         assert declarative.result.to_json() == legacy.result.to_json()
         assert receipts_digest(declarative.reports) == receipts_digest(legacy.reports)
+
+
+def _mesh_spec() -> MeshSpec:
+    return MeshSpec(
+        name="mesh-rounds",
+        seed=42,
+        topology=TopologySpec(kind="star", params={"path_count": 2}, seed=0),
+        traffic=TrafficSpec(workload="smoke-sequence", packet_count=900),
+        conditions={"X": _CONDITION},
+    )
 
 
 def _assert_truth_equal(truth_a, truth_b) -> None:
@@ -146,16 +155,27 @@ class TestResumeZeroReplay:
                 resume_from=pickle.loads(blobs[0]),
             )
 
+    def test_checkpointing_needs_a_chunked_single_path_run(self):
+        spec = _spec()
+        _, blobs = _checkpointed_run(spec)
+        for name, value in (
+            ("checkpoint_every", 1),
+            ("resume_from", pickle.loads(blobs[0])),
+        ):
+            with pytest.raises(ValueError, match=f"{name} needs a chunked run"):
+                StreamingRunner(
+                    _build_cell(spec.to_dict()), chunk_size=None, **{name: value}
+                )
+            with pytest.raises(ValueError, match=f"{name} applies to single-path"):
+                StreamingRunner(
+                    _build_mesh_cell(_mesh_spec().to_dict()),
+                    chunk_size=CHUNK,
+                    **{name: value},
+                )
+
     def test_mesh_rounds_materialize_each_path_chunk_once(self, materialized):
-        spec = MeshSpec(
-            name="mesh-rounds",
-            seed=42,
-            topology=TopologySpec(kind="star", params={"path_count": 2}, seed=0),
-            traffic=TrafficSpec(workload="smoke-sequence", packet_count=900),
-            conditions={"X": _CONDITION},
-        )
-        cell = _build_mesh_cell(spec.to_dict())
-        result = MeshRunner(cell, chunk_size=CHUNK).run()
+        cell = _build_mesh_cell(_mesh_spec().to_dict())
+        result = StreamingRunner(cell, chunk_size=CHUNK).run()
         assert len(cell.traces) == 2
         assert result.chunks == 4
         per_path = [(0, 256), (256, 512), (512, 768), (768, 900)]

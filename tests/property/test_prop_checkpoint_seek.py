@@ -121,10 +121,10 @@ class TestStreamSeekEquality:
 
         # Uninterrupted run, capturing the checkpoint at the boundary.
         cell_a = _build_cell(spec.to_dict())
-        stream_a = ScenarioStream(cell_a.scenario)
+        stream_a = ScenarioStream(cell_a.scenarios[0])
         checkpoint = None
         suffix_a = []
-        for chunk in cell_a.trace.iter_batches(chunk_size):
+        for chunk in cell_a.traces[0].iter_batches(chunk_size):
             emitted = stream_a.push(chunk)
             if stream_a.chunks_pushed > resume_at:
                 suffix_a.append(emitted)
@@ -136,11 +136,11 @@ class TestStreamSeekEquality:
         # Fresh cell + stream, state crossing a (simulated) process boundary.
         blob = pickle.dumps(checkpoint)
         cell_b = _build_cell(spec.to_dict())
-        stream_b = ScenarioStream(cell_b.scenario)
+        stream_b = ScenarioStream(cell_b.scenarios[0])
         stream_b.seek(pickle.loads(blob))
         suffix_b = [
             stream_b.push(chunk)
-            for chunk in cell_b.trace.iter_batches(chunk_size, start_chunk=resume_at)
+            for chunk in cell_b.traces[0].iter_batches(chunk_size, start_chunk=resume_at)
         ]
         suffix_b.append(stream_b.flush())
 
@@ -170,8 +170,8 @@ class TestStreamSeekEquality:
         """``state_digest()`` survives a pickle round-trip unchanged (it is the
         cross-process identity resume validation leans on)."""
         cell = _build_cell(_spec(seed, condition).to_dict())
-        stream = ScenarioStream(cell.scenario)
-        chunks = cell.trace.iter_batches(chunk_size)
+        stream = ScenarioStream(cell.scenarios[0])
+        chunks = cell.traces[0].iter_batches(chunk_size)
         stream.push(next(chunks))
         checkpoint = stream.checkpoint()
         restored = pickle.loads(pickle.dumps(checkpoint))

@@ -14,9 +14,9 @@ hypothesis-generated topologies, path sets, traffic and chunk sizes:
   ties at shared HOPs — the stable merge must keep per-path order intact
   through them.
 
-* **mesh streaming == mesh batch** — the chunked lockstep mesh engine
-  (:class:`~repro.engine.mesh.MeshRunner`), at any chunk size, reproduces the
-  batch mesh run's receipts (``time_sum`` at its documented
+* **mesh streaming == mesh batch** — the chunked lockstep runner
+  (:class:`~repro.engine.streaming.StreamingRunner`), at any chunk size,
+  reproduces the one-pass mesh run's receipts (``time_sum`` at its documented
   10-significant-digit tolerance, everything else exact).
 """
 
@@ -35,7 +35,7 @@ from repro.api.spec import (
     TrafficSpec,
 )
 from repro.core.protocol import VPMSession
-from repro.engine.mesh import MeshRunner
+from repro.engine.streaming import StreamingCell, StreamingRunner
 from repro.reporting.dissemination import report_for_pair
 from repro.simulation.mesh import MeshScenario
 from repro.simulation.scenario import PathScenario
@@ -141,12 +141,10 @@ class TestMeshIsolationParity:
         topology, traffic, condition_seed, _, root_seed = case
         spec = _spec_for(topology, traffic, condition_seed, root_seed)
         cell = _build_mesh_cell(spec.to_dict())
-        mesh_reports = cell.session.run(
-            cell.scenario.run_batch([trace.packet_batch() for trace in cell.traces])
-        )
+        mesh_reports = StreamingRunner(cell, chunk_size=None).run().reports
 
-        for index, path in enumerate(cell.scenario.paths):
-            isolated = PathScenario(cell.scenario.topology, path, seed=spec.seed)
+        for index, path in enumerate(cell.session.paths):
+            isolated = PathScenario(cell.scenarios[index].topology, path, seed=spec.seed)
             for name in sorted(spec.conditions):
                 if any(seg[0].name == name for seg in path.domain_segments()):
                     isolated.configure_domain(
@@ -165,7 +163,8 @@ class TestMeshIsolationParity:
                 configs=spec.protocol.build_configs(path),
                 max_diff=spec.protocol.max_diff,
             )
-            isolated_reports = session.run(isolated.run_batch(trace.packet_batch()))
+            isolated_cell = StreamingCell((isolated,), (trace,), session)
+            isolated_reports = StreamingRunner(isolated_cell, chunk_size=None).run().reports
 
             for hop in path.hops:
                 mesh_slice = report_for_pair(
@@ -195,6 +194,6 @@ class TestMeshStreamingParity:
 
         batch_receipts = canonical_receipts(run_batch_mesh_reports(spec))
 
-        runner = MeshRunner(_build_mesh_cell(spec.to_dict()), chunk_size=chunk_size)
+        runner = StreamingRunner(_build_mesh_cell(spec.to_dict()), chunk_size=chunk_size)
         streamed = runner.run()
         assert canonical_receipts(streamed.reports) == batch_receipts

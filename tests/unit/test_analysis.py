@@ -1,4 +1,4 @@
-"""Unit tests for repro.analysis (metrics, quantiles, statistics, SLA)."""
+"""Unit tests for repro.analysis (metrics, quantiles, SLA)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.quantiles import empirical_quantiles, quantile_error
 from repro.analysis.sla import SLASpec, check_sla
-from repro.analysis.statistics import summarize
 from repro.core.estimation import DelayQuantileEstimate
 from repro.core.verifier import DomainPerformance
 from repro.simulation.scenario import DomainGroundTruth
@@ -120,22 +119,6 @@ class TestQuantileHelpers:
     def test_quantile_error_disjoint_rejected(self):
         with pytest.raises(ValueError):
             quantile_error({0.5: 1.0}, {0.9: 1.0})
-
-
-class TestSummary:
-    def test_summarize_fields(self):
-        summary = summarize(np.arange(1, 101, dtype=float))
-        assert summary.count == 100
-        assert summary.mean == pytest.approx(50.5)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 100.0
-        assert summary.median == pytest.approx(50.5)
-        assert summary.p90 > summary.median
-        assert "p99" in summary.as_dict()
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
 
 
 class TestSLA:

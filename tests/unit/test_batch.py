@@ -9,6 +9,7 @@ from repro.core.hop import HOPCollector, HOPConfig
 from repro.core.protocol import VPMSession
 from repro.core.sampling import SamplerConfig
 from repro.core.aggregation import AggregatorConfig
+from repro.engine.streaming import StreamingCell, StreamingRunner
 from repro.net.batch import PacketBatch
 from repro.net.clock import ClockModel, PerfectClock
 from repro.net.packet import HEADER_PACK_BYTES, Packet, PacketHeaders, pack_header_columns
@@ -252,7 +253,9 @@ class TestScenarioBatch:
         session_batch = VPMSession(
             scenario.path, configs={d.name: config for d in scenario.path.domains}
         )
-        session_batch.run(scenario.run_batch(small_batch))
+        trace = SyntheticTrace(config=TraceConfig(packet_count=4000), seed=11)
+        cell = StreamingCell((scenario,), (trace,), session_batch)
+        StreamingRunner(cell, chunk_size=None).run()
 
         performance_scalar = session_scalar.estimate("L", "X")
         performance_batch = session_batch.estimate("L", "X")

@@ -162,7 +162,13 @@ class TestDispatchHubUpload:
     def test_upload_stages_exact_bytes(self, hub):
         line = _line(hub, 0)
         out = hub.upload(0, line, record_digest(line), worker="w0")
-        assert out == {"interval": 0, "duplicate": False, "committed": False, "remaining": 2}
+        assert out == {
+            "interval": 0,
+            "duplicate": False,
+            "committed": False,
+            "remaining": 2,
+            "unclaimed": 2,
+        }
         assert hub.staging.path(0).read_bytes() == line
 
     def test_upload_counts_remaining_until_everything_is_staged(self, hub):
@@ -173,6 +179,20 @@ class TestDispatchHubUpload:
         assert hub.upload(2, line, record_digest(line), worker="w0")["remaining"] == 1
         line = _line(hub, 1)
         assert hub.upload(1, line, record_digest(line), worker="w1")["remaining"] == 0
+
+    def test_upload_counts_remaining_intervals_no_live_lease_covers(self, hub):
+        # Interval 1 is leased to another worker; interval 2 is free.  Once
+        # interval 1's lease lapses, it counts as unclaimed again.
+        hub.claim(1, "w1")
+        line = _line(hub, 0)
+        out = hub.upload(0, line, record_digest(line), worker="w0")
+        assert (out["remaining"], out["unclaimed"]) == (2, 1)
+        hub.claim(2, "w2")
+        out = hub.upload(0, line, record_digest(line), worker="w0")
+        assert (out["remaining"], out["unclaimed"]) == (2, 0)
+        hub.claims.clock.now += 31.0
+        out = hub.upload(0, line, record_digest(line), worker="w0")
+        assert (out["remaining"], out["unclaimed"]) == (2, 2)
 
     def test_digest_mismatch_rejected_and_nothing_staged(self, hub):
         line = _line(hub, 0)
@@ -212,7 +232,13 @@ class TestDispatchHubUpload:
         line = _line(hub, 0)
         hub.store.append(json.loads(line))
         out = hub.upload(0, line, record_digest(line), worker="w0")
-        assert out == {"interval": 0, "duplicate": True, "committed": True, "remaining": 2}
+        assert out == {
+            "interval": 0,
+            "duplicate": True,
+            "committed": True,
+            "remaining": 2,
+            "unclaimed": 2,
+        }
         record = json.loads(line)
         record["receipts_digest"] = "0" * 64
         forged = (stable_json(record) + "\n").encode("utf-8")
@@ -257,6 +283,7 @@ class TestDispatchHubUpload:
                 "duplicate": False,
                 "committed": False,
                 "remaining": 2 - interval,
+                "unclaimed": 2 - interval,
             }
             assert hub.staging.path(interval).read_bytes() == line
 

@@ -14,6 +14,7 @@ from repro.analysis.localization import SuspectLink, triangulate_suspects
 from repro.api.spec import ConditionSpec, MeshSpec, TopologySpec, TrafficSpec
 from repro.api.runner import _build_mesh_cell
 from repro.core.protocol import MeshSession
+from repro.engine.streaming import StreamingRunner
 from repro.net.topology import star_topology
 from repro.reporting.dissemination import MeshReceiptBus, report_for_pair
 from repro.simulation.mesh import MeshScenario
@@ -42,7 +43,7 @@ def _fed_cell(adversaries=()):
         adversaries=adversaries,
     )
     cell = _build_mesh_cell(spec.to_dict())
-    cell.session.run(cell.scenario.run_batch([trace.packet_batch() for trace in cell.traces]))
+    StreamingRunner(cell, chunk_size=None).run()
     return spec, cell
 
 
