@@ -15,6 +15,10 @@ migrate packets across misaligned boundaries (see
 
 :class:`Aggregator` keeps constant state per open aggregate plus a sliding
 window of the last ``J`` seconds of packet IDs; per-packet work is constant.
+Between :meth:`Aggregator.observe_batch` calls that state stays in arrays: the
+window is a ``uint64`` id array and a ``float64`` time array, and each pending
+receipt's AggTrans windows are ``uint64`` slices.  They are boxed into the
+receipt's ``tuple[int, ...]`` fields once, when receipts are drained.
 """
 
 from __future__ import annotations
@@ -89,12 +93,77 @@ class _OpenAggregate:
 
 @dataclass
 class _PendingReceipt:
-    """A closed aggregate waiting for its post-cut AggTrans window to fill."""
+    """A closed aggregate waiting for its post-cut AggTrans window to fill.
+
+    ``trans_after`` holds its ids as they arrive: ``uint64`` slices from
+    :meth:`Aggregator.observe_batch`, single ids from
+    :meth:`Aggregator.observe`.
+    """
 
     aggregate: _OpenAggregate
     cut_time: float
-    trans_before: tuple[int, ...]
-    trans_after: list[int] = field(default_factory=list)
+    trans_before: np.ndarray
+    trans_after: list[np.ndarray | int] = field(default_factory=list)
+
+    def trans(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The AggTrans windows in the receipt's boxed form."""
+        after: list[int] = []
+        for part in self.trans_after:
+            if isinstance(part, np.ndarray):
+                after.extend(part.tolist())
+            else:
+                after.append(part)
+        return tuple(self.trans_before.tolist()), tuple(after)
+
+
+#: Every this many batch packets, :func:`_peak_occupancy` measures the window
+#: exactly to seed its search with a lower bound.
+_PEAK_STRIDE = 64
+
+
+def _peak_occupancy(
+    times: np.ndarray, thresholds: np.ndarray, offset: int, floor: int
+) -> int:
+    """The largest J-window occupancy after any batch packet, if above ``floor``.
+
+    ``times`` is the sorted carried-in window (its first ``offset`` entries)
+    followed by the batch, and ``thresholds[i]`` is batch packet ``i``'s time
+    minus ``J``.  After packet ``i`` the window holds every packet from the
+    first one whose time is ``>= thresholds[i]``, so it holds more than ``k``
+    packets iff ``times[offset + i - k] >= thresholds[i]``: the comparison
+    ``searchsorted(times, thresholds, side="left")`` makes, ties and ``J = 0``
+    included.  Testing one ``k`` is one vector compare over the batch.  The
+    stored peak is tested first (in steady state that is the only test); past
+    it, a strided sample of exact occupancies gives a lower bound, and a
+    gallop and a binary search find the peak.  Returns ``floor`` when no
+    packet's window holds more than ``floor`` packets.
+    """
+    size = len(times)
+
+    def exceeds(k: int) -> bool:
+        """Some batch packet's window holds more than ``k`` packets."""
+        if k >= size:
+            return False
+        first = max(0, k - offset)
+        return bool(np.any(times[offset + first - k : size - k] >= thresholds[first:]))
+
+    if floor and not exceeds(floor):
+        return floor
+    sample = np.arange(0, len(thresholds), _PEAK_STRIDE)
+    starts = np.searchsorted(times, thresholds[sample], side="left")
+    known = max(floor, int((offset + 1 + sample - starts).max()) - 1)
+    step = 1
+    while exceeds(known + step):
+        known += step
+        step *= 2
+    beyond = known + step
+    while beyond - known > 1:
+        middle = (known + beyond) // 2
+        if exceeds(middle):
+            known = middle
+        else:
+            beyond = middle
+    return known + 1
 
 
 class Aggregator:
@@ -112,7 +181,13 @@ class Aggregator:
         self._partition_threshold = self.config.partition_threshold
         self._window = self.config.reorder_window
         self._open: _OpenAggregate | None = None
-        self._recent: deque[tuple[int, float]] = deque()
+        # The sliding window of the last J seconds: id and time arrays while
+        # observe_batch() feeds it, a deque of (id, time) pairs while observe()
+        # does (``None`` when the arrays are current).  Each converts the
+        # other's form once, on entry.
+        self._recent_ids = np.empty(0, dtype=np.uint64)
+        self._recent_times = np.empty(0, dtype=np.float64)
+        self._recent_pairs: deque[tuple[int, float]] | None = None
         self._pending: list[_PendingReceipt] = []
         self._finalized: list[_PendingReceipt] = []
         self._observed_packets = 0
@@ -132,10 +207,12 @@ class Aggregator:
         is_cut = digest > self._partition_threshold
         self._observed_packets += 1
         self._finalize_pending(time)
+        recent = self._window_pairs()
         if is_cut and self._open is not None and self._open.pkt_count > 0:
             self._cut_count += 1
-            trans_before = tuple(
-                pkt_id for pkt_id, seen in self._recent if seen >= time - self._window
+            trans_before = np.array(
+                [pkt_id for pkt_id, seen in recent if seen >= time - self._window],
+                dtype=np.uint64,
             )
             self._pending.append(
                 _PendingReceipt(
@@ -154,11 +231,11 @@ class Aggregator:
                 pending.trans_after.append(digest)
 
         # Maintain the sliding window of the last J seconds of packet IDs.
-        self._recent.append((digest, time))
-        while self._recent and self._recent[0][1] < time - self._window:
-            self._recent.popleft()
-        if len(self._recent) > self._max_window_occupancy:
-            self._max_window_occupancy = len(self._recent)
+        recent.append((digest, time))
+        while recent and recent[0][1] < time - self._window:
+            recent.popleft()
+        if len(recent) > self._max_window_occupancy:
+            self._max_window_occupancy = len(recent)
         return is_cut
 
     def observe_batch(self, digests, times) -> np.ndarray:
@@ -167,8 +244,12 @@ class Aggregator:
         Cutting points are found with one array comparison; the packets of
         each aggregate are folded into the open-aggregate state with array
         reductions, and the AggTrans windows around each cutting point are
-        extracted with binary searches.  Python-level work is proportional to
-        the number of cutting points, not packets.
+        sliced out of the carried window and the batch with binary searches.
+        Python-level work is proportional to the number of cutting points,
+        not packets.  The carry stays in arrays: the next window is a slice
+        of carry plus batch, pending AggTrans windows are ``uint64`` slices,
+        and the peak window occupancy comes from an exact lag test
+        (:func:`_peak_occupancy`) rather than a search per packet.
 
         The fast path requires observation timestamps that are non-decreasing
         (within the batch and relative to earlier observations) — which is how
@@ -193,15 +274,16 @@ class Aggregator:
         if count == 0:
             return cut_mask
 
-        recent_times = [entry[1] for entry in self._recent]
-        sorted_within = bool(np.all(time_array[1:] >= time_array[:-1]))
-        sorted_carry = all(
-            earlier <= later for earlier, later in zip(recent_times, recent_times[1:])
-        ) and (not recent_times or recent_times[-1] <= time_array[0])
-        if not (sorted_within and sorted_carry):
+        # The window carried in from earlier observations plus this batch,
+        # for the pre-cut AggTrans windows and the occupancy statistic.
+        carry_digests, carry_times = self._window_arrays()
+        all_times = np.concatenate([carry_times, time_array])
+        if not np.all(all_times[1:] >= all_times[:-1]):
             for index in range(count):
                 self.observe(int(digest_array[index]), float(time_array[index]))
             return cut_mask
+        all_digests = np.concatenate([carry_digests, digest_array])
+        offset = len(carry_digests)
 
         window = self._window
         self._observed_packets += count
@@ -215,22 +297,12 @@ class Aggregator:
             deadline = pending.cut_time + window
             covered = int(np.searchsorted(time_array, deadline, side="right"))
             if covered:
-                pending.trans_after.extend(digest_array[:covered].tolist())
+                pending.trans_after.append(digest_array[:covered].copy())
             if last_time > deadline:
                 self._finalized.append(pending)
             else:
                 still_pending.append(pending)
         self._pending = still_pending
-
-        # Concatenated view of the sliding window carried in from earlier
-        # observations plus this batch, for the pre-cut AggTrans windows.
-        carry_digests = np.fromiter(
-            (entry[0] for entry in self._recent), dtype=np.uint64, count=len(self._recent)
-        )
-        carry_times = np.asarray(recent_times, dtype=np.float64)
-        all_digests = np.concatenate([carry_digests, digest_array])
-        all_times = np.concatenate([carry_times, time_array])
-        offset = len(carry_digests)
 
         prefix_sums = np.concatenate([[0.0], np.cumsum(time_array)])
 
@@ -253,20 +325,18 @@ class Aggregator:
         # 2. Walk the cutting points; everything between two cuts is folded in
         #    with array reductions.
         segment_start = 0
-        for position in np.flatnonzero(cut_mask):
-            position = int(position)
+        for position in np.flatnonzero(cut_mask).tolist():
             add_span(segment_start, position)
             if self._open is not None and self._open.pkt_count > 0:
                 self._cut_count += 1
                 cut_time = float(time_array[position])
                 lo = int(np.searchsorted(all_times, cut_time - window, side="left"))
-                trans_before = tuple(all_digests[lo : offset + position].tolist())
                 hi = int(np.searchsorted(time_array, cut_time + window, side="right"))
                 pending = _PendingReceipt(
                     aggregate=self._open,
                     cut_time=cut_time,
-                    trans_before=trans_before,
-                    trans_after=digest_array[position:hi].tolist(),
+                    trans_before=all_digests[lo : offset + position].copy(),
+                    trans_after=[digest_array[position:hi].copy()],
                 )
                 if last_time > cut_time + window:
                     self._finalized.append(pending)
@@ -280,19 +350,37 @@ class Aggregator:
             segment_start = position + 1
         add_span(segment_start, count)
 
-        # 3. Rebuild the sliding window of the last J seconds and the peak
-        #    occupancy statistic (occupancy after packet i = packets since the
-        #    first one within J of it, including carried-in entries).
-        window_starts = np.searchsorted(all_times, time_array - window, side="left")
-        occupancies = np.arange(offset + 1, offset + count + 1) - window_starts
-        peak = int(occupancies.max())
-        if peak > self._max_window_occupancy:
-            self._max_window_occupancy = peak
-        keep_from = int(window_starts[-1])
-        self._recent = deque(
-            zip(all_digests[keep_from:].tolist(), all_times[keep_from:].tolist())
+        # 3. The peak occupancy statistic, and the window of the last J
+        #    seconds kept for the next call.
+        thresholds = time_array - window
+        self._max_window_occupancy = _peak_occupancy(
+            all_times, thresholds, offset, self._max_window_occupancy
         )
+        keep_from = int(np.searchsorted(all_times, thresholds[-1], side="left"))
+        self._recent_ids = all_digests[keep_from:].copy()
+        self._recent_times = all_times[keep_from:].copy()
         return cut_mask
+
+    def _window_pairs(self) -> deque[tuple[int, float]]:
+        """The sliding window as :meth:`observe`'s deque of pairs."""
+        if self._recent_pairs is None:
+            self._recent_pairs = deque(
+                zip(self._recent_ids.tolist(), self._recent_times.tolist())
+            )
+        return self._recent_pairs
+
+    def _window_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sliding window as :meth:`observe_batch`'s id and time arrays."""
+        pairs = self._recent_pairs
+        if pairs is not None:
+            self._recent_ids = np.fromiter(
+                (pkt_id for pkt_id, _ in pairs), dtype=np.uint64, count=len(pairs)
+            )
+            self._recent_times = np.fromiter(
+                (seen for _, seen in pairs), dtype=np.float64, count=len(pairs)
+            )
+            self._recent_pairs = None
+        return self._recent_ids, self._recent_times
 
     def state_digest(self) -> str:
         """A stable hex digest of the aggregator's complete observable state.
@@ -319,9 +407,12 @@ class Aggregator:
             return (
                 aggregate_state(pending.aggregate),
                 pending.cut_time.hex(),
-                pending.trans_before,
-                tuple(pending.trans_after),
+                *pending.trans(),
             )
+
+        recent = self._recent_pairs
+        if recent is None:
+            recent = zip(self._recent_ids.tolist(), self._recent_times.tolist())
 
         hasher = hashlib.blake2b(digest_size=16)
         hasher.update(
@@ -330,7 +421,7 @@ class Aggregator:
                     self.config.expected_aggregate_size,
                     self.config.reorder_window,
                     aggregate_state(self._open),
-                    [(digest, seen.hex()) for digest, seen in self._recent],
+                    [(digest, seen.hex()) for digest, seen in recent],
                     [receipt_state(pending) for pending in self._pending],
                     [receipt_state(pending) for pending in self._finalized],
                     self._observed_packets,
@@ -360,7 +451,7 @@ class Aggregator:
         final, possibly partial aggregate is reported like any other.
         """
         if self._open is not None and self._open.pkt_count > 0:
-            trans_before = tuple(pkt_id for pkt_id, _ in self._recent)
+            trans_before, _ = self._window_arrays()
             self._finalized.extend(self._pending)
             self._pending = []
             self._finalized.append(
@@ -377,20 +468,22 @@ class Aggregator:
 
     def receipts(self, path_id: PathID, reset: bool = True) -> list[AggregateReceipt]:
         """Return the finalized aggregate receipts accumulated so far."""
-        receipts = [
-            AggregateReceipt(
-                path_id=path_id,
-                first_pkt_id=pending.aggregate.first_pkt_id,
-                last_pkt_id=pending.aggregate.last_pkt_id,
-                pkt_count=pending.aggregate.pkt_count,
-                start_time=pending.aggregate.start_time,
-                end_time=pending.aggregate.end_time,
-                time_sum=pending.aggregate.time_sum,
-                trans_before=pending.trans_before,
-                trans_after=tuple(pending.trans_after),
+        receipts = []
+        for pending in self._finalized:
+            trans_before, trans_after = pending.trans()
+            receipts.append(
+                AggregateReceipt(
+                    path_id=path_id,
+                    first_pkt_id=pending.aggregate.first_pkt_id,
+                    last_pkt_id=pending.aggregate.last_pkt_id,
+                    pkt_count=pending.aggregate.pkt_count,
+                    start_time=pending.aggregate.start_time,
+                    end_time=pending.aggregate.end_time,
+                    time_sum=pending.aggregate.time_sum,
+                    trans_before=trans_before,
+                    trans_after=trans_after,
+                )
             )
-            for pending in self._finalized
-        ]
         if reset:
             self._finalized = []
         return receipts

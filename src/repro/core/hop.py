@@ -88,6 +88,12 @@ class HOPCollector:
         The HOP's sampling/aggregation configuration.
     """
 
+    #: Names the in-memory form of the collector's carried state (the
+    #: samplers' TempBuffers, the aggregators' windows and pending AggTrans).
+    #: Pickled collectors are only reloaded under the same tag; change it
+    #: whenever that form changes.
+    STATE_TAG = "array-carry-1"
+
     def __init__(self, hop: HOP, config: HOPConfig | None = None) -> None:
         self.hop = hop
         self.config = config or HOPConfig()

@@ -28,7 +28,7 @@ Implementation extensions (documented, content-preserving):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.net.prefixes import PrefixPair
 from repro.util.validation import check_non_negative
@@ -263,14 +263,4 @@ def combine_aggregate_receipts(
         time_sum=sum(receipt.time_sum for receipt in receipts),
         trans_before=receipts[-1].trans_before,
         trans_after=receipts[-1].trans_after,
-    )
-
-
-def total_receipt_bytes(
-    sample_receipts: Iterable[SampleReceipt],
-    aggregate_receipts: Iterable[AggregateReceipt],
-) -> int:
-    """Total dissemination size of a batch of receipts (for overhead accounting)."""
-    return sum(receipt.wire_bytes for receipt in sample_receipts) + sum(
-        receipt.wire_bytes for receipt in aggregate_receipts
     )

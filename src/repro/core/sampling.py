@@ -32,7 +32,6 @@ from repro.net.hashing import (
     as_digest_array,
     rate_for_threshold,
     sample_function,
-    sample_function_batch,
     splitmix64_batch,
     threshold_for_rate,
 )
@@ -97,8 +96,12 @@ class DelaySampler:
         self._marker_threshold = self.config.marker_threshold
         self._sampling_threshold = self.config.sampling_threshold
         # TempBuffer of Algorithm 1: per-packet (digest, local time) pairs
-        # held only until the next marker.
-        self._temp_buffer: list[tuple[int, float]] = []
+        # held only until the next marker.  observe_batch() holds it as id and
+        # time arrays, observe() as a list of pairs (``None`` when the arrays
+        # are current); each converts the other's form once, on entry.
+        self._buffer_ids = np.empty(0, dtype=np.uint64)
+        self._buffer_times = np.empty(0, dtype=np.float64)
+        self._buffer_pairs: list[tuple[int, float]] | None = None
         self._samples: list[SampleRecord] = []
         # Bookkeeping for the overhead model (Section 7.1).
         self._observed_packets = 0
@@ -126,19 +129,20 @@ class DelaySampler:
         if not 0 <= digest <= MASK64:
             raise ValueError(f"digest must be a 64-bit value, got {digest!r}")
         self._observed_packets += 1
+        buffer = self._buffer_list()
         if digest > self._marker_threshold:
             self._marker_count += 1
-            for buffered_digest, buffered_time in self._temp_buffer:
+            for buffered_digest, buffered_time in buffer:
                 if sample_function(buffered_digest, digest) > self._sampling_threshold:
                     self._samples.append(
                         SampleRecord(pkt_id=buffered_digest, time=buffered_time)
                     )
-            self._temp_buffer.clear()
+            buffer.clear()
             self._samples.append(SampleRecord(pkt_id=digest, time=time))
             return True
-        self._temp_buffer.append((digest, time))
-        if len(self._temp_buffer) > self._max_buffer_occupancy:
-            self._max_buffer_occupancy = len(self._temp_buffer)
+        buffer.append((digest, time))
+        if len(buffer) > self._max_buffer_occupancy:
+            self._max_buffer_occupancy = len(buffer)
         return False
 
     def observe_batch(self, digests, times) -> np.ndarray:
@@ -149,10 +153,11 @@ class DelaySampler:
         marker at or after it) by a single ``SampleFcn`` evaluation over the
         whole prefix, and the samples are the keyed packets above ``σ`` plus
         every marker, in observation order.  Packets carried in the temporary
-        buffer from earlier calls belong to the batch's first marker.
-        Python-level work is proportional to the number of samples (plus the
-        carried and newly buffered packets), not to the number of markers or
-        packets.  The resulting sampler state (samples, temporary buffer,
+        buffer from earlier calls belong to the batch's first marker; the
+        buffer is carried as id and time arrays (the batch's tail after its
+        last marker) and keyed in the same pass.  Python-level work is
+        proportional to the number of samples, not to the number of markers
+        or packets.  The resulting sampler state (samples, temporary buffer,
         counters) is exactly what the same sequence of scalar :meth:`observe`
         calls would produce, and the two paths can be freely interleaved.
 
@@ -169,57 +174,65 @@ class DelaySampler:
         if count == 0:
             return marker_mask
         self._observed_packets += count
+        carry_ids, carry_times = self._buffer_arrays()
         marker_positions = np.flatnonzero(marker_mask)
         if not marker_positions.size:
-            self._temp_buffer.extend(zip(digest_array.tolist(), time_array.tolist()))
+            self._buffer_ids = np.concatenate([carry_ids, digest_array])
+            self._buffer_times = np.concatenate([carry_times, time_array])
             self._max_buffer_occupancy = max(
-                self._max_buffer_occupancy, len(self._temp_buffer)
+                self._max_buffer_occupancy, len(self._buffer_ids)
             )
             return marker_mask
         self._marker_count += len(marker_positions)
-        sampling_threshold = np.uint64(self._sampling_threshold)
-        marker_keys = splitmix64_batch(digest_array[marker_positions])
 
-        # The carried buffer is decided by the batch's first marker.
-        buffer = self._temp_buffer
-        carry = len(buffer)
-        if carry:
-            carry_digests = np.fromiter((entry[0] for entry in buffer), np.uint64, carry)
-            carry_keys = sample_function_batch(
-                carry_digests, int(digest_array[marker_positions[0]])
-            )
-            self._samples.extend(
-                SampleRecord(*buffer[index])
-                for index in np.flatnonzero(carry_keys > sampling_threshold).tolist()
-            )
-
-        # Everything up to the last marker: SampleFcn(q, owning marker) > σ,
-        # or q is itself a marker.  Each marker owns the run of packets ending
-        # at it, so repeating its key over that run keys every packet.
-        runs = np.diff(marker_positions, prepend=-1)
+        # Everything up to the last marker, carried buffer first:
+        # SampleFcn(q, owning marker) > σ, or q is itself a marker.  Each
+        # marker owns the run of packets ending at it (the first run also
+        # holds the carried buffer), so repeating its key over that run keys
+        # every packet.
+        carry = len(carry_ids)
         last = int(marker_positions[-1])
-        owner_keys = np.repeat(marker_keys, runs)
-        keys = splitmix64_batch(digest_array[: last + 1] ^ owner_keys)
-        selected = np.flatnonzero((keys > sampling_threshold) | marker_mask[: last + 1])
+        ids = np.concatenate([carry_ids, digest_array[: last + 1]])
+        runs = np.diff(marker_positions, prepend=-1)
+        runs[0] += carry
+        owner_keys = np.repeat(splitmix64_batch(digest_array[marker_positions]), runs)
+        selected = splitmix64_batch(ids ^ owner_keys) > np.uint64(self._sampling_threshold)
+        selected[carry + marker_positions] = True
+        picked = np.flatnonzero(selected)
+        times = np.concatenate([carry_times, time_array[: last + 1]])
         self._samples.extend(
-            SampleRecord(pkt_id=pkt_id, time=pkt_time)
-            for pkt_id, pkt_time in zip(
-                digest_array[selected].tolist(), time_array[selected].tolist()
-            )
+            map(SampleRecord, ids[picked].tolist(), times[picked].tolist())
         )
 
-        # Buffer occupancy peaks just before each marker (the carry plus the
-        # first run, then each later run, minus the marker) and at the new tail.
+        # Buffer occupancy peaks just before each marker (each run minus its
+        # marker) and at the new tail.
         self._max_buffer_occupancy = max(
-            self._max_buffer_occupancy,
-            carry + int(runs[0]) - 1,
-            int(runs[1:].max()) - 1 if len(runs) > 1 else 0,
-            count - last - 1,
+            self._max_buffer_occupancy, int(runs.max()) - 1, count - last - 1
         )
-        self._temp_buffer = list(
-            zip(digest_array[last + 1 :].tolist(), time_array[last + 1 :].tolist())
-        )
+        self._buffer_ids = digest_array[last + 1 :].copy()
+        self._buffer_times = time_array[last + 1 :].copy()
         return marker_mask
+
+    def _buffer_list(self) -> list[tuple[int, float]]:
+        """The TempBuffer as :meth:`observe`'s list of pairs."""
+        if self._buffer_pairs is None:
+            self._buffer_pairs = list(
+                zip(self._buffer_ids.tolist(), self._buffer_times.tolist())
+            )
+        return self._buffer_pairs
+
+    def _buffer_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The TempBuffer as :meth:`observe_batch`'s id and time arrays."""
+        pairs = self._buffer_pairs
+        if pairs is not None:
+            self._buffer_ids = np.fromiter(
+                (pkt_id for pkt_id, _ in pairs), dtype=np.uint64, count=len(pairs)
+            )
+            self._buffer_times = np.fromiter(
+                (seen for _, seen in pairs), dtype=np.float64, count=len(pairs)
+            )
+            self._buffer_pairs = None
+        return self._buffer_ids, self._buffer_times
 
     def state_digest(self) -> str:
         """A stable hex digest of the sampler's complete observable state.
@@ -228,6 +241,9 @@ class DelaySampler:
         and counters — the cheap way for tests to assert that feeding a
         stream in chunks reproduced a whole-stream run.
         """
+        buffer = self._buffer_pairs
+        if buffer is None:
+            buffer = zip(self._buffer_ids.tolist(), self._buffer_times.tolist())
         hasher = hashlib.blake2b(digest_size=16)
         hasher.update(
             repr(
@@ -235,7 +251,7 @@ class DelaySampler:
                     self.config.sampling_rate,
                     self.config.marker_rate,
                     [(record.pkt_id, record.time.hex()) for record in self._samples],
-                    [(digest, time.hex()) for digest, time in self._temp_buffer],
+                    [(digest, time.hex()) for digest, time in buffer],
                     self._observed_packets,
                     self._marker_count,
                     self._max_buffer_occupancy,
@@ -268,7 +284,9 @@ class DelaySampler:
     @property
     def pending_buffer_size(self) -> int:
         """Number of packets currently awaiting the next marker."""
-        return len(self._temp_buffer)
+        if self._buffer_pairs is not None:
+            return len(self._buffer_pairs)
+        return len(self._buffer_ids)
 
     @property
     def max_buffer_occupancy(self) -> int:

@@ -51,6 +51,7 @@ from repro.core.estimation import (
     estimate_delay_quantiles,
     match_sample_delays,
 )
+from repro.core.hop import HOPCollector
 from repro.core.verifier import DomainPerformance, Verifier
 from repro.net.topology import HOPPath
 from repro.reporting.serialization import receipts_digest
@@ -633,10 +634,12 @@ class CampaignRunner:
     def _load_interval_checkpoint(self, index: int) -> RunnerCheckpoint | None:
         """The persisted mid-interval checkpoint for ``index``, if compatible.
 
-        Compatibility is strict — same spec hash, same interval, a streaming
-        policy with the same chunk size — and anything else
-        (including an unreadable file) discards the checkpoint and re-runs
-        the interval from its start, which is always correct.
+        Compatibility is strict — same spec hash, same interval, collectors
+        pickled under the current
+        :attr:`~repro.core.hop.HOPCollector.STATE_TAG`, a streaming policy
+        with the same chunk size — and anything else (including an
+        unreadable file) discards the checkpoint and re-runs the interval
+        from its start, which is always correct.
         """
         path = self._checkpoint_path
         if path is None or not path.exists():
@@ -648,6 +651,7 @@ class CampaignRunner:
             compatible = (
                 payload["spec_hash"] == self.spec.spec_hash()
                 and payload["interval"] == index
+                and payload.get("collector_state") == HOPCollector.STATE_TAG
                 and isinstance(checkpoint, RunnerCheckpoint)
                 and self._bound.engine == "streaming"
                 and checkpoint.chunk_size
@@ -673,6 +677,7 @@ class CampaignRunner:
             payload = {
                 "spec_hash": spec_hash,
                 "interval": index,
+                "collector_state": HOPCollector.STATE_TAG,
                 "checkpoint": checkpoint,
             }
             scratch = path.with_name(path.name + ".tmp")

@@ -7,9 +7,12 @@ can actually ship receipts between implementations:
 
 * a **JSON** encoding — human-readable, convenient for web-style dissemination
   and debugging;
-* a **compact binary** encoding — fixed-width fields close to the byte budget
-  the Section 7.1 overhead analysis assumes (4-byte packet digests, sub-
-  millisecond-resolution timestamps), used when receipt volume matters.
+* a **compact binary** encoding (``VPM1``) — fixed-width big-endian fields:
+  full 8-byte packet ids and 8-byte microsecond timestamps, so a sample record
+  takes 16 bytes and each AggTrans id 8 bytes.  These are *not* the Section
+  7.1 widths (a 4-byte digest plus a 3-byte timestamp per sample record); the
+  paper's accounting model is ``wire_bytes`` on the receipt classes
+  (:mod:`repro.core.receipts`), which this encoding does not reproduce.
 
 Both encodings round-trip every receipt type exactly (up to the documented
 timestamp quantization of the binary format), and both are covered by unit and

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import pickle
+from collections import deque
 
 import numpy as np
 import pytest
@@ -313,6 +314,56 @@ class TestMidIntervalCheckpoint:
         )
         assert runner._load_interval_checkpoint(0) is None
         assert not checkpoint_path.exists()
+
+    def test_checkpoint_without_collector_state_tag_is_discarded(self, tmp_path):
+        """A payload from before the tag existed reruns its interval.
+
+        Such payloads were written by collectors that carried their windows
+        as a deque and a list of pairs; installed into today's collectors
+        they would fail mid-interval.  The payload below has that old shape
+        and no tag, so resuming must discard it.
+        """
+        spec = _campaign_spec()
+        full = RunStore.create(tmp_path / "full", spec)
+        CampaignRunner(spec, full).run()
+
+        blobs: list[bytes] = []
+        interval_record(
+            spec,
+            0,
+            policy=CHECKPOINTING_POLICY,
+            checkpoint_sink=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
+        )
+        checkpoint = pickle.loads(blobs[1])
+        for collector in checkpoint.collectors.values():
+            for state in collector.states():
+                aggregator, sampler = state.aggregator, state.sampler
+                aggregator._recent = deque(aggregator._window_pairs())
+                sampler._temp_buffer = list(sampler._buffer_list())
+                for name in ("_recent_ids", "_recent_times", "_recent_pairs"):
+                    delattr(aggregator, name)
+                for name in ("_buffer_ids", "_buffer_times", "_buffer_pairs"):
+                    delattr(sampler, name)
+        untagged = pickle.dumps(
+            {"spec_hash": spec.spec_hash(), "interval": 0, "checkpoint": checkpoint}
+        )
+
+        part = RunStore.create(tmp_path / "part", spec)
+        checkpoint_path = tmp_path / "part" / CampaignRunner.CHECKPOINT_NAME
+        checkpoint_path.write_bytes(untagged)
+        resumed = CampaignRunner.resume(part, policy=CHECKPOINTING_POLICY)
+        assert resumed._load_interval_checkpoint(0) is None
+        assert not checkpoint_path.exists()
+
+        # Resuming over the same payload reruns interval 0 from its start and
+        # ends with the uninterrupted run's bytes.
+        checkpoint_path.write_bytes(untagged)
+        assert CampaignRunner.resume(part, policy=CHECKPOINTING_POLICY).run().completed
+        assert not checkpoint_path.exists()
+        assert (tmp_path / "part" / "records.jsonl").read_bytes() == (
+            tmp_path / "full" / "records.jsonl"
+        ).read_bytes()
+        assert part.digest() == full.digest()
 
     def test_checkpointing_run_leaves_clean_identical_store(self, tmp_path):
         spec = _campaign_spec()

@@ -183,8 +183,7 @@ class TestSamplerParity:
             scalar.observe(int(digest), float(moment))
         chunked_feed(batched, digests, times, np.random.default_rng(seed + 1))
 
-        assert scalar._samples == batched._samples
-        assert scalar._temp_buffer == batched._temp_buffer
+        assert scalar.state_digest() == batched.state_digest()
         assert scalar.marker_count == batched.marker_count
         assert scalar.observed_packets == batched.observed_packets
         assert scalar.max_buffer_occupancy == batched.max_buffer_occupancy
@@ -208,6 +207,7 @@ class TestAggregatorParity:
         for digest, moment in zip(digests, times):
             scalar.observe(int(digest), float(moment))
         chunked_feed(batched, digests, times, np.random.default_rng(seed + 1))
+        assert scalar.state_digest() == batched.state_digest()
         scalar.flush()
         batched.flush()
 
@@ -233,7 +233,7 @@ class TestAggregatorParity:
         assert scalar.cut_count == batched.cut_count
         assert scalar.observed_packets == batched.observed_packets
         assert scalar.max_window_occupancy == batched.max_window_occupancy
-        assert list(scalar._recent) == list(batched._recent)
+        assert scalar.state_digest() == batched.state_digest()
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -255,26 +255,10 @@ class TestAggregatorParity:
         batched.observe_batch(digests, times)
         scalar.flush()
         batched.flush()
-        # Compare raw finalized state rather than materialized receipts:
-        # receipt construction itself rejects aggregates whose (reordered)
-        # end time precedes their start time, in both paths alike.
-        def snapshot(aggregator):
-            return [
-                (
-                    pending.aggregate.first_pkt_id,
-                    pending.aggregate.last_pkt_id,
-                    pending.aggregate.pkt_count,
-                    pending.aggregate.start_time,
-                    pending.aggregate.end_time,
-                    pending.aggregate.time_sum,
-                    pending.cut_time,
-                    pending.trans_before,
-                    tuple(pending.trans_after),
-                )
-                for pending in aggregator._finalized
-            ]
-
-        assert snapshot(scalar) == snapshot(batched)
+        # Compare state digests rather than materialized receipts: receipt
+        # construction itself rejects aggregates whose (reordered) end time
+        # precedes their start time, in both paths alike.  The digest covers
+        # the finalized aggregates, their AggTrans windows and the window.
+        assert scalar.state_digest() == batched.state_digest()
         assert scalar.cut_count == batched.cut_count
         assert scalar.max_window_occupancy == batched.max_window_occupancy
-        assert list(scalar._recent) == list(batched._recent)

@@ -123,8 +123,7 @@ class TestCollectorBatch:
         state_batched = batched.states()[0]
         assert state_scalar.observed_packets == state_batched.observed_packets
         assert state_scalar.observed_bytes == state_batched.observed_bytes
-        assert state_scalar.sampler._samples == state_batched.sampler._samples
-        assert state_scalar.sampler._temp_buffer == state_batched.sampler._temp_buffer
+        assert state_scalar.sampler.state_digest() == state_batched.sampler.state_digest()
         state_scalar.aggregator.flush()
         state_batched.aggregator.flush()
         scalar_receipts = state_scalar.aggregator.receipts(state_scalar.path_id)
@@ -193,8 +192,7 @@ class TestCollectorBatch:
             scalar.observe(packet, packet.send_time)
         batched.observe_batch(PacketBatch.from_packets(packets))
         for state_scalar, state_batched in zip(scalar.states(), batched.states()):
-            assert state_scalar.sampler._samples == state_batched.sampler._samples
-            assert state_scalar.sampler._temp_buffer == state_batched.sampler._temp_buffer
+            assert state_scalar.sampler.state_digest() == state_batched.sampler.state_digest()
 
     def test_take_shares_digests_with_root(self, small_batch):
         from repro.net.hashing import PacketDigester

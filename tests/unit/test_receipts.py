@@ -13,7 +13,6 @@ from repro.core.receipts import (
     SampleRecord,
     combine_aggregate_receipts,
     combine_sample_receipts,
-    total_receipt_bytes,
 )
 
 
@@ -227,14 +226,3 @@ class TestAggregateReceipt:
     def test_combine_empty_rejected(self):
         with pytest.raises(ValueError):
             combine_aggregate_receipts([])
-
-
-class TestTotalBytes:
-    def test_total_receipt_bytes(self, path_id):
-        samples = [SampleReceipt(path_id=path_id, samples=(SampleRecord(1, 1.0),))]
-        aggregates = [
-            AggregateReceipt(path_id=path_id, first_pkt_id=1, last_pkt_id=2, pkt_count=5)
-        ]
-        assert total_receipt_bytes(samples, aggregates) == (
-            samples[0].wire_bytes + aggregates[0].wire_bytes
-        )
