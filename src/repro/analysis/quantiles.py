@@ -135,11 +135,10 @@ def empirical_quantiles(
     array = np.asarray(values, dtype=float)
     if array.size == 0:
         raise ValueError("cannot compute quantiles of an empty sample")
-    result: dict[float, float] = {}
+    quantiles = list(quantiles)
     for quantile in quantiles:
         check_probability("quantile", quantile)
-        result[quantile] = float(np.quantile(array, quantile))
-    return result
+    return dict(zip(quantiles, np.quantile(array, quantiles).tolist()))
 
 
 def quantile_error(

@@ -23,6 +23,7 @@ from the root seed and a structural label via :func:`derive_seed`, so
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 from dataclasses import dataclass, field
@@ -122,12 +123,25 @@ def _check_keys(cls: type, data: Mapping[str, Any]) -> None:
         )
 
 
-def _accepts_seed(factory: Callable) -> bool:
+@functools.lru_cache(maxsize=None)
+def _factory_signature(factory: Callable) -> inspect.Signature | None:
+    """``inspect.signature(factory)``, read once per factory object per process.
+
+    Every interval rebuilds its cell spec, and each build checks and then
+    instantiates the same few factories.  Keying on the factory object (not
+    its registry name) means re-registering a name picks up the new
+    factory's signature; the cache holds one immutable ``Signature`` per
+    factory ever checked.  ``None`` for builtins / C callables.
+    """
     try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    return "seed" in signature.parameters
+        return inspect.signature(factory)
+    except (TypeError, ValueError):
+        return None
+
+
+def _accepts_seed(factory: Callable) -> bool:
+    signature = _factory_signature(factory)
+    return signature is not None and "seed" in signature.parameters
 
 
 def _check_factory_signature(
@@ -140,9 +154,8 @@ def _check_factory_signature(
     components).
     """
     factory = registry.get(name)
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins / C callables
+    signature = _factory_signature(factory)
+    if signature is None:
         return
     kwargs = dict(params)
     if "seed" not in kwargs and "seed" in signature.parameters:

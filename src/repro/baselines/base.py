@@ -100,4 +100,5 @@ def quantiles_from_delays(
     array = np.asarray(delays, dtype=float)
     if array.size == 0:
         return {}
-    return {quantile: float(np.quantile(array, quantile)) for quantile in quantiles}
+    quantiles = list(quantiles)
+    return dict(zip(quantiles, np.quantile(array, quantiles).tolist()))

@@ -187,6 +187,11 @@ def _group_by_boundaries(
     return groups
 
 
+def _combined(group: Sequence[AggregateReceipt]) -> AggregateReceipt:
+    """One receipt for a group: a single receipt as it is, else their ``⊎``."""
+    return group[0] if len(group) == 1 else combine_aggregate_receipts(group)
+
+
 def align_aggregate_receipts(
     upstream: Sequence[AggregateReceipt],
     downstream: Sequence[AggregateReceipt],
@@ -234,8 +239,8 @@ def aligned_aggregates(
         downstream_groups = [list(downstream)]
         common = []
 
-    combined_up = [combine_aggregate_receipts(group) for group in upstream_groups]
-    combined_down = [combine_aggregate_receipts(group) for group in downstream_groups]
+    combined_up = [_combined(group) for group in upstream_groups]
+    combined_down = [_combined(group) for group in downstream_groups]
     migrations = [0] * len(combined_down)
 
     if apply_reordering_patch and common:
@@ -245,6 +250,13 @@ def aligned_aggregates(
         for boundary_index in range(len(common)):
             up_receipt = combined_up[boundary_index]
             down_receipt = combined_down[boundary_index]
+            if (
+                up_receipt.trans_before == down_receipt.trans_before
+                and up_receipt.trans_after == down_receipt.trans_after
+            ):
+                # Both counts below are then |before ∩ after| of one window
+                # pair, so they cancel: nothing migrates across this cut.
+                continue
             # Packets upstream counted before the cut but downstream after it:
             # migrate them into the earlier downstream aggregate.
             to_earlier = len(set(up_receipt.trans_before).intersection(down_receipt.trans_after))

@@ -28,6 +28,7 @@ Implementation extensions (documented, content-preserving):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Sequence
 
 from repro.net.prefixes import PrefixPair
@@ -223,7 +224,7 @@ def combine_sample_receipts(receipts: Sequence[SampleReceipt]) -> SampleReceipt:
     for receipt in receipts:
         for record in receipt.samples:
             merged[record.pkt_id] = record
-    samples = tuple(sorted(merged.values(), key=lambda record: (record.time, record.pkt_id)))
+    samples = tuple(sorted(merged.values(), key=attrgetter("time", "pkt_id")))
     return SampleReceipt(
         path_id=path_id,
         samples=samples,

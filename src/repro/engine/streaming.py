@@ -145,7 +145,8 @@ class StreamingTruth:
         delays = self.delays()
         if delays.size == 0:
             return {quantile: 0.0 for quantile in quantiles}
-        return {quantile: float(np.quantile(delays, quantile)) for quantile in quantiles}
+        quantiles = list(quantiles)
+        return dict(zip(quantiles, np.quantile(delays, quantiles).tolist()))
 
     def snapshot(self) -> dict:
         """A picklable snapshot of the accumulated ground truth."""

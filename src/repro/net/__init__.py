@@ -9,7 +9,6 @@ from repro.net.hashing import (
     fnv1a_64,
     fnv1a_64_batch,
     sample_function,
-    sample_function_batch,
     splitmix64,
     splitmix64_batch,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "fnv1a_64_batch",
     "random_prefix",
     "sample_function",
-    "sample_function_batch",
     "splitmix64",
     "splitmix64_batch",
 ]

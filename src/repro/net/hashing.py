@@ -46,7 +46,6 @@ __all__ = [
     "combine64",
     "combine64_batch",
     "sample_function",
-    "sample_function_batch",
     "threshold_for_rate",
     "rate_for_threshold",
     "as_digest_array",
@@ -293,18 +292,6 @@ def sample_function(buffered_digest: int, marker_digest: int) -> int:
     the marker has been forwarded.
     """
     return combine64(buffered_digest & MASK64, marker_digest & MASK64)
-
-
-def sample_function_batch(
-    buffered_digests: np.ndarray, marker_digest: np.ndarray | int
-) -> np.ndarray:
-    """Array twin of :func:`sample_function`.
-
-    Evaluates the keyed sampling function for a whole temporary buffer against
-    one marker digest (or elementwise against an array of markers) in a single
-    vectorized pass.
-    """
-    return combine64_batch(buffered_digests, marker_digest)
 
 
 def threshold_for_rate(rate: float) -> int:

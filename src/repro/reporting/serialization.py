@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from operator import attrgetter
 from typing import Any, Mapping
 
 from repro.core.hop import HOPReport
@@ -386,6 +387,12 @@ def canonical_receipts(reports: Mapping[int, HOPReport]) -> dict[str, Any]:
     return canonical
 
 
+# One sample record in canonical JSON: ``[pkt_id,"<time as float hex>"]``.
+_RECORD = '[{},"{}"]'
+_PKT_ID = attrgetter("pkt_id")
+_TIME = attrgetter("time")
+
+
 class _IntSpellings(dict):
     """Memo of the JSON spelling of integers (``int.__repr__``, as ``json`` uses)."""
 
@@ -403,48 +410,69 @@ def receipts_digest(reports: Mapping[int, HOPReport]) -> str:
 
     The digest is BLAKE2b-128 over the canonical JSON of
     :func:`canonical_receipts` (sorted keys, so HOP ids in string order;
-    compact separators), but that JSON is written straight into the hash one
-    HOP at a time: neither the canonical dict nor the whole document is ever
-    built.  Spellings are memoised for one call — an interval's AggTrans
-    windows repeat a few thousand distinct packet IDs hundreds of thousands
-    of times, and each window recurs at both ends of an inter-domain link.
+    compact separators), but that JSON is streamed into the hash piecewise —
+    each aggregate header, AggTrans window, sample receipt's records and the
+    HOP framing go to ``hasher.update`` as they are spelled, so neither the
+    canonical dict nor any HOP's document is ever built.  Spellings are
+    memoised for one call: integers as text (an interval's AggTrans windows
+    repeat a few thousand distinct packet IDs hundreds of thousands of
+    times), and each distinct window as its encoded bytes (a window recurs at
+    both ends of an inter-domain link).
     """
     ids = _IntSpellings()
-    windows: dict[tuple[int, ...], str] = {}
+    windows: dict[tuple[int, ...], bytes] = {}
 
-    def window(values) -> str:
+    def window(values) -> bytes:
         values = tuple(values)
-        text = windows.get(values)
-        if text is None:
-            text = windows[values] = ",".join(map(ids.__getitem__, values))
-        return text
-
-    def records(samples) -> str:
-        return ",".join(f'[{ids[record.pkt_id]},"{record.time.hex()}"]' for record in samples)
+        encoded = windows.get(values)
+        if encoded is None:
+            encoded = windows[values] = ",".join(map(ids.__getitem__, values)).encode("ascii")
+        return encoded
 
     hasher = hashlib.blake2b(digest_size=16)
-    hasher.update(b"{")
+    update = hasher.update
+    update(b"{")
     for position, (key, hop_id) in enumerate(sorted((str(hop_id), hop_id) for hop_id in reports)):
         report = reports[hop_id]
-        aggregates = ",".join(
-            f'{{"end_time":"{receipt.end_time.hex()}",'
-            f'"first_pkt_id":{ids[receipt.first_pkt_id]},'
-            f'"last_pkt_id":{ids[receipt.last_pkt_id]},'
-            f'"pkt_count":{ids[receipt.pkt_count]},'
-            f'"start_time":"{receipt.start_time.hex()}",'
-            f'"time_sum":"{receipt.time_sum:.9e}",'
-            f'"trans_after":[{window(receipt.trans_after)}],'
-            f'"trans_before":[{window(receipt.trans_before)}]}}'
-            for receipt in report.aggregate_receipts
-        )
-        samples = ",".join(
-            f'{{"path":{json.dumps(str(receipt.path_id.prefix_pair))},'
-            f'"records":[{records(receipt.samples)}],'
-            f'"reporting_hop":{json.dumps(receipt.path_id.reporting_hop)},'
-            f'"threshold":{json.dumps(receipt.sampling_threshold)}}}'
-            for receipt in report.sample_receipts
-        )
-        hop = f'{json.dumps(key)}:{{"aggregates":[{aggregates}],"samples":[{samples}]}}'
-        hasher.update(f'{"," if position else ""}{hop}'.encode("ascii"))
-    hasher.update(b"}")
+        update(f'{"," if position else ""}{json.dumps(key)}:{{"aggregates":['.encode("ascii"))
+        separator = ""
+        for receipt in report.aggregate_receipts:
+            update(
+                f'{separator}{{"end_time":"{receipt.end_time.hex()}",'
+                f'"first_pkt_id":{ids[receipt.first_pkt_id]},'
+                f'"last_pkt_id":{ids[receipt.last_pkt_id]},'
+                f'"pkt_count":{ids[receipt.pkt_count]},'
+                f'"start_time":"{receipt.start_time.hex()}",'
+                f'"time_sum":"{receipt.time_sum:.9e}",'
+                f'"trans_after":['.encode("ascii")
+            )
+            update(window(receipt.trans_after))
+            update(b'],"trans_before":[')
+            update(window(receipt.trans_before))
+            update(b"]}")
+            separator = ","
+        update(b'],"samples":[')
+        separator = ""
+        for receipt in report.sample_receipts:
+            update(
+                f'{separator}{{"path":{json.dumps(str(receipt.path_id.prefix_pair))},'
+                f'"records":['.encode("ascii")
+            )
+            samples = receipt.samples
+            update(
+                ",".join(
+                    map(
+                        _RECORD.format,
+                        map(ids.__getitem__, map(_PKT_ID, samples)),
+                        map(float.hex, map(_TIME, samples)),
+                    )
+                ).encode("ascii")
+            )
+            update(
+                f'],"reporting_hop":{json.dumps(receipt.path_id.reporting_hop)},'
+                f'"threshold":{json.dumps(receipt.sampling_threshold)}}}'.encode("ascii")
+            )
+            separator = ","
+        update(b"]}")
+    update(b"}")
     return hasher.hexdigest()

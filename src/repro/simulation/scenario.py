@@ -128,7 +128,8 @@ class DomainGroundTruth:
         delays = self.delays()
         if delays.size == 0:
             return {quantile: 0.0 for quantile in quantiles}
-        return {quantile: float(np.quantile(delays, quantile)) for quantile in quantiles}
+        quantiles = list(quantiles)
+        return dict(zip(quantiles, np.quantile(delays, quantiles).tolist()))
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """The streaming receipts digest equals the canonical-JSON oracle.
 
-:func:`~repro.reporting.serialization.receipts_digest` writes the canonical
-JSON straight into its hash; :func:`~repro.reporting.serialization.canonical_receipts`
+:func:`~repro.reporting.serialization.receipts_digest` streams the canonical
+JSON into its hash piece by piece; :func:`~repro.reporting.serialization.canonical_receipts`
 plus ``json.dumps`` is its specification.  Every conformance scenario, both
-mesh cells and a set of hand-built hostile reports must hash identically on
-both paths.
+mesh cells, a set of hand-built hostile reports and generated reports must
+hash identically on both paths.
 """
 
 from __future__ import annotations
@@ -13,9 +13,13 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.hop import HOPReport
 from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt, SampleRecord
+from repro.net.hashing import MASK64
+from repro.net.prefixes import OriginPrefix, PrefixPair
 from repro.reporting.serialization import canonical_receipts, receipts_digest
 
 from tests.conformance.canon import run_batch_mesh_reports, run_batch_reports
@@ -141,3 +145,107 @@ def test_reports_without_receipts():
     empty = {12: HOPReport(hop_id=12), 4: HOPReport(hop_id=4)}
     assert receipts_digest(empty) == oracle_digest(empty)
     assert receipts_digest(empty) != receipts_digest({})
+
+
+# -- generated reports ----------------------------------------------------------------
+#
+# A report plan names its AggTrans windows by index into one shared pool, so
+# the same window tuple recurs within and across HOPs, and the pool always
+# holds the empty window and a proper prefix of another window.  Ids, packet
+# counts and HOP ids come from small ranges so an id equal to some
+# ``pkt_count`` is common; HOP 2 and HOP 10 sort differently as strings.
+
+GENERATED_PAIR = PrefixPair(
+    source=OriginPrefix.parse("10.1.0.0/16"), destination=OriginPrefix.parse("10.2.0.0/16")
+)
+
+small_ids = st.one_of(st.integers(min_value=0, max_value=12), st.just(LARGEST_ID))
+times = st.one_of(
+    st.sampled_from([0.0, -0.0, SUBNORMAL, 1.0]),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
+)
+windows = st.lists(small_ids, min_size=1, max_size=6).flatmap(
+    lambda window: st.integers(min_value=0, max_value=len(window) - 1).map(
+        # the empty window, a window, and a proper prefix of it
+        lambda cut: [(), tuple(window), tuple(window[:cut])]
+    )
+)
+sample_plans = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=MASK64)),
+        st.lists(st.tuples(small_ids, times), max_size=4),
+    ),
+    max_size=2,
+)
+aggregate_plans = st.lists(
+    st.tuples(
+        small_ids,
+        small_ids,
+        st.integers(min_value=0, max_value=12),
+        times,
+        times,
+        times,
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=8),
+    ),
+    max_size=3,
+)
+report_plans = st.tuples(
+    st.lists(windows, min_size=1, max_size=3).map(lambda pools: [w for p in pools for w in p]),
+    st.dictionaries(
+        st.sampled_from([2, 3, 10, 11, 100]),
+        st.tuples(sample_plans, aggregate_plans),
+        max_size=4,
+    ),
+)
+
+
+def build_reports(plan) -> dict[int, HOPReport]:
+    pool, hops = plan
+    reports = {}
+    for hop, (samples, aggregates) in hops.items():
+        path_id = _path_id(GENERATED_PAIR, hop)
+        reports[hop] = HOPReport(
+            hop_id=hop,
+            sample_receipts=tuple(
+                SampleReceipt(
+                    path_id=path_id,
+                    samples=tuple(SampleRecord(pkt_id=i, time=t) for i, t in records),
+                    sampling_threshold=threshold,
+                )
+                for threshold, records in samples
+            ),
+            aggregate_receipts=tuple(
+                AggregateReceipt(
+                    path_id=path_id,
+                    first_pkt_id=first,
+                    last_pkt_id=last,
+                    pkt_count=count,
+                    start_time=min(start, end),
+                    end_time=max(start, end),
+                    time_sum=time_sum,
+                    trans_before=pool[before % len(pool)],
+                    trans_after=pool[after % len(pool)],
+                )
+                for first, last, count, start, end, time_sum, before, after in aggregates
+            ),
+        )
+    return reports
+
+
+_AGGREGATE = (7, 3, 7, 0.0, 1.0, 0.5)
+
+
+@given(report_plans)
+@example(([()], {}))  # no HOPs
+@example(([(), (1, 2)], {10: ([], []), 2: ([(None, [])], [])}))  # no aggregates / samples
+@example(([(), (5,)], {3: ([], [(*_AGGREGATE, 0, 0)])}))  # empty AggTrans windows
+@example(  # one window tuple shared by two HOPs, and a prefix of it
+    ([(), (4, 5, 6), (4, 5)], {2: ([], [(*_AGGREGATE, 1, 2)]), 10: ([], [(*_AGGREGATE, 2, 1)])})
+)
+@example(  # an AggTrans id equal to the pkt_count
+    ([(), (7, 12)], {2: ([(9, [(7, 0.25)])], [(*_AGGREGATE, 1, 0)])})
+)
+def test_generated_reports_match_oracle(plan):
+    reports = build_reports(plan)
+    assert receipts_digest(reports) == oracle_digest(reports)

@@ -29,8 +29,6 @@ from repro.net.hashing import (
     combine64_batch,
     fnv1a_64,
     fnv1a_64_batch,
-    sample_function,
-    sample_function_batch,
     splitmix64,
     splitmix64_batch,
 )
@@ -80,14 +78,6 @@ class TestKernelParity:
             [combine64(a, b) for a, b in pairs], dtype=np.uint64
         )
         assert np.array_equal(combine64_batch(first, second), expected)
-
-    @given(st.lists(uint64, min_size=1, max_size=100), uint64)
-    def test_sample_function_batch_broadcasts_marker(self, buffered, marker):
-        array = np.asarray(buffered, dtype=np.uint64)
-        expected = np.asarray(
-            [sample_function(value, marker) for value in buffered], dtype=np.uint64
-        )
-        assert np.array_equal(sample_function_batch(array, marker), expected)
 
 
 def random_packets(seed: int, count: int, payload_bytes: int) -> list[Packet]:

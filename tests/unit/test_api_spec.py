@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+from collections import Counter
 
 import pytest
 
+import repro.api.spec as spec_module
 from repro.api import (
     ADVERSARIES,
     DELAY_MODELS,
@@ -179,6 +182,49 @@ class TestConditionSpec:
         second = spec.build(root_seed=9, domain="X").loss_model
         assert [first.drops(i) for i in range(64)] == [
             second.drops(i) for i in range(64)
+        ]
+
+
+class TestFactorySignatureCache:
+    def test_cell_rebuild_reads_each_signature_once(self, monkeypatch):
+        from perfbench.workloads import WORKLOADS, campaign_spec
+
+        cell = campaign_spec(WORKLOADS["fine_batch"], seed=7, rep=1).interval_cell(0)
+        spec_module._factory_signature.cache_clear()
+        calls: Counter = Counter()
+        read_signature = inspect.signature
+
+        def counting_signature(obj, *args, **kwargs):
+            calls[obj] += 1
+            return read_signature(obj, *args, **kwargs)
+
+        monkeypatch.setattr(inspect, "signature", counting_signature)
+        for _ in range(2):
+            spec = ExperimentSpec.from_dict(cell.to_dict())
+            spec.path.build(spec.seed)
+        assert calls
+        assert set(calls.values()) == {1}
+
+    def test_reregistered_name_reads_the_new_factory(self):
+        seeds = []
+
+        def seedless(delay: float = 1e-3):
+            return ConstantDelayModel(delay)
+
+        def seeded(delay: float = 1e-3, seed: int = 0):
+            seeds.append(seed)
+            return ConstantDelayModel(delay)
+
+        register_delay_model("signature-probe", seedless)
+        try:
+            ConditionSpec(delay="signature-probe").build(root_seed=5, domain="X")
+            register_delay_model("signature-probe", seeded, overwrite=True)
+            ConditionSpec(delay="signature-probe").build(root_seed=5, domain="X")
+        finally:
+            DELAY_MODELS.unregister("signature-probe")
+        assert seeds == [
+            derive_seed(0, "condition.__validate__.delay"),
+            derive_seed(5, "condition.X.delay"),
         ]
 
 
