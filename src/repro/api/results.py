@@ -5,13 +5,25 @@ receipt-based estimates, simulation ground truth, verification verdicts and
 resource overhead — as plain frozen values.  ``to_json`` is byte-stable
 (sorted keys, fixed separators) so results can be diffed across runs, and a
 parallel sweep is required to serialize *identically* to a serial one.
+
+Every result type takes ``to_dict`` / ``from_dict`` / ``to_json`` /
+``from_json`` from one codec (:mod:`repro.api.codec`), driven by the field
+types: nested results become dicts, tuples (``delay_quantiles``,
+``suspect_links``) become lists, and ``None`` stays ``null``.
+``TriangulationSummary.exposed_domains`` is a derived field: it is written
+from the implications and ignored when read back.  ``SweepCell.result``
+parses as a :class:`MeshResult` when its payload has a ``paths`` key
+(``MeshResult.union_tag``) and as a :class:`CellResult` otherwise.  A malformed payload raises a
+:class:`ValueError` naming the dotted path of the bad value, e.g.
+``targets[0].estimate: missing DomainEstimate keys ['domain']``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, ClassVar, Sequence
+
+from repro.api.codec import Record
 
 __all__ = [
     "QuantileEstimate",
@@ -29,12 +41,8 @@ __all__ = [
 ]
 
 
-def _stable_json(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 @dataclass(frozen=True)
-class QuantileEstimate:
+class QuantileEstimate(Record):
     """One estimated delay quantile (seconds) with confidence bounds."""
 
     quantile: float
@@ -42,21 +50,9 @@ class QuantileEstimate:
     lower: float
     upper: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "quantile": self.quantile,
-            "estimate": self.estimate,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "QuantileEstimate":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class DomainEstimate:
+class DomainEstimate(Record):
     """A domain's receipt-based performance, flattened to plain values."""
 
     domain: str
@@ -128,28 +124,9 @@ class DomainEstimate:
     def has_delay_estimates(self) -> bool:
         return bool(self.delay_quantiles)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "domain": self.domain,
-            "delay_quantiles": [entry.to_dict() for entry in self.delay_quantiles],
-            "delay_sample_count": self.delay_sample_count,
-            "offered_packets": self.offered_packets,
-            "lost_packets": self.lost_packets,
-            "loss_rate": self.loss_rate,
-            "mean_loss_granularity": self.mean_loss_granularity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DomainEstimate":
-        payload = dict(data)
-        payload["delay_quantiles"] = tuple(
-            QuantileEstimate.from_dict(entry) for entry in payload["delay_quantiles"]
-        )
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class TruthSummary:
+class TruthSummary(Record):
     """Simulation ground truth for one domain, at the evaluated quantiles."""
 
     domain: str
@@ -180,26 +157,9 @@ class TruthSummary:
                 return value
         raise KeyError(f"quantile {quantile} was not evaluated against truth")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "domain": self.domain,
-            "loss_rate": self.loss_rate,
-            "offered_packets": self.offered_packets,
-            "lost_packets": self.lost_packets,
-            "delay_quantiles": [list(entry) for entry in self.delay_quantiles],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TruthSummary":
-        payload = dict(data)
-        payload["delay_quantiles"] = tuple(
-            (entry[0], entry[1]) for entry in payload["delay_quantiles"]
-        )
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class VerificationSummary:
+class VerificationSummary(Record):
     """Whether a domain's receipts survived verification, and why not."""
 
     accepted: bool
@@ -217,22 +177,9 @@ class VerificationSummary:
             ),
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "accepted": self.accepted,
-            "inconsistency_count": self.inconsistency_count,
-            "kinds": list(self.kinds),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "VerificationSummary":
-        payload = dict(data)
-        payload["kinds"] = tuple(payload["kinds"])
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class OverheadSummary:
+class OverheadSummary(Record):
     """Resource accounting of the measurement interval (Section 7.1)."""
 
     observed_packets: int
@@ -258,21 +205,9 @@ class OverheadSummary:
             max_temp_buffer_packets=overhead.max_temp_buffer_packets,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "observed_packets": self.observed_packets,
-            "observed_bytes": self.observed_bytes,
-            "receipt_bytes": self.receipt_bytes,
-            "max_temp_buffer_packets": self.max_temp_buffer_packets,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OverheadSummary":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class TargetResult:
+class TargetResult(Record):
     """Everything one cell computed about one target domain."""
 
     estimate: DomainEstimate
@@ -304,42 +239,9 @@ class TargetResult:
         ]
         return max(errors)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "estimate": self.estimate.to_dict(),
-            "truth": self.truth.to_dict() if self.truth is not None else None,
-            "verification": (
-                self.verification.to_dict() if self.verification is not None else None
-            ),
-            "independent": (
-                self.independent.to_dict() if self.independent is not None else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TargetResult":
-        return cls(
-            estimate=DomainEstimate.from_dict(data["estimate"]),
-            truth=(
-                TruthSummary.from_dict(data["truth"])
-                if data.get("truth") is not None
-                else None
-            ),
-            verification=(
-                VerificationSummary.from_dict(data["verification"])
-                if data.get("verification") is not None
-                else None
-            ),
-            independent=(
-                DomainEstimate.from_dict(data["independent"])
-                if data.get("independent") is not None
-                else None
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class CellResult:
+class CellResult(Record):
     """The complete outcome of one experiment cell.
 
     ``spec`` is the cell's :meth:`ExperimentSpec.to_dict` for provenance —
@@ -358,40 +260,9 @@ class CellResult:
                 return entry
         raise KeyError(f"domain {domain!r} was not an estimation target")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "spec": self.spec,
-            "targets": [entry.to_dict() for entry in self.targets],
-            "consistency_findings": self.consistency_findings,
-            "overhead": self.overhead.to_dict() if self.overhead is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CellResult":
-        return cls(
-            spec=dict(data["spec"]),
-            targets=tuple(
-                TargetResult.from_dict(entry) for entry in data["targets"]
-            ),
-            consistency_findings=data["consistency_findings"],
-            overhead=(
-                OverheadSummary.from_dict(data["overhead"])
-                if data.get("overhead") is not None
-                else None
-            ),
-        )
-
-    def to_json(self) -> str:
-        """Byte-stable JSON (sorted keys, fixed separators)."""
-        return _stable_json(self.to_dict())
-
-    @classmethod
-    def from_json(cls, payload: str) -> "CellResult":
-        return cls.from_dict(json.loads(payload))
-
 
 @dataclass(frozen=True)
-class MeshPathResult:
+class MeshPathResult(Record):
     """Everything one mesh cell computed about one of its paths."""
 
     pair: str
@@ -407,30 +278,9 @@ class MeshPathResult:
                 return entry
         raise KeyError(f"domain {domain!r} is not a transit domain of path {self.pair}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pair": self.pair,
-            "observer": self.observer,
-            "targets": [entry.to_dict() for entry in self.targets],
-            "consistency_findings": self.consistency_findings,
-            "suspect_links": [list(link) for link in self.suspect_links],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MeshPathResult":
-        return cls(
-            pair=data["pair"],
-            observer=data["observer"],
-            targets=tuple(TargetResult.from_dict(entry) for entry in data["targets"]),
-            consistency_findings=data["consistency_findings"],
-            suspect_links=tuple(
-                (link[0], link[1]) for link in data["suspect_links"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class TriangulationSummary:
+class TriangulationSummary(Record):
     """The cross-path suspect triangulation of one mesh cell.
 
     ``implications`` record, per implicated domain, the distinct flagged
@@ -439,11 +289,12 @@ class TriangulationSummary:
     distinct partners across two or more paths) is *exposed* — single-path
     verification could only ever name it as half of a pair.
     ``exposed_domains`` is derived from the implications through that shared
-    rule, never stored, so the summary and the analysis layer can not
-    disagree.
+    rule: ``to_dict`` writes it and ``from_dict`` ignores it, so the summary
+    and the analysis layer can not disagree.
     """
 
     implications: tuple[dict[str, Any], ...] = ()
+    derived_fields: ClassVar[tuple[str, ...]] = ("exposed_domains",)
 
     @property
     def exposed_domains(self) -> tuple[str, ...]:
@@ -471,21 +322,9 @@ class TriangulationSummary:
             ),
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "implications": [dict(entry) for entry in self.implications],
-            "exposed_domains": list(self.exposed_domains),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TriangulationSummary":
-        return cls(
-            implications=tuple(dict(entry) for entry in data["implications"]),
-        )
-
 
 @dataclass(frozen=True)
-class MeshResult:
+class MeshResult(Record):
     """The complete outcome of one mesh experiment cell.
 
     ``spec`` is the cell's :meth:`MeshSpec.to_dict` for provenance.  Paths
@@ -498,6 +337,7 @@ class MeshResult:
     paths: tuple[MeshPathResult, ...] = ()
     triangulation: TriangulationSummary | None = None
     overhead: OverheadSummary | None = None
+    union_tag: ClassVar[str] = "paths"
 
     def path(self, pair: str) -> MeshPathResult:
         """The result for one path by its prefix-pair label."""
@@ -506,70 +346,17 @@ class MeshResult:
                 return entry
         raise KeyError(f"no mesh path with prefix pair {pair!r}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "spec": self.spec,
-            "paths": [entry.to_dict() for entry in self.paths],
-            "triangulation": (
-                self.triangulation.to_dict() if self.triangulation is not None else None
-            ),
-            "overhead": self.overhead.to_dict() if self.overhead is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MeshResult":
-        return cls(
-            spec=dict(data["spec"]),
-            paths=tuple(MeshPathResult.from_dict(entry) for entry in data["paths"]),
-            triangulation=(
-                TriangulationSummary.from_dict(data["triangulation"])
-                if data.get("triangulation") is not None
-                else None
-            ),
-            overhead=(
-                OverheadSummary.from_dict(data["overhead"])
-                if data.get("overhead") is not None
-                else None
-            ),
-        )
-
-    def to_json(self) -> str:
-        """Byte-stable JSON (sorted keys, fixed separators)."""
-        return _stable_json(self.to_dict())
-
-    @classmethod
-    def from_json(cls, payload: str) -> "MeshResult":
-        return cls.from_dict(json.loads(payload))
-
 
 @dataclass(frozen=True)
-class SweepCell:
+class SweepCell(Record):
     """One grid point of a sweep: the overrides applied and the result."""
 
     overrides: dict[str, Any] = field(default_factory=dict)
     result: CellResult | MeshResult | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "overrides": dict(self.overrides),
-            "result": self.result.to_dict() if self.result is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepCell":
-        payload = data.get("result")
-        result: CellResult | MeshResult | None = None
-        if payload is not None:
-            # Mesh cells carry per-path results; single-path cells carry targets.
-            if "paths" in payload:
-                result = MeshResult.from_dict(payload)
-            else:
-                result = CellResult.from_dict(payload)
-        return cls(overrides=dict(data["overrides"]), result=result)
-
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """All cells of one sweep, in grid (row-major) order."""
 
     cells: tuple[SweepCell, ...] = ()
@@ -583,18 +370,3 @@ class SweepResult:
     def results(self) -> tuple[CellResult, ...]:
         """The per-cell results, in grid order."""
         return tuple(cell.result for cell in self.cells)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"cells": [cell.to_dict() for cell in self.cells]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepResult":
-        return cls(cells=tuple(SweepCell.from_dict(cell) for cell in data["cells"]))
-
-    def to_json(self) -> str:
-        """Byte-stable JSON (sorted keys, fixed separators)."""
-        return _stable_json(self.to_dict())
-
-    @classmethod
-    def from_json(cls, payload: str) -> "SweepResult":
-        return cls.from_dict(json.loads(payload))

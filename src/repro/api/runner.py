@@ -24,6 +24,7 @@ from functools import lru_cache, partial
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from repro.analysis.localization import identify_suspects, triangulate_suspects
+from repro.api.codec import decode
 from repro.api.registry import ADVERSARIES
 from repro.api.results import (
     CellResult,
@@ -151,7 +152,7 @@ def _build_agent_adversaries(
     return agents
 
 
-def _build_cell(payload: dict[str, Any]) -> StreamingCell:
+def _build_cell(spec: ExperimentSpec) -> StreamingCell:
     """Build the one-path (scenarios, traces, session) cell every engine drives.
 
     The single construction path for all three engines — any spec field that
@@ -159,7 +160,6 @@ def _build_cell(payload: dict[str, Any]) -> StreamingCell:
     what keeps the engines' byte-identical contract honest.  A cell is a
     pure function of the spec's seeds, so every rebuild is identical.
     """
-    spec = ExperimentSpec.from_dict(payload)
     scenario = spec.path.build(spec.seed)
     _apply_condition_adversaries(spec, scenario)
     trace = SyntheticTrace(
@@ -259,7 +259,7 @@ def run_cell_full(
     checkpointing (streaming only).
     """
     policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size).bind(spec)
-    cell = _build_cell(spec.to_dict())
+    cell = _build_cell(spec)
 
     if policy.engine == "scalar":
         if checkpoint_sink is not None or resume_from is not None:
@@ -307,13 +307,12 @@ def run_cell(
 # -- mesh cells ----------------------------------------------------------------------
 
 
-def _build_mesh_cell(payload: dict[str, Any]) -> StreamingCell:
+def _build_mesh_cell(spec: MeshSpec) -> StreamingCell:
     """Build the (per-path scenarios, per-path traces, mesh session) cell.
 
     The single construction path for the batch and streaming mesh engines (a
     mesh cell is a pure function of the spec's seeds).
     """
-    spec = MeshSpec.from_dict(payload)
     topology, paths = spec.topology.build(spec.seed)
     scenario = MeshScenario(topology, paths, seed=spec.seed)
 
@@ -483,9 +482,7 @@ def run_mesh_cell_full(
 ) -> MeshRun:
     """Execute one mesh cell and return the result *and* its session/receipts."""
     policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size).bind(spec)
-    runner = StreamingRunner(
-        _build_mesh_cell(spec.to_dict()), chunk_size=_chunk_size(policy)
-    )
+    runner = StreamingRunner(_build_mesh_cell(spec), chunk_size=_chunk_size(policy))
     streamed = runner.run()
     result = _summarize_mesh(spec, streamed.session, streamed)
     return MeshRun(result=result, session=streamed.session, reports=streamed.reports)
@@ -514,16 +511,17 @@ def _run_cell_payload(
     Specs (and the optional execution policy) cross the process boundary as
     dicts (their canonical wire form), so a worker reconstructs and
     re-validates them against its own registries.  Mesh payloads are
-    recognized by their ``topology`` key.
+    recognized by the codec's union rule (their ``topology`` key).
     """
     policy = (
         ExecutionPolicy.from_dict(policy_payload)
         if policy_payload is not None
         else None
     )
-    if "topology" in payload:
-        return run_mesh_cell(MeshSpec.from_dict(payload), policy=policy)
-    return run_cell(ExperimentSpec.from_dict(payload), policy=policy)
+    spec = decode(ExperimentSpec | MeshSpec, payload)
+    if isinstance(spec, MeshSpec):
+        return run_mesh_cell(spec, policy=policy)
+    return run_cell(spec, policy=policy)
 
 
 class Experiment:

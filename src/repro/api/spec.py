@@ -18,6 +18,24 @@ from the root seed and a structural label via :func:`derive_seed`, so
 * any component can still pin an explicit ``seed`` in its params, which takes
   precedence (this is how the benchmark cells reproduce the historical seed
   layout exactly).
+
+Serialization
+-------------
+Every spec here and :class:`ExecutionPolicy` take their ``to_dict`` /
+``from_dict`` / ``to_json`` / ``from_json`` / ``with_overrides`` from one
+codec (:mod:`repro.api.codec`), driven by the field types; a class adds only
+its domain checks in ``__post_init__``.  The estimation-tier fields
+(``EstimationSpec.mode`` / ``sketch_size``, ``MeshSpec.estimation_mode`` /
+``sketch_size``) are declared with :func:`~repro.api.codec.sketch_tier` and
+serialize only outside exact mode, which keeps every exact-mode spec hash as
+it was.  ``CampaignSpec.cell`` parses as a :class:`MeshSpec` when its payload
+has a ``topology`` key (``MeshSpec.union_tag``) and as an
+:class:`ExperimentSpec` otherwise.  A malformed payload raises a
+:class:`ValueError` naming the dotted path of the bad value, e.g.
+``cell.traffic: unknown TrafficSpec keys ['pakcet_count']`` or
+``cell.seed: expected an int, got str``.  The same field-type check runs when
+a spec is built or overridden in Python, so a spec that builds always reads
+back from its JSON.
 """
 
 from __future__ import annotations
@@ -27,8 +45,9 @@ import functools
 import hashlib
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Mapping, Sequence
 
+from repro.api.codec import Spec, sketch_tier, to_json_data
 from repro.api.registry import (
     ADVERSARIES,
     DELAY_MODELS,
@@ -88,21 +107,7 @@ def derive_seed(root: int, label: str) -> int:
     return int.from_bytes(digest, "big") % _SEED_SPACE
 
 
-# -- dict plumbing -------------------------------------------------------------------
-
-
-def _normalize_value(value: Any, where: str) -> Any:
-    """Normalize a params value to plain JSON-compatible Python data."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, float, str)):
-        return value
-    if isinstance(value, Mapping):
-        return {str(key): _normalize_value(item, where) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_normalize_value(item, where) for item in value]
-    raise ValueError(
-        f"{where} must contain only JSON-serializable scalars, lists and dicts; "
-        f"got {type(value).__name__}"
-    )
+# -- params plumbing -----------------------------------------------------------------
 
 
 def _normalize_params(spec: object, field_name: str) -> None:
@@ -111,16 +116,7 @@ def _normalize_params(spec: object, field_name: str) -> None:
     where = f"{type(spec).__name__}.{field_name}"
     if not isinstance(raw, Mapping):
         raise ValueError(f"{where} must be a mapping, got {type(raw).__name__}")
-    object.__setattr__(spec, field_name, _normalize_value(raw, where))
-
-
-def _check_keys(cls: type, data: Mapping[str, Any]) -> None:
-    allowed = {spec_field.name for spec_field in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(
-            f"unknown {cls.__name__} keys {unknown}; allowed: {sorted(allowed)}"
-        )
+    object.__setattr__(spec, field_name, to_json_data(raw, where))
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,7 +184,7 @@ def _build_component(
 
 
 @dataclass(frozen=True)
-class TrafficSpec:
+class TrafficSpec(Spec):
     """What traffic to synthesize.
 
     Either name a registered workload (:data:`repro.traffic.workload.WORKLOADS`)
@@ -256,27 +252,12 @@ class TrafficSpec:
             seed=self.effective_seed(root_seed),
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "packet_count": self.packet_count,
-            "packets_per_second": self.packets_per_second,
-            "arrival_process": self.arrival_process,
-            "payload_bytes": self.payload_bytes,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TrafficSpec":
-        _check_keys(cls, data)
-        return cls(**data)
-
 
 # -- path conditions -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ConditionSpec:
+class ConditionSpec(Spec):
     """One domain's internal forwarding behaviour, by registry key."""
 
     delay: str = "constant"
@@ -312,26 +293,9 @@ class ConditionSpec:
             ),
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "delay": self.delay,
-            "delay_params": _normalize_value(self.delay_params, "delay_params"),
-            "loss": self.loss,
-            "loss_params": _normalize_value(self.loss_params, "loss_params"),
-            "reordering": self.reordering,
-            "reordering_params": _normalize_value(
-                self.reordering_params, "reordering_params"
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ConditionSpec":
-        _check_keys(cls, data)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class PathSpec:
+class PathSpec(Spec):
     """Which scenario to drive and the per-domain conditions to install."""
 
     scenario: str = "figure1"
@@ -369,30 +333,9 @@ class PathSpec:
             )
         return scenario
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "scenario_params": _normalize_value(self.scenario_params, "scenario_params"),
-            "conditions": {
-                domain: condition.to_dict()
-                for domain, condition in sorted(self.conditions.items())
-            },
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PathSpec":
-        _check_keys(cls, data)
-        payload = dict(data)
-        payload["conditions"] = {
-            domain: ConditionSpec.from_dict(condition)
-            for domain, condition in dict(payload.get("conditions") or {}).items()
-        }
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(Spec):
     """Which topology to build, by registry key (:data:`~repro.api.registry.TOPOLOGIES`).
 
     A topology factory returns ``(Topology, tuple[HOPPath, ...])`` — the
@@ -429,24 +372,12 @@ class TopologySpec:
             raise ValueError(f"topology {self.kind!r} produced no paths")
         return topology, paths
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "params": _normalize_value(self.params, "params"),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        _check_keys(cls, data)
-        return cls(**data)
-
 
 # -- protocol configuration ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class HOPSpec:
+class HOPSpec(Spec):
     """One domain's locally tunable VPM knobs (a declarative ``HOPConfig``)."""
 
     sampling_rate: float = 0.01
@@ -471,22 +402,9 @@ class HOPSpec:
             ),
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sampling_rate": self.sampling_rate,
-            "aggregate_size": self.aggregate_size,
-            "marker_rate": self.marker_rate,
-            "reorder_window": self.reorder_window,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HOPSpec":
-        _check_keys(cls, data)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(Spec):
     """Who deploys VPM, and with which knobs.
 
     ``default`` applies to every domain not listed in ``domains``; a domain
@@ -540,34 +458,12 @@ class ProtocolSpec:
             configs[name] = hop_spec.build() if hop_spec is not None else None
         return configs
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "default": self.default.to_dict() if self.default is not None else None,
-            "domains": {
-                domain: hop_spec.to_dict() if hop_spec is not None else None
-                for domain, hop_spec in sorted(self.domains.items())
-            },
-            "max_diff": self.max_diff,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ProtocolSpec":
-        _check_keys(cls, data)
-        payload = dict(data)
-        if payload.get("default") is not None:
-            payload["default"] = HOPSpec.from_dict(payload["default"])
-        payload["domains"] = {
-            domain: HOPSpec.from_dict(hop_spec) if hop_spec is not None else None
-            for domain, hop_spec in dict(payload.get("domains") or {}).items()
-        }
-        return cls(**payload)
-
 
 # -- adversaries ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AdversarySpec:
+class AdversarySpec(Spec):
     """One adversarial behaviour, by registry key, installed at one domain."""
 
     kind: str
@@ -584,18 +480,6 @@ class AdversarySpec:
     def role(self) -> str:
         """``"agent"`` (receipt fabrication) or ``"condition"`` (forwarding)."""
         return getattr(ADVERSARIES.get(self.kind), "adversary_role", "agent")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "domain": self.domain,
-            "params": _normalize_value(self.params, "params"),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AdversarySpec":
-        _check_keys(cls, data)
-        return cls(**data)
 
 
 # -- estimation ----------------------------------------------------------------------
@@ -618,7 +502,7 @@ def _check_estimation_mode(mode: str, sketch_size: int, where: str) -> None:
 
 
 @dataclass(frozen=True)
-class EstimationSpec:
+class EstimationSpec(Spec):
     """Who estimates whom, and what to compute per target.
 
     ``mode`` selects the campaign estimation tier: ``"exact"`` (the default)
@@ -637,8 +521,8 @@ class EstimationSpec:
     quantiles: tuple[float, ...] = DEFAULT_QUANTILES
     verify: bool = True
     independent: bool = True
-    mode: str = "exact"
-    sketch_size: int = DEFAULT_SKETCH_SIZE
+    mode: str = sketch_tier("exact", mode="mode")
+    sketch_size: int = sketch_tier(DEFAULT_SKETCH_SIZE, mode="mode")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -651,35 +535,12 @@ class EstimationSpec:
             check_probability("quantile", quantile)
         _check_estimation_mode(self.mode, self.sketch_size, "EstimationSpec")
 
-    def to_dict(self) -> dict[str, Any]:
-        payload = {
-            "observer": self.observer,
-            "targets": list(self.targets),
-            "quantiles": list(self.quantiles),
-            "verify": self.verify,
-            "independent": self.independent,
-        }
-        if self.mode != "exact":
-            payload["mode"] = self.mode
-            payload["sketch_size"] = self.sketch_size
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EstimationSpec":
-        _check_keys(cls, data)
-        payload = dict(data)
-        if "targets" in payload:
-            payload["targets"] = tuple(payload["targets"])
-        if "quantiles" in payload:
-            payload["quantiles"] = tuple(payload["quantiles"])
-        return cls(**payload)
-
 
 # -- the composed experiment ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Spec):
     """One evaluation cell: traffic × path × protocol × adversaries × question.
 
     ``engine`` selects the execution path: ``"batch"`` (the default) drives the
@@ -722,88 +583,12 @@ class ExperimentSpec:
 
         return Experiment(self).run()
 
-    def with_overrides(self, overrides: Mapping[str, Any]) -> "ExperimentSpec":
-        """A copy of this spec with dotted-path overrides applied.
-
-        Keys are dotted paths through nested specs and dicts, e.g.
-        ``"protocol.default.sampling_rate"`` or
-        ``"path.conditions.X.loss_params.target_rate"``.  Replacement re-runs
-        every touched spec's validation.
-        """
-        return _apply_overrides(self, overrides)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "engine": self.engine,
-            "traffic": self.traffic.to_dict(),
-            "path": self.path.to_dict(),
-            "protocol": self.protocol.to_dict(),
-            "adversaries": [adversary.to_dict() for adversary in self.adversaries],
-            "estimation": self.estimation.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        _check_keys(cls, data)
-        payload = dict(data)
-        if "traffic" in payload:
-            payload["traffic"] = TrafficSpec.from_dict(payload["traffic"])
-        if "path" in payload:
-            payload["path"] = PathSpec.from_dict(payload["path"])
-        if "protocol" in payload:
-            payload["protocol"] = ProtocolSpec.from_dict(payload["protocol"])
-        if "adversaries" in payload:
-            payload["adversaries"] = tuple(
-                AdversarySpec.from_dict(adversary)
-                for adversary in payload["adversaries"]
-            )
-        if "estimation" in payload:
-            payload["estimation"] = EstimationSpec.from_dict(payload["estimation"])
-        return cls(**payload)
-
-
-def _apply_overrides(spec, overrides: Mapping[str, Any]):
-    """Apply dotted-path overrides to any frozen spec (shared by the specs)."""
-    for dotted, value in overrides.items():
-        parts = dotted.split(".")
-        if not all(parts):
-            raise ValueError(f"invalid override path {dotted!r}")
-        spec = _replace_path(spec, parts, value, dotted)
-    return spec
-
-
-def _replace_path(obj: Any, parts: list[str], value: Any, dotted: str) -> Any:
-    head, rest = parts[0], parts[1:]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        field_names = {spec_field.name for spec_field in dataclasses.fields(obj)}
-        if head not in field_names:
-            raise ValueError(
-                f"override {dotted!r}: {type(obj).__name__} has no field {head!r} "
-                f"(fields: {sorted(field_names)})"
-            )
-        child = value if not rest else _replace_path(getattr(obj, head), rest, value, dotted)
-        return dataclasses.replace(obj, **{head: child})
-    if isinstance(obj, Mapping):
-        if rest and head not in obj:
-            raise ValueError(
-                f"override {dotted!r}: key {head!r} not present "
-                f"(keys: {sorted(obj)})"
-            )
-        replaced = dict(obj)
-        replaced[head] = value if not rest else _replace_path(obj[head], rest, value, dotted)
-        return replaced
-    raise ValueError(
-        f"override {dotted!r}: cannot descend into {type(obj).__name__} at {head!r}"
-    )
-
 
 # -- mesh experiments ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class MeshSpec:
+class MeshSpec(Spec):
     """One mesh evaluation cell: N paths over one topology, run together.
 
     The mesh sibling of :class:`ExperimentSpec`.  ``traffic`` is the
@@ -831,8 +616,9 @@ class MeshSpec:
     protocol: ProtocolSpec = field(default_factory=ProtocolSpec)
     adversaries: tuple[AdversarySpec, ...] = ()
     quantiles: tuple[float, ...] = DEFAULT_QUANTILES
-    estimation_mode: str = "exact"
-    sketch_size: int = DEFAULT_SKETCH_SIZE
+    estimation_mode: str = sketch_tier("exact", mode="estimation_mode")
+    sketch_size: int = sketch_tier(DEFAULT_SKETCH_SIZE, mode="estimation_mode")
+    union_tag: ClassVar[str] = "topology"
 
     def __post_init__(self) -> None:
         if self.engine not in ("batch", "streaming"):
@@ -872,72 +658,17 @@ class MeshSpec:
 
         return Experiment(self).run()
 
-    def with_overrides(self, overrides: Mapping[str, Any]) -> "MeshSpec":
-        """A copy of this spec with dotted-path overrides applied.
-
-        Same path language as :meth:`ExperimentSpec.with_overrides`, e.g.
-        ``"topology.params.path_count"`` or
-        ``"conditions.T1.loss_params.loss_rate"``.
-        """
-        return _apply_overrides(self, overrides)
-
     def traffic_seed(self, path_index: int) -> int:
         """The trace seed of one path (derived per index, pinnable as a base)."""
         base = self.traffic.seed if self.traffic.seed is not None else self.seed
         return derive_seed(base, f"mesh.traffic.{path_index}")
-
-    def to_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "name": self.name,
-            "seed": self.seed,
-            "engine": self.engine,
-            "topology": self.topology.to_dict(),
-            "traffic": self.traffic.to_dict(),
-            "conditions": {
-                domain: condition.to_dict()
-                for domain, condition in sorted(self.conditions.items())
-            },
-            "protocol": self.protocol.to_dict(),
-            "adversaries": [adversary.to_dict() for adversary in self.adversaries],
-            "quantiles": list(self.quantiles),
-        }
-        # The estimation-tier knobs serialize only in sketch mode, keeping
-        # every exact-mode artifact (goldens, spec hashes) byte-identical.
-        if self.estimation_mode != "exact":
-            payload["estimation_mode"] = self.estimation_mode
-            payload["sketch_size"] = self.sketch_size
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MeshSpec":
-        _check_keys(cls, data)
-        payload = dict(data)
-        if "topology" in payload:
-            payload["topology"] = TopologySpec.from_dict(payload["topology"])
-        if "traffic" in payload:
-            payload["traffic"] = TrafficSpec.from_dict(payload["traffic"])
-        if "conditions" in payload:
-            payload["conditions"] = {
-                domain: ConditionSpec.from_dict(condition)
-                for domain, condition in dict(payload.get("conditions") or {}).items()
-            }
-        if "protocol" in payload:
-            payload["protocol"] = ProtocolSpec.from_dict(payload["protocol"])
-        if "adversaries" in payload:
-            payload["adversaries"] = tuple(
-                AdversarySpec.from_dict(adversary)
-                for adversary in payload["adversaries"]
-            )
-        if "quantiles" in payload:
-            payload["quantiles"] = tuple(payload["quantiles"])
-        return cls(**payload)
 
 
 # -- long-horizon campaigns ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SLATargetSpec:
+class SLATargetSpec(Spec):
     """A declarative SLA contract a campaign is held to (see :mod:`repro.analysis.sla`).
 
     ``delay_bound`` (seconds) applies at ``delay_quantile`` of the pooled
@@ -965,22 +696,9 @@ class SLATargetSpec:
             name=self.name,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "delay_bound": self.delay_bound,
-            "delay_quantile": self.delay_quantile,
-            "loss_bound": self.loss_bound,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SLATargetSpec":
-        _check_keys(cls, data)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(Spec):
     """A long-horizon measurement campaign: N intervals of one cell spec.
 
     SLAs are contracted over long horizons while receipts arrive per
@@ -1007,7 +725,7 @@ class CampaignSpec:
 
     name: str = "campaign"
     intervals: int = 6
-    cell: "ExperimentSpec | MeshSpec" = field(default_factory=lambda: ExperimentSpec())
+    cell: ExperimentSpec | MeshSpec = field(default_factory=ExperimentSpec)
     sla: SLATargetSpec | None = None
 
     def __post_init__(self) -> None:
@@ -1088,52 +806,6 @@ class CampaignSpec:
             self.to_json().encode("utf-8"), digest_size=16
         ).hexdigest()
 
-    # -- convenience -------------------------------------------------------------------
-
-    def with_overrides(self, overrides: Mapping[str, Any]) -> "CampaignSpec":
-        """A copy with dotted-path overrides applied (``"cell.traffic.packet_count"``)."""
-        return _apply_overrides(self, overrides)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "intervals": self.intervals,
-            "cell": self.cell.to_dict(),
-            "sla": self.sla.to_dict() if self.sla is not None else None,
-        }
-
-    def to_json(self) -> str:
-        """Byte-stable JSON (sorted keys, fixed separators)."""
-        import json
-
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        _check_keys(cls, data)
-        payload = dict(data)
-        if "cell" in payload and not isinstance(
-            payload["cell"], (ExperimentSpec, MeshSpec)
-        ):
-            cell_data = payload["cell"]
-            # Mesh cells are recognized by their topology key, exactly as the
-            # sweep worker entry point recognizes mesh payloads.
-            if "topology" in cell_data:
-                payload["cell"] = MeshSpec.from_dict(cell_data)
-            else:
-                payload["cell"] = ExperimentSpec.from_dict(cell_data)
-        if payload.get("sla") is not None and not isinstance(
-            payload["sla"], SLATargetSpec
-        ):
-            payload["sla"] = SLATargetSpec.from_dict(payload["sla"])
-        return cls(**payload)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "CampaignSpec":
-        import json
-
-        return cls.from_dict(json.loads(payload))
-
 
 # -- execution policy ----------------------------------------------------------------
 
@@ -1141,7 +813,7 @@ _POLICY_ENGINES = ("batch", "scalar", "streaming")
 
 
 @dataclass(frozen=True)
-class ExecutionPolicy:
+class ExecutionPolicy(Spec):
     """*How* to execute a cell, as a frozen, JSON-round-trippable value.
 
     Specs above describe *what* to measure; an execution policy describes
@@ -1194,15 +866,12 @@ class ExecutionPolicy:
         """Reject streaming-only knobs when ``engine`` is not streaming."""
         if engine == "streaming":
             return
-        if self.chunk_size is not None:
-            raise ValueError(
-                f"engine {engine!r} does not support chunk_size; use engine='streaming'"
-            )
-        if self.checkpoint_every is not None:
-            raise ValueError(
-                f"engine {engine!r} does not support checkpoint_every; "
-                f"use engine='streaming'"
-            )
+        for knob in ("chunk_size", "checkpoint_every"):
+            if getattr(self, knob) is not None:
+                raise ValueError(
+                    f"engine {engine!r} does not support {knob}: it applies to the "
+                    f"streaming engine only; use engine='streaming'"
+                )
 
     # -- normalization -----------------------------------------------------------------
 
@@ -1265,34 +934,3 @@ class ExecutionPolicy:
                 )
         self._check_streaming_knobs(engine)
         return dataclasses.replace(self, engine=engine)
-
-    # -- convenience -------------------------------------------------------------------
-
-    def with_overrides(self, overrides: Mapping[str, Any]) -> "ExecutionPolicy":
-        """A copy with field overrides applied (``{"chunk_size": 4096}``)."""
-        return _apply_overrides(self, overrides)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "engine": self.engine,
-            "chunk_size": self.chunk_size,
-            "throttle": self.throttle,
-            "checkpoint_every": self.checkpoint_every,
-        }
-
-    def to_json(self) -> str:
-        """Byte-stable JSON (sorted keys, fixed separators)."""
-        import json
-
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionPolicy":
-        _check_keys(cls, data)
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "ExecutionPolicy":
-        import json
-
-        return cls.from_dict(json.loads(payload))

@@ -44,7 +44,7 @@ import time
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from repro.api.spec import CampaignSpec, ExecutionPolicy, MeshSpec
+from repro.api.spec import CampaignSpec, ExecutionPolicy
 from repro.engine.campaign import (
     CampaignAccumulator,
     CampaignEvent,
@@ -93,20 +93,6 @@ def _build_policy(spec: CampaignSpec, args: argparse.Namespace) -> ExecutionPoli
             )
         except ValueError as exc:
             _fail(str(exc))
-    if isinstance(spec.cell, MeshSpec) and policy.engine == "scalar":
-        _fail(
-            f"campaign {spec.name!r} runs a mesh cell, which has no scalar "
-            f"engine; use --engine batch or --engine streaming"
-        )
-    effective = policy.engine or spec.cell.engine
-    if effective != "streaming" and (
-        policy.chunk_size is not None or policy.checkpoint_every is not None
-    ):
-        _fail(
-            f"--chunk-size/--checkpoint-every apply to the streaming "
-            f"engine only (this run executes on {effective!r}; add --engine "
-            f"streaming)"
-        )
     try:
         return policy.bind(spec.cell)
     except ValueError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 from repro.util.rng import RNGStateMixin, make_rng
 from repro.util.validation import check_non_negative
 
-__all__ = ["Clock", "PerfectClock", "ClockModel", "ntp_synchronized_clock"]
+__all__ = ["Clock", "PerfectClock", "ClockModel"]
 
 
 class Clock(RNGStateMixin):
@@ -107,20 +107,3 @@ class ClockModel(Clock):
             f"jitter_std={self.jitter_std!r})"
         )
 
-
-def ntp_synchronized_clock(
-    rng: np.random.Generator | int | None = None,
-    max_offset: float = 1e-3,
-    jitter_std: float = 5e-6,
-) -> ClockModel:
-    """Return a clock representative of an NTP-synchronized border router.
-
-    The paper notes that millisecond-level synchronization is "achievable with
-    NTP"; we draw a uniform offset within ``±max_offset`` and add a few
-    microseconds of timestamping jitter.
-    """
-    generator = make_rng(rng)
-    check_non_negative("max_offset", max_offset)
-    offset = float(generator.uniform(-max_offset, max_offset))
-    drift = float(generator.uniform(-20.0, 20.0))
-    return ClockModel(offset=offset, drift_ppm=drift, jitter_std=jitter_std, seed=generator)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.util.rng import make_rng
 
-__all__ = ["OriginPrefix", "PrefixPair", "random_prefix", "random_prefix_pair", "ip_to_int", "int_to_ip"]
+__all__ = ["OriginPrefix", "PrefixPair", "random_prefix", "ip_to_int", "int_to_ip"]
 
 
 def ip_to_int(address: str) -> int:
@@ -125,14 +125,3 @@ def random_prefix(
     network = network_bits << (32 - length)
     return OriginPrefix(network=network, length=length)
 
-
-def random_prefix_pair(
-    rng: np.random.Generator | int | None = None, length: int = 16
-) -> PrefixPair:
-    """Draw a random (source, destination) prefix pair with distinct prefixes."""
-    generator = make_rng(rng)
-    source = random_prefix(generator, length)
-    destination = random_prefix(generator, length)
-    while destination == source:
-        destination = random_prefix(generator, length)
-    return PrefixPair(source=source, destination=destination)

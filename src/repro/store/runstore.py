@@ -36,6 +36,7 @@ import os
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from repro.api.codec import stable_json
 from repro.api.spec import CampaignSpec
 
 __all__ = [
@@ -59,11 +60,6 @@ class RunStoreError(RuntimeError):
 
 class SpecMismatchError(RunStoreError):
     """The store's recorded spec hash does not match the spec in hand."""
-
-
-def stable_json(data: Any) -> str:
-    """Byte-stable JSON: sorted keys, fixed separators, no whitespace drift."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def _atomic_write(path: Path, payload: bytes) -> None:

@@ -32,30 +32,30 @@ __all__ = [
 
 def run_scalar_reports(spec):
     """The scalar (per-packet object) engine's receipts for a spec."""
-    cell = _build_cell(spec.to_dict())
+    cell = _build_cell(spec)
     observation = cell.scenarios[0].run(cell.traces[0].packets())
     return cell.session.run(observation)
 
 
 def run_batch_reports(spec):
     """The batch engine's receipts for a spec: one whole-trace pass."""
-    return StreamingRunner(_build_cell(spec.to_dict()), chunk_size=None).run().reports
+    return StreamingRunner(_build_cell(spec), chunk_size=None).run().reports
 
 
 def run_streaming_reports(spec, chunk_size: int = DEFAULT_CHUNK_SIZE):
     """The streaming engine's receipts for a spec."""
-    runner = StreamingRunner(_build_cell(spec.to_dict()), chunk_size=chunk_size)
+    runner = StreamingRunner(_build_cell(spec), chunk_size=chunk_size)
     return runner.run().reports
 
 
 def run_batch_mesh_reports(spec):
     """The batch mesh engine's receipts for a MeshSpec: one pass per path."""
-    return StreamingRunner(_build_mesh_cell(spec.to_dict()), chunk_size=None).run().reports
+    return StreamingRunner(_build_mesh_cell(spec), chunk_size=None).run().reports
 
 
 def run_mesh_streaming_reports(spec, chunk_size: int = DEFAULT_CHUNK_SIZE):
     """The streaming mesh engine's receipts for a MeshSpec."""
-    runner = StreamingRunner(_build_mesh_cell(spec.to_dict()), chunk_size=chunk_size)
+    runner = StreamingRunner(_build_mesh_cell(spec), chunk_size=chunk_size)
     return runner.run().reports
 
 

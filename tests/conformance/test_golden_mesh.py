@@ -121,7 +121,7 @@ class TestMeshConformance:
             pytest.skip("regenerating goldens")
         spec = MESH_CONFORMANCE_SCENARIOS[name]
         streamed = StreamingRunner(
-            _build_mesh_cell(spec.to_dict()), chunk_size=ONE_ROUND_CHUNK_SIZE
+            _build_mesh_cell(spec), chunk_size=ONE_ROUND_CHUNK_SIZE
         ).run()
         assert streamed.chunks == 1
         assert canonical_receipts(streamed.reports) == canonical_receipts(

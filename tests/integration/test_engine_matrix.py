@@ -115,11 +115,11 @@ def _assert_three_way(spec: ExperimentSpec, streaming_ok: bool = True) -> None:
 
 def _assert_one_pass_only(spec: ExperimentSpec) -> None:
     """A non-streamable scenario runs as one pass; only ``push`` refuses it."""
-    cell = _build_cell(spec.to_dict())
+    cell = _build_cell(spec)
     stream = ScenarioStream(cell.scenarios[0])
 
-    scalar = _build_cell(spec.to_dict())
-    one_pass = _build_cell(spec.to_dict())
+    scalar = _build_cell(spec)
+    one_pass = _build_cell(spec)
     assert_same_propagation(
         scalar.scenarios[0].run(scalar.traces[0].packets()),
         one_pass.scenarios[0].run_batch(one_pass.traces[0].packet_batch()),
@@ -314,7 +314,7 @@ def test_acceptance_scale_mesh_byte_identical():
         traffic=TrafficSpec(workload="smoke-sequence", packet_count=1000),
         conditions={domain: _MESH_CONDITION for domain in transit},
     )
-    cell = _build_mesh_cell(spec.to_dict())
+    cell = _build_mesh_cell(spec)
     shared = {
         hop_id
         for hop_id in {

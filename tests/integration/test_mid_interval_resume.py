@@ -104,7 +104,7 @@ def materialized(monkeypatch) -> list[tuple[int, int]]:
 def _checkpointed_run(spec: ExperimentSpec) -> tuple[object, list[bytes]]:
     blobs: list[bytes] = []
     result = StreamingRunner(
-        _build_cell(spec.to_dict()),
+        _build_cell(spec),
         chunk_size=CHUNK,
         checkpoint_every=1,
         checkpoint_sink=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
@@ -123,7 +123,7 @@ class TestResumeZeroReplay:
         checkpoint = pickle.loads(blobs[0])
         assert checkpoint.stream.chunk_index == 1
         resumed = StreamingRunner(
-            _build_cell(spec.to_dict()), chunk_size=CHUNK, resume_from=checkpoint
+            _build_cell(spec), chunk_size=CHUNK, resume_from=checkpoint
         ).run()
         assert materialized == [(256, 512), (512, 768), (768, 900)]
         assert receipts_digest(resumed.reports) == receipts_digest(reference.reports)
@@ -138,7 +138,7 @@ class TestResumeZeroReplay:
             checkpoint = pickle.loads(blob)
             assert checkpoint.stream.chunk_index == index + 1
             resumed = StreamingRunner(
-                _build_cell(spec.to_dict()), chunk_size=CHUNK, resume_from=checkpoint
+                _build_cell(spec), chunk_size=CHUNK, resume_from=checkpoint
             ).run()
             assert receipts_digest(resumed.reports) == receipts_digest(
                 reference.reports
@@ -151,7 +151,7 @@ class TestResumeZeroReplay:
         _, blobs = _checkpointed_run(spec)
         with pytest.raises(ValueError, match="chunk_size=256"):
             StreamingRunner(
-                _build_cell(spec.to_dict()),
+                _build_cell(spec),
                 chunk_size=CHUNK * 2,
                 resume_from=pickle.loads(blobs[0]),
             )
@@ -165,17 +165,17 @@ class TestResumeZeroReplay:
         ):
             with pytest.raises(ValueError, match=f"{name} needs a chunked run"):
                 StreamingRunner(
-                    _build_cell(spec.to_dict()), chunk_size=None, **{name: value}
+                    _build_cell(spec), chunk_size=None, **{name: value}
                 )
             with pytest.raises(ValueError, match=f"{name} applies to single-path"):
                 StreamingRunner(
-                    _build_mesh_cell(_mesh_spec().to_dict()),
+                    _build_mesh_cell(_mesh_spec()),
                     chunk_size=CHUNK,
                     **{name: value},
                 )
 
     def test_mesh_rounds_materialize_each_path_chunk_once(self, materialized):
-        cell = _build_mesh_cell(_mesh_spec().to_dict())
+        cell = _build_mesh_cell(_mesh_spec())
         result = StreamingRunner(cell, chunk_size=CHUNK).run()
         assert len(cell.traces) == 2
         assert result.chunks == 4

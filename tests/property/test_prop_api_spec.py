@@ -1,6 +1,7 @@
 """Property tests: spec ⇄ dict ⇄ JSON round trips are the identity.
 
-An :class:`ExperimentSpec` assembled from arbitrary registered components and
+An :class:`ExperimentSpec`, :class:`MeshSpec`, :class:`CampaignSpec` or
+:class:`ExecutionPolicy` assembled from arbitrary registered components and
 random (valid) parameters must survive ``from_dict(to_dict())`` and a full
 JSON encode/decode unchanged — that is the contract that makes specs storable,
 diffable and shippable to worker processes.
@@ -13,14 +14,20 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sketch import DEFAULT_SKETCH_SIZE, MIN_SKETCH_SIZE
 from repro.api import (
     AdversarySpec,
+    CampaignSpec,
     ConditionSpec,
     EstimationSpec,
+    ExecutionPolicy,
     ExperimentSpec,
     HOPSpec,
+    MeshSpec,
     PathSpec,
     ProtocolSpec,
+    SLATargetSpec,
+    TopologySpec,
     TrafficSpec,
 )
 
@@ -140,52 +147,74 @@ def adversary_specs(draw) -> tuple[AdversarySpec, ...]:
     )
 
 
+# Unique lists, not sorted sets: the codec must keep a tuple's order.
+quantile_sets = st.lists(
+    st.sampled_from([0.5, 0.75, 0.9, 0.95, 0.99]), min_size=1, unique=True
+).map(tuple)
+
+traffic_specs = st.one_of(
+    st.builds(
+        TrafficSpec,
+        workload=st.sampled_from(["smoke-sequence", "bench-sequence"]),
+        seed=st.one_of(st.none(), seeds),
+    ),
+    st.builds(
+        TrafficSpec,
+        workload=st.none(),
+        packet_count=st.integers(min_value=1, max_value=10_000),
+        arrival_process=st.sampled_from(["poisson", "cbr", "mmpp"]),
+        seed=st.one_of(st.none(), seeds),
+    ),
+)
+
+
+@st.composite
+def protocol_specs(draw, domain_names: list[str]) -> ProtocolSpec:
+    """A protocol with non-deployed (``None``) domains among the overrides."""
+    override_domains = draw(st.sets(st.sampled_from(domain_names), max_size=3))
+    return ProtocolSpec(
+        default=draw(st.one_of(st.none(), hop_specs())),
+        domains={
+            domain: draw(st.one_of(st.none(), hop_specs())) for domain in override_domains
+        },
+        max_diff=draw(st.floats(min_value=1e-6, max_value=1e-2, allow_nan=False)),
+    )
+
+
+@st.composite
+def estimation_tiers(draw, mode_field: str) -> dict:
+    """Exact mode (the sketch knobs at their defaults) or a sketch budget."""
+    if draw(st.booleans()):
+        return {}
+    return {
+        mode_field: "sketch",
+        "sketch_size": draw(
+            st.integers(min_value=MIN_SKETCH_SIZE, max_value=4 * DEFAULT_SKETCH_SIZE)
+        ),
+    }
+
+
 @st.composite
 def experiment_specs(draw) -> ExperimentSpec:
     transit = ["L", "X", "N"]
     condition_domains = draw(st.sets(st.sampled_from(transit), max_size=3))
     conditions = {domain: draw(condition_specs()) for domain in condition_domains}
 
-    override_domains = draw(st.sets(st.sampled_from(["S", "L", "X", "N", "D"]), max_size=3))
-    domains = {
-        domain: draw(st.one_of(st.none(), hop_specs())) for domain in override_domains
-    }
-
     return ExperimentSpec(
         name=draw(st.text(min_size=0, max_size=12)),
         seed=draw(seeds),
         engine=draw(st.sampled_from(["batch", "scalar"])),
-        traffic=draw(
-            st.one_of(
-                st.builds(
-                    TrafficSpec,
-                    workload=st.sampled_from(["smoke-sequence", "bench-sequence"]),
-                    seed=st.one_of(st.none(), seeds),
-                ),
-                st.builds(
-                    TrafficSpec,
-                    workload=st.none(),
-                    packet_count=st.integers(min_value=1, max_value=10_000),
-                    arrival_process=st.sampled_from(["poisson", "cbr", "mmpp"]),
-                    seed=st.one_of(st.none(), seeds),
-                ),
-            )
-        ),
+        traffic=draw(traffic_specs),
         path=PathSpec(conditions=conditions, seed=draw(st.one_of(st.none(), seeds))),
-        protocol=ProtocolSpec(
-            default=draw(st.one_of(st.none(), hop_specs())),
-            domains=domains,
-            max_diff=draw(st.floats(min_value=1e-6, max_value=1e-2, allow_nan=False)),
-        ),
+        protocol=draw(protocol_specs(["S", "L", "X", "N", "D"])),
         adversaries=draw(adversary_specs()),
         estimation=EstimationSpec(
             observer=draw(st.sampled_from(["S", "L", "N"])),
             targets=tuple(draw(st.sets(st.sampled_from(transit), min_size=1, max_size=3))),
-            quantiles=tuple(
-                draw(st.sets(st.sampled_from([0.5, 0.75, 0.9, 0.95, 0.99]), min_size=1))
-            ),
+            quantiles=draw(quantile_sets),
             verify=draw(st.booleans()),
             independent=draw(st.booleans()),
+            **draw(estimation_tiers("mode")),
         ),
     )
 
@@ -208,3 +237,84 @@ def test_json_round_trip_is_identity(spec: ExperimentSpec):
 def test_to_dict_is_pure_json(spec: ExperimentSpec):
     payload = spec.to_dict()
     assert json.loads(json.dumps(payload)) == payload
+
+
+@st.composite
+def mesh_specs(draw) -> MeshSpec:
+    kind = draw(st.sampled_from(["star", "mesh-random"]))
+    condition_domains = draw(st.sets(st.sampled_from(["X", "T0", "T1"]), max_size=2))
+    return MeshSpec(
+        name=draw(st.text(min_size=0, max_size=12)),
+        seed=draw(seeds),
+        engine=draw(st.sampled_from(["batch", "streaming"])),
+        topology=TopologySpec(
+            kind=kind,
+            params={"path_count": draw(st.integers(min_value=1, max_value=6))},
+            seed=draw(st.one_of(st.none(), seeds)),
+        ),
+        traffic=draw(traffic_specs),
+        conditions={domain: draw(condition_specs()) for domain in condition_domains},
+        protocol=draw(protocol_specs(["S0", "X", "T0", "D0"])),
+        adversaries=draw(adversary_specs()),
+        quantiles=draw(quantile_sets),
+        **draw(estimation_tiers("estimation_mode")),
+    )
+
+
+@st.composite
+def campaign_specs(draw) -> CampaignSpec:
+    cell = draw(st.one_of(experiment_specs(), mesh_specs()))
+    quantiles = cell.quantiles if isinstance(cell, MeshSpec) else cell.estimation.quantiles
+    sla = None
+    if draw(st.booleans()):
+        sla = SLATargetSpec(
+            delay_bound=draw(small_delays),
+            delay_quantile=draw(st.sampled_from(quantiles)),
+            loss_bound=draw(rates),
+            name=draw(st.text(min_size=1, max_size=8)),
+        )
+    return CampaignSpec(
+        name=draw(st.text(min_size=1, max_size=12)),
+        intervals=draw(st.integers(min_value=1, max_value=10_000)),
+        cell=cell,
+        sla=sla,
+    )
+
+
+@st.composite
+def execution_policies(draw) -> ExecutionPolicy:
+    engine = draw(st.sampled_from([None, "batch", "scalar", "streaming"]))
+    chunked = engine in (None, "streaming")
+    optional_counts = st.one_of(st.none(), st.integers(min_value=1, max_value=1 << 20))
+    return ExecutionPolicy(
+        engine=engine,
+        chunk_size=draw(optional_counts) if chunked else None,
+        throttle=draw(st.floats(min_value=0.0, max_value=60.0, allow_nan=False)),
+        checkpoint_every=draw(optional_counts) if chunked else None,
+    )
+
+
+def _assert_json_round_trip(cls, spec) -> None:
+    text = spec.to_json()
+    assert cls.from_json(text) == spec
+    assert cls.from_json(text).to_json() == text
+    assert cls.from_dict(json.loads(text)) == spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=mesh_specs())
+def test_mesh_spec_json_round_trip(spec: MeshSpec):
+    _assert_json_round_trip(MeshSpec, spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=campaign_specs())
+def test_campaign_spec_json_round_trip(spec: CampaignSpec):
+    _assert_json_round_trip(CampaignSpec, spec)
+    assert CampaignSpec.from_json(spec.to_json()).spec_hash() == spec.spec_hash()
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy=execution_policies())
+def test_execution_policy_json_round_trip(policy: ExecutionPolicy):
+    _assert_json_round_trip(ExecutionPolicy, policy)

@@ -120,7 +120,7 @@ class TestStreamSeekEquality:
         )
 
         # Uninterrupted run, capturing the checkpoint at the boundary.
-        cell_a = _build_cell(spec.to_dict())
+        cell_a = _build_cell(spec)
         stream_a = ScenarioStream(cell_a.scenarios[0])
         checkpoint = None
         suffix_a = []
@@ -135,7 +135,7 @@ class TestStreamSeekEquality:
 
         # Fresh cell + stream, state crossing a (simulated) process boundary.
         blob = pickle.dumps(checkpoint)
-        cell_b = _build_cell(spec.to_dict())
+        cell_b = _build_cell(spec)
         stream_b = ScenarioStream(cell_b.scenarios[0])
         stream_b.seek(pickle.loads(blob))
         suffix_b = [
@@ -169,7 +169,7 @@ class TestStreamSeekEquality:
     ):
         """``state_digest()`` survives a pickle round-trip unchanged (it is the
         cross-process identity resume validation leans on)."""
-        cell = _build_cell(_spec(seed, condition).to_dict())
+        cell = _build_cell(_spec(seed, condition))
         stream = ScenarioStream(cell.scenarios[0])
         chunks = cell.traces[0].iter_batches(chunk_size)
         stream.push(next(chunks))

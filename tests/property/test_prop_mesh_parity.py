@@ -140,7 +140,7 @@ class TestMeshIsolationParity:
     def test_per_path_receipts_byte_match_isolated_runs(self, case):
         topology, traffic, condition_seed, _, root_seed = case
         spec = _spec_for(topology, traffic, condition_seed, root_seed)
-        cell = _build_mesh_cell(spec.to_dict())
+        cell = _build_mesh_cell(spec)
         mesh_reports = StreamingRunner(cell, chunk_size=None).run().reports
 
         for index, path in enumerate(cell.session.paths):
@@ -194,6 +194,6 @@ class TestMeshStreamingParity:
 
         batch_receipts = canonical_receipts(run_batch_mesh_reports(spec))
 
-        runner = StreamingRunner(_build_mesh_cell(spec.to_dict()), chunk_size=chunk_size)
+        runner = StreamingRunner(_build_mesh_cell(spec), chunk_size=chunk_size)
         streamed = runner.run()
         assert canonical_receipts(streamed.reports) == batch_receipts

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.net.clock import ClockModel, PerfectClock, ntp_synchronized_clock
+from repro.net.clock import ClockModel, PerfectClock
 
 
 class TestPerfectClock:
@@ -43,19 +43,3 @@ class TestClockModel:
     def test_repr_mentions_parameters(self):
         assert "offset" in repr(ClockModel(offset=0.1))
 
-
-class TestNTPClock:
-    def test_offset_within_bound(self):
-        for seed in range(20):
-            clock = ntp_synchronized_clock(seed, max_offset=1e-3, jitter_std=0.0)
-            assert abs(clock.offset) <= 1e-3
-
-    def test_deterministic_for_seed(self):
-        a = ntp_synchronized_clock(5, jitter_std=0.0)
-        b = ntp_synchronized_clock(5, jitter_std=0.0)
-        assert a.offset == b.offset
-        assert a.drift_ppm == b.drift_ppm
-
-    def test_negative_max_offset_rejected(self):
-        with pytest.raises(ValueError):
-            ntp_synchronized_clock(1, max_offset=-1.0)

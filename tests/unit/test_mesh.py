@@ -42,7 +42,7 @@ def _fed_cell(adversaries=()):
         },
         adversaries=adversaries,
     )
-    cell = _build_mesh_cell(spec.to_dict())
+    cell = _build_mesh_cell(spec)
     StreamingRunner(cell, chunk_size=None).run()
     return spec, cell
 
@@ -93,7 +93,7 @@ class TestMeshScenario:
             adversaries=(AdversarySpec(kind="marker-drop", domain="S1"),),
         )
         with pytest.raises(ValueError, match="cannot be overridden"):
-            _build_mesh_cell(spec.to_dict())
+            _build_mesh_cell(spec)
 
 
 class TestMeshReceiptBus:
@@ -327,4 +327,4 @@ class TestMeshSpec:
             conditions={"S1": ConditionSpec()},
         )
         with pytest.raises(ValueError, match="transit domain of no path"):
-            _build_mesh_cell(spec.to_dict())
+            _build_mesh_cell(spec)

@@ -10,7 +10,6 @@ from repro.net.prefixes import (
     int_to_ip,
     ip_to_int,
     random_prefix,
-    random_prefix_pair,
 )
 from repro.util.rng import make_rng
 
@@ -101,11 +100,6 @@ class TestRandomPrefixes:
 
     def test_random_prefix_deterministic_for_seed(self):
         assert random_prefix(1, length=12) == random_prefix(1, length=12)
-
-    def test_random_pair_has_distinct_prefixes(self):
-        for seed in range(10):
-            pair = random_prefix_pair(seed)
-            assert pair.source != pair.destination
 
     def test_random_prefix_rejects_bad_length(self):
         with pytest.raises(ValueError):
