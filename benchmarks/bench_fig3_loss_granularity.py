@@ -6,7 +6,7 @@ uses our aggregation algorithm."
 
 The paper fixes one aggregate per 100,000 packets (1 second of its trace) and
 sweeps loss from 0 to 50%; granularity grows smoothly from ~1.2 s to ~2.6 s.
-Our sequence is shorter (see ``EXPERIMENTS.md``), so the aggregate size is
+Our sequence is shorter (``REPRO_BENCH_PACKETS``, see ``conftest.py``), so the aggregate size is
 scaled down proportionally (5,000 packets = 50 ms of traffic by default); the
 quantity to compare with the paper is the *ratio* of measured granularity to
 the nominal aggregate duration, which follows the same 1/(1-loss)-like curve.

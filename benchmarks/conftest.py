@@ -1,7 +1,7 @@
 """Shared machinery for the benchmark harness.
 
 Every benchmark module regenerates one table or figure of the paper's
-evaluation (see the experiment index in ``DESIGN.md``).  The experiments run
+evaluation (its module docstring names which).  The experiments run
 on a synthetic packet sequence whose size is controlled by the
 ``REPRO_BENCH_PACKETS`` environment variable (default 30,000 packets at the
 paper's 100,000 packets-per-second rate — about 0.3 s of traffic).  Set it to

@@ -33,7 +33,7 @@ from repro.traffic.workload import make_workload
 
 def main() -> None:
     # 1. Traffic: ~0.3 s of a 100k packet-per-second path (scaled down from
-    #    the paper's trace; see DESIGN.md for the substitution rationale).
+    #    the paper's CAIDA trace; see repro.traffic.trace for the substitute).
     #    The runner synthesizes it as one columnar batch and drives the
     #    vectorized fast path end to end; see examples/batch_throughput.py for
     #    the same pipeline at millions of packets per run.

@@ -16,7 +16,7 @@ trippable :class:`~repro.api.ExperimentSpec` and execute it with
 :class:`~repro.api.Experiment` (``.run()`` for one cell on the vectorized
 batch path, ``.sweep(grid, workers=N)`` for parallel cartesian sweeps that are
 bit-identical to serial runs).  Components are named by registry key and third
-parties plug in new ones with the ``@repro.api.register_*`` decorators.
+parties plug in new ones through the registries of :mod:`repro.api.registry`.
 
 The engine layer underneath remains importable for code that needs the lower
 altitude:
@@ -34,8 +34,8 @@ altitude:
 * :class:`repro.net.batch.PacketBatch` — the columnar packet representation
   behind the batch fast path.
 
-See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md`` for the
-reproduction of every table and figure.
+The "Layout" section of ``README.md`` maps the package; ``benchmarks/``
+regenerates the paper's tables and figures.
 """
 
 from repro.api import Experiment, ExperimentSpec, MeshSpec, TopologySpec

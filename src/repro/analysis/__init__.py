@@ -1,4 +1,8 @@
-"""Analysis helpers: accuracy metrics, quantiles, SLA checking, localization."""
+"""Analysis helpers: pooled quantiles, the delay sketch, SLA checking, localization.
+
+The accuracy metric of Figure 2 is :func:`repro.core.estimation.delay_accuracy`
+(per cell, ``TargetResult.delay_accuracy``).
+"""
 
 from repro.analysis.localization import (
     DomainDiagnosis,
@@ -10,22 +14,11 @@ from repro.analysis.localization import (
     localize_performance,
     triangulate_suspects,
 )
-from repro.analysis.metrics import (
-    AccuracyReport,
-    delay_accuracy_report,
-    loss_granularity_report,
-    relative_error,
-)
-from repro.analysis.quantiles import (
-    MergedDelayPool,
-    empirical_quantiles,
-    quantile_error,
-)
+from repro.analysis.quantiles import MergedDelayPool, empirical_quantiles
 from repro.analysis.sketch import DEFAULT_SKETCH_SIZE, DelayQuantileSketch
 from repro.analysis.sla import SLASpec, SLAVerdict, check_sla
 
 __all__ = [
-    "AccuracyReport",
     "DEFAULT_SKETCH_SIZE",
     "DelayQuantileSketch",
     "DomainDiagnosis",
@@ -37,12 +30,8 @@ __all__ = [
     "SLAVerdict",
     "SuspectLink",
     "check_sla",
-    "delay_accuracy_report",
     "empirical_quantiles",
     "identify_suspects",
     "localize_performance",
-    "loss_granularity_report",
-    "quantile_error",
-    "relative_error",
     "triangulate_suspects",
 ]

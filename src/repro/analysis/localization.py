@@ -82,27 +82,6 @@ class PathDiagnosis:
     domains: tuple[DomainDiagnosis, ...]
     suspects: tuple[SuspectLink, ...] = ()
 
-    @property
-    def worst_delay_domain(self) -> DomainDiagnosis | None:
-        """The transit domain contributing the most delay (if measurable)."""
-        measurable = [entry for entry in self.domains if entry.performance.delay_quantiles]
-        if not measurable:
-            return None
-        return max(measurable, key=lambda entry: entry.delay_share)
-
-    @property
-    def worst_loss_domain(self) -> DomainDiagnosis | None:
-        """The transit domain contributing the most loss (if any loss at all)."""
-        lossy = [entry for entry in self.domains if entry.performance.lost_packets > 0]
-        if not lossy:
-            return None
-        return max(lossy, key=lambda entry: entry.loss_share)
-
-    @property
-    def violating_domains(self) -> tuple[str, ...]:
-        """Names of the transit domains violating the SLA."""
-        return tuple(entry.domain for entry in self.domains if entry.violating)
-
 
 def localize_performance(
     verifier: Verifier,
@@ -239,13 +218,6 @@ class MeshTriangulation:
         return tuple(
             entry.domain for entry in self.implications if entry.exposed
         )
-
-    def implication_for(self, domain: str) -> DomainImplication | None:
-        """The implication record of one domain, or ``None``."""
-        for entry in self.implications:
-            if entry.domain == domain:
-                return entry
-        return None
 
 
 def triangulate_suspects(

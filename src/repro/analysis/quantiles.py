@@ -1,4 +1,4 @@
-"""Quantile utilities shared by the metrics module and the benchmarks.
+"""Quantile utilities.
 
 Besides the plain helpers, this module provides :class:`MergedDelayPool` —
 the mergeable pooled-quantile state long-horizon campaigns fold their
@@ -12,13 +12,13 @@ bit-for-bit (asserted by the unit suite).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.util.validation import check_probability
 
-__all__ = ["MergedDelayPool", "empirical_quantiles", "quantile_error"]
+__all__ = ["MergedDelayPool", "empirical_quantiles"]
 
 
 def _checked_samples(samples: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -111,19 +111,6 @@ class MergedDelayPool:
         hasher.update(self._sorted.tobytes())
         return hasher.hexdigest()
 
-    def to_hex(self) -> list[str]:
-        """The sorted samples as lossless float hex (JSON-safe checkpoint form)."""
-        return [value.hex() for value in self._sorted.tolist()]
-
-    @classmethod
-    def from_hex(cls, values: Iterable[str]) -> "MergedDelayPool":
-        """Rebuild a pool from :meth:`to_hex` output (bit-exact round trip)."""
-        pool = cls()
-        pool._sorted = _checked_samples(
-            [float.fromhex(value) for value in values]
-        )
-        return pool
-
     def __repr__(self) -> str:
         return f"MergedDelayPool(samples={len(self._sorted)})"
 
@@ -140,12 +127,3 @@ def empirical_quantiles(
         check_probability("quantile", quantile)
     return dict(zip(quantiles, np.quantile(array, quantiles).tolist()))
 
-
-def quantile_error(
-    estimated: Mapping[float, float], truth: Mapping[float, float]
-) -> dict[float, float]:
-    """Per-quantile absolute error between two quantile mappings."""
-    common = sorted(set(estimated) & set(truth))
-    if not common:
-        raise ValueError("the two quantile mappings share no quantiles")
-    return {quantile: abs(estimated[quantile] - truth[quantile]) for quantile in common}

@@ -6,9 +6,8 @@ that altitude directly:
 
 * :mod:`repro.api.spec` — frozen, JSON-round-trippable experiment specs
   (:class:`ExperimentSpec` and its parts) with deterministic seed spacing;
-* :mod:`repro.api.registry` — string-keyed component registries and the
-  ``@register_*`` decorators third parties use to plug in new delay/loss
-  models, adversaries and scenarios;
+* :mod:`repro.api.registry` — the string-keyed component registries third
+  parties plug new delay/loss models, adversaries and scenarios into;
 * :mod:`repro.api.runner` — :class:`Experiment`, with ``.run()`` for one cell
   (batch fast path by default) and ``.sweep(grid, workers=N)`` for parallel
   cartesian sweeps that are bit-identical to serial execution;
@@ -45,9 +44,6 @@ from repro.api.registry import (
     TOPOLOGIES,
     Registry,
     register_adversary,
-    register_delay_model,
-    register_loss_model,
-    register_reordering_model,
     register_scenario,
     register_topology,
 )
@@ -131,9 +127,6 @@ __all__ = [
     "clear_trace_cache",
     "derive_seed",
     "register_adversary",
-    "register_delay_model",
-    "register_loss_model",
-    "register_reordering_model",
     "register_scenario",
     "register_topology",
     "run_cell",

@@ -4,10 +4,11 @@ Specs (:mod:`repro.api.spec`) name their components — delay models, loss
 models, reordering models, adversaries, scenarios — by registry key instead of
 importing classes, which is what makes an :class:`~repro.api.spec.ExperimentSpec`
 a plain, JSON-round-trippable value.  Third parties plug in new components
-with the decorators exported here:
+with the registries exported here (``Registry.register`` doubles as a
+decorator):
 
->>> from repro.api import register_delay_model
->>> @register_delay_model("spike")
+>>> from repro.api import DELAY_MODELS
+>>> @DELAY_MODELS.register("spike")
 ... class SpikeDelayModel(DelayModel):
 ...     ...
 
@@ -74,9 +75,6 @@ __all__ = [
     "ADVERSARIES",
     "SCENARIOS",
     "TOPOLOGIES",
-    "register_delay_model",
-    "register_loss_model",
-    "register_reordering_model",
     "register_adversary",
     "register_scenario",
     "register_topology",
@@ -113,10 +111,6 @@ class Registry:
             return decorate(factory)
         return decorate
 
-    def unregister(self, name: str) -> None:
-        """Remove a registration (mainly for tests and plugin teardown)."""
-        self._entries.pop(name, None)
-
     def get(self, name: str) -> Callable:
         """The factory registered under ``name``; clear error when unknown."""
         try:
@@ -147,21 +141,6 @@ REORDERING_MODELS = Registry("reordering model")
 ADVERSARIES = Registry("adversary")
 SCENARIOS = Registry("scenario")
 TOPOLOGIES = Registry("topology")
-
-
-def register_delay_model(name: str, factory: Callable | None = None, **kwargs):
-    """Register a delay-model factory for use in ``ConditionSpec.delay``."""
-    return DELAY_MODELS.register(name, factory, **kwargs)
-
-
-def register_loss_model(name: str, factory: Callable | None = None, **kwargs):
-    """Register a loss-model factory for use in ``ConditionSpec.loss``."""
-    return LOSS_MODELS.register(name, factory, **kwargs)
-
-
-def register_reordering_model(name: str, factory: Callable | None = None, **kwargs):
-    """Register a reordering-model factory for ``ConditionSpec.reordering``."""
-    return REORDERING_MODELS.register(name, factory, **kwargs)
 
 
 def register_adversary(name: str, *, role: str = "agent", **kwargs):

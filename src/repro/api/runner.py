@@ -647,42 +647,3 @@ class Experiment:
                 for overrides, result in zip(overrides_list, results)
             )
         )
-
-    # -- campaigns -------------------------------------------------------------------
-
-    def campaign_runner(
-        self,
-        intervals: int,
-        sla=None,
-        name: str | None = None,
-        store=None,
-        engine: str | None = None,
-        chunk_size: int | None = None,
-        policy: ExecutionPolicy | None = None,
-    ):
-        """A checkpointable :class:`~repro.engine.campaign.CampaignRunner`.
-
-        Wraps this experiment's spec (single-path or mesh) in a
-        :class:`~repro.api.spec.CampaignSpec` over ``intervals`` intervals
-        with the optional declarative ``sla``
-        (:class:`~repro.api.spec.SLATargetSpec`), checkpointing into
-        ``store`` (a :class:`repro.store.RunStore`, or ``None`` for an
-        in-memory run).  Each interval runs the whole cell on the fast
-        engines; see :mod:`repro.engine.campaign` for the resume contract.
-        """
-        from repro.api.spec import CampaignSpec
-        from repro.engine.campaign import CampaignRunner
-
-        spec = CampaignSpec(
-            name=name or f"{self.spec.name}-campaign",
-            intervals=intervals,
-            cell=self.spec,
-            sla=sla,
-        )
-        return CampaignRunner(
-            spec,
-            store=store,
-            engine=engine,
-            chunk_size=chunk_size,
-            policy=policy,
-        )

@@ -13,9 +13,11 @@ Modules
     Tunable aggregation — Algorithm 2 plus the AggTrans reordering patch-up
     (Section 6).
 ``partition``
-    The partition algebra (coarser/finer, join) of Section 6.1.
+    Receipt alignment: the join of Section 6.1 computed from two HOPs'
+    aggregate receipts, with the AggTrans patch-up of Section 6.3.
 ``estimation``
-    Delay-quantile and loss estimation from receipts (the role of [20]).
+    Delay-quantile estimation from receipts (the role of [20]) and the
+    Figure-2 accuracy metric.
 ``hop``
     The collector (data-plane) and processor (control-plane) modules of a
     hand-off point (Section 7's implementation model).
@@ -43,11 +45,9 @@ from repro.core.domain import DomainAgent
 from repro.core.estimation import (
     DelayQuantileEstimate,
     estimate_delay_quantiles,
-    estimate_loss_rate,
     quantile_confidence_bounds,
 )
 from repro.core.hop import HOPCollector, HOPConfig, HOPProcessor
-from repro.core.partition import PartitionSet, join_partitions
 from repro.core.protocol import VPMSession
 from repro.core.receipts import (
     AggregateReceipt,
@@ -72,7 +72,6 @@ __all__ = [
     "HOPConfig",
     "HOPProcessor",
     "Inconsistency",
-    "PartitionSet",
     "PathID",
     "SampleReceipt",
     "SampleRecord",
@@ -85,7 +84,5 @@ __all__ = [
     "combine_aggregate_receipts",
     "combine_sample_receipts",
     "estimate_delay_quantiles",
-    "estimate_loss_rate",
-    "join_partitions",
     "quantile_confidence_bounds",
 ]

@@ -495,21 +495,6 @@ class Aggregator:
         """Total packets observed."""
         return self._observed_packets
 
-    @property
-    def cut_count(self) -> int:
-        """Number of cutting points observed (closed aggregates)."""
-        return self._cut_count
-
-    @property
-    def open_aggregate_size(self) -> int:
-        """Packets in the currently open aggregate."""
-        return self._open.pkt_count if self._open is not None else 0
-
-    @property
-    def max_window_occupancy(self) -> int:
-        """Largest sliding-window occupancy seen (packets within J seconds)."""
-        return self._max_window_occupancy
-
     def __repr__(self) -> str:
         return (
             f"Aggregator(expected_aggregate_size={self.config.expected_aggregate_size}, "

@@ -1,10 +1,10 @@
-"""Estimation of delay quantiles and loss from receipts.
+"""Estimation of delay quantiles from receipts.
 
 This module plays the role of the estimation technique the paper borrows from
 Sommers et al. [20]: given the delays of the *commonly sampled* packets
 between a domain's ingress and egress HOPs, estimate delay quantiles for the
-overall traffic, with confidence bounds; and given sample or aggregate
-receipts, estimate/compute the loss the domain introduced.
+overall traffic, with confidence bounds.  Loss is not estimated: the verifier
+computes it exactly from aggregate receipts.
 
 Delay quantiles are estimated with the standard order-statistics approach:
 the point estimate of quantile ``q`` is the empirical quantile of the sampled
@@ -27,7 +27,6 @@ __all__ = [
     "estimate_delay_quantiles",
     "quantile_confidence_bounds",
     "match_sample_delays",
-    "estimate_loss_rate",
     "delay_accuracy",
     "DEFAULT_QUANTILES",
 ]
@@ -58,11 +57,6 @@ class DelayQuantileEstimate:
     lower: float
     upper: float
     sample_count: int
-
-    @property
-    def interval_width(self) -> float:
-        """Width of the confidence interval (seconds)."""
-        return self.upper - self.lower
 
 
 def quantile_confidence_bounds(
@@ -170,24 +164,6 @@ def match_sample_delays(
         if record.pkt_id in ingress_times
     ]
     return np.asarray(delays, dtype=float)
-
-
-def estimate_loss_rate(
-    ingress: SampleReceipt, egress: SampleReceipt
-) -> tuple[float, int, int]:
-    """Estimate a domain's loss rate from its sample receipts.
-
-    Returns ``(loss_rate, lost_samples, ingress_samples)`` where the rate is
-    the fraction of ingress-sampled packets that do not appear in the egress
-    receipt.  This is the *sampling-based* loss estimate; the aggregation
-    component provides exact counts (see the verifier).
-    """
-    ingress_ids = ingress.pkt_ids
-    if not ingress_ids:
-        return 0.0, 0, 0
-    egress_ids = egress.pkt_ids
-    lost = len(ingress_ids - egress_ids)
-    return lost / len(ingress_ids), lost, len(ingress_ids)
 
 
 def delay_accuracy(

@@ -302,11 +302,6 @@ class HOPCollector:
         return sum(state.observed_bytes for state in self._paths.values())
 
     @property
-    def unclassified_packets(self) -> int:
-        """Packets that matched no registered path."""
-        return self._unclassified_packets
-
-    @property
     def max_temp_buffer_occupancy(self) -> int:
         """Largest delay-sampling temporary-buffer occupancy (packets)."""
         return max(
@@ -324,8 +319,6 @@ class HOPProcessor:
 
     def __init__(self, collector: HOPCollector) -> None:
         self.collector = collector
-        self._reports_generated = 0
-        self._bytes_reported = 0
 
     def generate_report(self, flush: bool = False) -> HOPReport:
         """Read the collector's state and produce this period's receipts.
@@ -343,21 +336,8 @@ class HOPProcessor:
             if sample_receipt.samples:
                 sample_receipts.append(sample_receipt)
             aggregate_receipts.extend(state.aggregator.receipts(state.path_id))
-        report = HOPReport(
+        return HOPReport(
             hop_id=self.collector.hop.hop_id,
             sample_receipts=tuple(sample_receipts),
             aggregate_receipts=tuple(aggregate_receipts),
         )
-        self._reports_generated += 1
-        self._bytes_reported += report.wire_bytes
-        return report
-
-    @property
-    def reports_generated(self) -> int:
-        """Number of reporting periods processed."""
-        return self._reports_generated
-
-    @property
-    def bytes_reported(self) -> int:
-        """Total receipt bytes produced so far."""
-        return self._bytes_reported

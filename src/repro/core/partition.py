@@ -1,137 +1,23 @@
-"""The partition algebra of Section 6.1 and receipt alignment of Section 6.3.
+"""Receipt alignment: the join of Section 6.1 and the patch-up of Section 6.3.
 
-Two layers live here:
-
-* An abstract layer over ordered packet sets — :class:`PartitionSet`,
-  :func:`is_coarser` and :func:`join_partitions` — implementing the
-  set-theoretic definitions (partition, "coarser than", join) that Section 6.1
-  introduces with Table 1.  This layer is used by the property-based tests to
-  validate the algebraic claims the protocol relies on.
-* A concrete layer over aggregate *receipts* —
-  :func:`align_aggregate_receipts` — which computes the join of two HOPs'
-  aggregate sets from their receipts alone (matching aggregates by their
-  cutting-point packet IDs), and applies the ``AggTrans`` reordering patch-up
-  of Section 6.3 by migrating packets across misaligned boundaries.
+Section 6.1 (with Table 1) defines a HOP's aggregates as a partition of the
+packet stream and the *join* of two partitions as the finest partition
+coarser than both: its cutting points are the ones common to every input.
+:func:`aligned_aggregates` computes that join from two HOPs' aggregate
+receipts alone, matching aggregates by their cutting-point packet IDs and
+combining the receipts between consecutive common cutting points.  It then
+applies the ``AggTrans`` reordering patch-up of Section 6.3, migrating packets
+across boundaries the two HOPs saw them on different sides of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 from repro.core.receipts import AggregateReceipt, combine_aggregate_receipts
 
-__all__ = [
-    "PartitionSet",
-    "is_coarser",
-    "join_partitions",
-    "align_aggregate_receipts",
-    "AlignedAggregates",
-]
-
-
-# ---------------------------------------------------------------------------
-# Abstract partition algebra (Section 6.1, Table 1)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionSet:
-    """A partition of an ordered packet set into consecutive aggregates.
-
-    ``aggregates`` is a tuple of tuples; concatenating them yields the
-    underlying ordered packet set.  Aggregates must be non-empty.
-    """
-
-    aggregates: tuple[tuple[Hashable, ...], ...]
-
-    def __post_init__(self) -> None:
-        if any(len(aggregate) == 0 for aggregate in self.aggregates):
-            raise ValueError("aggregates must be non-empty")
-
-    @classmethod
-    def from_lists(cls, aggregates: Iterable[Iterable[Hashable]]) -> "PartitionSet":
-        """Build a partition from any iterable of iterables."""
-        return cls(tuple(tuple(aggregate) for aggregate in aggregates))
-
-    @classmethod
-    def from_cut_indices(
-        cls, items: Sequence[Hashable], cut_indices: Iterable[int]
-    ) -> "PartitionSet":
-        """Partition ``items`` at the given cut indices.
-
-        A cut index ``k`` means item ``k`` starts a new aggregate.  Index 0 is
-        implicitly always a cut (the first item starts the first aggregate).
-        """
-        cuts = sorted(set(cut_indices) | {0})
-        if any(not 0 <= cut < len(items) for cut in cuts):
-            raise ValueError("cut indices must be valid positions into items")
-        boundaries = cuts + [len(items)]
-        aggregates = tuple(
-            tuple(items[start:end]) for start, end in zip(boundaries, boundaries[1:])
-        )
-        return cls(aggregates)
-
-    @property
-    def items(self) -> tuple[Hashable, ...]:
-        """The underlying ordered packet set."""
-        return tuple(item for aggregate in self.aggregates for item in aggregate)
-
-    @property
-    def cutting_points(self) -> tuple[Hashable, ...]:
-        """The first packet of each aggregate (the cutting points)."""
-        return tuple(aggregate[0] for aggregate in self.aggregates)
-
-    @property
-    def cut_indices(self) -> tuple[int, ...]:
-        """Positions (into the underlying set) where aggregates start."""
-        indices = []
-        position = 0
-        for aggregate in self.aggregates:
-            indices.append(position)
-            position += len(aggregate)
-        return tuple(indices)
-
-    def __len__(self) -> int:
-        return len(self.aggregates)
-
-    def __iter__(self):
-        return iter(self.aggregates)
-
-
-def is_coarser(coarse: PartitionSet, fine: PartitionSet) -> bool:
-    """Return whether ``coarse >= fine`` (every coarse aggregate is a union of
-    fine aggregates).
-
-    Both partitions must be over the same underlying ordered packet set;
-    otherwise the relation is undefined and ``ValueError`` is raised.
-    """
-    if coarse.items != fine.items:
-        raise ValueError("partitions are over different packet sets")
-    return set(coarse.cut_indices).issubset(set(fine.cut_indices))
-
-
-def join_partitions(*partitions: PartitionSet) -> PartitionSet:
-    """Return ``Join(A1, ..., AN)``: the finest partition coarser than all inputs.
-
-    For partitions of an ordered set into consecutive aggregates, the join's
-    cutting points are exactly the cutting points common to every input.
-    """
-    if not partitions:
-        raise ValueError("join requires at least one partition")
-    items = partitions[0].items
-    for partition in partitions[1:]:
-        if partition.items != items:
-            raise ValueError("partitions are over different packet sets")
-    common_cuts = set(partitions[0].cut_indices)
-    for partition in partitions[1:]:
-        common_cuts &= set(partition.cut_indices)
-    return PartitionSet.from_cut_indices(items, common_cuts)
-
-
-# ---------------------------------------------------------------------------
-# Receipt alignment (Sections 6.1-6.3)
-# ---------------------------------------------------------------------------
+__all__ = ["align_aggregate_receipts", "AlignedAggregates"]
 
 
 @dataclass(frozen=True)

@@ -82,10 +82,6 @@ class PathID:
         if self.previous_hop is None and self.next_hop is None:
             raise ValueError("a PathID needs at least one of previous_hop/next_hop")
 
-    def same_path(self, other: "PathID") -> bool:
-        """Whether two PathIDs refer to the same HOP path (same prefix pair)."""
-        return self.prefix_pair == other.prefix_pair
-
 
 @dataclass(frozen=True, order=True)
 class SampleRecord:
@@ -120,32 +116,9 @@ class SampleReceipt:
         return len(self.samples)
 
     @property
-    def pkt_ids(self) -> frozenset[int]:
-        """The set of sampled packet identifiers."""
-        return frozenset(record.pkt_id for record in self.samples)
-
-    def record_for(self, pkt_id: int) -> SampleRecord | None:
-        """Return the record for a packet id, or ``None`` if not sampled."""
-        for record in self.samples:
-            if record.pkt_id == pkt_id:
-                return record
-        return None
-
-    @property
     def wire_bytes(self) -> int:
         """Approximate dissemination size of this receipt in bytes."""
         return 8 + len(self.samples) * SAMPLE_RECORD_BYTES
-
-    def merged_with(self, other: "SampleReceipt") -> "SampleReceipt":
-        """Combine with another sample receipt from the same HOP and path.
-
-        Raises :class:`ValueError` when the receipts disagree on the PathID
-        *or* on the sampling threshold — receipts produced under different
-        sampling functions/configurations measure different packet sets, and
-        silently unioning them would fabricate a sample set no HOP ever
-        collected.
-        """
-        return combine_sample_receipts([self, other])
 
 
 @dataclass(frozen=True)
@@ -185,11 +158,6 @@ class AggregateReceipt:
     def duration(self) -> float:
         """Observation-time span of the aggregate (seconds)."""
         return self.end_time - self.start_time
-
-    @property
-    def mean_time(self) -> float:
-        """Mean observation timestamp (the LDA-style average-delay state)."""
-        return self.time_sum / self.pkt_count if self.pkt_count else 0.0
 
     @property
     def wire_bytes(self) -> int:

@@ -30,7 +30,6 @@ from repro.core.receipts import PathID, SampleReceipt, SampleRecord
 from repro.net.hashing import (
     MASK64,
     as_digest_array,
-    rate_for_threshold,
     sample_function,
     splitmix64_batch,
     threshold_for_rate,
@@ -282,13 +281,6 @@ class DelaySampler:
     # -- introspection --------------------------------------------------------
 
     @property
-    def pending_buffer_size(self) -> int:
-        """Number of packets currently awaiting the next marker."""
-        if self._buffer_pairs is not None:
-            return len(self._buffer_pairs)
-        return len(self._buffer_ids)
-
-    @property
     def max_buffer_occupancy(self) -> int:
         """Largest temporary-buffer occupancy seen (packets)."""
         return self._max_buffer_occupancy
@@ -299,21 +291,9 @@ class DelaySampler:
         return self._observed_packets
 
     @property
-    def marker_count(self) -> int:
-        """Number of marker packets observed."""
-        return self._marker_count
-
-    @property
     def sample_count(self) -> int:
         """Number of samples accumulated since the last receipt."""
         return len(self._samples)
-
-    @property
-    def effective_sampling_rate(self) -> float:
-        """Expected fraction of packets sampled (buffered samples + markers)."""
-        marker_rate = rate_for_threshold(self._marker_threshold)
-        buffered_rate = rate_for_threshold(self._sampling_threshold)
-        return min(1.0, buffered_rate * (1.0 - marker_rate) + marker_rate)
 
     def __repr__(self) -> str:
         return (

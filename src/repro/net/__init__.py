@@ -1,7 +1,7 @@
 """Network substrate: packets, batches, hashing, prefixes, clocks, links, topology."""
 
 from repro.net.batch import PacketBatch
-from repro.net.clock import Clock, ClockModel, PerfectClock
+from repro.net.clock import Clock, PerfectClock
 from repro.net.hashing import (
     PacketDigester,
     bob_hash,
@@ -14,12 +14,11 @@ from repro.net.hashing import (
 )
 from repro.net.link import InterDomainLink, LinkSpec
 from repro.net.packet import Packet, PacketHeaders
-from repro.net.prefixes import OriginPrefix, PrefixPair, random_prefix
+from repro.net.prefixes import OriginPrefix, PrefixPair
 from repro.net.topology import Domain, HOP, HOPPath, Topology
 
 __all__ = [
     "Clock",
-    "ClockModel",
     "Domain",
     "HOP",
     "HOPPath",
@@ -37,7 +36,6 @@ __all__ = [
     "bob_hash_batch",
     "fnv1a_64",
     "fnv1a_64_batch",
-    "random_prefix",
     "sample_function",
     "splitmix64",
     "splitmix64_batch",

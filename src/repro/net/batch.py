@@ -8,9 +8,9 @@ vectorized digest kernels (:meth:`repro.net.hashing.PacketDigester.digest_batch`
 and the batch collector path (:meth:`repro.core.hop.HOPCollector.observe_batch`)
 consume.
 
-A batch is value-equivalent to a list of packets: ``PacketBatch.from_packets``
-and :meth:`PacketBatch.to_packets` round-trip exactly, and digests computed on
-either representation are bit-for-bit identical (property-tested in
+A batch is value-equivalent to a list of packets: :meth:`PacketBatch.to_packets`
+materializes it exactly, and digests computed on either representation are
+bit-for-bit identical (property-tested in
 ``tests/property/test_prop_batch_parity.py``).
 """
 
@@ -102,34 +102,6 @@ class PacketBatch:
 
     # -- construction / conversion -----------------------------------------------
 
-    @classmethod
-    def from_packets(cls, packets: Sequence[Packet]) -> "PacketBatch":
-        """Build a columnar batch from packet objects (uniform payload length)."""
-        payload_lengths = {len(packet.payload) for packet in packets}
-        if len(payload_lengths) > 1:
-            raise ValueError(
-                f"packets in a batch must share one payload length, got {sorted(payload_lengths)}"
-            )
-        width = payload_lengths.pop() if payload_lengths else 0
-        count = len(packets)
-        payload = np.zeros((count, width), dtype=np.uint8)
-        for index, packet in enumerate(packets):
-            if width:
-                payload[index] = np.frombuffer(packet.payload, dtype=np.uint8)
-        return cls(
-            src_ip=np.fromiter((p.headers.src_ip for p in packets), np.uint32, count),
-            dst_ip=np.fromiter((p.headers.dst_ip for p in packets), np.uint32, count),
-            src_port=np.fromiter((p.headers.src_port for p in packets), np.uint16, count),
-            dst_port=np.fromiter((p.headers.dst_port for p in packets), np.uint16, count),
-            protocol=np.fromiter((p.headers.protocol for p in packets), np.uint8, count),
-            ip_id=np.fromiter((p.headers.ip_id for p in packets), np.uint16, count),
-            length=np.fromiter((p.headers.length for p in packets), np.uint16, count),
-            payload=payload,
-            uid=np.fromiter((p.uid for p in packets), np.int64, count),
-            send_time=np.fromiter((p.send_time for p in packets), np.float64, count),
-            flow_id=np.fromiter((p.flow_id for p in packets), np.int64, count),
-        )
-
     def to_packets(self) -> list[Packet]:
         """Materialize the batch as packet objects (the slow representation)."""
         payload_rows = [row.tobytes() for row in self.payload]
@@ -151,10 +123,6 @@ class PacketBatch:
             )
             for index in range(len(self))
         ]
-
-    def packet_at(self, index: int) -> Packet:
-        """Materialize a single packet (for spot checks and error messages)."""
-        return self.take(np.asarray([index])).to_packets()[0]
 
     def take(self, indices: np.ndarray | slice) -> "PacketBatch":
         """Return a new batch holding the selected rows (in the given order).
@@ -280,14 +248,6 @@ class PacketBatch:
             return cached
         root = self._digest_root if self._digest_root is not None else self
         return root._digest_cache[key][self._root_indices] if root is not self else root._digest_cache[key]
-
-    def with_send_times(self, send_times: np.ndarray) -> "PacketBatch":
-        """Return a copy of the batch with different source send times."""
-        clone = self.take(np.arange(len(self)))
-        clone.send_time = np.ascontiguousarray(send_times, dtype=np.float64)
-        if len(clone.send_time) != len(clone):
-            raise ValueError("send_times length does not match the batch")
-        return clone
 
     # -- digest material -----------------------------------------------------------
 

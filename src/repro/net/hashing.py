@@ -47,7 +47,6 @@ __all__ = [
     "combine64_batch",
     "sample_function",
     "threshold_for_rate",
-    "rate_for_threshold",
     "as_digest_array",
     "PacketDigester",
 ]
@@ -310,13 +309,6 @@ def threshold_for_rate(rate: float) -> int:
     # Clamp: floating-point rounding of (1 - rate) * MASK64 can land one past
     # the 64-bit range for rates very close to zero.
     return min(int(round((1.0 - rate) * MASK64)), MASK64)
-
-
-def rate_for_threshold(threshold: int) -> float:
-    """Inverse of :func:`threshold_for_rate` (the expected exceedance rate)."""
-    if not 0 <= threshold <= MASK64:
-        raise ValueError(f"threshold must be a 64-bit value, got {threshold!r}")
-    return 1.0 - threshold / MASK64
 
 
 @dataclass(frozen=True)

@@ -78,12 +78,6 @@ class InterDomainLink(RNGStateMixin):
         check_non_negative("jitter_std", self.jitter_std)
         self._rng = make_rng(self.seed)
 
-    @property
-    def is_healthy(self) -> bool:
-        """Whether the link respects its specification in expectation."""
-        expected_delay = self.spec.nominal_delay + self.excess_delay
-        return self.loss_rate == 0.0 and expected_delay <= self.spec.max_diff
-
     def transfer(self, arrival_time: float) -> float | None:
         """Carry one packet handed off at ``arrival_time`` (true time).
 

@@ -10,7 +10,7 @@ timestamp at the traffic source.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,10 +147,6 @@ class Packet:
             cached = self.headers.pack() + self.payload[:payload_prefix]
             self._invariant_cache[payload_prefix] = cached
         return cached
-
-    def with_send_time(self, send_time: float) -> "Packet":
-        """Return a copy of the packet with a different source send time."""
-        return replace(self, send_time=send_time, _invariant_cache={})
 
     def __str__(self) -> str:
         return (

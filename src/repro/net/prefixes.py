@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.util.rng import make_rng
-
-__all__ = ["OriginPrefix", "PrefixPair", "random_prefix", "ip_to_int", "int_to_ip"]
+__all__ = ["OriginPrefix", "PrefixPair", "ip_to_int", "int_to_ip"]
 
 
 def ip_to_int(address: str) -> int:
@@ -112,16 +108,3 @@ class PrefixPair:
     def matches(self, src_address: int, dst_address: int) -> bool:
         """Return whether a packet with these addresses belongs to the pair."""
         return self.source.contains(src_address) and self.destination.contains(dst_address)
-
-
-def random_prefix(
-    rng: np.random.Generator | int | None = None, length: int = 16
-) -> OriginPrefix:
-    """Draw a uniformly random origin prefix of the given length."""
-    generator = make_rng(rng)
-    if not 0 <= length <= 32:
-        raise ValueError(f"prefix length must be in [0, 32], got {length}")
-    network_bits = int(generator.integers(0, 1 << length)) if length else 0
-    network = network_bits << (32 - length)
-    return OriginPrefix(network=network, length=length)
-

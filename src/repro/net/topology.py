@@ -152,19 +152,6 @@ class HOPPath:
                 pairs.append((first, second))
         return pairs
 
-    def neighbor_of(self, domain: Domain | str, side: str) -> Domain | None:
-        """Return the previous/next domain of ``domain`` on this path."""
-        if side not in ("previous", "next"):
-            raise ValueError(f"side must be 'previous' or 'next', got {side!r}")
-        name = domain.name if isinstance(domain, Domain) else domain
-        order = self.domains
-        for index, entry in enumerate(order):
-            if entry.name == name:
-                if side == "previous":
-                    return order[index - 1] if index > 0 else None
-                return order[index + 1] if index + 1 < len(order) else None
-        raise ValueError(f"domain {name!r} is not on this path")
-
     def __str__(self) -> str:
         chain = " -> ".join(str(hop.hop_id) for hop in self.hops)
         return f"HOPPath[{self.prefix_pair}: {chain}]"

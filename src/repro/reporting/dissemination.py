@@ -16,7 +16,6 @@ tamper with another domain's published receipts in transit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.hop import HOPReport
@@ -50,14 +49,6 @@ def report_for_pair(report: HOPReport, pair: PrefixPair) -> HOPReport:
     )
 
 
-@dataclass
-class _Publication:
-    """One published report with its publisher recorded."""
-
-    publisher: str
-    report: HOPReport
-
-
 class _PublicationChannel:
     """The shared publication core of the receipt buses.
 
@@ -68,7 +59,7 @@ class _PublicationChannel:
 
     def __init__(self) -> None:
         self._owners: dict[int, str] = {}
-        self._publications: list[_Publication] = []
+        self._publications: list[HOPReport] = []
 
     def _publish_owned(self, name: str, report: HOPReport) -> None:
         owner = self._owners.get(report.hop_id)
@@ -77,17 +68,12 @@ class _PublicationChannel:
                 f"domain {name!r} cannot publish receipts for HOP {report.hop_id} "
                 f"(owned by {owner!r})"
             )
-        self._publications.append(_Publication(publisher=name, report=report))
-
-    @property
-    def publication_count(self) -> int:
-        """Number of reports published so far."""
-        return len(self._publications)
+        self._publications.append(report)
 
     @property
     def total_bytes(self) -> int:
         """Total bytes of receipts carried by the bus."""
-        return sum(publication.report.wire_bytes for publication in self._publications)
+        return sum(report.wire_bytes for report in self._publications)
 
 
 class ReceiptBus(_PublicationChannel):
@@ -120,16 +106,7 @@ class ReceiptBus(_PublicationChannel):
         name = observer.name if isinstance(observer, Domain) else observer
         if name not in self._on_path:
             return []
-        return [publication.report for publication in self._publications]
-
-    def reports_from(self, publisher: Domain | str) -> list[HOPReport]:
-        """All reports published by one domain."""
-        name = publisher.name if isinstance(publisher, Domain) else publisher
-        return [
-            publication.report
-            for publication in self._publications
-            if publication.publisher == name
-        ]
+        return list(self._publications)
 
 
 class MeshReceiptBus(_PublicationChannel):
@@ -187,7 +164,7 @@ class MeshReceiptBus(_PublicationChannel):
             return []
         on_path = {hop.hop_id for hop in path.hops}
         return [
-            report_for_pair(publication.report, pair)
-            for publication in self._publications
-            if publication.report.hop_id in on_path
+            report_for_pair(report, pair)
+            for report in self._publications
+            if report.hop_id in on_path
         ]

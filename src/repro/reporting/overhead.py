@@ -36,7 +36,6 @@ __all__ = [
     "CollectorMemoryModel",
     "PerPacketProcessingModel",
     "BandwidthOverheadModel",
-    "ResourceProfile",
 ]
 
 # Per-path collector state: an open aggregate receipt (PathID reference,
@@ -207,24 +206,3 @@ class BandwidthOverheadModel:
         """Aggregate-only receipt bytes relative to data bytes (the 0.046%)."""
         return self.aggregate_only_bytes_per_packet / self.mean_packet_size
 
-
-@dataclass(frozen=True)
-class ResourceProfile:
-    """A domain's combined resource profile for a given tuning choice."""
-
-    memory: CollectorMemoryModel = CollectorMemoryModel()
-    processing: PerPacketProcessingModel = PerPacketProcessingModel()
-    bandwidth: BandwidthOverheadModel = BandwidthOverheadModel()
-
-    def summary(self) -> dict[str, float]:
-        """A flat summary dictionary, convenient for tabulating sweeps."""
-        return {
-            "monitoring_cache_bytes": float(self.memory.monitoring_cache_bytes),
-            "temp_buffer_bytes": float(self.memory.temp_buffer_bytes),
-            "total_memory_bytes": float(self.memory.total_bytes),
-            "memory_accesses_per_packet": float(
-                self.processing.total_memory_accesses_per_packet
-            ),
-            "receipt_bytes_per_packet": self.bandwidth.receipt_bytes_per_packet,
-            "bandwidth_overhead": self.bandwidth.bandwidth_overhead,
-        }

@@ -1,340 +1,23 @@
-"""Receipt serialization.
+"""The canonical form of an interval's receipts and its digest.
 
-The paper assumes receipts are disseminated over an authenticated channel
-(e.g. HTTPS from an administrative web site) but leaves the wire format open.
-This module provides two interchangeable encodings so the dissemination layer
-can actually ship receipts between implementations:
-
-* a **JSON** encoding — human-readable, convenient for web-style dissemination
-  and debugging;
-* a **compact binary** encoding (``VPM1``) — fixed-width big-endian fields:
-  full 8-byte packet ids and 8-byte microsecond timestamps, so a sample record
-  takes 16 bytes and each AggTrans id 8 bytes.  These are *not* the Section
-  7.1 widths (a 4-byte digest plus a 3-byte timestamp per sample record); the
-  paper's accounting model is ``wire_bytes`` on the receipt classes
-  (:mod:`repro.core.receipts`), which this encoding does not reproduce.
-
-Both encodings round-trip every receipt type exactly (up to the documented
-timestamp quantization of the binary format), and both are covered by unit and
-property-based tests.
+A campaign run store records one digest per interval, :func:`receipts_digest`,
+so a customer can later prove which receipts a verdict rests on; the digest is
+BLAKE2b-128 over the canonical JSON that :func:`canonical_receipts` specifies.
+Receipts have no other wire encoding here: the paper leaves the format open,
+and its Section 7.1 byte accounting is the ``wire_bytes`` model on the receipt
+classes (:mod:`repro.core.receipts`), not an encoder.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from operator import attrgetter
 from typing import Any, Mapping
 
 from repro.core.hop import HOPReport
-from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt, SampleRecord
-from repro.net.prefixes import OriginPrefix, PrefixPair
 
-__all__ = [
-    "receipt_to_dict",
-    "receipt_from_dict",
-    "report_to_json",
-    "report_from_json",
-    "encode_report",
-    "decode_report",
-    "canonical_receipts",
-    "receipts_digest",
-    "BinaryFormatError",
-]
-
-_MAGIC = b"VPM1"
-_SAMPLE_KIND = 1
-_AGGREGATE_KIND = 2
-# Binary timestamps are microseconds in an unsigned 64-bit field.
-_TIME_SCALE = 1e6
-
-
-class BinaryFormatError(ValueError):
-    """Raised when a binary receipt blob cannot be decoded."""
-
-
-# ---------------------------------------------------------------------------
-# JSON encoding
-# ---------------------------------------------------------------------------
-
-
-def _path_id_to_dict(path_id: PathID) -> dict[str, Any]:
-    return {
-        "source_prefix": str(path_id.prefix_pair.source),
-        "destination_prefix": str(path_id.prefix_pair.destination),
-        "reporting_hop": path_id.reporting_hop,
-        "previous_hop": path_id.previous_hop,
-        "next_hop": path_id.next_hop,
-        "max_diff": path_id.max_diff,
-    }
-
-
-def _path_id_from_dict(payload: dict[str, Any]) -> PathID:
-    prefix_pair = PrefixPair(
-        source=OriginPrefix.parse(payload["source_prefix"]),
-        destination=OriginPrefix.parse(payload["destination_prefix"]),
-    )
-    return PathID(
-        prefix_pair=prefix_pair,
-        reporting_hop=int(payload["reporting_hop"]),
-        previous_hop=payload["previous_hop"],
-        next_hop=payload["next_hop"],
-        max_diff=float(payload["max_diff"]),
-    )
-
-
-def receipt_to_dict(receipt: SampleReceipt | AggregateReceipt) -> dict[str, Any]:
-    """Convert a receipt into a JSON-serializable dictionary."""
-    if isinstance(receipt, SampleReceipt):
-        return {
-            "kind": "samples",
-            "path_id": _path_id_to_dict(receipt.path_id),
-            "sampling_threshold": receipt.sampling_threshold,
-            "samples": [[record.pkt_id, record.time] for record in receipt.samples],
-        }
-    if isinstance(receipt, AggregateReceipt):
-        return {
-            "kind": "aggregate",
-            "path_id": _path_id_to_dict(receipt.path_id),
-            "first_pkt_id": receipt.first_pkt_id,
-            "last_pkt_id": receipt.last_pkt_id,
-            "pkt_count": receipt.pkt_count,
-            "start_time": receipt.start_time,
-            "end_time": receipt.end_time,
-            "time_sum": receipt.time_sum,
-            "trans_before": list(receipt.trans_before),
-            "trans_after": list(receipt.trans_after),
-        }
-    raise TypeError(f"not a receipt: {receipt!r}")
-
-
-def receipt_from_dict(payload: dict[str, Any]) -> SampleReceipt | AggregateReceipt:
-    """Inverse of :func:`receipt_to_dict`."""
-    kind = payload.get("kind")
-    path_id = _path_id_from_dict(payload["path_id"])
-    if kind == "samples":
-        return SampleReceipt(
-            path_id=path_id,
-            samples=tuple(
-                SampleRecord(pkt_id=int(pkt_id), time=float(time))
-                for pkt_id, time in payload["samples"]
-            ),
-            sampling_threshold=payload.get("sampling_threshold"),
-        )
-    if kind == "aggregate":
-        return AggregateReceipt(
-            path_id=path_id,
-            first_pkt_id=int(payload["first_pkt_id"]),
-            last_pkt_id=int(payload["last_pkt_id"]),
-            pkt_count=int(payload["pkt_count"]),
-            start_time=float(payload["start_time"]),
-            end_time=float(payload["end_time"]),
-            time_sum=float(payload["time_sum"]),
-            trans_before=tuple(int(value) for value in payload["trans_before"]),
-            trans_after=tuple(int(value) for value in payload["trans_after"]),
-        )
-    raise ValueError(f"unknown receipt kind {kind!r}")
-
-
-def report_to_json(report: HOPReport, indent: int | None = None) -> str:
-    """Serialize a full HOP report to JSON."""
-    payload = {
-        "hop_id": report.hop_id,
-        "sample_receipts": [receipt_to_dict(receipt) for receipt in report.sample_receipts],
-        "aggregate_receipts": [
-            receipt_to_dict(receipt) for receipt in report.aggregate_receipts
-        ],
-    }
-    return json.dumps(payload, indent=indent, sort_keys=True)
-
-
-def report_from_json(text: str) -> HOPReport:
-    """Inverse of :func:`report_to_json`."""
-    payload = json.loads(text)
-    return HOPReport(
-        hop_id=int(payload["hop_id"]),
-        sample_receipts=tuple(
-            receipt_from_dict(entry) for entry in payload["sample_receipts"]
-        ),
-        aggregate_receipts=tuple(
-            receipt_from_dict(entry) for entry in payload["aggregate_receipts"]
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Compact binary encoding
-# ---------------------------------------------------------------------------
-
-
-def _encode_time(value: float) -> int:
-    if value < 0:
-        raise BinaryFormatError(f"binary format cannot encode negative time {value}")
-    return int(round(value * _TIME_SCALE))
-
-
-def _encode_path_id(path_id: PathID) -> bytes:
-    def hop_field(value: int | None) -> int:
-        return 0xFFFFFFFF if value is None else value
-
-    return struct.pack(
-        ">IBIBIIIQ",
-        path_id.prefix_pair.source.network,
-        path_id.prefix_pair.source.length,
-        path_id.prefix_pair.destination.network,
-        path_id.prefix_pair.destination.length,
-        path_id.reporting_hop,
-        hop_field(path_id.previous_hop),
-        hop_field(path_id.next_hop),
-        _encode_time(path_id.max_diff),
-    )
-
-
-_PATH_ID_STRUCT = struct.Struct(">IBIBIIIQ")
-
-
-def _decode_path_id(blob: bytes, offset: int) -> tuple[PathID, int]:
-    try:
-        (
-            source_network,
-            source_length,
-            destination_network,
-            destination_length,
-            reporting_hop,
-            previous_hop,
-            next_hop,
-            max_diff_us,
-        ) = _PATH_ID_STRUCT.unpack_from(blob, offset)
-    except struct.error as exc:
-        raise BinaryFormatError(f"truncated PathID at offset {offset}") from exc
-    prefix_pair = PrefixPair(
-        source=OriginPrefix(network=source_network, length=source_length),
-        destination=OriginPrefix(network=destination_network, length=destination_length),
-    )
-    path_id = PathID(
-        prefix_pair=prefix_pair,
-        reporting_hop=reporting_hop,
-        previous_hop=None if previous_hop == 0xFFFFFFFF else previous_hop,
-        next_hop=None if next_hop == 0xFFFFFFFF else next_hop,
-        max_diff=max_diff_us / _TIME_SCALE,
-    )
-    return path_id, offset + _PATH_ID_STRUCT.size
-
-
-def encode_report(report: HOPReport) -> bytes:
-    """Encode a HOP report into the compact binary format."""
-    chunks: list[bytes] = [_MAGIC, struct.pack(">IHH", report.hop_id,
-                                               len(report.sample_receipts),
-                                               len(report.aggregate_receipts))]
-    for receipt in report.sample_receipts:
-        chunks.append(struct.pack(">B", _SAMPLE_KIND))
-        chunks.append(_encode_path_id(receipt.path_id))
-        threshold = receipt.sampling_threshold
-        chunks.append(struct.pack(">BQ", threshold is not None, threshold or 0))
-        chunks.append(struct.pack(">I", len(receipt.samples)))
-        for record in receipt.samples:
-            chunks.append(struct.pack(">QQ", record.pkt_id, _encode_time(record.time)))
-    for receipt in report.aggregate_receipts:
-        chunks.append(struct.pack(">B", _AGGREGATE_KIND))
-        chunks.append(_encode_path_id(receipt.path_id))
-        chunks.append(
-            struct.pack(
-                ">QQIQQQ",
-                receipt.first_pkt_id,
-                receipt.last_pkt_id,
-                receipt.pkt_count,
-                _encode_time(receipt.start_time),
-                _encode_time(receipt.end_time),
-                _encode_time(receipt.time_sum),
-            )
-        )
-        chunks.append(struct.pack(">II", len(receipt.trans_before), len(receipt.trans_after)))
-        for value in receipt.trans_before + receipt.trans_after:
-            chunks.append(struct.pack(">Q", value))
-    return b"".join(chunks)
-
-
-def decode_report(blob: bytes) -> HOPReport:
-    """Decode a blob produced by :func:`encode_report`."""
-    if blob[:4] != _MAGIC:
-        raise BinaryFormatError("missing VPM magic header")
-    try:
-        hop_id, sample_count, aggregate_count = struct.unpack_from(">IHH", blob, 4)
-    except struct.error as exc:
-        raise BinaryFormatError("truncated report header") from exc
-    offset = 4 + 8
-
-    sample_receipts: list[SampleReceipt] = []
-    aggregate_receipts: list[AggregateReceipt] = []
-    total = sample_count + aggregate_count
-    for _ in range(total):
-        try:
-            (kind,) = struct.unpack_from(">B", blob, offset)
-        except struct.error as exc:
-            raise BinaryFormatError(f"truncated receipt at offset {offset}") from exc
-        offset += 1
-        path_id, offset = _decode_path_id(blob, offset)
-        if kind == _SAMPLE_KIND:
-            has_threshold, threshold = struct.unpack_from(">BQ", blob, offset)
-            offset += 9
-            (count,) = struct.unpack_from(">I", blob, offset)
-            offset += 4
-            records = []
-            for _ in range(count):
-                pkt_id, time_us = struct.unpack_from(">QQ", blob, offset)
-                offset += 16
-                records.append(SampleRecord(pkt_id=pkt_id, time=time_us / _TIME_SCALE))
-            sample_receipts.append(
-                SampleReceipt(
-                    path_id=path_id,
-                    samples=tuple(records),
-                    sampling_threshold=threshold if has_threshold else None,
-                )
-            )
-        elif kind == _AGGREGATE_KIND:
-            (
-                first_pkt_id,
-                last_pkt_id,
-                pkt_count,
-                start_us,
-                end_us,
-                sum_us,
-            ) = struct.unpack_from(">QQIQQQ", blob, offset)
-            offset += struct.calcsize(">QQIQQQ")
-            before_count, after_count = struct.unpack_from(">II", blob, offset)
-            offset += 8
-            trans = []
-            for _ in range(before_count + after_count):
-                (value,) = struct.unpack_from(">Q", blob, offset)
-                offset += 8
-                trans.append(value)
-            aggregate_receipts.append(
-                AggregateReceipt(
-                    path_id=path_id,
-                    first_pkt_id=first_pkt_id,
-                    last_pkt_id=last_pkt_id,
-                    pkt_count=pkt_count,
-                    start_time=start_us / _TIME_SCALE,
-                    end_time=end_us / _TIME_SCALE,
-                    time_sum=sum_us / _TIME_SCALE,
-                    trans_before=tuple(trans[:before_count]),
-                    trans_after=tuple(trans[before_count:]),
-                )
-            )
-        else:
-            raise BinaryFormatError(f"unknown receipt kind {kind} at offset {offset}")
-
-    return HOPReport(
-        hop_id=hop_id,
-        sample_receipts=tuple(sample_receipts),
-        aggregate_receipts=tuple(aggregate_receipts),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Canonical (engine-comparable) form
-# ---------------------------------------------------------------------------
+__all__ = ["canonical_receipts", "receipts_digest"]
 
 
 def canonical_receipts(reports: Mapping[int, HOPReport]) -> dict[str, Any]:

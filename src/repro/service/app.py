@@ -70,7 +70,7 @@ from socketserver import ThreadingMixIn
 from repro.api.spec import CampaignSpec, ExecutionPolicy
 from repro.service.dashboard import DASHBOARD_HTML
 from repro.service.dispatchapi import DispatchRegistry, handle_dispatch
-from repro.service.errors import STATUS_TEXT, HTTPError, error_body
+from repro.service.errors import STATUS_TEXT, HTTPError, _body_bytes, error_body
 from repro.service.index import RunIndex
 from repro.service.jobs import JobQueue, JobRejected
 from repro.service.report import compare_runs, run_report
@@ -141,7 +141,7 @@ def _float_param(params: dict[str, list[str]], key: str, default: float) -> floa
             code="bad_parameter",
             detail={"parameter": key},
         ) from None
-    if value < 0:
+    if not value >= 0:  # NaN too: it would defeat the long-poll cap
         raise HTTPError(
             400,
             f"query parameter {key!r} must be >= 0, got {value}",
@@ -476,13 +476,7 @@ class ServiceApp:
         return {"job": queue.snapshot(job), "killed": killed}
 
     def _read_body(self, environ: dict[str, Any]) -> dict[str, Any]:
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            raise HTTPError(400, "invalid Content-Length") from None
-        if length > MAX_BODY_BYTES:
-            raise HTTPError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        payload = environ["wsgi.input"].read(length) if length else b""
+        payload = _body_bytes(environ, MAX_BODY_BYTES, "request body")
         if not payload:
             raise HTTPError(400, "request body must be a JSON object")
         try:

@@ -17,7 +17,7 @@ import threading
 from typing import Any
 
 from repro.dist.net import DIGEST_HEADER, WORKER_HEADER, DispatchHub, ProtocolError
-from repro.service.errors import HTTPError
+from repro.service.errors import HTTPError, _body_bytes
 
 __all__ = ["DispatchRegistry", "handle_dispatch"]
 
@@ -39,10 +39,6 @@ class DispatchRegistry:
     def register(self, run_id: str, hub: DispatchHub) -> None:
         with self._lock:
             self._hubs[run_id] = hub
-
-    def unregister(self, run_id: str) -> None:
-        with self._lock:
-            self._hubs.pop(run_id, None)
 
     def hub(self, run_id: str) -> DispatchHub | None:
         with self._lock:
@@ -92,16 +88,6 @@ def _interval(segment: str) -> int:
     return interval
 
 
-def _read_raw_body(environ: dict[str, Any]) -> bytes:
-    try:
-        length = int(environ.get("CONTENT_LENGTH") or 0)
-    except ValueError:
-        raise HTTPError(400, "invalid Content-Length") from None
-    if length > MAX_UPLOAD_BYTES:
-        raise HTTPError(413, f"upload exceeds {MAX_UPLOAD_BYTES} bytes")
-    return environ["wsgi.input"].read(length) if length else b""
-
-
 def handle_dispatch(
     registry: DispatchRegistry,
     route: list[str],
@@ -145,7 +131,7 @@ def handle_dispatch(
                 raise HTTPError(405, f"record upload supports PUT, got {method}")
             interval = _interval(tail[1])
             worker = _require_worker(environ)
-            payload = _read_raw_body(environ)
+            payload = _body_bytes(environ, MAX_UPLOAD_BYTES, "upload")
             digest = environ.get(_DIGEST_ENV)
             return 200, hub.upload(interval, payload, digest, worker)
         raise HTTPError(404, f"no such dispatch route: {'/'.join(route)}")

@@ -11,8 +11,8 @@ parameter's name, or the declared-vs-computed digests of a rejected
 upload).  Clients branch on ``code``; ``message`` is for humans.
 
 This module sits below :mod:`repro.service.app` so the dispatch endpoint
-handlers can raise :class:`HTTPError` without importing the app (which
-imports them).
+handlers can raise :class:`HTTPError`, and read request bodies the way the
+app does, without importing the app (which imports them).
 """
 
 from __future__ import annotations
@@ -60,6 +60,26 @@ class HTTPError(Exception):
         self.message = message
         self.code = code if code is not None else _DEFAULT_CODES.get(status, "error")
         self.detail = dict(detail) if detail is not None else None
+
+
+def _body_bytes(environ: Mapping[str, Any], limit: int, what: str) -> bytes:
+    """A request's body, read only after its ``Content-Length`` is checked.
+
+    A missing or empty header reads nothing.  A value that is not a
+    non-negative integer answers 400, and one above ``limit`` answers 413
+    (``what`` names the body in that message).  Both are raised before any
+    read: ``wsgi.input.read(-1)`` would block until the client closes its
+    socket.
+    """
+    try:
+        length = int(environ.get("CONTENT_LENGTH") or 0)
+    except ValueError:
+        length = -1  # rejected with the negative lengths below
+    if length < 0:
+        raise HTTPError(400, "invalid Content-Length")
+    if length > limit:
+        raise HTTPError(413, f"{what} exceeds {limit} bytes")
+    return environ["wsgi.input"].read(length) if length else b""
 
 
 def error_body(

@@ -43,7 +43,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -266,20 +265,6 @@ class JobQueue:
                 counts[job.state] += 1
         counts["workers"] = len(self._workers)
         return counts
-
-    def wait_idle(self, timeout: float = 60.0) -> bool:
-        """Block until no job is queued or running (tests and demos)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                busy = any(
-                    job.state in ("queued", "running")
-                    for job in self._jobs.values()
-                )
-            if not busy:
-                return True
-            time.sleep(0.05)
-        return False
 
     # -- control -----------------------------------------------------------------------
 

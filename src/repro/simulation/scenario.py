@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.net.batch import PacketBatch
-from repro.net.link import InterDomainLink
 from repro.net.packet import Packet
 from repro.net.topology import Domain, HOP, HOPPath, Topology, figure1_topology
 from repro.traffic.delay_models import ConstantDelayModel, DelayModel
@@ -146,10 +145,6 @@ class PathObservation:
         hop_id = hop.hop_id if isinstance(hop, HOP) else hop
         return self.observations[hop_id]
 
-    def packets_observed(self, hop: HOP | int) -> int:
-        """Number of packets observed at a HOP."""
-        return len(self.at_hop(hop))
-
     def truth_for(self, domain: Domain | str) -> DomainGroundTruth:
         """Ground truth for one domain."""
         name = domain.name if isinstance(domain, Domain) else domain
@@ -178,10 +173,6 @@ class BatchPathObservation:
         """The (batch, observation times) pair observed at a HOP."""
         hop_id = hop.hop_id if isinstance(hop, HOP) else hop
         return self.batches[hop_id], self.times[hop_id]
-
-    def packets_observed(self, hop: HOP | int) -> int:
-        """Number of packets observed at a HOP."""
-        return len(self.at_hop(hop)[0])
 
     def truth_for(self, domain: Domain | str) -> StreamingTruth:
         """Ground truth for one domain."""
@@ -229,10 +220,6 @@ class PathScenario:
                 f"(transit domains: {sorted(transit_names)})"
             )
         self._segment_conditions[name] = condition
-
-    def configure_link(self, first: HOP | int, second: HOP | int, link: InterDomainLink) -> None:
-        """Replace the inter-domain link between two HOPs."""
-        self.topology.add_link(self.topology.hop(first), self.topology.hop(second), link)
 
     def condition_for(self, domain: Domain | str) -> SegmentCondition:
         """The configured (or default) condition of a transit domain."""

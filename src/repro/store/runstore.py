@@ -255,10 +255,6 @@ class RunStore:
         """The index of the first interval not yet completed."""
         return self.record_count
 
-    @property
-    def is_complete(self) -> bool:
-        return self.record_count >= self.spec().intervals
-
     def append(self, record: Mapping[str, Any]) -> None:
         """Append one completed interval's record durably, in O(1).
 

@@ -16,7 +16,7 @@ from repro.traffic.loss_models import (
 )
 from repro.traffic.reordering import NoReordering, ReorderingModel, WindowReordering
 from repro.traffic.trace import SyntheticTrace, TraceConfig
-from repro.traffic.workload import WorkloadSpec, make_workload, register_workload
+from repro.traffic.workload import WorkloadSpec, make_workload
 
 __all__ = [
     "BernoulliLossModel",
@@ -38,5 +38,4 @@ __all__ = [
     "WindowReordering",
     "WorkloadSpec",
     "make_workload",
-    "register_workload",
 ]

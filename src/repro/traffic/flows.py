@@ -11,8 +11,9 @@ properties the VPM mechanisms are sensitive to:
 * a realistic packet-size mix (small ACK-sized, medium, and MTU-sized modes
   averaging roughly 400 bytes, the figure Section 7.1 assumes).
 
-:class:`FlowGenerator` produces :class:`Flow` descriptors; the trace module
-expands them into interleaved packet sequences.
+:class:`FlowGenerator` produces a flow population, one array per
+:class:`Flow` field; the trace module expands it into interleaved packet
+sequences.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ class FlowGenerator:
         sizes = np.clip(np.round(sizes), 1, config.max_flow_size)
         return sizes.astype(int)
 
-    def generate(self, total_packets: int) -> list[Flow]:
-        """Generate flows whose sizes sum to at least ``total_packets``.
+    def generate(self, total_packets: int) -> "_FlowColumns":
+        """Flows whose sizes sum to ``total_packets``, one array per field.
 
         Flow sizes come from :meth:`_flow_sizes` in pareto batches; each flow
         then draws, in order, a TCP/UDP coin and a start time (two doubles)
@@ -149,12 +150,9 @@ class FlowGenerator:
         raw-word block that consumes exactly that stream (see
         :meth:`_columnar_flows`); :meth:`_make_flow`, one flow at a time,
         is the exactness fallback and the oracle the columnar path is
-        tested against.
+        tested against.  No :class:`Flow` objects are built on the columnar
+        path.
         """
-        return self._generate_columns(total_packets).flows()
-
-    def _generate_columns(self, total_packets: int) -> "_FlowColumns":
-        """:meth:`generate` as flow columns, building no :class:`Flow` objects."""
         if total_packets <= 0:
             raise ValueError(f"total_packets must be positive, got {total_packets}")
         batches: list[_FlowColumns] = []
@@ -308,7 +306,3 @@ class _FlowColumns:
                 for field in fields(cls)
             )
         )
-
-    def flows(self) -> list[Flow]:
-        columns = (getattr(self, field.name).tolist() for field in fields(self))
-        return [Flow(*row) for row in zip(*columns)]

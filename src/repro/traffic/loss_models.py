@@ -68,10 +68,6 @@ class LossModel(RNGStateMixin):
             count=count,
         )
 
-    def expected_loss_rate(self) -> float:
-        """Return the model's long-run expected loss rate."""
-        raise NotImplementedError
-
     def reset(self) -> None:
         """Reset internal state (e.g. the Markov chain) to its initial value."""
 
@@ -85,9 +81,6 @@ class NoLossModel(LossModel):
 
     def drops_batch(self, first_index: int, count: int) -> np.ndarray:
         return np.zeros(count, dtype=bool)
-
-    def expected_loss_rate(self) -> float:
-        return 0.0
 
 
 class BernoulliLossModel(LossModel):
@@ -107,9 +100,6 @@ class BernoulliLossModel(LossModel):
             return np.zeros(count, dtype=bool)
         # Generator.random draws the same stream batched or one at a time.
         return self._rng.random(count) < self.loss_rate
-
-    def expected_loss_rate(self) -> float:
-        return self.loss_rate
 
     def __repr__(self) -> str:
         return f"BernoulliLossModel(loss_rate={self.loss_rate!r})"
@@ -269,12 +259,6 @@ class GilbertElliottLossModel(LossModel):
                 rng.random(out=uniforms[:position])
         self._in_bad_state = bool(bad)
         return lost
-
-    def expected_loss_rate(self) -> float:
-        if self.p == 0.0:
-            return self.loss_good
-        pi_bad = self.p / (self.p + self.r) if (self.p + self.r) > 0 else 1.0
-        return (1.0 - pi_bad) * self.loss_good + pi_bad * self.loss_bad
 
     def reset(self) -> None:
         self._in_bad_state = False

@@ -1,10 +1,10 @@
 """Synthetic packet traces.
 
-This module is the substitution for the CAIDA Tier-1 traces the paper uses
-(documented in ``DESIGN.md``).  A :class:`SyntheticTrace` produces the packet
-sequence observed on one HOP path — i.e. "all packets that carry a given
-source and destination origin-prefix pair", which is exactly what the paper
-extracts from its traces — with:
+This module is the substitution for the CAIDA Tier-1 traces the paper uses.
+A :class:`SyntheticTrace` produces the packet sequence observed on one HOP
+path — i.e. "all packets that carry a given source and destination
+origin-prefix pair", which is exactly what the paper extracts from its
+traces — with:
 
 * a configurable aggregate packet rate (the paper's headline sequence runs at
   100,000 packets per second);
@@ -165,7 +165,7 @@ class SyntheticTrace:
         flow_generator = FlowGenerator(
             self.prefix_pair, config=config.flow_config, seed=rng
         )
-        flows = flow_generator._generate_columns(count)
+        flows = flow_generator.generate(count)
 
         # Assign each packet slot to a flow proportionally to flow size, then
         # interleave flows by drawing a random permutation of slots — this

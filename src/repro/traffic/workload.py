@@ -1,9 +1,8 @@
 """Named workloads used by the examples and the benchmark harness.
 
-Each experiment in ``DESIGN.md``'s index references one of these workload
-specifications, so the benchmarks and the examples share a single definition
-of "the paper's packet sequence" instead of re-deriving parameters in several
-places.
+The benchmarks and the examples name one of these workload specifications,
+so they share a single definition of "the paper's packet sequence" instead of
+re-deriving parameters in several places.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from repro.traffic.flows import FlowGeneratorConfig
 from repro.traffic.trace import SyntheticTrace, TraceConfig, default_prefix_pair
 from repro.util.validation import check_positive
 
-__all__ = ["WorkloadSpec", "make_workload", "register_workload", "WORKLOADS"]
+__all__ = ["WorkloadSpec", "make_workload", "WORKLOADS"]
 
 
 @dataclass(frozen=True)
@@ -23,10 +22,10 @@ class WorkloadSpec:
 
     ``packet_count`` and ``packets_per_second`` determine the sequence; the
     paper's headline sequence is 100,000 packets per second.  Benchmarks use a
-    scaled-down ``packet_count`` by default (documented in ``EXPERIMENTS.md``)
-    because generating the full sequence in pure Python is slow; the scaling
-    factor does not change the shape of any result because all quantities of
-    interest are rates or per-packet statistics.
+    scaled-down ``packet_count`` by default (``REPRO_BENCH_PACKETS``, see
+    ``benchmarks/conftest.py``) because generating the full sequence is slow;
+    the scaling factor does not change the shape of any result because all
+    quantities of interest are rates or per-packet statistics.
     """
 
     name: str
@@ -76,22 +75,6 @@ WORKLOADS: dict[str, WorkloadSpec] = {
         description="Bursty (MMPP) arrivals for robustness experiments.",
     ),
 }
-
-
-def register_workload(spec: WorkloadSpec, *, overwrite: bool = False) -> WorkloadSpec:
-    """Register a named workload for :func:`make_workload` and ``TrafficSpec``.
-
-    Third parties can add workloads the same way they plug new models into
-    :mod:`repro.api.registry`; a registered name is immediately usable as
-    ``TrafficSpec(workload=...)`` in declarative experiment specs.
-    """
-    if not overwrite and spec.name in WORKLOADS:
-        raise ValueError(
-            f"workload {spec.name!r} is already registered; "
-            f"pass overwrite=True to replace it"
-        )
-    WORKLOADS[spec.name] = spec
-    return spec
 
 
 def make_workload(name: str, seed: int | None = 0) -> SyntheticTrace:

@@ -5,11 +5,8 @@ from repro.util.units import (
     BYTES_PER_GB,
     BYTES_PER_KB,
     BYTES_PER_MB,
-    Mbps,
     bytes_to_human,
     gbps_to_pps,
-    microseconds,
-    milliseconds,
     seconds,
 )
 from repro.util.validation import (
@@ -23,7 +20,6 @@ __all__ = [
     "BYTES_PER_GB",
     "BYTES_PER_KB",
     "BYTES_PER_MB",
-    "Mbps",
     "bytes_to_human",
     "check_fraction",
     "check_non_negative",
@@ -32,7 +28,5 @@ __all__ = [
     "derive_seed",
     "gbps_to_pps",
     "make_rng",
-    "microseconds",
-    "milliseconds",
     "seconds",
 ]

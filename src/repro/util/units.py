@@ -10,9 +10,6 @@ from __future__ import annotations
 
 __all__ = [
     "seconds",
-    "milliseconds",
-    "microseconds",
-    "Mbps",
     "gbps_to_pps",
     "bytes_to_human",
     "BYTES_PER_KB",
@@ -28,21 +25,6 @@ BYTES_PER_GB = 1024 * 1024 * 1024
 def seconds(value: float) -> float:
     """Identity conversion, present for symmetry and call-site clarity."""
     return float(value)
-
-
-def milliseconds(value: float) -> float:
-    """Convert milliseconds to seconds."""
-    return float(value) * 1e-3
-
-
-def microseconds(value: float) -> float:
-    """Convert microseconds to seconds."""
-    return float(value) * 1e-6
-
-
-def Mbps(value: float) -> float:
-    """Convert megabits per second to bytes per second."""
-    return float(value) * 1e6 / 8.0
 
 
 def gbps_to_pps(gbps: float, mean_packet_size: int = 400) -> float:

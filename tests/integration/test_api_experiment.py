@@ -30,7 +30,9 @@ from repro.api import (
     SweepResult,
     TrafficSpec,
 )
+from repro.api.spec import CampaignSpec
 from repro.core.protocol import VPMSession
+from repro.engine.campaign import CampaignRunner
 from repro.engine.streaming import StreamingCell, StreamingRunner
 from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import JitterDelayModel
@@ -267,13 +269,17 @@ class TestAdversarySpecs:
         assert cells["batch"] == cells["scalar"]
 
 
+def _campaign(cell: ExperimentSpec, intervals: int) -> CampaignRunner:
+    return CampaignRunner(CampaignSpec(name="campaign", intervals=intervals, cell=cell))
+
+
 class TestCampaignFromSpec:
     def test_campaign_accumulates_intervals(self):
         spec = _smoke_spec(
             traffic=TrafficSpec(workload=None, packet_count=2000),
             estimation=EstimationSpec(observer="S", targets=("X",)),
         )
-        runner = Experiment(spec).campaign_runner(intervals=2)
+        runner = _campaign(spec, intervals=2)
         outcome = runner.run()
         assert outcome.completed
         assert outcome.summary["intervals"] == 2
@@ -284,8 +290,8 @@ class TestCampaignFromSpec:
 
     def test_interval_traffic_is_seed_spaced_and_reproducible(self):
         spec = _smoke_spec(traffic=TrafficSpec(workload=None, packet_count=500))
-        first = Experiment(spec).campaign_runner(intervals=2)
-        second = Experiment(spec).campaign_runner(intervals=2)
+        first = _campaign(spec, intervals=2)
+        second = _campaign(spec, intervals=2)
         first.run()
         second.run()
         assert first.records() == second.records()
@@ -298,7 +304,7 @@ class TestCampaignFromSpec:
             traffic=TrafficSpec(workload=None, packet_count=500),
             estimation=EstimationSpec(observer="L", targets=("X", "N")),
         )
-        runner = Experiment(spec).campaign_runner(intervals=1)
+        runner = _campaign(spec, intervals=1)
         summary = runner.run().summary
         assert sorted(summary["domains"]) == ["N", "X"]
         assert sorted(runner.records()[0]["verdicts"]) == ["N", "X"]

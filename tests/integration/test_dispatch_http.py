@@ -37,7 +37,10 @@ from repro.dist import ChaosSchedule, DispatchCoordinator, dispatch_campaign
 from repro.dist.dispatch import DispatchWorker
 from repro.dist.net import DIGEST_HEADER, WORKER_HEADER, HTTPTransport, record_digest
 from repro.engine.campaign import CampaignRunner, interval_record
+from repro.service.dispatchapi import MAX_UPLOAD_BYTES
 from repro.store import RunStore, stable_json
+
+from tests.helpers import raw_http_exchange
 
 
 def _spec(name: str, intervals: int, seed: int = 97) -> CampaignSpec:
@@ -207,6 +210,31 @@ class TestUploadFaults:
             DispatchWorker(
                 HTTPTransport(coordinator.http_url, coordinator.run_id)
             ).run()
+
+
+class TestUploadBody:
+    def test_content_length_checked_before_the_body_is_read(self, tmp_path):
+        store = RunStore.create(tmp_path / "run", _spec("http-length", intervals=1))
+        coordinator = DispatchCoordinator(store, workers=0)
+
+        def upload(length: int) -> bytes | None:
+            return raw_http_exchange(
+                coordinator.http_url,
+                f"PUT /api/v1/dispatch/{coordinator.run_id}/records/0 HTTP/1.1\r\n"
+                f"Host: localhost\r\n{WORKER_HEADER}: w0\r\nConnection: close\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("ascii"),
+            )
+
+        try:
+            negative, oversized = upload(-1), upload(MAX_UPLOAD_BYTES + 1)
+        finally:
+            coordinator.close()
+        # A negative length must not reach wsgi.input.read(-1), which would
+        # wait for the worker to hang up.
+        assert negative is not None, "the handler is still reading the body"
+        assert negative.split(b"\r\n", 1)[0].split()[1] == b"400"
+        assert b"invalid Content-Length" in negative
+        assert oversized is not None and oversized.split(b"\r\n", 1)[0].split()[1] == b"413"
 
 
 class TestEndOfRun:

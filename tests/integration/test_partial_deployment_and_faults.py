@@ -67,8 +67,11 @@ class TestFaultyLink:
         self, path, integration_packets, default_hop_config
     ):
         scenario = PathScenario(seed=611)
-        scenario.configure_link(
-            5, 6, InterDomainLink(spec=LinkSpec(), loss_rate=0.05, seed=612)
+        topology = scenario.topology
+        topology.add_link(
+            topology.hop(5),
+            topology.hop(6),
+            InterDomainLink(spec=LinkSpec(), loss_rate=0.05, seed=612),
         )
         observation = scenario.run(integration_packets)
         session = VPMSession(
@@ -89,9 +92,10 @@ class TestFaultyLink:
         self, path, integration_packets, default_hop_config
     ):
         scenario = PathScenario(seed=621)
-        scenario.configure_link(
-            5,
-            6,
+        topology = scenario.topology
+        topology.add_link(
+            topology.hop(5),
+            topology.hop(6),
             InterDomainLink(
                 spec=LinkSpec(max_diff=1e-3, nominal_delay=100e-6),
                 excess_delay=5e-3,  # pushes the link beyond its MaxDiff

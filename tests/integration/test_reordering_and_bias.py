@@ -21,6 +21,7 @@ from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import CongestionDelayModel, ConstantDelayModel
 from repro.traffic.loss_models import BernoulliLossModel
 from repro.traffic.reordering import WindowReordering
+from tests.helpers import sampled_ids
 
 
 def make_config(sampling_rate: float = 0.05, aggregate_size: int = 1000) -> HOPConfig:
@@ -157,13 +158,13 @@ class TestBiasResistance:
             path, configs={d.name: make_config(sampling_rate=0.05) for d in path.domains}
         )
         session.run(observation)
-        sampled_ids = session.verifier_for("L").sample_receipt_for(4).pkt_ids
+        sampled = sampled_ids(session.verifier_for("L").sample_receipt_for(4))
         guessed_uids = {
             digester.digest(packet)
             for packet, _ in observation.at_hop(4)
             if predicate(packet)
         }
-        overlap = len(sampled_ids & guessed_uids) / len(sampled_ids)
+        overlap = len(sampled & guessed_uids) / len(sampled)
         # At a 5% guessing budget the expected overlap is 5%; far from the
         # 100% an attacker achieves against a predictable protocol.
         assert overlap < 0.15

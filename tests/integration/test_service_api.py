@@ -30,7 +30,10 @@ from repro.api.spec import (
 )
 from repro.engine.campaign import CampaignRunner
 from repro.service import JobQueue, ServiceApp, make_service_server
+from repro.service.app import MAX_BODY_BYTES
 from repro.store import RunStore
+
+from tests.helpers import raw_http_exchange
 
 
 def _spec(name: str, intervals: int = 2, seed: int = 71) -> CampaignSpec:
@@ -214,6 +217,45 @@ def test_malformed_requests(service):
     assert status == 400 and "'spec'" in body["error"]["message"]
     status, body = _request(service["base"], "/api/v1/compare?runs=just-one")
     assert status == 400 and "at least two" in body["error"]["message"]
+
+
+def _status(reply: bytes) -> int:
+    return int(reply.split(b"\r\n", 1)[0].split()[1])
+
+
+def test_content_length_checked_before_the_body_is_read(service):
+    def submit(length: int) -> bytes | None:
+        return raw_http_exchange(
+            service["base"],
+            b"POST /api/v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n" % length,
+        )
+
+    # A negative length must not reach wsgi.input.read(-1), which would wait
+    # for the client to hang up.
+    reply = submit(-1)
+    assert reply is not None, "the handler is still reading the body"
+    assert _status(reply) == 400 and b"invalid Content-Length" in reply
+    reply = submit(MAX_BODY_BYTES + 1)
+    assert reply is not None and _status(reply) == 413
+
+
+def test_nan_wait_is_rejected_not_held(service, monkeypatch):
+    monkeypatch.setattr("repro.service.app.MAX_WAIT_SECONDS", 0.5)
+    RunStore.create(service["store_root"] / "dead-run", _spec("dead", intervals=2))
+    path = "/api/v1/runs/dead-run/records?since=0&wait="
+    # An infinite wait is capped like any other long wait.
+    started = time.monotonic()
+    status, body = _request(service["base"], path + "inf", timeout=10.0)
+    assert status == 200 and body["records"] == [] and not body["complete"]
+    assert time.monotonic() - started < 5.0
+    # NaN compares false against the cap, so it would hold the thread until
+    # the (dead) run finished.
+    status, body = _request(service["base"], path + "nan", timeout=3.0)
+    assert status == 400
+    assert body["error"]["code"] == "bad_parameter"
+    assert body["error"]["detail"]["parameter"] == "wait"
 
 
 def _raw_get(base, path, method="GET"):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.metrics import delay_accuracy_report
 from repro.core.aggregation import AggregatorConfig
+from repro.core.estimation import delay_accuracy
 from repro.core.hop import HOPConfig
 from repro.core.protocol import VPMSession
 from repro.core.sampling import SamplerConfig
@@ -52,8 +52,9 @@ class TestGracefulDegradation:
             )
             session.run(congested_observation)
             performance = session.estimate("L", "X")
-            report = delay_accuracy_report(performance, truth)
-            errors[rate] = report.max_error_ms
+            estimated = performance.delay_quantiles
+            accuracy = delay_accuracy(estimated, truth.delay_quantiles(sorted(estimated)))
+            errors[rate] = accuracy * 1e3
             sample_counts[rate] = performance.delay_sample_count
         # More sampling -> more matched samples.
         assert sample_counts[0.10] > sample_counts[0.02] > sample_counts[0.005]

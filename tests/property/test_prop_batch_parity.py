@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.core.aggregation import Aggregator, AggregatorConfig
 from repro.core.receipts import PathID
 from repro.core.sampling import DelaySampler, SamplerConfig
-from repro.net.batch import PacketBatch
 from repro.net.hashing import (
     MASK32,
     MASK64,
@@ -34,6 +33,8 @@ from repro.net.hashing import (
 )
 from repro.net.packet import Packet, PacketHeaders
 from repro.traffic.trace import default_prefix_pair
+
+from tests.helpers import batch_from_packets
 
 uint64 = st.integers(min_value=0, max_value=MASK64)
 
@@ -114,7 +115,7 @@ class TestDigestParity:
     @settings(max_examples=25, deadline=None)
     def test_digest_batch_matches_scalar(self, seed, count, payload_bytes, digest_seed, prefix):
         packets = random_packets(seed, count, payload_bytes)
-        batch = PacketBatch.from_packets(packets)
+        batch = batch_from_packets(packets)
         digester = PacketDigester(seed=digest_seed, payload_prefix=prefix)
         batch_digests = digester.digest_batch(batch)
         scalar_digests = np.asarray(
@@ -130,7 +131,7 @@ class TestDigestParity:
     @settings(max_examples=25, deadline=None)
     def test_invariant_matrix_matches_invariant_bytes(self, seed, count, prefix):
         packets = random_packets(seed, count, payload_bytes=16)
-        batch = PacketBatch.from_packets(packets)
+        batch = batch_from_packets(packets)
         matrix = batch.invariant_matrix(prefix)
         for row, packet in zip(matrix, packets):
             assert row.tobytes() == packet.invariant_bytes(prefix)
@@ -174,7 +175,7 @@ class TestSamplerParity:
         chunked_feed(batched, digests, times, np.random.default_rng(seed + 1))
 
         assert scalar.state_digest() == batched.state_digest()
-        assert scalar.marker_count == batched.marker_count
+        assert scalar._marker_count == batched._marker_count
         assert scalar.observed_packets == batched.observed_packets
         assert scalar.max_buffer_occupancy == batched.max_buffer_occupancy
 
@@ -220,9 +221,9 @@ class TestAggregatorParity:
             assert expected.trans_before == actual.trans_before
             assert expected.trans_after == actual.trans_after
             assert np.isclose(expected.time_sum, actual.time_sum, rtol=1e-12, atol=1e-9)
-        assert scalar.cut_count == batched.cut_count
+        assert scalar._cut_count == batched._cut_count
         assert scalar.observed_packets == batched.observed_packets
-        assert scalar.max_window_occupancy == batched.max_window_occupancy
+        assert scalar._max_window_occupancy == batched._max_window_occupancy
         assert scalar.state_digest() == batched.state_digest()
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -250,5 +251,5 @@ class TestAggregatorParity:
         # precedes their start time, in both paths alike.  The digest covers
         # the finalized aggregates, their AggTrans windows and the window.
         assert scalar.state_digest() == batched.state_digest()
-        assert scalar.cut_count == batched.cut_count
-        assert scalar.max_window_occupancy == batched.max_window_occupancy
+        assert scalar._cut_count == batched._cut_count
+        assert scalar._max_window_occupancy == batched._max_window_occupancy

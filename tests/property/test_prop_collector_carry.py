@@ -112,8 +112,8 @@ def test_chunked_carry_matches_scalar_loop(
     for expected, actual in zip(oracle, chunked):
         assert actual.state_digest() == expected.state_digest()
     aggregator = chunked[0]
-    assert aggregator.max_window_occupancy == oracle[0].max_window_occupancy
-    assert aggregator.max_window_occupancy == brute_force_peak(times, window)
+    assert aggregator._max_window_occupancy == oracle[0]._max_window_occupancy
+    assert aggregator._max_window_occupancy == brute_force_peak(times, window)
 
     # Flushing boxes the carried window into the last receipt's AggTrans.
     oracle[0].flush()

@@ -11,7 +11,6 @@ from repro.net.hashing import (
     bob_hash,
     combine64,
     fnv1a_64,
-    rate_for_threshold,
     sample_function,
     splitmix64,
     threshold_for_rate,
@@ -68,7 +67,7 @@ class TestThresholdProperties:
 
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_round_trip_within_float_precision(self, rate):
-        assert abs(rate_for_threshold(threshold_for_rate(rate)) - rate) < 1e-9
+        assert abs(1.0 - threshold_for_rate(rate) / MASK64 - rate) < 1e-9
 
     @given(uint64, st.floats(min_value=1e-4, max_value=1.0, allow_nan=False))
     def test_threshold_decision_consistent_with_rate_ordering(self, digest, rate):

@@ -1,111 +1,13 @@
-"""Property-based tests for the partition algebra (Section 6.1) and receipt alignment."""
+"""Property-based tests for receipt alignment (the join of Section 6.1, the patch-up of 6.3)."""
 
 from __future__ import annotations
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.partition import (
-    PartitionSet,
-    aligned_aggregates,
-    is_coarser,
-    join_partitions,
-)
+from repro.core.partition import aligned_aggregates
 from repro.core.receipts import AggregateReceipt, PathID, combine_aggregate_receipts
 from repro.net.prefixes import OriginPrefix, PrefixPair
-
-
-@st.composite
-def partition_pair(draw):
-    """Two random partitions of the same ordered packet set."""
-    size = draw(st.integers(min_value=1, max_value=30))
-    items = tuple(range(size))
-
-    def random_partition() -> PartitionSet:
-        cuts = draw(
-            st.sets(st.integers(min_value=1, max_value=size - 1), max_size=size)
-        ) if size > 1 else set()
-        return PartitionSet.from_cut_indices(items, cuts)
-
-    return random_partition(), random_partition()
-
-
-@st.composite
-def partition_triple(draw):
-    size = draw(st.integers(min_value=1, max_value=20))
-    items = tuple(range(size))
-    partitions = []
-    for _ in range(3):
-        cuts = draw(
-            st.sets(st.integers(min_value=1, max_value=size - 1), max_size=size)
-        ) if size > 1 else set()
-        partitions.append(PartitionSet.from_cut_indices(items, cuts))
-    return tuple(partitions)
-
-
-class TestPartitionInvariants:
-    @given(partition_pair())
-    def test_partition_preserves_items(self, pair):
-        a, b = pair
-        assert a.items == b.items
-        assert sum(len(aggregate) for aggregate in a) == len(a.items)
-
-    @given(partition_pair())
-    def test_join_is_coarser_than_both_inputs(self, pair):
-        a, b = pair
-        joined = join_partitions(a, b)
-        assert is_coarser(joined, a)
-        assert is_coarser(joined, b)
-
-    @given(partition_pair())
-    def test_join_is_commutative(self, pair):
-        a, b = pair
-        assert join_partitions(a, b) == join_partitions(b, a)
-
-    @given(partition_pair())
-    def test_join_is_idempotent(self, pair):
-        a, b = pair
-        joined = join_partitions(a, b)
-        assert join_partitions(joined, joined) == joined
-        assert join_partitions(a, a) == a
-
-    @given(partition_pair())
-    def test_join_absorbs_coarser_partition(self, pair):
-        """If A is coarser than B, Join(A, B) == A."""
-        a, b = pair
-        if is_coarser(a, b):
-            assert join_partitions(a, b) == a
-
-    @given(partition_triple())
-    def test_join_is_associative(self, triple):
-        a, b, c = triple
-        assert join_partitions(join_partitions(a, b), c) == join_partitions(
-            a, join_partitions(b, c)
-        )
-
-    @given(partition_pair())
-    def test_join_is_finest_common_coarsening(self, pair):
-        """No strictly finer partition than the join is coarser than both inputs.
-
-        Equivalent formulation: the join's cut set is exactly the intersection
-        of the inputs' cut sets, so any common coarsening must be coarser than
-        (or equal to) the join.
-        """
-        a, b = pair
-        joined = join_partitions(a, b)
-        assert set(joined.cut_indices) == set(a.cut_indices) & set(b.cut_indices)
-
-    @given(partition_pair())
-    def test_coarser_relation_antisymmetric(self, pair):
-        a, b = pair
-        if is_coarser(a, b) and is_coarser(b, a):
-            assert a == b
-
-    @given(partition_triple())
-    def test_coarser_relation_transitive(self, triple):
-        a, b, c = triple
-        if is_coarser(a, b) and is_coarser(b, c):
-            assert is_coarser(a, c)
 
 
 # -- receipt alignment against the combine-everything, intersect-everything form ------
@@ -227,3 +129,121 @@ class TestReceiptAlignment:
         pairs = aligned_aggregates([receipt, after], [receipt, after])
         assert [pair.migrated_packets for pair in pairs] == [0, 0]
         assert pairs[0].upstream is receipt
+
+
+def _cut_receipts(draw, size):
+    """The loss-free receipts of packets ``1..size`` cut at random points."""
+    later = st.sets(st.integers(min_value=2, max_value=size), max_size=size)
+    cuts = sorted(draw(later) | {1}) if size > 1 else [1]
+    bounds = cuts + [size + 1]
+    return [
+        AggregateReceipt(
+            path_id=_PATH_ID,
+            first_pkt_id=start,
+            last_pkt_id=end - 1,
+            pkt_count=end - start,
+            start_time=float(start),
+            end_time=float(end - 1),
+        )
+        for start, end in zip(bounds, bounds[1:])
+    ]
+
+
+@st.composite
+def cut_streams(draw):
+    """Packets ``1..size`` cut two ways, as the loss-free receipts of two HOPs."""
+    size = draw(st.integers(min_value=1, max_value=30))
+    return size, _cut_receipts(draw, size), _cut_receipts(draw, size)
+
+
+@st.composite
+def cut_triples(draw):
+    size = draw(st.integers(min_value=1, max_value=20))
+    return tuple(_cut_receipts(draw, size) for _ in range(3))
+
+
+def _join(upstream, downstream):
+    """The joined partition, as the upstream HOP's combined receipts."""
+    return [pair.upstream for pair in aligned_aggregates(upstream, downstream)]
+
+
+def _cuts(receipts):
+    return {receipt.first_pkt_id for receipt in receipts}
+
+
+def _spans(receipts):
+    return [(receipt.first_pkt_id, receipt.last_pkt_id, receipt.pkt_count) for receipt in receipts]
+
+
+class TestPartitionInvariants:
+    """The join algebra of Section 6.1, computed from receipts by the live alignment."""
+
+    @given(cut_streams())
+    def test_partition_preserves_items(self, streams):
+        size, upstream, downstream = streams
+        pairs = aligned_aggregates(upstream, downstream)
+        for side in ([pair.upstream for pair in pairs], [pair.downstream for pair in pairs]):
+            assert sum(receipt.pkt_count for receipt in side) == size
+            assert [receipt.first_pkt_id for receipt in side[1:]] == [
+                receipt.last_pkt_id + 1 for receipt in side[:-1]
+            ]
+            assert side[0].first_pkt_id == 1 and side[-1].last_pkt_id == size
+
+    @given(cut_streams())
+    def test_join_is_coarser_than_both_inputs(self, streams):
+        _, upstream, downstream = streams
+        joined = _join(upstream, downstream)
+        for stream in (upstream, downstream):
+            assert _cuts(joined) <= _cuts(stream)
+            for receipt in joined:
+                inside = [
+                    part
+                    for part in stream
+                    if receipt.first_pkt_id <= part.first_pkt_id <= receipt.last_pkt_id
+                ]
+                assert inside[0].first_pkt_id == receipt.first_pkt_id
+                assert inside[-1].last_pkt_id == receipt.last_pkt_id
+                assert sum(part.pkt_count for part in inside) == receipt.pkt_count
+
+    @given(cut_streams())
+    def test_join_is_commutative(self, streams):
+        _, upstream, downstream = streams
+        forward = aligned_aggregates(upstream, downstream)
+        backward = aligned_aggregates(downstream, upstream)
+        assert [(pair.upstream, pair.downstream) for pair in forward] == [
+            (pair.downstream, pair.upstream) for pair in backward
+        ]
+
+    @given(cut_streams())
+    def test_join_is_idempotent(self, streams):
+        _, upstream, downstream = streams
+        joined = _join(upstream, downstream)
+        assert _join(joined, joined) == joined
+        assert _join(upstream, upstream) == upstream
+
+    @given(cut_streams())
+    def test_join_absorbs_coarser_partition(self, streams):
+        """If A is coarser than B, Join(A, B) == A (receipt for receipt)."""
+        _, upstream, downstream = streams
+        coarser = _join(upstream, downstream)
+        assert _join(coarser, upstream) == coarser
+        assert _spans(_join(upstream, coarser)) == _spans(coarser)
+
+    @given(cut_triples())
+    def test_join_is_associative(self, triple):
+        a, b, c = triple
+        assert _spans(_join(_join(a, b), c)) == _spans(_join(a, _join(b, c)))
+
+    @given(cut_streams())
+    def test_join_is_finest_common_coarsening(self, streams):
+        """Join(A, B) keeps exactly the cutting points A and B share."""
+        size, upstream, downstream = streams
+        pairs = aligned_aggregates(upstream, downstream)
+        assert [pair.upstream.first_pkt_id for pair in pairs] == sorted(
+            _cuts(upstream) & _cuts(downstream)
+        )
+        for pair in pairs:
+            up, down = pair.upstream, pair.downstream
+            assert (up.first_pkt_id, up.last_pkt_id) == (down.first_pkt_id, down.last_pkt_id)
+            assert pair.lost_packets == 0 and pair.migrated_packets == 0
+        assert sum(pair.upstream.pkt_count for pair in pairs) == size

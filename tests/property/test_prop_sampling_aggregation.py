@@ -18,6 +18,7 @@ from repro.core.receipts import PathID
 from repro.core.sampling import DelaySampler, SamplerConfig
 from repro.net.hashing import MASK64
 from repro.net.prefixes import OriginPrefix, PrefixPair
+from tests.helpers import sampled_ids
 
 
 PATH_ID = PathID(
@@ -60,8 +61,8 @@ class TestSamplingProperties:
     def test_sampled_sets_nest_across_rates(self, digests, rate_a, rate_b):
         """The HOP with the higher sampling rate samples a superset."""
         low, high = sorted((rate_a, rate_b))
-        low_ids = run_sampler(digests, low).pkt_ids
-        high_ids = run_sampler(digests, high).pkt_ids
+        low_ids = sampled_ids(run_sampler(digests, low))
+        high_ids = sampled_ids(run_sampler(digests, high))
         assert low_ids <= high_ids
 
     @settings(max_examples=60, deadline=None)
@@ -69,8 +70,8 @@ class TestSamplingProperties:
     def test_sampled_set_independent_of_clock(self, digests, rate):
         """Two HOPs with arbitrary clock offsets sample the same packets."""
         assert (
-            run_sampler(digests, rate, time_offset=0.0).pkt_ids
-            == run_sampler(digests, rate, time_offset=123.456).pkt_ids
+            sampled_ids(run_sampler(digests, rate, time_offset=0.0))
+            == sampled_ids(run_sampler(digests, rate, time_offset=123.456))
         )
 
     @settings(max_examples=60, deadline=None)
@@ -82,13 +83,13 @@ class TestSamplingProperties:
         for index, digest in enumerate(digests):
             if sampler.observe(digest, index * 1e-5):
                 markers.append(digest)
-        sampled = sampler.receipt(PATH_ID).pkt_ids
+        sampled = sampled_ids(sampler.receipt(PATH_ID))
         assert set(markers) <= sampled
 
     @settings(max_examples=60, deadline=None)
     @given(digest_streams, rates)
     def test_reported_samples_are_observed_packets(self, digests, rate):
-        sampled = run_sampler(digests, rate).pkt_ids
+        sampled = sampled_ids(run_sampler(digests, rate))
         assert sampled <= set(digests)
 
     @settings(max_examples=40, deadline=None)
@@ -103,7 +104,7 @@ class TestSamplingProperties:
             sampler.observe(digest, index * 1e-5)
             if digest > marker_threshold:
                 last_marker_position = index
-        reported = sampler.receipt(PATH_ID).pkt_ids
+        reported = sampled_ids(sampler.receipt(PATH_ID))
         tail = set(digests[last_marker_position + 1 :])
         tail_only = tail - set(digests[: last_marker_position + 1])
         assert not (reported & tail_only)
@@ -152,4 +153,5 @@ class TestAggregationProperties:
     def test_time_sum_consistent_with_span(self, digests, expected_size):
         receipts = run_aggregator(digests, expected_size)
         for receipt in receipts:
-            assert receipt.start_time <= receipt.mean_time <= receipt.end_time
+            mean_time = receipt.time_sum / receipt.pkt_count
+            assert receipt.start_time <= mean_time <= receipt.end_time

@@ -1,20 +1,14 @@
-"""Unit tests for repro.analysis (metrics, quantiles, SLA)."""
+"""Unit tests for repro.analysis (quantiles, SLA)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import (
-    delay_accuracy_report,
-    loss_granularity_report,
-    relative_error,
-)
-from repro.analysis.quantiles import empirical_quantiles, quantile_error
+from repro.analysis.quantiles import empirical_quantiles
 from repro.analysis.sla import SLASpec, check_sla
 from repro.core.estimation import DelayQuantileEstimate
 from repro.core.verifier import DomainPerformance
-from repro.simulation.scenario import DomainGroundTruth
 
 
 def make_performance(
@@ -43,64 +37,6 @@ def make_performance(
     )
 
 
-def make_truth(delays: list[float], lost: int = 0) -> DomainGroundTruth:
-    truth = DomainGroundTruth(domain="X")
-    for index, delay in enumerate(delays):
-        truth.delivered[index] = (0.0, delay)
-    for index in range(lost):
-        truth.lost.add(10_000 + index)
-    return truth
-
-
-class TestRelativeError:
-    def test_basic(self):
-        assert relative_error(11.0, 10.0) == pytest.approx(0.1)
-
-    def test_zero_truth(self):
-        assert relative_error(0.0, 0.0) == 0.0
-        assert relative_error(1.0, 0.0) == float("inf")
-
-
-class TestDelayAccuracyReport:
-    def test_max_error_is_worst_quantile(self):
-        performance = make_performance({0.5: 5e-3, 0.9: 10e-3})
-        report = delay_accuracy_report(performance, {0.5: 5e-3, 0.9: 12e-3})
-        assert report.max_error == pytest.approx(2e-3)
-        assert report.max_error_ms == pytest.approx(2.0)
-        assert report.mean_error == pytest.approx(1e-3)
-        assert report.sample_count == 500
-
-    def test_accepts_ground_truth_object(self):
-        performance = make_performance({0.5: 5e-3})
-        truth = make_truth([5e-3] * 100)
-        report = delay_accuracy_report(performance, truth, quantiles=(0.5,))
-        assert report.max_error == pytest.approx(0.0, abs=1e-9)
-
-    def test_plain_mapping_estimates_accepted(self):
-        report = delay_accuracy_report({0.9: 4e-3}, {0.9: 6e-3})
-        assert report.max_error == pytest.approx(2e-3)
-
-    def test_empty_estimates_rejected(self):
-        performance = make_performance({})
-        with pytest.raises(ValueError):
-            delay_accuracy_report(performance, {0.5: 1e-3})
-
-    def test_disjoint_quantiles_rejected(self):
-        with pytest.raises(ValueError):
-            delay_accuracy_report({0.5: 1e-3}, {0.9: 1e-3})
-
-
-class TestLossGranularityReport:
-    def test_report_fields(self):
-        performance = make_performance({}, offered=1000, lost=100, granularity=(1.0, 2.0))
-        truth = make_truth([1e-3] * 900, lost=100)
-        report = loss_granularity_report(performance, truth)
-        assert report.mean_granularity_seconds == pytest.approx(1.5)
-        assert report.computed_loss_rate == pytest.approx(0.1)
-        assert report.true_loss_rate == pytest.approx(0.1)
-        assert report.loss_rate_error == pytest.approx(0.0)
-
-
 class TestQuantileHelpers:
     def test_empirical_quantiles(self):
         values = np.arange(101, dtype=float)
@@ -112,13 +48,21 @@ class TestQuantileHelpers:
         with pytest.raises(ValueError):
             empirical_quantiles([], (0.5,))
 
-    def test_quantile_error(self):
-        errors = quantile_error({0.5: 1.0, 0.9: 2.0}, {0.5: 1.5, 0.9: 2.0})
-        assert errors == {0.5: pytest.approx(0.5), 0.9: pytest.approx(0.0)}
 
-    def test_quantile_error_disjoint_rejected(self):
-        with pytest.raises(ValueError):
-            quantile_error({0.5: 1.0}, {0.9: 1.0})
+class TestDomainPerformanceLoss:
+    """The loss numbers an SLA check reads off a domain's performance."""
+
+    def test_loss_rate_and_mean_granularity(self):
+        performance = make_performance({}, offered=1000, lost=100, granularity=(1.0, 2.0))
+        assert performance.loss_rate == pytest.approx(0.1)
+        assert performance.mean_loss_granularity == pytest.approx(1.5)
+
+    def test_nothing_offered_is_no_loss(self):
+        performance = make_performance({}, offered=0, lost=0)
+        assert performance.loss_rate == 0.0
+
+    def test_no_aligned_aggregates_has_zero_granularity(self):
+        assert make_performance({}, granularity=()).mean_loss_granularity == 0.0
 
 
 class TestSLA:

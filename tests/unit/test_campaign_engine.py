@@ -8,7 +8,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.api import Experiment
 from repro.api.spec import (
     AdversarySpec,
     CampaignSpec,
@@ -480,31 +479,9 @@ class TestMeshCampaign:
         assert record["verdicts"]["X"]["accepted"] is True
 
 
-class TestExperimentBridge:
-    def test_campaign_runner_from_experiment(self, tmp_path):
-        experiment = Experiment(_cell())
-        store = RunStore.create(
-            tmp_path / "run",
-            CampaignSpec(name="campaign-cell-campaign", intervals=2, cell=_cell()),
-        )
-        runner = experiment.campaign_runner(intervals=2, store=store)
-        outcome = runner.run()
-        assert outcome.completed
-        assert store.is_complete
-
-    def test_in_memory_campaign_runner_from_experiment(self):
-        sla = SLATargetSpec(delay_bound=10e-3, delay_quantile=0.9, loss_bound=0.1)
-        runner = Experiment(_cell()).campaign_runner(intervals=2, sla=sla)
-        assert runner.store is None
-        assert runner.spec.name == "campaign-cell-campaign"
-        assert runner.spec.sla == sla
-        outcome = runner.run()
-        assert outcome.completed
-        assert outcome.summary["intervals"] == 2
-        assert outcome.summary["domains"]["X"]["sla_compliant"] is True
-
-    def test_experiment_campaign_runs_the_interval_records(self):
-        runner = Experiment(_cell()).campaign_runner(intervals=2, engine="streaming")
+class TestStreamingCampaign:
+    def test_streaming_campaign_runs_the_interval_records(self):
+        runner = CampaignRunner(_spec(intervals=2, sla=False), engine="streaming")
         runner.run()
         assert runner.records() == [
             interval_record(runner.spec, index) for index in range(2)

@@ -1,11 +1,12 @@
-"""Unit tests for repro.net.clock."""
+"""Unit tests for repro.net.clock and the test clock with offset, drift and jitter."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.net.clock import ClockModel, PerfectClock
+from repro.net.clock import PerfectClock
+from tests.helpers import ClockModel
 
 
 class TestPerfectClock:

@@ -10,28 +10,34 @@ from repro.traffic.trace import SyntheticTrace, TraceConfig, default_prefix_pair
 from repro.traffic.workload import WORKLOADS, make_workload
 
 
+def as_flows(columns) -> list[Flow]:
+    """Flow objects from :meth:`FlowGenerator.generate`'s columns."""
+    fields = (column.tolist() for column in vars(columns).values())
+    return [Flow(*row) for row in zip(*fields)]
+
+
 class TestFlowGenerator:
     def test_generates_enough_packets(self, prefix_pair):
         generator = FlowGenerator(prefix_pair, seed=1)
-        flows = generator.generate(5000)
+        flows = as_flows(generator.generate(5000))
         assert sum(flow.packet_count for flow in flows) >= 5000
 
     def test_flow_addresses_inside_prefixes(self, prefix_pair):
         generator = FlowGenerator(prefix_pair, seed=2)
-        for flow in generator.generate(500):
+        for flow in as_flows(generator.generate(500)):
             assert prefix_pair.source.contains(flow.src_ip)
             assert prefix_pair.destination.contains(flow.dst_ip)
 
     def test_flow_sizes_heavy_tailed(self, prefix_pair):
         generator = FlowGenerator(prefix_pair, seed=3)
-        sizes = np.array([flow.packet_count for flow in generator.generate(20000)])
+        sizes = np.array([flow.packet_count for flow in as_flows(generator.generate(20000))])
         # A heavy-tailed distribution has max far above the mean.
         assert sizes.max() > 5 * sizes.mean()
 
     def test_tcp_fraction_respected(self, prefix_pair):
         config = FlowGeneratorConfig(tcp_fraction=1.0)
         generator = FlowGenerator(prefix_pair, config=config, seed=4)
-        assert all(flow.protocol == 6 for flow in generator.generate(1000))
+        assert all(flow.protocol == 6 for flow in as_flows(generator.generate(1000)))
 
     def test_packet_sizes_from_modes(self, prefix_pair):
         generator = FlowGenerator(prefix_pair, seed=5)
@@ -40,7 +46,7 @@ class TestFlowGenerator:
 
     def test_invalid_total_rejected(self, prefix_pair):
         with pytest.raises(ValueError):
-            FlowGenerator(prefix_pair, seed=6).generate(0)
+            as_flows(FlowGenerator(prefix_pair, seed=6).generate(0))
 
     def test_flow_validation(self):
         with pytest.raises(ValueError):
@@ -60,7 +66,7 @@ def _scalar_generate(generator: FlowGenerator, total: int, monkeypatch) -> list[
     """The per-flow ``_make_flow`` loop: generate with the columnar path off."""
     with monkeypatch.context() as patch:
         patch.setattr(FlowGenerator, "_columnar_flows", lambda self, sizes: None)
-        return generator.generate(total)
+        return as_flows(generator.generate(total))
 
 
 class TestColumnarFlowsMatchScalarLoop:
@@ -93,7 +99,7 @@ class TestColumnarFlowsMatchScalarLoop:
             for generator in (columnar, scalar):
                 generator._rng.integers(0, 7)
                 assert generator._rng.bit_generator.state["has_uint32"] == 1
-        flows = columnar.generate(total)
+        flows = as_flows(columnar.generate(total))
         expected = _scalar_generate(scalar, total, monkeypatch)
         self._assert_same(columnar, scalar, flows, expected)
 
@@ -101,7 +107,7 @@ class TestColumnarFlowsMatchScalarLoop:
         columnar = FlowGenerator(prefix_pair, seed=8)
         scalar = FlowGenerator(prefix_pair, seed=8)
         for total in (5, 777, 2):
-            flows = columnar.generate(total)
+            flows = as_flows(columnar.generate(total))
             expected = _scalar_generate(scalar, total, monkeypatch)
             assert flows == expected
         assert columnar._next_flow_id == scalar._next_flow_id
@@ -120,7 +126,7 @@ class TestColumnarFlowsMatchScalarLoop:
         columnar = FlowGenerator(prefix_pair, seed=49)
         with monkeypatch.context() as patch:
             patch.setattr(FlowGenerator, "_scalar_flows", spy)
-            flows = columnar.generate(20_000)
+            flows = as_flows(columnar.generate(20_000))
         assert len(fallbacks) == 1
 
         scalar = FlowGenerator(prefix_pair, seed=49)
@@ -131,7 +137,7 @@ class TestColumnarFlowsMatchScalarLoop:
     def test_other_bit_generators_take_the_scalar_loop(self, prefix_pair, monkeypatch):
         columnar = FlowGenerator(prefix_pair, seed=np.random.Generator(np.random.Philox(4)))
         scalar = FlowGenerator(prefix_pair, seed=np.random.Generator(np.random.Philox(4)))
-        flows = columnar.generate(500)
+        flows = as_flows(columnar.generate(500))
         self._assert_same(
             columnar, scalar, flows, _scalar_generate(scalar, 500, monkeypatch)
         )

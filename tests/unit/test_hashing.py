@@ -14,7 +14,6 @@ from repro.net.hashing import (
     combine64,
     fnv1a_64,
     fnv1a_64_batch,
-    rate_for_threshold,
     sample_function,
     splitmix64,
     threshold_for_rate,
@@ -131,9 +130,7 @@ class TestThresholds:
 
     def test_round_trip(self):
         for rate in (0.001, 0.01, 0.1, 0.5, 0.9):
-            assert rate_for_threshold(threshold_for_rate(rate)) == pytest.approx(
-                rate, rel=1e-9
-            )
+            assert 1.0 - threshold_for_rate(rate) / MASK64 == pytest.approx(rate, rel=1e-9)
 
     def test_monotone(self):
         assert threshold_for_rate(0.01) > threshold_for_rate(0.1)
@@ -143,12 +140,6 @@ class TestThresholds:
             threshold_for_rate(1.5)
         with pytest.raises(ValueError):
             threshold_for_rate(-0.1)
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            rate_for_threshold(-1)
-        with pytest.raises(ValueError):
-            rate_for_threshold(MASK64 + 1)
 
     def test_empirical_exceedance_rate_close_to_nominal(self):
         # Digests drawn via splitmix64 should exceed the threshold at roughly

@@ -30,13 +30,6 @@ class TestInterDomainLink:
         link = InterDomainLink(spec=LinkSpec(nominal_delay=200e-6), seed=1)
         assert link.transfer(1.0) == pytest.approx(1.0 + 200e-6)
 
-    def test_is_healthy_flags(self):
-        assert InterDomainLink().is_healthy
-        assert not InterDomainLink(loss_rate=0.1).is_healthy
-        assert not InterDomainLink(
-            spec=LinkSpec(max_diff=1e-3, nominal_delay=100e-6), excess_delay=5e-3
-        ).is_healthy
-
     def test_lossy_link_drops_roughly_at_rate(self):
         link = InterDomainLink(loss_rate=0.3, seed=2)
         outcomes = [link.transfer(0.0) for _ in range(5000)]

@@ -21,7 +21,6 @@ class TestNoLoss:
     def test_never_drops(self):
         model = NoLossModel()
         assert not any(model.drops(index) for index in range(1000))
-        assert model.expected_loss_rate() == 0.0
 
 
 class TestBernoulli:
@@ -32,9 +31,6 @@ class TestBernoulli:
         assert _measured_rate(BernoulliLossModel(0.25, seed=2)) == pytest.approx(
             0.25, abs=0.02
         )
-
-    def test_expected_rate_reported(self):
-        assert BernoulliLossModel(0.1).expected_loss_rate() == 0.1
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -50,7 +46,10 @@ class TestGilbertElliott:
     def test_from_target_rate_matches_long_run(self):
         for target in (0.1, 0.25, 0.5):
             model = GilbertElliottLossModel.from_target_rate(target, seed=3)
-            assert model.expected_loss_rate() == pytest.approx(target, rel=1e-6)
+            # The chain's stationary loss rate: P(bad) = p / (p + r).
+            pi_bad = model.p / (model.p + model.r)
+            stationary = (1.0 - pi_bad) * model.loss_good + pi_bad * model.loss_bad
+            assert stationary == pytest.approx(target, rel=1e-6)
             assert _measured_rate(model) == pytest.approx(target, abs=0.05)
 
     def test_zero_target_never_drops(self):
@@ -94,10 +93,6 @@ class TestGilbertElliott:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             GilbertElliottLossModel(p=1.5, r=0.1)
-
-    def test_expected_rate_formula(self):
-        model = GilbertElliottLossModel(p=0.1, r=0.3, loss_good=0.0, loss_bad=1.0)
-        assert model.expected_loss_rate() == pytest.approx(0.1 / 0.4)
 
 
 #: Parameter corners of the chain: the benchmark's 2% loss, transition

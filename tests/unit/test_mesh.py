@@ -228,10 +228,10 @@ class TestTriangulation:
         }
         triangulation = triangulate_suspects(suspects)
         assert triangulation.exposed_domains == ("X",)
-        implication = triangulation.implication_for("X")
-        assert implication.partners == ("N1", "N2")
-        assert implication.paths == ("pair-a", "pair-b")
-        assert not triangulation.implication_for("N1").exposed
+        implications = {entry.domain: entry for entry in triangulation.implications}
+        assert implications["X"].partners == ("N1", "N2")
+        assert implications["X"].paths == ("pair-a", "pair-b")
+        assert not implications["N1"].exposed
 
     def test_two_links_on_one_path_do_not_expose(self):
         # A faulty link on each side of honest B reproduces the multi-partner

@@ -8,7 +8,6 @@ from repro.reporting.overhead import (
     BandwidthOverheadModel,
     CollectorMemoryModel,
     PerPacketProcessingModel,
-    ResourceProfile,
 )
 
 
@@ -95,16 +94,3 @@ class TestBandwidth:
         with pytest.raises(ValueError):
             BandwidthOverheadModel(sampling_rate=0.0)
 
-
-class TestResourceProfile:
-    def test_summary_keys(self):
-        summary = ResourceProfile().summary()
-        assert set(summary) == {
-            "monitoring_cache_bytes",
-            "temp_buffer_bytes",
-            "total_memory_bytes",
-            "memory_accesses_per_packet",
-            "receipt_bytes_per_packet",
-            "bandwidth_overhead",
-        }
-        assert all(value >= 0 for value in summary.values())

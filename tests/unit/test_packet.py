@@ -65,13 +65,6 @@ class TestPacket:
         with pytest.raises(ValueError):
             make_packet().invariant_bytes(-1)
 
-    def test_with_send_time_returns_new_packet(self):
-        packet = make_packet(send_time=1.0)
-        shifted = packet.with_send_time(2.0)
-        assert shifted.send_time == 2.0
-        assert packet.send_time == 1.0
-        assert shifted.headers == packet.headers
-
     def test_str_mentions_protocol_and_size(self):
         text = str(make_packet(length=400, protocol=17))
         assert "UDP" in text

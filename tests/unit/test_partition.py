@@ -1,4 +1,4 @@
-"""Unit tests for repro.core.partition (partition algebra + receipt alignment)."""
+"""Unit tests for repro.core.partition (receipt alignment)."""
 
 from __future__ import annotations
 
@@ -6,11 +6,8 @@ import pytest
 
 from repro.core.partition import (
     AlignedAggregates,
-    PartitionSet,
     align_aggregate_receipts,
     aligned_aggregates,
-    is_coarser,
-    join_partitions,
 )
 from repro.core.receipts import AggregateReceipt, PathID
 
@@ -45,78 +42,76 @@ def make_receipt(
     )
 
 
+def cut_at(path_id: PathID, aggregates: list[list[int]]) -> list[AggregateReceipt]:
+    """One receipt per aggregate of packets ``p1..p4`` (packet ``pk`` has id ``k``)."""
+    return [
+        make_receipt(path_id, ids[0], ids[-1], len(ids), ids[0] / 10, ids[-1] / 10)
+        for ids in aggregates
+    ]
+
+
+def spans(pairs) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
+    return [
+        (
+            (up.first_pkt_id, up.last_pkt_id, up.pkt_count),
+            (down.first_pkt_id, down.last_pkt_id, down.pkt_count),
+        )
+        for up, down in pairs
+    ]
+
+
 class TestPartitionAlgebra:
-    """The Table-1 examples from Section 6.1."""
+    """Section 6.1, Table 1: aligning two HOPs' receipts computes the join."""
 
-    def test_table1_coarser_relations(self):
-        items = ("p1", "p2", "p3", "p4")
-        a1 = PartitionSet.from_lists([["p1"], ["p2"], ["p3"], ["p4"]])
-        a2 = PartitionSet.from_lists([["p1", "p2"], ["p3", "p4"]])
-        a3 = PartitionSet.from_lists([["p1"], ["p2", "p3"], ["p4"]])
-        a3_prime = PartitionSet.from_lists([["p1"], ["p2"], ["p3", "p4"]])
-        a4 = PartitionSet.from_lists([["p1", "p2", "p3", "p4"]])
-        assert is_coarser(a2, a1)
-        assert is_coarser(a3, a1)
-        assert is_coarser(a4, a2)
-        assert is_coarser(a4, a3)
-        assert not is_coarser(a2, a3)
-        assert not is_coarser(a3, a2)
-        # A'3 = {{p1},{p2},{p3,p4}} is finer than A2 = {{p1,p2},{p3,p4}}:
-        # every aggregate of A2 is a union of A'3 aggregates.
-        assert is_coarser(a2, a3_prime)
-        assert set(a2.cut_indices) <= set(a3_prime.cut_indices)
-        assert a1.items == items
+    A1 = [[1], [2], [3], [4]]
+    A2 = [[1, 2], [3, 4]]
+    A3 = [[1], [2, 3], [4]]
+    A3_PRIME = [[1], [2], [3, 4]]
 
-    def test_table1_joins(self):
-        a1 = PartitionSet.from_lists([["p1"], ["p2"], ["p3"], ["p4"]])
-        a2 = PartitionSet.from_lists([["p1", "p2"], ["p3", "p4"]])
-        a3 = PartitionSet.from_lists([["p1"], ["p2", "p3"], ["p4"]])
-        a3_prime = PartitionSet.from_lists([["p1"], ["p2"], ["p3", "p4"]])
-        a4 = PartitionSet.from_lists([["p1", "p2", "p3", "p4"]])
-        assert join_partitions(a1, a2) == a2
-        assert join_partitions(a2, a3) == a4
-        assert join_partitions(a2, a3_prime) == a2
+    def test_table1_joins(self, path_id):
+        def join(upstream, downstream):
+            pairs = align_aggregate_receipts(cut_at(path_id, upstream), cut_at(path_id, downstream))
+            return spans(pairs)
 
-    def test_join_is_coarser_than_inputs(self):
-        a2 = PartitionSet.from_lists([["p1", "p2"], ["p3", "p4"]])
-        a3 = PartitionSet.from_lists([["p1"], ["p2", "p3"], ["p4"]])
-        joined = join_partitions(a2, a3)
-        assert is_coarser(joined, a2)
-        assert is_coarser(joined, a3)
+        a2 = [((1, 2, 2), (1, 2, 2)), ((3, 4, 2), (3, 4, 2))]
+        a4 = [((1, 4, 4), (1, 4, 4))]
+        assert join(self.A1, self.A2) == a2
+        assert join(self.A2, self.A3) == a4
+        assert join(self.A2, self.A3_PRIME) == a2
 
-    def test_join_single_partition_is_identity(self):
-        a3 = PartitionSet.from_lists([["p1"], ["p2", "p3"], ["p4"]])
-        assert join_partitions(a3) == a3
+    def test_table1_coarser_relations(self, path_id):
+        """Joining with a finer partition gives back the coarser one."""
 
-    def test_from_cut_indices(self):
-        partition = PartitionSet.from_cut_indices(["a", "b", "c", "d"], [2])
-        assert partition.aggregates == (("a", "b"), ("c", "d"))
-        assert partition.cutting_points == ("a", "c")
+        def join(upstream, downstream):
+            pairs = align_aggregate_receipts(cut_at(path_id, upstream), cut_at(path_id, downstream))
+            return [up_span for up_span, _ in spans(pairs)]
 
-    def test_from_cut_indices_validation(self):
-        with pytest.raises(ValueError):
-            PartitionSet.from_cut_indices(["a", "b"], [5])
+        a4 = [[1, 2, 3, 4]]
+        for coarser, finer in (
+            (self.A2, self.A1),
+            (self.A3, self.A1),
+            (a4, self.A2),
+            (a4, self.A3),
+            (self.A2, self.A3_PRIME),
+        ):
+            expected = [(ids[0], ids[-1], len(ids)) for ids in coarser]
+            assert join(coarser, finer) == expected
+            assert join(finer, coarser) == expected
+        # A2 and A3 are not comparable: their join is coarser than both.
+        assert join(self.A2, self.A3) == [(1, 4, 4)]
 
-    def test_empty_aggregate_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionSet.from_lists([[]])
+    def test_join_single_partition_is_identity(self, path_id):
+        for partition in (self.A1, self.A2, self.A3, self.A3_PRIME):
+            receipts = cut_at(path_id, partition)
+            pairs = align_aggregate_receipts(receipts, receipts)
+            assert [up for up, _ in pairs] == receipts
+            assert [down for _, down in pairs] == receipts
 
-    def test_mismatched_underlying_sets_rejected(self):
-        a = PartitionSet.from_lists([["p1", "p2"]])
-        b = PartitionSet.from_lists([["p1", "p3"]])
-        with pytest.raises(ValueError):
-            is_coarser(a, b)
-        with pytest.raises(ValueError):
-            join_partitions(a, b)
-
-    def test_join_requires_at_least_one(self):
-        with pytest.raises(ValueError):
-            join_partitions()
-
-    def test_iteration_and_len(self):
-        partition = PartitionSet.from_lists([["p1"], ["p2", "p3"]])
-        assert len(partition) == 2
-        assert list(partition) == [("p1",), ("p2", "p3")]
+    def test_join_is_symmetric(self, path_id):
+        for first, second in ((self.A1, self.A2), (self.A2, self.A3), (self.A2, self.A3_PRIME)):
+            forward = align_aggregate_receipts(cut_at(path_id, first), cut_at(path_id, second))
+            backward = align_aggregate_receipts(cut_at(path_id, second), cut_at(path_id, first))
+            assert spans(forward) == [(down, up) for up, down in spans(backward)]
 
 
 class TestReceiptAlignment:
@@ -163,6 +158,27 @@ class TestReceiptAlignment:
         assert pairs[0].upstream.pkt_count == 20
         assert pairs[0].downstream.pkt_count == 17
         assert pairs[0].lost_packets == 3
+
+    def test_common_boundaries_out_of_order_fall_back_to_one_pair(self, path_id):
+        # Both HOPs cut at packets 10 and 20, but downstream saw 20 first:
+        # no consistent grouping exists, so everything is combined.
+        upstream = [
+            make_receipt(path_id, 1, 9, 10, 0.0, 0.1),
+            make_receipt(path_id, 10, 19, 10, 0.1, 0.2),
+            make_receipt(path_id, 20, 29, 10, 0.2, 0.3),
+        ]
+        downstream = [
+            make_receipt(path_id, 1, 9, 10, 0.0, 0.1, trans_after=(20,)),
+            make_receipt(path_id, 20, 29, 9, 0.1, 0.2, trans_before=(20,)),
+            make_receipt(path_id, 10, 19, 10, 0.2, 0.3),
+        ]
+        pairs = aligned_aggregates(upstream, downstream)
+        assert len(pairs) == 1
+        (pair,) = pairs
+        assert (pair.upstream.first_pkt_id, pair.upstream.last_pkt_id) == (1, 29)
+        assert pair.upstream.pkt_count == 30
+        assert pair.downstream.pkt_count == 29
+        assert pair.migrated_packets == 0 and pair.lost_packets == 1
 
     def test_empty_inputs_give_no_pairs(self, path_id):
         assert align_aggregate_receipts([], []) == []

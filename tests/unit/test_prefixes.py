@@ -9,9 +9,7 @@ from repro.net.prefixes import (
     PrefixPair,
     int_to_ip,
     ip_to_int,
-    random_prefix,
 )
-from repro.util.rng import make_rng
 
 
 class TestIPConversion:
@@ -90,17 +88,3 @@ class TestPrefixPair:
             destination=OriginPrefix.parse("10.2.0.0/16"),
         )
         assert str(pair) == "10.1.0.0/16->10.2.0.0/16"
-
-
-class TestRandomPrefixes:
-    def test_random_prefix_is_valid(self):
-        prefix = random_prefix(make_rng(1), length=16)
-        assert prefix.length == 16
-        assert prefix.network & ~prefix.mask == 0
-
-    def test_random_prefix_deterministic_for_seed(self):
-        assert random_prefix(1, length=12) == random_prefix(1, length=12)
-
-    def test_random_prefix_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            random_prefix(1, length=40)

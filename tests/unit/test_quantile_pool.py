@@ -55,28 +55,16 @@ class TestMergedDelayPool:
         forward = MergedDelayPool([0.0]).merge(MergedDelayPool([-0.0]))
         backward = MergedDelayPool([-0.0]).merge(MergedDelayPool([0.0]))
         assert forward.state_digest() == backward.state_digest()
-        assert MergedDelayPool.from_hex(["-0x0.0p+0"]).to_hex() == ["0x0.0p+0"]
+        assert not np.signbit(MergedDelayPool([-0.0]).sorted_samples).any()
 
     def test_ties_survive_merging(self):
         pool = MergedDelayPool([2.0, 1.0, 2.0]).extend([2.0, 1.0])
         assert np.asarray(pool.sorted_samples).tolist() == [1.0, 1.0, 2.0, 2.0, 2.0]
 
-    def test_hex_round_trip_is_bit_exact(self):
-        pool = MergedDelayPool()
-        for span in _spans(4):
-            pool.extend(span)
-        rebuilt = MergedDelayPool.from_hex(pool.to_hex())
-        assert rebuilt.state_digest() == pool.state_digest()
-        assert np.array_equal(
-            np.asarray(rebuilt.sorted_samples), np.asarray(pool.sorted_samples)
-        )
-
     def test_empty_pool(self):
         pool = MergedDelayPool()
         assert len(pool) == 0
         assert pool.quantiles((0.5,)) == {}
-        assert pool.to_hex() == []
-        assert MergedDelayPool.from_hex([]).state_digest() == pool.state_digest()
 
     def test_sorted_samples_view_is_read_only(self):
         pool = MergedDelayPool([3.0, 1.0])
@@ -114,8 +102,3 @@ class TestMergedDelayPool:
         with pytest.raises(ValueError, match="finite"):
             MergedDelayPool().extend([bad, 2e-3])
 
-    def test_non_finite_hex_payload_rejected(self):
-        payload = MergedDelayPool([1e-3]).to_hex()
-        payload.append(float("nan").hex())
-        with pytest.raises(ValueError, match="finite"):
-            MergedDelayPool.from_hex(payload)

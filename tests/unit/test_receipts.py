@@ -14,6 +14,7 @@ from repro.core.receipts import (
     combine_aggregate_receipts,
     combine_sample_receipts,
 )
+from tests.helpers import sampled_ids
 
 
 @pytest.fixture()
@@ -59,19 +60,14 @@ class TestPathID:
                 max_diff=-1.0,
             )
 
-    def test_same_path_compares_prefix_pair(self, path_id, other_path_id):
-        assert path_id.same_path(other_path_id)
-
 
 class TestSampleReceipt:
-    def test_pkt_ids_and_record_lookup(self, path_id):
+    def test_sampled_ids_and_length(self, path_id):
         receipt = SampleReceipt(
             path_id=path_id,
             samples=(SampleRecord(pkt_id=10, time=1.0), SampleRecord(pkt_id=20, time=2.0)),
         )
-        assert receipt.pkt_ids == frozenset({10, 20})
-        assert receipt.record_for(10).time == 1.0
-        assert receipt.record_for(99) is None
+        assert sampled_ids(receipt) == frozenset({10, 20})
         assert len(receipt) == 2
 
     def test_wire_bytes_grow_with_samples(self, path_id):
@@ -87,7 +83,7 @@ class TestSampleReceipt:
             path_id=path_id, samples=(SampleRecord(2, 2.0), SampleRecord(1, 1.0))
         )
         combined = combine_sample_receipts([first, second])
-        assert combined.pkt_ids == frozenset({1, 2})
+        assert sampled_ids(combined) == frozenset({1, 2})
         assert len(combined) == 2
 
     def test_combine_preserves_threshold(self, path_id):
@@ -106,12 +102,7 @@ class TestSampleReceipt:
         with pytest.raises(ValueError):
             combine_sample_receipts([])
 
-    def test_merged_with(self, path_id):
-        first = SampleReceipt(path_id=path_id, samples=(SampleRecord(1, 1.0),))
-        second = SampleReceipt(path_id=path_id, samples=(SampleRecord(2, 2.0),))
-        assert first.merged_with(second).pkt_ids == frozenset({1, 2})
-
-    def test_merged_with_rejects_mismatched_sampling_threshold(self, path_id):
+    def test_combine_rejects_mismatched_sampling_threshold(self, path_id):
         first = SampleReceipt(
             path_id=path_id, samples=(SampleRecord(1, 1.0),), sampling_threshold=42
         )
@@ -119,16 +110,16 @@ class TestSampleReceipt:
             path_id=path_id, samples=(SampleRecord(2, 2.0),), sampling_threshold=43
         )
         with pytest.raises(ValueError, match="sampling"):
-            first.merged_with(second)
+            combine_sample_receipts([first, second])
         # None (unpublished threshold) also differs from a concrete value.
         third = SampleReceipt(path_id=path_id, samples=(SampleRecord(3, 3.0),))
         with pytest.raises(ValueError, match="sampling"):
-            first.merged_with(third)
+            combine_sample_receipts([first, third])
         # Matching thresholds still combine.
         fourth = SampleReceipt(
             path_id=path_id, samples=(SampleRecord(4, 4.0),), sampling_threshold=42
         )
-        assert first.merged_with(fourth).pkt_ids == frozenset({1, 4})
+        assert sampled_ids(combine_sample_receipts([first, fourth])) == frozenset({1, 4})
 
 
 class TestAggregateReceipt:
@@ -144,13 +135,6 @@ class TestAggregateReceipt:
         )
         assert receipt.agg_id == (100, 200)
         assert receipt.duration == pytest.approx(1.0)
-        assert receipt.mean_time == pytest.approx(1.5)
-
-    def test_mean_time_of_empty_aggregate_is_zero(self, path_id):
-        receipt = AggregateReceipt(
-            path_id=path_id, first_pkt_id=1, last_pkt_id=1, pkt_count=0
-        )
-        assert receipt.mean_time == 0.0
 
     def test_negative_count_rejected(self, path_id):
         with pytest.raises(ValueError):

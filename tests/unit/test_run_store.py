@@ -48,7 +48,7 @@ class TestRunStoreLifecycle:
         assert reopened.spec() == spec
         assert reopened.spec_hash == spec.spec_hash()
         assert reopened.record_count == 0
-        assert not reopened.is_complete
+        assert reopened.record_count < reopened.spec().intervals
 
     def test_create_refuses_existing_store(self, tmp_path, spec):
         RunStore.create(tmp_path / "run", spec)
@@ -91,7 +91,7 @@ class TestRunStoreRecords:
         for interval in range(3):
             store.append(_record(spec, interval))
         assert store.record_count == 3
-        assert store.is_complete
+        assert store.record_count == store.spec().intervals
         assert [record["interval"] for record in store.records()] == [0, 1, 2]
         # one canonical JSON line per record, newline-terminated
         lines = (tmp_path / "run" / RECORDS_FILE).read_text().splitlines()

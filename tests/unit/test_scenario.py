@@ -24,7 +24,7 @@ class TestPathScenarioBasics:
     def test_all_hops_observe_without_impairment(self, small_trace_packets):
         scenario = PathScenario(seed=2)
         observation = scenario.run(small_trace_packets)
-        counts = {hop.hop_id: observation.packets_observed(hop) for hop in scenario.path}
+        counts = {hop.hop_id: len(observation.at_hop(hop)) for hop in scenario.path}
         assert set(counts.values()) == {len(small_trace_packets)}
 
     def test_observation_times_monotone_at_each_hop(self, small_trace_packets):
@@ -67,7 +67,7 @@ class TestLossAndDelayGroundTruth:
         # Packets lost in X never appear at HOP 5 or beyond.
         egress_uids = {packet.uid for packet, _ in observation.at_hop(5)}
         assert not (truth.lost & egress_uids)
-        assert observation.packets_observed(8) == len(truth.delivered)
+        assert len(observation.at_hop(8)) == len(truth.delivered)
 
     def test_domain_delay_recorded(self, small_trace_packets):
         scenario = PathScenario(seed=8)
@@ -82,8 +82,11 @@ class TestLossAndDelayGroundTruth:
 
     def test_link_loss_recorded_separately(self, small_trace_packets):
         scenario = PathScenario(seed=9)
-        scenario.configure_link(
-            5, 6, InterDomainLink(spec=LinkSpec(), loss_rate=0.1, seed=10)
+        topology = scenario.topology
+        topology.add_link(
+            topology.hop(5),
+            topology.hop(6),
+            InterDomainLink(spec=LinkSpec(), loss_rate=0.1, seed=10),
         )
         observation = scenario.run(small_trace_packets)
         assert len(observation.link_losses[(5, 6)]) > 0
@@ -142,5 +145,5 @@ class TestLossAndDelayGroundTruth:
         )
         observation = scenario.run(small_trace_packets)
         truth = observation.truth_for("X")
-        assert truth.offered_packets == observation.packets_observed(4)
-        assert len(truth.delivered) == observation.packets_observed(5)
+        assert truth.offered_packets == len(observation.at_hop(4))
+        assert len(truth.delivered) == len(observation.at_hop(5))

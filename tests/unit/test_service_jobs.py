@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -21,6 +22,17 @@ from repro.engine.campaign import CampaignRunner
 from repro.service.jobs import JobQueue, JobRejected
 from repro.store import RunStore
 from repro.store.runstore import SPEC_FILE
+
+
+def wait_idle(queue: JobQueue, timeout: float) -> bool:
+    """Poll until no job is queued or running; False on timeout."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        stats = queue.stats()
+        if not stats["queued"] and not stats["running"]:
+            return True
+        time.sleep(0.05)
+    return False
 
 
 def _spec(name: str = "jobs-test", intervals: int = 2) -> CampaignSpec:
@@ -72,7 +84,7 @@ class TestSubmission:
         assert (job.run_dir / SPEC_FILE).exists()
         assert job.run_id == f"jobs-test-{spec.spec_hash()[:10]}"
         assert job.spec_hash == spec.spec_hash()
-        assert queue.wait_idle(timeout=120.0)
+        assert wait_idle(queue, timeout=120.0)
         assert queue.job(job.id).state == "completed"
         store = RunStore.open(job.run_dir)
         assert len(store.records()) == 2
@@ -80,14 +92,14 @@ class TestSubmission:
 
     def test_inprocess_jobs_record_typed_events(self, queue):
         job = queue.submit(_spec(name="evented"))
-        assert queue.wait_idle(timeout=120.0)
+        assert wait_idle(queue, timeout=120.0)
         kinds = [event["kind"] for event in queue.snapshot(job)["events"]]
         assert kinds == ["interval_committed", "interval_committed", "run_complete"]
 
     def test_duplicate_store_rejected_without_resume_flag(self, queue):
         spec = _spec(name="dup")
         queue.submit(spec, run_id="dup-run")
-        assert queue.wait_idle(timeout=120.0)
+        assert wait_idle(queue, timeout=120.0)
         with pytest.raises(JobRejected, match="already holds a store"):
             queue.submit(spec, run_id="dup-run")
 
@@ -97,7 +109,7 @@ class TestSubmission:
         store = RunStore.create(queue.store_root / "handoff-run", spec)
         CampaignRunner(spec, store).run(max_intervals=1)
         job = queue.submit(spec, run_id="handoff-run", resume=True)
-        assert queue.wait_idle(timeout=120.0)
+        assert wait_idle(queue, timeout=120.0)
         assert queue.job(job.id).state == "completed"
         finished = RunStore.open(queue.store_root / "handoff-run")
         assert len(finished.records()) == spec.intervals
@@ -130,7 +142,7 @@ class TestSubmission:
 class TestInspection:
     def test_stats_and_listing(self, queue):
         job = queue.submit(_spec(name="stats"))
-        assert queue.wait_idle(timeout=120.0)
+        assert wait_idle(queue, timeout=120.0)
         assert [j.id for j in queue.jobs()] == [job.id]
         stats = queue.stats()
         assert stats["completed"] == 1
@@ -139,7 +151,7 @@ class TestInspection:
 
     def test_kill_requires_a_running_subprocess(self, queue):
         job = queue.submit(_spec(name="unkillable"))
-        assert queue.wait_idle(timeout=120.0)
+        assert wait_idle(queue, timeout=120.0)
         # Completed (and inprocess) jobs expose no killable child.
         assert queue.kill(job.id) is False
         assert queue.kill("job-does-not-exist") is False
@@ -253,7 +265,7 @@ class TestSubprocessMode:
         queue = JobQueue(tmp_path / "runs", workers=1, execution="subprocess")
         try:
             job = queue.submit(spec, run_id="via-worker")
-            assert queue.wait_idle(timeout=240.0)
+            assert wait_idle(queue, timeout=240.0)
             assert queue.job(job.id).state == "completed", queue.job(job.id).error
         finally:
             queue.shutdown(wait=True)
@@ -275,7 +287,7 @@ class TestSubprocessMode:
         )
         try:
             job = queue.submit(spec, run_id="via-dispatch")
-            assert queue.wait_idle(timeout=240.0)
+            assert wait_idle(queue, timeout=240.0)
             assert queue.job(job.id).state == "completed", queue.job(job.id).error
         finally:
             queue.shutdown(wait=True)

@@ -79,20 +79,6 @@ class TestHOPPath:
             (7, 8),
         ]
 
-    def test_neighbor_of(self, path):
-        assert path.neighbor_of("X", "previous").name == "L"
-        assert path.neighbor_of("X", "next").name == "N"
-        assert path.neighbor_of("S", "previous") is None
-        assert path.neighbor_of("D", "next") is None
-
-    def test_neighbor_of_rejects_unknown_domain(self, path):
-        with pytest.raises(ValueError):
-            path.neighbor_of("Z", "next")
-
-    def test_neighbor_of_rejects_bad_side(self, path):
-        with pytest.raises(ValueError):
-            path.neighbor_of("X", "left")
-
     def test_len_and_iteration(self, path):
         assert len(path) == 8
         assert [hop.hop_id for hop in path] == list(range(1, 9))

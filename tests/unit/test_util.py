@@ -7,11 +7,8 @@ import pytest
 
 from repro.util.rng import derive_seed, make_rng
 from repro.util.units import (
-    Mbps,
     bytes_to_human,
     gbps_to_pps,
-    microseconds,
-    milliseconds,
     seconds,
 )
 from repro.util.validation import (
@@ -46,11 +43,6 @@ class TestRNG:
 class TestUnits:
     def test_time_conversions(self):
         assert seconds(2) == 2.0
-        assert milliseconds(5) == pytest.approx(0.005)
-        assert microseconds(7) == pytest.approx(7e-6)
-
-    def test_mbps(self):
-        assert Mbps(8) == pytest.approx(1e6)
 
     def test_gbps_to_pps_matches_paper(self):
         # Section 7.1: 10 Gbps at 400-byte packets is 3.125 Mpps.
