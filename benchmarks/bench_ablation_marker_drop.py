@@ -11,7 +11,9 @@ costs the verifier in matched delay samples.
 
 from __future__ import annotations
 
-from benchmarks.conftest import make_hop_config, print_table
+import numpy as np
+
+from benchmarks.conftest import feed_session, make_hop_config, print_table
 from repro.adversary.marker_drop import MarkerDropAttack, marker_exposure_rate
 from repro.core.protocol import VPMSession
 from repro.net.hashing import PacketDigester
@@ -35,7 +37,7 @@ def _run_attack(packets):
                 drop_predicate=attack.drop_predicate() if attack_enabled else None,
             ),
         )
-        observation = scenario.run(packets)
+        observation = scenario.run_batch(packets)
         config = make_hop_config(
             sampling_rate=SAMPLING_RATE, aggregate_size=5000, marker_rate=MARKER_RATE
         )
@@ -43,14 +45,12 @@ def _run_attack(packets):
             observation.path,
             configs={"S": None, "L": config, "X": config, "N": config, "D": None},
         )
-        session.run(observation)
+        feed_session(session, observation)
         performance = session.estimate("L", "X")
+        ingress, egress = observation.at_hop(4)[0], observation.at_hop(5)[0]
+        markers = ingress.uid[attack.marker_mask(ingress)]
         results[label] = {
-            "markers_dropped": sum(
-                1
-                for packet, _ in observation.at_hop(4)
-                if packet.uid in observation.truth_for("X").lost and attack.is_marker(packet)
-            ),
+            "markers_dropped": int(np.sum(~np.isin(markers, egress.uid))),
             "exposure_rate": marker_exposure_rate(observation, "X", attack)
             if attack_enabled
             else None,

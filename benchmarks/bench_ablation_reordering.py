@@ -9,7 +9,7 @@ window relative to the protocol's safety threshold ``J``.
 
 from __future__ import annotations
 
-from benchmarks.conftest import make_hop_config, print_table
+from benchmarks.conftest import feed_session, make_hop_config, print_table
 from repro.core.partition import aligned_aggregates
 from repro.core.protocol import VPMSession
 from repro.simulation.scenario import PathScenario, SegmentCondition
@@ -34,7 +34,7 @@ def _run_sweep(packets):
                 ),
             ),
         )
-        observation = scenario.run(packets)
+        observation = scenario.run_batch(packets)
         config = make_hop_config(
             sampling_rate=0.01,
             aggregate_size=AGGREGATE_SIZE,
@@ -44,7 +44,7 @@ def _run_sweep(packets):
             observation.path,
             configs={"S": None, "L": None, "X": config, "N": None, "D": None},
         )
-        session.run(observation)
+        feed_session(session, observation)
         verifier = session.verifier_for("X")
         ingress = verifier.aggregate_receipts_for(4)
         egress = verifier.aggregate_receipts_for(5)

@@ -10,7 +10,7 @@ qualitative recap of Section 3.4.
 
 from __future__ import annotations
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import digest_observations, print_table
 from benchmarks.experiment_lib import build_congested_scenario
 from repro.baselines.difference_aggregator import DifferenceAggregatorPlusPlus
 from repro.baselines.strawman import StrawmanProtocol
@@ -26,10 +26,10 @@ AGGREGATE_SIZE = 1000
 def _run_comparison(packets):
     digester = PacketDigester()
     scenario = build_congested_scenario(loss_rate=LOSS_RATE, seed=1100)
-    observation = scenario.run(packets)
+    observation = scenario.run_batch(packets)
     truth = observation.truth_for("X")
-    ingress = [(digester.digest(p), t) for p, t in observation.at_hop(4)]
-    egress = [(digester.digest(p), t) for p, t in observation.at_hop(5)]
+    ingress = digest_observations(digester, observation, 4)
+    egress = digest_observations(digester, observation, 5)
 
     protocols = [
         StrawmanProtocol(),

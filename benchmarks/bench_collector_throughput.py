@@ -30,8 +30,8 @@ from repro.traffic.trace import SyntheticTrace, TraceConfig
 
 @pytest.fixture(scope="module")
 def hot_path_packets(bench_packets):
-    """A slice of the benchmark trace used for the timing loops."""
-    return bench_packets[:5000]
+    """A slice of the benchmark trace, as packet objects, for the timing loops."""
+    return bench_packets.take(slice(0, 5000)).to_packets()
 
 
 def test_collector_observe_throughput(benchmark, hot_path_packets, path):

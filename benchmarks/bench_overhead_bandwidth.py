@@ -11,7 +11,7 @@ a running VPM session.
 
 from __future__ import annotations
 
-from benchmarks.conftest import make_hop_config, print_table
+from benchmarks.conftest import feed_session, make_hop_config, print_table
 from benchmarks.experiment_lib import build_congested_scenario
 from repro.core.protocol import VPMSession
 from repro.reporting.overhead import BandwidthOverheadModel
@@ -69,12 +69,12 @@ def test_overhead_bandwidth_measured_session(benchmark, bench_packets, path):
 
     def run_session():
         scenario = build_congested_scenario(loss_rate=0.0, seed=9117)
-        observation = scenario.run(bench_packets)
+        observation = scenario.run_batch(bench_packets)
         config = make_hop_config(sampling_rate=0.01, aggregate_size=5000)
         session = VPMSession(
             path, configs={domain.name: config for domain in path.domains}
         )
-        session.run(observation)
+        feed_session(session, observation)
         return session.overhead()
 
     overhead = benchmark.pedantic(run_session, rounds=1, iterations=1)

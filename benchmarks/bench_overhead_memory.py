@@ -73,12 +73,12 @@ def test_overhead_memory_measured_collector(benchmark, bench_packets, path):
 
     def run_collector():
         scenario = build_congested_scenario(loss_rate=0.0, seed=9017)
-        observation = scenario.run(bench_packets)
+        observation = scenario.run_batch(bench_packets)
         collector = HOPCollector(
             path.hops_of("X")[0], make_hop_config(sampling_rate=0.01, aggregate_size=5000)
         )
         collector.register_path(path)
-        collector.observe_sequence(observation.at_hop(4))
+        collector.observe_batch(*observation.at_hop(4))
         HOPProcessor(collector).generate_report(flush=True)
         return collector
 

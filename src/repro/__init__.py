@@ -30,7 +30,7 @@ altitude:
 * :class:`repro.core.verifier.Verifier` — the receipt collector that computes
   and verifies per-domain loss and delay.
 * :class:`repro.simulation.scenario.PathScenario` — the Figure-1 scenario used
-  throughout the evaluation (object and batch variants).
+  throughout the evaluation.
 * :class:`repro.net.batch.PacketBatch` — the columnar packet representation
   behind the batch fast path.
 

@@ -20,12 +20,17 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro.baselines.base import MeasurementProtocol
-from repro.net.hashing import MASK64, PacketDigester, splitmix64, threshold_for_rate
-from repro.net.packet import Packet
+from repro.net.batch import PacketBatch
+from repro.net.hashing import MASK64, PacketDigester, splitmix64_batch, threshold_for_rate
 from repro.util.validation import check_fraction
 
 __all__ = ["BiasedTreatmentAttack"]
+
+#: A preferential-treatment predicate: a packet batch to its boolean mask.
+BatchPredicate = Callable[[PacketBatch], np.ndarray]
 
 
 class BiasedTreatmentAttack:
@@ -55,28 +60,27 @@ class BiasedTreatmentAttack:
         self.guess_rate = guess_rate
         self.guess_salt = guess_salt
 
-    def predicate_against(
-        self, protocol: MeasurementProtocol
-    ) -> Callable[[Packet], bool]:
+    def predicate_against(self, protocol: MeasurementProtocol) -> BatchPredicate:
         """The best preferential-treatment predicate against ``protocol``."""
         if protocol.sampling_predictable:
             return self.predictable_predicate(protocol)
         return self.blind_guess_predicate()
 
-    def predictable_predicate(
-        self, protocol: MeasurementProtocol
-    ) -> Callable[[Packet], bool]:
+    def predictable_predicate(self, protocol: MeasurementProtocol) -> BatchPredicate:
         """Fast-path exactly the packets the protocol will measure."""
         if not protocol.sampling_predictable:
             raise ValueError(f"{protocol.name} has no predictable measurement set")
         digester = self.digester
 
-        def predicate(packet: Packet) -> bool:
-            return protocol.measurement_predicate(digester.digest(packet))
+        def predicate(batch: PacketBatch) -> np.ndarray:
+            digests = digester.digest_batch(batch).tolist()
+            return np.fromiter(
+                map(protocol.measurement_predicate, digests), dtype=bool, count=len(digests)
+            )
 
         return predicate
 
-    def blind_guess_predicate(self) -> Callable[[Packet], bool]:
+    def blind_guess_predicate(self) -> BatchPredicate:
         """Fast-path a random ``guess_rate`` fraction of packets.
 
         The guess is a salted hash of the packet digest, so it is a fixed
@@ -84,10 +88,10 @@ class BiasedTreatmentAttack:
         can do against VPM without delaying all traffic by a marker period.
         """
         digester = self.digester
-        threshold = threshold_for_rate(self.guess_rate)
-        salt = self.guess_salt
+        threshold = np.uint64(threshold_for_rate(self.guess_rate))
+        salt = np.uint64(self.guess_salt & MASK64)
 
-        def predicate(packet: Packet) -> bool:
-            return splitmix64((digester.digest(packet) ^ salt) & MASK64) > threshold
+        def predicate(batch: PacketBatch) -> np.ndarray:
+            return splitmix64_batch(digester.digest_batch(batch) ^ salt) > threshold
 
         return predicate

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro.core.sampling import DEFAULT_MARKER_RATE
+from repro.net.batch import PacketBatch
 from repro.net.hashing import PacketDigester, threshold_for_rate
-from repro.net.packet import Packet
-from repro.simulation.scenario import PathObservation
+from repro.simulation.scenario import BatchPathObservation
 from repro.util.validation import check_fraction
 
 __all__ = ["MarkerDropAttack", "marker_exposure_rate"]
@@ -37,41 +39,37 @@ class MarkerDropAttack:
         self.digester = digester or PacketDigester()
         self.marker_threshold = threshold_for_rate(marker_rate)
 
-    def is_marker(self, packet: Packet) -> bool:
-        """Whether a packet is a marker under the protocol-wide threshold."""
-        return self.digester.digest(packet) > self.marker_threshold
+    def marker_mask(self, batch: PacketBatch) -> np.ndarray:
+        """Which packets of a batch are markers under the protocol-wide threshold."""
+        return self.digester.digest_batch(batch) > np.uint64(self.marker_threshold)
 
-    def drop_predicate(self) -> Callable[[Packet], bool]:
+    def drop_predicate(self) -> Callable[[PacketBatch], np.ndarray]:
         """Predicate installed as the attacking domain's targeted-drop rule."""
-        return self.is_marker
+        return self.marker_mask
 
 
 def marker_exposure_rate(
-    observation: PathObservation,
+    observation: BatchPathObservation,
     attacker: str,
     attack: MarkerDropAttack,
 ) -> float:
     """Fraction of the attacker's dropped markers visible to its neighbors.
 
-    A dropped marker is *exposed* when it was observed at the attacker's
-    ingress HOP (so the upstream neighbor can vouch it was handed over) and is
-    absent from the attacker's egress HOP (so the downstream neighbor cannot
-    corroborate delivery).  Because markers are always sampled, every exposed
-    marker shows up in the neighbors' receipts.
+    A dropped marker is one observed at the attacker's ingress HOP and absent
+    from its egress HOP.  It is *exposed* when the upstream neighbor's HOP
+    observed it too (so the neighbor can vouch it was handed over); the
+    downstream neighbor never sees it.  Because markers are always sampled,
+    every exposed marker shows up in the neighbors' receipts.
     """
     hops = observation.path.hops_of(attacker)
     if len(hops) < 2:
         raise ValueError(f"{attacker!r} is not a transit domain of the observed path")
-    truth = observation.truth_for(attacker)
-    ingress_hop, egress_hop = hops[0], hops[-1]
-
-    dropped_markers = {
-        packet.uid
-        for packet, _ in observation.at_hop(ingress_hop)
-        if packet.uid in truth.lost and attack.is_marker(packet)
-    }
-    if not dropped_markers:
+    ingress, _ = observation.at_hop(hops[0])
+    egress, _ = observation.at_hop(hops[-1])
+    markers = ingress.uid[attack.marker_mask(ingress)]
+    dropped = markers[~np.isin(markers, egress.uid)]
+    if not dropped.size:
         return 1.0
-    egress_uids = {packet.uid for packet, _ in observation.at_hop(egress_hop)}
-    exposed = {uid for uid in dropped_markers if uid not in egress_uids}
-    return len(exposed) / len(dropped_markers)
+    upstream_hop = observation.path.hops[observation.path.hops.index(hops[0]) - 1]
+    upstream, _ = observation.at_hop(upstream_hop)
+    return int(np.isin(dropped, upstream.uid).sum()) / dropped.size

@@ -65,7 +65,6 @@ from repro.api.runner import (
     CellRun,
     Experiment,
     MeshRun,
-    clear_trace_cache,
     run_cell,
     run_cell_full,
     run_mesh_cell,
@@ -124,7 +123,6 @@ __all__ = [
     "TriangulationSummary",
     "TruthSummary",
     "VerificationSummary",
-    "clear_trace_cache",
     "derive_seed",
     "register_adversary",
     "register_scenario",

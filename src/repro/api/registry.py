@@ -28,25 +28,19 @@ Adversary factories come in two roles:
 * ``"condition"`` — build forwarding-behaviour overrides for the domain's
   :class:`~repro.simulation.scenario.SegmentCondition` (biased treatment,
   marker dropping).  The factory receives only ``**params`` and returns a dict
-  of ``SegmentCondition`` field overrides.  The predicates it installs accept
-  both a single :class:`~repro.net.packet.Packet` and a whole
-  :class:`~repro.net.batch.PacketBatch` (returning a boolean mask), so they
-  work under either execution engine.
+  of ``SegmentCondition`` field overrides.  The predicates it installs map a
+  :class:`~repro.net.batch.PacketBatch` to a boolean mask.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator
 
-import numpy as np
-
 from repro.adversary.bias import BiasedTreatmentAttack
 from repro.adversary.collusion import ColludingDomainAgent
 from repro.adversary.lying import LyingDomainAgent
 from repro.adversary.marker_drop import MarkerDropAttack
 from repro.core.sampling import DEFAULT_MARKER_RATE
-from repro.net.batch import PacketBatch
-from repro.net.hashing import MASK64, splitmix64_batch, threshold_for_rate
 from repro.net.topology import (
     MeshTopologyConfig,
     figure1_topology,
@@ -269,16 +263,7 @@ def _colluding_agent(domain, path, config, max_diff, agents, *, colluding_with, 
 @register_adversary("marker-drop", role="condition")
 def _marker_drop_condition(*, marker_rate: float = DEFAULT_MARKER_RATE):
     """Drop every marker packet inside the domain (Section 5.3)."""
-    attack = MarkerDropAttack(marker_rate=marker_rate)
-    digester = attack.digester
-    threshold = np.uint64(attack.marker_threshold)
-
-    def predicate(target):
-        if isinstance(target, PacketBatch):
-            return digester.digest_batch(target) > threshold
-        return attack.is_marker(target)
-
-    return {"drop_predicate": predicate}
+    return {"drop_predicate": MarkerDropAttack(marker_rate=marker_rate).drop_predicate()}
 
 
 @register_adversary("biased-treatment", role="condition")
@@ -295,17 +280,7 @@ def _biased_treatment_condition(
     configured budget — which cannot shift the estimate systematically.
     """
     attack = BiasedTreatmentAttack(guess_rate=guess_rate, guess_salt=guess_salt)
-    scalar_predicate = attack.blind_guess_predicate()
-    digester = attack.digester
-    threshold = np.uint64(threshold_for_rate(guess_rate))
-    salt = np.uint64(guess_salt & MASK64)
-
-    def predicate(target):
-        if isinstance(target, PacketBatch):
-            return splitmix64_batch(digester.digest_batch(target) ^ salt) > threshold
-        return scalar_predicate(target)
-
     return {
-        "preferential_predicate": predicate,
+        "preferential_predicate": attack.blind_guess_predicate(),
         "preferential_delay": preferential_delay,
     }

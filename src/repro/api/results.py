@@ -366,7 +366,3 @@ class SweepResult(Record):
 
     def __iter__(self):
         return iter(self.cells)
-
-    def results(self) -> tuple[CellResult, ...]:
-        """The per-cell results, in grid order."""
-        return tuple(cell.result for cell in self.cells)

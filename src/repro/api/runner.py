@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache, partial
+from functools import partial
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from repro.analysis.localization import identify_suspects, triangulate_suspects
@@ -43,7 +43,6 @@ from repro.api.spec import (
     ExecutionPolicy,
     ExperimentSpec,
     MeshSpec,
-    TrafficSpec,
 )
 from repro.adversary.lying import MeshLyingDomainAgent
 from repro.core.hop import HOPConfig
@@ -54,7 +53,6 @@ from repro.engine.streaming import (
     StreamingResult,
     StreamingRunner,
 )
-from repro.net.packet import Packet
 from repro.net.topology import HOPPath
 from repro.simulation.mesh import MeshScenario
 from repro.simulation.scenario import PathScenario
@@ -72,27 +70,13 @@ __all__ = [
 ]
 
 
-# The scalar oracle's packet objects are the one reusable piece of a cell
-# (scenarios and sessions are stateful and must be rebuilt per cell, but a
-# trace is a pure function of its spec and seed).  A small per-process cache
-# means a scalar sweep over protocol knobs builds its packet objects once.
-@lru_cache(maxsize=4)
-def _cached_packets(traffic: TrafficSpec, seed: int) -> tuple[Packet, ...]:
-    return tuple(
-        SyntheticTrace(
-            config=traffic.trace_config(), prefix_pair=default_prefix_pair(), seed=seed
-        ).packets()
-    )
-
-
 def clear_trace_cache() -> None:
-    """Release the scalar engine's cached packet tuples.
+    """Release per-process trace caches; a no-op, as no engine keeps one.
 
-    The cache holds at most 4 packet tuples, but at million-packet scale
-    those pin substantial memory for the process lifetime — call this after
-    a large run to hand it back.
+    Every engine synthesizes its trace afresh per cell, so there is nothing
+    to release.  Kept so harnesses that clear caches between timed runs keep
+    working.
     """
-    _cached_packets.cache_clear()
 
 
 def _apply_condition_adversaries(spec: ExperimentSpec, scenario: PathScenario) -> None:
@@ -155,7 +139,7 @@ def _build_agent_adversaries(
 def _build_cell(spec: ExperimentSpec) -> StreamingCell:
     """Build the one-path (scenarios, traces, session) cell every engine drives.
 
-    The single construction path for all three engines — any spec field that
+    The single construction path for both engines — any spec field that
     must influence cell construction is wired here exactly once, which is
     what keeps the engines' byte-identical contract honest.  A cell is a
     pure function of the spec's seeds, so every rebuild is identical.
@@ -259,23 +243,8 @@ def run_cell_full(
     checkpointing (streaming only).
     """
     policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size).bind(spec)
-    cell = _build_cell(spec)
-
-    if policy.engine == "scalar":
-        if checkpoint_sink is not None or resume_from is not None:
-            raise ValueError(
-                "mid-run checkpointing requires the streaming engine "
-                "(this cell executes on 'scalar')"
-            )
-        observation = cell.scenarios[0].run(
-            _cached_packets(spec.traffic, spec.traffic.effective_seed(spec.seed))
-        )
-        reports = cell.session.run(observation)
-        result = _summarize_cell(spec, cell.session, observation)
-        return CellRun(result=result, session=cell.session, reports=reports)
-
     runner = StreamingRunner(
-        cell,
+        _build_cell(spec),
         chunk_size=_chunk_size(policy),
         checkpoint_every=policy.checkpoint_every,
         checkpoint_sink=checkpoint_sink,

@@ -44,6 +44,7 @@ import dataclasses
 import functools
 import hashlib
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Mapping, Sequence
 
@@ -75,6 +76,7 @@ from repro.util.validation import (
 )
 
 __all__ = [
+    "ENGINES",
     "derive_seed",
     "TrafficSpec",
     "ConditionSpec",
@@ -92,6 +94,15 @@ __all__ = [
 ]
 
 _SEED_SPACE = 2**63
+
+#: The execution engines a spec, a policy or ``repro run --engine`` may name.
+#: Both are byte-identical; ``"streaming"`` runs in bounded memory.
+ENGINES = ("batch", "streaming")
+
+
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be 'batch' or 'streaming', got {engine!r}")
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -545,9 +556,8 @@ class ExperimentSpec(Spec):
 
     ``engine`` selects the execution path: ``"batch"`` (the default) drives the
     vectorized collector fast path over one whole-trace pass of the
-    propagation stream; ``"scalar"`` drives the per-packet object path;
-    ``"streaming"`` drives the same stream chunk by chunk
-    (:mod:`repro.engine`), which runs in bounded memory.  All engines
+    propagation stream; ``"streaming"`` drives the same stream chunk by chunk
+    (:mod:`repro.engine`), which runs in bounded memory.  Both engines
     produce identical results for every streamable registered component (they
     consume the same RNG streams in the same order), so the choice is a
     performance/memory knob, not a semantic one.
@@ -563,10 +573,7 @@ class ExperimentSpec(Spec):
     estimation: EstimationSpec = field(default_factory=EstimationSpec)
 
     def __post_init__(self) -> None:
-        if self.engine not in ("batch", "scalar", "streaming"):
-            raise ValueError(
-                f"engine must be 'batch', 'scalar' or 'streaming', got {self.engine!r}"
-            )
+        _check_engine(self.engine)
         object.__setattr__(self, "adversaries", tuple(self.adversaries))
         for adversary in self.adversaries:
             if not isinstance(adversary, AdversarySpec):
@@ -621,10 +628,7 @@ class MeshSpec(Spec):
     union_tag: ClassVar[str] = "topology"
 
     def __post_init__(self) -> None:
-        if self.engine not in ("batch", "streaming"):
-            raise ValueError(
-                f"mesh engine must be 'batch' or 'streaming', got {self.engine!r}"
-            )
+        _check_engine(self.engine)
         if not isinstance(self.topology, TopologySpec):
             raise ValueError(
                 f"MeshSpec.topology must be a TopologySpec, "
@@ -809,9 +813,6 @@ class CampaignSpec(Spec):
 
 # -- execution policy ----------------------------------------------------------------
 
-_POLICY_ENGINES = ("batch", "scalar", "streaming")
-
-
 @dataclass(frozen=True)
 class ExecutionPolicy(Spec):
     """*How* to execute a cell, as a frozen, JSON-round-trippable value.
@@ -826,22 +827,23 @@ class ExecutionPolicy(Spec):
     Attributes
     ----------
     engine:
-        ``"batch"``, ``"scalar"`` or ``"streaming"``; ``None`` defers to the
-        cell spec's own ``engine`` field.
+        ``"batch"`` or ``"streaming"``; ``None`` defers to the cell spec's
+        own ``engine`` field.
     chunk_size:
         Streaming chunk size in packets; ``None`` uses the engine default.
     throttle:
         Seconds to sleep between campaign intervals (and after each
         mid-interval checkpoint write) — the pacing knob long soak runs use.
+        Finite and non-negative.
     checkpoint_every:
         Emit a mid-interval :class:`~repro.engine.streaming.RunnerCheckpoint`
         every this many chunks (streaming only): a killed run resumes from
         the last checkpoint bit-identically.
 
-    Validation is eager: impossible combinations (``batch`` or ``scalar``
-    with a streaming-only knob) are rejected at construction,
-    and :meth:`bind` rejects spec-dependent conflicts (mesh cells have no
-    scalar engine) before any work starts.
+    Validation is eager: impossible combinations (``batch`` with a
+    streaming-only knob) are rejected at construction, and :meth:`bind`
+    rejects spec-dependent conflicts (mesh cells checkpoint only at interval
+    boundaries) before any work starts.
     """
 
     engine: str | None = None
@@ -850,13 +852,13 @@ class ExecutionPolicy(Spec):
     checkpoint_every: int | None = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in _POLICY_ENGINES:
-            raise ValueError(
-                f"engine must be 'batch', 'scalar' or 'streaming', got {self.engine!r}"
-            )
+        if self.engine is not None:
+            _check_engine(self.engine)
         if self.chunk_size is not None:
             check_positive("chunk_size", self.chunk_size)
         check_non_negative("throttle", self.throttle)
+        if not math.isfinite(self.throttle):
+            raise ValueError(f"throttle must be finite, got {self.throttle!r}")
         if self.checkpoint_every is not None:
             check_positive("checkpoint_every", self.checkpoint_every)
         if self.engine is not None:
@@ -922,15 +924,10 @@ class ExecutionPolicy(Spec):
         eagerly, before any trace is synthesized.
         """
         engine = self.engine if self.engine is not None else spec.engine
-        if isinstance(spec, MeshSpec):
-            if engine == "scalar":
-                raise ValueError(
-                    "mesh cells have no scalar engine; use 'batch' or 'streaming'"
-                )
-            if self.checkpoint_every is not None:
-                raise ValueError(
-                    "checkpoint_every applies to single-path streaming cells "
-                    "only; mesh intervals checkpoint at interval boundaries"
-                )
+        if isinstance(spec, MeshSpec) and self.checkpoint_every is not None:
+            raise ValueError(
+                "checkpoint_every applies to single-path streaming cells "
+                "only; mesh intervals checkpoint at interval boundaries"
+            )
         self._check_streaming_knobs(engine)
         return dataclasses.replace(self, engine=engine)

@@ -44,7 +44,7 @@ import time
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from repro.api.spec import CampaignSpec, ExecutionPolicy
+from repro.api.spec import ENGINES, CampaignSpec, ExecutionPolicy
 from repro.engine.campaign import (
     CampaignAccumulator,
     CampaignEvent,
@@ -112,7 +112,7 @@ def _load_spec(path: str) -> CampaignSpec:
 def _execution_knobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
-        choices=("batch", "scalar", "streaming"),
+        choices=ENGINES,
         default=None,
         help="execution-only engine override (results are byte-identical)",
     )

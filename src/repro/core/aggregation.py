@@ -116,56 +116,6 @@ class _PendingReceipt:
         return tuple(self.trans_before.tolist()), tuple(after)
 
 
-#: Every this many batch packets, :func:`_peak_occupancy` measures the window
-#: exactly to seed its search with a lower bound.
-_PEAK_STRIDE = 64
-
-
-def _peak_occupancy(
-    times: np.ndarray, thresholds: np.ndarray, offset: int, floor: int
-) -> int:
-    """The largest J-window occupancy after any batch packet, if above ``floor``.
-
-    ``times`` is the sorted carried-in window (its first ``offset`` entries)
-    followed by the batch, and ``thresholds[i]`` is batch packet ``i``'s time
-    minus ``J``.  After packet ``i`` the window holds every packet from the
-    first one whose time is ``>= thresholds[i]``, so it holds more than ``k``
-    packets iff ``times[offset + i - k] >= thresholds[i]``: the comparison
-    ``searchsorted(times, thresholds, side="left")`` makes, ties and ``J = 0``
-    included.  Testing one ``k`` is one vector compare over the batch.  The
-    stored peak is tested first (in steady state that is the only test); past
-    it, a strided sample of exact occupancies gives a lower bound, and a
-    gallop and a binary search find the peak.  Returns ``floor`` when no
-    packet's window holds more than ``floor`` packets.
-    """
-    size = len(times)
-
-    def exceeds(k: int) -> bool:
-        """Some batch packet's window holds more than ``k`` packets."""
-        if k >= size:
-            return False
-        first = max(0, k - offset)
-        return bool(np.any(times[offset + first - k : size - k] >= thresholds[first:]))
-
-    if floor and not exceeds(floor):
-        return floor
-    sample = np.arange(0, len(thresholds), _PEAK_STRIDE)
-    starts = np.searchsorted(times, thresholds[sample], side="left")
-    known = max(floor, int((offset + 1 + sample - starts).max()) - 1)
-    step = 1
-    while exceeds(known + step):
-        known += step
-        step *= 2
-    beyond = known + step
-    while beyond - known > 1:
-        middle = (known + beyond) // 2
-        if exceeds(middle):
-            known = middle
-        else:
-            beyond = middle
-    return known + 1
-
-
 class Aggregator:
     """Per-path implementation of Algorithm 2 (``Partition``) with AggTrans.
 
@@ -192,7 +142,6 @@ class Aggregator:
         self._finalized: list[_PendingReceipt] = []
         self._observed_packets = 0
         self._cut_count = 0
-        self._max_window_occupancy = 0
 
     # -- observation ---------------------------------------------------------
 
@@ -234,8 +183,6 @@ class Aggregator:
         recent.append((digest, time))
         while recent and recent[0][1] < time - self._window:
             recent.popleft()
-        if len(recent) > self._max_window_occupancy:
-            self._max_window_occupancy = len(recent)
         return is_cut
 
     def observe_batch(self, digests, times) -> np.ndarray:
@@ -247,9 +194,8 @@ class Aggregator:
         sliced out of the carried window and the batch with binary searches.
         Python-level work is proportional to the number of cutting points,
         not packets.  The carry stays in arrays: the next window is a slice
-        of carry plus batch, pending AggTrans windows are ``uint64`` slices,
-        and the peak window occupancy comes from an exact lag test
-        (:func:`_peak_occupancy`) rather than a search per packet.
+        of carry plus batch, and pending AggTrans windows are ``uint64``
+        slices.
 
         The fast path requires observation timestamps that are non-decreasing
         (within the batch and relative to earlier observations) — which is how
@@ -275,7 +221,7 @@ class Aggregator:
             return cut_mask
 
         # The window carried in from earlier observations plus this batch,
-        # for the pre-cut AggTrans windows and the occupancy statistic.
+        # for the pre-cut AggTrans windows.
         carry_digests, carry_times = self._window_arrays()
         all_times = np.concatenate([carry_times, time_array])
         if not np.all(all_times[1:] >= all_times[:-1]):
@@ -350,13 +296,8 @@ class Aggregator:
             segment_start = position + 1
         add_span(segment_start, count)
 
-        # 3. The peak occupancy statistic, and the window of the last J
-        #    seconds kept for the next call.
-        thresholds = time_array - window
-        self._max_window_occupancy = _peak_occupancy(
-            all_times, thresholds, offset, self._max_window_occupancy
-        )
-        keep_from = int(np.searchsorted(all_times, thresholds[-1], side="left"))
+        # 3. The window of the last J seconds, kept for the next call.
+        keep_from = int(np.searchsorted(all_times, last_time - window, side="left"))
         self._recent_ids = all_digests[keep_from:].copy()
         self._recent_times = all_times[keep_from:].copy()
         return cut_mask
@@ -386,7 +327,7 @@ class Aggregator:
         """A stable hex digest of the aggregator's complete observable state.
 
         ``time_sum`` enters rounded to 10 significant digits — it is the one
-        field accumulated in different orders by the scalar, batch and
+        field accumulated in different orders by the per-packet, batch and
         streaming paths (documented float tolerance); everything else hashes
         exact bit patterns.
         """
@@ -426,7 +367,6 @@ class Aggregator:
                     [receipt_state(pending) for pending in self._finalized],
                     self._observed_packets,
                     self._cut_count,
-                    self._max_window_occupancy,
                 )
             ).encode()
         )

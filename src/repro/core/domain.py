@@ -1,14 +1,15 @@
 """A domain's participation in VPM.
 
 A :class:`DomainAgent` owns the HOP collectors and processors of one domain's
-hand-off points on one path, feeds them the traffic the domain observes, and
-produces the domain's receipts for dissemination.  Honest domains report the
-collectors' output verbatim; adversarial behaviours (Section 2.1's threat
-model) are modelled by the strategies in :mod:`repro.adversary`, which hook
-the :meth:`DomainAgent.transform_report` extension point to fabricate or
-distort receipts *after* honest collection — exactly the capability the threat
-model grants a lying domain (it can misreport what it observed, but it cannot
-observe traffic it never saw).
+hand-off points on one path (the engines'
+:class:`~repro.engine.streaming.StreamingRunner` feeds them the traffic the
+domain observes) and produces the domain's receipts for dissemination.
+Honest domains report the collectors' output verbatim; adversarial behaviours
+(Section 2.1's threat model) are modelled by the strategies in
+:mod:`repro.adversary`, which hook the :meth:`DomainAgent.transform_report`
+extension point to fabricate or distort receipts *after* honest collection —
+exactly the capability the threat model grants a lying domain (it can
+misreport what it observed, but it cannot observe traffic it never saw).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Sequence
 
 from repro.core.hop import HOPCollector, HOPConfig, HOPProcessor, HOPReport
 from repro.net.topology import Domain, HOPPath
-from repro.simulation.scenario import PathObservation
 
 __all__ = ["DomainAgent"]
 
@@ -106,16 +106,6 @@ class DomainAgent:
             raise KeyError(f"domain {self.domain_name!r} has no HOP {hop_id}")
         self._collectors[hop_id] = collector
         self._processors[hop_id] = HOPProcessor(collector)
-
-    def observe(self, observation: PathObservation) -> None:
-        """Feed each of the domain's HOPs the traffic it observed (scalar path).
-
-        The vectorised engines feed the collectors through
-        :class:`~repro.engine.streaming.StreamingRunner` instead; both leave
-        the collectors in the same state.
-        """
-        for hop_id, collector in self._collectors.items():
-            collector.observe_sequence(observation.at_hop(hop_id))
 
     # -- reporting ----------------------------------------------------------------
 

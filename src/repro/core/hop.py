@@ -89,17 +89,17 @@ class HOPCollector:
     """
 
     #: Names the in-memory form of the collector's carried state (the
-    #: samplers' TempBuffers, the aggregators' windows and pending AggTrans).
+    #: samplers' TempBuffers, the aggregators' windows and pending AggTrans,
+    #: and the counters beside them).
     #: Pickled collectors are only reloaded under the same tag; change it
     #: whenever that form changes.
-    STATE_TAG = "array-carry-1"
+    STATE_TAG = "array-carry-2"
 
     def __init__(self, hop: HOP, config: HOPConfig | None = None) -> None:
         self.hop = hop
         self.config = config or HOPConfig()
         self._paths: dict[object, _PathState] = {}
         self._classifier_cache: dict[tuple[int, int], _PathState | None] = {}
-        self._unclassified_packets = 0
 
     # -- path registration -----------------------------------------------------
 
@@ -155,12 +155,11 @@ class HOPCollector:
 
         The packet is classified into its path, digested once, and fed to both
         the delay sampler and the aggregator with the HOP's *local* timestamp.
-        Packets that match no registered path are counted and ignored, as a
-        real collector would treat traffic it is not configured to monitor.
+        Packets that match no registered path are ignored, as a real
+        collector would treat traffic it is not configured to monitor.
         """
         state = self._classify(packet)
         if state is None:
-            self._unclassified_packets += 1
             return
         local_time = self.hop.clock.read(true_time)
         digest = self.config.digester.digest(packet)
@@ -168,11 +167,6 @@ class HOPCollector:
         state.aggregator.observe(digest, local_time)
         state.observed_packets += 1
         state.observed_bytes += packet.size
-
-    def observe_sequence(self, observations: list[tuple[Packet, float]]) -> None:
-        """Convenience wrapper: observe an already-ordered (packet, time) list."""
-        for packet, true_time in observations:
-            self.observe(packet, true_time)
 
     def observe_batch(self, batch: PacketBatch, true_times=None) -> int:
         """Vectorized :meth:`observe` over a columnar packet batch.
@@ -222,7 +216,6 @@ class HOPCollector:
             path_members.append((state, selected))
             if not unclaimed.any():
                 break
-        self._unclassified_packets += int(unclaimed.sum())
         if not path_members:
             return 0
 
@@ -261,7 +254,7 @@ class HOPCollector:
         ends up in the state of one fed the whole stream.
         """
         hasher = hashlib.blake2b(digest_size=16)
-        hasher.update(repr((self.hop.hop_id, self._unclassified_packets)).encode())
+        hasher.update(repr(self.hop.hop_id).encode())
         for prefix_pair in sorted(self._paths, key=str):
             state = self._paths[prefix_pair]
             hasher.update(

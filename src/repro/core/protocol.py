@@ -3,9 +3,8 @@
 :class:`VPMSession` wires the pieces together for one measurement interval:
 
 1. each participating domain runs a :class:`~repro.core.domain.DomainAgent`
-   over the traffic its HOPs observed (a scalar :class:`PathObservation`, or
-   the emissions :class:`~repro.engine.streaming.StreamingRunner` feeds to its
-   collectors);
+   over the traffic its HOPs observed (the emissions
+   :class:`~repro.engine.streaming.StreamingRunner` feeds to its collectors);
 2. the domains' receipts are disseminated (Assumption 2 of the paper: an
    authenticated channel exists; here an in-memory
    :class:`~repro.reporting.dissemination.ReceiptBus`);
@@ -27,7 +26,6 @@ from repro.core.verifier import DomainPerformance, VerificationResult, Verifier
 from repro.net.prefixes import PrefixPair
 from repro.net.topology import Domain, HOPPath
 from repro.reporting.dissemination import MeshReceiptBus, ReceiptBus
-from repro.simulation.scenario import PathObservation
 
 __all__ = ["MeshSession", "SessionOverhead", "VPMSession"]
 
@@ -133,23 +131,11 @@ class VPMSession:
 
     # -- execution --------------------------------------------------------------------
 
-    def run(self, observation: PathObservation) -> dict[int, HOPReport]:
-        """Feed one interval's scalar observations to every agent and collect reports.
-
-        This is the scalar oracle's entry point.  The vectorised engines feed
-        the collectors through :class:`~repro.engine.streaming.StreamingRunner`
-        and then call :meth:`collect_reports`; receipts are identical.
-        """
-        for agent in self.agents.values():
-            agent.observe(observation)
-        return self.collect_reports()
-
     def collect_reports(self) -> dict[int, HOPReport]:
         """Generate, transform and publish reports from already-fed collectors.
 
-        The back half of :meth:`run`, exposed separately for
-        :class:`~repro.engine.streaming.StreamingRunner`, which feeds every
-        agent's collectors itself and calls this once at end of stream.
+        :class:`~repro.engine.streaming.StreamingRunner` feeds every agent's
+        collectors itself and calls this once at end of stream.
         """
         reports: dict[int, HOPReport] = {}
         for agent in self.agents.values():

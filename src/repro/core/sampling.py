@@ -104,7 +104,6 @@ class DelaySampler:
         self._samples: list[SampleRecord] = []
         # Bookkeeping for the overhead model (Section 7.1).
         self._observed_packets = 0
-        self._marker_count = 0
         self._max_buffer_occupancy = 0
 
     # -- observation --------------------------------------------------------
@@ -130,7 +129,6 @@ class DelaySampler:
         self._observed_packets += 1
         buffer = self._buffer_list()
         if digest > self._marker_threshold:
-            self._marker_count += 1
             for buffered_digest, buffered_time in buffer:
                 if sample_function(buffered_digest, digest) > self._sampling_threshold:
                     self._samples.append(
@@ -182,7 +180,6 @@ class DelaySampler:
                 self._max_buffer_occupancy, len(self._buffer_ids)
             )
             return marker_mask
-        self._marker_count += len(marker_positions)
 
         # Everything up to the last marker, carried buffer first:
         # SampleFcn(q, owning marker) > σ, or q is itself a marker.  Each
@@ -252,7 +249,6 @@ class DelaySampler:
                     [(record.pkt_id, record.time.hex()) for record in self._samples],
                     [(digest, time.hex()) for digest, time in buffer],
                     self._observed_packets,
-                    self._marker_count,
                     self._max_buffer_occupancy,
                 )
             ).encode()

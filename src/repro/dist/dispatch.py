@@ -49,7 +49,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.api.spec import CampaignSpec, ExecutionPolicy
 from repro.engine.campaign import (
@@ -60,7 +60,7 @@ from repro.engine.campaign import (
     RunComplete,
     interval_record,
 )
-from repro.store import RunStore, stable_json
+from repro.store import RunStore
 from repro.store.runstore import SPEC_FILE
 
 if TYPE_CHECKING:
@@ -134,22 +134,14 @@ class StagingArea:
     def path(self, interval: int) -> Path:
         return self.staging_dir / f"interval-{interval:06d}.json"
 
-    def stage(self, interval: int, record: Mapping[str, Any]) -> bool:
-        """Stage one computed record; False when an identical copy already sits.
+    def stage_line(self, interval: int, line: bytes) -> bool:
+        """Stage one record's exact line bytes; False when an identical copy already sits.
 
         A pre-existing staged record must be byte-identical (determinism);
         anything else is a :class:`DispatchError`, never a silent overwrite.
-        """
-        line = (stable_json(dict(record)) + "\n").encode("utf-8")
-        return self.stage_line(interval, line)
-
-    def stage_line(self, interval: int, line: bytes) -> bool:
-        """Stage one record's exact line bytes (see :meth:`stage`).
-
-        The byte-level entry point exists for uploads: an uploaded record
-        is staged exactly as received (after its digest verified), never
-        re-serialized, so the duplicate byte-assert compares what workers
-        actually produced.
+        An uploaded record is staged exactly as received (after its digest
+        verified), never re-serialized, so the duplicate byte-assert compares
+        what workers actually produced.
         """
         path = self.path(interval)
         existing = self._read(path)

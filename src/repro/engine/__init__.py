@@ -1,10 +1,9 @@
 """Execution engines for driving scenarios at scale.
 
-The scalar engine (:meth:`repro.simulation.scenario.PathScenario.run`) is
-the per-packet oracle.  The one vectorised traversal lives here, in
+The one propagation traversal lives here, in
 :class:`~repro.engine.streaming.ScenarioStream`, and one runner,
-:class:`~repro.engine.streaming.StreamingRunner`, drives it for every
-vectorised cell: a single path or a mesh of N paths in lockstep.  With
+:class:`~repro.engine.streaming.StreamingRunner`, drives it for every cell:
+a single path or a mesh of N paths in lockstep.  With
 ``chunk_size=None`` the runner makes one whole-trace pass — the **batch**
 engine; with a chunk size it is the **streaming** engine, in ``O(chunk)``
 memory, in one process.  The stream's propagation state is seekable
@@ -13,13 +12,13 @@ campaign interval killed mid-stream resume at its last chunk boundary.  More
 cores come from interval-level dispatch (:mod:`repro.dist.dispatch`), not
 from splitting one interval.
 
-All three engines produce identical receipts and results for every streamable
+Both engines produce identical receipts and results for every streamable
 component (see ``README.md`` § Engines); the only documented difference is
 ``AggregateReceipt.time_sum``, whose float accumulation order varies.
 
 On top of the per-interval engines,
 :class:`~repro.engine.campaign.CampaignRunner` drives long-horizon campaigns
-— one cell run per interval on any of the engines — checkpointing every
+— one cell run per interval on either engine — checkpointing every
 interval into a :class:`repro.store.RunStore` so a killed campaign resumes
 byte-identically.
 """

@@ -584,8 +584,8 @@ class CampaignRunner:
         self.store = store
         self.policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
         # Resolve against the cell eagerly: impossible combinations (mesh +
-        # scalar, checkpoint_every off the streaming engine) die here, not
-        # forty intervals into a soak run.
+        # checkpoint_every, checkpoint_every off the streaming engine) die
+        # here, not forty intervals into a soak run.
         self._bound = self.policy.bind(self.spec.cell)
         self._memory_records: list[dict[str, Any]] = []
         self._event_sink: Callable[[CampaignEvent], None] | None = None

@@ -1,8 +1,6 @@
 """Vectorised scenario propagation and the one runner that feeds the collectors.
 
-The one vectorised traversal of a
-:class:`~repro.simulation.scenario.PathScenario` (its scalar ``run`` is the
-oracle):
+The one traversal of a :class:`~repro.simulation.scenario.PathScenario`:
 
 * :class:`ScenarioStream` pushes one trace chunk at a time through the path.
   Each propagation stage (domain segment, inter-domain link) applies its
@@ -22,8 +20,8 @@ oracle):
   :meth:`ScenarioStream.seek` restores a fresh stream to that point so it
   continues bit-identically — in another process, or in a later run.
 
-* :class:`StreamingRunner` is the only code in the vectorised engines that
-  feeds the VPM collectors.  It drives one stream per path in lockstep and
+* :class:`StreamingRunner` is the only code in the engines that feeds the
+  VPM collectors.  It drives one stream per path in lockstep and
   feeds every HOP the timestamp-merged union of the paths' emissions.
   ``chunk_size=None`` is the **batch** engine (each trace is its stream's
   final chunk); a chunk size is the **streaming** engine, which can hand a
@@ -38,7 +36,7 @@ components (``CongestionDelayModel``, which simulates the whole arrival series
 per call) are rejected with a clear error at the first
 :meth:`ScenarioStream.push`; they run as one whole-trace pass (the batch
 engine).  The one documented deviation is ``AggregateReceipt.time_sum``
-(float accumulation order, as with scalar vs batch).
+(float accumulation order).
 """
 
 from __future__ import annotations
@@ -93,10 +91,9 @@ class StreamingTruth:
 
     Stores per-chunk true-delay arrays plus loss/delivery counts — the pieces
     result summaries actually consume — instead of per-uid maps, so memory
-    stays proportional to delivered packets (one float each).  The accessors
-    mirror :class:`repro.simulation.scenario.DomainGroundTruth`, and the delay
-    values are elementwise identical to the scalar oracle's, so quantiles
-    match exactly.  Both vectorised engines (batch and streaming) record it.
+    stays proportional to delivered packets (one float each).  The delay
+    values are elementwise identical whatever the chunking, so quantiles
+    match exactly.  Both engines (batch and streaming) record it.
     """
 
     domain: str
@@ -517,8 +514,8 @@ class StreamingResult:
 
     ``path_truth[i]`` and ``link_losses[i]`` are path ``i``'s ground truth.
     ``domain_truth`` and :meth:`truth_for` read path 0 by default, the only
-    path of a single-path cell, so result summarization code accepts this and
-    the scalar :class:`~repro.simulation.scenario.PathObservation` alike.
+    path of a single-path cell, so result summarization code reads this and
+    a :class:`~repro.simulation.scenario.BatchPathObservation` alike.
     ``session`` is the VPM session whose bus now holds the published reports.
     ``chunk_size`` is ``None`` for a one-pass run, which counts as one chunk.
     """

@@ -26,7 +26,7 @@ def canonical_receipts(reports: Mapping[int, HOPReport]) -> dict[str, Any]:
     Timestamps are rendered as exact float hex so the form is bit-faithful;
     ``time_sum`` is rounded to its documented 10-significant-digit tolerance —
     the one field whose float accumulation order legitimately differs between
-    the scalar, batch and streaming engines (and between chunk sizes).
+    the batch and streaming engines (and between chunk sizes).
     Everything else — sample sets and order, thresholds, aggregate boundaries,
     packet counts, AggTrans windows — is engine-invariant, so two engines (or
     an interrupted-and-resumed campaign interval and an uninterrupted one)

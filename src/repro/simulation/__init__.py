@@ -3,19 +3,12 @@
 from repro.simulation.congestion import CongestionScenario
 from repro.simulation.mesh import MeshScenario, merge_hop_streams
 from repro.simulation.queueing import BottleneckQueue, QueueStats
-from repro.simulation.scenario import (
-    DomainGroundTruth,
-    PathObservation,
-    PathScenario,
-    SegmentCondition,
-)
+from repro.simulation.scenario import PathScenario, SegmentCondition
 
 __all__ = [
     "BottleneckQueue",
     "CongestionScenario",
-    "DomainGroundTruth",
     "MeshScenario",
-    "PathObservation",
     "PathScenario",
     "QueueStats",
     "SegmentCondition",

@@ -119,10 +119,6 @@ class EmpiricalDelayModel(DelayModel):
         self._cursor = (self._cursor + count) % period
         return self.series[offsets]
 
-    def reset(self) -> None:
-        """Rewind the replay cursor to the start of the series."""
-        self._cursor = 0
-
     def state_snapshot(self) -> dict:
         state = super().state_snapshot()
         state["cursor"] = int(self._cursor)

@@ -68,9 +68,6 @@ class LossModel(RNGStateMixin):
             count=count,
         )
 
-    def reset(self) -> None:
-        """Reset internal state (e.g. the Markov chain) to its initial value."""
-
 
 @dataclass
 class NoLossModel(LossModel):
@@ -259,9 +256,6 @@ class GilbertElliottLossModel(LossModel):
                 rng.random(out=uniforms[:position])
         self._in_bad_state = bool(bad)
         return lost
-
-    def reset(self) -> None:
-        self._in_bad_state = False
 
     def state_snapshot(self) -> dict:
         state = super().state_snapshot()

@@ -25,7 +25,7 @@ class ReorderingModel(RNGStateMixin):
 
     Models define :meth:`perturb` — assign each packet a (possibly perturbed)
     observation time, consuming randomness *sequentially in input order* —
-    and inherit :meth:`apply`, which stable-sorts by the perturbed times.
+    and the propagation stages stable-sort by the perturbed times.
     Because perturbation is per-packet sequential, splitting an input across
     consecutive :meth:`perturb` calls draws the same stream as one call; the
     streaming engine relies on this (and on ``max_lateness``) to reorder a
@@ -40,26 +40,6 @@ class ReorderingModel(RNGStateMixin):
         """Per-packet perturbed observation times (same order as the input)."""
         raise NotImplementedError
 
-    def apply(self, arrival_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Reorder a sequence of arrival times.
-
-        Parameters
-        ----------
-        arrival_times:
-            Monotone non-decreasing arrival times of the original sequence.
-
-        Returns
-        -------
-        (order, new_times):
-            ``order`` is an index array: position ``k`` of the output sequence
-            is the packet originally at index ``order[k]``.  ``new_times`` are
-            the corresponding (sorted, possibly perturbed) observation times.
-        """
-        perturbed = self.perturb(np.asarray(arrival_times, dtype=float))
-        # Stable sort keeps the original order for untouched packets.
-        order = np.argsort(perturbed, kind="stable")
-        return order, perturbed[order]
-
 
 class NoReordering(ReorderingModel):
     """Identity reordering model."""
@@ -68,10 +48,6 @@ class NoReordering(ReorderingModel):
 
     def perturb(self, arrival_times: np.ndarray) -> np.ndarray:
         return np.asarray(arrival_times, dtype=float).copy()
-
-    def apply(self, arrival_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        arrival_times = np.asarray(arrival_times, dtype=float)
-        return np.arange(len(arrival_times)), arrival_times.copy()
 
 
 class WindowReordering(ReorderingModel):

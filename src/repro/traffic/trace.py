@@ -25,7 +25,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.net.batch import PacketBatch
-from repro.net.packet import Packet
 from repro.net.prefixes import OriginPrefix, PrefixPair
 from repro.traffic.flows import FlowGenerator, FlowGeneratorConfig
 from repro.util.rng import make_rng
@@ -265,9 +264,8 @@ class SyntheticTrace:
 
         This is the fast path for driving millions of packets per run: the
         whole sequence is synthesized with array operations and never
-        materializes per-packet objects.  :meth:`packets` is defined as
-        ``packet_batch().to_packets()``, so both representations are always
-        value-identical for the same seed.
+        materializes per-packet objects (``packet_batch().to_packets()`` does,
+        value-identically).
         """
         plan = self._draw_plan()
         return self._materialize(plan, 0, plan.count)
@@ -319,10 +317,6 @@ class SyntheticTrace:
                 plan.flow_ids[start : min(start + span, stop)],
                 minlength=len(plan.flow_counts),
             )
-
-    def packets(self) -> list[Packet]:
-        """Generate the full packet sequence, ordered by send time."""
-        return self.packet_batch().to_packets()
 
     def __repr__(self) -> str:
         return (

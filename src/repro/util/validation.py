@@ -22,8 +22,8 @@ def check_positive(name: str, value: float) -> float:
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Return ``value`` if >= 0, else raise ``ValueError``."""
-    if value < 0:
+    """Return ``value`` if >= 0, else raise ``ValueError`` (NaN included)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.net.batch import PacketBatch
 from repro.net.hashing import PacketDigester
 from repro.net.packet import Packet, PacketHeaders
 from repro.net.prefixes import OriginPrefix, PrefixPair
@@ -45,14 +46,20 @@ def digester() -> PacketDigester:
 
 
 @pytest.fixture(scope="session")
-def small_trace_packets(prefix_pair) -> list[Packet]:
+def small_trace_batch(prefix_pair) -> PacketBatch:
     """A small (2000-packet) synthetic trace, shared across tests."""
     config = TraceConfig(
         packet_count=2000,
         packets_per_second=100_000.0,
         flow_config=FlowGeneratorConfig(),
     )
-    return SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=7).packets()
+    return SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=7).packet_batch()
+
+
+@pytest.fixture(scope="session")
+def small_trace_packets(small_trace_batch) -> list[Packet]:
+    """The small trace as packet objects."""
+    return small_trace_batch.to_packets()
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ from repro.core.receipts import SampleReceipt
 from repro.net.batch import PacketBatch
 from repro.net.clock import Clock
 from repro.net.packet import Packet
+from repro.store import stable_json
 from repro.util.rng import make_rng
 from repro.util.validation import check_non_negative
 
@@ -39,6 +40,29 @@ def raw_http_exchange(url: str, request: bytes, timeout: float = 3.0) -> bytes |
             if not chunks:
                 return None
     return b"".join(chunks)
+
+
+def stage_record(staging, interval: int, record) -> bool:
+    """Stage ``record`` in a :class:`~repro.dist.StagingArea` as its store line."""
+    return staging.stage_line(interval, (stable_json(dict(record)) + "\n").encode("utf-8"))
+
+
+def feed_agent(agent, observation) -> None:
+    """Feed each of the agent's HOPs its observed ``(batch, times)`` pair.
+
+    ``observation`` is a :class:`~repro.simulation.scenario.BatchPathObservation`.
+    This is the one-pass feed :class:`~repro.engine.streaming.StreamingRunner`
+    makes, for tests that feed several agents from one propagated run.
+    """
+    for hop_id in agent.hop_ids:
+        agent.collector(hop_id).observe_batch(*observation.at_hop(hop_id))
+
+
+def feed_session(session, observation) -> dict:
+    """Feed every agent of ``session`` (see :func:`feed_agent`); the reports."""
+    for agent in session.agents.values():
+        feed_agent(agent, observation)
+    return session.collect_reports()
 
 
 def batch_from_packets(packets: Sequence[Packet]) -> PacketBatch:

@@ -18,14 +18,14 @@ from repro.traffic.trace import SyntheticTrace, TraceConfig
 
 
 @pytest.fixture(scope="session")
-def integration_packets(prefix_pair):
+def integration_batch(prefix_pair):
     """A 12k-packet sequence at the paper's 100k packets-per-second rate."""
     config = TraceConfig(
         packet_count=12_000,
         packets_per_second=100_000.0,
         flow_config=FlowGeneratorConfig(),
     )
-    return SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=101).packets()
+    return SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=101).packet_batch()
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ The contracts under test:
 * an ``Experiment`` cell reproduces, value for value, what the hand-wired
   engine pipeline (scenario → session → verifier) computes for the same
   seeds — the API is a front door, not a different implementation;
-* the batch and scalar engines produce identical cells;
+* the batch engine and the per-packet object oracle produce identical cells;
 * a parallel sweep serializes byte-identically to a serial sweep;
 * adversary specs reproduce the paper's lying/collusion outcomes;
 * campaigns built from specs run and accumulate.
@@ -38,6 +38,9 @@ from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import JitterDelayModel
 from repro.traffic.loss_models import BernoulliLossModel
 from repro.traffic.workload import make_workload
+
+from tests.helpers import feed_session
+from tests.oracle.objects import run_oracle_cell
 
 
 def _smoke_spec(**overrides) -> ExperimentSpec:
@@ -94,15 +97,9 @@ class TestCellEquivalence:
         assert target.truth.loss_rate == truth.loss_rate
         assert target.truth.offered_packets == truth.offered_packets
 
-    def test_batch_and_scalar_engines_identical(self):
-        batch_cell = Experiment(_smoke_spec(engine="batch")).run()
-        scalar_cell = Experiment(_smoke_spec(engine="scalar")).run()
-        batch_dict = batch_cell.to_dict()
-        scalar_dict = scalar_cell.to_dict()
-        # Only the engine tag in the recorded spec may differ.
-        assert batch_dict.pop("spec")["engine"] == "batch"
-        assert scalar_dict.pop("spec")["engine"] == "scalar"
-        assert batch_dict == scalar_dict
+    def test_batch_engine_matches_object_oracle(self):
+        spec = _smoke_spec()
+        assert Experiment(spec).run().to_dict() == run_oracle_cell(spec).to_dict()
 
     def test_estimate_is_close_to_truth(self):
         cell = Experiment(_smoke_spec()).run()
@@ -241,7 +238,7 @@ class TestAdversarySpecs:
         with pytest.raises(ValueError, match="list the 'lying' spec first"):
             Experiment(spec).run()
 
-    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    @pytest.mark.parametrize("engine", ["batch", "streaming"])
     def test_condition_adversaries_run_under_both_engines(self, engine):
         spec = dataclasses.replace(
             self._base(),
@@ -257,7 +254,7 @@ class TestAdversarySpecs:
 
     def test_condition_adversaries_identical_across_engines(self):
         cells = {}
-        for engine in ("batch", "scalar"):
+        for engine in ("batch", "streaming"):
             spec = dataclasses.replace(
                 self._base(),
                 engine=engine,
@@ -266,7 +263,7 @@ class TestAdversarySpecs:
             payload = Experiment(spec).run().to_dict()
             payload["spec"].pop("engine")
             cells[engine] = payload
-        assert cells["batch"] == cells["scalar"]
+        assert cells["batch"] == cells["streaming"]
 
 
 def _campaign(cell: ExperimentSpec, intervals: int) -> CampaignRunner:
@@ -317,7 +314,7 @@ class TestSessionErgonomics:
         from repro.core.hop import HOPConfig
         from repro.core.sampling import SamplerConfig
 
-        packets = make_workload("smoke-sequence", seed=1).packets()
+        batch = make_workload("smoke-sequence", seed=1).packet_batch()
         scenario = PathScenario(seed=2)
         scenario.configure_domain(
             "X",
@@ -326,17 +323,17 @@ class TestSessionErgonomics:
                 loss_model=BernoulliLossModel(0.1, seed=4),
             ),
         )
-        observation = scenario.run(packets)
+        observation = scenario.run_batch(batch)
         config = HOPConfig(
             sampler=SamplerConfig(sampling_rate=0.02),
             aggregator=AggregatorConfig(expected_aggregate_size=500),
         )
         single = VPMSession(scenario.path, configs=config)
-        single.run(observation)
+        feed_session(single, observation)
         mapping = VPMSession(
             scenario.path,
             configs={domain.name: config for domain in scenario.path.domains},
         )
-        mapping.run(observation)
+        feed_session(mapping, observation)
         assert set(single.agents) == set(mapping.agents)
         assert single.estimate("L", "X").loss_rate == mapping.estimate("L", "X").loss_rate

@@ -1,7 +1,8 @@
-"""Differential test matrices: scalar vs batch vs streaming, path and mesh.
+"""Differential test matrices: object oracle vs batch vs streaming, path and mesh.
 
-Every registered delay model, loss model and adversary runs under all three
-execution engines on the same spec; the engines must produce
+Every registered delay model, loss model and adversary runs under both
+execution engines and the per-packet object oracle (:mod:`tests.oracle`) on
+the same spec; all three must produce
 
 * byte-identical ``CellResult.to_json()`` (estimates, truth, verdicts,
   overhead — the embedded spec is the same object, so any divergence is a
@@ -12,7 +13,7 @@ execution engines on the same spec; the engines must produce
 The one declared exception: ``CongestionDelayModel`` simulates the whole
 arrival series per call and is not streamable — the streaming engine must
 refuse it with a clear error rather than silently produce different traffic,
-and the scalar/batch pair is still compared.  The batch engine is one
+and the oracle/batch pair is still compared.  The batch engine is one
 whole-trace pass of the same ``ScenarioStream``, so the refusal sits in the
 stream's first ``push``, not its constructor.
 
@@ -42,13 +43,17 @@ from repro.api.spec import (
 from repro.engine.streaming import ScenarioStream
 
 from tests.conformance.canon import (
-    assert_same_propagation,
     canonical_receipts,
     run_batch_mesh_reports,
     run_batch_reports,
     run_mesh_streaming_reports,
-    run_scalar_reports,
     run_streaming_reports,
+)
+from tests.oracle.objects import (
+    assert_same_propagation,
+    run_oracle_cell,
+    run_oracle_reports,
+    run_path,
 )
 
 CHUNK_SIZE = 512
@@ -93,11 +98,10 @@ def _spec(condition: ConditionSpec, adversaries=()) -> ExperimentSpec:
 
 def _assert_three_way(spec: ExperimentSpec, streaming_ok: bool = True) -> None:
     batch = run_cell(spec, engine="batch")
-    scalar = run_cell(spec, engine="scalar")
-    assert scalar.to_json() == batch.to_json()
+    assert run_oracle_cell(spec).to_json() == batch.to_json()
 
     batch_receipts = canonical_receipts(run_batch_reports(spec))
-    assert canonical_receipts(run_scalar_reports(spec)) == batch_receipts
+    assert canonical_receipts(run_oracle_reports(spec)) == batch_receipts
 
     if not streaming_ok:
         with pytest.raises(ValueError, match="not streamable"):
@@ -118,10 +122,10 @@ def _assert_one_pass_only(spec: ExperimentSpec) -> None:
     cell = _build_cell(spec)
     stream = ScenarioStream(cell.scenarios[0])
 
-    scalar = _build_cell(spec)
+    oracle = _build_cell(spec)
     one_pass = _build_cell(spec)
     assert_same_propagation(
-        scalar.scenarios[0].run(scalar.traces[0].packets()),
+        run_path(oracle.scenarios[0], oracle.traces[0].packet_batch().to_packets()),
         one_pass.scenarios[0].run_batch(one_pass.traces[0].packet_batch()),
     )
 

@@ -17,9 +17,11 @@ from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import ConstantDelayModel
 from repro.traffic.loss_models import BernoulliLossModel
 
+from tests.helpers import feed_session
+
 
 @pytest.fixture(scope="module")
-def lossy_observation(integration_packets):
+def lossy_observation(integration_batch):
     """X drops 20% of the traffic and delays the rest by 15 ms."""
     scenario = PathScenario(seed=301)
     scenario.configure_domain(
@@ -29,7 +31,7 @@ def lossy_observation(integration_packets):
             loss_model=BernoulliLossModel(0.2, seed=302),
         ),
     )
-    return scenario.run(integration_packets)
+    return scenario.run_batch(integration_batch)
 
 
 def run_session(path, observation, config, agents=None):
@@ -38,7 +40,7 @@ def run_session(path, observation, config, agents=None):
         configs={domain.name: config for domain in path.domains},
         agents=agents or {},
     )
-    session.run(observation)
+    feed_session(session, observation)
     return session
 
 

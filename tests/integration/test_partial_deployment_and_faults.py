@@ -10,10 +10,12 @@ from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import ConstantDelayModel
 from repro.traffic.loss_models import BernoulliLossModel
 
+from tests.helpers import feed_session
+
 
 class TestPartialDeployment:
     @pytest.fixture(scope="class")
-    def lossy_x_observation(self, integration_packets):
+    def lossy_x_observation(self, integration_batch):
         scenario = PathScenario(seed=601)
         scenario.configure_domain(
             "X",
@@ -22,7 +24,7 @@ class TestPartialDeployment:
                 loss_model=BernoulliLossModel(0.15, seed=602),
             ),
         )
-        return scenario.run(integration_packets)
+        return scenario.run_batch(integration_batch)
 
     def test_non_deployed_domain_cannot_be_measured_but_others_can(
         self, path, lossy_x_observation, default_hop_config
@@ -30,7 +32,7 @@ class TestPartialDeployment:
         configs = {d.name: default_hop_config for d in path.domains}
         configs["X"] = None  # X has not deployed VPM
         session = VPMSession(path, configs=configs)
-        session.run(lossy_x_observation)
+        feed_session(session, lossy_x_observation)
         verifier = session.verifier_for("L")
         # X produces no receipts...
         x_performance = verifier.estimate_domain("X")
@@ -52,7 +54,7 @@ class TestPartialDeployment:
         configs = {d.name: None for d in path.domains}
         configs["L"] = default_hop_config  # only L deploys
         session = VPMSession(path, configs=configs)
-        reports = session.run(lossy_x_observation)
+        reports = feed_session(session, lossy_x_observation)
         assert set(reports) == {2, 3}
         verifier = session.verifier_for("S")
         performance = verifier.estimate_domain("L")
@@ -64,7 +66,7 @@ class TestPartialDeployment:
 
 class TestFaultyLink:
     def test_lossy_interdomain_link_flagged_for_both_neighbors(
-        self, path, integration_packets, default_hop_config
+        self, path, integration_batch, default_hop_config
     ):
         scenario = PathScenario(seed=611)
         topology = scenario.topology
@@ -73,11 +75,11 @@ class TestFaultyLink:
             topology.hop(6),
             InterDomainLink(spec=LinkSpec(), loss_rate=0.05, seed=612),
         )
-        observation = scenario.run(integration_packets)
+        observation = scenario.run_batch(integration_batch)
         session = VPMSession(
             path, configs={d.name: default_hop_config for d in path.domains}
         )
-        session.run(observation)
+        feed_session(session, observation)
         findings = session.verifier_for("L").check_consistency()
         assert findings
         assert {(finding.upstream_hop, finding.downstream_hop) for finding in findings} == {
@@ -89,7 +91,7 @@ class TestFaultyLink:
         assert not session.verify("L", "N").accepted
 
     def test_slow_interdomain_link_violates_max_diff(
-        self, path, integration_packets, default_hop_config
+        self, path, integration_batch, default_hop_config
     ):
         scenario = PathScenario(seed=621)
         topology = scenario.topology
@@ -102,19 +104,19 @@ class TestFaultyLink:
                 seed=622,
             ),
         )
-        observation = scenario.run(integration_packets)
+        observation = scenario.run_batch(integration_batch)
         session = VPMSession(
             path, configs={d.name: default_hop_config for d in path.domains}
         )
-        session.run(observation)
+        feed_session(session, observation)
         findings = session.verifier_for("L").check_consistency()
         assert any(finding.kind == "delay-bound-violation" for finding in findings)
 
-    def test_healthy_links_raise_nothing(self, path, integration_packets, default_hop_config):
+    def test_healthy_links_raise_nothing(self, path, integration_batch, default_hop_config):
         scenario = PathScenario(seed=631)
-        observation = scenario.run(integration_packets)
+        observation = scenario.run_batch(integration_batch)
         session = VPMSession(
             path, configs={d.name: default_hop_config for d in path.domains}
         )
-        session.run(observation)
+        feed_session(session, observation)
         assert session.verifier_for("L").check_consistency() == []

@@ -21,7 +21,7 @@ from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import CongestionDelayModel, ConstantDelayModel
 from repro.traffic.loss_models import BernoulliLossModel
 from repro.traffic.reordering import WindowReordering
-from tests.helpers import sampled_ids
+from tests.helpers import feed_session, sampled_ids
 
 
 def make_config(sampling_rate: float = 0.05, aggregate_size: int = 1000) -> HOPConfig:
@@ -33,7 +33,7 @@ def make_config(sampling_rate: float = 0.05, aggregate_size: int = 1000) -> HOPC
 
 class TestReorderingPatchUp:
     @pytest.fixture(scope="class")
-    def reordered_run(self, path, integration_packets):
+    def reordered_run(self, path, integration_batch):
         """X reorders packets (within 1 ms) but loses nothing."""
         scenario = PathScenario(seed=501)
         scenario.configure_domain(
@@ -43,11 +43,11 @@ class TestReorderingPatchUp:
                 reordering=WindowReordering(window=1e-3, reorder_probability=0.3, seed=502),
             ),
         )
-        observation = scenario.run(integration_packets)
+        observation = scenario.run_batch(integration_batch)
         session = VPMSession(
             path, configs={d.name: make_config(aggregate_size=400) for d in path.domains}
         )
-        session.run(observation)
+        feed_session(session, observation)
         return observation, session
 
     def test_loss_exact_despite_reordering(self, reordered_run):
@@ -97,20 +97,20 @@ class TestBiasResistance:
                 preferential_delay=0.2e-3,
             ),
         )
-        observation = scenario.run(packets)
+        observation = scenario.run_batch(packets)
         session = VPMSession(
             path, configs={d.name: make_config(sampling_rate=0.05) for d in path.domains}
         )
-        session.run(observation)
+        feed_session(session, observation)
         performance = session.estimate("L", "X")
         truth = observation.truth_for("X")
         return performance, truth
 
-    def test_biased_treatment_cannot_fool_vpm(self, path, integration_packets, digester):
+    def test_biased_treatment_cannot_fool_vpm(self, path, integration_batch, digester):
         """Fast-pathing a blind 5% of traffic barely moves VPM's estimate."""
         attack = BiasedTreatmentAttack(digester=digester, guess_rate=0.05)
         biased_perf, biased_truth = self._run_vpm(
-            path, integration_packets, attack.blind_guess_predicate(), seed=520
+            path, integration_batch, attack.blind_guess_predicate(), seed=520
         )
         true_q90 = biased_truth.delay_quantiles([0.9])[0.9]
         estimated_q90 = biased_perf.delay_quantile(0.9)
@@ -118,7 +118,7 @@ class TestBiasResistance:
         assert estimated_q90 == pytest.approx(true_q90, rel=0.3)
 
     def test_biased_treatment_fools_trajectory_sampling(
-        self, path, integration_packets, digester
+        self, path, integration_batch, digester
     ):
         """The same attacker against TS++ makes the measured delay collapse."""
         protocol = TrajectorySamplingPlusPlus(sampling_rate=0.05)
@@ -134,13 +134,11 @@ class TestBiasResistance:
                 preferential_delay=0.2e-3,
             ),
         )
-        observation = scenario.run(integration_packets)
-        ingress = [
-            (digester.digest(packet), time) for packet, time in observation.at_hop(4)
-        ]
-        egress = [
-            (digester.digest(packet), time) for packet, time in observation.at_hop(5)
-        ]
+        observation = scenario.run_batch(integration_batch)
+        ingress, egress = (
+            list(zip(digester.digest_batch(batch).tolist(), times.tolist()))
+            for batch, times in (observation.at_hop(4), observation.at_hop(5))
+        )
         estimate = protocol.run(ingress, egress)
         truth = observation.truth_for("X")
         true_q90 = truth.delay_quantiles([0.9])[0.9]
@@ -148,22 +146,19 @@ class TestBiasResistance:
         # the delay the rest of the traffic experienced.
         assert estimate.delay_quantiles[0.9] < 0.2 * true_q90
 
-    def test_vpm_attacker_cannot_predict_samples(self, path, integration_packets, digester):
+    def test_vpm_attacker_cannot_predict_samples(self, path, integration_batch, digester):
         """The blind guess overlaps the actually sampled set only at chance level."""
         attack = BiasedTreatmentAttack(digester=digester, guess_rate=0.05)
         predicate = attack.blind_guess_predicate()
         scenario = PathScenario(seed=540)
-        observation = scenario.run(integration_packets)
+        observation = scenario.run_batch(integration_batch)
         session = VPMSession(
             path, configs={d.name: make_config(sampling_rate=0.05) for d in path.domains}
         )
-        session.run(observation)
+        feed_session(session, observation)
         sampled = sampled_ids(session.verifier_for("L").sample_receipt_for(4))
-        guessed_uids = {
-            digester.digest(packet)
-            for packet, _ in observation.at_hop(4)
-            if predicate(packet)
-        }
+        ingress, _ = observation.at_hop(4)
+        guessed_uids = set(digester.digest_batch(ingress)[predicate(ingress)].tolist())
         overlap = len(sampled & guessed_uids) / len(sampled)
         # At a 5% guessing budget the expected overlap is 5%; far from the
         # 100% an attacker achieves against a predictable protocol.

@@ -18,6 +18,8 @@ from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import CongestionDelayModel
 from repro.traffic.loss_models import GilbertElliottLossModel
 
+from tests.helpers import feed_session
+
 
 def make_config(sampling_rate: float, aggregate_size: int = 1000) -> HOPConfig:
     return HOPConfig(
@@ -27,7 +29,7 @@ def make_config(sampling_rate: float, aggregate_size: int = 1000) -> HOPConfig:
 
 
 @pytest.fixture(scope="module")
-def congested_observation(integration_packets):
+def congested_observation(integration_batch):
     scenario = PathScenario(seed=401)
     scenario.configure_domain(
         "X",
@@ -36,7 +38,7 @@ def congested_observation(integration_packets):
             loss_model=GilbertElliottLossModel.from_target_rate(0.1, seed=403),
         ),
     )
-    return scenario.run(integration_packets)
+    return scenario.run_batch(integration_batch)
 
 
 class TestGracefulDegradation:
@@ -50,7 +52,7 @@ class TestGracefulDegradation:
             session = VPMSession(
                 path, configs={d.name: make_config(rate) for d in path.domains}
             )
-            session.run(congested_observation)
+            feed_session(session, congested_observation)
             performance = session.estimate("L", "X")
             estimated = performance.delay_quantiles
             accuracy = delay_accuracy(estimated, truth.delay_quantiles(sorted(estimated)))
@@ -67,11 +69,11 @@ class TestGracefulDegradation:
         expensive = VPMSession(
             path, configs={d.name: make_config(0.1, 500) for d in path.domains}
         )
-        expensive.run(congested_observation)
+        feed_session(expensive, congested_observation)
         cheap = VPMSession(
             path, configs={d.name: make_config(0.005, 5000) for d in path.domains}
         )
-        cheap.run(congested_observation)
+        feed_session(cheap, congested_observation)
         assert (
             cheap.overhead().receipt_bytes_per_packet
             < expensive.overhead().receipt_bytes_per_packet / 3
@@ -89,7 +91,7 @@ class TestIndependentTuning:
             "D": make_config(0.02),
         }
         session = VPMSession(path, configs=configs)
-        session.run(congested_observation)
+        feed_session(session, congested_observation)
         # No inconsistencies despite heterogeneous tuning.
         assert session.verifier_for("L").check_consistency() == []
         performance = session.estimate("L", "X")
@@ -105,7 +107,7 @@ class TestIndependentTuning:
             configs["L"] = make_config(0.05)
             configs["N"] = make_config(rate)
             session = VPMSession(path, configs=configs)
-            session.run(congested_observation)
+            feed_session(session, congested_observation)
             independent = session.verifier_for("L").estimate_domain_via_neighbors("X")
             return independent.delay_sample_count
 
@@ -119,7 +121,7 @@ class TestIndependentTuning:
         configs = {d.name: make_config(0.02, 500) for d in path.domains}
         configs["N"] = make_config(0.02, 4000)  # N aggregates much more coarsely
         session = VPMSession(path, configs=configs)
-        session.run(congested_observation)
+        feed_session(session, congested_observation)
         fine = session.estimate("L", "X")  # X's two HOPs both use 500
         verifier = session.verifier_for("L")
         coarse = verifier._performance_between("X", 3, 6)  # spans N's coarse ingress

@@ -15,6 +15,8 @@ from repro.net.prefixes import OriginPrefix, PrefixPair
 from repro.traffic.loss_models import GilbertElliottLossModel
 from repro.traffic.reordering import WindowReordering
 
+from tests.oracle.objects import reorder
+
 
 PATH_ID = PathID(
     prefix_pair=PrefixPair(
@@ -114,9 +116,10 @@ class TestModelGuarantees:
         self, count, window, probability, seed
     ):
         arrivals = np.cumsum(np.full(count, 2e-5))
-        order, times = WindowReordering(
-            window=window, reorder_probability=probability, seed=seed
-        ).apply(arrivals)
+        order, times = reorder(
+            WindowReordering(window=window, reorder_probability=probability, seed=seed),
+            arrivals,
+        )
         assert sorted(order.tolist()) == list(range(count))
         assert np.all(np.diff(times) >= 0)
         # Displacement bound: a packet never moves ahead of one sent more

@@ -203,7 +203,7 @@ def experiment_specs(draw) -> ExperimentSpec:
     return ExperimentSpec(
         name=draw(st.text(min_size=0, max_size=12)),
         seed=draw(seeds),
-        engine=draw(st.sampled_from(["batch", "scalar"])),
+        engine=draw(st.sampled_from(["batch", "streaming"])),
         traffic=draw(traffic_specs),
         path=PathSpec(conditions=conditions, seed=draw(st.one_of(st.none(), seeds))),
         protocol=draw(protocol_specs(["S", "L", "X", "N", "D"])),
@@ -283,7 +283,7 @@ def campaign_specs(draw) -> CampaignSpec:
 
 @st.composite
 def execution_policies(draw) -> ExecutionPolicy:
-    engine = draw(st.sampled_from([None, "batch", "scalar", "streaming"]))
+    engine = draw(st.sampled_from([None, "batch", "streaming"]))
     chunked = engine in (None, "streaming")
     optional_counts = st.one_of(st.none(), st.integers(min_value=1, max_value=1 << 20))
     return ExecutionPolicy(

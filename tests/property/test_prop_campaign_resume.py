@@ -93,7 +93,6 @@ def test_resume_equals_uninterrupted(tmp_path_factory, intervals, seed, data):
     engines = [
         {"engine": "batch"},
         {"engine": "streaming", "chunk_size": 64},
-        {"engine": "scalar"},
     ]
     completed = 0
     life = 0

@@ -29,6 +29,8 @@ from repro.dist import DISPATCH_DIR, DispatchCoordinator, StagingArea
 from repro.engine.campaign import CampaignAccumulator, CampaignRunner, interval_record
 from repro.store import RunStore
 
+from tests.helpers import stage_record
+
 _PACKETS = 300
 
 
@@ -82,7 +84,7 @@ def test_any_completion_order_commits_byte_identical_store(case, tmp_path_factor
     coordinator = DispatchCoordinator(store, workers=0)
     accumulator = CampaignAccumulator.from_records(spec, store.records())
     for interval in order:
-        staging.stage(interval, interval_record(spec, interval))
+        stage_record(staging, interval, interval_record(spec, interval))
         # Commit whatever the reorder buffer releases right now — the
         # interleaving is the point: a permutation starting high holds
         # everything back, one starting at 0 streams commits immediately.

@@ -18,6 +18,8 @@ from repro.traffic.flows import FlowGeneratorConfig
 from repro.traffic.loss_models import BernoulliLossModel
 from repro.traffic.trace import SyntheticTrace, TraceConfig
 
+from tests.helpers import feed_agent
+
 
 TEST_CONFIG = HOPConfig(
     sampler=SamplerConfig(sampling_rate=0.2, marker_rate=0.02),
@@ -26,28 +28,29 @@ TEST_CONFIG = HOPConfig(
 
 
 @pytest.fixture(scope="module")
-def trace_packets(prefix_pair):
+def trace_batch(prefix_pair):
     config = TraceConfig(
         packet_count=2000, packets_per_second=100_000.0, flow_config=FlowGeneratorConfig()
     )
-    return SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=51).packets()
+    return SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=51).packet_batch()
 
 
 class TestBiasedTreatmentAttack:
-    def test_predictable_protocol_yields_exact_predicate(self, trace_packets, digester):
+    def test_predictable_protocol_yields_exact_predicate(self, trace_batch, digester):
         protocol = TrajectorySamplingPlusPlus(sampling_rate=0.1)
         attack = BiasedTreatmentAttack(digester=digester)
-        predicate = attack.predicate_against(protocol)
-        for packet in trace_packets[:200]:
-            assert predicate(packet) == protocol.measurement_predicate(
-                digester.digest(packet)
-            )
+        head = trace_batch.take(slice(0, 200))
+        mask = attack.predicate_against(protocol)(head)
+        assert mask.dtype == np.bool_ and mask.any()
+        assert mask.tolist() == [
+            protocol.measurement_predicate(digester.digest(packet))
+            for packet in head.to_packets()
+        ]
 
-    def test_unpredictable_protocol_gets_blind_guess(self, trace_packets, digester):
+    def test_unpredictable_protocol_gets_blind_guess(self, trace_batch, digester):
         attack = BiasedTreatmentAttack(digester=digester, guess_rate=0.1)
         predicate = attack.predicate_against(VPMProtocolAdapter())
-        fraction = np.mean([predicate(packet) for packet in trace_packets])
-        assert fraction == pytest.approx(0.1, abs=0.05)
+        assert np.mean(predicate(trace_batch)) == pytest.approx(0.1, abs=0.05)
 
     def test_predictable_predicate_rejects_unpredictable_protocol(self, digester):
         attack = BiasedTreatmentAttack(digester=digester)
@@ -64,14 +67,14 @@ class TestLyingDomainAgent:
         with pytest.raises(ValueError):
             LyingDomainAgent("S", path)
 
-    def test_fabricated_egress_hides_loss(self, path, trace_packets):
+    def test_fabricated_egress_hides_loss(self, path, trace_batch):
         scenario = PathScenario(seed=52)
         scenario.configure_domain(
             "X", SegmentCondition(loss_model=BernoulliLossModel(0.3, seed=53))
         )
-        observation = scenario.run(trace_packets)
+        observation = scenario.run_batch(trace_batch)
         liar = LyingDomainAgent("X", path, config=TEST_CONFIG, claimed_delay=0.5e-3)
-        liar.observe(observation)
+        feed_agent(liar, observation)
         reports = liar.reports(flush=True)
         ingress_count = sum(r.pkt_count for r in reports[4].aggregate_receipts)
         egress_count = sum(r.pkt_count for r in reports[5].aggregate_receipts)
@@ -80,16 +83,16 @@ class TestLyingDomainAgent:
         assert egress_count == ingress_count
         assert observation.truth_for("X").loss_rate > 0.2
 
-    def test_fabricated_egress_hides_delay(self, path, trace_packets):
+    def test_fabricated_egress_hides_delay(self, path, trace_batch):
         from repro.traffic.delay_models import ConstantDelayModel
 
         scenario = PathScenario(seed=54)
         scenario.configure_domain(
             "X", SegmentCondition(delay_model=ConstantDelayModel(20e-3))
         )
-        observation = scenario.run(trace_packets)
+        observation = scenario.run_batch(trace_batch)
         liar = LyingDomainAgent("X", path, config=TEST_CONFIG, claimed_delay=0.5e-3)
-        liar.observe(observation)
+        feed_agent(liar, observation)
         reports = liar.reports(flush=True)
         ingress_samples = {r.pkt_id: r.time for rc in reports[4].sample_receipts for r in rc.samples}
         egress_samples = {r.pkt_id: r.time for rc in reports[5].sample_receipts for r in rc.samples}
@@ -98,11 +101,11 @@ class TestLyingDomainAgent:
         claimed = [egress_samples[pkt] - ingress_samples[pkt] for pkt in common]
         assert np.mean(claimed) == pytest.approx(0.5e-3, abs=1e-6)
 
-    def test_fabricated_report_uses_egress_path_id(self, path, trace_packets):
+    def test_fabricated_report_uses_egress_path_id(self, path, trace_batch):
         scenario = PathScenario(seed=55)
-        observation = scenario.run(trace_packets)
+        observation = scenario.run_batch(trace_batch)
         liar = LyingDomainAgent("X", path, config=TEST_CONFIG)
-        liar.observe(observation)
+        feed_agent(liar, observation)
         reports = liar.reports(flush=True)
         for receipt in reports[5].sample_receipts + reports[5].aggregate_receipts:
             assert receipt.path_id.reporting_hop == 5
@@ -110,31 +113,32 @@ class TestLyingDomainAgent:
 
 
 class TestMarkerDropAttack:
-    def test_is_marker_matches_threshold(self, trace_packets, digester):
+    def test_marker_mask_matches_threshold(self, trace_batch, digester):
         attack = MarkerDropAttack(digester=digester, marker_rate=0.05)
-        markers = [packet for packet in trace_packets if attack.is_marker(packet)]
-        assert len(markers) == pytest.approx(0.05 * len(trace_packets), rel=0.5)
+        markers = int(attack.marker_mask(trace_batch).sum())
+        assert markers == pytest.approx(0.05 * len(trace_batch), rel=0.5)
 
-    def test_drop_predicate_targets_markers_only(self, trace_packets, digester):
+    def test_drop_predicate_targets_markers_only(self, trace_batch, digester):
         attack = MarkerDropAttack(digester=digester, marker_rate=0.05)
-        predicate = attack.drop_predicate()
-        for packet in trace_packets[:200]:
-            assert predicate(packet) == attack.is_marker(packet)
+        head = trace_batch.take(slice(0, 200))
+        assert attack.drop_predicate()(head).tolist() == [
+            digester.digest(packet) > attack.marker_threshold for packet in head.to_packets()
+        ]
 
-    def test_exposure_rate_is_total(self, path, trace_packets, digester):
+    def test_exposure_rate_is_total(self, path, trace_batch, digester):
         attack = MarkerDropAttack(digester=digester, marker_rate=0.05)
         scenario = PathScenario(seed=56)
         scenario.configure_domain("X", SegmentCondition(drop_predicate=attack.drop_predicate()))
-        observation = scenario.run(trace_packets)
+        observation = scenario.run_batch(trace_batch)
         # Every dropped marker entered X (seen by L's egress) and never
         # reached N: the attack is fully exposed.
         assert marker_exposure_rate(observation, "X", attack) == 1.0
-        assert observation.truth_for("X").lost  # some markers were dropped
+        assert observation.truth_for("X").lost_packets  # some markers were dropped
 
-    def test_exposure_requires_transit_domain(self, trace_packets, digester):
+    def test_exposure_requires_transit_domain(self, trace_batch, digester):
         attack = MarkerDropAttack(digester=digester)
         scenario = PathScenario(seed=57)
-        observation = scenario.run(trace_packets)
+        observation = scenario.run_batch(trace_batch)
         with pytest.raises(ValueError):
             marker_exposure_rate(observation, "S", attack)
 

@@ -267,7 +267,7 @@ class TestRoundTrips:
         return ExperimentSpec(
             name="round-trip",
             seed=5,
-            engine="scalar",
+            engine="streaming",
             traffic=TrafficSpec(workload=None, packet_count=1234, seed=99),
             path=PathSpec(
                 seed=17,

@@ -18,8 +18,8 @@ from repro.traffic.delay_models import JitterDelayModel
 from repro.traffic.loss_models import BernoulliLossModel
 from repro.traffic.trace import SyntheticTrace, TraceConfig
 
-from tests.conformance.canon import assert_same_propagation
 from tests.helpers import ClockModel, batch_from_packets
+from tests.oracle.objects import assert_same_propagation, run_path, run_session
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +39,6 @@ class TestPacketBatch:
         for column in ("src_ip", "dst_ip", "src_port", "dst_port", "protocol",
                        "ip_id", "length", "payload", "uid", "send_time", "flow_id"):
             assert np.array_equal(getattr(rebuilt, column), getattr(small_batch, column)), column
-
-    def test_packets_equals_packet_batch(self, small_trace):
-        listed = SyntheticTrace(config=small_trace.config, seed=11).packets()
-        batched = SyntheticTrace(config=small_trace.config, seed=11).packet_batch()
-        assert len(listed) == len(batched)
-        assert batched.to_packets() == listed
 
     def test_pack_header_columns_matches_pack(self, small_batch):
         matrix = pack_header_columns(
@@ -118,12 +112,14 @@ class TestCollectorBatch:
             for r in batched_receipts
         ]
 
-    def test_unmatched_packets_are_counted(self, small_batch):
+    def test_unmatched_packets_are_ignored(self, small_batch):
         _, path = figure1_topology()
         collector = HOPCollector(path.hops[0])
-        # No registered path: everything is unclassified.
+        untouched = collector.state_digest()
+        # No registered path: everything is unclassified and leaves no state.
         assert collector.observe_batch(small_batch) == 0
-        assert collector._unclassified_packets == len(small_batch)
+        assert collector.observed_packets == 0
+        assert collector.state_digest() == untouched
 
     def test_multi_path_jittery_clock_matches_scalar(self):
         """Clock RNG draws stay in observation order across interleaved paths."""
@@ -201,7 +197,7 @@ class TestScenarioBatch:
             )
             return scenario
 
-        observation = build().run(small_batch.to_packets())
+        observation = run_path(build(), small_batch.to_packets())
         batch_observation = build().run_batch(small_batch)
         assert batch_observation.truth_for("X").lost_packets > 0
         assert_same_propagation(observation, batch_observation)
@@ -224,10 +220,10 @@ class TestScenarioBatch:
         )
 
         scenario = build()
-        session_scalar = VPMSession(
+        session_oracle = VPMSession(
             scenario.path, configs={d.name: config for d in scenario.path.domains}
         )
-        session_scalar.run(scenario.run(small_batch.to_packets()))
+        run_session(session_oracle, run_path(scenario, small_batch.to_packets()))
 
         scenario = build()
         session_batch = VPMSession(
@@ -237,20 +233,20 @@ class TestScenarioBatch:
         cell = StreamingCell((scenario,), (trace,), session_batch)
         StreamingRunner(cell, chunk_size=None).run()
 
-        performance_scalar = session_scalar.estimate("L", "X")
+        performance_oracle = session_oracle.estimate("L", "X")
         performance_batch = session_batch.estimate("L", "X")
-        assert performance_scalar.loss_rate == performance_batch.loss_rate
-        assert performance_scalar.delay_sample_count == performance_batch.delay_sample_count
-        assert session_scalar.verify("L", "X").accepted == session_batch.verify("L", "X").accepted
+        assert performance_oracle.loss_rate == performance_batch.loss_rate
+        assert performance_oracle.delay_sample_count == performance_batch.delay_sample_count
+        assert session_oracle.verify("L", "X").accepted == session_batch.verify("L", "X").accepted
         assert (
-            session_scalar.overhead().receipt_bytes == session_batch.overhead().receipt_bytes
+            session_oracle.overhead().receipt_bytes == session_batch.overhead().receipt_bytes
         )
 
     def test_batch_predicates_must_return_masks(self, small_batch):
         scenario = PathScenario(seed=5)
         scenario.configure_domain(
             "X",
-            SegmentCondition(drop_predicate=lambda packet: True),  # object-style predicate
+            SegmentCondition(drop_predicate=lambda batch: True),  # not a mask
         )
         with pytest.raises(TypeError, match="boolean mask"):
             scenario.run_batch(small_batch)
@@ -274,8 +270,8 @@ class TestScenarioBatch:
         empty = small_batch.take(np.empty(0, dtype=np.int64))
         observation = PathScenario(seed=5).run_batch(empty)
         assert all(len(observation.at_hop(hop)[0]) == 0 for hop in observation.path.hops)
-        # Equal to the scalar run: empty spans and zero offered packets everywhere.
-        assert_same_propagation(PathScenario(seed=5).run([]), observation)
+        # Equal to the object oracle: empty spans and zero offered packets everywhere.
+        assert_same_propagation(run_path(PathScenario(seed=5), []), observation)
 
     def test_run_batch_all_lost_interval(self, small_batch):
         def build():
@@ -293,4 +289,4 @@ class TestScenarioBatch:
             assert len(observation.at_hop(hop)[0]) == 0
         assert observation.truth_for("X").loss_rate == 1.0
         assert observation.truth_for("N").offered_packets == 0
-        assert_same_propagation(build().run(small_batch.to_packets()), observation)
+        assert_same_propagation(run_path(build(), small_batch.to_packets()), observation)

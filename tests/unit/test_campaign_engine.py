@@ -151,13 +151,12 @@ class TestCampaignRunner:
         stores = {}
         for label, knobs in {
             "batch": {},
-            "scalar": {"engine": "scalar"},
             "streaming": {"engine": "streaming", "chunk_size": 128},
         }.items():
             store = RunStore.create(tmp_path / label, spec)
             CampaignRunner(spec, store, **knobs).run()
             stores[label] = store.digest()
-        assert stores["batch"] == stores["scalar"] == stores["streaming"]
+        assert stores["batch"] == stores["streaming"]
 
     def test_resume_on_different_engine(self, tmp_path):
         spec = _spec(intervals=3)
@@ -167,7 +166,7 @@ class TestCampaignRunner:
         CampaignRunner(spec, mixed, engine="streaming", chunk_size=100).run(
             max_intervals=1
         )
-        CampaignRunner.resume(mixed, engine="scalar").run(max_intervals=1)
+        CampaignRunner.resume(mixed, engine="batch").run(max_intervals=1)
         CampaignRunner.resume(mixed).run()
         assert mixed.digest() == full.digest()
 

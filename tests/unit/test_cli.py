@@ -94,7 +94,7 @@ class TestRun:
         with pytest.raises(SystemExit, match="cannot load campaign spec"):
             main(["run", str(bad), "--quiet"])
 
-    def test_run_rejects_scalar_engine_for_mesh_cell(self, tmp_path):
+    def test_run_rejects_mid_interval_checkpointing_for_mesh_cell(self, tmp_path):
         from repro.api.spec import MeshSpec, TopologySpec
 
         mesh_spec = CampaignSpec(
@@ -107,9 +107,9 @@ class TestRun:
         )
         spec_path = tmp_path / "mesh.json"
         spec_path.write_text(mesh_spec.to_json())
-        with pytest.raises(SystemExit, match="no scalar"):
+        with pytest.raises(SystemExit, match="interval boundaries"):
             main(["run", str(spec_path), "--run-dir", str(tmp_path / "run"),
-                  "--engine", "scalar", "--quiet"])
+                  "--engine", "streaming", "--checkpoint-every", "2", "--quiet"])
         assert not (tmp_path / "run").exists()  # rejected before any work
 
     def test_run_rejects_chunk_size_without_streaming(self, tmp_path, spec_file):

@@ -41,6 +41,8 @@ from repro.dist.dispatch import DEFAULT_LEASE
 from repro.engine.campaign import CampaignRunner, interval_record
 from repro.store import RunStore, SpecMismatchError
 
+from tests.helpers import stage_record
+
 
 def _spec(name: str = "dispatch-test", intervals: int = 3) -> CampaignSpec:
     return CampaignSpec(
@@ -75,7 +77,7 @@ class TestStagingArea:
     def test_stage_then_load_round_trips(self, tmp_path):
         staging = StagingArea(tmp_path)
         record = {"interval": 0, "value": 1.5}
-        assert staging.stage(0, record) is True
+        assert stage_record(staging, 0, record) is True
         loaded, line = staging.load(0)
         assert loaded == record
         assert line.endswith(b"\n") and json.loads(line) == record
@@ -86,15 +88,15 @@ class TestStagingArea:
     def test_identical_duplicate_is_dropped_not_rewritten(self, tmp_path):
         staging = StagingArea(tmp_path)
         record = {"interval": 1, "value": 2.0}
-        assert staging.stage(1, record) is True
+        assert stage_record(staging, 1, record) is True
         # A straggler re-executes the interval: same bytes, benign.
-        assert staging.stage(1, dict(record)) is False
+        assert stage_record(staging, 1, dict(record)) is False
 
     def test_differing_duplicate_is_a_hard_error(self, tmp_path):
         staging = StagingArea(tmp_path)
-        staging.stage(1, {"interval": 1, "value": 2.0})
+        stage_record(staging, 1, {"interval": 1, "value": 2.0})
         with pytest.raises(DispatchError, match="pure functions"):
-            staging.stage(1, {"interval": 1, "value": 999.0})
+            stage_record(staging, 1, {"interval": 1, "value": 999.0})
 
 
 class TestPolicyValidation:
@@ -219,7 +221,7 @@ class TestWorker:
         spec = _spec(intervals=3)
         coordinator = serving(spec)
         CampaignRunner(spec, coordinator.store).run(max_intervals=1)
-        coordinator.staging.stage(1, interval_record(spec, 1))
+        stage_record(coordinator.staging, 1, interval_record(spec, 1))
         # Interval 0 is committed and interval 1 staged: only 2 is pending.
         assert _worker(coordinator).run() == 1
         assert sorted(coordinator.staging.staged()) == [1, 2]
@@ -239,7 +241,7 @@ class TestCommitOnlyCoordinator:
         # Stage every interval out of order (worst-case completion order).
         for interval in (3, 1, 0, 2):
             record = interval_record(spec, interval)
-            staging.stage(interval, record)
+            stage_record(staging, interval, record)
         outcome = DispatchCoordinator(store, workers=0).run()
         assert outcome.completed and outcome.intervals_run == 4
         assert store.records_path.read_bytes() == direct.records_path.read_bytes()
@@ -255,8 +257,8 @@ class TestCommitOnlyCoordinator:
         staging = StagingArea(tmp_path / "run" / DISPATCH_DIR)
         # A straggler re-delivers interval 0 (already committed) plus the
         # genuinely-missing interval 1.
-        staging.stage(0, interval_record(spec, 0))
-        staging.stage(1, interval_record(spec, 1))
+        stage_record(staging, 0, interval_record(spec, 0))
+        stage_record(staging, 1, interval_record(spec, 1))
         outcome = DispatchCoordinator(store, workers=0).run()
         assert outcome.intervals_run == 1  # only interval 1 commits
         direct = _direct_run(tmp_path, spec)
@@ -269,7 +271,7 @@ class TestCommitOnlyCoordinator:
         staging = StagingArea(tmp_path / "run" / DISPATCH_DIR)
         tampered = dict(interval_record(spec, 0))
         tampered["receipts_digest"] = "0" * 16
-        staging.stage(0, tampered)
+        stage_record(staging, 0, tampered)
         with pytest.raises(DispatchError, match="disagrees with its committed"):
             DispatchCoordinator(store, workers=0).run()
 

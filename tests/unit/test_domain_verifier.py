@@ -27,6 +27,8 @@ from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import JitterDelayModel
 from repro.traffic.loss_models import BernoulliLossModel
 
+from tests.helpers import feed_agent
+
 
 TEST_CONFIG = HOPConfig(
     sampler=SamplerConfig(sampling_rate=0.2, marker_rate=0.02),
@@ -35,7 +37,7 @@ TEST_CONFIG = HOPConfig(
 
 
 @pytest.fixture(scope="module")
-def congested_observation(small_trace_packets):
+def congested_observation(small_trace_batch):
     """An observation where X adds 5 ms (+/- jitter) delay and 10% loss."""
     scenario = PathScenario(seed=21)
     scenario.configure_domain(
@@ -45,11 +47,11 @@ def congested_observation(small_trace_packets):
             loss_model=BernoulliLossModel(0.1, seed=23),
         ),
     )
-    return scenario.run(small_trace_packets)
+    return scenario.run_batch(small_trace_batch)
 
 
 @pytest.fixture(scope="module")
-def small_trace_packets(prefix_pair):
+def small_trace_batch(prefix_pair):
     # Module-local override: a slightly smaller trace keeps this module fast.
     from repro.traffic.flows import FlowGeneratorConfig
     from repro.traffic.trace import SyntheticTrace, TraceConfig
@@ -57,7 +59,7 @@ def small_trace_packets(prefix_pair):
     config = TraceConfig(
         packet_count=2000, packets_per_second=100_000.0, flow_config=FlowGeneratorConfig()
     )
-    return SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=31).packets()
+    return SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=31).packet_batch()
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +67,7 @@ def all_reports(path, congested_observation):
     reports = {}
     for domain in path.domains:
         agent = DomainAgent(domain, path, config=TEST_CONFIG)
-        agent.observe(congested_observation)
+        feed_agent(agent, congested_observation)
         reports.update(agent.reports(flush=True))
     return reports
 
@@ -82,7 +84,7 @@ class TestDomainAgent:
 
     def test_reports_cover_all_owned_hops(self, path, congested_observation):
         agent = DomainAgent("N", path, config=TEST_CONFIG)
-        agent.observe(congested_observation)
+        feed_agent(agent, congested_observation)
         reports = agent.reports(flush=True)
         assert set(reports) == {6, 7}
         for report in reports.values():
@@ -96,7 +98,7 @@ class TestDomainAgent:
         agent = DomainAgent(
             "X", path, config=TEST_CONFIG, per_hop_config={5: fine}
         )
-        agent.observe(congested_observation)
+        feed_agent(agent, congested_observation)
         reports = agent.reports(flush=True)
         ingress_samples = sum(len(r) for r in reports[4].sample_receipts)
         egress_samples = sum(len(r) for r in reports[5].sample_receipts)
@@ -123,7 +125,7 @@ class TestVerifierEstimation:
         performance = verifier.estimate_domain("X")
         truth = congested_observation.truth_for("X")
         assert performance.offered_packets == truth.offered_packets
-        assert performance.lost_packets == len(truth.lost)
+        assert performance.lost_packets == truth.lost_packets
         assert performance.loss_rate == pytest.approx(truth.loss_rate)
 
     def test_healthy_domain_shows_no_loss(self, path, all_reports, congested_observation):

@@ -5,10 +5,12 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 
 import pytest
 
 from repro.api.spec import (
+    ENGINES,
     CampaignSpec,
     ConditionSpec,
     ExecutionPolicy,
@@ -69,11 +71,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="use engine='streaming'"):
             ExecutionPolicy(engine="batch", **kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"chunk_size": 64}, {"checkpoint_every": 2}])
-    def test_streaming_knobs_rejected_on_explicit_scalar(self, kwargs):
-        with pytest.raises(ValueError, match="use engine='streaming'"):
-            ExecutionPolicy(engine="scalar", **kwargs)
-
     def test_streaming_knobs_allowed_when_engine_deferred(self):
         # engine=None defers the decision to bind(); the knobs stay legal
         # until the effective engine turns out not to be streaming.
@@ -81,6 +78,66 @@ class TestValidation:
         assert policy.bind(_path_spec(engine="streaming")).engine == "streaming"
         with pytest.raises(ValueError, match="does not support chunk_size"):
             policy.bind(_path_spec(engine="batch"))
+
+
+class TestEngineValues:
+    """``batch`` and ``streaming`` are the only engines; ``scalar`` is gone."""
+
+    def test_every_input_shares_one_tuple(self):
+        assert ENGINES == ("batch", "streaming")
+        for engine in ENGINES:
+            assert ExecutionPolicy(engine=engine).engine == engine
+            assert _path_spec(engine=engine).engine == engine
+
+    def test_scalar_engine_rejected_by_name(self, tmp_path):
+        message = "engine must be 'batch' or 'streaming', got 'scalar'"
+        with pytest.raises(ValueError, match=message):
+            ExecutionPolicy(engine="scalar")
+        with pytest.raises(ValueError, match=message):
+            ExecutionPolicy.from_dict({"engine": "scalar"})
+        with pytest.raises(ValueError, match=message):
+            _path_spec(engine="scalar")
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(_mesh_spec(), engine="scalar")
+        # A stored campaign spec that names it does not load.
+        stored = CampaignSpec(name="stored", intervals=1, cell=_path_spec()).to_dict()
+        stored["cell"]["engine"] = "scalar"
+        with pytest.raises(ValueError, match=message):
+            CampaignSpec.from_dict(stored)
+
+    def test_cli_rejects_scalar_engine_before_creating_a_store(self, tmp_path, capsys):
+        spec = CampaignSpec(name="cli", intervals=1, cell=_path_spec())
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(spec.to_json())
+        with pytest.raises(SystemExit):
+            main(["run", str(spec_file), "--run-dir", str(tmp_path / "run"),
+                  "--engine", "scalar", "--quiet"])
+        assert "invalid choice: 'scalar'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+class TestThrottle:
+    """``throttle`` is a finite number of seconds on every input."""
+
+    @pytest.mark.parametrize("throttle", [math.inf, math.nan, -math.inf])
+    def test_non_finite_throttle_rejected(self, throttle):
+        with pytest.raises(ValueError, match="throttle"):
+            ExecutionPolicy(throttle=throttle)
+
+    @pytest.mark.parametrize("token", ["Infinity", "NaN"])
+    def test_json_policy_with_non_finite_throttle_rejected(self, token):
+        with pytest.raises(ValueError, match="throttle"):
+            ExecutionPolicy.from_json('{"throttle": %s}' % token)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_cli_rejects_non_finite_throttle_before_creating_a_store(self, tmp_path, value):
+        spec = CampaignSpec(name="cli", intervals=2, cell=_path_spec())
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(spec.to_json())
+        with pytest.raises(SystemExit, match="repro: error: throttle"):
+            main(["run", str(spec_file), "--run-dir", str(tmp_path / "run"),
+                  "--throttle", value, "--quiet"])
+        assert not (tmp_path / "run").exists()
 
 
 class TestCoerce:
@@ -103,16 +160,12 @@ class TestCoerce:
 
 class TestBind:
     def test_fills_engine_from_spec(self):
-        bound = ExecutionPolicy().bind(_path_spec(engine="scalar"))
-        assert bound.engine == "scalar"
+        bound = ExecutionPolicy().bind(_path_spec(engine="streaming"))
+        assert bound.engine == "streaming"
 
     def test_explicit_engine_wins(self):
         bound = ExecutionPolicy(engine="streaming").bind(_path_spec(engine="batch"))
         assert bound.engine == "streaming"
-
-    def test_mesh_has_no_scalar_engine(self):
-        with pytest.raises(ValueError, match="no scalar engine"):
-            ExecutionPolicy(engine="scalar").bind(_mesh_spec())
 
     def test_mesh_rejects_mid_interval_checkpointing(self):
         with pytest.raises(ValueError, match="interval boundaries"):

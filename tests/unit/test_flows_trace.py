@@ -146,19 +146,19 @@ class TestColumnarFlowsMatchScalarLoop:
 class TestSyntheticTrace:
     def test_packet_count_and_ordering(self):
         config = TraceConfig(packet_count=3000, packets_per_second=100_000.0)
-        packets = SyntheticTrace(config=config, seed=1).packets()
+        packets = SyntheticTrace(config=config, seed=1).packet_batch().to_packets()
         assert len(packets) == 3000
         times = [packet.send_time for packet in packets]
         assert times == sorted(times)
 
     def test_uids_unique_and_sequential(self):
         config = TraceConfig(packet_count=1000)
-        packets = SyntheticTrace(config=config, seed=2).packets()
+        packets = SyntheticTrace(config=config, seed=2).packet_batch().to_packets()
         assert [packet.uid for packet in packets] == list(range(1000))
 
     def test_rate_approximately_configured(self):
         config = TraceConfig(packet_count=20_000, packets_per_second=100_000.0)
-        packets = SyntheticTrace(config=config, seed=3).packets()
+        packets = SyntheticTrace(config=config, seed=3).packet_batch().to_packets()
         duration = packets[-1].send_time - packets[0].send_time
         measured_rate = len(packets) / duration
         assert measured_rate == pytest.approx(100_000.0, rel=0.1)
@@ -166,43 +166,44 @@ class TestSyntheticTrace:
     def test_addresses_match_prefix_pair(self):
         pair = default_prefix_pair()
         config = TraceConfig(packet_count=500)
-        packets = SyntheticTrace(config=config, prefix_pair=pair, seed=4).packets()
+        trace = SyntheticTrace(config=config, prefix_pair=pair, seed=4)
+        packets = trace.packet_batch().to_packets()
         for packet in packets:
             assert pair.matches(packet.headers.src_ip, packet.headers.dst_ip)
 
     def test_digests_are_diverse(self, digester):
         config = TraceConfig(packet_count=2000)
-        packets = SyntheticTrace(config=config, seed=5).packets()
+        packets = SyntheticTrace(config=config, seed=5).packet_batch().to_packets()
         digests = {digester.digest(packet) for packet in packets}
         # Payload randomization should make virtually every digest unique.
         assert len(digests) > 1990
 
     def test_deterministic_for_seed(self):
         config = TraceConfig(packet_count=200)
-        a = SyntheticTrace(config=config, seed=6).packets()
-        b = SyntheticTrace(config=config, seed=6).packets()
+        a = SyntheticTrace(config=config, seed=6).packet_batch().to_packets()
+        b = SyntheticTrace(config=config, seed=6).packet_batch().to_packets()
         assert [p.headers for p in a] == [p.headers for p in b]
         assert [p.send_time for p in a] == [p.send_time for p in b]
 
     def test_mean_packet_size_near_400(self):
         config = TraceConfig(packet_count=20_000)
-        packets = SyntheticTrace(config=config, seed=7).packets()
+        packets = SyntheticTrace(config=config, seed=7).packet_batch().to_packets()
         mean_size = np.mean([packet.size for packet in packets])
         assert 300 <= mean_size <= 550
 
     @pytest.mark.parametrize("process", ["poisson", "cbr", "mmpp"])
     def test_arrival_processes_supported(self, process):
         config = TraceConfig(packet_count=2000, arrival_process=process)
-        packets = SyntheticTrace(config=config, seed=8).packets()
+        packets = SyntheticTrace(config=config, seed=8).packet_batch().to_packets()
         assert len(packets) == 2000
 
     def test_mmpp_burstier_than_cbr(self):
         cbr = SyntheticTrace(
             config=TraceConfig(packet_count=10_000, arrival_process="cbr"), seed=9
-        ).packets()
+        ).packet_batch().to_packets()
         mmpp = SyntheticTrace(
             config=TraceConfig(packet_count=10_000, arrival_process="mmpp"), seed=9
-        ).packets()
+        ).packet_batch().to_packets()
 
         def gap_cv(packets) -> float:
             gaps = np.diff([packet.send_time for packet in packets])

@@ -60,28 +60,13 @@ class TestObserve:
             collector.observe(packet, packet.send_time)
         assert collector.observed_packets == 500
         assert collector.observed_bytes == sum(p.size for p in small_trace_packets[:500])
-        assert collector._unclassified_packets == 0
 
     def test_unmatched_packets_ignored(self, collector):
         alien = make_packet(src_ip=0xC0A80001, dst_ip=0xC0A80002)
+        untouched = collector.state_digest()
         collector.observe(alien, 0.0)
         assert collector.observed_packets == 0
-        assert collector._unclassified_packets == 1
-
-    def test_observe_sequence_equivalent_to_loop(self, hop4, path, small_trace_packets):
-        config = HOPConfig(
-            sampler=SamplerConfig(sampling_rate=0.2, marker_rate=0.05),
-            aggregator=AggregatorConfig(expected_aggregate_size=100),
-        )
-        loop_collector = HOPCollector(hop4, config)
-        loop_collector.register_path(path)
-        batch_collector = HOPCollector(hop4, config)
-        batch_collector.register_path(path)
-        observations = [(packet, packet.send_time) for packet in small_trace_packets[:300]]
-        for packet, time in observations:
-            loop_collector.observe(packet, time)
-        batch_collector.observe_sequence(observations)
-        assert loop_collector.observed_packets == batch_collector.observed_packets
+        assert collector.state_digest() == untouched
 
     def test_clock_applied_to_timestamps(self, topology, path, small_trace_packets):
         from tests.helpers import ClockModel

@@ -28,6 +28,8 @@ from repro.traffic.flows import FlowGeneratorConfig
 from repro.traffic.loss_models import BernoulliLossModel
 from repro.traffic.trace import SyntheticTrace, TraceConfig
 
+from tests.helpers import feed_session
+
 
 TEST_CONFIG = HOPConfig(
     sampler=SamplerConfig(sampling_rate=0.2, marker_rate=0.02),
@@ -36,11 +38,11 @@ TEST_CONFIG = HOPConfig(
 
 
 @pytest.fixture(scope="module")
-def trace_packets(prefix_pair):
+def trace_batch(prefix_pair):
     config = TraceConfig(
         packet_count=2500, packets_per_second=100_000.0, flow_config=FlowGeneratorConfig()
     )
-    return SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=81).packets()
+    return SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=81).packet_batch()
 
 
 def configured_scenario(seed: int) -> PathScenario:
@@ -73,11 +75,11 @@ def violating(diagnosis) -> tuple[str, ...]:
 
 class TestLocalization:
     @pytest.fixture(scope="class")
-    def verifier(self, path, trace_packets):
+    def verifier(self, path, trace_batch):
         scenario = configured_scenario(seed=82)
-        observation = scenario.run(trace_packets)
+        observation = scenario.run_batch(trace_batch)
         session = VPMSession(path, configs={d.name: TEST_CONFIG for d in path.domains})
-        session.run(observation)
+        feed_session(session, observation)
         return session.verifier_for("S")
 
     def test_worst_domains_identified(self, verifier):
@@ -106,14 +108,14 @@ class TestLocalization:
     def test_no_suspects_for_honest_path(self, verifier):
         assert localize_performance(verifier).suspects == ()
 
-    def test_suspects_named_for_lying_domain(self, path, trace_packets):
+    def test_suspects_named_for_lying_domain(self, path, trace_batch):
         scenario = configured_scenario(seed=83)
-        observation = scenario.run(trace_packets)
+        observation = scenario.run_batch(trace_batch)
         liar = LyingDomainAgent("X", path, config=TEST_CONFIG)
         session = VPMSession(
             path, configs={d.name: TEST_CONFIG for d in path.domains}, agents={"X": liar}
         )
-        session.run(observation)
+        feed_session(session, observation)
         diagnosis = localize_performance(session.verifier_for("L"))
         assert len(diagnosis.suspects) == 1
         suspect = diagnosis.suspects[0]

@@ -76,12 +76,6 @@ class TestGilbertElliott:
 
         assert runs(bursty) < runs(independent) * 0.5
 
-    def test_reset_returns_to_good_state(self):
-        model = GilbertElliottLossModel(p=1.0, r=0.0, seed=6)
-        model.drops(0)
-        model.reset()
-        assert model._in_bad_state is False
-
     def test_unachievable_target_rejected(self):
         with pytest.raises(ValueError):
             GilbertElliottLossModel.from_target_rate(0.9, loss_bad=0.5)

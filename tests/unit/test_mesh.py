@@ -291,7 +291,7 @@ class TestMeshSpec:
         assert MeshSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
 
     def test_rejects_bad_engine(self):
-        with pytest.raises(ValueError, match="mesh engine"):
+        with pytest.raises(ValueError, match="engine must be 'batch' or 'streaming'"):
             MeshSpec(engine="scalar")
 
     def test_estimation_mode_round_trips_and_validates(self):
@@ -318,7 +318,7 @@ class TestMeshSpec:
         spec = MeshSpec(topology=TopologySpec(kind="star", params={"path_count": 2}))
         swept = spec.with_overrides({"topology.params.path_count": 4})
         assert swept.topology.params["path_count"] == 4
-        with pytest.raises(ValueError, match="mesh engine"):
+        with pytest.raises(ValueError, match="engine must be"):
             spec.with_overrides({"engine": "scalar"})
 
     def test_condition_on_non_transit_domain_fails_at_build(self):

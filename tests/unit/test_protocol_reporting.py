@@ -13,6 +13,8 @@ from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.delay_models import JitterDelayModel
 from repro.traffic.loss_models import BernoulliLossModel
 
+from tests.helpers import feed_session
+
 
 TEST_CONFIG = HOPConfig(
     sampler=SamplerConfig(sampling_rate=0.2, marker_rate=0.02),
@@ -21,18 +23,18 @@ TEST_CONFIG = HOPConfig(
 
 
 @pytest.fixture(scope="module")
-def trace_packets(prefix_pair):
+def trace_batch(prefix_pair):
     from repro.traffic.flows import FlowGeneratorConfig
     from repro.traffic.trace import SyntheticTrace, TraceConfig
 
     config = TraceConfig(
         packet_count=2000, packets_per_second=100_000.0, flow_config=FlowGeneratorConfig()
     )
-    return SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=41).packets()
+    return SyntheticTrace(config=config, prefix_pair=prefix_pair, seed=41).packet_batch()
 
 
 @pytest.fixture(scope="module")
-def observation(trace_packets):
+def observation(trace_batch):
     scenario = PathScenario(seed=42)
     scenario.configure_domain(
         "X",
@@ -41,18 +43,18 @@ def observation(trace_packets):
             loss_model=BernoulliLossModel(0.05, seed=44),
         ),
     )
-    return scenario.run(trace_packets)
+    return scenario.run_batch(trace_batch)
 
 
 class TestVPMSession:
     def test_run_produces_reports_for_all_hops(self, path, observation):
         session = VPMSession(path, configs={d.name: TEST_CONFIG for d in path.domains})
-        reports = session.run(observation)
+        reports = feed_session(session, observation)
         assert set(reports) == {1, 2, 3, 4, 5, 6, 7, 8}
 
     def test_estimate_and_verify_shortcuts(self, path, observation):
         session = VPMSession(path, configs={d.name: TEST_CONFIG for d in path.domains})
-        session.run(observation)
+        feed_session(session, observation)
         performance = session.estimate("L", "X")
         assert performance.loss_rate > 0
         result = session.verify("L", "X")
@@ -62,7 +64,7 @@ class TestVPMSession:
         configs = {d.name: TEST_CONFIG for d in path.domains}
         configs["N"] = None  # N has not deployed VPM
         session = VPMSession(path, configs=configs)
-        reports = session.run(observation)
+        reports = feed_session(session, observation)
         assert 6 not in reports and 7 not in reports
         # X's performance is still computable from its own receipts.
         assert session.estimate("L", "X").offered_packets > 0
@@ -78,13 +80,13 @@ class TestVPMSession:
         session = VPMSession(
             path, configs={d.name: TEST_CONFIG for d in path.domains}, agents={"X": agent}
         )
-        reports = session.run(observation)
+        reports = feed_session(session, observation)
         assert reports[4].sample_receipts == ()
         assert reports[4].aggregate_receipts == ()
 
     def test_overhead_accounting(self, path, observation):
         session = VPMSession(path, configs={d.name: TEST_CONFIG for d in path.domains})
-        session.run(observation)
+        feed_session(session, observation)
         overhead = session.overhead()
         assert overhead.observed_packets > 0
         assert overhead.observed_bytes > overhead.observed_packets * 40
@@ -95,7 +97,7 @@ class TestVPMSession:
 
     def test_off_path_observer_sees_nothing(self, path, observation):
         session = VPMSession(path, configs={d.name: TEST_CONFIG for d in path.domains})
-        session.run(observation)
+        feed_session(session, observation)
         verifier = session.verifier_for("EvilCorp")
         assert verifier.estimate_domain("X").offered_packets == 0
 

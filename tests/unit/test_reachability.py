@@ -207,6 +207,42 @@ def test_methods_public_ones_only_reached_by_attribute(reachability, tmp_path):
     assert unreached_keys(reachability) == {"pkg/lib.py::Thing.write"}
 
 
+def test_bare_name_equal_to_a_method_does_not_reach_it(reachability, tmp_path):
+    write(
+        tmp_path,
+        {
+            "src/pkg/lib.py": """\
+                class Thing:
+                    def records(self):
+                        return 1
+
+                    def stage(self):
+                        return 2
+
+                    def flows(self):
+                        return 3
+
+
+                def helper():
+                    return 4
+                """,
+            "examples/run.py": """\
+                from pkg.lib import Thing
+
+                records = [1, 2]
+                print(records, helper)
+                getattr(Thing(), "stage")()
+                """,
+        },
+    )
+    # ``records`` is only a local variable's name; ``stage`` is read by
+    # string, ``helper`` (a module-level function) by bare name.
+    assert unreached_keys(reachability) == {
+        "pkg/lib.py::Thing.records",
+        "pkg/lib.py::Thing.flows",
+    }
+
+
 def test_private_module_functions_are_listed(reachability, tmp_path):
     write(
         tmp_path,

@@ -7,6 +7,8 @@ import pytest
 
 from repro.traffic.reordering import NoReordering, WindowReordering
 
+from tests.oracle.objects import reorder
+
 
 def _arrivals(count: int = 1000, gap: float = 10e-6) -> np.ndarray:
     return np.arange(count) * gap
@@ -15,7 +17,7 @@ def _arrivals(count: int = 1000, gap: float = 10e-6) -> np.ndarray:
 class TestNoReordering:
     def test_identity(self):
         arrivals = _arrivals(50)
-        order, times = NoReordering().apply(arrivals)
+        order, times = reorder(NoReordering(), arrivals)
         assert order.tolist() == list(range(50))
         assert np.array_equal(times, arrivals)
 
@@ -23,19 +25,19 @@ class TestNoReordering:
 class TestWindowReordering:
     def test_zero_probability_is_identity(self):
         arrivals = _arrivals(100)
-        order, _ = WindowReordering(reorder_probability=0.0, seed=1).apply(arrivals)
+        order, _ = reorder(WindowReordering(reorder_probability=0.0, seed=1), arrivals)
         assert order.tolist() == list(range(100))
 
     def test_zero_window_is_identity(self):
         arrivals = _arrivals(100)
-        order, _ = WindowReordering(window=0.0, seed=1).apply(arrivals)
+        order, _ = reorder(WindowReordering(window=0.0, seed=1), arrivals)
         assert order.tolist() == list(range(100))
 
     def test_some_packets_swap_with_positive_probability(self):
         arrivals = _arrivals(2000, gap=5e-6)
-        order, _ = WindowReordering(
-            window=0.5e-3, reorder_probability=0.2, seed=2
-        ).apply(arrivals)
+        order, _ = reorder(
+            WindowReordering(window=0.5e-3, reorder_probability=0.2, seed=2), arrivals
+        )
         assert order.tolist() != list(range(2000))
 
     def test_reordering_bounded_by_window(self):
@@ -44,8 +46,8 @@ class TestWindowReordering:
         gap = 5e-6
         window = 0.5e-3
         arrivals = _arrivals(3000, gap=gap)
-        order, _ = WindowReordering(window=window, reorder_probability=0.3, seed=3).apply(
-            arrivals
+        order, _ = reorder(
+            WindowReordering(window=window, reorder_probability=0.3, seed=3), arrivals
         )
         positions = np.empty(len(order), dtype=int)
         positions[order] = np.arange(len(order))
@@ -58,16 +60,16 @@ class TestWindowReordering:
 
     def test_times_remain_sorted(self):
         arrivals = _arrivals(500)
-        _, times = WindowReordering(reorder_probability=0.5, seed=4).apply(arrivals)
+        _, times = reorder(WindowReordering(reorder_probability=0.5, seed=4), arrivals)
         assert np.all(np.diff(times) >= 0)
 
     def test_output_is_permutation(self):
         arrivals = _arrivals(800)
-        order, _ = WindowReordering(reorder_probability=0.4, seed=5).apply(arrivals)
+        order, _ = reorder(WindowReordering(reorder_probability=0.4, seed=5), arrivals)
         assert sorted(order.tolist()) == list(range(800))
 
     def test_empty_input(self):
-        order, times = WindowReordering(seed=6).apply(np.array([]))
+        order, times = reorder(WindowReordering(seed=6), np.array([]))
         assert len(order) == 0
         assert len(times) == 0
 

@@ -126,7 +126,6 @@ class TestDelaySampler:
         digests = synthetic_digests(5000, seed=2)
         drive(sampler, digests)
         assert sampler.observed_packets == 5000
-        assert sampler._marker_count > 0
         assert sampler.max_buffer_occupancy > 0
 
     def test_invalid_digest_rejected(self):
@@ -167,7 +166,13 @@ class TestNestingProperty:
         high = DelaySampler(SamplerConfig(sampling_rate=0.1, marker_rate=0.005))
         drive(low, digests)
         drive(high, digests)
-        assert low._marker_count == high._marker_count
+
+        def markers(sampler: DelaySampler) -> set[int]:
+            sampled = sampled_ids(sampler.receipt(path_id))
+            return {pkt_id for pkt_id in sampled if pkt_id > sampler.config.marker_threshold}
+
+        low_markers = markers(low)
+        assert low_markers and low_markers == markers(high)
 
 
 class TestObserveBatchChunking:
@@ -221,4 +226,5 @@ class TestObserveBatchChunking:
             assert batched.state_digest() == scalar.state_digest()
             assert batched.max_buffer_occupancy == scalar.max_buffer_occupancy
         # The carried-in buffers were keyed too: some buffered packets were sampled.
-        assert batched.sample_count > batched._marker_count
+        threshold = np.uint64(self.CONFIG.marker_threshold)
+        assert batched.sample_count > sum(int((digests > threshold).sum()) for digests, _ in parts)

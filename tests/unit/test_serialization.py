@@ -26,6 +26,8 @@ from repro.core.receipts import (
 from repro.net.prefixes import OriginPrefix, PrefixPair
 from repro.reporting.serialization import canonical_receipts, receipts_digest
 
+from tests.helpers import feed_session
+
 
 @pytest.fixture()
 def path_id(prefix_pair) -> PathID:
@@ -260,7 +262,7 @@ class TestWireBytes:
 
 class TestEndToEndSerialization:
     @pytest.fixture(scope="class")
-    def session_reports(self, path, small_trace_packets):
+    def session_reports(self, path, small_trace_batch):
         from repro.core.aggregation import AggregatorConfig
         from repro.core.hop import HOPConfig
         from repro.core.protocol import VPMSession
@@ -268,13 +270,13 @@ class TestEndToEndSerialization:
         from repro.simulation.scenario import PathScenario
 
         scenario = PathScenario(seed=71)
-        observation = scenario.run(small_trace_packets[:500])
+        observation = scenario.run_batch(small_trace_batch.take(slice(0, 500)))
         config = HOPConfig(
             sampler=SamplerConfig(sampling_rate=0.2, marker_rate=0.05),
             aggregator=AggregatorConfig(expected_aggregate_size=100),
         )
         session = VPMSession(path, configs={d.name: config for d in path.domains})
-        return session.run(observation)
+        return feed_session(session, observation)
 
     def test_session_reports_digest_matches_canonical_json(self, session_reports):
         assert any(report.sample_receipts for report in session_reports.values())

@@ -125,7 +125,7 @@ class TestSubmission:
     def test_impossible_policy_dies_at_submission(self, queue):
         with pytest.raises(ValueError):
             queue.submit(
-                _spec(), policy=ExecutionPolicy(engine="scalar", checkpoint_every=1)
+                _spec(), policy=ExecutionPolicy(engine="batch", checkpoint_every=1)
             )
 
     def test_path_escaping_run_id_rejected(self, queue):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from repro.analysis.quantiles import empirical_quantiles
 from repro.baselines.base import quantiles_from_delays
 from repro.engine.streaming import StreamingTruth
-from repro.simulation.scenario import DomainGroundTruth
+
+from tests.oracle.objects import DomainGroundTruth
 
 QUANTILES = (0.0, 0.05, 0.5, 0.9, 0.95, 0.99, 1.0)
 

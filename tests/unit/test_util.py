@@ -74,6 +74,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_non_negative("x", -1)
 
+    def test_check_non_negative_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+            check_non_negative("x", float("nan"))
+        assert check_non_negative("x", float("inf")) == float("inf")
+
     def test_check_probability(self):
         assert check_probability("p", 0.0) == 0.0
         assert check_probability("p", 1.0) == 1.0
