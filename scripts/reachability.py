@@ -49,10 +49,6 @@ KEEP: dict[str, str] = {
     "repro/api/registry.py::_colluding_agent": _PRESET,
     "repro/api/registry.py::_marker_drop_condition": _PRESET,
     "repro/api/registry.py::_biased_treatment_condition": _PRESET,
-    "repro/reporting/serialization.py::canonical_receipts": (
-        "reference implementation: the digest and conformance tests check "
-        "receipts_digest against it"
-    ),
     "repro/service/app.py::_ThreadingWSGIServer.handle_error": (
         "framework hook: socketserver calls it on a torn request"
     ),

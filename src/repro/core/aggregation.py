@@ -17,8 +17,9 @@ migrate packets across misaligned boundaries (see
 window of the last ``J`` seconds of packet IDs; per-packet work is constant.
 Between :meth:`Aggregator.observe_batch` calls that state stays in arrays: the
 window is a ``uint64`` id array and a ``float64`` time array, and each pending
-receipt's AggTrans windows are ``uint64`` slices.  They are boxed into the
-receipt's ``tuple[int, ...]`` fields once, when receipts are drained.
+receipt's AggTrans windows are ``uint64`` slices.  Draining receipts joins each
+post-cut window's slices into one array and hands both windows to the receipt
+as read-only arrays; no packet ID is boxed into a Python object on the way.
 """
 
 from __future__ import annotations
@@ -105,15 +106,14 @@ class _PendingReceipt:
     trans_before: np.ndarray
     trans_after: list[np.ndarray | int] = field(default_factory=list)
 
-    def trans(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The AggTrans windows in the receipt's boxed form."""
-        after: list[int] = []
-        for part in self.trans_after:
-            if isinstance(part, np.ndarray):
-                after.extend(part.tolist())
-            else:
-                after.append(part)
-        return tuple(self.trans_before.tolist()), tuple(after)
+    def trans(self) -> tuple[np.ndarray, np.ndarray]:
+        """The AggTrans windows as the receipt's read-only ``uint64`` arrays."""
+        before = self.trans_before
+        parts = [np.asarray(part, dtype=np.uint64).reshape(-1) for part in self.trans_after]
+        after = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+        before.flags.writeable = False
+        after.flags.writeable = False
+        return before, after
 
 
 class Aggregator:
@@ -345,10 +345,12 @@ class Aggregator:
             )
 
         def receipt_state(pending: _PendingReceipt):
+            before, after = pending.trans()
             return (
                 aggregate_state(pending.aggregate),
                 pending.cut_time.hex(),
-                *pending.trans(),
+                tuple(before.tolist()),
+                tuple(after.tolist()),
             )
 
         recent = self._recent_pairs

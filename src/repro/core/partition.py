@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.receipts import AggregateReceipt, combine_aggregate_receipts
 
 __all__ = ["align_aggregate_receipts", "AlignedAggregates"]
@@ -71,6 +73,23 @@ def _group_by_boundaries(
             next_boundary += 1
         groups[-1].append(receipt)
     return groups
+
+
+def _distinct(window: np.ndarray) -> np.ndarray:
+    """The distinct IDs of an AggTrans window, sorted."""
+    ordered = np.sort(window)
+    if ordered.size > 1:
+        ordered = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return ordered
+
+
+def _common_ids(first: np.ndarray, second: np.ndarray) -> int:
+    """How many distinct IDs two AggTrans windows share (Section 6.3's sets).
+
+    Deduplicating by sort first lets ``np.intersect1d`` skip its own,
+    slower, deduplication.
+    """
+    return np.intersect1d(_distinct(first), _distinct(second), assume_unique=True).size
 
 
 def _combined(group: Sequence[AggregateReceipt]) -> AggregateReceipt:
@@ -136,19 +155,18 @@ def aligned_aggregates(
         for boundary_index in range(len(common)):
             up_receipt = combined_up[boundary_index]
             down_receipt = combined_down[boundary_index]
-            if (
-                up_receipt.trans_before == down_receipt.trans_before
-                and up_receipt.trans_after == down_receipt.trans_after
+            if np.array_equal(up_receipt.trans_before, down_receipt.trans_before) and (
+                np.array_equal(up_receipt.trans_after, down_receipt.trans_after)
             ):
                 # Both counts below are then |before ∩ after| of one window
                 # pair, so they cancel: nothing migrates across this cut.
                 continue
             # Packets upstream counted before the cut but downstream after it:
             # migrate them into the earlier downstream aggregate.
-            to_earlier = len(set(up_receipt.trans_before).intersection(down_receipt.trans_after))
+            to_earlier = _common_ids(up_receipt.trans_before, down_receipt.trans_after)
             # Packets upstream counted after the cut but downstream before it:
             # migrate them into the later downstream aggregate.
-            to_later = len(set(up_receipt.trans_after).intersection(down_receipt.trans_before))
+            to_later = _common_ids(up_receipt.trans_after, down_receipt.trans_before)
             delta = to_earlier - to_later
             migrations[boundary_index] += delta
             migrations[boundary_index + 1] -= delta

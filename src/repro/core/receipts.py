@@ -19,17 +19,23 @@ Implementation extensions (documented, content-preserving):
   delay over loss-free aggregates; the first/last timestamps let the verifier
   express loss granularity in seconds (Figure 3's y-axis).  Neither reveals
   more than the per-packet timestamps the strawman already reports.
-* ``AggTrans`` is stored as two tuples, ``trans_before`` and ``trans_after``
-  (packet IDs observed within ``J`` before/after the cutting point); the paper
-  stores one ordered sequence of 2``J`` worth of IDs, from which the same two
-  sets are recoverable given the cutting packet's ID.
+* ``AggTrans`` is stored as two read-only 1-D ``uint64`` arrays,
+  ``trans_before`` and ``trans_after`` (packet IDs observed within ``J``
+  before/after the cutting point, in observation order); the paper stores one
+  ordered sequence of 2``J`` worth of IDs, from which the same two sets are
+  recoverable given the cutting packet's ID.  The aggregator hands its arrays
+  over as they are; a tuple or list of IDs is converted once, on
+  construction.  Receipts compare by value and are not hashable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Sequence
+
+import numpy as np
 
 from repro.net.prefixes import PrefixPair
 from repro.util.validation import check_non_negative
@@ -121,14 +127,45 @@ class SampleReceipt:
         return 8 + len(self.samples) * SAMPLE_RECORD_BYTES
 
 
-@dataclass(frozen=True)
+def _window(name: str, value) -> np.ndarray:
+    """``value`` as a read-only 1-D ``uint64`` AggTrans window.
+
+    A read-only ``uint64`` array is taken as it is; anything else is copied,
+    so a receipt never shares a buffer its caller can still write.
+    """
+    if isinstance(value, np.ndarray):
+        if value.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D window of packet IDs, got shape {value.shape}")
+        if value.dtype == np.uint64:
+            if not value.flags.writeable:
+                return value
+            window = value.copy()
+        elif value.dtype.kind in "iu":
+            if value.size and int(value.min()) < 0:
+                raise ValueError(f"{name} holds a packet ID outside [0, 2**64)")
+            window = value.astype(np.uint64)
+        else:
+            window = _window(name, value.tolist())
+    else:
+        try:
+            window = np.fromiter(map(index, value), dtype=np.uint64)
+        except OverflowError:
+            raise ValueError(f"{name} holds a packet ID outside [0, 2**64)") from None
+        except TypeError:
+            raise ValueError(f"{name} must be a 1-D sequence of integer packet IDs") from None
+    window.flags.writeable = False
+    return window
+
+
+@dataclass(frozen=True, eq=False)
 class AggregateReceipt:
     """A receipt for a packet aggregate.
 
     ``<PathID, AggID, PktCnt, AggTrans>`` per Sections 4 and 6.3, where
     ``AggID`` is the pair (first packet ID, last packet ID) of the aggregate.
     See the module docstring for the documented extensions (timestamps and the
-    split representation of ``AggTrans``).
+    split representation of ``AggTrans``).  ``trans_before``/``trans_after``
+    accept any sequence of IDs and hold read-only ``uint64`` arrays.
     """
 
     path_id: PathID
@@ -138,16 +175,41 @@ class AggregateReceipt:
     start_time: float = 0.0
     end_time: float = 0.0
     time_sum: float = 0.0
-    trans_before: tuple[int, ...] = ()
-    trans_after: tuple[int, ...] = ()
+    trans_before: np.ndarray = ()
+    trans_after: np.ndarray = ()
 
     def __post_init__(self) -> None:
         if self.pkt_count < 0:
             raise ValueError(f"pkt_count must be >= 0, got {self.pkt_count}")
+        for name in ("start_time", "end_time", "time_sum"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.end_time < self.start_time:
             raise ValueError(
                 f"end_time {self.end_time} precedes start_time {self.start_time}"
             )
+        object.__setattr__(self, "trans_before", _window("trans_before", self.trans_before))
+        object.__setattr__(self, "trans_after", _window("trans_after", self.trans_after))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._scalars() == other._scalars()
+            and np.array_equal(self.trans_before, other.trans_before)
+            and np.array_equal(self.trans_after, other.trans_after)
+        )
+
+    def _scalars(self) -> tuple:
+        return (
+            self.path_id,
+            self.first_pkt_id,
+            self.last_pkt_id,
+            self.pkt_count,
+            self.start_time,
+            self.end_time,
+            self.time_sum,
+        )
 
     @property
     def agg_id(self) -> tuple[int, int]:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 from operator import attrgetter
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
+
+import numpy as np
 
 from repro.core.hop import HOPReport
 
@@ -36,7 +38,8 @@ def canonical_receipts(reports: Mapping[int, HOPReport]) -> dict[str, Any]:
     same bytes into its hash without building this form: the digest equals
     BLAKE2b-128 over ``json.dumps(canonical_receipts(reports),
     sort_keys=True, separators=(",", ":"))``.  The conformance suite and the
-    digest tests compare against it; no run path calls it.
+    digest tests compare against it, and the receipts-digest benchmark sizes
+    the hashed bytes with it; no run path calls it.
     """
     canonical: dict[str, Any] = {}
     for hop_id in sorted(reports):
@@ -61,8 +64,8 @@ def canonical_receipts(reports: Mapping[int, HOPReport]) -> dict[str, Any]:
                     "start_time": receipt.start_time.hex(),
                     "end_time": receipt.end_time.hex(),
                     "time_sum": f"{receipt.time_sum:.9e}",
-                    "trans_before": list(receipt.trans_before),
-                    "trans_after": list(receipt.trans_after),
+                    "trans_before": receipt.trans_before.tolist(),
+                    "trans_after": receipt.trans_after.tolist(),
                 }
                 for receipt in report.aggregate_receipts
             ],
@@ -84,6 +87,36 @@ class _IntSpellings(dict):
         return text
 
 
+def _window_texts(windows: list[np.ndarray]) -> Iterator[bytes]:
+    """The canonical JSON body of each AggTrans window, in the given order.
+
+    Equal windows are spelled once (the memo is keyed by the window's bytes),
+    and all their IDs together: one ``np.unique`` finds the distinct IDs, each
+    is spelled once with ``str``, and each distinct window's text is one
+    ``",".join`` over the spellings of its IDs.  A window is joined where it
+    first occurs, so the hash reads its text while it is still in cache.
+    """
+    slots: dict[bytes, int] = {}
+    distinct: list[np.ndarray] = []
+    order = []
+    for window in windows:
+        slot = slots.setdefault(window.tobytes(), len(distinct))
+        if slot == len(distinct):
+            distinct.append(window)
+        order.append(slot)
+    if not distinct:
+        return
+    values, positions = np.unique(np.concatenate(distinct), return_inverse=True)
+    words = np.array(list(map(str, values.tolist())), dtype=object)[positions].tolist()
+    bounds = np.cumsum([0, *map(len, distinct)]).tolist()
+    texts: list[bytes | None] = [None] * len(distinct)
+    for slot in order:
+        text = texts[slot]
+        if text is None:
+            text = texts[slot] = ",".join(words[bounds[slot] : bounds[slot + 1]]).encode("ascii")
+        yield text
+
+
 def receipts_digest(reports: Mapping[int, HOPReport]) -> str:
     """Stable hex digest of every HOP's receipts in canonical form.
 
@@ -97,25 +130,28 @@ def receipts_digest(reports: Mapping[int, HOPReport]) -> str:
     each aggregate header, AggTrans window, sample receipt's records and the
     HOP framing go to ``hasher.update`` as they are spelled, so neither the
     canonical dict nor any HOP's document is ever built.  Spellings are
-    memoised for one call: integers as text (an interval's AggTrans windows
+    memoised for one call: integers as text, and each distinct AggTrans
+    window as its encoded bytes, keyed by the window's array bytes (a window
+    recurs at both ends of an inter-domain link).  An interval's windows
     repeat a few thousand distinct packet IDs hundreds of thousands of
-    times), and each distinct window as its encoded bytes (a window recurs at
-    both ends of an inter-domain link).
+    times, so :func:`_window_texts` spells every distinct ID of them once.
     """
     ids = _IntSpellings()
-    windows: dict[tuple[int, ...], bytes] = {}
-
-    def window(values) -> bytes:
-        values = tuple(values)
-        encoded = windows.get(values)
-        if encoded is None:
-            encoded = windows[values] = ",".join(map(ids.__getitem__, values)).encode("ascii")
-        return encoded
+    hops = sorted((str(hop_id), hop_id) for hop_id in reports)
+    # Every window's text, in the order the loop below writes the windows.
+    windows = _window_texts(
+        [
+            window
+            for _, hop_id in hops
+            for receipt in reports[hop_id].aggregate_receipts
+            for window in (receipt.trans_after, receipt.trans_before)
+        ]
+    )
 
     hasher = hashlib.blake2b(digest_size=16)
     update = hasher.update
     update(b"{")
-    for position, (key, hop_id) in enumerate(sorted((str(hop_id), hop_id) for hop_id in reports)):
+    for position, (key, hop_id) in enumerate(hops):
         report = reports[hop_id]
         update(f'{"," if position else ""}{json.dumps(key)}:{{"aggregates":['.encode("ascii"))
         separator = ""
@@ -129,9 +165,9 @@ def receipts_digest(reports: Mapping[int, HOPReport]) -> str:
                 f'"time_sum":"{receipt.time_sum:.9e}",'
                 f'"trans_after":['.encode("ascii")
             )
-            update(window(receipt.trans_after))
+            update(next(windows))
             update(b'],"trans_before":[')
-            update(window(receipt.trans_before))
+            update(next(windows))
             update(b"]}")
             separator = ","
         update(b'],"samples":[')

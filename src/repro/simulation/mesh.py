@@ -69,7 +69,10 @@ class MeshScenario:
         distinct (they are what classifies shared-HOP traffic back into
         paths).
     seed:
-        Base seed handed to every per-path :class:`PathScenario`.
+        Seeds :func:`~repro.net.topology.generate_mesh_topology` when no
+        topology is given.  It is also kept on every per-path
+        :class:`PathScenario` for reference, but nothing there draws from it:
+        the configured models and the topology's links carry their own seeds.
 
     Conditions are configured per domain via a *factory* called once per
     crossing path (:meth:`configure_domain`), because condition models carry

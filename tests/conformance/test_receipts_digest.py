@@ -4,13 +4,15 @@
 JSON into its hash piece by piece; :func:`~repro.reporting.serialization.canonical_receipts`
 plus ``json.dumps`` is its specification.  Every conformance scenario, both
 mesh cells, a set of hand-built hostile reports and generated reports must
-hash identically on both paths.
+hash identically on both paths.  The committed golden files pin the digest
+to canonical bytes written independently of both functions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -24,14 +26,40 @@ from repro.reporting.serialization import canonical_receipts, receipts_digest
 
 from tests.conformance.canon import run_batch_mesh_reports, run_batch_reports
 from tests.conformance.scenarios import CONFORMANCE_SCENARIOS, MESH_CONFORMANCE_SCENARIOS
+from tests.helpers import WINDOW_FORMS, window_as
 
 SUBNORMAL = 5e-324
 LARGEST_ID = (1 << 64) - 1
 
 
-def oracle_digest(reports) -> str:
-    payload = json.dumps(canonical_receipts(reports), sort_keys=True, separators=(",", ":"))
+def canonical_digest(canonical) -> str:
+    payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def oracle_digest(reports) -> str:
+    return canonical_digest(canonical_receipts(reports))
+
+
+COMMITTED_GOLDENS = sorted((Path(__file__).parent / "goldens").glob("*.json"))
+
+
+def test_every_golden_is_pinned():
+    assert len(COMMITTED_GOLDENS) == len(CONFORMANCE_SCENARIOS) + len(
+        MESH_CONFORMANCE_SCENARIOS
+    )
+
+
+@pytest.mark.parametrize("path", COMMITTED_GOLDENS, ids=lambda path: path.stem)
+def test_digest_matches_committed_golden(path):
+    """The digest hashes the committed canonical receipts, byte for byte."""
+    golden = json.loads(path.read_text())
+    name = golden["scenario"]
+    if name in MESH_CONFORMANCE_SCENARIOS:
+        reports = run_batch_mesh_reports(MESH_CONFORMANCE_SCENARIOS[name])
+    else:
+        reports = run_batch_reports(CONFORMANCE_SCENARIOS[name])
+    assert receipts_digest(reports) == canonical_digest(golden["receipts"])
 
 
 @pytest.mark.parametrize("name", sorted(CONFORMANCE_SCENARIOS))
@@ -150,24 +178,36 @@ def test_reports_without_receipts():
 # -- generated reports ----------------------------------------------------------------
 #
 # A report plan names its AggTrans windows by index into one shared pool, so
-# the same window tuple recurs within and across HOPs, and the pool always
-# holds the empty window and a proper prefix of another window.  Ids, packet
-# counts and HOP ids come from small ranges so an id equal to some
-# ``pkt_count`` is common; HOP 2 and HOP 10 sort differently as strings.
+# the same window object recurs within and across HOPs, and the pool always
+# holds the empty window and a proper prefix of another window.  Each pool
+# window arrives as a tuple, a uint64 array or a non-contiguous view (see
+# ``WINDOW_FORMS``).  Ids, packet counts and HOP ids come from small ranges so
+# an id equal to some ``pkt_count`` is common; HOP 2 and HOP 10 sort
+# differently as strings, and ids 9 and 10 spell with different widths.
 
 GENERATED_PAIR = PrefixPair(
     source=OriginPrefix.parse("10.1.0.0/16"), destination=OriginPrefix.parse("10.2.0.0/16")
 )
 
-small_ids = st.one_of(st.integers(min_value=0, max_value=12), st.just(LARGEST_ID))
+small_ids = st.one_of(
+    st.integers(min_value=0, max_value=12), st.sampled_from([1 << 63, LARGEST_ID])
+)
 times = st.one_of(
     st.sampled_from([0.0, -0.0, SUBNORMAL, 1.0]),
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
 )
 windows = st.lists(small_ids, min_size=1, max_size=6).flatmap(
-    lambda window: st.integers(min_value=0, max_value=len(window) - 1).map(
-        # the empty window, a window, and a proper prefix of it
-        lambda cut: [(), tuple(window), tuple(window[:cut])]
+    lambda window: st.tuples(
+        st.integers(min_value=0, max_value=len(window) - 1),
+        st.sampled_from(WINDOW_FORMS),
+        st.sampled_from(WINDOW_FORMS),
+    ).map(
+        # the empty window, a window, and a proper prefix sliced from it
+        lambda drawn: [
+            window_as((), drawn[2]),
+            (full := window_as(window, drawn[1])),
+            full[: drawn[0]],
+        ]
     )
 )
 sample_plans = st.lists(
@@ -234,6 +274,7 @@ def build_reports(plan) -> dict[int, HOPReport]:
 
 
 _AGGREGATE = (7, 3, 7, 0.0, 1.0, 0.5)
+_WIDE_IDS = (0, 9, 10, 1 << 63, LARGEST_ID)
 
 
 @given(report_plans)
@@ -245,6 +286,18 @@ _AGGREGATE = (7, 3, 7, 0.0, 1.0, 0.5)
 )
 @example(  # an AggTrans id equal to the pkt_count
     ([(), (7, 12)], {2: ([(9, [(7, 0.25)])], [(*_AGGREGATE, 1, 0)])})
+)
+@example(  # one non-contiguous view shared by two HOPs, beside a copy of it
+    (
+        [window_as((), "view"), window_as(_WIDE_IDS, "view"), window_as(_WIDE_IDS, "array")],
+        {2: ([], [(*_AGGREGATE, 1, 0)]), 10: ([], [(*_AGGREGATE, 2, 1)])},
+    )
+)
+@example(  # a writable view and a repeated id
+    (
+        [window_as((10, 9, 10), "writable view"), window_as((), "array")],
+        {3: ([], [(*_AGGREGATE, 0, 1)])},
+    )
 )
 def test_generated_reports_match_oracle(plan):
     reports = build_reports(plan)

@@ -17,6 +17,26 @@ from repro.util.rng import make_rng
 from repro.util.validation import check_non_negative
 
 
+#: The forms a test hands an AggTrans window to ``AggregateReceipt`` in: a
+#: tuple, a fresh ``uint64`` array, a read-only non-contiguous view (which the
+#: receipt keeps as it is) and a writable non-contiguous view (which it copies).
+WINDOW_FORMS = ("tuple", "array", "view", "writable view")
+
+
+def window_as(ids: Sequence[int], form: str):
+    """The AggTrans window ``ids`` in one of :data:`WINDOW_FORMS`."""
+    if form == "tuple":
+        return tuple(ids)
+    if form == "array":
+        return np.array(ids, dtype=np.uint64)
+    # Every other element of a larger buffer whose gaps hold a decoy id.
+    backing = np.full(2 * len(ids) + 1, 3, dtype=np.uint64)
+    backing[1::2] = ids
+    view = backing[1::2]
+    view.flags.writeable = form == "writable view"
+    return view
+
+
 def sampled_ids(receipt: SampleReceipt) -> frozenset[int]:
     """The set of packet identifiers a sample receipt reports."""
     return frozenset(record.pkt_id for record in receipt.samples)

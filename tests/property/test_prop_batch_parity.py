@@ -217,8 +217,8 @@ class TestAggregatorParity:
             assert expected.pkt_count == actual.pkt_count
             assert expected.start_time == actual.start_time
             assert expected.end_time == actual.end_time
-            assert expected.trans_before == actual.trans_before
-            assert expected.trans_after == actual.trans_after
+            assert expected.trans_before.tolist() == actual.trans_before.tolist()
+            assert expected.trans_after.tolist() == actual.trans_after.tolist()
             assert np.isclose(expected.time_sum, actual.time_sum, rtol=1e-12, atol=1e-9)
         assert scalar._cut_count == batched._cut_count
         assert scalar.observed_packets == batched.observed_packets

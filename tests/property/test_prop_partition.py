@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.partition import aligned_aggregates
 from repro.core.receipts import AggregateReceipt, PathID, combine_aggregate_receipts
+from repro.net.hashing import MASK64
 from repro.net.prefixes import OriginPrefix, PrefixPair
+
+from tests.helpers import WINDOW_FORMS, window_as
 
 
 # -- receipt alignment against the combine-everything, intersect-everything form ------
@@ -22,8 +25,13 @@ _PATH_ID = PathID(
     max_diff=1e-3,
 )
 
-# A tiny id pool, so one id lands on both sides of a cut and windows repeat.
-_windows = st.lists(st.integers(min_value=0, max_value=6), max_size=4).map(tuple)
+# A tiny id pool, so one id lands on both sides of a cut, windows repeat and
+# a window may hold an id twice; the extremes of the id range are in it.  Each
+# window arrives in one of the forms ``AggregateReceipt`` accepts.
+_ids = st.one_of(
+    st.integers(min_value=0, max_value=6), st.sampled_from([9, 10, 1 << 63, MASK64])
+)
+_windows = st.builds(window_as, st.lists(_ids, max_size=4), st.sampled_from(WINDOW_FORMS))
 
 
 def _reference_alignment(upstream, downstream):
@@ -48,8 +56,9 @@ def _reference_alignment(upstream, downstream):
     downs = [combine_aggregate_receipts(group) for group in down_groups]
     migrations = [0] * len(downs)
     for index in range(len(common)):
-        delta = len(set(ups[index].trans_before).intersection(downs[index].trans_after)) - len(
-            set(ups[index].trans_after).intersection(downs[index].trans_before)
+        up, down = ups[index], downs[index]
+        delta = len(set(up.trans_before.tolist()) & set(down.trans_after.tolist())) - len(
+            set(up.trans_after.tolist()) & set(down.trans_before.tolist())
         )
         migrations[index] += delta
         migrations[index + 1] -= delta
@@ -106,8 +115,39 @@ def receipt_streams(draw):
     return upstream, downstream
 
 
+def _receipt(first: int, count: int, before=(), after=()) -> AggregateReceipt:
+    return AggregateReceipt(
+        path_id=_PATH_ID,
+        first_pkt_id=first,
+        last_pkt_id=first,
+        pkt_count=count,
+        start_time=float(first),
+        end_time=float(first),
+        trans_before=before,
+        trans_after=after,
+    )
+
+
+# One window object on both HOPs' receipts, ids repeated within a window, and
+# the extremes of the id range in non-contiguous views.
+_SHARED = window_as((0, 9, 10, 1 << 63, MASK64), "view")
+_REPEATED = window_as((5, 5, 6, 5), "view")
+
+
 class TestReceiptAlignment:
     @given(receipt_streams())
+    @example(
+        (
+            [_receipt(10, 4, _SHARED, (5, 5, 6)), _receipt(20, 4, (5,), (MASK64, 9))],
+            [_receipt(10, 12, _REPEATED, _SHARED), _receipt(20, 12, _SHARED, _SHARED)],
+        )
+    )
+    @example(  # equal pre-cut windows, post-cut windows that differ
+        (
+            [_receipt(10, 4, (5,), (6,)), _receipt(20, 4)],
+            [_receipt(10, 12, (5,), (5,)), _receipt(20, 12)],
+        )
+    )
     def test_matches_reference_alignment(self, streams):
         upstream, downstream = streams
         aligned = [

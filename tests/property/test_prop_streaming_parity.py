@@ -148,8 +148,8 @@ class TestAggregatorChunking:
             assert mine.pkt_count == reference.pkt_count
             assert mine.start_time == reference.start_time
             assert mine.end_time == reference.end_time
-            assert mine.trans_before == reference.trans_before
-            assert mine.trans_after == reference.trans_after
+            assert mine.trans_before.tolist() == reference.trans_before.tolist()
+            assert mine.trans_after.tolist() == reference.trans_after.tolist()
             assert np.isclose(mine.time_sum, reference.time_sum, rtol=1e-9, atol=1e-12)
 
 

@@ -104,13 +104,11 @@ class TestCollectorBatch:
         state_batched.aggregator.flush()
         scalar_receipts = state_scalar.aggregator.receipts(state_scalar.path_id)
         batched_receipts = state_batched.aggregator.receipts(state_batched.path_id)
-        assert [
-            (r.first_pkt_id, r.last_pkt_id, r.pkt_count, r.trans_before, r.trans_after)
-            for r in scalar_receipts
-        ] == [
-            (r.first_pkt_id, r.last_pkt_id, r.pkt_count, r.trans_before, r.trans_after)
-            for r in batched_receipts
-        ]
+        def fields(r):
+            windows = (r.trans_before.tolist(), r.trans_after.tolist())
+            return (r.first_pkt_id, r.last_pkt_id, r.pkt_count, *windows)
+
+        assert [fields(r) for r in scalar_receipts] == [fields(r) for r in batched_receipts]
 
     def test_unmatched_packets_are_ignored(self, small_batch):
         _, path = figure1_topology()

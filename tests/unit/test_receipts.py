@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core.receipts import (
@@ -151,6 +154,86 @@ class TestAggregateReceipt:
                 end_time=1.0,
             )
 
+    @pytest.mark.parametrize("field", ["start_time", "end_time", "time_sum"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, path_id, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AggregateReceipt(
+                path_id=path_id, first_pkt_id=1, last_pkt_id=2, pkt_count=1, **{field: value}
+            )
+
+    @pytest.mark.parametrize("field", ["trans_before", "trans_after"])
+    @pytest.mark.parametrize(
+        "window",
+        [np.zeros((2, 2), dtype=np.uint64), np.zeros((), dtype=np.uint64), ((1, 2),), 5, (1.5,)],
+        ids=["2-D array", "0-D array", "nested tuple", "scalar", "float id"],
+    )
+    def test_window_not_a_1d_id_sequence_rejected(self, path_id, field, window):
+        with pytest.raises(ValueError, match=field):
+            AggregateReceipt(
+                path_id=path_id, first_pkt_id=1, last_pkt_id=2, pkt_count=1, **{field: window}
+            )
+
+    @pytest.mark.parametrize("field", ["trans_before", "trans_after"])
+    @pytest.mark.parametrize(
+        "window",
+        [(-1,), (1 << 64,), (0, (1 << 64) - 1, 1 << 64), np.array([3, -1], dtype=np.int64)],
+        ids=["negative", "2**64", "past the largest id", "negative int64 array"],
+    )
+    def test_window_id_outside_64_bits_rejected(self, path_id, field, window):
+        with pytest.raises(ValueError, match=rf"{field} holds a packet ID outside \[0, 2\*\*64\)"):
+            AggregateReceipt(
+                path_id=path_id, first_pkt_id=1, last_pkt_id=2, pkt_count=1, **{field: window}
+            )
+
+    def test_windows_are_read_only_uint64_arrays(self, path_id):
+        largest = (1 << 64) - 1
+        receipt = AggregateReceipt(
+            path_id=path_id,
+            first_pkt_id=1,
+            last_pkt_id=2,
+            pkt_count=1,
+            trans_before=[0, largest],
+            trans_after=np.array([7, 8], dtype=np.int64),
+        )
+        for window in (receipt.trans_before, receipt.trans_after):
+            assert window.dtype == np.uint64 and window.ndim == 1
+            assert not window.flags.writeable
+        assert receipt.trans_before.tolist() == [0, largest]
+        assert receipt.trans_after.tolist() == [7, 8]
+        assert receipt.with_count(5).trans_before is receipt.trans_before
+
+    def test_writable_window_is_copied(self, path_id):
+        mine = np.array([4, 5, 6], dtype=np.uint64)
+        receipt = AggregateReceipt(
+            path_id=path_id, first_pkt_id=1, last_pkt_id=2, pkt_count=1, trans_before=mine
+        )
+        mine[0] = 99
+        assert receipt.trans_before.tolist() == [4, 5, 6]
+        assert mine.flags.writeable
+
+    def test_compares_by_value_and_is_unhashable(self, path_id):
+        def receipt(before, after=(), count=1):
+            return AggregateReceipt(
+                path_id=path_id,
+                first_pkt_id=1,
+                last_pkt_id=2,
+                pkt_count=count,
+                trans_before=before,
+                trans_after=after,
+            )
+
+        shared = np.array([1, 2, 3], dtype=np.uint64)
+        assert receipt((1, 2, 3)) == receipt(shared) == receipt(shared[::-1][::-1])
+        assert receipt((1, 2, 3)) != receipt((1, 2))
+        assert receipt((1, 2, 3)) != receipt((3, 2, 1))
+        assert receipt((1, 2)) != receipt((), (1, 2))
+        assert receipt((1,), (2,)) != receipt((1,), (3,))
+        assert receipt((1, 2)) != receipt((1, 2), count=2)
+        assert receipt(()) != object()
+        with pytest.raises(TypeError):
+            hash(receipt(()))
+
     def test_wire_bytes_include_agg_trans(self, path_id):
         plain = AggregateReceipt(path_id=path_id, first_pkt_id=1, last_pkt_id=2, pkt_count=3)
         with_trans = AggregateReceipt(
@@ -185,7 +268,7 @@ class TestAggregateReceipt:
         assert combined.agg_id == (1, 4)
         assert combined.start_time == 0.0 and combined.end_time == 2.0
         assert combined.time_sum == 35.0
-        assert combined.trans_before == (9,)
+        assert combined.trans_before.tolist() == [9]
 
     def test_combine_rejects_out_of_order(self, path_id):
         first = AggregateReceipt(
