@@ -5,9 +5,10 @@ packet stream at the domain's ingress HOP and at its egress HOP and produces
 an estimate of the loss and delay the domain introduced, together with the
 receipt bytes it would have to disseminate to do so.
 
-The interface deliberately mirrors how the VPM core is driven (per-packet
-``observe_*`` calls with a digest and a local timestamp) so the comparison
-benchmark can run every protocol over exactly the same observations.
+Every protocol is driven by the same per-packet ``observe_*`` calls (a digest
+and the monitor's timestamp, in observation order), so the comparison
+benchmark can run every protocol over exactly the same observations; the VPM
+adapter collects them and feeds the core's batch collectors.
 """
 
 from __future__ import annotations

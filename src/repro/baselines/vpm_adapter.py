@@ -5,10 +5,14 @@ over the same ingress/egress observations.  This adapter drives a
 :class:`~repro.core.sampling.DelaySampler` and
 :class:`~repro.core.aggregation.Aggregator` at each monitor and estimates with
 the same machinery the real verifier uses, so the comparison reflects the
-actual core implementation rather than a re-coded approximation.
+actual core implementation rather than a re-coded approximation.  Each
+monitor's observations reach the core as one sorted batch when the estimate
+is made.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.baselines.base import MeasurementProtocol, ProtocolEstimate
 from repro.core.aggregation import Aggregator, AggregatorConfig
@@ -50,38 +54,41 @@ class VPMProtocolAdapter(MeasurementProtocol):
         reorder_window: float = 0.5e-3,
     ) -> None:
         self.quantiles = quantiles
-        sampler_config = SamplerConfig(sampling_rate=sampling_rate)
-        aggregator_config = AggregatorConfig(
+        self._sampler_config = SamplerConfig(sampling_rate=sampling_rate)
+        self._aggregator_config = AggregatorConfig(
             expected_aggregate_size=expected_aggregate_size,
             reorder_window=reorder_window,
         )
-        self._ingress_sampler = DelaySampler(sampler_config)
-        self._egress_sampler = DelaySampler(sampler_config)
-        self._ingress_aggregator = Aggregator(aggregator_config)
-        self._egress_aggregator = Aggregator(aggregator_config)
-        self._ingress_observed = 0
+        self._ingress: list[tuple[int, float]] = []
+        self._egress: list[tuple[int, float]] = []
 
     def observe_ingress(self, digest: int, time: float) -> None:
-        self._ingress_observed += 1
-        self._ingress_sampler.observe(digest, time)
-        self._ingress_aggregator.observe(digest, time)
+        self._ingress.append((digest, time))
 
     def observe_egress(self, digest: int, time: float) -> None:
-        self._egress_sampler.observe(digest, time)
-        self._egress_aggregator.observe(digest, time)
+        self._egress.append((digest, time))
+
+    def _receipts(self, observations: list[tuple[int, float]], reporting_hop: int):
+        """One monitor's sample receipt and flushed aggregate receipts.
+
+        A fresh sampler and aggregator take the monitor's observations as
+        one batch.
+        """
+        path_id = _adapter_path_id(reporting_hop)
+        digests = np.array([digest for digest, _ in observations], dtype=np.uint64)
+        times = np.array([time for _, time in observations], dtype=np.float64)
+        sampler = DelaySampler(self._sampler_config)
+        aggregator = Aggregator(self._aggregator_config)
+        sampler.observe_batch(digests, times)
+        aggregator.observe_batch(digests, times)
+        aggregator.flush()
+        return sampler.receipt(path_id), aggregator.receipts(path_id)
 
     def estimate(self) -> ProtocolEstimate:
         from repro.core.estimation import estimate_delay_quantiles, match_sample_delays
 
-        ingress_path_id = _adapter_path_id(reporting_hop=1)
-        egress_path_id = _adapter_path_id(reporting_hop=2)
-        ingress_samples = self._ingress_sampler.receipt(ingress_path_id, reset=False)
-        egress_samples = self._egress_sampler.receipt(egress_path_id, reset=False)
-
-        self._ingress_aggregator.flush()
-        self._egress_aggregator.flush()
-        ingress_aggs = self._ingress_aggregator.receipts(ingress_path_id, reset=False)
-        egress_aggs = self._egress_aggregator.receipts(egress_path_id, reset=False)
+        ingress_samples, ingress_aggs = self._receipts(self._ingress, reporting_hop=1)
+        egress_samples, egress_aggs = self._receipts(self._egress, reporting_hop=2)
 
         delays = match_sample_delays(ingress_samples, egress_samples)
         if delays.size:
@@ -110,6 +117,6 @@ class VPMProtocolAdapter(MeasurementProtocol):
             mean_delay=mean_delay,
             delay_quantiles=delay_quantiles,
             receipt_bytes=receipt_bytes,
-            observed_packets=self._ingress_observed,
+            observed_packets=len(self._ingress),
             notes="bias-resistant sampling + reordering-tolerant aggregation",
         )

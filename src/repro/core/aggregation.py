@@ -15,7 +15,8 @@ migrate packets across misaligned boundaries (see
 
 :class:`Aggregator` keeps constant state per open aggregate plus a sliding
 window of the last ``J`` seconds of packet IDs; per-packet work is constant.
-Between :meth:`Aggregator.observe_batch` calls that state stays in arrays: the
+It takes a path's packets as array batches whose timestamps never decrease,
+and between :meth:`Aggregator.observe_batch` calls its state stays in arrays: the
 window is a ``uint64`` id array and a ``float64`` time array, and each pending
 receipt's AggTrans windows are ``uint64`` slices.  Draining receipts joins each
 post-cut window's slices into one array and hands both windows to the receipt
@@ -25,14 +26,17 @@ as read-only arrays; no packet ID is boxed into a Python object on the way.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.receipts import AggregateReceipt, PathID
-from repro.net.hashing import MASK64, as_digest_array, threshold_for_rate
-from repro.util.validation import check_non_negative, check_positive
+from repro.net.hashing import as_digest_array, threshold_for_rate
+from repro.util.validation import (
+    check_non_negative,
+    check_observation_times,
+    check_positive,
+)
 
 __all__ = ["AggregatorConfig", "Aggregator"]
 
@@ -83,34 +87,28 @@ class _OpenAggregate:
     end_time: float = 0.0
     time_sum: float = 0.0
 
-    def add(self, digest: int, time: float) -> None:
-        if self.pkt_count == 0:
-            self.start_time = time
-        self.last_pkt_id = digest
-        self.pkt_count += 1
-        self.end_time = time
-        self.time_sum += time
-
 
 @dataclass
 class _PendingReceipt:
     """A closed aggregate waiting for its post-cut AggTrans window to fill.
 
-    ``trans_after`` holds its ids as they arrive: ``uint64`` slices from
-    :meth:`Aggregator.observe_batch`, single ids from
-    :meth:`Aggregator.observe`.
+    ``trans_after`` holds its ids as ``uint64`` slices, one per batch that
+    fed the window.
     """
 
     aggregate: _OpenAggregate
     cut_time: float
     trans_before: np.ndarray
-    trans_after: list[np.ndarray | int] = field(default_factory=list)
+    trans_after: list[np.ndarray] = field(default_factory=list)
 
     def trans(self) -> tuple[np.ndarray, np.ndarray]:
         """The AggTrans windows as the receipt's read-only ``uint64`` arrays."""
         before = self.trans_before
-        parts = [np.asarray(part, dtype=np.uint64).reshape(-1) for part in self.trans_after]
-        after = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+        after = (
+            np.concatenate(self.trans_after)
+            if self.trans_after
+            else np.empty(0, dtype=np.uint64)
+        )
         before.flags.writeable = False
         after.flags.writeable = False
         return before, after
@@ -119,11 +117,10 @@ class _PendingReceipt:
 class Aggregator:
     """Per-path implementation of Algorithm 2 (``Partition``) with AggTrans.
 
-    Call :meth:`observe` for every packet of the path in observation order
-    (passing the packet digest and the HOP's local timestamp), then
-    :meth:`receipts` to drain the finalized aggregate receipts, and
-    :meth:`flush` at the end of a reporting period to close the open
-    aggregate.
+    Call :meth:`observe_batch` with the path's packets in observation order
+    (their digests and the HOP's timestamps), then :meth:`receipts` to drain
+    the finalized aggregate receipts, and :meth:`flush` at the end of a
+    reporting period to close the open aggregate.
     """
 
     def __init__(self, config: AggregatorConfig | None = None) -> None:
@@ -131,13 +128,10 @@ class Aggregator:
         self._partition_threshold = self.config.partition_threshold
         self._window = self.config.reorder_window
         self._open: _OpenAggregate | None = None
-        # The sliding window of the last J seconds: id and time arrays while
-        # observe_batch() feeds it, a deque of (id, time) pairs while observe()
-        # does (``None`` when the arrays are current).  Each converts the
-        # other's form once, on entry.
+        # The sliding window of the last J seconds of ids and times.  It
+        # always ends with the last packet observed.
         self._recent_ids = np.empty(0, dtype=np.uint64)
         self._recent_times = np.empty(0, dtype=np.float64)
-        self._recent_pairs: deque[tuple[int, float]] | None = None
         self._pending: list[_PendingReceipt] = []
         self._finalized: list[_PendingReceipt] = []
         self._observed_packets = 0
@@ -145,48 +139,13 @@ class Aggregator:
 
     # -- observation ---------------------------------------------------------
 
-    def observe(self, digest: int, time: float) -> bool:
-        """Process one observed packet.
-
-        Returns ``True`` if the packet was a cutting point (started a new
-        aggregate).
-        """
-        if not 0 <= digest <= MASK64:
-            raise ValueError(f"digest must be a 64-bit value, got {digest!r}")
-        is_cut = digest > self._partition_threshold
-        self._observed_packets += 1
-        self._finalize_pending(time)
-        recent = self._window_pairs()
-        if is_cut and self._open is not None and self._open.pkt_count > 0:
-            self._cut_count += 1
-            trans_before = np.array(
-                [pkt_id for pkt_id, seen in recent if seen >= time - self._window],
-                dtype=np.uint64,
-            )
-            self._pending.append(
-                _PendingReceipt(
-                    aggregate=self._open, cut_time=time, trans_before=trans_before
-                )
-            )
-            self._open = _OpenAggregate(first_pkt_id=digest, last_pkt_id=digest)
-        elif self._open is None:
-            self._open = _OpenAggregate(first_pkt_id=digest, last_pkt_id=digest)
-
-        self._open.add(digest, time)
-
-        # Feed the post-cut window of any aggregate closed less than J ago.
-        for pending in self._pending:
-            if time <= pending.cut_time + self._window:
-                pending.trans_after.append(digest)
-
-        # Maintain the sliding window of the last J seconds of packet IDs.
-        recent.append((digest, time))
-        while recent and recent[0][1] < time - self._window:
-            recent.popleft()
-        return is_cut
-
     def observe_batch(self, digests, times) -> np.ndarray:
-        """Vectorized :meth:`observe` over arrays of digests and timestamps.
+        """Process a batch of packets: their digests and observation times.
+
+        ``times`` must be finite and non-decreasing, within the batch and
+        from the previous batch on — which is how a HOP observes traffic;
+        otherwise ``ValueError`` names the first bad index, and the
+        aggregator is left as it was.
 
         Cutting points are found with one array comparison; the packets of
         each aggregate are folded into the open-aggregate state with array
@@ -195,17 +154,9 @@ class Aggregator:
         Python-level work is proportional to the number of cutting points,
         not packets.  The carry stays in arrays: the next window is a slice
         of carry plus batch, and pending AggTrans windows are ``uint64``
-        slices.
-
-        The fast path requires observation timestamps that are non-decreasing
-        (within the batch and relative to earlier observations) — which is how
-        HOPs observe traffic.  Batches that violate this fall back to the
-        scalar loop.  Either way the resulting state matches repeated scalar
-        :meth:`observe` calls exactly — same aggregates, cutting points,
-        AggTrans windows and counters — except that an aggregate's
-        ``time_sum`` may differ in the last few ulps on the fast path (it is
-        accumulated via prefix sums rather than one packet at a time).  Both
-        paths interleave freely on one instance.
+        slices.  How a stream is cut into batches changes nothing but an
+        aggregate's ``time_sum``, in its last few ulps (it is accumulated
+        from per-batch prefix sums).
 
         Returns the boolean cutting-point mask for the batch.
         """
@@ -215,6 +166,8 @@ class Aggregator:
             raise ValueError(
                 f"digests and times must align, got {digest_array.shape} vs {time_array.shape}"
             )
+        check_observation_times(time_array, self.last_time)
+        carry_digests, carry_times = self._recent_ids, self._recent_times
         count = len(digest_array)
         cut_mask = digest_array > np.uint64(self._partition_threshold)
         if count == 0:
@@ -222,12 +175,7 @@ class Aggregator:
 
         # The window carried in from earlier observations plus this batch,
         # for the pre-cut AggTrans windows.
-        carry_digests, carry_times = self._window_arrays()
         all_times = np.concatenate([carry_times, time_array])
-        if not np.all(all_times[1:] >= all_times[:-1]):
-            for index in range(count):
-                self.observe(int(digest_array[index]), float(time_array[index]))
-            return cut_mask
         all_digests = np.concatenate([carry_digests, digest_array])
         offset = len(carry_digests)
 
@@ -236,8 +184,7 @@ class Aggregator:
         last_time = float(time_array[-1])
 
         # 1. Feed and finalize carry-in pending receipts (their cuts precede
-        #    every cut in this batch, so they finalize first — same order as
-        #    the scalar loop).
+        #    every cut in this batch, so they finalize first).
         still_pending: list[_PendingReceipt] = []
         for pending in self._pending:
             deadline = pending.cut_time + window
@@ -273,7 +220,7 @@ class Aggregator:
         segment_start = 0
         for position in np.flatnonzero(cut_mask).tolist():
             add_span(segment_start, position)
-            if self._open is not None and self._open.pkt_count > 0:
+            if self._open is not None:
                 self._cut_count += 1
                 cut_time = float(time_array[position])
                 lo = int(np.searchsorted(all_times, cut_time - window, side="left"))
@@ -302,34 +249,13 @@ class Aggregator:
         self._recent_times = all_times[keep_from:].copy()
         return cut_mask
 
-    def _window_pairs(self) -> deque[tuple[int, float]]:
-        """The sliding window as :meth:`observe`'s deque of pairs."""
-        if self._recent_pairs is None:
-            self._recent_pairs = deque(
-                zip(self._recent_ids.tolist(), self._recent_times.tolist())
-            )
-        return self._recent_pairs
-
-    def _window_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sliding window as :meth:`observe_batch`'s id and time arrays."""
-        pairs = self._recent_pairs
-        if pairs is not None:
-            self._recent_ids = np.fromiter(
-                (pkt_id for pkt_id, _ in pairs), dtype=np.uint64, count=len(pairs)
-            )
-            self._recent_times = np.fromiter(
-                (seen for _, seen in pairs), dtype=np.float64, count=len(pairs)
-            )
-            self._recent_pairs = None
-        return self._recent_ids, self._recent_times
-
     def state_digest(self) -> str:
         """A stable hex digest of the aggregator's complete observable state.
 
         ``time_sum`` enters rounded to 10 significant digits — it is the one
-        field accumulated in different orders by the per-packet, batch and
-        streaming paths (documented float tolerance); everything else hashes
-        exact bit patterns.
+        field whose summation order depends on how the stream was batched
+        (documented float tolerance); everything else hashes exact bit
+        patterns.
         """
 
         def aggregate_state(aggregate: _OpenAggregate | None):
@@ -353,10 +279,7 @@ class Aggregator:
                 tuple(after.tolist()),
             )
 
-        recent = self._recent_pairs
-        if recent is None:
-            recent = zip(self._recent_ids.tolist(), self._recent_times.tolist())
-
+        recent = zip(self._recent_ids.tolist(), self._recent_times.tolist())
         hasher = hashlib.blake2b(digest_size=16)
         hasher.update(
             repr(
@@ -374,16 +297,6 @@ class Aggregator:
         )
         return hasher.hexdigest()
 
-    def _finalize_pending(self, now: float) -> None:
-        """Move pending receipts whose post-cut window has elapsed to finalized."""
-        still_pending: list[_PendingReceipt] = []
-        for pending in self._pending:
-            if now > pending.cut_time + self._window:
-                self._finalized.append(pending)
-            else:
-                still_pending.append(pending)
-        self._pending = still_pending
-
     # -- reporting -------------------------------------------------------------
 
     def flush(self) -> None:
@@ -392,21 +305,17 @@ class Aggregator:
         Called at the end of a reporting period (or of the simulation); the
         final, possibly partial aggregate is reported like any other.
         """
-        if self._open is not None and self._open.pkt_count > 0:
-            trans_before, _ = self._window_arrays()
-            self._finalized.extend(self._pending)
-            self._pending = []
+        self._finalized.extend(self._pending)
+        self._pending = []
+        if self._open is not None:
             self._finalized.append(
                 _PendingReceipt(
                     aggregate=self._open,
                     cut_time=self._open.end_time,
-                    trans_before=trans_before,
+                    trans_before=self._recent_ids,
                 )
             )
             self._open = None
-        else:
-            self._finalized.extend(self._pending)
-            self._pending = []
 
     def receipts(self, path_id: PathID, reset: bool = True) -> list[AggregateReceipt]:
         """Return the finalized aggregate receipts accumulated so far."""
@@ -431,6 +340,11 @@ class Aggregator:
         return receipts
 
     # -- introspection ----------------------------------------------------------
+
+    @property
+    def last_time(self) -> float:
+        """The last observation time (``-inf`` before the first packet)."""
+        return float(self._recent_times[-1]) if len(self._recent_times) else -np.inf
 
     @property
     def observed_packets(self) -> int:

@@ -154,7 +154,7 @@ def match_sample_delays(
     For every packet ID present in both receipts, the delay through the domain
     is the egress timestamp minus the ingress timestamp (Section 4,
     "Receipt-based Statistics").  Negative differences (possible only with
-    badly de-synchronized HOP clocks) are kept — they are informative to the
+    HOP timestamps badly out of step) are kept — they are informative to the
     caller — but ``NaN`` never appears.
     """
     ingress_times = {record.pkt_id: record.time for record in ingress.samples}

@@ -7,7 +7,10 @@ control plane":
 * the **collector** module (:class:`HOPCollector`) handles per-packet
   operations — path classification, digest computation, the delay sampler's
   temporary buffer and the aggregator's per-aggregate state — and corresponds
-  to the data-plane/monitoring-cache half;
+  to the data-plane/monitoring-cache half.  It takes the HOP's traffic as
+  columnar batches in observation order, stamped with the HOP's own
+  timestamps: VPM needs no clock synchronization, only adjacent HOPs within
+  ``MaxDiff`` of each other;
 * the **processor** module (:class:`HOPProcessor`) periodically reads the
   collector's state and turns it into disseminable receipts — the
   control-plane half.
@@ -29,8 +32,8 @@ from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt
 from repro.core.sampling import DelaySampler, SamplerConfig
 from repro.net.batch import PacketBatch
 from repro.net.hashing import PacketDigester
-from repro.net.packet import Packet
 from repro.net.topology import HOP, HOPPath
+from repro.util.validation import check_observation_times
 
 __all__ = ["HOPConfig", "HOPReport", "HOPCollector", "HOPProcessor"]
 
@@ -82,8 +85,8 @@ class HOPCollector:
     Parameters
     ----------
     hop:
-        The topological HOP this collector runs at (provides the local clock
-        and the HOP id written into PathIDs).
+        The topological HOP this collector runs at (provides the HOP id
+        written into PathIDs).
     config:
         The HOP's sampling/aggregation configuration.
     """
@@ -93,13 +96,12 @@ class HOPCollector:
     #: and the counters beside them).
     #: Pickled collectors are only reloaded under the same tag; change it
     #: whenever that form changes.
-    STATE_TAG = "array-carry-2"
+    STATE_TAG = "array-only-3"
 
     def __init__(self, hop: HOP, config: HOPConfig | None = None) -> None:
         self.hop = hop
         self.config = config or HOPConfig()
         self._paths: dict[object, _PathState] = {}
-        self._classifier_cache: dict[tuple[int, int], _PathState | None] = {}
 
     # -- path registration -----------------------------------------------------
 
@@ -133,116 +135,78 @@ class HOPCollector:
             sampler=DelaySampler(self.config.sampler),
             aggregator=Aggregator(self.config.aggregator),
         )
-        self._classifier_cache.clear()
         return path_id
 
-    # -- per-packet processing ---------------------------------------------------
+    # -- packet processing --------------------------------------------------------
 
-    def _classify(self, packet: Packet) -> _PathState | None:
-        key = (packet.headers.src_ip, packet.headers.dst_ip)
-        if key in self._classifier_cache:
-            return self._classifier_cache[key]
-        state: _PathState | None = None
-        for prefix_pair, candidate in self._paths.items():
-            if prefix_pair.matches(packet.headers.src_ip, packet.headers.dst_ip):
-                state = candidate
-                break
-        self._classifier_cache[key] = state
-        return state
-
-    def observe(self, packet: Packet, true_time: float) -> None:
-        """Process one packet observed at this HOP at ``true_time``.
-
-        The packet is classified into its path, digested once, and fed to both
-        the delay sampler and the aggregator with the HOP's *local* timestamp.
-        Packets that match no registered path are ignored, as a real
-        collector would treat traffic it is not configured to monitor.
-        """
-        state = self._classify(packet)
-        if state is None:
-            return
-        local_time = self.hop.clock.read(true_time)
-        digest = self.config.digester.digest(packet)
-        state.sampler.observe(digest, local_time)
-        state.aggregator.observe(digest, local_time)
-        state.observed_packets += 1
-        state.observed_bytes += packet.size
-
-    def observe_batch(self, batch: PacketBatch, true_times=None) -> int:
-        """Vectorized :meth:`observe` over a columnar packet batch.
+    def observe_batch(self, batch: PacketBatch, times=None) -> int:
+        """Process a columnar batch of packets observed at this HOP.
 
         Classification, digest computation, marker decisions and cutting-point
         selection all run as array operations; the per-path samplers and
-        aggregators are fed index-selected sub-arrays in observation order, so
-        the collector ends up in exactly the state the scalar loop would
-        produce (cross-checked by the batch-parity property tests).
+        aggregators are fed index-selected sub-arrays in observation order.
 
         Parameters
         ----------
         batch:
             The packets observed at this HOP, in observation order.
-        true_times:
-            True observation times; defaults to the batch's send times (the
-            right choice for a source-edge HOP).
+        times:
+            The HOP's observation timestamps; defaults to the batch's send
+            times (the right choice for a source-edge HOP).  Each path's
+            times must be finite and non-decreasing, also across batches;
+            otherwise ``ValueError`` names the first bad index before any
+            path's state changes.
 
         Returns the number of packets that matched a registered path.
         """
-        if true_times is None:
+        if times is None:
             time_array = batch.send_time
         else:
-            time_array = np.asarray(true_times, dtype=np.float64)
+            time_array = np.asarray(times, dtype=np.float64)
             if time_array.shape != (len(batch),):
                 raise ValueError(
-                    f"true_times must have shape ({len(batch)},), got {time_array.shape}"
+                    f"times must have shape ({len(batch)},), got {time_array.shape}"
                 )
         if len(batch) == 0:
             return 0
 
-        # Vectorized path classification; like the scalar path, the first
-        # registered prefix pair that matches claims the packet.
+        # Vectorized path classification: the first registered prefix pair
+        # that matches claims the packet.
         unclaimed = np.ones(len(batch), dtype=bool)
-        path_members: list[tuple[_PathState, np.ndarray]] = []
+        path_members: list[tuple[_PathState, np.ndarray | None, np.ndarray]] = []
         for prefix_pair, state in self._paths.items():
-            source, destination = prefix_pair.source, prefix_pair.destination
-            matches = (
-                (batch.src_ip & np.uint32(source.mask)) == np.uint32(source.network)
-            ) & (
-                (batch.dst_ip & np.uint32(destination.mask)) == np.uint32(destination.network)
-            ) & unclaimed
-            selected = np.flatnonzero(matches)
+            selected = np.flatnonzero(
+                prefix_pair.matches(batch.src_ip, batch.dst_ip) & unclaimed
+            )
             if not len(selected):
                 continue
             unclaimed[selected] = False
-            path_members.append((state, selected))
+            if len(selected) == len(batch):
+                # One path claimed every packet: its sub-arrays are the whole
+                # arrays, so skip the gathers.
+                path_members.append((state, None, time_array))
+                break
+            path_times = time_array[selected]
+            path_members.append((state, selected, path_times))
             if not unclaimed.any():
                 break
         if not path_members:
             return 0
-
-        # One clock read per classified packet, in observation order — the
-        # same draw order as the scalar loop even when the clock has RNG
-        # jitter and several paths interleave.
-        classified_positions = np.flatnonzero(~unclaimed)
-        local_times = np.empty(len(batch), dtype=np.float64)
-        local_times[classified_positions] = self.hop.clock.read_batch(
-            time_array[classified_positions]
-        )
+        # Every path's times are checked before any path is fed.
+        for state, _, path_times in path_members:
+            check_observation_times(path_times, state.aggregator.last_time)
 
         digests = self.config.digester.digest_batch(batch)
         classified = 0
-        for state, selected in path_members:
-            classified += len(selected)
-            if len(selected) == len(batch):
-                # One path claimed every packet: its sub-arrays are the whole
-                # arrays, so skip the gathers.
-                path_digests, path_times, path_lengths = digests, local_times, batch.length
+        for state, selected, path_times in path_members:
+            if selected is None:
+                path_digests, path_lengths = digests, batch.length
             else:
-                path_digests = digests[selected]
-                path_times = local_times[selected]
-                path_lengths = batch.length[selected]
+                path_digests, path_lengths = digests[selected], batch.length[selected]
             state.sampler.observe_batch(path_digests, path_times)
             state.aggregator.observe_batch(path_digests, path_times)
-            state.observed_packets += len(selected)
+            classified += len(path_digests)
+            state.observed_packets += len(path_digests)
             state.observed_bytes += int(path_lengths.sum(dtype=np.int64))
         return classified
 

@@ -16,7 +16,10 @@ Two thresholds control the mechanism:
   (Section 5.2's tunability argument).
 
 :class:`DelaySampler` implements the per-path state machine; a HOP holds one
-instance per active path (see :class:`repro.core.hop.HOPCollector`).
+instance per active path (see :class:`repro.core.hop.HOPCollector`).  It
+takes the path's packets as array batches in observation order, so its
+timestamps never decrease; the per-packet reading of Algorithm 1 that the
+batch pass is checked against is ``tests/oracle/collectors.py``.
 """
 
 from __future__ import annotations
@@ -27,14 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.receipts import PathID, SampleReceipt, SampleRecord
-from repro.net.hashing import (
-    MASK64,
-    as_digest_array,
-    sample_function,
-    splitmix64_batch,
-    threshold_for_rate,
-)
-from repro.util.validation import check_fraction
+from repro.net.hashing import as_digest_array, splitmix64_batch, threshold_for_rate
+from repro.util.validation import check_fraction, check_observation_times
 
 __all__ = ["SamplerConfig", "DelaySampler", "DEFAULT_MARKER_RATE"]
 
@@ -81,26 +78,24 @@ class SamplerConfig:
 class DelaySampler:
     """Per-path implementation of Algorithm 1 (``DelaySample``).
 
-    Usage: call :meth:`observe` for every packet of the path in observation
-    order, then :meth:`receipt` (typically at each reporting period) to obtain
-    the sample receipt accumulated so far.
+    Usage: call :meth:`observe_batch` with the path's packets in observation
+    order, as many times as the stream has batches, then :meth:`receipt`
+    (typically at each reporting period) to obtain the sample receipt
+    accumulated so far.
 
     The sampler never inspects packet contents itself — callers pass the
-    64-bit digest (computed once per packet by the HOP collector) and the
-    local observation timestamp.
+    64-bit digests (computed once per packet by the HOP collector) and the
+    HOP's observation timestamps.
     """
 
     def __init__(self, config: SamplerConfig | None = None) -> None:
         self.config = config or SamplerConfig()
         self._marker_threshold = self.config.marker_threshold
         self._sampling_threshold = self.config.sampling_threshold
-        # TempBuffer of Algorithm 1: per-packet (digest, local time) pairs
-        # held only until the next marker.  observe_batch() holds it as id and
-        # time arrays, observe() as a list of pairs (``None`` when the arrays
-        # are current); each converts the other's form once, on entry.
+        # TempBuffer of Algorithm 1: the digests and times of the packets
+        # after the last marker, held only until the next one.
         self._buffer_ids = np.empty(0, dtype=np.uint64)
         self._buffer_times = np.empty(0, dtype=np.float64)
-        self._buffer_pairs: list[tuple[int, float]] | None = None
         self._samples: list[SampleRecord] = []
         # Bookkeeping for the overhead model (Section 7.1).
         self._observed_packets = 0
@@ -108,42 +103,14 @@ class DelaySampler:
 
     # -- observation --------------------------------------------------------
 
-    def observe(self, digest: int, time: float) -> bool:
-        """Process one observed packet.
-
-        Parameters
-        ----------
-        digest:
-            The packet's 64-bit digest ``Digest(p)``.
-        time:
-            The HOP's local observation timestamp (seconds).
-
-        Returns
-        -------
-        bool
-            ``True`` if the packet was a marker (and therefore itself
-            sampled), ``False`` otherwise.
-        """
-        if not 0 <= digest <= MASK64:
-            raise ValueError(f"digest must be a 64-bit value, got {digest!r}")
-        self._observed_packets += 1
-        buffer = self._buffer_list()
-        if digest > self._marker_threshold:
-            for buffered_digest, buffered_time in buffer:
-                if sample_function(buffered_digest, digest) > self._sampling_threshold:
-                    self._samples.append(
-                        SampleRecord(pkt_id=buffered_digest, time=buffered_time)
-                    )
-            buffer.clear()
-            self._samples.append(SampleRecord(pkt_id=digest, time=time))
-            return True
-        buffer.append((digest, time))
-        if len(buffer) > self._max_buffer_occupancy:
-            self._max_buffer_occupancy = len(buffer)
-        return False
-
     def observe_batch(self, digests, times) -> np.ndarray:
-        """Vectorized :meth:`observe` over arrays of digests and timestamps.
+        """Process a batch of packets: their digests and observation times.
+
+        ``times`` must be finite and non-decreasing, within the batch and
+        from the buffered packets on (the order of packets already keyed
+        against a marker no longer matters to the sampler); otherwise
+        ``ValueError`` names the first bad index, and the sampler is left as
+        it was.
 
         One pass per batch, whatever its marker count: each packet up to the
         batch's last marker is keyed against its owning marker (the first
@@ -154,9 +121,8 @@ class DelaySampler:
         buffer is carried as id and time arrays (the batch's tail after its
         last marker) and keyed in the same pass.  Python-level work is
         proportional to the number of samples, not to the number of markers
-        or packets.  The resulting sampler state (samples, temporary buffer,
-        counters) is exactly what the same sequence of scalar :meth:`observe`
-        calls would produce, and the two paths can be freely interleaved.
+        or packets, and how a stream is cut into batches does not change the
+        resulting state.
 
         Returns the boolean marker mask for the batch.
         """
@@ -166,12 +132,15 @@ class DelaySampler:
             raise ValueError(
                 f"digests and times must align, got {digest_array.shape} vs {time_array.shape}"
             )
+        carry_ids, carry_times = self._buffer_ids, self._buffer_times
+        check_observation_times(
+            time_array, float(carry_times[-1]) if len(carry_times) else -np.inf
+        )
         count = len(digest_array)
         marker_mask = digest_array > np.uint64(self._marker_threshold)
         if count == 0:
             return marker_mask
         self._observed_packets += count
-        carry_ids, carry_times = self._buffer_arrays()
         marker_positions = np.flatnonzero(marker_mask)
         if not marker_positions.size:
             self._buffer_ids = np.concatenate([carry_ids, digest_array])
@@ -209,27 +178,6 @@ class DelaySampler:
         self._buffer_times = time_array[last + 1 :].copy()
         return marker_mask
 
-    def _buffer_list(self) -> list[tuple[int, float]]:
-        """The TempBuffer as :meth:`observe`'s list of pairs."""
-        if self._buffer_pairs is None:
-            self._buffer_pairs = list(
-                zip(self._buffer_ids.tolist(), self._buffer_times.tolist())
-            )
-        return self._buffer_pairs
-
-    def _buffer_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The TempBuffer as :meth:`observe_batch`'s id and time arrays."""
-        pairs = self._buffer_pairs
-        if pairs is not None:
-            self._buffer_ids = np.fromiter(
-                (pkt_id for pkt_id, _ in pairs), dtype=np.uint64, count=len(pairs)
-            )
-            self._buffer_times = np.fromiter(
-                (seen for _, seen in pairs), dtype=np.float64, count=len(pairs)
-            )
-            self._buffer_pairs = None
-        return self._buffer_ids, self._buffer_times
-
     def state_digest(self) -> str:
         """A stable hex digest of the sampler's complete observable state.
 
@@ -237,9 +185,7 @@ class DelaySampler:
         and counters — the cheap way for tests to assert that feeding a
         stream in chunks reproduced a whole-stream run.
         """
-        buffer = self._buffer_pairs
-        if buffer is None:
-            buffer = zip(self._buffer_ids.tolist(), self._buffer_times.tolist())
+        buffer = zip(self._buffer_ids.tolist(), self._buffer_times.tolist())
         hasher = hashlib.blake2b(digest_size=16)
         hasher.update(
             repr(

@@ -5,7 +5,7 @@ A :class:`StreamCheckpoint` freezes everything a
 bit-identically at a chunk boundary:
 
 * every propagation model's position in its random stream (delay jitter,
-  loss-chain state, reordering draws, link jitter/loss, clock jitter) — via
+  loss-chain state, reordering draws, link jitter/loss) — via
   the components' ``state_snapshot`` contract
   (:class:`~repro.util.rng.RNGStateMixin`);
 * the :class:`~repro.traffic.delay_models.EmpiricalDelayModel` replay cursor
@@ -123,8 +123,6 @@ class StreamCheckpoint:
         One snapshot mapping per pipeline stage, in path order (domain
         stages and link stages interleaved exactly as the stream builds
         them).
-    clocks:
-        One snapshot mapping per path hop, in hop order.
     truth:
         Ground-truth accumulator snapshots; never part of
         :meth:`state_digest`.
@@ -134,7 +132,6 @@ class StreamCheckpoint:
     watermark: float
     template: PacketBatch | None
     stages: tuple[dict, ...]
-    clocks: tuple[dict, ...]
     truth: dict = field(compare=False)
 
     def state_digest(self) -> str:
@@ -150,5 +147,4 @@ class StreamCheckpoint:
         _fold(hasher, self.watermark)
         _fold(hasher, self.template)
         _fold(hasher, list(self.stages))
-        _fold(hasher, list(self.clocks))
         return hasher.hexdigest()

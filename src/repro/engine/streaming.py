@@ -439,9 +439,6 @@ class ScenarioStream:
             watermark=float(self._watermark),
             template=template,
             stages=tuple(stage.snapshot() for stage, _ in self._stages),
-            clocks=tuple(
-                hop.clock.state_snapshot() for hop in self.scenario.path.hops
-            ),
             truth=truth,
         )
 
@@ -462,16 +459,8 @@ class ScenarioStream:
                 f"checkpoint has {len(checkpoint.stages)} stage snapshots, "
                 f"stream has {len(self._stages)} stages — different scenario?"
             )
-        hops = self.scenario.path.hops
-        if len(checkpoint.clocks) != len(hops):
-            raise ValueError(
-                f"checkpoint has {len(checkpoint.clocks)} clock snapshots, "
-                f"path has {len(hops)} hops — different scenario?"
-            )
         for (stage, _), state in zip(self._stages, checkpoint.stages):
             stage.restore(state)
-        for hop, state in zip(hops, checkpoint.clocks):
-            hop.clock.state_restore(state)
         self._watermark = checkpoint.watermark
         self._template = checkpoint.template
         self.chunks_pushed = checkpoint.chunk_index

@@ -1,14 +1,12 @@
-"""Network substrate: packets, batches, hashing, prefixes, clocks, links, topology."""
+"""Network substrate: packets, batches, hashing, prefixes, links, topology."""
 
 from repro.net.batch import PacketBatch
-from repro.net.clock import Clock, PerfectClock
 from repro.net.hashing import (
     PacketDigester,
     bob_hash,
     bob_hash_batch,
     fnv1a_64,
     fnv1a_64_batch,
-    sample_function,
     splitmix64,
     splitmix64_batch,
 )
@@ -18,7 +16,6 @@ from repro.net.prefixes import OriginPrefix, PrefixPair
 from repro.net.topology import Domain, HOP, HOPPath, Topology
 
 __all__ = [
-    "Clock",
     "Domain",
     "HOP",
     "HOPPath",
@@ -29,14 +26,12 @@ __all__ = [
     "PacketBatch",
     "PacketDigester",
     "PacketHeaders",
-    "PerfectClock",
     "PrefixPair",
     "Topology",
     "bob_hash",
     "bob_hash_batch",
     "fnv1a_64",
     "fnv1a_64_batch",
-    "sample_function",
     "splitmix64",
     "splitmix64_batch",
 ]

@@ -9,10 +9,12 @@ algorithms:
 * :class:`PacketDigester` — computes a 64-bit digest of a packet's IP and
   transport headers (plus a small payload prefix), the quantity written as
   ``Digest(p)`` in Algorithms 1 and 2.
-* :func:`sample_function` — the keyed ``SampleFcn(Digest(q), Digest(p))`` of
-  Algorithm 1, which combines the digest of a buffered packet with the digest
-  of the *marker* packet observed later on the same path.  Keying the decision
-  on future traffic is what makes the sampling bias-resistant.
+* :func:`combine64` — an order-sensitive mix of two 64-bit values.  Applied
+  to the digest of a buffered packet and the digest of the *marker* packet
+  observed later on the same path, it is the ``SampleFcn(Digest(q),
+  Digest(p))`` of Algorithm 1 (the sampler evaluates it over arrays, keying
+  each marker once).  Keying the decision on future traffic is what makes
+  the sampling bias-resistant.
 
 All digests are uniform 64-bit integers; thresholds are expressed as fractions
 of the 64-bit space via :func:`threshold_for_rate`.
@@ -45,7 +47,6 @@ __all__ = [
     "splitmix64_batch",
     "combine64",
     "combine64_batch",
-    "sample_function",
     "threshold_for_rate",
     "as_digest_array",
     "PacketDigester",
@@ -150,8 +151,7 @@ def _mix_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
 def as_digest_array(digests) -> np.ndarray:
     """Coerce a digest sequence into a 1-D uint64 array.
 
-    Rejects negative or >64-bit values (the batch twin of the scalar paths'
-    per-digest range checks) instead of silently wrapping them.
+    Rejects negative or >64-bit values instead of silently wrapping them.
     """
     values = np.asarray(digests)
     if values.dtype != np.uint64:
@@ -162,9 +162,12 @@ def as_digest_array(digests) -> np.ndarray:
         else:
             # Object/float arrays: go through Python ints so out-of-range
             # values raise instead of silently wrapping.
-            values = np.fromiter(
-                (int(value) for value in values), dtype=np.uint64, count=values.size
-            )
+            try:
+                values = np.fromiter(
+                    (int(value) for value in values), dtype=np.uint64, count=values.size
+                )
+            except OverflowError:
+                raise ValueError("digests must be 64-bit values, got one out of range") from None
     if values.ndim != 1:
         raise ValueError(f"digests must be a 1-D array, got shape {values.shape}")
     return values
@@ -279,18 +282,6 @@ def combine64_batch(first: np.ndarray, second: np.ndarray | int) -> np.ndarray:
     else:
         second = np.asarray(second, dtype=np.uint64)
     return splitmix64_batch(first ^ splitmix64_batch(np.atleast_1d(second)))
-
-
-def sample_function(buffered_digest: int, marker_digest: int) -> int:
-    """``SampleFcn(Digest(q), Digest(p))`` from Algorithm 1.
-
-    ``buffered_digest`` is the digest of a packet ``q`` held in the temporary
-    buffer; ``marker_digest`` is the digest of the marker packet ``p`` observed
-    later on the same path.  The output is a uniform 64-bit value that every
-    HOP on the path computes identically, but which no HOP can predict before
-    the marker has been forwarded.
-    """
-    return combine64(buffered_digest & MASK64, marker_digest & MASK64)
 
 
 def threshold_for_rate(rate: float) -> int:

@@ -80,8 +80,8 @@ class OriginPrefix:
             raise ValueError(f"expected 'address/length', got {text!r}") from exc
         return cls(network=ip_to_int(address), length=int(length_text))
 
-    def contains(self, address: int | str) -> bool:
-        """Return whether a host address falls inside this prefix."""
+    def contains(self, address):
+        """Whether a host address (a string, an int or a ``uint32`` array) is in the prefix."""
         value = ip_to_int(address) if isinstance(address, str) else address
         return (value & self.mask) == self.network
 
@@ -105,6 +105,6 @@ class PrefixPair:
     def __str__(self) -> str:
         return f"{self.source}->{self.destination}"
 
-    def matches(self, src_address: int, dst_address: int) -> bool:
-        """Return whether a packet with these addresses belongs to the pair."""
-        return self.source.contains(src_address) and self.destination.contains(dst_address)
+    def matches(self, src_address, dst_address):
+        """Whether packets with these addresses (ints or ``uint32`` arrays) belong to the pair."""
+        return self.source.contains(src_address) & self.destination.contains(dst_address)

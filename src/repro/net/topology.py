@@ -16,12 +16,11 @@ connected through HOPs 1..8 — is constructed by :func:`figure1_topology`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.net.clock import Clock, PerfectClock
 from repro.net.link import InterDomainLink, LinkSpec
 from repro.net.prefixes import OriginPrefix, PrefixPair
 from repro.util.rng import make_rng
@@ -65,7 +64,6 @@ class HOP:
     hop_id: int
     domain: Domain
     role: str = "edge"
-    clock: Clock = field(default_factory=PerfectClock)
 
     def __post_init__(self) -> None:
         if self.hop_id < 0:
@@ -179,13 +177,12 @@ class Topology:
         hop_id: int,
         domain: Domain | str,
         role: str = "edge",
-        clock: Clock | None = None,
     ) -> HOP:
         """Register a HOP with a globally unique identifier."""
         if hop_id in self._hops:
             raise ValueError(f"HOP id {hop_id} already registered")
         owner = self.add_domain(domain) if isinstance(domain, str) else domain
-        hop = HOP(hop_id=hop_id, domain=owner, role=role, clock=clock or PerfectClock())
+        hop = HOP(hop_id=hop_id, domain=owner, role=role)
         self._hops[hop_id] = hop
         return hop
 

@@ -6,11 +6,14 @@ parameter, which keeps constructor bodies short and error messages uniform.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
     "check_fraction",
+    "check_observation_times",
 ]
 
 
@@ -44,3 +47,30 @@ def check_fraction(name: str, value: float) -> float:
     if not 0.0 < value <= 1.0:
         raise ValueError(f"{name} must be in (0, 1], got {value!r}")
     return value
+
+
+def check_observation_times(times: np.ndarray, after: float = -np.inf) -> None:
+    """Raise ``ValueError`` unless ``times`` are finite and never decrease.
+
+    ``after`` is the last time observed before ``times`` (``-inf`` when there
+    is none), so a batch that starts before the previous one ended is caught
+    too.  The message names the first bad index and its kind: non-finite, or
+    decreasing.
+    """
+    if not len(times):
+        return
+    decreasing = np.empty(len(times), dtype=bool)
+    decreasing[0] = times[0] < after
+    np.less(times[1:], times[:-1], out=decreasing[1:])
+    bad = decreasing | ~np.isfinite(times)
+    if not bad.any():
+        return
+    index = int(np.argmax(bad))
+    value = float(times[index])
+    if not np.isfinite(value):
+        raise ValueError(f"times[{index}] is {value!r}: observation times must be finite")
+    previous = float(times[index - 1]) if index else float(after)
+    raise ValueError(
+        f"times[{index}] = {value!r} decreases from {previous!r}: "
+        "observation times must be non-decreasing"
+    )

@@ -10,11 +10,8 @@ import numpy as np
 
 from repro.core.receipts import SampleReceipt
 from repro.net.batch import PacketBatch
-from repro.net.clock import Clock
 from repro.net.packet import Packet
 from repro.store import stable_json
-from repro.util.rng import make_rng
-from repro.util.validation import check_non_negative
 
 
 #: The forms a test hands an AggTrans window to ``AggregateReceipt`` in: a
@@ -35,6 +32,14 @@ def window_as(ids: Sequence[int], form: str):
     view = backing[1::2]
     view.flags.writeable = form == "writable view"
     return view
+
+
+def observe_one(collector, digest: int, time: float) -> bool:
+    """Feed one packet to a sampler or aggregator as a 1-packet batch.
+
+    Returns whether it was a marker (sampler) or a cutting point (aggregator).
+    """
+    return bool(collector.observe_batch([digest], [time])[0])
 
 
 def sampled_ids(receipt: SampleReceipt) -> frozenset[int]:
@@ -106,47 +111,3 @@ def batch_from_packets(packets: Sequence[Packet]) -> PacketBatch:
         send_time=np.fromiter((p.send_time for p in packets), np.float64, count),
         flow_id=np.fromiter((p.flow_id for p in packets), np.int64, count),
     )
-
-
-class ClockModel(Clock):
-    """A HOP clock with constant offset, linear drift and per-read jitter.
-
-    ``offset`` is in seconds, ``drift_ppm`` in parts per million, and
-    ``jitter_std`` the standard deviation (seconds) of independent per-read
-    noise drawn from ``seed``.  It exercises collectors whose clock is neither
-    synchronized nor deterministic.
-    """
-
-    def __init__(
-        self,
-        offset: float = 0.0,
-        drift_ppm: float = 0.0,
-        jitter_std: float = 0.0,
-        seed: int | np.random.Generator | None = None,
-    ) -> None:
-        self.offset = float(offset)
-        self.drift_ppm = float(drift_ppm)
-        self.jitter_std = check_non_negative("jitter_std", float(jitter_std))
-        self._rng = make_rng(seed)
-
-    def read(self, true_time: float) -> float:
-        local = true_time + self.offset + true_time * self.drift_ppm * 1e-6
-        if self.jitter_std > 0.0:
-            local += float(self._rng.normal(0.0, self.jitter_std))
-        return local
-
-    def read_batch(self, true_times: np.ndarray) -> np.ndarray:
-        times = np.asarray(true_times, dtype=np.float64)
-        # Same operation order as the scalar read, for bit-identical floats.
-        local = times + self.offset + times * self.drift_ppm * 1e-6
-        if self.jitter_std > 0.0:
-            # Generator.normal draws the same stream whether requested one at
-            # a time or as an array, so this matches repeated scalar reads.
-            local = local + self._rng.normal(0.0, self.jitter_std, size=times.shape)
-        return local
-
-    def __repr__(self) -> str:
-        return (
-            f"ClockModel(offset={self.offset!r}, drift_ppm={self.drift_ppm!r}, "
-            f"jitter_std={self.jitter_std!r})"
-        )

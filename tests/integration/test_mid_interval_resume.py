@@ -315,6 +315,41 @@ class TestMidIntervalCheckpoint:
         assert runner._load_interval_checkpoint(0) is None
         assert not checkpoint_path.exists()
 
+    @staticmethod
+    def _assert_discarded_then_rerun(tmp_path, spec, payload: bytes) -> None:
+        """``payload`` is discarded on load, and resuming over it reruns interval 0.
+
+        The resumed store must end with the bytes of an uninterrupted run.
+        """
+        full = RunStore.create(tmp_path / "full", spec)
+        CampaignRunner(spec, full).run()
+
+        part = RunStore.create(tmp_path / "part", spec)
+        checkpoint_path = tmp_path / "part" / CampaignRunner.CHECKPOINT_NAME
+        checkpoint_path.write_bytes(payload)
+        resumed = CampaignRunner.resume(part, policy=CHECKPOINTING_POLICY)
+        assert resumed._load_interval_checkpoint(0) is None
+        assert not checkpoint_path.exists()
+
+        checkpoint_path.write_bytes(payload)
+        assert CampaignRunner.resume(part, policy=CHECKPOINTING_POLICY).run().completed
+        assert not checkpoint_path.exists()
+        assert (tmp_path / "part" / "records.jsonl").read_bytes() == (
+            tmp_path / "full" / "records.jsonl"
+        ).read_bytes()
+        assert part.digest() == full.digest()
+
+    @staticmethod
+    def _second_checkpoint(spec):
+        blobs: list[bytes] = []
+        interval_record(
+            spec,
+            0,
+            policy=CHECKPOINTING_POLICY,
+            checkpoint_sink=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
+        )
+        return pickle.loads(blobs[1])
+
     def test_checkpoint_without_collector_state_tag_is_discarded(self, tmp_path):
         """A payload from before the tag existed reruns its interval.
 
@@ -324,46 +359,55 @@ class TestMidIntervalCheckpoint:
         and no tag, so resuming must discard it.
         """
         spec = _campaign_spec()
-        full = RunStore.create(tmp_path / "full", spec)
-        CampaignRunner(spec, full).run()
-
-        blobs: list[bytes] = []
-        interval_record(
-            spec,
-            0,
-            policy=CHECKPOINTING_POLICY,
-            checkpoint_sink=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
-        )
-        checkpoint = pickle.loads(blobs[1])
+        checkpoint = self._second_checkpoint(spec)
         for collector in checkpoint.collectors.values():
             for state in collector.states():
                 aggregator, sampler = state.aggregator, state.sampler
-                aggregator._recent = deque(aggregator._window_pairs())
-                sampler._temp_buffer = list(sampler._buffer_list())
-                for name in ("_recent_ids", "_recent_times", "_recent_pairs"):
+                aggregator._recent = deque(
+                    zip(aggregator._recent_ids.tolist(), aggregator._recent_times.tolist())
+                )
+                sampler._temp_buffer = list(
+                    zip(sampler._buffer_ids.tolist(), sampler._buffer_times.tolist())
+                )
+                for name in ("_recent_ids", "_recent_times"):
                     delattr(aggregator, name)
-                for name in ("_buffer_ids", "_buffer_times", "_buffer_pairs"):
+                for name in ("_buffer_ids", "_buffer_times"):
                     delattr(sampler, name)
         untagged = pickle.dumps(
             {"spec_hash": spec.spec_hash(), "interval": 0, "checkpoint": checkpoint}
         )
+        self._assert_discarded_then_rerun(tmp_path, spec, untagged)
 
-        part = RunStore.create(tmp_path / "part", spec)
-        checkpoint_path = tmp_path / "part" / CampaignRunner.CHECKPOINT_NAME
-        checkpoint_path.write_bytes(untagged)
-        resumed = CampaignRunner.resume(part, policy=CHECKPOINTING_POLICY)
-        assert resumed._load_interval_checkpoint(0) is None
-        assert not checkpoint_path.exists()
+    def test_checkpoint_with_previous_collector_state_tag_is_discarded(self, tmp_path):
+        """Collectors pickled under ``array-carry-2`` kept a second, per-packet
+        form of their carry; a payload with that tag reruns its interval."""
+        spec = _campaign_spec()
+        payload = pickle.dumps(
+            {
+                "spec_hash": spec.spec_hash(),
+                "interval": 0,
+                "collector_state": "array-carry-2",
+                "checkpoint": self._second_checkpoint(spec),
+            }
+        )
+        self._assert_discarded_then_rerun(tmp_path, spec, payload)
 
-        # Resuming over the same payload reruns interval 0 from its start and
-        # ends with the uninterrupted run's bytes.
-        checkpoint_path.write_bytes(untagged)
-        assert CampaignRunner.resume(part, policy=CHECKPOINTING_POLICY).run().completed
-        assert not checkpoint_path.exists()
-        assert (tmp_path / "part" / "records.jsonl").read_bytes() == (
-            tmp_path / "full" / "records.jsonl"
-        ).read_bytes()
-        assert part.digest() == full.digest()
+    def test_checkpoint_whose_stream_still_has_clocks_is_discarded(self, tmp_path):
+        """Stream checkpoints written under ``array-carry-2`` still snapshot
+        per-HOP clocks; such a payload reruns its interval."""
+        spec = _campaign_spec()
+        checkpoint = self._second_checkpoint(spec)
+        hop_count = len(checkpoint.collectors)
+        object.__setattr__(checkpoint.stream, "clocks", ({},) * hop_count)
+        payload = pickle.dumps(
+            {
+                "spec_hash": spec.spec_hash(),
+                "interval": 0,
+                "collector_state": "array-carry-2",
+                "checkpoint": checkpoint,
+            }
+        )
+        self._assert_discarded_then_rerun(tmp_path, spec, payload)
 
     def test_checkpointing_run_leaves_clean_identical_store(self, tmp_path):
         spec = _campaign_spec()

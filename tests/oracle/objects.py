@@ -11,9 +11,11 @@ engines' batch predicates, evaluated on a :class:`PacketBatch` of the
 packets entering the domain.
 
 :func:`run_session` feeds a :class:`~repro.core.protocol.VPMSession` from a
-:class:`PathObservation` through the collectors' per-packet ``observe`` and
-returns its reports; :func:`run_oracle_reports` and :func:`run_oracle_cell`
-do the same for a whole :class:`~repro.api.ExperimentSpec` cell.
+:class:`PathObservation` through per-packet
+:class:`~tests.oracle.collectors.ReferenceCollector` twins of its collectors
+and returns its reports; :func:`run_oracle_reports` and
+:func:`run_oracle_cell` do the same for a whole
+:class:`~repro.api.ExperimentSpec` cell.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.net.topology import HOP, Domain, HOPPath
 from repro.simulation.scenario import PathScenario, SegmentCondition
 
 from tests.helpers import batch_from_packets
+from tests.oracle.collectors import ReferenceCollector
 
 __all__ = [
     "DomainGroundTruth",
@@ -213,16 +216,18 @@ def _traverse_link(link, arrivals: list[tuple[Packet, float]], lost: set[int]):
 # -- collection ----------------------------------------------------------------------
 
 
-def observe_sequence(collector: HOPCollector, observations) -> None:
-    """Feed an already-ordered ``(packet, time)`` list to ``collector``."""
-    for packet, true_time in observations:
-        collector.observe(packet, true_time)
+def observe_sequence(collector: HOPCollector, observations) -> ReferenceCollector:
+    """A per-packet twin of ``collector`` fed an already-ordered ``(packet, time)`` list."""
+    reference = ReferenceCollector(collector)
+    reference.observe_sequence(observations)
+    return reference
 
 
 def observe_agent(agent: DomainAgent, observation: PathObservation) -> None:
-    """Feed each of the agent's HOPs the traffic it observed."""
+    """Replace each of the agent's collectors with a reference fed its HOP's traffic."""
     for hop_id in agent.hop_ids:
-        observe_sequence(agent.collector(hop_id), observation.at_hop(hop_id))
+        reference = observe_sequence(agent.collector(hop_id), observation.at_hop(hop_id))
+        agent.replace_collector(hop_id, reference)
 
 
 def run_session(session: VPMSession, observation: PathObservation) -> dict[int, HOPReport]:

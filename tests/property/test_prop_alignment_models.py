@@ -15,6 +15,7 @@ from repro.net.prefixes import OriginPrefix, PrefixPair
 from repro.traffic.loss_models import GilbertElliottLossModel
 from repro.traffic.reordering import WindowReordering
 
+from tests.oracle.collectors import ReferenceAggregator
 from tests.oracle.objects import reorder
 
 
@@ -31,10 +32,15 @@ PATH_ID = PathID(
 
 
 def aggregate_stream(digests, times, expected_size):
-    aggregator = Aggregator(AggregatorConfig(expected_aggregate_size=expected_size))
-    for digest, time in zip(digests, times):
-        aggregator.observe(digest, time)
+    """The flushed receipts of one batch; the per-packet reference must agree."""
+    config = AggregatorConfig(expected_aggregate_size=expected_size)
+    aggregator = Aggregator(config)
+    aggregator.observe_batch(np.array(digests, dtype=np.uint64), times)
     aggregator.flush()
+    reference = ReferenceAggregator(config)
+    reference.observe_all(digests, times)
+    reference.flush()
+    assert aggregator.state_digest() == reference.state_digest()
     return aggregator.receipts(PATH_ID)
 
 

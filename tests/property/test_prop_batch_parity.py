@@ -1,17 +1,19 @@
-"""Property tests: the vectorized batch fast path is bit-identical to scalar.
+"""Property tests: the vectorized batch paths are bit-identical to their references.
 
-The scalar implementations are the reference oracle for the NumPy batch
-kernels and the batch collector pipeline.  These tests drive both paths with
-random inputs — including random chunkings that interleave scalar and batch
-calls on the same instance — and require identical results: hashes, digests,
-marker decisions, sampled records, cutting points and AggTrans windows are
-compared exactly; only an aggregate's ``time_sum`` (a float accumulation whose
-summation order legitimately differs) is compared to within float tolerance.
+The scalar hash kernels and the per-packet reference collectors of
+:mod:`tests.oracle.collectors` are the oracles for the NumPy batch kernels and
+the batch collector pipeline.  These tests drive both with random inputs —
+the batch side in random chunkings, including one-packet chunks — and require
+identical results: hashes, digests, marker decisions, sampled records,
+cutting points and AggTrans windows are compared exactly; only an aggregate's
+``time_sum`` (a float accumulation whose summation order legitimately
+differs) is compared to within float tolerance.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +37,7 @@ from repro.net.packet import Packet, PacketHeaders
 from repro.traffic.trace import default_prefix_pair
 
 from tests.helpers import batch_from_packets
+from tests.oracle.collectors import ReferenceAggregator, ReferenceSampler
 
 uint64 = st.integers(min_value=0, max_value=MASK64)
 
@@ -145,16 +148,12 @@ def random_stream(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chunked_feed(instance, digests: np.ndarray, times: np.ndarray, rng) -> None:
-    """Feed a stream through observe()/observe_batch() in random interleaving."""
+    """Feed a stream through observe_batch() in random chunks, 30% of them one packet."""
     index = 0
     while index < len(digests):
-        if rng.random() < 0.3:
-            instance.observe(int(digests[index]), float(times[index]))
-            index += 1
-        else:
-            size = int(rng.integers(1, 400))
-            instance.observe_batch(digests[index : index + size], times[index : index + size])
-            index += size
+        size = 1 if rng.random() < 0.3 else int(rng.integers(1, 400))
+        instance.observe_batch(digests[index : index + size], times[index : index + size])
+        index += size
 
 
 class TestSamplerParity:
@@ -165,18 +164,17 @@ class TestSamplerParity:
         st.floats(min_value=0.001, max_value=0.2),
     )
     @settings(max_examples=30, deadline=None)
-    def test_observe_batch_matches_scalar(self, seed, count, sampling_rate, marker_rate):
+    def test_observe_batch_matches_reference(self, seed, count, sampling_rate, marker_rate):
         digests, times = random_stream(seed, count)
         config = SamplerConfig(sampling_rate=sampling_rate, marker_rate=marker_rate)
-        scalar = DelaySampler(config)
+        reference = ReferenceSampler(config)
         batched = DelaySampler(config)
-        for digest, moment in zip(digests, times):
-            scalar.observe(int(digest), float(moment))
+        reference.observe_all(digests, times)
         chunked_feed(batched, digests, times, np.random.default_rng(seed + 1))
 
-        assert scalar.state_digest() == batched.state_digest()
-        assert scalar.observed_packets == batched.observed_packets
-        assert scalar.max_buffer_occupancy == batched.max_buffer_occupancy
+        assert reference.state_digest() == batched.state_digest()
+        assert reference.observed_packets == batched.observed_packets
+        assert reference.max_buffer_occupancy == batched.max_buffer_occupancy
 
 
 class TestAggregatorParity:
@@ -187,18 +185,17 @@ class TestAggregatorParity:
         st.sampled_from([0.0, 1e-5, 1e-4, 1e-3]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_observe_batch_matches_scalar(self, seed, count, aggregate_size, window):
+    def test_observe_batch_matches_reference(self, seed, count, aggregate_size, window):
         digests, times = random_stream(seed, count)
         config = AggregatorConfig(
             expected_aggregate_size=aggregate_size, reorder_window=window
         )
-        scalar = Aggregator(config)
+        reference = ReferenceAggregator(config)
         batched = Aggregator(config)
-        for digest, moment in zip(digests, times):
-            scalar.observe(int(digest), float(moment))
+        reference.observe_all(digests, times)
         chunked_feed(batched, digests, times, np.random.default_rng(seed + 1))
-        assert scalar.state_digest() == batched.state_digest()
-        scalar.flush()
+        assert reference.state_digest() == batched.state_digest()
+        reference.flush()
         batched.flush()
 
         path_id = PathID(
@@ -208,10 +205,10 @@ class TestAggregatorParity:
             next_hop=2,
             max_diff=1e-3,
         )
-        scalar_receipts = scalar.receipts(path_id)
+        reference_receipts = reference.receipts(path_id)
         batched_receipts = batched.receipts(path_id)
-        assert len(scalar_receipts) == len(batched_receipts)
-        for expected, actual in zip(scalar_receipts, batched_receipts):
+        assert len(reference_receipts) == len(batched_receipts)
+        for expected, actual in zip(reference_receipts, batched_receipts):
             assert expected.first_pkt_id == actual.first_pkt_id
             assert expected.last_pkt_id == actual.last_pkt_id
             assert expected.pkt_count == actual.pkt_count
@@ -220,33 +217,20 @@ class TestAggregatorParity:
             assert expected.trans_before.tolist() == actual.trans_before.tolist()
             assert expected.trans_after.tolist() == actual.trans_after.tolist()
             assert np.isclose(expected.time_sum, actual.time_sum, rtol=1e-12, atol=1e-9)
-        assert scalar._cut_count == batched._cut_count
-        assert scalar.observed_packets == batched.observed_packets
-        assert scalar.state_digest() == batched.state_digest()
+        assert reference.cut_count == batched._cut_count
+        assert reference.observed_packets == batched.observed_packets
+        assert reference.state_digest() == batched.state_digest()
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=10, deadline=None)
-    def test_unsorted_times_fall_back_to_scalar_semantics(self, seed):
-        """Out-of-order timestamps (reordered traffic) still match scalar."""
+    def test_unsorted_times_are_refused(self, seed):
+        """Out-of-order timestamps raise, naming the first, and change nothing."""
         rng = np.random.default_rng(seed)
-        count = 500
-        digests = rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
-        times = np.cumsum(rng.exponential(1e-5, size=count))
-        # Swap random adjacent pairs to break monotonicity.
-        for _ in range(50):
-            position = int(rng.integers(0, count - 1))
-            times[position], times[position + 1] = times[position + 1], times[position]
-        config = AggregatorConfig(expected_aggregate_size=20, reorder_window=1e-4)
-        scalar = Aggregator(config)
-        batched = Aggregator(config)
-        for digest, moment in zip(digests, times):
-            scalar.observe(int(digest), float(moment))
-        batched.observe_batch(digests, times)
-        scalar.flush()
-        batched.flush()
-        # Compare state digests rather than materialized receipts: receipt
-        # construction itself rejects aggregates whose (reordered) end time
-        # precedes their start time, in both paths alike.  The digest covers
-        # the finalized aggregates, their AggTrans windows and the window.
-        assert scalar.state_digest() == batched.state_digest()
-        assert scalar._cut_count == batched._cut_count
+        digests, times = random_stream(seed, 500)
+        position = int(rng.integers(1, len(times)))
+        times[position] = times[position - 1] - 1e-9
+        for instance in (Aggregator(), DelaySampler()):
+            before = instance.state_digest()
+            with pytest.raises(ValueError, match=rf"times\[{position}\] = .* decreases"):
+                instance.observe_batch(digests, times)
+            assert instance.state_digest() == before

@@ -3,8 +3,9 @@
 Between ``observe_batch`` calls the aggregator carries its J-window and
 pending AggTrans windows as arrays, and the sampler its TempBuffer.  These
 tests feed the edge cases of that carry — timestamp ties, ``J = 0``, empty
-and one-packet chunks, windows that span many chunks, scalar ``observe``
-calls between batches — and require exactly the state of the scalar loop.
+and one-packet chunks, runs of one-packet chunks, windows that span many
+chunks — and require exactly the state of the per-packet reference of
+:mod:`tests.oracle.collectors`.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from hypothesis import strategies as st
 from repro.core.aggregation import Aggregator, AggregatorConfig
 from repro.core.sampling import DelaySampler, SamplerConfig
 
+from tests.oracle.collectors import ReferenceAggregator, ReferenceSampler
+
 #: Times and J sit on a binary grid, so ``t - J`` is exact and packets land
 #: exactly on the window's edge.
 TICK = 2.0**-17
 
-#: A feed plan: (fed by scalar ``observe`` calls?, chunk size) per chunk.
+#: A feed plan: (fed as one-packet chunks?, chunk size) per chunk.
 plans = st.lists(
     st.tuples(
         st.booleans(),
@@ -32,15 +35,13 @@ plans = st.lists(
 
 
 def feed(collector, digests: np.ndarray, times: np.ndarray, plan) -> None:
-    index = 0
-    for scalar, size in plan:
-        chunk = slice(index, index + size)
-        if scalar:
-            for digest, moment in zip(digests[chunk].tolist(), times[chunk].tolist()):
-                collector.observe(digest, moment)
-        else:
-            collector.observe_batch(digests[chunk], times[chunk])
-        index += size
+    start = 0
+    for singles, size in plan:
+        # An empty chunk is still fed, as one empty batch.
+        end = start + size
+        for stop in range(start + 1, end + 1) if singles and size else [end]:
+            collector.observe_batch(digests[start:stop], times[start:stop])
+            start = stop
 
 
 @given(
@@ -70,7 +71,7 @@ def feed(collector, digests: np.ndarray, times: np.ndarray, plan) -> None:
     aggregate_size=5,
     marker_rate=0.1,
 )
-def test_chunked_carry_matches_scalar_loop(
+def test_chunked_carry_matches_reference(
     seed, plan, window_ticks, max_gap, aggregate_size, marker_rate
 ):
     rng = np.random.default_rng(seed)
@@ -87,17 +88,16 @@ def test_chunked_carry_matches_scalar_loop(
         sampling_rate=min(1.0, 2 * marker_rate), marker_rate=marker_rate
     )
 
-    def collectors():
-        return Aggregator(aggregator_config), DelaySampler(sampler_config)
-
-    oracle, chunked = collectors(), collectors()
+    oracle = ReferenceAggregator(aggregator_config), ReferenceSampler(sampler_config)
+    chunked = Aggregator(aggregator_config), DelaySampler(sampler_config)
     for collector in oracle:
-        feed(collector, digests, times, [(True, count)])
+        collector.observe_all(digests, times)
     for collector in chunked:
         feed(collector, digests, times, plan)
 
     for expected, actual in zip(oracle, chunked):
         assert actual.state_digest() == expected.state_digest()
+    assert chunked[1].max_buffer_occupancy == oracle[1].max_buffer_occupancy
     aggregator = chunked[0]
 
     # Flushing boxes the carried window into the last receipt's AggTrans.

@@ -11,10 +11,11 @@ from repro.net.hashing import (
     bob_hash,
     combine64,
     fnv1a_64,
-    sample_function,
     splitmix64,
     threshold_for_rate,
 )
+
+from tests.oracle.collectors import sample_function
 
 uint64 = st.integers(min_value=0, max_value=MASK64)
 

@@ -7,7 +7,8 @@ hypothesis-generated streams and arbitrary chunk boundaries:
 * **chunked feed == whole feed** — one sampler/aggregator/collector fed a
   stream in arbitrary chunks ends up in bit-identical state
   (``state_digest``) and emits identical receipts to one fed the whole
-  stream in a single call;
+  stream in a single call, and to the per-packet reference of
+  :mod:`tests.oracle.collectors`;
 * **state survives pickling at every chunk boundary** — round-tripping a
   sampler/aggregator/collector through :mod:`pickle` between chunks (what a
   mid-interval :class:`RunnerCheckpoint` does) changes nothing downstream;
@@ -33,6 +34,8 @@ from repro.core.sampling import DelaySampler, SamplerConfig
 from repro.net.hashing import MASK64
 from repro.net.topology import figure1_topology
 from repro.traffic.trace import SyntheticTrace, TraceConfig, default_prefix_pair
+
+from tests.oracle.collectors import ReferenceAggregator, ReferenceSampler
 
 
 def _path_id() -> PathID:
@@ -72,30 +75,25 @@ def digest_time_stream(draw, max_size=400):
     return digests, times, bounds
 
 
-def _observe(component, digests, times, batched: bool) -> None:
-    if batched:
-        component.observe_batch(digests, times)
-    else:
-        for digest, time in zip(digests, times):
-            component.observe(int(digest), float(time))
-
-
 class TestSamplerChunking:
     @settings(max_examples=60, deadline=None)
-    @given(digest_time_stream(), st.booleans())
-    def test_chunked_feed_equals_whole_feed(self, stream, batched):
+    @given(digest_time_stream())
+    def test_chunked_feed_equals_whole_feed(self, stream):
         digests, times, bounds = stream
         config = SamplerConfig(sampling_rate=0.4, marker_rate=0.08)
         whole = DelaySampler(config)
-        _observe(whole, digests, times, batched)
+        whole.observe_batch(digests, times)
+        reference = ReferenceSampler(config)
+        reference.observe_all(digests, times)
 
         chunked = DelaySampler(config)
         for start, stop in zip(bounds, bounds[1:]):
-            _observe(chunked, digests[start:stop], times[start:stop], batched)
+            chunked.observe_batch(digests[start:stop], times[start:stop])
 
-        assert chunked.state_digest() == whole.state_digest()
+        assert chunked.state_digest() == whole.state_digest() == reference.state_digest()
+        assert chunked.max_buffer_occupancy == reference.max_buffer_occupancy
         path_id = _path_id()
-        assert chunked.receipt(path_id) == whole.receipt(path_id)
+        assert chunked.receipt(path_id) == whole.receipt(path_id) == reference.receipt(path_id)
 
 
     @settings(max_examples=40, deadline=None)
@@ -119,30 +117,35 @@ class TestAggregatorChunking:
     @settings(max_examples=60, deadline=None)
     @given(
         digest_time_stream(),
-        st.booleans(),
         st.sampled_from([0.0, 2.5e-4, 1e-3, 1e-2]),
         st.integers(min_value=2, max_value=40),
     )
-    def test_chunked_feed_equals_whole_feed(self, stream, batched, window, agg_size):
+    def test_chunked_feed_equals_whole_feed(self, stream, window, agg_size):
         digests, times, bounds = stream
         config = AggregatorConfig(expected_aggregate_size=agg_size, reorder_window=window)
         whole = Aggregator(config)
-        _observe(whole, digests, times, batched)
+        whole.observe_batch(digests, times)
+        per_packet = ReferenceAggregator(config)
+        per_packet.observe_all(digests, times)
 
         chunked = Aggregator(config)
         for start, stop in zip(bounds, bounds[1:]):
-            _observe(chunked, digests[start:stop], times[start:stop], batched)
+            chunked.observe_batch(digests[start:stop], times[start:stop])
 
-        assert chunked.state_digest() == whole.state_digest()
+        assert chunked.state_digest() == whole.state_digest() == per_packet.state_digest()
 
         # Receipts (including AggTrans windows and order) must agree; time_sum
         # at its documented tolerance.
         path_id = _path_id()
         whole.flush()
         chunked.flush()
+        per_packet.flush()
         whole_receipts = whole.receipts(path_id)
         chunked_receipts = chunked.receipts(path_id)
         assert len(chunked_receipts) == len(whole_receipts)
+        assert [receipt.agg_id for receipt in per_packet.receipts(path_id)] == [
+            receipt.agg_id for receipt in whole_receipts
+        ]
         for mine, reference in zip(chunked_receipts, whole_receipts):
             assert mine.agg_id == reference.agg_id
             assert mine.pkt_count == reference.pkt_count

@@ -8,6 +8,7 @@ import pytest
 from repro.core.aggregation import Aggregator, AggregatorConfig
 from repro.core.receipts import PathID
 from repro.net.hashing import MASK64, threshold_for_rate
+from tests.helpers import observe_one
 
 
 @pytest.fixture()
@@ -23,8 +24,7 @@ def synthetic_digests(count: int, seed: int = 0) -> list[int]:
 
 
 def drive(aggregator: Aggregator, digests: list[int], gap: float = 1e-5) -> None:
-    for index, digest in enumerate(digests):
-        aggregator.observe(digest, index * gap)
+    aggregator.observe_batch(digests, np.arange(len(digests)) * gap)
 
 
 class TestAggregatorConfig:
@@ -61,10 +61,10 @@ class TestAggregator:
     def test_cutting_packet_starts_new_aggregate(self, path_id):
         aggregator = Aggregator(AggregatorConfig(expected_aggregate_size=10))
         low = 100  # never a cut for size-10 threshold
-        aggregator.observe(low, 0.0)
-        aggregator.observe(low + 1, 1e-5)
         cut = MASK64  # certainly a cut
-        aggregator.observe(cut, 2e-5)
+        aggregator.observe_batch(
+            np.array([low, low + 1, cut], dtype=np.uint64), [0.0, 1e-5, 2e-5]
+        )
         aggregator.flush()
         receipts = aggregator.receipts(path_id)
         assert len(receipts) == 2
@@ -74,8 +74,7 @@ class TestAggregator:
     def test_receipt_timestamps_and_time_sum(self, path_id):
         aggregator = Aggregator(AggregatorConfig(expected_aggregate_size=1_000_000))
         times = [0.0, 0.5, 1.0]
-        for digest, time in zip((1, 2, 3), times):
-            aggregator.observe(digest, time)
+        aggregator.observe_batch([1, 2, 3], times)
         aggregator.flush()
         receipt = aggregator.receipts(path_id)[0]
         assert receipt.start_time == 0.0
@@ -88,10 +87,10 @@ class TestAggregator:
         aggregator = Aggregator(config)
         # 5 low-digest packets, a cut, then 5 more low packets, all within J.
         for index in range(5):
-            aggregator.observe(10 + index, index * 1e-4)
-        aggregator.observe(MASK64, 5e-4)
+            observe_one(aggregator, 10 + index, index * 1e-4)
+        observe_one(aggregator, MASK64, 5e-4)
         for index in range(5):
-            aggregator.observe(20 + index, 6e-4 + index * 1e-4)
+            observe_one(aggregator, 20 + index, 6e-4 + index * 1e-4)
         aggregator.flush()
         receipts = aggregator.receipts(path_id)
         first = receipts[0]
@@ -102,11 +101,11 @@ class TestAggregator:
     def test_agg_trans_respects_window(self, path_id):
         config = AggregatorConfig(expected_aggregate_size=10, reorder_window=1e-4)
         aggregator = Aggregator(config)
-        aggregator.observe(1, 0.0)        # far before the cut: outside window
-        aggregator.observe(2, 0.00095)    # within J of the cut
-        aggregator.observe(MASK64, 0.001) # the cut
-        aggregator.observe(3, 0.0011)     # within J after
-        aggregator.observe(4, 0.01)       # far after: outside window
+        observe_one(aggregator, 1, 0.0)        # far before the cut: outside window
+        observe_one(aggregator, 2, 0.00095)    # within J of the cut
+        observe_one(aggregator, MASK64, 0.001) # the cut
+        observe_one(aggregator, 3, 0.0011)     # within J after
+        observe_one(aggregator, 4, 0.01)       # far after: outside window
         aggregator.flush()
         first = aggregator.receipts(path_id)[0]
         assert 1 not in first.trans_before
@@ -117,10 +116,10 @@ class TestAggregator:
     def test_receipts_finalized_only_after_window_elapses(self, path_id):
         config = AggregatorConfig(expected_aggregate_size=10, reorder_window=1e-3)
         aggregator = Aggregator(config)
-        aggregator.observe(1, 0.0)
-        aggregator.observe(MASK64, 1e-4)  # cut; closing receipt stays pending
+        observe_one(aggregator, 1, 0.0)
+        observe_one(aggregator, MASK64, 1e-4)  # cut; closing receipt stays pending
         assert aggregator.receipts(path_id, reset=False) == []
-        aggregator.observe(2, 2e-3)  # more than J later: pending finalizes
+        observe_one(aggregator, 2, 2e-3)  # more than J later: pending finalizes
         receipts = aggregator.receipts(path_id)
         assert len(receipts) == 1
         assert receipts[0].pkt_count == 1
@@ -145,9 +144,11 @@ class TestAggregator:
         config = AggregatorConfig(expected_aggregate_size=10**9, reorder_window=1e-4)
         aggregator = Aggregator(config)
         peak = 0
-        for index, digest in enumerate(synthetic_digests(20_000, seed=3)):
-            aggregator.observe(digest, index * 1e-5)
-            peak = max(peak, len(aggregator._window_pairs()))
+        digests = synthetic_digests(20_000, seed=3)
+        times = np.arange(len(digests)) * 1e-5
+        for start in range(0, len(digests), 10):
+            aggregator.observe_batch(digests[start : start + 10], times[start : start + 10])
+            peak = max(peak, len(aggregator._recent_ids))
         # Window is 1e-4 s at 1e-5 s spacing -> at most ~11 packets retained.
         assert peak <= 12
 
@@ -158,8 +159,8 @@ class TestAggregator:
         assert aggregator._cut_count > 10
 
     def test_invalid_digest_rejected(self):
-        with pytest.raises(ValueError):
-            Aggregator().observe(-5, 0.0)
+        with pytest.raises(ValueError, match="64-bit"):
+            observe_one(Aggregator(), -5, 0.0)
 
     def test_repr(self):
         assert "expected_aggregate_size" in repr(Aggregator())
@@ -193,3 +194,42 @@ class TestPartitionNesting:
         first_counts = [receipt.pkt_count for receipt in first.receipts(path_id)]
         second_counts = [receipt.pkt_count for receipt in second.receipts(path_id)]
         assert first_counts == second_counts
+
+
+class TestObservationTimes:
+    """Times that are not finite or go backwards raise before any state changes.
+
+    Before this check a NaN time reached ``receipts()`` and failed there, as
+    a non-finite ``time_sum``; now the batch that carries it is refused.
+    """
+
+    CONFIG = AggregatorConfig(expected_aggregate_size=5, reorder_window=1e-4)
+
+    def fed(self) -> Aggregator:
+        aggregator = Aggregator(self.CONFIG)
+        drive(aggregator, synthetic_digests(50, seed=7))
+        return aggregator
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_names_its_index(self, bad):
+        aggregator = self.fed()
+        before = aggregator.state_digest()
+        times = 1.0 + np.arange(5) * 1e-5
+        times[4] = bad
+        with pytest.raises(ValueError, match=r"times\[4\] is .*must be finite"):
+            aggregator.observe_batch(synthetic_digests(5, seed=8), times)
+        assert aggregator.state_digest() == before
+
+    def test_decrease_inside_a_batch_names_its_index(self):
+        aggregator = self.fed()
+        before = aggregator.state_digest()
+        with pytest.raises(ValueError, match=r"times\[1\] = 0.25 decreases from 0.5"):
+            aggregator.observe_batch(synthetic_digests(3, seed=9), [0.5, 0.25, 0.75])
+        assert aggregator.state_digest() == before
+
+    def test_decrease_across_the_carry_names_index_zero(self):
+        aggregator = self.fed()
+        before = aggregator.state_digest()
+        with pytest.raises(ValueError, match=r"times\[0\] = 0.0 decreases from 0.00049"):
+            aggregator.observe_batch(synthetic_digests(2, seed=10), [0.0, 1.0])
+        assert aggregator.state_digest() == before

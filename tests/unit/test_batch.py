@@ -10,7 +10,6 @@ from repro.core.protocol import VPMSession
 from repro.core.sampling import SamplerConfig
 from repro.core.aggregation import AggregatorConfig
 from repro.engine.streaming import StreamingCell, StreamingRunner
-from repro.net.clock import PerfectClock
 from repro.net.packet import HEADER_PACK_BYTES, Packet, PacketHeaders, pack_header_columns
 from repro.net.topology import figure1_topology
 from repro.simulation.scenario import PathScenario, SegmentCondition
@@ -18,7 +17,8 @@ from repro.traffic.delay_models import JitterDelayModel
 from repro.traffic.loss_models import BernoulliLossModel
 from repro.traffic.trace import SyntheticTrace, TraceConfig
 
-from tests.helpers import ClockModel, batch_from_packets
+from tests.helpers import batch_from_packets
+from tests.oracle.collectors import ReferenceCollector
 from tests.oracle.objects import assert_same_propagation, run_path, run_session
 
 
@@ -57,20 +57,6 @@ class TestPacketBatch:
         assert list(taken.uid) == [int(small_batch.uid[i]) for i in indices]
 
 
-class TestClockBatch:
-    def test_perfect_clock_batch(self):
-        times = np.array([0.0, 1.5, 2.25])
-        assert np.array_equal(PerfectClock().read_batch(times), times)
-
-    def test_clock_model_batch_matches_scalar(self):
-        clock_a = ClockModel(offset=1e-3, drift_ppm=15.0, jitter_std=2e-6, seed=9)
-        clock_b = ClockModel(offset=1e-3, drift_ppm=15.0, jitter_std=2e-6, seed=9)
-        times = np.linspace(0.0, 10.0, 257)
-        batch = clock_a.read_batch(times)
-        scalar = np.array([clock_b.read(float(value)) for value in times])
-        assert np.array_equal(batch, scalar)
-
-
 class TestHOPConfigDefaults:
     def test_default_sub_configs_are_independent_instances(self):
         first, second = HOPConfig(), HOPConfig()
@@ -80,35 +66,35 @@ class TestHOPConfigDefaults:
 
 
 class TestCollectorBatch:
-    def test_observe_batch_matches_scalar_loop(self, small_batch):
+    def test_observe_batch_matches_reference(self, small_batch):
         _, path = figure1_topology()
         config = HOPConfig(
             sampler=SamplerConfig(sampling_rate=0.05, marker_rate=0.01),
             aggregator=AggregatorConfig(expected_aggregate_size=500, reorder_window=1e-3),
         )
-        scalar = HOPCollector(path.hops[3], config)
-        scalar.register_path(path)
         batched = HOPCollector(path.hops[3], config)
         batched.register_path(path)
+        reference = ReferenceCollector(batched)
 
-        for packet in small_batch.to_packets():
-            scalar.observe(packet, packet.send_time)
+        reference.observe_sequence(
+            (packet, packet.send_time) for packet in small_batch.to_packets()
+        )
         assert batched.observe_batch(small_batch) == len(small_batch)
+        assert batched.state_digest() == reference.state_digest()
 
-        state_scalar = scalar.states()[0]
+        state_reference = reference.states()[0]
         state_batched = batched.states()[0]
-        assert state_scalar.observed_packets == state_batched.observed_packets
-        assert state_scalar.observed_bytes == state_batched.observed_bytes
-        assert state_scalar.sampler.state_digest() == state_batched.sampler.state_digest()
-        state_scalar.aggregator.flush()
+        assert state_reference.observed_packets == state_batched.observed_packets
+        assert state_reference.observed_bytes == state_batched.observed_bytes
+        state_reference.aggregator.flush()
         state_batched.aggregator.flush()
-        scalar_receipts = state_scalar.aggregator.receipts(state_scalar.path_id)
+        reference_receipts = state_reference.aggregator.receipts(state_reference.path_id)
         batched_receipts = state_batched.aggregator.receipts(state_batched.path_id)
         def fields(r):
             windows = (r.trans_before.tolist(), r.trans_after.tolist())
             return (r.first_pkt_id, r.last_pkt_id, r.pkt_count, *windows)
 
-        assert [fields(r) for r in scalar_receipts] == [fields(r) for r in batched_receipts]
+        assert [fields(r) for r in reference_receipts] == [fields(r) for r in batched_receipts]
 
     def test_unmatched_packets_are_ignored(self, small_batch):
         _, path = figure1_topology()
@@ -119,31 +105,22 @@ class TestCollectorBatch:
         assert collector.observed_packets == 0
         assert collector.state_digest() == untouched
 
-    def test_multi_path_jittery_clock_matches_scalar(self):
-        """Clock RNG draws stay in observation order across interleaved paths."""
+    @staticmethod
+    def two_path_collector() -> tuple[HOPCollector, list[Packet]]:
+        """A collector with two paths registered and 400 packets alternating between them."""
         from repro.net.prefixes import OriginPrefix, PrefixPair
-        from repro.net.topology import HOP, HOPPath
+        from repro.net.topology import HOPPath
 
         _, base_path = figure1_topology()
         other_pair = PrefixPair(
             source=OriginPrefix.parse("10.3.0.0/16"),
             destination=OriginPrefix.parse("10.4.0.0/16"),
         )
-
-        def make_collector():
-            base = base_path.hops[2]
-            hop = HOP(
-                hop_id=base.hop_id,
-                domain=base.domain,
-                role=base.role,
-                clock=ClockModel(offset=1e-4, drift_ppm=5.0, jitter_std=1e-3, seed=7),
-            )
-            hops = tuple(hop if h.hop_id == base.hop_id else h for h in base_path.hops)
-            collector = HOPCollector(hop, HOPConfig(sampler=SamplerConfig(sampling_rate=0.2, marker_rate=0.05)))
-            collector.register_path(HOPPath(prefix_pair=base_path.prefix_pair, hops=hops))
-            collector.register_path(HOPPath(prefix_pair=other_pair, hops=hops))
-            return collector
-
+        collector = HOPCollector(
+            base_path.hops[2], HOPConfig(sampler=SamplerConfig(sampling_rate=0.2, marker_rate=0.05))
+        )
+        collector.register_path(base_path)
+        collector.register_path(HOPPath(prefix_pair=other_pair, hops=base_path.hops))
         pairs = [base_path.prefix_pair, other_pair]
         packets = [
             Packet(
@@ -162,13 +139,41 @@ class TestCollectorBatch:
             )
             for index in range(400)
         ]
-        scalar = make_collector()
-        batched = make_collector()
-        for packet in packets:
-            scalar.observe(packet, packet.send_time)
-        batched.observe_batch(batch_from_packets(packets))
-        for state_scalar, state_batched in zip(scalar.states(), batched.states()):
-            assert state_scalar.sampler.state_digest() == state_batched.sampler.state_digest()
+        return collector, packets
+
+    def test_multi_path_matches_reference(self):
+        """Interleaved paths are classified apart and each fed in its own order."""
+        batched, packets = self.two_path_collector()
+        reference = ReferenceCollector(batched)
+        reference.observe_sequence((packet, packet.send_time) for packet in packets)
+        batch = batch_from_packets(packets)
+        batched.observe_batch(batch.take(np.arange(150)))
+        batched.observe_batch(batch.take(np.arange(150, 400)))
+        assert [state.observed_packets for state in batched.states()] == [200, 200]
+        assert batched.state_digest() == reference.state_digest()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "decrease", "carry"])
+    def test_bad_time_on_any_path_changes_no_path(self, bad):
+        """The times of every path are checked before the first path is fed."""
+        collector, packets = self.two_path_collector()
+        batch = batch_from_packets(packets)
+        collector.observe_batch(batch.take(np.arange(100)))
+        before = collector.state_digest()
+        rest = batch.take(np.arange(100, 400))
+        times = rest.send_time.copy()
+        # Packet 5 of the rest is on the second path, which is fed last.
+        if bad == "decrease":
+            times[5] = times[3] - 1e-6
+            message = r"times\[2\] = .* decreases from"
+        elif bad == "carry":
+            times[:] = times[0] - 1.0 + np.arange(len(times)) * 1e-5
+            message = r"times\[0\] = .* decreases from"
+        else:
+            times[5] = bad
+            message = r"times\[2\] is .*must be finite"
+        with pytest.raises(ValueError, match=message):
+            collector.observe_batch(rest, times)
+        assert collector.state_digest() == before
 
     def test_take_shares_digests_with_root(self, small_batch):
         from repro.net.hashing import PacketDigester

@@ -14,11 +14,11 @@ from repro.net.hashing import (
     combine64,
     fnv1a_64,
     fnv1a_64_batch,
-    sample_function,
     splitmix64,
     threshold_for_rate,
 )
 from tests.conftest import make_packet
+from tests.oracle.collectors import sample_function
 
 
 class TestBobHash:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.aggregation import AggregatorConfig
 from repro.core.hop import HOPCollector, HOPConfig, HOPProcessor
 from repro.core.sampling import SamplerConfig
 from tests.conftest import make_packet
-from tests.helpers import sampled_ids
+from tests.helpers import batch_from_packets, sampled_ids
 
 
 @pytest.fixture()
@@ -55,43 +56,39 @@ class TestRegisterPath:
 
 
 class TestObserve:
-    def test_matching_packets_counted(self, collector, small_trace_packets):
-        for packet in small_trace_packets[:500]:
-            collector.observe(packet, packet.send_time)
+    def test_matching_packets_counted(self, collector, small_trace_batch):
+        head = small_trace_batch.take(np.arange(500))
+        assert collector.observe_batch(head) == 500
         assert collector.observed_packets == 500
-        assert collector.observed_bytes == sum(p.size for p in small_trace_packets[:500])
+        assert collector.observed_bytes == int(head.length.sum())
 
     def test_unmatched_packets_ignored(self, collector):
         alien = make_packet(src_ip=0xC0A80001, dst_ip=0xC0A80002)
         untouched = collector.state_digest()
-        collector.observe(alien, 0.0)
+        assert collector.observe_batch(batch_from_packets([alien]), [0.0]) == 0
         assert collector.observed_packets == 0
         assert collector.state_digest() == untouched
 
-    def test_clock_applied_to_timestamps(self, topology, path, small_trace_packets):
-        from tests.helpers import ClockModel
-        from repro.net.topology import HOP, Domain
-
-        skewed_hop = HOP(hop_id=4, domain=Domain("X"), role="ingress", clock=ClockModel(offset=0.5))
+    def test_timestamps_are_the_observation_times(self, path, small_trace_batch):
         collector = HOPCollector(
-            skewed_hop,
-            HOPConfig(sampler=SamplerConfig(sampling_rate=1.0, marker_rate=1.0)),
+            path.hops[3], HOPConfig(sampler=SamplerConfig(sampling_rate=1.0, marker_rate=1.0))
         )
         collector.register_path(path)
-        packet = small_trace_packets[0]
-        collector.observe(packet, 1.0)
-        processor = HOPProcessor(collector)
-        report = processor.generate_report(flush=True)
-        assert report.sample_receipts[0].samples[0].time == pytest.approx(1.5)
+        collector.observe_batch(small_trace_batch.take(np.arange(1)), [1.5])
+        report = HOPProcessor(collector).generate_report(flush=True)
+        assert report.sample_receipts[0].samples[0].time == 1.5
+
+    def test_times_must_match_the_batch(self, collector, small_trace_batch):
+        with pytest.raises(ValueError, match=r"times must have shape \(3,\)"):
+            collector.observe_batch(small_trace_batch.take(np.arange(3)), [0.0, 1.0])
 
     def test_active_paths_counter(self, collector):
         assert collector.active_paths == 1
 
 
 class TestProcessor:
-    def test_report_contains_samples_and_aggregates(self, collector, small_trace_packets):
-        for packet in small_trace_packets:
-            collector.observe(packet, packet.send_time)
+    def test_report_contains_samples_and_aggregates(self, collector, small_trace_batch):
+        collector.observe_batch(small_trace_batch)
         processor = HOPProcessor(collector)
         report = processor.generate_report(flush=True)
         assert report.hop_id == 4
@@ -100,27 +97,24 @@ class TestProcessor:
         assert len(report.aggregate_receipts) > 0
         assert report.wire_bytes > 0
 
-    def test_flush_accounts_for_every_packet(self, collector, small_trace_packets):
-        for packet in small_trace_packets:
-            collector.observe(packet, packet.send_time)
+    def test_flush_accounts_for_every_packet(self, collector, small_trace_batch):
+        collector.observe_batch(small_trace_batch)
         report = HOPProcessor(collector).generate_report(flush=True)
         assert sum(receipt.pkt_count for receipt in report.aggregate_receipts) == len(
-            small_trace_packets
+            small_trace_batch
         )
 
-    def test_periodic_reports_do_not_double_count(self, collector, small_trace_packets):
+    def test_periodic_reports_do_not_double_count(self, collector, small_trace_batch):
         processor = HOPProcessor(collector)
-        half = len(small_trace_packets) // 2
-        for packet in small_trace_packets[:half]:
-            collector.observe(packet, packet.send_time)
+        half = len(small_trace_batch) // 2
+        collector.observe_batch(small_trace_batch.take(np.arange(half)))
         first = processor.generate_report(flush=False)
-        for packet in small_trace_packets[half:]:
-            collector.observe(packet, packet.send_time)
+        collector.observe_batch(small_trace_batch.take(np.arange(half, len(small_trace_batch))))
         second = processor.generate_report(flush=True)
         total = sum(r.pkt_count for r in first.aggregate_receipts) + sum(
             r.pkt_count for r in second.aggregate_receipts
         )
-        assert total == len(small_trace_packets)
+        assert total == len(small_trace_batch)
         first_ids = set()
         for receipt in first.sample_receipts:
             first_ids |= sampled_ids(receipt)

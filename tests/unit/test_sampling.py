@@ -8,7 +8,8 @@ import pytest
 from repro.core.receipts import PathID
 from repro.core.sampling import DEFAULT_MARKER_RATE, DelaySampler, SamplerConfig
 from repro.net.hashing import MASK64, threshold_for_rate
-from tests.helpers import sampled_ids
+from tests.helpers import observe_one, sampled_ids
+from tests.oracle.collectors import ReferenceSampler
 
 
 @pytest.fixture()
@@ -24,8 +25,7 @@ def synthetic_digests(count: int, seed: int = 0) -> list[int]:
 
 
 def drive(sampler: DelaySampler, digests: list[int], start: float = 0.0) -> None:
-    for index, digest in enumerate(digests):
-        sampler.observe(digest, start + index * 1e-5)
+    sampler.observe_batch(digests, start + np.arange(len(digests)) * 1e-5)
 
 
 class TestSamplerConfig:
@@ -51,19 +51,19 @@ class TestDelaySampler:
     def test_marker_always_sampled(self, path_id):
         sampler = DelaySampler(SamplerConfig(sampling_rate=0.01, marker_rate=0.01))
         marker_digest = MASK64  # above any threshold
-        assert sampler.observe(marker_digest, 1.0) is True
+        assert observe_one(sampler, marker_digest, 1.0) is True
         receipt = sampler.receipt(path_id)
         assert marker_digest in sampled_ids(receipt)
 
     def test_non_marker_buffered_until_marker(self, path_id):
         sampler = DelaySampler(SamplerConfig(sampling_rate=1.0, marker_rate=0.01))
         low_digest = 123  # below the marker threshold
-        assert sampler.observe(low_digest, 1.0) is False
-        assert len(sampler._buffer_arrays()[0]) == 1
+        assert observe_one(sampler, low_digest, 1.0) is False
+        assert len(sampler._buffer_ids) == 1
         # Nothing reported before a marker arrives.
         assert len(sampler.receipt(path_id, reset=False)) == 0
-        sampler.observe(MASK64, 2.0)
-        assert len(sampler._buffer_arrays()[0]) == 0
+        observe_one(sampler, MASK64, 2.0)
+        assert len(sampler._buffer_ids) == 0
         receipt = sampler.receipt(path_id)
         assert low_digest in sampled_ids(receipt)
 
@@ -71,11 +71,10 @@ class TestDelaySampler:
         # With the smallest sampling budget, buffered packets are discarded at
         # the marker rather than reported.
         sampler = DelaySampler(SamplerConfig(sampling_rate=0.001, marker_rate=0.001))
-        for index in range(100):
-            sampler.observe(1000 + index, index * 1e-5)
-        assert len(sampler._buffer_arrays()[0]) == 100
-        sampler.observe(MASK64, 1.0)
-        assert len(sampler._buffer_arrays()[0]) == 0
+        sampler.observe_batch(1000 + np.arange(100), np.arange(100) * 1e-5)
+        assert len(sampler._buffer_ids) == 100
+        observe_one(sampler, MASK64, 1.0)
+        assert len(sampler._buffer_ids) == 0
         receipt = sampler.receipt(path_id)
         # Only the marker itself is guaranteed to be sampled.
         assert MASK64 in sampled_ids(receipt)
@@ -99,8 +98,7 @@ class TestDelaySampler:
 
         def sampled_under(marker: int) -> bool:
             sampler = DelaySampler(config)
-            sampler.observe(probe, 0.0)
-            sampler.observe(marker, 1e-5)
+            sampler.observe_batch(np.array([probe, marker], dtype=np.uint64), [0.0, 1e-5])
             return probe in sampled_ids(sampler.receipt(path_id))
 
         markers = [MASK64 - offset for offset in range(0, 4000, 40)]
@@ -109,8 +107,7 @@ class TestDelaySampler:
 
     def test_receipt_reset_behaviour(self, path_id):
         sampler = DelaySampler(SamplerConfig(sampling_rate=1.0, marker_rate=0.01))
-        sampler.observe(5, 0.0)
-        sampler.observe(MASK64, 1e-5)
+        sampler.observe_batch(np.array([5, MASK64], dtype=np.uint64), [0.0, 1e-5])
         first = sampler.receipt(path_id, reset=True)
         assert len(first) == 2
         assert len(sampler.receipt(path_id)) == 0
@@ -130,10 +127,11 @@ class TestDelaySampler:
 
     def test_invalid_digest_rejected(self):
         sampler = DelaySampler()
-        with pytest.raises(ValueError):
-            sampler.observe(-1, 0.0)
-        with pytest.raises(ValueError):
-            sampler.observe(MASK64 + 1, 0.0)
+        with pytest.raises(ValueError, match="64-bit"):
+            observe_one(sampler, -1, 0.0)
+        with pytest.raises(ValueError, match="64-bit"):
+            observe_one(sampler, MASK64 + 1, 0.0)
+        assert sampler.observed_packets == 0
 
     def test_repr_contains_rates(self):
         assert "sampling_rate" in repr(DelaySampler())
@@ -176,7 +174,7 @@ class TestNestingProperty:
 
 
 class TestObserveBatchChunking:
-    """``observe_batch`` fed in chunks against the scalar ``observe`` oracle.
+    """``observe_batch`` fed in chunks against the per-packet reference sampler.
 
     Each chunk is a pattern: ``M`` a marker, ``.`` a non-marker.  The
     one-pass batch path keys every packet against its owning marker, keys a
@@ -214,17 +212,55 @@ class TestObserveBatchChunking:
             pytest.param(["." * 60, "..", ".M", "." * 40 + "M" + "." * 5], id="carry-longer"),
         ],
     )
-    def test_chunked_batches_match_scalar_observe(self, chunks):
+    def test_chunked_batches_match_reference(self, chunks):
         parts = self.stream(chunks)
-        scalar = DelaySampler(self.CONFIG)
+        reference = ReferenceSampler(self.CONFIG)
         batched = DelaySampler(self.CONFIG)
         for digests, times in parts:
-            for digest, moment in zip(digests.tolist(), times.tolist()):
-                scalar.observe(digest, moment)
+            reference.observe_all(digests, times)
             markers = batched.observe_batch(digests, times)
             assert markers.tolist() == [digest > self.CONFIG.marker_threshold for digest in digests]
-            assert batched.state_digest() == scalar.state_digest()
-            assert batched.max_buffer_occupancy == scalar.max_buffer_occupancy
+            assert batched.state_digest() == reference.state_digest()
+            assert batched.max_buffer_occupancy == reference.max_buffer_occupancy
         # The carried-in buffers were keyed too: some buffered packets were sampled.
         threshold = np.uint64(self.CONFIG.marker_threshold)
         assert batched.sample_count > sum(int((digests > threshold).sum()) for digests, _ in parts)
+
+
+class TestObservationTimes:
+    """Times that are not finite or go backwards raise before any state changes."""
+
+    CONFIG = SamplerConfig(sampling_rate=0.5, marker_rate=0.05)
+    TIMES = np.arange(50) * 1e-5
+
+    def fed(self) -> DelaySampler:
+        sampler = DelaySampler(self.CONFIG)
+        sampler.observe_batch(synthetic_digests(50, seed=6), self.TIMES)
+        return sampler
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_names_its_index(self, bad):
+        sampler = self.fed()
+        before = sampler.state_digest()
+        times = 1.0 + np.arange(5) * 1e-5
+        times[3] = bad
+        with pytest.raises(ValueError, match=r"times\[3\] is .*must be finite"):
+            sampler.observe_batch(synthetic_digests(5, seed=7), times)
+        assert sampler.state_digest() == before
+
+    def test_decrease_inside_a_batch_names_its_index(self):
+        sampler = self.fed()
+        before = sampler.state_digest()
+        with pytest.raises(ValueError, match=r"times\[2\] = 0.5 decreases from 0.7"):
+            sampler.observe_batch(synthetic_digests(4, seed=8), [0.6, 0.7, 0.5, 0.8])
+        assert sampler.state_digest() == before
+
+    def test_decrease_across_the_carry_names_index_zero(self):
+        sampler = self.fed()
+        before = sampler.state_digest()
+        with pytest.raises(ValueError, match=r"times\[0\] = 0.0001 decreases from 0.00049"):
+            sampler.observe_batch(synthetic_digests(3, seed=9), [1e-4, 2e-4, 3e-4])
+        assert sampler.state_digest() == before
+        # Equal times are not a decrease.
+        sampler.observe_batch(synthetic_digests(2, seed=9), [self.TIMES[-1]] * 2)
+        assert sampler.observed_packets == 52
