@@ -9,7 +9,7 @@ behaviour) and into the reporting pipeline (receipt fabrication):
   measurement set (the attack that breaks Trajectory Sampling ++ and that
   VPM's delay-keyed sampling defeats);
 * :mod:`repro.adversary.lying` — a domain that fabricates egress receipts to
-  hide its own loss and delay;
+  hide its own loss and delay, on every path it transits;
 * :mod:`repro.adversary.collusion` — a downstream neighbor that covers the
   liar's claims and thereby takes the blame itself;
 * :mod:`repro.adversary.marker_drop` — a domain that drops marker packets to
@@ -24,14 +24,13 @@ new strategies plug in via :func:`repro.api.register_adversary`.
 
 from repro.adversary.bias import BiasedTreatmentAttack
 from repro.adversary.collusion import ColludingDomainAgent
-from repro.adversary.lying import LyingDomainAgent, MeshLyingDomainAgent
+from repro.adversary.lying import LyingDomainAgent
 from repro.adversary.marker_drop import MarkerDropAttack, marker_exposure_rate
 
 __all__ = [
     "BiasedTreatmentAttack",
     "ColludingDomainAgent",
     "LyingDomainAgent",
-    "MeshLyingDomainAgent",
     "MarkerDropAttack",
     "marker_exposure_rate",
 ]

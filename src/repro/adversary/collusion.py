@@ -18,6 +18,8 @@ colluder that does not want to be flagged as inconsistent.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.adversary.lying import LyingDomainAgent
 from repro.core.domain import DomainAgent
 from repro.core.hop import HOPConfig, HOPReport
@@ -46,7 +48,7 @@ class ColludingDomainAgent(DomainAgent):
     def __init__(
         self,
         domain: Domain | str,
-        path: HOPPath,
+        path: HOPPath | Sequence[HOPPath],
         colluding_with: LyingDomainAgent,
         config: HOPConfig | None = None,
         max_diff: float = 1e-3,

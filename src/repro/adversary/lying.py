@@ -10,7 +10,10 @@ The point of the reproduction is that this lie cannot survive verification:
 the fabricated egress receipts claim delivery of packets (and aggregate
 counts) the downstream neighbor never saw, so the verifier's link-consistency
 check flags the X→N link, and the liar is exposed to the very neighbor it
-implicated.
+implicated.  On a mesh the domain tells the same lie once per path it
+transits, and each path's fabrication implicates a *different* downstream
+link — which is exactly what cross-path triangulation
+(:func:`repro.analysis.localization.triangulate_suspects`) exploits.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.core.receipts import (
 )
 from repro.net.topology import Domain, HOPPath
 
-__all__ = ["LyingDomainAgent", "MeshLyingDomainAgent"]
+__all__ = ["LyingDomainAgent"]
 
 
 def _fabricated_samples(
@@ -77,8 +80,16 @@ def _fabricated_aggregates(
 class LyingDomainAgent(DomainAgent):
     """A domain that hides its internal loss and delay in its egress receipts.
 
+    For *every* path on which the domain is a transit domain (one, on a
+    single path), the receipts its egress HOP produced for that path's prefix
+    pair are replaced by the ingress HOP's receipts for the same pair,
+    shifted by ``claimed_delay`` — "everything that entered left promptly".
+
     Parameters
     ----------
+    path:
+        The path the domain transits, or the sequence of mesh paths crossing
+        it (at least one of which it must transit).
     claimed_delay:
         The internal delay (seconds) the domain pretends to have introduced.
     hide_loss:
@@ -88,12 +99,17 @@ class LyingDomainAgent(DomainAgent):
         Whether to misreport its internal delay as ``claimed_delay`` instead
         of the truly measured egress timestamps.  (Both default to ``True`` —
         the full "nothing went wrong here" lie.)
+
+    After :meth:`reports`, ``last_fabricated_report`` holds the egress report
+    fabricated for the last transited path — the one a
+    :class:`~repro.adversary.collusion.ColludingDomainAgent` covers on a
+    single path.
     """
 
     def __init__(
         self,
         domain: Domain | str,
-        path: HOPPath,
+        path: HOPPath | Sequence[HOPPath],
         config: HOPConfig | None = None,
         max_diff: float = 1e-3,
         claimed_delay: float = 0.5e-3,
@@ -101,103 +117,18 @@ class LyingDomainAgent(DomainAgent):
         hide_delay: bool = True,
     ) -> None:
         super().__init__(domain, path, config=config, max_diff=max_diff)
-        if len(self.hop_ids) < 2:
-            raise ValueError(
-                "a lying transit domain needs both an ingress and an egress HOP"
-            )
-        self.claimed_delay = float(claimed_delay)
-        self.hide_loss = bool(hide_loss)
-        self.hide_delay = bool(hide_delay)
-        self.last_fabricated_report: HOPReport | None = None
-
-    # -- fabrication -----------------------------------------------------------------
-
-    def _egress_path_id(self) -> PathID:
-        egress_hop_id = self.hop_ids[-1]
-        collector = self.collector(egress_hop_id)
-        # The egress collector holds exactly one registered path in this
-        # scenario; reuse its PathID so the fabricated receipts look genuine.
-        state = collector.states()[0]
-        return state.path_id
-
-    def _fabricate_egress_report(
-        self, ingress_report: HOPReport, honest_egress: HOPReport
-    ) -> HOPReport:
-        egress_path_id = self._egress_path_id()
-        egress_hop_id = self.hop_ids[-1]
-
-        source_samples = (
-            ingress_report.sample_receipts if self.hide_loss else honest_egress.sample_receipts
-        )
-        fabricated_samples = _fabricated_samples(
-            source_samples, egress_path_id, self.claimed_delay, self.hide_delay
-        )
-
-        source_aggregates = (
-            ingress_report.aggregate_receipts
-            if self.hide_loss
-            else honest_egress.aggregate_receipts
-        )
-        fabricated_aggregates = _fabricated_aggregates(
-            source_aggregates, egress_path_id, self.claimed_delay
-        )
-
-        return HOPReport(
-            hop_id=egress_hop_id,
-            sample_receipts=tuple(fabricated_samples),
-            aggregate_receipts=tuple(fabricated_aggregates),
-        )
-
-    # -- reporting --------------------------------------------------------------------
-
-    def reports(self, flush: bool = True) -> dict[int, HOPReport]:
-        honest = super().reports(flush=flush)
-        ingress_hop_id = self.hop_ids[0]
-        egress_hop_id = self.hop_ids[-1]
-        fabricated = self._fabricate_egress_report(
-            honest[ingress_hop_id], honest[egress_hop_id]
-        )
-        honest[egress_hop_id] = fabricated
-        self.last_fabricated_report = fabricated
-        return honest
-
-
-class MeshLyingDomainAgent(DomainAgent):
-    """A lying transit domain crossed by several paths of a mesh.
-
-    The per-path generalization of :class:`LyingDomainAgent`: for *every*
-    path on which the domain is a transit domain, the receipts its egress HOP
-    produced for that path's prefix pair are replaced by the ingress HOP's
-    receipts for the same pair, shifted by ``claimed_delay`` — the same
-    "everything that entered left promptly" lie, told once per path.  In a
-    mesh the domain's ingress/egress HOPs differ per path, so each path's
-    fabrication implicates a *different* downstream link — which is exactly
-    what cross-path triangulation
-    (:func:`repro.analysis.localization.triangulate_suspects`) exploits.
-    """
-
-    def __init__(
-        self,
-        domain: Domain | str,
-        paths: HOPPath | Sequence[HOPPath],
-        config: HOPConfig | None = None,
-        max_diff: float = 1e-3,
-        claimed_delay: float = 0.5e-3,
-        hide_loss: bool = True,
-        hide_delay: bool = True,
-    ) -> None:
-        super().__init__(domain, paths, config=config, max_diff=max_diff)
         self._transit_paths = tuple(
             entry for entry in self.paths if len(entry.hops_of(self.domain_name)) >= 2
         )
         if not self._transit_paths:
             raise ValueError(
-                f"a lying mesh domain needs an ingress and an egress HOP on at "
-                f"least one path; {self.domain_name!r} is a transit domain of none"
+                f"a lying domain needs an ingress and an egress HOP on at least "
+                f"one path; {self.domain_name!r} is a transit domain of none"
             )
         self.claimed_delay = float(claimed_delay)
         self.hide_loss = bool(hide_loss)
         self.hide_delay = bool(hide_delay)
+        self.last_fabricated_report: HOPReport | None = None
 
     def reports(self, flush: bool = True) -> dict[int, HOPReport]:
         produced = super().reports(flush=flush)
@@ -208,9 +139,8 @@ class MeshLyingDomainAgent(DomainAgent):
             pair = path.prefix_pair
             egress_path_id = self.collector(egress_id).path_state(path).path_id
 
-            ingress_report = produced[ingress_id]
             egress_report = produced[egress_id]
-            source = ingress_report if self.hide_loss else egress_report
+            source = produced[ingress_id] if self.hide_loss else egress_report
             fabricated_samples = _fabricated_samples(
                 [r for r in source.sample_receipts if r.path_id.prefix_pair == pair],
                 egress_path_id,
@@ -222,7 +152,7 @@ class MeshLyingDomainAgent(DomainAgent):
                 egress_path_id,
                 self.claimed_delay,
             )
-            produced[egress_id] = HOPReport(
+            produced[egress_id] = self.last_fabricated_report = HOPReport(
                 hop_id=egress_id,
                 sample_receipts=tuple(
                     r

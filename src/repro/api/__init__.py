@@ -30,9 +30,13 @@ A complete experiment in a few declarative lines:
 >>> cell.target("X").estimate.loss_rate          # receipt-based estimate
 >>> cell.target("X").truth.loss_rate             # simulation ground truth
 
-The engine underneath (:class:`~repro.simulation.scenario.PathScenario`,
-:class:`~repro.core.protocol.VPMSession`) remains importable for code that
-needs the lower altitude.
+The engine underneath (:class:`~repro.simulation.scenario.PathScenario` and
+one session, :class:`~repro.core.protocol.MeshSession`, whose one-path
+spelling is :class:`~repro.core.protocol.VPMSession`, over one
+:class:`~repro.reporting.dissemination.ReceiptBus`) remains importable for
+code that needs the lower altitude.  Both spec spellings run through one
+cell builder, and :func:`run_cell_full` / :func:`run_mesh_cell_full` both
+return a :class:`CellRun`.
 """
 
 from repro.api.registry import (
@@ -64,7 +68,6 @@ from repro.api.results import (
 from repro.api.runner import (
     CellRun,
     Experiment,
-    MeshRun,
     run_cell,
     run_cell_full,
     run_mesh_cell,
@@ -104,7 +107,6 @@ __all__ = [
     "LOSS_MODELS",
     "MeshPathResult",
     "MeshResult",
-    "MeshRun",
     "MeshSpec",
     "OverheadSummary",
     "PathSpec",

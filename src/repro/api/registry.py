@@ -22,9 +22,10 @@ Adversary factories come in two roles:
 
 * ``"agent"`` — build a :class:`~repro.core.domain.DomainAgent` subclass that
   fabricates receipts (lying, collusion).  The factory receives
-  ``(domain, path, config, max_diff, agents, **params)`` where ``agents`` maps
-  the adversarial agents built so far (specs are built in order, so a colluder
-  can reference its liar by domain name).
+  ``(domain, paths, config, max_diff, agents, **params)`` where ``paths`` are
+  the cell's paths crossing the domain (one, on a single path) and ``agents``
+  maps the adversarial agents built so far (specs are built in order, so a
+  colluder can reference its liar by domain name).
 * ``"condition"`` — build forwarding-behaviour overrides for the domain's
   :class:`~repro.simulation.scenario.SegmentCondition` (biased treatment,
   marker dropping).  The factory receives only ``**params`` and returns a dict
@@ -236,13 +237,13 @@ def _mesh_random_topology_entry(
 
 
 @register_adversary("lying", role="agent")
-def _lying_agent(domain, path, config, max_diff, agents, **params):
+def _lying_agent(domain, paths, config, max_diff, agents, **params):
     """A domain that fabricates its egress receipts (Section 3.1 / 4)."""
-    return LyingDomainAgent(domain, path, config=config, max_diff=max_diff, **params)
+    return LyingDomainAgent(domain, paths, config=config, max_diff=max_diff, **params)
 
 
 @register_adversary("colluding", role="agent")
-def _colluding_agent(domain, path, config, max_diff, agents, *, colluding_with, **params):
+def _colluding_agent(domain, paths, config, max_diff, agents, *, colluding_with, **params):
     """A downstream neighbor covering a liar's claims (Section 3.1).
 
     ``colluding_with`` names the lying domain, whose :class:`LyingDomainAgent`
@@ -256,7 +257,7 @@ def _colluding_agent(domain, path, config, max_diff, agents, *, colluding_with, 
             f"adversary was built for it; list the 'lying' spec first"
         ) from None
     return ColludingDomainAgent(
-        domain, path, colluding_with=liar, config=config, max_diff=max_diff, **params
+        domain, paths, colluding_with=liar, config=config, max_diff=max_diff, **params
     )
 
 

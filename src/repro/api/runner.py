@@ -21,7 +21,7 @@ import dataclasses
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.analysis.localization import identify_suspects, triangulate_suspects
 from repro.api.codec import decode
@@ -40,28 +40,29 @@ from repro.api.results import (
     VerificationSummary,
 )
 from repro.api.spec import (
+    AdversarySpec,
     ExecutionPolicy,
     ExperimentSpec,
     MeshSpec,
 )
-from repro.adversary.lying import MeshLyingDomainAgent
-from repro.core.hop import HOPConfig
+from repro.core.hop import HOPConfig, HOPReport
 from repro.core.protocol import MeshSession, VPMSession
+from repro.core.verifier import Verifier
 from repro.engine.streaming import (
     DEFAULT_CHUNK_SIZE,
+    RunnerCheckpoint,
     StreamingCell,
     StreamingResult,
     StreamingRunner,
+    StreamingTruth,
 )
 from repro.net.topology import HOPPath
 from repro.simulation.mesh import MeshScenario
-from repro.simulation.scenario import PathScenario
-from repro.traffic.trace import SyntheticTrace, default_prefix_pair
+from repro.traffic.trace import SyntheticTrace
 
 __all__ = [
     "CellRun",
     "Experiment",
-    "MeshRun",
     "clear_trace_cache",
     "run_cell",
     "run_cell_full",
@@ -79,36 +80,36 @@ def clear_trace_cache() -> None:
     """
 
 
-def _apply_condition_adversaries(spec: ExperimentSpec, scenario: PathScenario) -> None:
-    for adversary in spec.adversaries:
-        if adversary.role != "condition":
-            continue
-        factory = ADVERSARIES.get(adversary.kind)
-        try:
-            overrides = factory(**adversary.params)
-        except TypeError as exc:
-            raise ValueError(
-                f"invalid parameters for adversary {adversary.kind!r}: {exc}"
-            ) from exc
-        condition = scenario.condition_for(adversary.domain)
-        scenario.configure_domain(
-            adversary.domain, dataclasses.replace(condition, **overrides)
-        )
+def _condition_overrides(adversary: AdversarySpec) -> dict[str, Any]:
+    """The :class:`SegmentCondition` overrides a condition-role adversary installs."""
+    factory = ADVERSARIES.get(adversary.kind)
+    try:
+        return factory(**adversary.params)
+    except TypeError as exc:
+        raise ValueError(
+            f"invalid parameters for adversary {adversary.kind!r}: {exc}"
+        ) from exc
 
 
 def _build_agent_adversaries(
-    spec: ExperimentSpec, path: HOPPath, configs: Mapping[str, HOPConfig | None]
+    spec: ExperimentSpec | MeshSpec,
+    paths: Sequence[HOPPath],
+    configs: Mapping[str, HOPConfig | None],
 ) -> dict[str, Any]:
+    """The receipt-fabricating agents of the spec's agent-role adversaries.
+
+    Each registry factory receives the cell's paths crossing its domain (the
+    one path, on a single path).
+    """
     agents: dict[str, Any] = {}
     for adversary in spec.adversaries:
         if adversary.role != "agent":
             continue
-        factory = ADVERSARIES.get(adversary.kind)
-        if adversary.domain not in configs:
+        if len(paths) > 1 and adversary.kind != "lying":
             raise ValueError(
-                f"adversary {adversary.kind!r} targets domain "
-                f"{adversary.domain!r}, which is not on the path "
-                f"(path domains: {sorted(configs)})"
+                f"agent-role adversary {adversary.kind!r} is not supported on "
+                f"meshes yet; the mesh engines support 'lying' (per-path "
+                f"fabrication) and every condition-role adversary"
             )
         config = configs[adversary.domain]
         if config is None:
@@ -120,10 +121,12 @@ def _build_agent_adversaries(
                 f"fabricates receipts, but the protocol spec declares that "
                 f"domain non-deployed (config None)"
             )
+        factory = ADVERSARIES.get(adversary.kind)
+        crossing = tuple(path for path in paths if path.hops_of(adversary.domain))
         try:
             agents[adversary.domain] = factory(
                 adversary.domain,
-                path,
+                crossing,
                 config,
                 spec.protocol.max_diff,
                 agents,
@@ -136,27 +139,113 @@ def _build_agent_adversaries(
     return agents
 
 
-def _build_cell(spec: ExperimentSpec) -> StreamingCell:
-    """Build the one-path (scenarios, traces, session) cell every engine drives.
+def _build_cell(spec: ExperimentSpec | MeshSpec) -> StreamingCell:
+    """Build the (per-path scenarios, per-path traces, session) cell every engine drives.
 
-    The single construction path for both engines — any spec field that
-    must influence cell construction is wired here exactly once, which is
-    what keeps the engines' byte-identical contract honest.  A cell is a
-    pure function of the spec's seeds, so every rebuild is identical.
+    The single construction path for both engines and both spec spellings —
+    any spec field that must influence cell construction is wired here
+    exactly once, which is what keeps the engines' byte-identical contract
+    honest.  A cell is a pure function of the spec's seeds, so every rebuild
+    is identical.
     """
-    scenario = spec.path.build(spec.seed)
-    _apply_condition_adversaries(spec, scenario)
-    trace = SyntheticTrace(
-        config=spec.traffic.trace_config(),
-        prefix_pair=default_prefix_pair(),
-        seed=spec.traffic.effective_seed(spec.seed),
+    if isinstance(spec, MeshSpec):
+        topology, paths = spec.topology.build(spec.seed)
+        scenario = MeshScenario(topology, paths, seed=spec.seed)
+        transit_names = set(scenario.transit_domain_names())
+        for domain in sorted(spec.conditions):
+            if domain not in transit_names:
+                known = ", ".join(sorted(transit_names)) or "<none>"
+                raise ValueError(
+                    f"MeshSpec.conditions names {domain!r}, which is a transit "
+                    f"domain of no path (transit domains: {known})"
+                )
+            condition_spec = spec.conditions[domain]
+            scenario.configure_domain(
+                domain,
+                lambda index, name=domain, built=condition_spec: built.build(
+                    spec.seed, domain=f"{name}.path{index}"
+                ),
+            )
+        scenarios = scenario.path_scenarios
+        trace_seeds = [spec.traffic_seed(index) for index in range(len(paths))]
+        where = "the mesh"
+    else:
+        scenario = spec.path.build(spec.seed)
+        paths = (scenario.path,)
+        scenarios = (scenario,)
+        trace_seeds = [spec.traffic.effective_seed(spec.seed)]
+        where = "the path"
+        on_path = sorted(domain.name for domain in scenario.path.domains)
+        if spec.estimation.observer not in on_path:
+            raise ValueError(
+                f"estimation observer {spec.estimation.observer!r} is not on "
+                f"the path, so it would see no receipts (path domains: {on_path})"
+            )
+
+    domains = list(dict.fromkeys(d.name for path in paths for d in path.domains))
+    for adversary in spec.adversaries:
+        if adversary.domain not in domains:
+            raise ValueError(
+                f"adversary {adversary.kind!r} targets domain "
+                f"{adversary.domain!r}, which is not on {where} "
+                f"(domains: {sorted(domains)})"
+            )
+        if adversary.role != "condition":
+            continue
+        overrides = _condition_overrides(adversary)
+        if isinstance(scenario, MeshScenario):
+            scenario.override_domain(adversary.domain, **overrides)
+        else:
+            condition = scenario.condition_for(adversary.domain)
+            scenario.configure_domain(
+                adversary.domain, dataclasses.replace(condition, **overrides)
+            )
+
+    configs = spec.protocol.build_configs_for(domains, where=where)
+    session_args = dict(
+        configs=configs,
+        agents=_build_agent_adversaries(spec, paths, configs),
+        max_diff=spec.protocol.max_diff,
     )
-    configs = spec.protocol.build_configs(scenario.path)
-    agents = _build_agent_adversaries(spec, scenario.path, configs)
-    session = VPMSession(
-        scenario.path, configs=configs, agents=agents, max_diff=spec.protocol.max_diff
+    session = (
+        MeshSession(paths, **session_args)
+        if isinstance(spec, MeshSpec)
+        else VPMSession(paths[0], **session_args)
     )
-    return StreamingCell(scenarios=(scenario,), traces=(trace,), session=session)
+    traces = tuple(
+        SyntheticTrace(
+            config=spec.traffic.trace_config(), prefix_pair=path.prefix_pair, seed=seed
+        )
+        for path, seed in zip(paths, trace_seeds)
+    )
+    return StreamingCell(scenarios=tuple(scenarios), traces=traces, session=session)
+
+
+def _target_result(
+    verifier: Verifier,
+    target: str,
+    truth: StreamingTruth | None,
+    quantiles: Sequence[float],
+    verify: bool,
+    independent: bool,
+) -> TargetResult:
+    """One target's estimate, truth, verdict and independent neighbor view."""
+    performance = verifier.estimate_domain(target)
+    truth_summary = TruthSummary.from_truth(truth, quantiles) if truth is not None else None
+    verification = None
+    if verify:
+        verification = VerificationSummary.from_result(verifier.verify_domain(target))
+    neighbor_estimate = None
+    if independent:
+        neighbor_view = verifier.estimate_domain_via_neighbors(target)
+        if neighbor_view is not None:
+            neighbor_estimate = DomainEstimate.from_performance(neighbor_view)
+    return TargetResult(
+        estimate=DomainEstimate.from_performance(performance),
+        truth=truth_summary,
+        verification=verification,
+        independent=neighbor_estimate,
+    )
 
 
 def _summarize_cell(spec: ExperimentSpec, session: VPMSession, truth_source) -> CellResult:
@@ -164,38 +253,70 @@ def _summarize_cell(spec: ExperimentSpec, session: VPMSession, truth_source) -> 
     estimation = spec.estimation
     verifier = session.verifier_for(estimation.observer, quantiles=estimation.quantiles)
     consistency_findings = len(verifier.check_consistency()) if estimation.verify else 0
+    targets = tuple(
+        _target_result(
+            verifier,
+            target,
+            truth_source.truth_for(target)
+            if target in truth_source.domain_truth
+            else None,
+            estimation.quantiles,
+            estimation.verify,
+            estimation.independent,
+        )
+        for target in estimation.targets
+    )
+    return CellResult(
+        spec=spec.to_dict(),
+        targets=targets,
+        consistency_findings=consistency_findings,
+        overhead=OverheadSummary.from_overhead(session.overhead()),
+    )
 
-    targets: list[TargetResult] = []
-    for target in estimation.targets:
-        performance = verifier.estimate_domain(target)
-        truth = None
-        if target in truth_source.domain_truth:
-            truth = TruthSummary.from_truth(
-                truth_source.truth_for(target), estimation.quantiles
+
+def _summarize_mesh(
+    spec: MeshSpec, session: MeshSession, streamed: StreamingResult
+) -> MeshResult:
+    """Turn a fed mesh session (+ per-path ground truth) into a :class:`MeshResult`."""
+    path_results: list[MeshPathResult] = []
+    suspects_by_path: dict[str, tuple] = {}
+    for index, path in enumerate(session.paths):
+        observer = path.domains[0].name
+        verifier = session.verifier_for(observer, path, quantiles=spec.quantiles)
+        findings = verifier.check_consistency()
+        suspects = identify_suspects(path, findings)
+        suspects_by_path[str(path.prefix_pair)] = suspects
+        targets = tuple(
+            _target_result(
+                verifier,
+                domain.name,
+                streamed.truth_for(domain.name, index),
+                spec.quantiles,
+                verify=True,
+                independent=True,
             )
-        verification = None
-        if estimation.verify:
-            verification = VerificationSummary.from_result(
-                verifier.verify_domain(target)
-            )
-        independent = None
-        if estimation.independent:
-            neighbor_view = verifier.estimate_domain_via_neighbors(target)
-            if neighbor_view is not None:
-                independent = DomainEstimate.from_performance(neighbor_view)
-        targets.append(
-            TargetResult(
-                estimate=DomainEstimate.from_performance(performance),
-                truth=truth,
-                verification=verification,
-                independent=independent,
+            for domain, _, _ in path.domain_segments()
+        )
+        path_results.append(
+            MeshPathResult(
+                pair=str(path.prefix_pair),
+                observer=observer,
+                targets=targets,
+                consistency_findings=len(findings),
+                suspect_links=tuple(
+                    (entry.upstream_domain, entry.downstream_domain)
+                    for entry in suspects
+                ),
             )
         )
 
-    return CellResult(
+    triangulation = TriangulationSummary.from_triangulation(
+        triangulate_suspects(suspects_by_path)
+    )
+    return MeshResult(
         spec=spec.to_dict(),
-        targets=tuple(targets),
-        consistency_findings=consistency_findings,
+        paths=tuple(path_results),
+        triangulation=triangulation,
         overhead=OverheadSummary.from_overhead(session.overhead()),
     )
 
@@ -203,15 +324,16 @@ def _summarize_cell(spec: ExperimentSpec, session: VPMSession, truth_source) -> 
 class CellRun(NamedTuple):
     """One executed cell with its engine-layer artefacts still attached.
 
-    ``result`` is the summarized :class:`CellResult`; ``session`` is the fed
-    :class:`VPMSession` (its bus holds the published reports, so callers can
-    build further verifiers); ``reports`` are the per-HOP receipts — what the
-    campaign engine digests into its per-interval audit records.
+    ``result`` is the summarized :class:`CellResult` (a :class:`MeshResult`
+    for a mesh spec); ``session`` is the fed session (its bus holds the
+    published reports, so callers can build further verifiers); ``reports``
+    are the per-HOP receipts — what the campaign engine digests into its
+    per-interval audit records.
     """
 
-    result: CellResult
-    session: VPMSession
-    reports: dict[str, Any]
+    result: CellResult | MeshResult
+    session: MeshSession
+    reports: dict[int, HOPReport]
 
 
 def _chunk_size(policy: ExecutionPolicy) -> int | None:
@@ -221,28 +343,14 @@ def _chunk_size(policy: ExecutionPolicy) -> int | None:
     return policy.chunk_size or DEFAULT_CHUNK_SIZE
 
 
-def run_cell_full(
-    spec: ExperimentSpec,
-    engine: str | None = None,
-    chunk_size: int | None = None,
-    policy: ExecutionPolicy | None = None,
-    checkpoint_sink=None,
-    resume_from=None,
+def _run_full(
+    spec: ExperimentSpec | MeshSpec,
+    policy: ExecutionPolicy,
+    checkpoint_sink: Callable[[RunnerCheckpoint], None] | None,
+    resume_from: RunnerCheckpoint | None,
 ) -> CellRun:
-    """Execute one cell and return the result *and* its session/receipts.
-
-    The engine contract of :func:`run_cell` applies unchanged; this variant
-    exists for callers (the campaign runner, receipt auditing) that need the
-    receipts or additional verifier views, not just the summary.
-
-    ``policy`` is the declarative form of the execution knobs
-    (:class:`~repro.api.spec.ExecutionPolicy`); the individual ``engine`` /
-    ``chunk_size`` keywords keep working and normalize into one.
-    ``checkpoint_sink`` / ``resume_from`` forward to
-    :class:`~repro.engine.streaming.StreamingRunner` for mid-run
-    checkpointing (streaming only).
-    """
-    policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size).bind(spec)
+    """Execute one cell of either spelling: the body of both ``*_full`` entry points."""
+    policy = policy.bind(spec)
     runner = StreamingRunner(
         _build_cell(spec),
         chunk_size=_chunk_size(policy),
@@ -251,8 +359,35 @@ def run_cell_full(
         resume_from=resume_from,
     )
     streamed = runner.run()
-    result = _summarize_cell(spec, streamed.session, streamed)
+    summarize = _summarize_mesh if isinstance(spec, MeshSpec) else _summarize_cell
+    result = summarize(spec, streamed.session, streamed)
     return CellRun(result=result, session=streamed.session, reports=streamed.reports)
+
+
+def run_cell_full(
+    spec: ExperimentSpec | MeshSpec,
+    engine: str | None = None,
+    chunk_size: int | None = None,
+    policy: ExecutionPolicy | None = None,
+    checkpoint_sink: Callable[[RunnerCheckpoint], None] | None = None,
+    resume_from: RunnerCheckpoint | None = None,
+) -> CellRun:
+    """Execute one cell and return the result *and* its session/receipts.
+
+    The engine contract of :func:`run_cell` applies unchanged; this variant
+    exists for callers (the campaign runner, receipt auditing) that need the
+    receipts or additional verifier views, not just the summary.  It takes
+    either spec spelling; a :class:`MeshSpec` yields a :class:`MeshResult`.
+
+    ``policy`` is the declarative form of the execution knobs
+    (:class:`~repro.api.spec.ExecutionPolicy`); the individual ``engine`` /
+    ``chunk_size`` keywords keep working and normalize into one.
+    ``checkpoint_sink`` / ``resume_from`` forward to
+    :class:`~repro.engine.streaming.StreamingRunner` for mid-run
+    checkpointing (chunked single-path runs only).
+    """
+    policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
+    return _run_full(spec, policy, checkpoint_sink, resume_from)
 
 
 def run_cell(
@@ -273,188 +408,18 @@ def run_cell(
     return run_cell_full(spec, engine=engine, chunk_size=chunk_size, policy=policy).result
 
 
-# -- mesh cells ----------------------------------------------------------------------
-
-
-def _build_mesh_cell(spec: MeshSpec) -> StreamingCell:
-    """Build the (per-path scenarios, per-path traces, mesh session) cell.
-
-    The single construction path for the batch and streaming mesh engines (a
-    mesh cell is a pure function of the spec's seeds).
-    """
-    topology, paths = spec.topology.build(spec.seed)
-    scenario = MeshScenario(topology, paths, seed=spec.seed)
-
-    transit_names = set(scenario.transit_domain_names())
-    for domain in sorted(spec.conditions):
-        if domain not in transit_names:
-            known = ", ".join(sorted(transit_names)) or "<none>"
-            raise ValueError(
-                f"MeshSpec.conditions names {domain!r}, which is a transit "
-                f"domain of no path (transit domains: {known})"
-            )
-        condition_spec = spec.conditions[domain]
-        scenario.configure_domain(
-            domain,
-            lambda index, name=domain, built=condition_spec: built.build(
-                spec.seed, domain=f"{name}.path{index}"
-            ),
-        )
-
-    all_domains: list[str] = []
-    for path in paths:
-        for domain in path.domains:
-            if domain.name not in all_domains:
-                all_domains.append(domain.name)
-
-    agents: dict[str, Any] = {}
-    for adversary in spec.adversaries:
-        if adversary.domain not in all_domains:
-            raise ValueError(
-                f"adversary {adversary.kind!r} targets domain "
-                f"{adversary.domain!r}, which is on no mesh path "
-                f"(mesh domains: {sorted(all_domains)})"
-            )
-        if adversary.role == "condition":
-            factory = ADVERSARIES.get(adversary.kind)
-            try:
-                overrides = factory(**adversary.params)
-            except TypeError as exc:
-                raise ValueError(
-                    f"invalid parameters for adversary {adversary.kind!r}: {exc}"
-                ) from exc
-            scenario.override_domain(adversary.domain, **overrides)
-            continue
-        if adversary.kind != "lying":
-            raise ValueError(
-                f"agent-role adversary {adversary.kind!r} is not supported on "
-                f"meshes yet; the mesh engines support 'lying' (per-path "
-                f"fabrication) and every condition-role adversary"
-            )
-
-    configs = spec.protocol.build_configs_for(all_domains)
-    for adversary in spec.adversaries:
-        if adversary.role != "agent":
-            continue
-        config = configs[adversary.domain]
-        if config is None:
-            raise ValueError(
-                f"adversary {adversary.kind!r} at domain {adversary.domain!r} "
-                f"fabricates receipts, but the protocol spec declares that "
-                f"domain non-deployed (config None)"
-            )
-        crossing = tuple(
-            path
-            for path in paths
-            if any(hop.domain.name == adversary.domain for hop in path.hops)
-        )
-        try:
-            agents[adversary.domain] = MeshLyingDomainAgent(
-                adversary.domain,
-                crossing,
-                config=config,
-                max_diff=spec.protocol.max_diff,
-                **adversary.params,
-            )
-        except TypeError as exc:
-            raise ValueError(
-                f"invalid parameters for adversary {adversary.kind!r}: {exc}"
-            ) from exc
-
-    session = MeshSession(
-        paths, configs=configs, agents=agents, max_diff=spec.protocol.max_diff
-    )
-    traces = tuple(
-        SyntheticTrace(
-            config=spec.traffic.trace_config(),
-            prefix_pair=path.prefix_pair,
-            seed=spec.traffic_seed(index),
-        )
-        for index, path in enumerate(paths)
-    )
-    return StreamingCell(
-        scenarios=scenario.path_scenarios, traces=traces, session=session
-    )
-
-
-def _summarize_mesh(
-    spec: MeshSpec, session: MeshSession, streamed: StreamingResult
-) -> MeshResult:
-    """Turn a fed mesh session (+ per-path ground truth) into a :class:`MeshResult`."""
-    path_results: list[MeshPathResult] = []
-    suspects_by_path: dict[str, tuple] = {}
-    for index, path in enumerate(session.paths):
-        observer = path.domains[0].name
-        verifier = session.verifier_for(observer, path, quantiles=spec.quantiles)
-        findings = verifier.check_consistency()
-        suspects = identify_suspects(path, findings)
-        suspects_by_path[str(path.prefix_pair)] = suspects
-
-        targets: list[TargetResult] = []
-        for domain, _, _ in path.domain_segments():
-            performance = verifier.estimate_domain(domain)
-            truth = TruthSummary.from_truth(
-                streamed.truth_for(domain.name, index), spec.quantiles
-            )
-            verification = VerificationSummary.from_result(
-                verifier.verify_domain(domain)
-            )
-            independent = None
-            neighbor_view = verifier.estimate_domain_via_neighbors(domain)
-            if neighbor_view is not None:
-                independent = DomainEstimate.from_performance(neighbor_view)
-            targets.append(
-                TargetResult(
-                    estimate=DomainEstimate.from_performance(performance),
-                    truth=truth,
-                    verification=verification,
-                    independent=independent,
-                )
-            )
-        path_results.append(
-            MeshPathResult(
-                pair=str(path.prefix_pair),
-                observer=observer,
-                targets=tuple(targets),
-                consistency_findings=len(findings),
-                suspect_links=tuple(
-                    (entry.upstream_domain, entry.downstream_domain)
-                    for entry in suspects
-                ),
-            )
-        )
-
-    triangulation = TriangulationSummary.from_triangulation(
-        triangulate_suspects(suspects_by_path)
-    )
-    return MeshResult(
-        spec=spec.to_dict(),
-        paths=tuple(path_results),
-        triangulation=triangulation,
-        overhead=OverheadSummary.from_overhead(session.overhead()),
-    )
-
-
-class MeshRun(NamedTuple):
-    """One executed mesh cell with its engine-layer artefacts still attached."""
-
-    result: MeshResult
-    session: MeshSession
-    reports: dict[str, Any]
-
-
 def run_mesh_cell_full(
     spec: MeshSpec,
     engine: str | None = None,
     chunk_size: int | None = None,
     policy: ExecutionPolicy | None = None,
-) -> MeshRun:
-    """Execute one mesh cell and return the result *and* its session/receipts."""
-    policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size).bind(spec)
-    runner = StreamingRunner(_build_mesh_cell(spec), chunk_size=_chunk_size(policy))
-    streamed = runner.run()
-    result = _summarize_mesh(spec, streamed.session, streamed)
-    return MeshRun(result=result, session=streamed.session, reports=streamed.reports)
+) -> CellRun:
+    """Execute one mesh cell and return the result *and* its session/receipts.
+
+    The mesh spelling of :func:`run_cell_full`, over the same body.
+    """
+    policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
+    return _run_full(spec, policy, None, None)
 
 
 def run_mesh_cell(

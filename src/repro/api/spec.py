@@ -441,21 +441,15 @@ class ProtocolSpec(Spec):
                     f"got {type(hop_spec).__name__}"
                 )
 
-    def build_configs(self, path: HOPPath) -> dict[str, HOPConfig | None]:
-        """The per-domain config mapping :class:`VPMSession` consumes.
-
-        Raises a :class:`ValueError` when ``domains`` names a domain that is
-        not on the path — a typo'd override would otherwise silently leave the
-        intended domain on the default config.
-        """
-        return self.build_configs_for(
-            [domain.name for domain in path.domains], where="the path"
-        )
-
     def build_configs_for(
         self, domain_names: Sequence[str], where: str = "the mesh"
     ) -> dict[str, HOPConfig | None]:
-        """The per-domain config mapping for an explicit domain list (mesh form)."""
+        """The per-domain config mapping a session consumes, over ``domain_names``.
+
+        Raises a :class:`ValueError` when ``domains`` names a domain that is
+        not among them — a typo'd override would otherwise silently leave the
+        intended domain on the default config.
+        """
         known = set(domain_names)
         unknown = sorted(set(self.domains) - known)
         if unknown:
@@ -542,6 +536,9 @@ class EstimationSpec(Spec):
             raise ValueError("EstimationSpec.observer must name a domain")
         if not self.targets:
             raise ValueError("EstimationSpec.targets must name at least one domain")
+        repeated = sorted({target for target in self.targets if self.targets.count(target) > 1})
+        if repeated:
+            raise ValueError(f"EstimationSpec.targets names {repeated} more than once")
         for quantile in self.quantiles:
             check_probability("quantile", quantile)
         _check_estimation_mode(self.mode, self.sketch_size, "EstimationSpec")

@@ -27,8 +27,9 @@ Modules
     The receipt collector: computes a domain's performance from its receipts
     and verifies them against the receipts of the other on-path domains.
 ``protocol``
-    ``VPMSession`` — end-to-end orchestration of collectors, receipt
-    dissemination and verification over one HOP path.
+    ``MeshSession`` — end-to-end orchestration of collectors, receipt
+    dissemination and verification over one or more HOP paths;
+    ``VPMSession`` is its one-path spelling.
 
 Multi-interval campaigns (receipts folded into SLA-horizon statistics) are
 built on these pieces in :mod:`repro.engine.campaign`.

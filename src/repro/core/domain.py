@@ -1,9 +1,11 @@
 """A domain's participation in VPM.
 
 A :class:`DomainAgent` owns the HOP collectors and processors of one domain's
-hand-off points on one path (the engines'
+hand-off points on every path of the session that crosses it — one path, or
+several in a mesh, with one collector per HOP either way (the engines'
 :class:`~repro.engine.streaming.StreamingRunner` feeds them the traffic the
-domain observes) and produces the domain's receipts for dissemination.
+domain observes) — and produces the domain's receipts for the session's one
+receipt bus.
 Honest domains report the collectors' output verbatim; adversarial behaviours
 (Section 2.1's threat model) are modelled by the strategies in
 :mod:`repro.adversary`, which hook the :meth:`DomainAgent.transform_report`

@@ -171,69 +171,51 @@ class _IntervalOutcome(NamedTuple):
     result_digest: str
 
 
-def _run_single_path_interval(
-    cell: ExperimentSpec,
+def _run_interval(
+    cell: ExperimentSpec | MeshSpec,
     policy: ExecutionPolicy,
     checkpoint_sink: Callable[[RunnerCheckpoint], None] | None = None,
     resume_from: RunnerCheckpoint | None = None,
 ) -> _IntervalOutcome:
+    """Run one interval's cell and pool its per-domain raw material.
+
+    A cell is read through per-path views ``(path, observer, targets, path
+    result)``: a single path is the one view its spec's estimation names, a
+    mesh has one view per path, observed from its source over every transit
+    domain.  A domain crossed by several paths pools their delays, sums their
+    counts, and is accepted only if every crossing path accepted it.
+    """
     from repro.api.runner import run_cell_full
 
     run = run_cell_full(
-        cell,
-        policy=policy,
-        checkpoint_sink=checkpoint_sink,
-        resume_from=resume_from,
+        cell, policy=policy, checkpoint_sink=checkpoint_sink, resume_from=resume_from
     )
-    verifier = run.session.verifier_for(cell.estimation.observer)
-    path = run.session.path
-    delays: dict[str, np.ndarray] = {}
-    offered: dict[str, int] = {}
-    lost: dict[str, int] = {}
-    accepted: dict[str, bool | None] = {}
-    for target in cell.estimation.targets:
-        entry = run.result.target(target)
-        delays[target] = _matched_delays(verifier, path, target)
-        offered[target] = entry.estimate.offered_packets
-        lost[target] = entry.estimate.lost_packets
-        accepted[target] = (
-            entry.verification.accepted if entry.verification is not None else None
-        )
-    return _IntervalOutcome(
-        delays=delays,
-        offered=offered,
-        lost=lost,
-        accepted=accepted,
-        receipts_digest=receipts_digest(run.reports),
-        result_digest=hashlib.blake2b(
-            run.result.to_json().encode("utf-8"), digest_size=16
-        ).hexdigest(),
-    )
+    if isinstance(cell, MeshSpec):
+        views = [
+            (
+                path,
+                path.domains[0].name,
+                [domain.name for domain, _, _ in path.domain_segments()],
+                run.result.paths[index],
+            )
+            for index, path in enumerate(run.session.paths)
+        ]
+    else:
+        views = [
+            (run.session.path, cell.estimation.observer, cell.estimation.targets, run.result)
+        ]
 
-
-def _run_mesh_interval(
-    cell: MeshSpec,
-    policy: ExecutionPolicy,
-) -> _IntervalOutcome:
-    from repro.api.runner import run_mesh_cell_full
-
-    run = run_mesh_cell_full(cell, policy=policy)
     delays: dict[str, list[np.ndarray]] = {}
     offered: dict[str, int] = {}
     lost: dict[str, int] = {}
     accepted: dict[str, bool | None] = {}
-    for index, path in enumerate(run.session.paths):
-        observer = path.domains[0].name
+    for path, observer, targets, path_result in views:
         verifier = run.session.verifier_for(observer, path)
-        path_result = run.result.paths[index]
-        for domain, _, _ in path.domain_segments():
-            name = domain.name
+        for name in targets:
             entry = path_result.target(name)
             delays.setdefault(name, []).append(_matched_delays(verifier, path, name))
             offered[name] = offered.get(name, 0) + entry.estimate.offered_packets
             lost[name] = lost.get(name, 0) + entry.estimate.lost_packets
-            # A domain is accepted this interval only if every crossing
-            # path's verification accepted its receipts.
             path_accepted = (
                 entry.verification.accepted if entry.verification is not None else None
             )
@@ -244,12 +226,8 @@ def _run_mesh_interval(
                 )
             else:
                 accepted.setdefault(name, None)
-    pooled = {
-        name: np.concatenate(spans) if spans else np.empty(0, dtype=np.float64)
-        for name, spans in delays.items()
-    }
     return _IntervalOutcome(
-        delays=pooled,
+        delays={name: np.concatenate(spans) for name, spans in delays.items()},
         offered=offered,
         lost=lost,
         accepted=accepted,
@@ -283,19 +261,10 @@ def interval_record(
     """
     policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
     cell = spec.interval_cell(index)
-    if isinstance(cell, MeshSpec):
-        if checkpoint_sink is not None or resume_from is not None:
-            raise ValueError(
-                "mid-interval checkpointing applies to single-path streaming "
-                "cells only; mesh campaigns checkpoint at interval boundaries"
-            )
-        outcome = _run_mesh_interval(cell, policy)
-        quantiles = cell.quantiles
-    else:
-        outcome = _run_single_path_interval(
-            cell, policy, checkpoint_sink=checkpoint_sink, resume_from=resume_from
-        )
-        quantiles = cell.estimation.quantiles
+    outcome = _run_interval(
+        cell, policy, checkpoint_sink=checkpoint_sink, resume_from=resume_from
+    )
+    quantiles = cell.quantiles if isinstance(cell, MeshSpec) else cell.estimation.quantiles
 
     mode, sketch_size = estimation_settings(cell)
     estimates: dict[str, Any] = {}

@@ -47,7 +47,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.hop import HOPCollector, HOPReport
-from repro.core.protocol import MeshSession, VPMSession
+from repro.core.protocol import MeshSession
 from repro.engine.checkpoint import StreamCheckpoint
 from repro.net.batch import PacketBatch
 from repro.net.hashing import PacketDigester
@@ -75,14 +75,15 @@ class StreamingCell(NamedTuple):
     """Everything one run needs: one scenario and one trace per path, a session.
 
     A single-path cell holds one :class:`PathScenario`, its trace and a
-    :class:`VPMSession`; a mesh cell holds the mesh's per-path scenarios
+    :class:`~repro.core.protocol.VPMSession` (the one-path
+    :class:`MeshSession`); a mesh cell holds the mesh's per-path scenarios
     (:attr:`~repro.simulation.mesh.MeshScenario.path_scenarios`), one trace
     per path and a :class:`MeshSession`.
     """
 
     scenarios: tuple[PathScenario, ...]
     traces: tuple[SyntheticTrace, ...]
-    session: VPMSession | MeshSession
+    session: MeshSession
 
 
 @dataclass
@@ -510,7 +511,7 @@ class StreamingResult:
     """
 
     reports: dict[int, HOPReport]
-    session: VPMSession | MeshSession
+    session: MeshSession
     path_truth: tuple[dict[str, StreamingTruth], ...]
     link_losses: tuple[dict[tuple[int, int], set[int]], ...]
     chunk_size: int | None
@@ -526,7 +527,7 @@ class StreamingResult:
         return self.path_truth[path_index][name]
 
 
-def _collectors_by_hop(session: VPMSession | MeshSession) -> dict[int, HOPCollector]:
+def _collectors_by_hop(session: MeshSession) -> dict[int, HOPCollector]:
     collectors: dict[int, HOPCollector] = {}
     for agent in session.agents.values():
         for hop_id in agent.hop_ids:
@@ -534,7 +535,7 @@ def _collectors_by_hop(session: VPMSession | MeshSession) -> dict[int, HOPCollec
     return collectors
 
 
-def _session_digesters(session: VPMSession | MeshSession) -> list[PacketDigester]:
+def _session_digesters(session: MeshSession) -> list[PacketDigester]:
     return list(
         dict.fromkeys(
             agent.collector(hop_id).config.digester
@@ -607,7 +608,8 @@ class StreamingRunner:
         ``checkpoint_every`` chunks (skipping the final boundary, where
         finishing beats resuming).  Chunked single-path runs only.
     checkpoint_sink:
-        Callable receiving those mid-interval checkpoints.
+        Callable receiving those mid-interval checkpoints.  Chunked
+        single-path runs only.
     resume_from:
         A previously captured :class:`RunnerCheckpoint` (typically pickled
         across a process boundary); the run installs its collectors, seeks
@@ -637,8 +639,11 @@ class StreamingRunner:
             raise ValueError(
                 f"checkpoint_every must be positive, got {checkpoint_every}"
             )
+        # The one owner of the rule: mid-interval checkpoints need a chunked,
+        # single-path run.
         for name, value in (
             ("checkpoint_every", checkpoint_every),
+            ("checkpoint_sink", checkpoint_sink),
             ("resume_from", resume_from),
         ):
             if value is None:
@@ -650,8 +655,8 @@ class StreamingRunner:
                 )
             if len(cell.scenarios) > 1:
                 raise ValueError(
-                    f"{name} applies to single-path cells only; this cell "
-                    f"has {len(cell.scenarios)} paths"
+                    f"{name} applies to single-path streaming cells only; this "
+                    f"cell has {len(cell.scenarios)} paths"
                 )
         if resume_from is not None and resume_from.chunk_size != chunk_size:
             raise ValueError(

@@ -14,7 +14,7 @@ chunk sizes).
 
 from __future__ import annotations
 
-from repro.api.runner import _build_cell, _build_mesh_cell
+from repro.api.runner import _build_cell
 from repro.engine import DEFAULT_CHUNK_SIZE, StreamingRunner
 from repro.reporting.serialization import canonical_receipts
 
@@ -40,11 +40,11 @@ def run_streaming_reports(spec, chunk_size: int = DEFAULT_CHUNK_SIZE):
 
 def run_batch_mesh_reports(spec):
     """The batch mesh engine's receipts for a MeshSpec: one pass per path."""
-    return StreamingRunner(_build_mesh_cell(spec), chunk_size=None).run().reports
+    return StreamingRunner(_build_cell(spec), chunk_size=None).run().reports
 
 
 def run_mesh_streaming_reports(spec, chunk_size: int = DEFAULT_CHUNK_SIZE):
     """The streaming mesh engine's receipts for a MeshSpec."""
-    runner = StreamingRunner(_build_mesh_cell(spec), chunk_size=chunk_size)
+    runner = StreamingRunner(_build_cell(spec), chunk_size=chunk_size)
     return runner.run().reports
 

@@ -1,8 +1,9 @@
 """The canonical conformance scenarios.
 
-Six single-path scenarios (delay/loss/reorder × honest/lying): each is a
-small, fully pinned :class:`~repro.api.ExperimentSpec` over the Figure-1 path
-with domain ``X`` as the interesting transit domain.  Two mesh scenarios:
+Seven single-path scenarios (delay/loss/reorder × honest/lying, plus a
+delay scenario in which ``N`` covers ``X``'s lie): each is a small, fully
+pinned :class:`~repro.api.ExperimentSpec` over the Figure-1 path with domain
+``X`` as the interesting transit domain.  Two mesh scenarios:
 a shared-HOP honest random mesh and a star mesh with one lying transit core
 (each a pinned :class:`~repro.api.MeshSpec`, freezing receipts, per-path
 estimates/verdicts and the cross-path triangulation output).
@@ -25,6 +26,9 @@ from repro.api.spec import (
 )
 
 _LYING = (AdversarySpec(kind="lying", domain="X"),)
+_COLLUDING = _LYING + (
+    AdversarySpec(kind="colluding", domain="N", params={"colluding_with": "X"}),
+)
 
 _DELAY = ConditionSpec(
     delay="jitter",
@@ -44,23 +48,26 @@ _REORDER = ConditionSpec(
 )
 
 
-def _spec(name: str, condition: ConditionSpec, lying: bool) -> ExperimentSpec:
+def _spec(
+    name: str, condition: ConditionSpec, adversaries: tuple[AdversarySpec, ...] = ()
+) -> ExperimentSpec:
     return ExperimentSpec(
         name=name,
         seed=20260730,
         traffic=TrafficSpec(workload="smoke-sequence"),
         path=PathSpec(conditions={"X": condition}),
-        adversaries=_LYING if lying else (),
+        adversaries=adversaries,
     )
 
 
 CONFORMANCE_SCENARIOS: dict[str, ExperimentSpec] = {
-    "delay-honest": _spec("delay-honest", _DELAY, lying=False),
-    "delay-lying": _spec("delay-lying", _DELAY, lying=True),
-    "loss-honest": _spec("loss-honest", _LOSS, lying=False),
-    "loss-lying": _spec("loss-lying", _LOSS, lying=True),
-    "reorder-honest": _spec("reorder-honest", _REORDER, lying=False),
-    "reorder-lying": _spec("reorder-lying", _REORDER, lying=True),
+    "delay-honest": _spec("delay-honest", _DELAY),
+    "delay-lying": _spec("delay-lying", _DELAY, _LYING),
+    "delay-colluding": _spec("delay-colluding", _DELAY, _COLLUDING),
+    "loss-honest": _spec("loss-honest", _LOSS),
+    "loss-lying": _spec("loss-lying", _LOSS, _LYING),
+    "reorder-honest": _spec("reorder-honest", _REORDER),
+    "reorder-lying": _spec("reorder-lying", _REORDER, _LYING),
 }
 
 

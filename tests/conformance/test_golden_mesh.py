@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.runner import _build_mesh_cell, run_mesh_cell
+from repro.api.runner import _build_cell, run_mesh_cell
 from repro.engine import StreamingRunner
 
 from tests.conformance.canon import (
@@ -121,7 +121,7 @@ class TestMeshConformance:
             pytest.skip("regenerating goldens")
         spec = MESH_CONFORMANCE_SCENARIOS[name]
         streamed = StreamingRunner(
-            _build_mesh_cell(spec), chunk_size=ONE_ROUND_CHUNK_SIZE
+            _build_cell(spec), chunk_size=ONE_ROUND_CHUNK_SIZE
         ).run()
         assert streamed.chunks == 1
         assert canonical_receipts(streamed.reports) == canonical_receipts(

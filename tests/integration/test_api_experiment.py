@@ -78,7 +78,8 @@ class TestCellEquivalence:
         scenario = PathScenario(seed=spec.path.effective_seed(spec.seed))
         scenario.configure_domain("X", spec.path.conditions["X"].build(spec.seed, "X"))
         session = VPMSession(
-            scenario.path, configs=spec.protocol.build_configs(scenario.path)
+            scenario.path,
+            configs=spec.protocol.build_configs_for([d.name for d in scenario.path.domains]),
         )
         streamed = StreamingRunner(
             StreamingCell((scenario,), (trace,), session), chunk_size=None
@@ -226,6 +227,15 @@ class TestAdversarySpecs:
             adversaries=(AdversarySpec(kind="lying", domain="Q"),),
         )
         with pytest.raises(ValueError, match="not on the path"):
+            Experiment(spec).run()
+
+    def test_off_path_observer_rejected(self):
+        # An off-path observer sees no receipts, so it would report 0 offered
+        # packets and accept every target; the builder refuses it instead.
+        spec = dataclasses.replace(
+            self._base(), estimation=EstimationSpec(observer="Q", targets=("X",))
+        )
+        with pytest.raises(ValueError, match=r"observer 'Q' is not on the path.*'X'"):
             Experiment(spec).run()
 
     def test_colluder_without_liar_is_rejected(self):

@@ -31,7 +31,7 @@ import pytest
 
 from repro.api import ExperimentSpec
 from repro.api.registry import ADVERSARIES, DELAY_MODELS, LOSS_MODELS, TOPOLOGIES
-from repro.api.runner import _build_cell, _build_mesh_cell, run_cell, run_mesh_cell
+from repro.api.runner import _build_cell, run_cell, run_mesh_cell
 from repro.api.spec import (
     AdversarySpec,
     ConditionSpec,
@@ -318,7 +318,7 @@ def test_acceptance_scale_mesh_byte_identical():
         traffic=TrafficSpec(workload="smoke-sequence", packet_count=1000),
         conditions={domain: _MESH_CONDITION for domain in transit},
     )
-    cell = _build_mesh_cell(spec)
+    cell = _build_cell(spec)
     shared = {
         hop_id
         for hop_id in {

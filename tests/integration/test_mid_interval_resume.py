@@ -19,7 +19,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.api.runner import _build_cell, _build_mesh_cell, run_cell_full
+from repro.api.runner import _build_cell, run_cell_full
 from repro.api.spec import (
     CampaignSpec,
     ConditionSpec,
@@ -161,6 +161,7 @@ class TestResumeZeroReplay:
         _, blobs = _checkpointed_run(spec)
         for name, value in (
             ("checkpoint_every", 1),
+            ("checkpoint_sink", lambda ckpt: None),
             ("resume_from", pickle.loads(blobs[0])),
         ):
             with pytest.raises(ValueError, match=f"{name} needs a chunked run"):
@@ -169,13 +170,13 @@ class TestResumeZeroReplay:
                 )
             with pytest.raises(ValueError, match=f"{name} applies to single-path"):
                 StreamingRunner(
-                    _build_mesh_cell(_mesh_spec()),
+                    _build_cell(_mesh_spec()),
                     chunk_size=CHUNK,
                     **{name: value},
                 )
 
     def test_mesh_rounds_materialize_each_path_chunk_once(self, materialized):
-        cell = _build_mesh_cell(_mesh_spec())
+        cell = _build_cell(_mesh_spec())
         result = StreamingRunner(cell, chunk_size=CHUNK).run()
         assert len(cell.traces) == 2
         assert result.chunks == 4

@@ -25,7 +25,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.runner import _build_mesh_cell
+from repro.api.runner import _build_cell
 from repro.api.spec import (
     ConditionSpec,
     HOPSpec,
@@ -36,7 +36,7 @@ from repro.api.spec import (
 )
 from repro.core.protocol import VPMSession
 from repro.engine.streaming import StreamingCell, StreamingRunner
-from repro.reporting.dissemination import report_for_pair
+from repro.reporting.dissemination import _report_for_pair
 from repro.simulation.mesh import MeshScenario
 from repro.simulation.scenario import PathScenario
 from repro.traffic.trace import SyntheticTrace
@@ -140,7 +140,7 @@ class TestMeshIsolationParity:
     def test_per_path_receipts_byte_match_isolated_runs(self, case):
         topology, traffic, condition_seed, _, root_seed = case
         spec = _spec_for(topology, traffic, condition_seed, root_seed)
-        cell = _build_mesh_cell(spec)
+        cell = _build_cell(spec)
         mesh_reports = StreamingRunner(cell, chunk_size=None).run().reports
 
         for index, path in enumerate(cell.session.paths):
@@ -160,14 +160,14 @@ class TestMeshIsolationParity:
             )
             session = VPMSession(
                 path,
-                configs=spec.protocol.build_configs(path),
+                configs=spec.protocol.build_configs_for([d.name for d in path.domains]),
                 max_diff=spec.protocol.max_diff,
             )
             isolated_cell = StreamingCell((isolated,), (trace,), session)
             isolated_reports = StreamingRunner(isolated_cell, chunk_size=None).run().reports
 
             for hop in path.hops:
-                mesh_slice = report_for_pair(
+                mesh_slice = _report_for_pair(
                     mesh_reports[hop.hop_id], path.prefix_pair
                 )
                 isolated_report = isolated_reports[hop.hop_id]
@@ -194,6 +194,6 @@ class TestMeshStreamingParity:
 
         batch_receipts = canonical_receipts(run_batch_mesh_reports(spec))
 
-        runner = StreamingRunner(_build_mesh_cell(spec), chunk_size=chunk_size)
+        runner = StreamingRunner(_build_cell(spec), chunk_size=chunk_size)
         streamed = runner.run()
         assert canonical_receipts(streamed.reports) == batch_receipts

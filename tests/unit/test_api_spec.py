@@ -233,7 +233,7 @@ class TestProtocolSpec:
             default=HOPSpec(sampling_rate=0.02),
             domains={"S": None, "X": HOPSpec(sampling_rate=0.05)},
         )
-        configs = spec.build_configs(scenario.path)
+        configs = spec.build_configs_for([d.name for d in scenario.path.domains])
         assert configs["S"] is None
         assert configs["X"].sampler.sampling_rate == 0.05
         assert configs["L"].sampler.sampling_rate == 0.02
@@ -241,7 +241,7 @@ class TestProtocolSpec:
     def test_none_default_means_undeployed(self):
         scenario = PathScenario(seed=0)
         spec = ProtocolSpec(default=None, domains={"X": HOPSpec()})
-        configs = spec.build_configs(scenario.path)
+        configs = spec.build_configs_for([d.name for d in scenario.path.domains])
         assert configs["L"] is None
         assert isinstance(configs["X"], HOPConfig)
 
@@ -249,7 +249,7 @@ class TestProtocolSpec:
         scenario = PathScenario(seed=0)
         spec = ProtocolSpec(domains={"x": HOPSpec(sampling_rate=0.05)})
         with pytest.raises(ValueError, match=r"names \['x'\], which are not on"):
-            spec.build_configs(scenario.path)
+            spec.build_configs_for([d.name for d in scenario.path.domains])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -322,6 +322,12 @@ class TestRoundTrips:
             EstimationSpec(targets=())
         with pytest.raises(ValueError):
             EstimationSpec(quantiles=(1.5,))
+
+    def test_repeated_estimation_target_rejected(self):
+        # A repeated target would be listed twice in the cell result and
+        # double its offered and lost packets in a campaign record.
+        with pytest.raises(ValueError, match=r"names \['X'\] more than once"):
+            EstimationSpec(targets=("X", "N", "X"))
 
     def test_estimation_mode_validation(self):
         with pytest.raises(ValueError, match="mode"):

@@ -179,6 +179,7 @@ class TestPinnedHashes:
         [
             ("campaign_smoke.json", "935e1e62570be2125c5c761631ead430"),
             ("campaign_mesh_smoke.json", "29ca9d72a42f6563231f2c496f82f7f0"),
+            ("campaign_liar_smoke.json", "07cbed290b359fed356e45091f8f0582"),
         ],
     )
     def test_example_specs(self, name, digest):

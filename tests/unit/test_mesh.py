@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary.lying import MeshLyingDomainAgent
+from repro.adversary.lying import LyingDomainAgent
 from repro.analysis.localization import SuspectLink, triangulate_suspects
 from repro.api.spec import ConditionSpec, MeshSpec, TopologySpec, TrafficSpec
-from repro.api.runner import _build_mesh_cell
+from repro.api.runner import _build_cell
 from repro.core.protocol import MeshSession
 from repro.engine.streaming import StreamingRunner
 from repro.net.topology import star_topology
-from repro.reporting.dissemination import MeshReceiptBus, report_for_pair
+from repro.reporting.dissemination import ReceiptBus, _report_for_pair
 from repro.simulation.mesh import MeshScenario
 from repro.simulation.scenario import SegmentCondition
 
@@ -42,7 +42,7 @@ def _fed_cell(adversaries=()):
         },
         adversaries=adversaries,
     )
-    cell = _build_mesh_cell(spec)
+    cell = _build_cell(spec)
     StreamingRunner(cell, chunk_size=None).run()
     return spec, cell
 
@@ -93,7 +93,7 @@ class TestMeshScenario:
             adversaries=(AdversarySpec(kind="marker-drop", domain="S1"),),
         )
         with pytest.raises(ValueError, match="cannot be overridden"):
-            _build_mesh_cell(spec)
+            _build_cell(spec)
 
 
 class TestMeshReceiptBus:
@@ -117,18 +117,18 @@ class TestMeshReceiptBus:
 
     def test_publish_validates_hop_ownership(self, star):
         topology, paths = star
-        bus = MeshReceiptBus(paths)
+        bus = ReceiptBus(paths)
         from repro.core.hop import HOPReport
 
         with pytest.raises(PermissionError, match="owned by"):
             bus.publish("S1", HOPReport(hop_id=2))  # HOP 2 belongs to X
-        with pytest.raises(PermissionError, match="none of the mesh"):
+        with pytest.raises(PermissionError, match="none of the bus's paths"):
             bus.publish("S1", HOPReport(hop_id=999))
 
     def test_rejects_duplicate_pairs(self, star):
         _, paths = star
         with pytest.raises(ValueError, match="duplicate prefix pair"):
-            MeshReceiptBus((paths[0], paths[0]))
+            ReceiptBus((paths[0], paths[0]))
 
     def test_report_for_pair_keeps_only_matching_receipts(self):
         _, cell = _fed_cell()
@@ -137,8 +137,8 @@ class TestMeshReceiptBus:
         # S-side HOPs carry one pair; the filter is the identity there and
         # empty for any other pair.
         hop_id = path.hops[0].hop_id
-        own = report_for_pair(reports[hop_id], path.prefix_pair)
-        other = report_for_pair(reports[hop_id], cell.session.paths[0].prefix_pair)
+        own = _report_for_pair(reports[hop_id], path.prefix_pair)
+        other = _report_for_pair(reports[hop_id], cell.session.paths[0].prefix_pair)
         assert own.sample_receipts == reports[hop_id].sample_receipts
         assert own.aggregate_receipts == reports[hop_id].aggregate_receipts
         assert other.sample_receipts == ()
@@ -159,12 +159,22 @@ class TestMeshSession:
         for hop_id in agent.hop_ids:
             assert agent.collector(hop_id).active_paths == 1
 
+    def test_only_path_default_needs_a_single_path(self, star):
+        _, paths = star
+        session = MeshSession(paths)
+        with pytest.raises(ValueError, match="3 paths"):
+            session.verifier_for("X")
+        with pytest.raises(ValueError, match="name the prefix pair"):
+            session.bus.reports_visible_to("X")
+        one_path = MeshSession(paths[:1])
+        assert one_path.verifier_for("X").path is paths[0]
+
     def test_verifier_estimates_each_path_independently(self):
         spec, cell = _fed_cell()
         session = cell.session
         estimates = []
-        for index, path in enumerate(session.paths):
-            verifier = session.verifier_for(path.domains[0], index)
+        for path in session.paths:
+            verifier = session.verifier_for(path.domains[0], path)
             performance = verifier.estimate_domain("X")
             estimates.append(performance.loss_rate)
             assert performance.offered_packets > 0
@@ -182,7 +192,7 @@ class TestMeshLyingAgent:
         _, lying_cell = _fed_cell(
             adversaries=(AdversarySpec(kind="lying", domain="X"),)
         )
-        assert isinstance(lying_cell.session.agents["X"], MeshLyingDomainAgent)
+        assert isinstance(lying_cell.session.agents["X"], LyingDomainAgent)
         for path in lying_cell.session.paths:
             ingress, egress = path.hops_of("X")
             honest_report = cell.session._last_reports[egress.hop_id]
@@ -207,7 +217,7 @@ class TestMeshLyingAgent:
     def test_requires_a_transit_crossing(self, star):
         topology, paths = star
         with pytest.raises(ValueError, match="transit domain of none"):
-            MeshLyingDomainAgent("S1", (paths[0],))
+            LyingDomainAgent("S1", (paths[0],))
 
 
 class TestTriangulation:
@@ -327,4 +337,4 @@ class TestMeshSpec:
             conditions={"S1": ConditionSpec()},
         )
         with pytest.raises(ValueError, match="transit domain of no path"):
-            _build_mesh_cell(spec)
+            _build_cell(spec)

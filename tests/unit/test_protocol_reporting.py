@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.aggregation import AggregatorConfig
 from repro.core.hop import HOPConfig, HOPReport
-from repro.core.protocol import VPMSession
+from repro.core.protocol import MeshSession, VPMSession
 from repro.core.sampling import SamplerConfig
 from repro.reporting.dissemination import ReceiptBus
 from repro.simulation.scenario import PathScenario, SegmentCondition
@@ -94,6 +94,12 @@ class TestVPMSession:
         assert 0 < overhead.receipt_bytes_per_packet < 50
         assert 0 < overhead.bandwidth_overhead < 0.2
         assert overhead.max_temp_buffer_packets > 0
+
+    def test_is_the_one_path_mesh_session(self, path):
+        session = VPMSession(path, configs=TEST_CONFIG)
+        assert isinstance(session, MeshSession)
+        assert session.paths == (path,)
+        assert session.path is path
 
     def test_off_path_observer_sees_nothing(self, path, observation):
         session = VPMSession(path, configs={d.name: TEST_CONFIG for d in path.domains})
