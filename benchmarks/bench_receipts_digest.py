@@ -4,14 +4,15 @@ With 800-packet aggregates and J = 10 ms, an interval's AggTrans windows are
 most of its receipt volume (Section 6.3): every cut carries the packet IDs
 seen within J on either side of it, at every HOP.  Two steps walk all of
 them once per interval: the run store's
-:func:`~repro.reporting.serialization.receipts_digest` spells every window
-as canonical JSON and hashes it, and
+:func:`~repro.reporting.serialization.receipts_digest` hashes every window
+as raw ``u8`` packet IDs in its ``VPM2`` encoding, and
 :func:`~repro.core.partition.aligned_aggregates` compares and intersects the
 windows of neighbouring HOPs.  This benchmark times both over one interval
 shaped like perfbench's ``fine_batch`` workload (8 HOPs on the Figure-1 path,
 10,000 packets, 5% sampling, aggregate 800, J = 10 ms, three lossy domains
-and a lying one), best of 3, and prints the cost per AggTrans ID and the
-bytes hashed — the baseline a packed receipt encoding has to beat.
+and a lying one), best of 3, and prints the cost per AggTrans ID, the
+``VPM2`` bytes hashed, and, for scale, the size of the same receipts as the
+canonical JSON the conformance goldens spell.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from repro.api.spec import (
     TrafficSpec,
 )
 from repro.core.partition import aligned_aggregates
-from repro.reporting.serialization import canonical_receipts, receipts_digest
+from repro.reporting.serialization import receipts_digest
+from tests.conformance.canon import canonical_receipts
+from tests.oracle.receipts_codec import encode_receipts
 
 
 def _jitter(base: float, std: float, loss: str, **loss_params) -> ConditionSpec:
@@ -83,9 +86,9 @@ def test_receipts_digest_and_alignment(benchmark):
         for per_hop in receipts
         for receipt in per_hop
     )
-    # The bytes the digest hashes: the canonical JSON it streams.
+    hashed_bytes = len(encode_receipts(reports))
     canonical = json.dumps(canonical_receipts(reports), sort_keys=True, separators=(",", ":"))
-    hashed_bytes = len(canonical.encode("ascii"))
+    json_bytes = len(canonical.encode("ascii"))
 
     def align_neighbours() -> None:
         for upstream, downstream in zip(receipts, receipts[1:]):
@@ -98,13 +101,14 @@ def test_receipts_digest_and_alignment(benchmark):
     assert window_ids > 0
     print_table(
         "Receipt path of one fine_batch-shaped interval (8 HOPs, aggregate 800, J = 10 ms)",
-        ["step", "aggregates", "AggTrans ids", "MB hashed", "ms", "ns/AggTrans id"],
+        ["step", "aggregates", "AggTrans ids", "MB hashed", "MB as JSON", "ms", "ns/AggTrans id"],
         [
             [
                 name,
                 sum(map(len, receipts)),
                 window_ids,
                 f"{hashed_bytes / 1e6:.2f}" if name == "receipts_digest" else "-",
+                f"{json_bytes / 1e6:.2f}" if name == "receipts_digest" else "-",
                 f"{1e3 * elapsed:.1f}",
                 f"{1e9 * elapsed / window_ids:.1f}",
             ]

@@ -181,6 +181,14 @@ def _build_cell(spec: ExperimentSpec | MeshSpec) -> StreamingCell:
                 f"estimation observer {spec.estimation.observer!r} is not on "
                 f"the path, so it would see no receipts (path domains: {on_path})"
             )
+        transit = sorted(domain.name for domain, _, _ in scenario.path.domain_segments())
+        for target in spec.estimation.targets:
+            if target not in transit:
+                raise ValueError(
+                    f"estimation target {target!r} is not a transit domain of the "
+                    f"path, so it has no ingress/egress HOP pair to estimate "
+                    f"between (transit domains: {transit})"
+                )
 
     domains = list(dict.fromkeys(d.name for path in paths for d in path.domains))
     for adversary in spec.adversaries:

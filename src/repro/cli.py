@@ -379,7 +379,7 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 130
-    except DispatchError as exc:
+    except (DispatchError, RunStoreError) as exc:
         _fail(str(exc))
     if not args.quiet:
         print(f"campaign complete: {store.path} ({spec.intervals} intervals)")
@@ -393,7 +393,10 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     except RunStoreError as exc:
         _fail(str(exc))
     policy = _build_policy(store.spec(), args)
-    runner = CampaignRunner.resume(store, policy=policy)
+    try:
+        runner = CampaignRunner.resume(store, policy=policy)
+    except RunStoreError as exc:
+        _fail(str(exc))
     if not args.quiet:
         print(
             f"resuming {store.path} from interval "

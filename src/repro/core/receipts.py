@@ -57,6 +57,8 @@ __all__ = [
 SAMPLE_RECORD_BYTES = 7
 AGGREGATE_RECEIPT_BYTES = 22
 
+_TIME = attrgetter("time")
+
 
 @dataclass(frozen=True)
 class PathID:
@@ -117,6 +119,12 @@ class SampleReceipt:
     path_id: PathID
     samples: tuple[SampleRecord, ...] = ()
     sampling_threshold: int | None = None
+
+    def __post_init__(self) -> None:
+        # One pass per receipt, not a check per SampleRecord: a receipt holds thousands.
+        if not all(map(math.isfinite, map(_TIME, self.samples))):
+            bad = next(i for i, record in enumerate(self.samples) if not math.isfinite(record.time))
+            raise ValueError(f"samples[{bad}] has time {self.samples[bad].time!r}; must be finite")
 
     def __len__(self) -> int:
         return len(self.samples)

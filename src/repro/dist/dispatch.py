@@ -58,6 +58,7 @@ from repro.engine.campaign import (
     CampaignRunOutcome,
     IntervalCommitted,
     RunComplete,
+    appendable_records,
     interval_record,
 )
 from repro.store import RunStore
@@ -510,7 +511,6 @@ class DispatchCoordinator:
         # The coordinator is the single writer: repair any torn tail a
         # previous coordinator's death left mid-append.
         self.store.repair_torn_tail()
-        accumulator = CampaignAccumulator.from_records(self.spec, self.store.records())
         ran = 0
         rng = self.chaos.delays() if self.chaos is not None else None
         chaos_state = {"kills_left": 0, "next_kill": 0.0}
@@ -521,6 +521,9 @@ class DispatchCoordinator:
                 + rng.uniform(self.chaos.min_delay, self.chaos.max_delay),
             }
         try:
+            accumulator = CampaignAccumulator.from_records(
+                self.spec, appendable_records(self.store)
+            )
             for _ in range(self.workers):
                 self._spawn_worker()
             while accumulator.intervals_folded < self.spec.intervals:

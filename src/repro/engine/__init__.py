@@ -14,7 +14,8 @@ from splitting one interval.
 
 Both engines produce identical receipts and results for every streamable
 component (see ``README.md`` § Engines); the only documented difference is
-``AggregateReceipt.time_sum``, whose float accumulation order varies.
+``AggregateReceipt.time_sum``, whose float accumulation order varies and
+which the receipts digest therefore binds to 10 significant digits only.
 
 On top of the per-interval engines,
 :class:`~repro.engine.campaign.CampaignRunner` drives long-horizon campaigns

@@ -55,7 +55,7 @@ from repro.core.hop import HOPCollector
 from repro.core.verifier import DomainPerformance, Verifier
 from repro.net.topology import HOPPath
 from repro.reporting.serialization import receipts_digest
-from repro.store import RunStore
+from repro.store import RunStore, RunStoreError
 
 __all__ = [
     "CampaignAccumulator",
@@ -65,11 +65,13 @@ __all__ = [
     "CheckpointWritten",
     "IntervalCommitted",
     "RunComplete",
+    "appendable_records",
     "estimation_settings",
     "interval_record",
 ]
 
-RECORD_VERSION = 1
+#: Version 2 digests receipts as ``VPM2``; version 1 hashed canonical JSON.
+RECORD_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -252,8 +254,9 @@ def interval_record(
     A pure function of ``(spec, index)`` — the execution knobs (individual
     keywords or one :class:`~repro.api.spec.ExecutionPolicy`) select an
     engine but cannot perturb the record (the engines are byte-identical and
-    ``time_sum``, the one tolerant field, is canonicalized inside the
-    receipts digest).  This purity is the whole checkpoint/resume story.
+    ``time_sum``, the one tolerant field, is rounded to its 10-digit
+    tolerance inside the ``VPM2`` receipts digest).  This purity is the
+    whole checkpoint/resume story.
     ``checkpoint_sink`` / ``resume_from`` enable *mid-interval* streaming
     checkpoints (single-path streaming cells): resuming from a sink-fed
     :class:`~repro.engine.streaming.RunnerCheckpoint` yields the identical
@@ -496,6 +499,25 @@ class CampaignAccumulator:
         }
 
 
+def appendable_records(store: RunStore) -> list[dict[str, Any]]:
+    """The store's records; :class:`~repro.store.RunStoreError` if one has another version.
+
+    Extending such a store would mix two digest encodings in it, so both
+    writers (:class:`CampaignRunner`, the dispatch coordinator) check here;
+    readers read any version.
+    """
+    records = store.records()
+    for record in records:
+        if record.get("version") != RECORD_VERSION:
+            raise RunStoreError(
+                f"{store.path} holds record version {record.get('version')!r} "
+                f"(interval {record.get('interval')!r}); this build appends "
+                f"version {RECORD_VERSION} records only, so it cannot extend "
+                f"the store (repro report still reads it)"
+            )
+    return records
+
+
 class CampaignRunOutcome(NamedTuple):
     """What one :meth:`CampaignRunner.run` call achieved."""
 
@@ -558,7 +580,7 @@ class CampaignRunner:
         self._bound = self.policy.bind(self.spec.cell)
         self._memory_records: list[dict[str, Any]] = []
         self._event_sink: Callable[[CampaignEvent], None] | None = None
-        existing = store.records() if store is not None else []
+        existing = appendable_records(store) if store is not None else []
         self.accumulator = CampaignAccumulator.from_records(self.spec, existing)
 
     @classmethod

@@ -7,11 +7,12 @@ produced, in a form a customer could audit months later:
   dict form), its spec hash, and the store format version; written once at
   creation.
 * ``records.jsonl`` — one JSON line per **completed** interval, appended in
-  interval order: the spec hash, the interval's derived root seed, a digest
-  of every HOP's receipts (canonical form, ``time_sum`` at its documented
-  tolerance), the per-domain estimates, verification/SLA verdicts, and the
-  interval's matched delay samples as lossless float hex (the input to the
-  campaign's mergeable pooled-quantile state).
+  interval order: the record version, the spec hash, the interval's derived
+  root seed, a digest of every HOP's receipts (BLAKE2b over their ``VPM2``
+  encoding, :mod:`repro.reporting.serialization`; ``time_sum`` at its
+  documented tolerance), the per-domain estimates, verification/SLA
+  verdicts, and the interval's matched delay samples as lossless float hex
+  (the input to the campaign's mergeable pooled-quantile state).
 * ``summary.json`` — the campaign-level statistics, written once when the
   final interval lands.
 

@@ -1,17 +1,21 @@
-"""The streaming receipts digest equals the canonical-JSON oracle.
+"""The receipts digest equals the independent VPM2 oracle.
 
-:func:`~repro.reporting.serialization.receipts_digest` streams the canonical
-JSON into its hash piece by piece; :func:`~repro.reporting.serialization.canonical_receipts`
-plus ``json.dumps`` is its specification.  Every conformance scenario, both
-mesh cells, a set of hand-built hostile reports and generated reports must
-hash identically on both paths.  The committed golden files pin the digest
-to canonical bytes written independently of both functions.
+:func:`~repro.reporting.serialization.receipts_digest` streams the ``VPM2``
+bytes of its module docstring's layout into BLAKE2b from the receipts'
+arrays; :func:`tests.oracle.receipts_codec.encode_receipts` writes the same
+layout with ``struct``, one field at a time.  Every conformance scenario,
+both mesh cells, a set of hand-built hostile reports and generated reports
+must hash identically on both paths.  The committed golden files pin the
+digest to receipts written independently of both encoders: each golden's
+canonical JSON, read back into reports, digests equal to the live run.  One
+hand-built report's digest is pinned as a literal, so any change of layout
+must edit this file.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -22,24 +26,20 @@ from repro.core.hop import HOPReport
 from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt, SampleRecord
 from repro.net.hashing import MASK64
 from repro.net.prefixes import OriginPrefix, PrefixPair
-from repro.reporting.serialization import canonical_receipts, receipts_digest
+from repro.reporting.serialization import receipts_digest
 
-from tests.conformance.canon import run_batch_mesh_reports, run_batch_reports
+from tests.conformance.canon import (
+    canonical_receipts,
+    reports_from_canonical,
+    run_batch_mesh_reports,
+    run_batch_reports,
+)
 from tests.conformance.scenarios import CONFORMANCE_SCENARIOS, MESH_CONFORMANCE_SCENARIOS
 from tests.helpers import WINDOW_FORMS, window_as
+from tests.oracle.receipts_codec import encode_receipts, oracle_digest
 
 SUBNORMAL = 5e-324
 LARGEST_ID = (1 << 64) - 1
-
-
-def canonical_digest(canonical) -> str:
-    payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
-
-
-def oracle_digest(reports) -> str:
-    return canonical_digest(canonical_receipts(reports))
-
 
 COMMITTED_GOLDENS = sorted((Path(__file__).parent / "goldens").glob("*.json"))
 
@@ -52,14 +52,16 @@ def test_every_golden_is_pinned():
 
 @pytest.mark.parametrize("path", COMMITTED_GOLDENS, ids=lambda path: path.stem)
 def test_digest_matches_committed_golden(path):
-    """The digest hashes the committed canonical receipts, byte for byte."""
+    """The live run digests like the committed receipts read back from JSON."""
     golden = json.loads(path.read_text())
     name = golden["scenario"]
     if name in MESH_CONFORMANCE_SCENARIOS:
         reports = run_batch_mesh_reports(MESH_CONFORMANCE_SCENARIOS[name])
     else:
         reports = run_batch_reports(CONFORMANCE_SCENARIOS[name])
-    assert receipts_digest(reports) == canonical_digest(golden["receipts"])
+    committed = reports_from_canonical(golden["receipts"])
+    assert canonical_receipts(committed) == golden["receipts"]
+    assert receipts_digest(reports) == receipts_digest(committed) == oracle_digest(committed)
 
 
 @pytest.mark.parametrize("name", sorted(CONFORMANCE_SCENARIOS))
@@ -132,14 +134,24 @@ def _report(prefix_pair, hop: int, threshold: int | None) -> HOPReport:
 HOSTILE_HOPS = (2, 9, 10, 11, 100)
 
 
-def test_hop_ids_in_string_order(prefix_pair):
-    # "10" < "100" < "11" < "2" < "9": the digest must follow JSON's key sort,
-    # not numeric order.
+def test_hop_ids_in_numeric_order(prefix_pair):
+    # "10" < "100" < "11" < "2" < "9" as strings; VPM2 orders HOPs by number.
     assert sorted(map(str, HOSTILE_HOPS)) != [str(hop) for hop in sorted(HOSTILE_HOPS)]
     reports = {hop: _report(prefix_pair, hop, threshold=hop * 1000) for hop in HOSTILE_HOPS}
     assert receipts_digest(reports) == oracle_digest(reports)
-    numeric_order = {hop: reports[hop] for hop in sorted(HOSTILE_HOPS)}
-    assert receipts_digest(numeric_order) == receipts_digest(reports)
+    encoded = encode_receipts(reports)
+    assert struct.unpack_from("<Q", encoded, 4) == (len(HOSTILE_HOPS),)
+    framed = [struct.unpack_from("<q", encoded, 12 + 16 * k)[0] for k in range(len(reports))]
+    assert framed == sorted(HOSTILE_HOPS)
+    string_order = {hop: reports[hop] for hop in sorted(HOSTILE_HOPS, key=str)}
+    assert receipts_digest(string_order) == receipts_digest(reports)
+
+
+def test_pinned_digest(prefix_pair):
+    """A literal pin: changing any part of the layout must edit this test."""
+    reports = {10: _report(prefix_pair, 10, threshold=None), 3: _report(prefix_pair, 3, 7)}
+    assert receipts_digest(reports) == oracle_digest(reports)
+    assert receipts_digest(reports) == "fe8696335c91fb0f83f5830b71c7a6f6"
 
 
 def test_signed_zero_subnormal_and_no_threshold(prefix_pair):
@@ -163,7 +175,7 @@ def test_signed_zero_subnormal_and_no_threshold(prefix_pair):
         )
         for hop, report in reports.items()
     }
-    # -0.0 and 0.0 are different bytes in the canonical form.
+    # -0.0 and 0.0 are different bits.
     assert receipts_digest(positive_zero) == oracle_digest(positive_zero)
     assert receipts_digest(positive_zero) != receipts_digest(reports)
 
@@ -175,6 +187,94 @@ def test_reports_without_receipts():
     assert receipts_digest(empty) != receipts_digest({})
 
 
+# -- injectivity: moves that keep every concatenation equal --------------------------
+
+
+def _aggregate(path_id, first: int, before=(), after=(), time_sum=0.5) -> AggregateReceipt:
+    return AggregateReceipt(
+        path_id=path_id,
+        first_pkt_id=first,
+        last_pkt_id=first + 1,
+        pkt_count=2,
+        start_time=0.0,
+        end_time=1.0,
+        time_sum=time_sum,
+        trans_before=before,
+        trans_after=after,
+    )
+
+
+def _aggregates(prefix_pair, *aggregates) -> dict[int, HOPReport]:
+    path_id = _path_id(prefix_pair, 4)
+    return {
+        4: HOPReport(
+            hop_id=4,
+            aggregate_receipts=tuple(_aggregate(path_id, *plan) for plan in aggregates),
+        )
+    }
+
+
+def _samples(prefix_pair, *receipts, threshold=9) -> dict[int, HOPReport]:
+    path_id = _path_id(prefix_pair, 4)
+    return {
+        4: HOPReport(
+            hop_id=4,
+            sample_receipts=tuple(
+                SampleReceipt(
+                    path_id=path_id,
+                    samples=tuple(SampleRecord(*record) for record in records),
+                    sampling_threshold=threshold,
+                )
+                for records in receipts
+            ),
+        )
+    }
+
+
+INJECTIVITY = {
+    "an id moved between trans_after and trans_before": (
+        lambda pair: _aggregates(pair, (1, (3,), (1, 2))),
+        lambda pair: _aggregates(pair, (1, (2, 3), (1,))),
+    ),
+    "a window boundary shifted between adjacent aggregates": (
+        lambda pair: _aggregates(pair, (1, (5, 6), (4,)), (3, (), (7, 8))),
+        lambda pair: _aggregates(pair, (1, (5,), (4,)), (3, (), (6, 7, 8))),
+    ),
+    "a record moved between two sample receipts of one HOP": (
+        lambda pair: _samples(pair, [(1, 0.5), (2, 0.75)], [(3, 1.0)]),
+        lambda pair: _samples(pair, [(1, 0.5)], [(2, 0.75), (3, 1.0)]),
+    ),
+    "-0.0 against 0.0": (
+        lambda pair: _samples(pair, [(1, -0.0)]),
+        lambda pair: _samples(pair, [(1, 0.0)]),
+    ),
+    "threshold 0 against no threshold": (
+        lambda pair: _samples(pair, [(1, 0.5)], threshold=0),
+        lambda pair: _samples(pair, [(1, 0.5)], threshold=None),
+    ),
+    "time_sum beyond its tolerance": (
+        lambda pair: _aggregates(pair, (1, (), (), 45000.25)),
+        lambda pair: _aggregates(pair, (1, (), (), 45000.26)),
+    ),
+}
+
+
+@pytest.mark.parametrize("move", sorted(INJECTIVITY))
+def test_moves_that_keep_the_concatenation_digest_differently(prefix_pair, move):
+    one, other = (build(prefix_pair) for build in INJECTIVITY[move])
+    assert canonical_receipts(one) != canonical_receipts(other)
+    assert receipts_digest(one) == oracle_digest(one)
+    assert receipts_digest(other) == oracle_digest(other)
+    assert receipts_digest(one) != receipts_digest(other)
+
+
+def test_time_sum_inside_its_tolerance_digests_the_same(prefix_pair):
+    one = _aggregates(prefix_pair, (1, (), (), 45000.25))
+    nudged = _aggregates(prefix_pair, (1, (), (), 45000.25 + 1e-9))
+    assert canonical_receipts(one) == canonical_receipts(nudged)
+    assert receipts_digest(one) == receipts_digest(nudged) == oracle_digest(nudged)
+
+
 # -- generated reports ----------------------------------------------------------------
 #
 # A report plan names its AggTrans windows by index into one shared pool, so
@@ -182,8 +282,8 @@ def test_reports_without_receipts():
 # holds the empty window and a proper prefix of another window.  Each pool
 # window arrives as a tuple, a uint64 array or a non-contiguous view (see
 # ``WINDOW_FORMS``).  Ids, packet counts and HOP ids come from small ranges so
-# an id equal to some ``pkt_count`` is common; HOP 2 and HOP 10 sort
-# differently as strings, and ids 9 and 10 spell with different widths.
+# an id equal to some ``pkt_count`` is common, and HOP 2 and HOP 10 sort
+# differently as strings than as numbers.
 
 GENERATED_PAIR = PrefixPair(
     source=OriginPrefix.parse("10.1.0.0/16"), destination=OriginPrefix.parse("10.2.0.0/16")
@@ -302,3 +402,5 @@ _WIDE_IDS = (0, 9, 10, 1 << 63, LARGEST_ID)
 def test_generated_reports_match_oracle(plan):
     reports = build_reports(plan)
     assert receipts_digest(reports) == oracle_digest(reports)
+    rebuilt = reports_from_canonical(json.loads(json.dumps(canonical_receipts(reports))))
+    assert receipts_digest(rebuilt) == receipts_digest(reports)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import socket
 import urllib.parse
 from typing import Sequence
@@ -65,6 +66,16 @@ def raw_http_exchange(url: str, request: bytes, timeout: float = 3.0) -> bytes |
             if not chunks:
                 return None
     return b"".join(chunks)
+
+
+def rewrite_record_version(store, version: int) -> None:
+    """Rewrite every committed record of ``store`` as record version ``version``.
+
+    What a store written by a build of another record version looks like.
+    """
+    lines = store.records_path.read_bytes().decode("utf-8").splitlines()
+    rewritten = [stable_json({**json.loads(line), "version": version}) for line in lines]
+    store.records_path.write_bytes("".join(line + "\n" for line in rewritten).encode("utf-8"))
 
 
 def stage_record(staging, interval: int, record) -> bool:

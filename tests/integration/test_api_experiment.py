@@ -30,6 +30,7 @@ from repro.api import (
     SweepResult,
     TrafficSpec,
 )
+from repro.api import runner as runner_module
 from repro.api.spec import CampaignSpec
 from repro.core.protocol import VPMSession
 from repro.engine.campaign import CampaignRunner
@@ -237,6 +238,24 @@ class TestAdversarySpecs:
         )
         with pytest.raises(ValueError, match=r"observer 'Q' is not on the path.*'X'"):
             Experiment(spec).run()
+
+    @pytest.mark.parametrize("target", ["Q", "S"])
+    def test_off_path_or_edge_target_rejected_before_any_trace(self, monkeypatch, target):
+        # An edge domain has one HOP and an off-path one none, so neither has
+        # an ingress/egress pair; the builder refuses it before any traffic.
+        built = []
+        monkeypatch.setattr(
+            runner_module, "SyntheticTrace", lambda *args, **kwargs: built.append(kwargs)
+        )
+        spec = dataclasses.replace(
+            self._base(), estimation=EstimationSpec(observer="S", targets=("X", target))
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"target '{target}' is not a transit domain.*\['L', 'N', 'X'\]",
+        ):
+            Experiment(spec).run()
+        assert built == []
 
     def test_colluder_without_liar_is_rejected(self):
         spec = dataclasses.replace(

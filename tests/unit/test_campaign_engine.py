@@ -28,7 +28,9 @@ from repro.engine.campaign import (
     CampaignRunner,
     interval_record,
 )
-from repro.store import RunStore
+from repro.store import RunStore, RunStoreError
+
+from tests.helpers import rewrite_record_version
 
 
 def _cell(packet_count: int = 500) -> ExperimentSpec:
@@ -177,6 +179,20 @@ class TestCampaignRunner:
 
         with pytest.raises(SpecMismatchError):
             CampaignRunner(_spec(intervals=3), store)
+
+    def test_store_of_another_record_version_is_refused(self, tmp_path):
+        spec = _spec(intervals=3)
+        store = RunStore.create(tmp_path / "run", spec)
+        CampaignRunner(spec, store).run(max_intervals=2)
+        rewrite_record_version(store, 1)
+        before = store.records_path.read_bytes()
+        with pytest.raises(RunStoreError, match="record version 1 .*version 2 records only"):
+            CampaignRunner.resume(str(tmp_path / "run"))
+        with pytest.raises(RunStoreError, match="record version 1"):
+            CampaignRunner(spec, store)
+        assert store.records_path.read_bytes() == before
+        # Readers still fold it.
+        assert CampaignAccumulator.from_records(spec, store.records()).intervals_folded == 2
 
     def test_memory_mode_without_store(self):
         spec = _spec(intervals=2)

@@ -19,6 +19,8 @@ from repro.api.spec import (
 from repro.cli import main
 from repro.store import RunStore
 
+from tests.helpers import rewrite_record_version
+
 
 @pytest.fixture()
 def spec() -> CampaignSpec:
@@ -206,6 +208,20 @@ class TestResumeAndReport:
             RunStore.open(tmp_path / "mixed").digest()
             == RunStore.open(tmp_path / "full").digest()
         )
+
+    def test_resume_refuses_another_record_version_report_reads_it(
+        self, tmp_path, spec_file, capsys
+    ):
+        main(
+            ["run", str(spec_file), "--run-dir", str(tmp_path / "old"),
+             "--max-intervals", "2", "--quiet"]
+        )
+        rewrite_record_version(RunStore.open(tmp_path / "old"), 1)
+        with pytest.raises(SystemExit, match="record version 1"):
+            main(["resume", str(tmp_path / "old"), "--quiet"])
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "old")]) == 0
+        assert "2/3 intervals" in capsys.readouterr().out
 
     def test_resume_rejects_non_store(self, tmp_path):
         with pytest.raises(SystemExit, match="not a run store"):

@@ -39,9 +39,9 @@ from repro.dist import (
 )
 from repro.dist.dispatch import DEFAULT_LEASE
 from repro.engine.campaign import CampaignRunner, interval_record
-from repro.store import RunStore, SpecMismatchError
+from repro.store import RunStore, RunStoreError, SpecMismatchError
 
-from tests.helpers import stage_record
+from tests.helpers import rewrite_record_version, stage_record
 
 
 def _spec(name: str = "dispatch-test", intervals: int = 3) -> CampaignSpec:
@@ -274,6 +274,17 @@ class TestCommitOnlyCoordinator:
         stage_record(staging, 0, tampered)
         with pytest.raises(DispatchError, match="disagrees with its committed"):
             DispatchCoordinator(store, workers=0).run()
+
+    def test_store_of_another_record_version_is_refused(self, tmp_path):
+        spec = _spec(intervals=2)
+        store = RunStore.create(tmp_path / "run", spec)
+        CampaignRunner(spec, store).run(max_intervals=1)
+        rewrite_record_version(store, 1)
+        staging = StagingArea(tmp_path / "run" / DISPATCH_DIR)
+        stage_record(staging, 1, interval_record(spec, 1))
+        with pytest.raises(RunStoreError, match="record version 1"):
+            DispatchCoordinator(store, workers=0).run()
+        assert store.record_count == 1
 
     def test_negative_workers_rejected(self, tmp_path):
         spec = _spec(intervals=1)

@@ -124,6 +124,17 @@ class TestSampleReceipt:
         )
         assert sampled_ids(combine_sample_receipts([first, fourth])) == frozenset({1, 4})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_record_time_rejected(self, path_id, value):
+        # The first bad record is named, not the later one.
+        samples = (SampleRecord(1, 1.0), SampleRecord(2, value), SampleRecord(3, value))
+        with pytest.raises(ValueError, match=r"samples\[1\] has time .* must be finite"):
+            SampleReceipt(path_id=path_id, samples=samples)
+
+    def test_extreme_finite_record_times_accepted(self, path_id):
+        samples = (SampleRecord(1, -0.0), SampleRecord(2, 5e-324), SampleRecord(3, 1.7e308))
+        assert len(SampleReceipt(path_id=path_id, samples=samples)) == 3
+
 
 class TestAggregateReceipt:
     def test_basic_properties(self, path_id):

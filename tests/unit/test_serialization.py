@@ -1,9 +1,11 @@
-"""Unit tests for repro.reporting.serialization: the canonical receipt form and its digest.
+"""Unit tests for repro.reporting.serialization: the receipts digest.
 
-``canonical_receipts`` specifies what an interval's digest binds;
-``receipts_digest`` must change whenever any field of that form changes and
-only then.  The Section 7.1 byte accounting (``wire_bytes``) is checked here
-too, since it is the only size the receipts are given.
+``canonical_receipts`` (the goldens' spelling) lists what an interval's
+digest binds; ``receipts_digest`` must change whenever any field of that form
+changes and only then, and must equal the independent ``VPM2`` encoder in
+:mod:`tests.oracle.receipts_codec`.  The Section 7.1 byte accounting
+(``wire_bytes``) is checked here too, since it is the only size the receipts
+are given.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from repro.core.receipts import (
     SampleRecord,
 )
 from repro.net.prefixes import OriginPrefix, PrefixPair
-from repro.reporting.serialization import canonical_receipts, receipts_digest
+from repro.reporting.serialization import receipts_digest
 
+from tests.conformance.canon import canonical_receipts
 from tests.helpers import feed_session
+from tests.oracle.receipts_codec import encode_receipts, oracle_digest
 
 
 @pytest.fixture()
@@ -70,12 +74,6 @@ def full_report(sample_receipt, aggregate_receipt) -> HOPReport:
         sample_receipts=(sample_receipt,),
         aggregate_receipts=(aggregate_receipt,),
     )
-
-
-def canonical_json_digest(reports) -> str:
-    """The digest as its docstring specifies it, from the canonical form."""
-    payload = json.dumps(canonical_receipts(reports), sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def _replace_sample(report: HOPReport, **changes) -> HOPReport:
@@ -206,10 +204,12 @@ class TestCanonicalForm:
 
 
 class TestDigest:
-    def test_digest_is_blake2b_of_the_canonical_json(self, full_report):
+    def test_digest_is_blake2b_of_the_vpm2_bytes(self, full_report):
         reports = {5: full_report, 3: HOPReport(hop_id=3)}
         digest = receipts_digest(reports)
-        assert digest == canonical_json_digest(reports)
+        encoded = encode_receipts(reports)
+        assert encoded.startswith(b"VPM2")
+        assert digest == hashlib.blake2b(encoded, digest_size=16).hexdigest()
         assert len(digest) == 32 and int(digest, 16) >= 0
 
     def test_digest_is_deterministic(self, full_report):
@@ -233,7 +233,49 @@ class TestDigest:
         key = changed.hop_id
         assert canonical_receipts({key: changed}) != canonical_receipts({5: full_report})
         assert receipts_digest({key: changed}) != receipts_digest({5: full_report})
-        assert receipts_digest({key: changed}) == canonical_json_digest({key: changed})
+        assert receipts_digest({key: changed}) == oracle_digest({key: changed})
+
+
+class TestFieldRanges:
+    """A value its VPM2 field cannot hold raises, naming the field."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("first_pkt_id", -1),
+            ("last_pkt_id", 1 << 64),
+            ("pkt_count", 1 << 64),
+            ("first_pkt_id", 2.0),
+        ],
+    )
+    def test_aggregate_field(self, full_report, field, value):
+        with pytest.raises(ValueError, match=field):
+            receipts_digest({5: _replace_aggregate(full_report, **{field: value})})
+
+    @pytest.mark.parametrize("value", [-1, 1 << 64])
+    def test_sampling_threshold(self, full_report, value):
+        with pytest.raises(ValueError, match="sampling_threshold"):
+            receipts_digest({5: _replace_sample(full_report, sampling_threshold=value)})
+
+    def test_record_pkt_id(self, full_report):
+        with pytest.raises(ValueError, match="pkt_id"):
+            receipts_digest({5: _replace_record(full_report, pkt_id=1 << 64)})
+
+    def test_reporting_hop(self, full_report):
+        with pytest.raises(ValueError, match="reporting_hop"):
+            receipts_digest({5: _other_path(full_report, reporting_hop=1 << 63)})
+
+    def test_hop_id(self, full_report):
+        with pytest.raises(ValueError, match="HOP id"):
+            receipts_digest({1 << 63: full_report})
+
+    def test_extremes_that_fit(self, full_report):
+        widest = _replace_sample(
+            _replace_aggregate(full_report, first_pkt_id=0, last_pkt_id=(1 << 64) - 1),
+            sampling_threshold=(1 << 64) - 1,
+        )
+        reports = {-(1 << 63): widest, (1 << 63) - 1: HOPReport(hop_id=3)}
+        assert receipts_digest(reports) == oracle_digest(reports)
 
 
 class TestWireBytes:
@@ -278,10 +320,10 @@ class TestEndToEndSerialization:
         session = VPMSession(path, configs={d.name: config for d in path.domains})
         return feed_session(session, observation)
 
-    def test_session_reports_digest_matches_canonical_json(self, session_reports):
+    def test_session_reports_digest_matches_the_oracle(self, session_reports):
         assert any(report.sample_receipts for report in session_reports.values())
         assert any(report.aggregate_receipts for report in session_reports.values())
-        assert receipts_digest(session_reports) == canonical_json_digest(session_reports)
+        assert receipts_digest(session_reports) == oracle_digest(session_reports)
 
     def test_session_reports_survive_the_canonical_form(self, session_reports):
         form = json.loads(json.dumps(canonical_receipts(session_reports)))
