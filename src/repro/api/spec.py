@@ -829,9 +829,10 @@ class ExecutionPolicy(Spec):
     chunk_size:
         Streaming chunk size in packets; ``None`` uses the engine default.
     throttle:
-        Seconds to sleep between campaign intervals (and after each
-        mid-interval checkpoint write) — the pacing knob long soak runs use.
-        Finite and non-negative.
+        Seconds :meth:`~repro.engine.campaign.CampaignRunner.run_interval`
+        sleeps after each committed interval and mid-interval checkpoint
+        write, and a dispatch worker after each upload — the pacing knob
+        long soak runs use.  Finite and non-negative.
     checkpoint_every:
         Emit a mid-interval :class:`~repro.engine.streaming.RunnerCheckpoint`
         every this many chunks (streaming only): a killed run resumes from

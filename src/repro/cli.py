@@ -2,7 +2,7 @@
 
 Campaigns are the protocol's unit of accountability — a spec is contracted,
 run over N intervals, and its durable store is what a customer audits later.
-The CLI covers that whole lifecycle plus the repo's golden-fixture workflow:
+The CLI covers that whole lifecycle:
 
 * ``repro run spec.json`` — create a run store and execute the campaign,
   checkpointing after every interval; safe to kill at any instant.
@@ -20,9 +20,6 @@ The CLI covers that whole lifecycle plus the repo's golden-fixture workflow:
   and campaign SLA verdicts (the same scan the service's ``RunIndex`` uses).
 * ``repro serve`` — the measurement service: HTTP API + job queue + browser
   dashboard over a store root (see :mod:`repro.service`).
-* ``repro regen-goldens`` — regenerate the conformance golden fixtures, or
-  (``--check``) regenerate into a scratch directory and diff against the
-  committed ones, failing with a readable diff on drift.
 
 Engine selection (``--engine``, ``--chunk-size``, ``--checkpoint-every``,
 or one declarative ``--policy policy.json`` — an
@@ -34,15 +31,10 @@ resumes and verifies under any other.
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
-import os
-import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from repro.api.spec import ENGINES, CampaignSpec, ExecutionPolicy
 from repro.engine.campaign import (
@@ -61,17 +53,21 @@ def _fail(message: str) -> NoReturn:
     raise SystemExit(f"repro: error: {message}")
 
 
-def _build_policy(spec: CampaignSpec, args: argparse.Namespace) -> ExecutionPolicy:
-    """Build the run's :class:`ExecutionPolicy` and validate it against the
-    spec's cell, before any work (and before a store is created)."""
-    knobs_given = (
+def _knobs_given(args: argparse.Namespace) -> bool:
+    """Whether any individual execution knob was passed."""
+    return (
         args.engine is not None
         or args.chunk_size is not None
         or args.throttle != 0.0
         or args.checkpoint_every is not None
     )
+
+
+def _build_policy(spec: CampaignSpec, args: argparse.Namespace) -> ExecutionPolicy:
+    """Build the run's :class:`ExecutionPolicy` and validate it against the
+    spec's cell, before any work (and before a store is created)."""
     if args.policy is not None:
-        if knobs_given:
+        if _knobs_given(args):
             _fail(
                 "pass either --policy or the individual --engine/--chunk-size/"
                 "--throttle/--checkpoint-every knobs, not both"
@@ -151,49 +147,49 @@ def _execution_knobs(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="sleep after each interval checkpoint (lets a test harness kill "
-        "the run mid-campaign deterministically)",
+        help="sleep after each committed interval and mid-interval checkpoint "
+        "(lets a test harness kill the run mid-campaign deterministically)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress per-interval progress"
     )
 
 
-def _drive(runner: CampaignRunner, args: argparse.Namespace, store: RunStore) -> int:
-    spec = runner.spec
-    throttle = runner.policy.throttle
+def _progress(spec: CampaignSpec, quiet: bool) -> Callable[[CampaignEvent], None]:
+    """The progress printer of ``run``, ``resume`` and ``dispatch``."""
 
     def progress(event: CampaignEvent) -> None:
-        if not isinstance(event, IntervalCommitted):
-            if isinstance(event, CheckpointWritten) and not args.quiet:
-                print(
-                    f"  checkpoint: interval {event.interval + 1} at chunk "
-                    f"{event.chunk_index}",
-                    flush=True,
-                )
+        if quiet:
             return
-        record = event.record
-        if throttle > 0:
-            # The record is already durably checkpointed; sleeping here gives
-            # a kill signal a deterministic window between intervals.
-            time.sleep(throttle)
-        if args.quiet:
-            return
-        verdicts = record["verdicts"]
-        flags = " ".join(
-            f"{domain}:{'ok' if verdict['accepted'] else 'REJECTED'}"
-            if verdict["accepted"] is not None
-            else f"{domain}:unverified"
-            for domain, verdict in sorted(verdicts.items())
-        )
-        print(
-            f"interval {record['interval'] + 1}/{spec.intervals} done "
-            f"[receipts {record['receipts_digest'][:12]}] {flags}",
-            flush=True,
-        )
+        if isinstance(event, CheckpointWritten):
+            print(
+                f"  checkpoint: interval {event.interval + 1} at chunk "
+                f"{event.chunk_index}",
+                flush=True,
+            )
+        elif isinstance(event, IntervalCommitted):
+            record = event.record
+            flags = " ".join(
+                f"{domain}:{'ok' if verdict['accepted'] else 'REJECTED'}"
+                if verdict["accepted"] is not None
+                else f"{domain}:unverified"
+                for domain, verdict in sorted(record["verdicts"].items())
+            )
+            print(
+                f"interval {record['interval'] + 1}/{spec.intervals} done "
+                f"[receipts {record['receipts_digest'][:12]}] {flags}",
+                flush=True,
+            )
 
+    return progress
+
+
+def _drive(runner: CampaignRunner, args: argparse.Namespace, store: RunStore) -> int:
+    spec = runner.spec
     try:
-        outcome = runner.run(max_intervals=args.max_intervals, on_event=progress)
+        outcome = runner.run(
+            max_intervals=args.max_intervals, on_event=_progress(spec, args.quiet)
+        )
     except KeyboardInterrupt:
         print(
             f"\ninterrupted after {runner.next_interval} completed interval(s); "
@@ -258,14 +254,7 @@ def _worker(args: argparse.Namespace) -> int:
         _fail("the lease is coordinator-defined; --lease applies to the coordinator")
     if args.chaos_seed is not None or args.chaos_kills:
         _fail("--chaos-seed/--chaos-kills apply to the coordinator only")
-    knobs_given = (
-        args.engine is not None
-        or args.chunk_size is not None
-        or args.throttle != 0.0
-        or args.checkpoint_every is not None
-        or args.policy is not None
-    )
-    if knobs_given:
+    if _knobs_given(args) or args.policy is not None:
         _fail(
             "execution knobs apply to the coordinator; workers compute under "
             "the policy its config endpoint serves"
@@ -342,26 +331,19 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     if args.chaos_seed is not None:
         chaos = ChaosSchedule(seed=args.chaos_seed, kills=args.chaos_kills)
     spec = store.spec()
-
-    def progress(event: CampaignEvent) -> None:
-        if args.quiet or not isinstance(event, IntervalCommitted):
-            return
-        print(
-            f"interval {event.interval + 1}/{spec.intervals} committed "
-            f"[receipts {event.record['receipts_digest'][:12]}]",
-            flush=True,
+    try:
+        coordinator = DispatchCoordinator(
+            store,
+            policy=policy,
+            workers=args.workers,
+            lease=lease,
+            chaos=chaos,
+            on_event=_progress(spec, args.quiet),
+            http_host=args.http_host,
+            http_port=args.http_port,
         )
-
-    coordinator = DispatchCoordinator(
-        store,
-        policy=policy,
-        workers=args.workers,
-        lease=lease,
-        chaos=chaos,
-        on_event=progress,
-        http_host=args.http_host,
-        http_port=args.http_port,
-    )
+    except RunStoreError as exc:
+        _fail(str(exc))
     if not args.quiet:
         print(
             f"dispatch coordinator: {coordinator.http_url}/api/v1/dispatch/"
@@ -664,110 +646,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _find_conformance_dir() -> Path:
-    """Locate tests/conformance by walking up from the working directory."""
-    probe = Path.cwd().resolve()
-    for candidate in (probe, *probe.parents):
-        conformance = candidate / "tests" / "conformance"
-        if (conformance / "scenarios.py").exists():
-            return conformance
-    _fail(
-        "cannot find tests/conformance above the current directory; "
-        "run from a repository checkout"
-    )
-
-
-def _regen_into(target: Path, conformance: Path) -> int:
-    environment = dict(os.environ)
-    environment["REPRO_GOLDEN_DIR"] = str(target)
-    completed = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "pytest",
-            str(conformance),
-            "-q",
-            "--regen-goldens",
-        ],
-        cwd=conformance.parent.parent,
-        env=environment,
-    )
-    return completed.returncode
-
-
-def _cmd_regen_goldens(args: argparse.Namespace) -> int:
-    conformance = _find_conformance_dir()
-    committed = conformance / "goldens"
-
-    if args.check:
-        with tempfile.TemporaryDirectory(prefix="repro-goldens-") as scratch:
-            target = Path(scratch) / "goldens"
-            target.mkdir()
-            status = _regen_into(target, conformance)
-            if status != 0:
-                _fail(f"golden regeneration failed (pytest exit {status})")
-            drift = _diff_golden_dirs(committed, target)
-            if drift:
-                print(drift)
-                print(
-                    "\ngolden drift detected: the committed conformance goldens "
-                    "no longer reproduce; regenerate with `repro regen-goldens` "
-                    "and review the diff",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"goldens reproduce: {committed} matches a fresh regeneration")
-            return 0
-
-    target = Path(args.out) if args.out else committed
-    target.mkdir(parents=True, exist_ok=True)
-    status = _regen_into(target, conformance)
-    if status != 0:
-        _fail(f"golden regeneration failed (pytest exit {status})")
-    print(f"goldens regenerated into {target}")
-    return 0
-
-
-def _diff_golden_dirs(committed: Path, fresh: Path) -> str:
-    """A readable unified diff between two golden directories ('' when equal)."""
-    chunks: list[str] = []
-    names = sorted(
-        {path.name for path in committed.glob("*.json")}
-        | {path.name for path in fresh.glob("*.json")}
-    )
-    for name in names:
-        committed_path = committed / name
-        fresh_path = fresh / name
-        committed_lines = (
-            committed_path.read_text().splitlines(keepends=True)
-            if committed_path.exists()
-            else []
-        )
-        fresh_lines = (
-            fresh_path.read_text().splitlines(keepends=True)
-            if fresh_path.exists()
-            else []
-        )
-        if committed_lines == fresh_lines:
-            continue
-        chunks.append(
-            "".join(
-                difflib.unified_diff(
-                    committed_lines,
-                    fresh_lines,
-                    fromfile=f"committed/{name}",
-                    tofile=f"regenerated/{name}",
-                )
-            )
-        )
-    return "\n".join(chunks)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Verifiable network-performance measurement campaigns "
-        "(checkpointable runs, durable stores, conformance goldens).",
+        "(checkpointable runs, durable stores).",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -966,23 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress the startup banner"
     )
     serve_parser.set_defaults(handler=_cmd_serve)
-
-    regen_parser = commands.add_parser(
-        "regen-goldens",
-        help="regenerate the conformance golden fixtures (or --check for drift)",
-    )
-    regen_parser.add_argument(
-        "--out",
-        default=None,
-        help="write regenerated goldens here instead of tests/conformance/goldens",
-    )
-    regen_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="regenerate into a scratch directory and fail with a diff if the "
-        "committed goldens no longer reproduce",
-    )
-    regen_parser.set_defaults(handler=_cmd_regen_goldens)
 
     return parser
 

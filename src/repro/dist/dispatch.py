@@ -14,13 +14,13 @@ on one host, or on hosts that share no filesystem with the store):
   coordinator's ``/api/v1/dispatch/...`` endpoints.  Leases are arbitrated
   on the coordinator's **monotonic clock** only, and workers never touch
   the run directory.
-* **The coordinator** (:class:`DispatchCoordinator`) is the store's single
-  writer.  Accepted uploads land in a :class:`StagingArea` — its reorder
-  buffer — and commit to the store strictly in interval order, each one
-  folded into a :class:`~repro.engine.campaign.CampaignAccumulator` exactly
-  as a single-host :class:`~repro.engine.campaign.CampaignRunner` would fold
-  it, so the finished store — records, summary, everything — is
-  **byte-identical** to an uninterrupted ``repro run`` of the same spec.
+* **The coordinator** (:class:`DispatchCoordinator`) holds the store's one
+  writer, a :class:`~repro.engine.campaign.CampaignRunner`.  Accepted
+  uploads land in a :class:`StagingArea` — its reorder buffer — and go to
+  the runner's :meth:`~repro.engine.campaign.CampaignRunner.commit` strictly
+  in interval order, the same commit step a single-host run takes, so the
+  finished store — records, summary, everything — is **byte-identical** to
+  an uninterrupted ``repro run`` of the same spec.
 * **Duplicates are asserted, not assumed.**  Straggler re-execution (a
   worker SIGKILLed mid-interval, a lease takeover race) can produce the same
   interval twice.  Determinism makes the duplicate byte-identical; both the
@@ -53,16 +53,13 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.api.spec import CampaignSpec, ExecutionPolicy
 from repro.engine.campaign import (
-    CampaignAccumulator,
     CampaignEvent,
+    CampaignRunner,
     CampaignRunOutcome,
-    IntervalCommitted,
-    RunComplete,
-    appendable_records,
     interval_record,
 )
 from repro.store import RunStore
-from repro.store.runstore import SPEC_FILE
+from repro.store.runstore import SPEC_FILE, _atomic_write
 
 if TYPE_CHECKING:
     from repro.dist.net import HTTPTransport
@@ -154,12 +151,7 @@ class StagingArea:
                     f"functions of (spec, interval)"
                 )
             return False
-        scratch = path.with_name(f"{path.name}.tmp")
-        with open(scratch, "wb") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(scratch, path)
+        _atomic_write(path, line)
         return True
 
     def _read(self, path: Path) -> bytes | None:
@@ -261,7 +253,13 @@ class ChaosSchedule:
 
 
 class DispatchCoordinator:
-    """The run store's single writer plus the local worker supervisor.
+    """Feeds uploaded records to the store's writer; supervises local workers.
+
+    The store's one writer is ``self.runner``, a
+    :class:`~repro.engine.campaign.CampaignRunner`: it commits each staged
+    record in order, then the summary.  The coordinator adds what only
+    dispatch needs: the byte-assert of a late duplicate, staging discard and
+    claim release, worker supervision, chaos and cleanup.
 
     The coordinator embeds a service app serving this run's
     ``/api/v1/dispatch/…`` endpoints (``http_host`` / ``http_port``; port 0
@@ -294,6 +292,7 @@ class DispatchCoordinator:
         self.store = store
         self.spec = store.spec()
         self.policy = validate_dispatch_policy(self.spec, policy)
+        self.runner = CampaignRunner(store=store, policy=self.policy)
         self.workers = workers
         self.lease = lease
         self.poll = poll
@@ -350,12 +349,6 @@ class DispatchCoordinator:
             self._http_thread.join(timeout=5.0)
             self._http_thread = None
 
-    # -- events ------------------------------------------------------------------------
-
-    def _emit(self, event: CampaignEvent) -> None:
-        if self.on_event is not None:
-            self.on_event(event)
-
     # -- worker subprocesses -----------------------------------------------------------
 
     def _worker_argv(self, worker_id: str) -> list[str]:
@@ -406,13 +399,9 @@ class DispatchCoordinator:
                 self._spawn_worker()
 
     def _all_work_delivered(self) -> bool:
-        committed = self.store.record_count
-        if committed >= self.spec.intervals:
-            return True
         staged = self.staging.staged()
-        return all(
-            interval in staged for interval in range(committed, self.spec.intervals)
-        )
+        pending = range(self.runner.next_interval, self.spec.intervals)
+        return all(interval in staged for interval in pending)
 
     def _terminate_workers(self) -> None:
         for child in self._children.values():
@@ -459,16 +448,14 @@ class DispatchCoordinator:
 
     # -- committing --------------------------------------------------------------------
 
-    def _commit_ready(self, accumulator: CampaignAccumulator) -> int:
-        """Fold every commit-ready staged record into the store, in order."""
+    def _commit_ready(self) -> int:
+        """Commit every commit-ready staged record through the runner, in order."""
         staged = self.staging.staged()
-        committed = 0
-        next_interval = self.store.next_interval
         # A straggler may re-deliver an interval that already committed
         # (claimed before the commit, staged after).  The duplicate must be
         # byte-identical to the committed line; assert, then drop.
         for interval in sorted(staged):
-            if interval >= next_interval:
+            if interval >= self.runner.next_interval:
                 break
             _, line = self.staging.load(interval)
             if line != committed_line(self.store, interval):
@@ -477,23 +464,14 @@ class DispatchCoordinator:
                     f"committed record; the store or a worker is corrupt"
                 )
             self.staging.discard(interval)
-        while True:
-            next_interval = self.store.next_interval
-            if next_interval >= self.spec.intervals or next_interval not in staged:
-                break
-            record, _ = self.staging.load(next_interval)
-            self.store.append(record)
-            accumulator.fold(record)
-            self.staging.discard(next_interval)
-            self.claims.release(next_interval)
+        committed = 0
+        while not self.runner.completed and self.runner.next_interval in staged:
+            interval = self.runner.next_interval
+            record, _ = self.staging.load(interval)
+            self.runner.commit(record)
+            self.staging.discard(interval)
+            self.claims.release(interval)
             committed += 1
-            self._emit(
-                IntervalCommitted(
-                    interval=next_interval,
-                    intervals=self.spec.intervals,
-                    record=record,
-                )
-            )
         return committed
 
     def _cleanup(self) -> None:
@@ -506,11 +484,8 @@ class DispatchCoordinator:
 
         Safe to interrupt (SIGINT) and re-invoke: the store's committed
         prefix is durable, staged results survive in the dispatch directory,
-        and a fresh coordinator folds both before spawning new workers.
+        and a fresh coordinator continues from both.
         """
-        # The coordinator is the single writer: repair any torn tail a
-        # previous coordinator's death left mid-append.
-        self.store.repair_torn_tail()
         ran = 0
         rng = self.chaos.delays() if self.chaos is not None else None
         chaos_state = {"kills_left": 0, "next_kill": 0.0}
@@ -521,23 +496,18 @@ class DispatchCoordinator:
                 + rng.uniform(self.chaos.min_delay, self.chaos.max_delay),
             }
         try:
-            accumulator = CampaignAccumulator.from_records(
-                self.spec, appendable_records(self.store)
-            )
-            for _ in range(self.workers):
-                self._spawn_worker()
-            while accumulator.intervals_folded < self.spec.intervals:
-                progressed = self._commit_ready(accumulator)
-                ran += progressed
-                self._reap_and_respawn()
-                if self.chaos is not None:
-                    self._chaos_step(rng, chaos_state)
-                if not progressed:
-                    time.sleep(self.poll)
-            summary = accumulator.summary()
-            if self.store.summary() != summary:
-                self.store.write_summary(summary)
-            self._emit(RunComplete(intervals=self.spec.intervals, summary=summary))
+            with self.runner.events(self.on_event):
+                for _ in range(self.workers):
+                    self._spawn_worker()
+                while not self.runner.completed:
+                    progressed = self._commit_ready()
+                    ran += progressed
+                    self._reap_and_respawn()
+                    if self.chaos is not None:
+                        self._chaos_step(rng, chaos_state)
+                    if not progressed:
+                        time.sleep(self.poll)
+                summary = self.runner.finish()
         finally:
             self._terminate_workers()
             self.close()
@@ -545,7 +515,7 @@ class DispatchCoordinator:
         return CampaignRunOutcome(
             completed=True,
             intervals_run=ran,
-            next_interval=self.store.next_interval,
+            next_interval=self.runner.next_interval,
             summary=summary,
         )
 

@@ -265,10 +265,10 @@ class DispatchHub:
 
     The hub stages accepted uploads into the run's
     :class:`~repro.dist.dispatch.StagingArea` — the coordinator's reorder
-    buffer — and keeps leases on a :class:`NetworkClaimBoard`; the
-    coordinator's commit loop
-    (:meth:`~repro.dist.dispatch.DispatchCoordinator._commit_ready`) drains
-    that buffer strictly in interval order.
+    buffer — and keeps leases on a :class:`NetworkClaimBoard`.  It never
+    writes the store: the coordinator drains the buffer strictly in interval
+    order into the store's one writer, its
+    :class:`~repro.engine.campaign.CampaignRunner`.
     """
 
     def __init__(

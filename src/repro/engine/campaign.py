@@ -32,12 +32,12 @@ and still finishes with the identical store.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from repro.core.verifier import DomainPerformance, Verifier
 from repro.net.topology import HOPPath
 from repro.reporting.serialization import receipts_digest
 from repro.store import RunStore, RunStoreError
+from repro.store.runstore import _atomic_write
 
 __all__ = [
     "CampaignAccumulator",
@@ -502,9 +503,9 @@ class CampaignAccumulator:
 def appendable_records(store: RunStore) -> list[dict[str, Any]]:
     """The store's records; :class:`~repro.store.RunStoreError` if one has another version.
 
-    Extending such a store would mix two digest encodings in it, so both
-    writers (:class:`CampaignRunner`, the dispatch coordinator) check here;
-    readers read any version.
+    Extending such a store would mix two digest encodings in it, so the
+    store's one writer, :class:`CampaignRunner`, checks here when it opens
+    the store; readers read any version.
     """
     records = store.records()
     for record in records:
@@ -529,6 +530,12 @@ class CampaignRunOutcome(NamedTuple):
 
 class CampaignRunner:
     """Drives a :class:`~repro.api.spec.CampaignSpec` with per-interval checkpoints.
+
+    The runner is a store's only writer.  Every record enters the store
+    through :meth:`commit` and the summary through :meth:`finish`, whoever
+    computed the record: :meth:`run_interval` on this host, or a dispatch
+    worker whose upload the :class:`~repro.dist.dispatch.DispatchCoordinator`
+    feeds to its runner.
 
     Parameters
     ----------
@@ -671,12 +678,7 @@ class CampaignRunner:
                 "collector_state": HOPCollector.STATE_TAG,
                 "checkpoint": checkpoint,
             }
-            scratch = path.with_name(path.name + ".tmp")
-            with open(scratch, "wb") as handle:
-                pickle.dump(payload, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(scratch, path)
+            _atomic_write(path, pickle.dumps(payload))
             self._emit(
                 CheckpointWritten(
                     interval=index,
@@ -712,8 +714,56 @@ class CampaignRunner:
         if self._event_sink is not None:
             self._event_sink(event)
 
+    @contextmanager
+    def events(self, on_event: Callable[[CampaignEvent], None] | None) -> Iterator[None]:
+        """Send this runner's events to ``on_event`` inside the block.
+
+        :meth:`run` wraps its loop in this; so does a driver that feeds
+        :meth:`commit` itself (the dispatch coordinator).
+        """
+        previous, self._event_sink = self._event_sink, on_event
+        try:
+            yield
+        finally:
+            self._event_sink = previous
+
+    def commit(self, record: dict[str, Any]) -> None:
+        """Append the next interval's ``record``, fold it, emit :class:`IntervalCommitted`.
+
+        Once the record is durable a mid-interval ``interval.ckpt`` is stale;
+        it is removed so the finished store diffs clean against any other.
+        """
+        # The append (or, without a store, the fold) refuses an out-of-order
+        # record before anything is written.
+        if self.store is not None:
+            self.store.append(record)
+        self.accumulator.fold(record)
+        if self.store is None:
+            self._memory_records.append(record)
+        self._clear_interval_checkpoint()
+        self._emit(
+            IntervalCommitted(
+                interval=record["interval"], intervals=self.spec.intervals, record=record
+            )
+        )
+
+    def finish(self) -> dict[str, Any]:
+        """Write the completed campaign's summary, emit :class:`RunComplete`; the summary.
+
+        The write is skipped when the store already holds exactly this summary.
+        """
+        summary = self.accumulator.summary()
+        if self.store is not None and self.store.summary() != summary:
+            self.store.write_summary(summary)
+        self._emit(RunComplete(intervals=self.spec.intervals, summary=summary))
+        return summary
+
     def run_interval(self, index: int) -> dict[str, Any]:
-        """Execute one interval, persist its record, fold it; returns the record."""
+        """Execute one interval and :meth:`commit` it; returns the record.
+
+        A policy ``throttle`` sleeps after the commit: the pacing of long
+        soak runs, and a kill window between intervals for test harnesses.
+        """
         if index != self.next_interval:
             raise ValueError(
                 f"intervals run strictly in order; next is {self.next_interval}, "
@@ -726,26 +776,14 @@ class CampaignRunner:
             checkpoint_sink=self._interval_checkpoint_sink(index),
             resume_from=self._load_interval_checkpoint(index),
         )
-        if self.store is not None:
-            self.store.append(record)
-        # The interval is durably committed; its mid-interval checkpoint is
-        # now stale (and must not survive into the finished store, which is
-        # diffed byte-for-byte against uninterrupted runs).
-        self._clear_interval_checkpoint()
-        if self.store is None:
-            self._memory_records.append(record)
-        self.accumulator.fold(record)
-        self._emit(
-            IntervalCommitted(
-                interval=index, intervals=self.spec.intervals, record=record
-            )
-        )
+        self.commit(record)
+        if self.policy.throttle > 0:
+            time.sleep(self.policy.throttle)
         return record
 
     def run(
         self,
         max_intervals: int | None = None,
-        on_interval: Callable[[dict[str, Any]], None] | None = None,
         on_event: Callable[[CampaignEvent], None] | None = None,
     ) -> CampaignRunOutcome:
         """Run remaining intervals (up to ``max_intervals``) with checkpoints.
@@ -760,32 +798,15 @@ class CampaignRunner:
         boundary, :class:`RunComplete` once the summary lands.  Every event
         fires *after* its state is durable, so a consumer that dies inside a
         handler never observes progress the store does not hold.
-        ``on_interval`` is the older record-only hook and is equivalent to
-        matching :class:`IntervalCommitted` and taking ``.record``.
         """
         if max_intervals is not None and max_intervals < 0:
             raise ValueError(f"max_intervals must be >= 0, got {max_intervals}")
-        previous_sink = self._event_sink
-        self._event_sink = on_event
-        try:
-            ran = 0
-            while not self.completed:
-                if max_intervals is not None and ran >= max_intervals:
-                    break
-                record = self.run_interval(self.next_interval)
+        ran = 0
+        with self.events(on_event):
+            while not self.completed and (max_intervals is None or ran < max_intervals):
+                self.run_interval(self.next_interval)
                 ran += 1
-                if on_interval is not None:
-                    on_interval(record)
-            summary = None
-            if self.completed:
-                summary = self.accumulator.summary()
-                if self.store is not None and self.store.summary() != summary:
-                    self.store.write_summary(summary)
-                self._emit(
-                    RunComplete(intervals=self.spec.intervals, summary=summary)
-                )
-        finally:
-            self._event_sink = previous_sink
+            summary = self.finish() if self.completed else None
         return CampaignRunOutcome(
             completed=self.completed,
             intervals_run=ran,

@@ -63,23 +63,31 @@ class SpecMismatchError(RunStoreError):
     """The store's recorded spec hash does not match the spec in hand."""
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via a fsynced temporary + atomic rename."""
-    tmp_path = path.with_name(path.name + ".tmp")
-    with open(tmp_path, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    # Persist the rename itself (directory entry) where the platform allows.
+def _fsync_dir(path: Path) -> None:
+    """Persist directory ``path``'s entries (a rename, a new file) where the platform allows."""
     try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
+        dir_fd = os.open(path, os.O_RDONLY)
     except OSError:
         return
     try:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def _atomic_write(path: Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` via a fsynced ``<name>.tmp``, a rename and a directory fsync.
+
+    The one durable whole-file write: spec, summary, torn-tail repair, dispatch
+    staged records and the mid-interval ``interval.ckpt`` all go through it.
+    """
+    tmp_path = path.with_name(path.name + ".tmp")
+    with open(tmp_path, "wb") as handle:
+        handle.write(payload)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp_path, path)
+    _fsync_dir(path.parent)
 
 
 class RunStore:
@@ -295,15 +303,7 @@ class RunStore:
             os.close(fd)
         if expected == 0:
             # First append created the file; persist its directory entry too.
-            try:
-                dir_fd = os.open(self.path, os.O_RDONLY)
-            except OSError:
-                pass
-            else:
-                try:
-                    os.fsync(dir_fd)
-                finally:
-                    os.close(dir_fd)
+            _fsync_dir(self.path)
         self._record_count = expected + 1
 
     # -- summary -----------------------------------------------------------------------

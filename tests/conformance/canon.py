@@ -1,7 +1,7 @@
 """Canonical receipt serialization shared by conformance and engine tests.
 
 :func:`canonical_receipts` is the JSON-stable spelling of an interval's
-receipts that the committed goldens (and ``repro regen-goldens``) write:
+receipts that the committed goldens (and ``pytest --regen-goldens``) write:
 exact float hex for every timestamp; ``time_sum`` rounded to 10 significant
 digits — the one field whose float accumulation order legitimately differs
 between the object oracle (:mod:`tests.oracle`), the batch and streaming

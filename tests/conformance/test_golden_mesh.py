@@ -36,7 +36,7 @@ from tests.conformance.canon import (
 from tests.conformance.scenarios import MESH_CONFORMANCE_SCENARIOS
 
 # REPRO_GOLDEN_DIR redirects regeneration to another directory (see
-# test_golden_scenarios.py and `repro regen-goldens --check`).
+# test_golden_scenarios.py and the CI golden-drift step).
 GOLDEN_DIR = Path(
     os.environ.get("REPRO_GOLDEN_DIR") or Path(__file__).parent / "goldens"
 )

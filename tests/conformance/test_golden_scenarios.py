@@ -36,8 +36,9 @@ from tests.conformance.canon import (
 from tests.conformance.scenarios import CONFORMANCE_SCENARIOS
 
 # REPRO_GOLDEN_DIR redirects regeneration (and comparison) to another
-# directory — how `repro regen-goldens --check` diffs freshly regenerated
-# goldens against the committed ones without touching the working tree.
+# directory — how the CI golden-drift step regenerates into a scratch
+# directory and `diff -r`s it against the committed goldens without touching
+# the working tree.
 GOLDEN_DIR = Path(
     os.environ.get("REPRO_GOLDEN_DIR") or Path(__file__).parent / "goldens"
 )

@@ -1,13 +1,13 @@
 """Property: any interval completion order commits a byte-identical store.
 
 Distributed workers finish intervals in arbitrary order (work stealing,
-stragglers, kills), but the coordinator's reorder buffer commits strictly in
-interval order and folds the accumulator exactly as a single-host runner
-would.  For arbitrary interval counts and arbitrary completion permutations
-— with the commit loop interleaved after every staging, so partial reorder
-states are exercised, not just the fully-staged endgame — the finished store
-must be **byte-identical** (records, summary, digest) to an uninterrupted
-single-host run of the same spec.
+stragglers, kills), but the coordinator's reorder buffer feeds its
+``CampaignRunner.commit`` strictly in interval order — the commit step a
+single-host run takes.  For arbitrary interval counts and arbitrary
+completion permutations — with the commit loop interleaved after every
+staging, so partial reorder states are exercised, not just the fully-staged
+endgame — the finished store must be **byte-identical** (records, summary,
+digest) to an uninterrupted single-host run of the same spec.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.api.spec import (
     TrafficSpec,
 )
 from repro.dist import DISPATCH_DIR, DispatchCoordinator, StagingArea
-from repro.engine.campaign import CampaignAccumulator, CampaignRunner, interval_record
+from repro.engine.campaign import CampaignRunner, interval_record
 from repro.store import RunStore
 
 from tests.helpers import stage_record
@@ -82,13 +82,12 @@ def test_any_completion_order_commits_byte_identical_store(case, tmp_path_factor
     store = RunStore.create(base / "dispatched", spec)
     staging = StagingArea(base / "dispatched" / DISPATCH_DIR)
     coordinator = DispatchCoordinator(store, workers=0)
-    accumulator = CampaignAccumulator.from_records(spec, store.records())
     for interval in order:
         stage_record(staging, interval, interval_record(spec, interval))
         # Commit whatever the reorder buffer releases right now — the
         # interleaving is the point: a permutation starting high holds
         # everything back, one starting at 0 streams commits immediately.
-        coordinator._commit_ready(accumulator)
+        coordinator._commit_ready()
     assert store.record_count == intervals
     # run() on the fully-committed store writes the summary and cleans up
     # the dispatch scratch dir exactly as a live coordinator would.

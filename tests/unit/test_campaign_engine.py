@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.api.spec import (
     CampaignSpec,
     ConditionSpec,
     EstimationSpec,
+    ExecutionPolicy,
     ExperimentSpec,
     HOPSpec,
     MeshSpec,
@@ -26,6 +28,7 @@ from repro.core.estimation import estimate_delay_quantiles
 from repro.engine.campaign import (
     CampaignAccumulator,
     CampaignRunner,
+    IntervalCommitted,
     interval_record,
 )
 from repro.store import RunStore, RunStoreError
@@ -217,8 +220,19 @@ class TestCampaignRunner:
 
     def test_progress_callback_sees_every_record(self):
         seen = []
-        CampaignRunner(_spec(intervals=2)).run(on_interval=lambda r: seen.append(r))
+        CampaignRunner(_spec(intervals=2)).run(
+            on_event=lambda event: (
+                seen.append(event.record) if isinstance(event, IntervalCommitted) else None
+            )
+        )
         assert [record["interval"] for record in seen] == [0, 1]
+
+    def test_throttle_sleeps_once_per_interval(self, monkeypatch):
+        # The library runner paces itself; no CLI callback is needed.
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        CampaignRunner(_spec(intervals=2), policy=ExecutionPolicy(throttle=0.25)).run()
+        assert sleeps == [0.25, 0.25]
 
     def test_needs_spec_or_store(self):
         with pytest.raises(ValueError, match="spec, a store, or both"):

@@ -82,22 +82,6 @@ def test_events_fire_after_durable_state(tmp_path):
     assert observed == [("records", 1), ("records", 2), ("summary", 2)]
 
 
-def test_on_interval_hook_still_supported(tmp_path):
-    spec = _spec(intervals=2)
-    store = RunStore.create(tmp_path / "run", spec)
-    via_hook = []
-    via_events = []
-    CampaignRunner(spec, store).run(
-        on_interval=via_hook.append,
-        on_event=lambda event: (
-            via_events.append(event.record)
-            if isinstance(event, IntervalCommitted)
-            else None
-        ),
-    )
-    assert via_hook == via_events == store.records()
-
-
 def test_checkpoint_events_on_streaming_policy(tmp_path):
     spec = _spec(intervals=1, packet_count=300)
     store = RunStore.create(tmp_path / "run", spec)

@@ -10,6 +10,7 @@ and ``tests/integration/test_dispatch_chaos.py``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 import urllib.request
@@ -38,8 +39,8 @@ from repro.dist import (
     validate_dispatch_policy,
 )
 from repro.dist.dispatch import DEFAULT_LEASE
-from repro.engine.campaign import CampaignRunner, interval_record
-from repro.store import RunStore, RunStoreError, SpecMismatchError
+from repro.engine.campaign import CampaignRunner, IntervalCommitted, interval_record
+from repro.store import RunStore, RunStoreError, SpecMismatchError, stable_json
 
 from tests.helpers import rewrite_record_version, stage_record
 
@@ -285,6 +286,51 @@ class TestCommitOnlyCoordinator:
         with pytest.raises(RunStoreError, match="record version 1"):
             DispatchCoordinator(store, workers=0).run()
         assert store.record_count == 1
+
+    def test_coordinator_and_runner_emit_the_same_events(self, tmp_path):
+        # Both drivers commit through one CampaignRunner step, so the event
+        # streams agree interval by interval, record by record.
+        spec = _spec(intervals=3)
+        direct_events = []
+        direct = RunStore.create(tmp_path / "direct", spec)
+        CampaignRunner(spec, direct).run(on_event=direct_events.append)
+        store = RunStore.create(tmp_path / "dispatched", spec)
+        staging = StagingArea(tmp_path / "dispatched" / DISPATCH_DIR)
+        for interval in (2, 0, 1):
+            stage_record(staging, interval, interval_record(spec, interval))
+        dispatched_events = []
+        DispatchCoordinator(store, workers=0, on_event=dispatched_events.append).run()
+
+        def digest(payload) -> str:
+            return hashlib.sha256(stable_json(payload).encode("utf-8")).hexdigest()
+
+        def trace(events):
+            return [
+                ("IntervalCommitted", event.interval, digest(event.record))
+                if isinstance(event, IntervalCommitted)
+                else (type(event).__name__, None, digest(event.summary))
+                for event in events
+            ]
+
+        assert trace(dispatched_events) == trace(direct_events)
+        assert [(kind, interval) for kind, interval, _ in trace(direct_events)] == [
+            ("IntervalCommitted", 0),
+            ("IntervalCommitted", 1),
+            ("IntervalCommitted", 2),
+            ("RunComplete", None),
+        ]
+
+    def test_commit_clears_a_stale_interval_checkpoint(self, tmp_path):
+        # A killed single-host --checkpoint-every run can leave interval.ckpt
+        # behind; the dispatch commit step removes it like a resume would.
+        spec = _spec(intervals=1)
+        store = RunStore.create(tmp_path / "run", spec)
+        stale = tmp_path / "run" / CampaignRunner.CHECKPOINT_NAME
+        stale.write_bytes(b"stale")
+        stage_record(StagingArea(tmp_path / "run" / DISPATCH_DIR), 0, interval_record(spec, 0))
+        DispatchCoordinator(store, workers=0).run()
+        assert not stale.exists()
+        assert store.digest() == _direct_run(tmp_path, spec).digest()
 
     def test_negative_workers_rejected(self, tmp_path):
         spec = _spec(intervals=1)

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import stat
 
 import pytest
 
-from repro.api.spec import CampaignSpec, ExperimentSpec, TrafficSpec
+from repro.api.spec import CampaignSpec, ExecutionPolicy, ExperimentSpec, TrafficSpec
+from repro.dist import StagingArea
+from repro.engine.campaign import CampaignRunner, CheckpointWritten
 from repro.store import (
     RECORDS_FILE,
     SPEC_FILE,
@@ -181,3 +185,41 @@ class TestRunStoreDigest:
         store.write_summary({"intervals": 3, "domains": {}})
         assert store.summary() == {"intervals": 3, "domains": {}}
         assert store.digest() != before
+
+
+class TestDurableWrites:
+    def test_staged_record_and_interval_checkpoint_fsync_their_directory(
+        self, tmp_path, spec, monkeypatch
+    ):
+        fsync = os.fsync
+        fsynced_dirs: list[tuple[int, int]] = []
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                fsynced_dirs.append((info.st_dev, info.st_ino))
+            fsync(fd)
+
+        def identity(path):
+            info = os.stat(path)
+            return (info.st_dev, info.st_ino)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+
+        staging = StagingArea(tmp_path / "dispatch")
+        staging.stage_line(0, b'{"interval":0}\n')
+        assert identity(staging.staging_dir) in fsynced_dirs
+
+        store = RunStore.create(tmp_path / "run", spec)
+        fsynced_dirs.clear()  # creating the store fsyncs its directory too
+        at_checkpoint: list[bool] = []
+
+        def on_event(event):
+            # Checkpoints land before the interval's first record append.
+            if isinstance(event, CheckpointWritten):
+                at_checkpoint.append(identity(store.path) in fsynced_dirs)
+                fsynced_dirs.clear()
+
+        policy = ExecutionPolicy(engine="streaming", chunk_size=100, checkpoint_every=1)
+        CampaignRunner(spec, store, policy=policy).run(max_intervals=1, on_event=on_event)
+        assert at_checkpoint and all(at_checkpoint)
