@@ -6,7 +6,8 @@ users check SLA compliance against them.  This example drives that loop
 against a real (ephemeral-port) service instance, entirely over HTTP:
 
 1. starts the service — the threaded stdlib WSGI server, a
-   :class:`~repro.service.JobQueue` with subprocess workers, one store root;
+   :class:`~repro.service.JobQueue` whose every attempt is a ``repro resume``
+   child process, one store root;
 2. submits a campaign spec as JSON (``POST /api/v1/jobs``) and shows a bad spec
    dying at the door with the validator's message;
 3. follows execution live with the ``?since=`` record cursor (the long-poll
@@ -95,7 +96,7 @@ def main() -> None:
     store_root = Path(tempfile.mkdtemp(prefix="repro-service-"))
 
     # --- 1. the service: WSGI app + job queue on an ephemeral port ----------
-    queue = JobQueue(store_root, workers=2, execution="subprocess")
+    queue = JobQueue(store_root, workers=2)
     app = ServiceApp(store_root, queue=queue)
     server = make_service_server("127.0.0.1", 0, app)
     threading.Thread(target=server.serve_forever, daemon=True).start()

@@ -38,7 +38,6 @@ from typing import Callable, NoReturn, Sequence
 
 from repro.api.spec import ENGINES, CampaignSpec, ExecutionPolicy
 from repro.engine.campaign import (
-    CampaignAccumulator,
     CampaignEvent,
     CampaignRunner,
     CheckpointWritten,
@@ -402,26 +401,27 @@ def _format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _print_report(store: RunStore) -> None:
-    spec = store.spec()
-    records = store.records()
-    accumulator = CampaignAccumulator.from_records(spec, records)
-    summary = accumulator.summary()
-    persisted = store.summary()
-    sla = spec.sla
+    """The text rendering of :func:`repro.service.report.run_report`."""
+    from repro.service.report import run_report
 
-    print(f"campaign {spec.name!r}: {len(records)}/{spec.intervals} intervals "
-          f"(spec hash {store.spec_hash[:12]})")
+    report = run_report(store)
+    intervals = report["intervals"]
+    summary = report["summary"] or {"domains": {}}
+    sla = report["sla"]
+    quantile_key = repr(float(sla["delay_quantile"])) if sla is not None else None
+
+    print(f"campaign {report['name']!r}: {intervals['completed']}/{intervals['total']} "
+          f"intervals (spec hash {report['spec_hash'][:12]})")
     if sla is not None:
         print(
-            f"SLA {sla.name!r}: delay <= {sla.delay_bound * 1e3:g} ms at "
-            f"q={sla.delay_quantile:g}, loss <= {sla.loss_bound * 100:g} %"
+            f"SLA {sla['name']!r}: delay <= {sla['delay_bound'] * 1e3:g} ms at "
+            f"q={sla['delay_quantile']:g}, loss <= {sla['loss_bound'] * 100:g} %"
         )
 
     rows = []
-    for record in records:
+    for record in report["records"]:
         for domain, estimate in sorted(record["estimates"].items()):
             verdict = record["verdicts"][domain]
-            quantile_key = repr(float(sla.delay_quantile)) if sla is not None else None
             delay_text = "n/a"
             quantile_payload = estimate["quantiles"]
             if quantile_payload:
@@ -459,8 +459,8 @@ def _print_report(store: RunStore) -> None:
         delay_text = "n/a"
         if entry["pooled_quantiles"]:
             key = (
-                repr(float(sla.delay_quantile))
-                if sla is not None and repr(float(sla.delay_quantile)) in entry["pooled_quantiles"]
+                quantile_key
+                if quantile_key in entry["pooled_quantiles"]
                 else sorted(entry["pooled_quantiles"])[0]
             )
             payload = entry["pooled_quantiles"][key]
@@ -495,7 +495,7 @@ def _print_report(store: RunStore) -> None:
             f"error <= {bound:.3%})"
         )
 
-    if persisted is not None and persisted != summary:
+    if report["summary_matches_store"] is False:
         print(
             "\nWARNING: persisted summary.json disagrees with the summary "
             "recomputed from the records — the store has been edited",
@@ -632,14 +632,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _fail(f"--port must be in [0, 65535], got {args.port}")
     if args.workers < 1:
         _fail(f"--workers must be >= 1, got {args.workers}")
-    if args.dispatch_workers < 1:
+    if args.dispatch_workers is not None and args.dispatch_workers < 1:
         _fail(f"--dispatch-workers must be >= 1, got {args.dispatch_workers}")
     serve(
         store_root=args.store_root,
         host=args.host,
         port=args.port,
         workers=args.workers,
-        execution=args.execution,
         dispatch_workers=args.dispatch_workers,
         quiet=args.quiet,
     )
@@ -832,18 +831,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent campaign workers (default: 2)",
     )
     serve_parser.add_argument(
-        "--execution",
-        choices=("subprocess", "inprocess", "dispatch"),
-        default="subprocess",
-        help="run campaigns as kill-safe `repro resume` subprocesses (default), "
-        "in worker threads, or as distributed `repro dispatch` coordinators",
-    )
-    serve_parser.add_argument(
         "--dispatch-workers",
         type=int,
-        default=2,
-        help="worker processes per campaign under --execution dispatch "
-        "(default: 2)",
+        default=None,
+        help="run each campaign attempt as a `repro dispatch` coordinator with "
+        "this many worker processes (default: a kill-safe `repro resume` child)",
     )
     serve_parser.add_argument(
         "--quiet", action="store_true", help="suppress the startup banner"

@@ -300,7 +300,6 @@ class DispatchCoordinator:
         self.on_event = on_event
         self.dispatch_dir = Path(store.path) / DISPATCH_DIR
         self.staging = StagingArea(self.dispatch_dir)
-        self.run_id = Path(store.path).resolve().name
         self._children: dict[str, subprocess.Popen] = {}
         self._spawned = 0
         self._start_http_server(http_host, http_port)
@@ -315,18 +314,11 @@ class DispatchCoordinator:
         """
         from repro.dist.net import DispatchHub, NetworkClaimBoard
         from repro.service.app import ServiceApp, make_service_server
-        from repro.service.dispatchapi import DispatchRegistry
 
         self.claims = NetworkClaimBoard(lease=self.lease)
-        hub = DispatchHub(
-            store=self.store,
-            policy=self.policy,
-            claims=self.claims,
-            staging=self.staging,
-        )
-        registry = DispatchRegistry()
-        registry.register(self.run_id, hub)
-        app = ServiceApp(Path(self.store.path).parent, dispatch=registry)
+        hub = DispatchHub(self.runner, claims=self.claims, staging=self.staging)
+        self.run_id = hub.run_id
+        app = ServiceApp(Path(self.store.path).parent, dispatch=hub)
         self._http_server = make_service_server(host, port, app)
         bound_host, bound_port = self._http_server.server_address[:2]
         self.http_url = f"http://{bound_host}:{bound_port}"

@@ -65,8 +65,8 @@ from repro.dist.dispatch import (
     committed_line,
     validate_dispatch_policy,
 )
-from repro.store import RunStore, stable_json
-from repro.store.runstore import RECORDS_FILE
+from repro.engine.campaign import CampaignRunner
+from repro.store import stable_json
 
 __all__ = [
     "Claim",
@@ -121,14 +121,6 @@ class ProtocolError(DispatchError):
         self.status = status
         self.code = code
         self.detail = dict(detail) if detail is not None else None
-
-
-def _committed_count(store: RunStore) -> int:
-    """Committed records right now (newline count; tolerates a torn tail)."""
-    try:
-        return (Path(store.path) / RECORDS_FILE).read_bytes().count(b"\n")
-    except OSError:
-        return 0
 
 
 def default_worker_id() -> str:
@@ -267,20 +259,22 @@ class DispatchHub:
     :class:`~repro.dist.dispatch.StagingArea` — the coordinator's reorder
     buffer — and keeps leases on a :class:`NetworkClaimBoard`.  It never
     writes the store: the coordinator drains the buffer strictly in interval
-    order into the store's one writer, its
-    :class:`~repro.engine.campaign.CampaignRunner`.
+    order into the store's one writer, ``runner`` (a
+    :class:`~repro.engine.campaign.CampaignRunner`), whose ``next_interval``
+    is the hub's committed count.
     """
 
     def __init__(
         self,
-        store: RunStore,
-        policy: ExecutionPolicy | None,
+        runner: CampaignRunner,
         claims: NetworkClaimBoard,
         staging: StagingArea,
     ) -> None:
-        self.store = store
-        self.spec = store.spec()
-        self.policy = validate_dispatch_policy(self.spec, policy)
+        self.runner = runner
+        self.store = runner.store
+        self.spec = runner.spec
+        self.policy = validate_dispatch_policy(self.spec, runner.policy)
+        self.run_id = Path(self.store.path).resolve().name
         self.claims = claims
         self.staging = staging
         self._lock = threading.Lock()
@@ -300,7 +294,7 @@ class DispatchHub:
     def status(self) -> dict[str, Any]:
         """Live progress: committed prefix, staged set, held claims."""
         now = self.claims.clock()
-        committed = _committed_count(self.store)
+        committed = self.runner.next_interval
         return {
             "intervals": self.spec.intervals,
             "committed": committed,
@@ -326,7 +320,7 @@ class DispatchHub:
                 "no_such_interval",
                 f"interval {interval} outside [0, {self.spec.intervals})",
             )
-        if interval < _committed_count(self.store):
+        if interval < self.runner.next_interval:
             raise ProtocolError(
                 409, "interval_done", f"interval {interval} is already committed"
             )
@@ -407,7 +401,7 @@ class DispatchHub:
             )
         line = self._validate_line(interval, payload)
         with self._lock:
-            if interval < _committed_count(self.store):
+            if interval < self.runner.next_interval:
                 if line != committed_line(self.store, interval):
                     raise ProtocolError(
                         409,
@@ -439,12 +433,14 @@ class DispatchHub:
 
         ``remaining`` counts intervals neither committed nor staged;
         ``unclaimed`` counts the remaining ones that no live lease covers.
-        The staged set is read before the committed count, so an interval the
-        commit loop moves from staged to committed between the two reads
-        still counts as done: ``remaining`` may err high, never low.
+        The staged set is read before the committed count, and the
+        coordinator discards a staged file only after ``runner.commit()``
+        has folded it (advancing ``next_interval``), so an interval moving
+        from staged to committed between the two reads counts as done in at
+        least one of them: ``remaining`` may err high, never low.
         """
         staged = self.staging.staged()
-        committed = _committed_count(self.store)
+        committed = self.runner.next_interval
         remaining = [
             interval
             for interval in range(committed, self.spec.intervals)

@@ -11,9 +11,9 @@ into a system users hit:
   long-poll, query reports/verdicts, list/filter/compare runs) plus the
   single-file browser dashboard at ``/``.
 * :class:`~repro.service.jobs.JobQueue` — bounded-concurrency workers driving
-  campaigns as ``repro resume`` subprocesses (kill-safe: a worker killed
-  mid-interval is re-dispatched and the finished store stays byte-identical)
-  or in-process runners streaming typed campaign events.
+  each campaign attempt as one ``repro resume`` (or ``repro dispatch``) child
+  process (kill-safe: a child killed mid-interval is re-dispatched and the
+  finished store stays byte-identical).
 * :class:`~repro.service.index.RunIndex` — the cached multi-run scan over a
   store root that the API and ``repro list`` share.
 * :func:`~repro.service.report.run_report` — the machine-readable report
@@ -21,14 +21,12 @@ into a system users hit:
 """
 
 from repro.service.app import ServiceApp, make_service_server, serve
-from repro.service.dispatchapi import DispatchRegistry
 from repro.service.errors import HTTPError
 from repro.service.index import RunEntry, RunIndex, validate_run_id
 from repro.service.jobs import Job, JobQueue, JobRejected
 from repro.service.report import REPORT_VERSION, compare_runs, run_report
 
 __all__ = [
-    "DispatchRegistry",
     "HTTPError",
     "Job",
     "JobQueue",

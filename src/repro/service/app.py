@@ -30,7 +30,7 @@ POST     ``/api/v1/jobs``                     submit ``{"spec": …, "policy"?: 
                                               "run_id"?: …, "resume"?: bool}`` → 202
 GET      ``/api/v1/jobs``                     accepted jobs; paginated via
                                               ``limit``/``cursor``
-GET      ``/api/v1/jobs/<id>``                one job's state/attempts/events
+GET      ``/api/v1/jobs/<id>``                one job's state/attempts/error
 POST     ``/api/v1/jobs/<id>/kill``           SIGINT a running attempt (chaos hook)
 GET      ``/api/v1/dispatch/<run_id>``        dispatch status (``?config=true`` for
                                               spec/policy/lease)
@@ -51,9 +51,15 @@ is ``null`` on the last page.
 Progress polling reads committed records straight off the store (the same
 bytes a crash would preserve), submission validates the spec with the spec
 layer's own validators (a 400 carries their message verbatim), and a run
-executed through the queue produces a store byte-identical to ``repro run``
-with the same spec+policy — the acceptance criterion CI's ``service-smoke``
-job diffs.
+executed through the queue — each attempt one ``repro resume`` child, or one
+``repro dispatch`` child under ``repro serve --dispatch-workers N`` — produces
+a store byte-identical to ``repro run`` with the same spec+policy: the
+acceptance criterion CI's ``service-smoke`` job diffs for both.
+
+The ``/api/v1/dispatch/…`` routes answer only in an app built with a
+:class:`~repro.dist.net.DispatchHub`, which is what every
+:class:`~repro.dist.dispatch.DispatchCoordinator` embeds for its one run;
+``repro serve`` hosts none and answers them 503 ``no_dispatch``.
 """
 
 from __future__ import annotations
@@ -68,8 +74,9 @@ from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 from socketserver import ThreadingMixIn
 
 from repro.api.spec import CampaignSpec, ExecutionPolicy
+from repro.dist.net import DispatchHub
 from repro.service.dashboard import DASHBOARD_HTML
-from repro.service.dispatchapi import DispatchRegistry, handle_dispatch
+from repro.service.dispatchapi import handle_dispatch
 from repro.service.errors import STATUS_TEXT, HTTPError, _body_bytes, error_body
 from repro.service.index import RunIndex
 from repro.service.jobs import JobQueue, JobRejected
@@ -178,11 +185,10 @@ def _limit_param(params: dict[str, list[str]]) -> int | None:
 class ServiceApp:
     """WSGI application over one store root (and optionally a job queue).
 
-    ``dispatch`` is an optional
-    :class:`~repro.service.dispatchapi.DispatchRegistry` exposing live
-    dispatch coordinations under ``/api/v1/dispatch/…`` — every
-    :class:`~repro.dist.dispatch.DispatchCoordinator` embeds an app with
-    exactly one registered run.
+    ``dispatch`` is an optional :class:`~repro.dist.net.DispatchHub` whose
+    run the app serves under ``/api/v1/dispatch/<run_id>/…`` — every
+    :class:`~repro.dist.dispatch.DispatchCoordinator` embeds an app with its
+    own hub.
     """
 
     def __init__(
@@ -190,7 +196,7 @@ class ServiceApp:
         store_root: Path | str,
         queue: JobQueue | None = None,
         index: RunIndex | None = None,
-        dispatch: DispatchRegistry | None = None,
+        dispatch: DispatchHub | None = None,
     ) -> None:
         self.store_root = Path(store_root)
         self.index = index if index is not None else RunIndex(self.store_root)
@@ -326,9 +332,7 @@ class ServiceApp:
             "store_root": str(self.store_root),
             "runs": len(self.index.entries()),
             "queue": self.queue.stats() if self.queue is not None else None,
-            "dispatching": (
-                self.dispatch.run_ids() if self.dispatch is not None else []
-            ),
+            "dispatching": [self.dispatch.run_id] if self.dispatch is not None else [],
         }
 
     def _list_runs(self, params: dict[str, list[str]]) -> dict[str, Any]:
@@ -381,7 +385,7 @@ class ServiceApp:
         detail = entry.to_dict()
         detail["summary"] = self._store(run_id).summary()
         # Serialize through the queue (lock-holding snapshot): workers mutate
-        # job state/events concurrently and a bare to_dict() can tear.
+        # job state concurrently and a bare to_dict() can tear.
         detail["job"] = self.queue.snapshot(job) if job is not None else None
         return detail
 
@@ -557,26 +561,21 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8642,
     workers: int = 2,
-    execution: str = "subprocess",
-    dispatch_workers: int = 2,
+    dispatch_workers: int | None = None,
     quiet: bool = False,
 ) -> None:
     """Run the measurement service until interrupted (the ``repro serve`` body)."""
-    queue = JobQueue(
-        store_root,
-        workers=workers,
-        execution=execution,
-        dispatch_workers=dispatch_workers,
-    )
+    queue = JobQueue(store_root, workers=workers, dispatch_workers=dispatch_workers)
     app = ServiceApp(store_root, queue=queue)
     server = make_service_server(host, port, app, quiet=True)
     bound_host, bound_port = server.server_address[:2]
     if not quiet:
+        child = "resume" if dispatch_workers is None else "dispatch"
         print(
             f"repro service: store root {Path(store_root).resolve()} — "
             f"dashboard http://{bound_host}:{bound_port}/ "
             f"(API under /api/{API_VERSION}, {workers} worker(s), "
-            f"{execution} execution)",
+            f"each attempt a `repro {child}` child)",
             flush=True,
         )
     try:

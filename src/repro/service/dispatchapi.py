@@ -6,20 +6,18 @@ into calls on the run's :class:`~repro.dist.net.DispatchHub` and its
 :class:`~repro.dist.net.ProtocolError` rejections into the service's
 standard error envelope.
 
-A :class:`DispatchRegistry` maps run ids to live hubs.  The usual host is a
-:class:`~repro.dist.dispatch.DispatchCoordinator`, which registers exactly
-one run; a long-lived service could register many.
+An app serves at most one hub: the one its host, a
+:class:`~repro.dist.dispatch.DispatchCoordinator`, runs for its single run.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 from repro.dist.net import DIGEST_HEADER, WORKER_HEADER, DispatchHub, ProtocolError
 from repro.service.errors import HTTPError, _body_bytes
 
-__all__ = ["DispatchRegistry", "handle_dispatch"]
+__all__ = ["handle_dispatch"]
 
 #: Upper bound on one uploaded record line (matches the app's body cap).
 MAX_UPLOAD_BYTES = 16 * 1024 * 1024
@@ -29,36 +27,14 @@ _WORKER_ENV = "HTTP_" + WORKER_HEADER.upper().replace("-", "_")
 _DIGEST_ENV = "HTTP_" + DIGEST_HEADER.upper().replace("-", "_")
 
 
-class DispatchRegistry:
-    """Thread-safe run-id → :class:`~repro.dist.net.DispatchHub` map."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._hubs: dict[str, DispatchHub] = {}
-
-    def register(self, run_id: str, hub: DispatchHub) -> None:
-        with self._lock:
-            self._hubs[run_id] = hub
-
-    def hub(self, run_id: str) -> DispatchHub | None:
-        with self._lock:
-            return self._hubs.get(run_id)
-
-    def run_ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._hubs)
-
-
-def _require_hub(registry: DispatchRegistry, run_id: str) -> DispatchHub:
-    hub = registry.hub(run_id)
-    if hub is None:
+def _require_run(hub: DispatchHub, run_id: str) -> None:
+    if run_id != hub.run_id:
         raise HTTPError(
             404,
             f"no dispatch in progress for run {run_id!r}",
             code="unknown_run",
-            detail={"dispatching": registry.run_ids()},
+            detail={"dispatching": [hub.run_id]},
         )
-    return hub
 
 
 def _require_worker(environ: dict[str, Any]) -> str:
@@ -89,7 +65,7 @@ def _interval(segment: str) -> int:
 
 
 def handle_dispatch(
-    registry: DispatchRegistry,
+    hub: DispatchHub,
     route: list[str],
     method: str,
     environ: dict[str, Any],
@@ -103,7 +79,7 @@ def handle_dispatch(
     """
     if not route:
         raise HTTPError(404, "dispatch routes are /dispatch/<run_id>/…")
-    hub = _require_hub(registry, route[0])
+    _require_run(hub, route[0])
     tail = route[1:]
     try:
         if not tail:

@@ -3,36 +3,24 @@
 :meth:`JobQueue.submit` *accepts* a campaign by creating its
 :class:`~repro.store.RunStore` immediately (the durable ``spec.json`` write is
 the acceptance record — a crash between accept and execution loses nothing),
-then worker threads drain the queue with bounded concurrency.  Execution has
-three modes:
+then worker threads drain the queue with bounded concurrency.
 
-``subprocess`` (the service default)
-    Each attempt runs ``repro resume <run_dir>`` in a child process (always
-    ``resume`` — the store already exists from the accept).  The child can be
-    killed at any instant: the store's atomic-append semantics plus
-    :meth:`~repro.engine.campaign.CampaignRunner.resume` make the next
-    attempt continue from the last committed interval, and the finished store
-    is byte-identical to an uninterrupted run.  A non-zero exit is
-    re-dispatched until ``max_attempts`` is exhausted.
+Every attempt is one child ``repro`` process.  By default the child is
+``repro resume <run_dir>`` (always ``resume``: the store already exists from
+the accept).  With ``dispatch_workers=N`` it is ``repro dispatch <run_dir>
+--workers N`` instead: a distributed coordinator (see :mod:`repro.dist`)
+fanning the campaign's intervals across N worker processes over loopback
+HTTP, through the same versioned dispatch endpoints remote workers use.
 
-``inprocess``
-    The worker thread drives a :class:`~repro.engine.campaign.CampaignRunner`
-    directly and records its typed :data:`~repro.engine.campaign.CampaignEvent`
-    stream on the job (useful for embedding and tests; a worker thread cannot
-    be killed, so crash-handoff coverage lives in subprocess mode).
+Either child can be killed at any instant.  The store's atomic appends make
+the next attempt continue from the last committed interval (plus, under
+dispatch, any staged interval results), and the finished store is
+byte-identical to an uninterrupted ``repro run``.  A non-zero exit is
+re-dispatched until ``max_attempts`` is exhausted.
 
-``dispatch``
-    Each attempt runs ``repro dispatch <run_dir>`` in a child process: a
-    distributed coordinator (see :mod:`repro.dist`) fanning the campaign's
-    intervals across ``dispatch_workers`` worker processes over loopback
-    HTTP, through the same versioned dispatch endpoints remote workers use.
-    The same kill/retry contract as subprocess mode applies — re-dispatch
-    continues from the committed prefix plus any staged interval results,
-    and the finished store is byte-identical to single-host execution.
-
-Either way, per-interval *progress* is read from the store (the service's
-``?since=`` record cursor), never from worker memory — what the queue knows
-and what a crash would preserve are the same thing by construction.
+Per-interval *progress* is read from the store (the service's ``?since=``
+record cursor), never from worker memory — what the queue knows and what a
+crash would preserve are the same thing by construction.
 """
 
 from __future__ import annotations
@@ -43,19 +31,13 @@ import signal
 import subprocess
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import repro
 from repro.api.spec import CampaignSpec, ExecutionPolicy
-from repro.engine.campaign import (
-    CampaignEvent,
-    CampaignRunner,
-    CheckpointWritten,
-    IntervalCommitted,
-    RunComplete,
-)
+from repro.engine.campaign import appendable_records
 from repro.service.index import validate_run_id
 from repro.store import RunStore, RunStoreError
 from repro.store.runstore import SPEC_FILE
@@ -72,27 +54,6 @@ class JobRejected(ValueError):
     """A submission the queue refuses (bad policy, duplicate run, shutdown)."""
 
 
-def _event_payload(event: CampaignEvent) -> dict[str, Any]:
-    """A small JSON-safe view of one typed campaign event."""
-    if isinstance(event, IntervalCommitted):
-        return {
-            "kind": "interval_committed",
-            "interval": event.interval,
-            "intervals": event.intervals,
-            "receipts_digest": event.record["receipts_digest"],
-        }
-    if isinstance(event, CheckpointWritten):
-        return {
-            "kind": "checkpoint_written",
-            "interval": event.interval,
-            "intervals": event.intervals,
-            "chunk_index": event.chunk_index,
-        }
-    if isinstance(event, RunComplete):
-        return {"kind": "run_complete", "intervals": event.intervals}
-    raise TypeError(f"unknown campaign event {event!r}")  # pragma: no cover
-
-
 @dataclass
 class Job:
     """One accepted campaign execution (mutated only under the queue's lock)."""
@@ -107,7 +68,6 @@ class Job:
     max_attempts: int = 3
     error: str | None = None
     pid: int | None = None
-    events: list[dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -119,35 +79,31 @@ class Job:
             "max_attempts": self.max_attempts,
             "error": self.error,
             "pid": self.pid,
-            "events": list(self.events),
         }
 
 
 class JobQueue:
-    """Worker pool executing accepted campaigns with bounded concurrency."""
+    """Worker pool executing accepted campaigns with bounded concurrency.
+
+    ``dispatch_workers=None`` runs each attempt as ``repro resume``; an
+    integer N runs it as ``repro dispatch --workers N``.
+    """
 
     def __init__(
         self,
         store_root: Path | str,
         workers: int = 2,
-        execution: str = "subprocess",
         max_attempts: int = 3,
-        dispatch_workers: int = 2,
+        dispatch_workers: int | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if execution not in ("subprocess", "inprocess", "dispatch"):
-            raise ValueError(
-                f"execution must be 'subprocess', 'inprocess' or 'dispatch', "
-                f"got {execution!r}"
-            )
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if dispatch_workers < 1:
+        if dispatch_workers is not None and dispatch_workers < 1:
             raise ValueError(f"dispatch_workers must be >= 1, got {dispatch_workers}")
         self.store_root = Path(store_root)
         self.store_root.mkdir(parents=True, exist_ok=True)
-        self.execution = execution
         self.max_attempts = max_attempts
         self.dispatch_workers = dispatch_workers
         self._tasks: queue.Queue[Job | None] = queue.Queue()
@@ -176,17 +132,18 @@ class JobQueue:
     ) -> Job:
         """Accept one campaign: create (or reopen) its store, then enqueue.
 
-        ``resume=True`` re-enqueues an existing store (same spec hash
-        required) — the handoff path for runs a dead service left behind.
-        Without it, a run id that already holds a store is rejected.
+        ``resume=True`` re-enqueues an existing store (same spec hash and
+        record version required) — the handoff path for runs a dead service
+        left behind.  Without it, a run id that already holds a store is
+        rejected.
         """
         policy = policy if policy is not None else ExecutionPolicy()
         # Impossible spec/policy pairings die at submission, not in a worker.
         policy = policy.bind(spec.cell)
-        if self.execution == "dispatch" and policy.checkpoint_every is not None:
+        if self.dispatch_workers is not None and policy.checkpoint_every is not None:
             raise JobRejected(
                 "dispatch execution re-claims intervals from their start; "
-                "checkpoint_every applies to single-host execution modes"
+                "checkpoint_every applies to single-host execution only"
             )
         run_id = validate_run_id(
             run_id if run_id is not None else f"{spec.name}-{spec.spec_hash()[:10]}"
@@ -208,6 +165,11 @@ class JobQueue:
                     )
                 store = RunStore.open(run_dir)
                 store.validate_spec(spec)
+                # A store no child could extend is refused now, not retried.
+                try:
+                    appendable_records(store)
+                except RunStoreError as exc:
+                    raise JobRejected(str(exc)) from exc
             else:
                 if resume:
                     raise JobRejected(f"run {run_id!r} has no store to resume")
@@ -245,10 +207,10 @@ class JobQueue:
     def snapshot(self, job: Job) -> dict[str, Any]:
         """One job's state as a plain dict, read atomically under the lock.
 
-        Workers mutate ``state``/``attempts``/``events`` under the queue
-        lock; every consumer that serializes a live :class:`Job` (the HTTP
-        layer above all) must come through here (or :meth:`snapshots`) — a
-        bare ``job.to_dict()`` can copy ``events`` mid-append and tear.
+        Workers mutate ``state``/``attempts``/``pid`` under the queue lock;
+        every consumer that serializes a live :class:`Job` (the HTTP layer
+        above all) must come through here (or :meth:`snapshots`) so that it
+        never sees a half-finished transition.
         """
         with self._lock:
             return job.to_dict()
@@ -269,12 +231,12 @@ class JobQueue:
     # -- control -----------------------------------------------------------------------
 
     def kill(self, job_id: str) -> bool:
-        """SIGINT a running subprocess attempt (chaos/testing hook).
+        """SIGINT a running attempt's child (chaos/testing hook).
 
         Returns False when the job is not running a killable child.  The
         interrupted attempt counts against ``max_attempts``; with attempts
-        remaining, the queue re-dispatches a ``resume`` that continues from
-        the last committed interval.
+        remaining, the queue re-dispatches a child that continues from the
+        last committed interval.
         """
         with self._lock:
             job = self._jobs.get(job_id)
@@ -311,10 +273,7 @@ class JobQueue:
         with self._lock:
             job.state = "running"
             job.attempts += 1
-        if self.execution == "inprocess":
-            error = self._run_inprocess(job)
-        else:
-            error = self._run_subprocess(job)
+        error = self._run_child(job)
         with self._lock:
             job.pid = None
             if error is None:
@@ -333,8 +292,18 @@ class JobQueue:
             else:
                 job.state = "failed"
 
-    def _policy_argv(self, policy: ExecutionPolicy) -> list[str]:
-        argv: list[str] = []
+    def _child_argv(self, job: Job) -> list[str]:
+        if self.dispatch_workers is None:
+            command = ["resume", str(job.run_dir)]
+        else:
+            command = [
+                "dispatch",
+                str(job.run_dir),
+                "--workers",
+                str(self.dispatch_workers),
+            ]
+        policy = job.policy
+        argv = [sys.executable, "-m", "repro.cli", *command, "--quiet"]
         if policy.engine is not None:
             argv += ["--engine", policy.engine]
         if policy.chunk_size is not None:
@@ -345,7 +314,7 @@ class JobQueue:
             argv += ["--throttle", repr(policy.throttle)]
         return argv
 
-    def _run_subprocess(self, job: Job) -> str | None:
+    def _run_child(self, job: Job) -> str | None:
         """One child-process attempt; returns an error string or None."""
         # The child must import this exact repro package whether or not it is
         # installed: prepend its parent directory to the child's PYTHONPATH.
@@ -356,36 +325,9 @@ class JobQueue:
             if env.get("PYTHONPATH")
             else [package_parent]
         )
-        if self.execution == "dispatch":
-            # Distributed mode: the child is a dispatch coordinator fanning
-            # the campaign's intervals out across its own worker pool (see
-            # repro.dist).  Re-dispatch after a kill is exactly as safe as
-            # resume: the store's committed prefix plus any staged interval
-            # results carry over.
-            argv = [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "dispatch",
-                str(job.run_dir),
-                "--workers",
-                str(self.dispatch_workers),
-                "--quiet",
-                *self._policy_argv(job.policy),
-            ]
-        else:
-            argv = [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "resume",
-                str(job.run_dir),
-                "--quiet",
-                *self._policy_argv(job.policy),
-            ]
         try:
             child = subprocess.Popen(
-                argv,
+                self._child_argv(job),
                 env=env,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.PIPE,
@@ -401,18 +343,3 @@ class JobQueue:
         detail = (stderr or "").strip().splitlines()
         suffix = f": {detail[-1]}" if detail else ""
         return f"worker exited with status {child.returncode}{suffix}"
-
-    def _run_inprocess(self, job: Job) -> str | None:
-        """One in-thread attempt; returns an error string or None."""
-
-        def record_event(event: CampaignEvent) -> None:
-            with self._lock:
-                job.events.append(_event_payload(event))
-
-        try:
-            store = RunStore.open(job.run_dir)
-            runner = CampaignRunner.resume(store, policy=job.policy)
-            runner.run(on_event=record_event)
-        except (RunStoreError, ValueError, OSError) as exc:
-            return str(exc)
-        return None

@@ -31,6 +31,7 @@ from repro.api.spec import (
 from repro.engine.campaign import CampaignRunner
 from repro.service import JobQueue, ServiceApp, make_service_server
 from repro.service.app import MAX_BODY_BYTES
+from repro.service.jobs import JOB_STATES
 from repro.store import RunStore
 
 from tests.helpers import raw_http_exchange
@@ -63,7 +64,7 @@ def _spec(name: str, intervals: int = 2, seed: int = 71) -> CampaignSpec:
 def service(tmp_path_factory):
     """A live threaded service (real sockets, subprocess workers)."""
     store_root = tmp_path_factory.mktemp("service-store")
-    queue = JobQueue(store_root, workers=2, execution="subprocess")
+    queue = JobQueue(store_root, workers=2)
     app = ServiceApp(store_root, queue=queue)
     server = make_service_server("127.0.0.1", 0, app)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -400,16 +401,26 @@ def test_compare_across_runs(service):
         assert entry["delay_sample_count"] > 0
 
 
-def test_job_endpoints_hammered_while_events_stream(tmp_path):
-    """Hammer /api/v1/jobs while an inprocess job appends events concurrently.
+def _job_consistent(job) -> bool:
+    """Whether one job snapshot is a state the queue's transitions can hold."""
+    if job["state"] not in JOB_STATES or not 0 <= job["attempts"] <= job["max_attempts"]:
+        return False
+    if job["pid"] is not None and job["state"] != "running":
+        return False
+    if job["state"] in ("running", "completed", "failed") and job["attempts"] < 1:
+        return False
+    return job["state"] != "completed" or job["error"] is None
 
-    Inprocess workers append to ``job.events`` on every interval commit;
-    the HTTP layer serializes jobs through the queue's lock-holding
-    snapshots, so every response under fire must be a clean 200 with
-    internally-consistent JSON — never a 500 from a dict mutated during
-    serialization, never a torn event list.
+
+def test_job_endpoints_hammered_while_children_run(tmp_path):
+    """Hammer /api/v1/jobs while child attempts run and finish.
+
+    Attempts mutate ``state``/``attempts``/``pid`` from worker threads; the
+    HTTP layer serializes jobs through the queue's lock-holding snapshots,
+    so every response under fire must be a clean 200 holding a consistent
+    job, whose attempt count never goes backwards.
     """
-    queue = JobQueue(tmp_path / "store", workers=2, execution="inprocess")
+    queue = JobQueue(tmp_path / "store", workers=2)
     app = ServiceApp(tmp_path / "store", queue=queue)
     server = make_service_server("127.0.0.1", 0, app)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -433,6 +444,7 @@ def test_job_endpoints_hammered_while_events_stream(tmp_path):
         failures = []
 
         def hammer():
+            attempts_seen: dict[str, int] = {}
             while not stop.is_set():
                 for path in ("/api/v1/jobs", f"/api/v1/jobs/{job_ids[0]}"):
                     status, payload = _request(base, path, timeout=30.0)
@@ -441,10 +453,13 @@ def test_job_endpoints_hammered_while_events_stream(tmp_path):
                         return
                     jobs = payload["jobs"] if "jobs" in payload else [payload["job"]]
                     for job in jobs:
-                        kinds = {event["kind"] for event in job["events"]}
-                        if not kinds <= {"interval_committed", "run_complete"}:
-                            failures.append((path, "torn events", job["events"]))
+                        if not _job_consistent(job):
+                            failures.append((path, "inconsistent job", job))
                             return
+                        if job["attempts"] < attempts_seen.get(job["id"], 0):
+                            failures.append((path, "attempts went back", job))
+                            return
+                        attempts_seen[job["id"]] = job["attempts"]
 
         hammers = [threading.Thread(target=hammer) for _ in range(4)]
         for worker in hammers:
@@ -464,12 +479,14 @@ def test_job_endpoints_hammered_while_events_stream(tmp_path):
             for worker in hammers:
                 worker.join(timeout=30.0)
         assert failures == []
-        # Every job's final event stream is exactly the campaign's commits.
         status, payload = _request(base, "/api/v1/jobs")
         assert status == 200
-        for job in payload["jobs"]:
-            kinds = [event["kind"] for event in job["events"]]
-            assert kinds == ["interval_committed"] * 3 + ["run_complete"]
+        assert [job["attempts"] for job in payload["jobs"]] == [1, 1]
+        # Progress lives in the store: the record cursor holds every commit.
+        for i in range(len(specs)):
+            status, page = _request(base, f"/api/v1/runs/hammer-run-{i}/records?since=0")
+            assert status == 200 and page["complete"] is True
+            assert [record["interval"] for record in page["records"]] == [0, 1, 2]
     finally:
         server.shutdown()
         server.server_close()

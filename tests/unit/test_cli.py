@@ -248,6 +248,19 @@ class TestResumeAndReport:
         assert main(["report", str(tmp_path / "part")]) == 0
         assert "1/3 intervals" in capsys.readouterr().out
 
+    def test_report_warns_when_summary_disagrees_with_records(
+        self, tmp_path, spec_file, capsys
+    ):
+        main(["run", str(spec_file), "--run-dir", str(tmp_path / "run"), "--quiet"])
+        assert main(["report", str(tmp_path / "run")]) == 0
+        assert "WARNING" not in capsys.readouterr().err
+        summary_path = tmp_path / "run" / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary["intervals"] += 1
+        summary_path.write_text(json.dumps(summary))
+        assert main(["report", str(tmp_path / "run")]) == 0
+        assert "the store has been edited" in capsys.readouterr().err
+
     def test_report_json_is_byte_stable(self, tmp_path, spec_file, capsys):
         from repro.service.report import run_report
         from repro.store import stable_json

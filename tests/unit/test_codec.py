@@ -105,7 +105,7 @@ class TestMalformedInput:
             "wsgi.input": io.BytesIO(raw),
         }
         statuses: list[str] = []
-        queue = JobQueue(tmp_path / "runs", workers=1, execution="inprocess")
+        queue = JobQueue(tmp_path / "runs", workers=1)
         try:
             app = ServiceApp(tmp_path / "runs", queue=queue)
             reply = b"".join(app(environ, lambda status, *_: statuses.append(status)))

@@ -221,7 +221,8 @@ class TestWorker:
     def test_worker_skips_committed_prefix(self, serving):
         spec = _spec(intervals=3)
         coordinator = serving(spec)
-        CampaignRunner(spec, coordinator.store).run(max_intervals=1)
+        # The coordinator's runner is the store's one writer.
+        coordinator.runner.commit(interval_record(spec, 0))
         stage_record(coordinator.staging, 1, interval_record(spec, 1))
         # Interval 0 is committed and interval 1 staged: only 2 is pending.
         assert _worker(coordinator).run() == 1

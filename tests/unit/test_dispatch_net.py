@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import pathlib
 import urllib.error
 import urllib.request
 
@@ -39,10 +40,10 @@ from repro.dist.net import (
     TransportError,
     record_digest,
 )
-from repro.engine.campaign import interval_record
+from repro.engine.campaign import CampaignRunner, interval_record
 from repro.service.app import ServiceApp
-from repro.service.dispatchapi import DispatchRegistry
 from repro.store import RunStore, stable_json
+from repro.store.runstore import RECORDS_FILE
 
 
 def _spec(name: str = "net-test", intervals: int = 3) -> CampaignSpec:
@@ -150,7 +151,7 @@ def hub(tmp_path):
     store = RunStore.create(tmp_path / "run", spec)
     staging = StagingArea(tmp_path / "run" / DISPATCH_DIR)
     claims = NetworkClaimBoard(lease=30.0, clock=FakeClock())
-    return DispatchHub(store=store, policy=None, claims=claims, staging=staging)
+    return DispatchHub(CampaignRunner(store=store), claims=claims, staging=staging)
 
 
 def _line(hub, interval: int) -> bytes:
@@ -174,7 +175,7 @@ class TestDispatchHubUpload:
     def test_upload_counts_remaining_until_everything_is_staged(self, hub):
         # Staged and committed intervals are both done: the response to the
         # upload that stages the last owed interval says nothing remains.
-        hub.store.append(json.loads(_line(hub, 0)))
+        hub.runner.commit(json.loads(_line(hub, 0)))
         line = _line(hub, 2)
         assert hub.upload(2, line, record_digest(line), worker="w0")["remaining"] == 1
         line = _line(hub, 1)
@@ -230,7 +231,7 @@ class TestDispatchHubUpload:
 
     def test_committed_duplicate_byte_asserts(self, hub):
         line = _line(hub, 0)
-        hub.store.append(json.loads(line))
+        hub.runner.commit(json.loads(line))
         out = hub.upload(0, line, record_digest(line), worker="w0")
         assert out == {
             "interval": 0,
@@ -259,9 +260,7 @@ class TestDispatchHubUpload:
     def test_hostile_worker_header_is_only_an_identity(self, hub, tmp_path):
         # The worker id is a header value, never a file name: a path
         # separator or an over-long id must upload like any other worker.
-        registry = DispatchRegistry()
-        registry.register("run", hub)
-        app = ServiceApp(tmp_path, dispatch=registry)
+        app = ServiceApp(tmp_path, dispatch=hub)
         for interval, worker in enumerate(("a/b", "w" * 300)):
             line = _line(hub, interval)
             environ = {
@@ -303,7 +302,7 @@ class TestDispatchHubClaims:
         assert exc.value.code == "interval_staged"
 
     def test_claim_on_committed_interval_refused(self, hub):
-        hub.store.append(json.loads(_line(hub, 0)))
+        hub.runner.commit(json.loads(_line(hub, 0)))
         with pytest.raises(ProtocolError) as exc:
             hub.claim(0, "w1")
         assert exc.value.code == "interval_done"
@@ -323,7 +322,7 @@ class TestDispatchHubClaims:
         assert exc.value.code == "not_holder"
 
     def test_status_reflects_progress(self, hub):
-        hub.store.append(json.loads(_line(hub, 0)))
+        hub.runner.commit(json.loads(_line(hub, 0)))
         line = _line(hub, 1)
         hub.upload(1, line, record_digest(line), worker="w0")
         hub.claim(2, "w0")
@@ -340,6 +339,59 @@ class TestDispatchHubClaims:
         assert config["intervals"] == hub.spec.intervals
         assert config["spec_hash"] == hub.store.spec_hash
         assert CampaignSpec.from_dict(config["spec"]) == hub.spec
+
+    def test_claims_and_uploads_never_read_the_records_file(self, hub, monkeypatch):
+        # The committed count is the coordinator runner's next_interval; only
+        # the byte-assert of a committed duplicate reads a record line back.
+        reads = []
+        for name in ("read_bytes", "open"):
+            original = getattr(pathlib.Path, name)
+
+            def counting(path, *args, _original=original, **kwargs):
+                if path.name == RECORDS_FILE:
+                    reads.append(path)
+                return _original(path, *args, **kwargs)
+
+            monkeypatch.setattr(pathlib.Path, name, counting)
+        hub.runner.commit(json.loads(_line(hub, 0)))
+        reads.clear()
+        for interval, worker in ((1, "w1"), (2, "w2")):
+            hub.claim(interval, worker)
+            hub.renew(interval, worker)
+            line = _line(hub, interval)
+            hub.upload(interval, line, record_digest(line), worker=worker)
+            hub.upload(interval, line, record_digest(line), worker=worker)
+        assert hub.status()["committed"] == 1
+        with pytest.raises(ProtocolError):
+            hub.claim(0, "w1")
+        assert reads == []
+
+
+class TestDispatchApp:
+    """One hub per app: the routes a run id and an app without a hub get."""
+
+    def _get(self, app, path):
+        statuses: list[str] = []
+        environ = {"REQUEST_METHOD": "GET", "PATH_INFO": path, "QUERY_STRING": ""}
+        body = b"".join(app(environ, lambda status, headers, *_: statuses.append(status)))
+        return statuses[0], json.loads(body)
+
+    def test_app_serves_only_its_hubs_run(self, hub, tmp_path):
+        app = ServiceApp(tmp_path, dispatch=hub)
+        status, body = self._get(app, "/api/v1/dispatch/run")
+        assert status == "200 OK" and body["run"] == "run"
+        status, body = self._get(app, "/api/v1/dispatch/other/claims/0")
+        assert status.startswith("404")
+        assert body["error"]["code"] == "unknown_run"
+        assert body["error"]["detail"] == {"dispatching": ["run"]}
+        assert self._get(app, "/api/v1/health")[1]["dispatching"] == ["run"]
+
+    def test_app_without_a_hub_has_no_dispatch(self, tmp_path):
+        app = ServiceApp(tmp_path)
+        status, body = self._get(app, "/api/v1/dispatch/run")
+        assert status.startswith("503")
+        assert body["error"]["code"] == "no_dispatch"
+        assert self._get(app, "/api/v1/health")[1]["dispatching"] == []
 
 
 class FakeHTTP:

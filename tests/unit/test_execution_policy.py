@@ -223,7 +223,7 @@ class TestShardsRemoved:
         assert not (tmp_path / "run").exists()
 
         # 3. the service: the uniform 400 error envelope, not a 500
-        queue = JobQueue(tmp_path / "runs", workers=1, execution="inprocess")
+        queue = JobQueue(tmp_path / "runs", workers=1)
         try:
             app = ServiceApp(tmp_path / "runs", queue=queue)
             body = json.dumps(

@@ -1,4 +1,9 @@
-"""Unit tests for the service `JobQueue` (mostly the inprocess execution mode)."""
+"""Unit tests for the service `JobQueue`.
+
+Every attempt is one child ``repro`` process.  Tests of queue logic
+(shutdown races, stats, kill) swap a fake in for that one attempt method,
+``JobQueue._run_child``; tests that assert store bytes spawn real children.
+"""
 
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ from repro.engine.campaign import CampaignRunner
 from repro.service.jobs import JobQueue, JobRejected
 from repro.store import RunStore
 from repro.store.runstore import SPEC_FILE
+from tests.helpers import rewrite_record_version
 
 
 def wait_idle(queue: JobQueue, timeout: float) -> bool:
@@ -58,9 +64,29 @@ def _spec(name: str = "jobs-test", intervals: int = 2) -> CampaignSpec:
     )
 
 
+def _direct_run(path, spec: CampaignSpec) -> RunStore:
+    store = RunStore.create(path, spec)
+    CampaignRunner(spec, store).run()
+    return store
+
+
+def _succeed(job) -> None:
+    """A fake attempt that spawns no child and succeeds at once."""
+    return None
+
+
 @pytest.fixture
 def queue(tmp_path):
-    queue = JobQueue(tmp_path / "runs", workers=1, execution="inprocess")
+    queue = JobQueue(tmp_path / "runs", workers=1)
+    yield queue
+    queue.shutdown(wait=True)
+
+
+@pytest.fixture
+def fake_queue(tmp_path, monkeypatch):
+    """A queue whose attempts spawn no child (for tests of queue logic)."""
+    queue = JobQueue(tmp_path / "runs", workers=1)
+    monkeypatch.setattr(queue, "_run_child", _succeed)
     yield queue
     queue.shutdown(wait=True)
 
@@ -69,39 +95,28 @@ class TestConstruction:
     def test_rejects_bad_arguments(self, tmp_path):
         with pytest.raises(ValueError, match="workers"):
             JobQueue(tmp_path, workers=0)
-        with pytest.raises(ValueError, match="execution"):
-            JobQueue(tmp_path, execution="fork")
         with pytest.raises(ValueError, match="max_attempts"):
             JobQueue(tmp_path, max_attempts=0)
 
 
 class TestSubmission:
-    def test_submit_creates_store_immediately(self, queue):
+    def test_submit_creates_store_immediately(self, fake_queue):
         spec = _spec()
-        job = queue.submit(spec)
+        job = fake_queue.submit(spec)
         # The durable spec.json write *is* the acceptance record — it exists
         # before any worker touches the job.
         assert (job.run_dir / SPEC_FILE).exists()
         assert job.run_id == f"jobs-test-{spec.spec_hash()[:10]}"
         assert job.spec_hash == spec.spec_hash()
-        assert wait_idle(queue, timeout=120.0)
-        assert queue.job(job.id).state == "completed"
-        store = RunStore.open(job.run_dir)
-        assert len(store.records()) == 2
-        assert store.summary() is not None
+        assert wait_idle(fake_queue, timeout=120.0)
+        assert fake_queue.job(job.id).state == "completed"
 
-    def test_inprocess_jobs_record_typed_events(self, queue):
-        job = queue.submit(_spec(name="evented"))
-        assert wait_idle(queue, timeout=120.0)
-        kinds = [event["kind"] for event in queue.snapshot(job)["events"]]
-        assert kinds == ["interval_committed", "interval_committed", "run_complete"]
-
-    def test_duplicate_store_rejected_without_resume_flag(self, queue):
+    def test_duplicate_store_rejected_without_resume_flag(self, fake_queue):
         spec = _spec(name="dup")
-        queue.submit(spec, run_id="dup-run")
-        assert wait_idle(queue, timeout=120.0)
+        fake_queue.submit(spec, run_id="dup-run")
+        assert wait_idle(fake_queue, timeout=120.0)
         with pytest.raises(JobRejected, match="already holds a store"):
-            queue.submit(spec, run_id="dup-run")
+            fake_queue.submit(spec, run_id="dup-run")
 
     def test_resume_reenqueues_existing_store(self, queue, tmp_path):
         spec = _spec(name="handoff")
@@ -109,14 +124,25 @@ class TestSubmission:
         store = RunStore.create(queue.store_root / "handoff-run", spec)
         CampaignRunner(spec, store).run(max_intervals=1)
         job = queue.submit(spec, run_id="handoff-run", resume=True)
-        assert wait_idle(queue, timeout=120.0)
-        assert queue.job(job.id).state == "completed"
+        assert wait_idle(queue, timeout=240.0)
+        assert queue.job(job.id).state == "completed", queue.job(job.id).error
+        assert queue.job(job.id).attempts == 1
         finished = RunStore.open(queue.store_root / "handoff-run")
-        assert len(finished.records()) == spec.intervals
         # Byte-identical to a never-interrupted direct run of the same spec.
-        direct = RunStore.create(tmp_path / "direct", spec)
-        CampaignRunner(spec, direct).run()
+        direct = _direct_run(tmp_path / "direct", spec)
         assert finished.records_path.read_bytes() == direct.records_path.read_bytes()
+        assert finished.digest() == direct.digest()
+
+    def test_resume_of_another_record_version_rejected(self, queue):
+        spec = _spec(name="old-build")
+        store = RunStore.create(queue.store_root / "old-run", spec)
+        CampaignRunner(spec, store).run(max_intervals=1)
+        rewrite_record_version(store, 1)
+        # No child could extend this store: refused at submission, not
+        # retried max_attempts times.
+        with pytest.raises(JobRejected, match="holds record version 1"):
+            queue.submit(spec, run_id="old-run", resume=True)
+        assert queue.jobs() == []
 
     def test_resume_without_store_rejected(self, queue):
         with pytest.raises(JobRejected, match="no store to resume"):
@@ -133,28 +159,36 @@ class TestSubmission:
             queue.submit(_spec(), run_id="../outside")
 
     def test_submit_after_shutdown_rejected(self, tmp_path):
-        queue = JobQueue(tmp_path / "runs", workers=1, execution="inprocess")
+        queue = JobQueue(tmp_path / "runs", workers=1)
         queue.shutdown(wait=True)
         with pytest.raises(JobRejected, match="shut down"):
             queue.submit(_spec())
 
 
 class TestInspection:
-    def test_stats_and_listing(self, queue):
-        job = queue.submit(_spec(name="stats"))
-        assert wait_idle(queue, timeout=120.0)
-        assert [j.id for j in queue.jobs()] == [job.id]
-        stats = queue.stats()
+    def test_stats_and_listing(self, fake_queue):
+        job = fake_queue.submit(_spec(name="stats"))
+        assert wait_idle(fake_queue, timeout=120.0)
+        assert [j.id for j in fake_queue.jobs()] == [job.id]
+        stats = fake_queue.stats()
         assert stats["completed"] == 1
         assert stats["queued"] == stats["running"] == stats["failed"] == 0
         assert stats["workers"] == 1
 
-    def test_kill_requires_a_running_subprocess(self, queue):
-        job = queue.submit(_spec(name="unkillable"))
-        assert wait_idle(queue, timeout=120.0)
-        # Completed (and inprocess) jobs expose no killable child.
-        assert queue.kill(job.id) is False
-        assert queue.kill("job-does-not-exist") is False
+    def test_kill_requires_a_running_subprocess(self, fake_queue):
+        job = fake_queue.submit(_spec(name="unkillable"))
+        assert wait_idle(fake_queue, timeout=120.0)
+        # A completed job exposes no killable child.
+        assert fake_queue.kill(job.id) is False
+        assert fake_queue.kill("job-does-not-exist") is False
+
+    def test_snapshot_has_no_event_log(self, fake_queue):
+        # Progress is the store's ?since= record cursor, not job state.
+        job = fake_queue.submit(_spec(name="no-events"))
+        assert wait_idle(fake_queue, timeout=120.0)
+        assert set(fake_queue.snapshot(job)) == {
+            "id", "run", "spec_hash", "state", "attempts", "max_attempts", "error", "pid"
+        }
 
 
 class TestShutdownRequeueRace:
@@ -169,9 +203,7 @@ class TestShutdownRequeueRace:
         interleaving deterministically: the attempt blocks mid-run while
         shutdown closes the queue, then fails.
         """
-        queue = JobQueue(
-            tmp_path / "runs", workers=1, execution="inprocess", max_attempts=3
-        )
+        queue = JobQueue(tmp_path / "runs", workers=1, max_attempts=3)
         attempt_started = threading.Event()
         release_attempt = threading.Event()
 
@@ -180,7 +212,7 @@ class TestShutdownRequeueRace:
             assert release_attempt.wait(timeout=60.0)
             return "injected failure"
 
-        monkeypatch.setattr(queue, "_run_inprocess", blocking_failure)
+        monkeypatch.setattr(queue, "_run_child", blocking_failure)
         job = queue.submit(_spec(name="race"))
         assert attempt_started.wait(timeout=60.0)
         # The attempt is in flight; shutdown closes the queue and enqueues
@@ -193,13 +225,14 @@ class TestShutdownRequeueRace:
         assert queue.job(job.id).state == "failed"  # terminal, not "queued"
         assert queue.job(job.id).error == "injected failure"
 
-    def test_concurrent_submit_and_shutdown_leaves_no_job_in_limbo(self, tmp_path):
+    def test_concurrent_submit_and_shutdown_leaves_no_job_in_limbo(
+        self, tmp_path, monkeypatch
+    ):
         """Stress: submissions racing shutdown either run to a terminal state
         or are rejected — never accepted and then silently never run."""
         for round_index in range(5):
-            queue = JobQueue(
-                tmp_path / f"runs-{round_index}", workers=2, execution="inprocess"
-            )
+            queue = JobQueue(tmp_path / f"runs-{round_index}", workers=2)
+            monkeypatch.setattr(queue, "_run_child", _succeed)
             accepted, rejected = [], []
             barrier = threading.Barrier(5)
 
@@ -244,7 +277,7 @@ class TestShutdownRequeueRace:
 
 class TestDispatchMode:
     def test_dispatch_rejects_checkpointing_at_submission(self, tmp_path):
-        queue = JobQueue(tmp_path / "runs", workers=1, execution="dispatch")
+        queue = JobQueue(tmp_path / "runs", workers=1, dispatch_workers=2)
         try:
             with pytest.raises(JobRejected, match="checkpoint_every"):
                 queue.submit(
@@ -256,21 +289,16 @@ class TestDispatchMode:
 
     def test_dispatch_workers_validated(self, tmp_path):
         with pytest.raises(ValueError, match="dispatch_workers"):
-            JobQueue(tmp_path, execution="dispatch", dispatch_workers=0)
+            JobQueue(tmp_path, dispatch_workers=0)
 
 
 class TestSubprocessMode:
-    def test_subprocess_run_matches_direct_run(self, tmp_path):
+    def test_subprocess_run_matches_direct_run(self, queue, tmp_path):
         spec = _spec(name="subproc")
-        queue = JobQueue(tmp_path / "runs", workers=1, execution="subprocess")
-        try:
-            job = queue.submit(spec, run_id="via-worker")
-            assert wait_idle(queue, timeout=240.0)
-            assert queue.job(job.id).state == "completed", queue.job(job.id).error
-        finally:
-            queue.shutdown(wait=True)
-        direct = RunStore.create(tmp_path / "direct", spec)
-        CampaignRunner(spec, direct).run()
+        job = queue.submit(spec, run_id="via-worker")
+        assert wait_idle(queue, timeout=240.0)
+        assert queue.job(job.id).state == "completed", queue.job(job.id).error
+        direct = _direct_run(tmp_path / "direct", spec)
         worker_store = RunStore.open(tmp_path / "runs" / "via-worker")
         assert (
             worker_store.records_path.read_bytes()
@@ -282,17 +310,14 @@ class TestSubprocessMode:
         # Each attempt is a `repro dispatch` child whose worker pool
         # reaches it over loopback HTTP.
         spec = _spec(name="dispatched")
-        queue = JobQueue(
-            tmp_path / "runs", workers=1, execution="dispatch", dispatch_workers=2
-        )
+        queue = JobQueue(tmp_path / "runs", workers=1, dispatch_workers=2)
         try:
             job = queue.submit(spec, run_id="via-dispatch")
             assert wait_idle(queue, timeout=240.0)
             assert queue.job(job.id).state == "completed", queue.job(job.id).error
         finally:
             queue.shutdown(wait=True)
-        direct = RunStore.create(tmp_path / "direct", spec)
-        CampaignRunner(spec, direct).run()
+        direct = _direct_run(tmp_path / "direct", spec)
         dispatched = RunStore.open(tmp_path / "runs" / "via-dispatch")
         assert dispatched.records_path.read_bytes() == direct.records_path.read_bytes()
         assert dispatched.digest() == direct.digest()
