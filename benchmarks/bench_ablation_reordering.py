@@ -24,7 +24,7 @@ SAFETY_WINDOW = 0.002  # J = 2 ms >= every tested reordering window
 def _run_sweep(packets):
     results = []
     for index, window_ms in enumerate(REORDER_WINDOWS_MS):
-        scenario = PathScenario(seed=900 + index)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X",
             SegmentCondition(

@@ -38,7 +38,7 @@ def main() -> None:
         seed=1,
     )
 
-    scenario = PathScenario(seed=2)
+    scenario = PathScenario()
     scenario.configure_domain(
         "X",
         SegmentCondition(

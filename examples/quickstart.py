@@ -42,7 +42,7 @@ def main() -> None:
           f"({trace.config.duration:.2f} s of traffic)")
 
     # 2. The Figure-1 path with domain X congested.
-    scenario = PathScenario(seed=2)
+    scenario = PathScenario()
     scenario.configure_domain(
         "X",
         SegmentCondition(

@@ -46,7 +46,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import ExperimentSpec  # noqa: E402
-from repro.api.runner import run_cell, run_mesh_cell  # noqa: E402
+from repro.api.runner import run_cell  # noqa: E402
 from repro.api.spec import (  # noqa: E402
     CampaignSpec,
     ConditionSpec,
@@ -179,7 +179,7 @@ def measure() -> dict[str, float]:
         measurements[f"{engine}_seconds"] = elapsed
 
     started = time.perf_counter()
-    run_mesh_cell(mesh_probe_spec(), engine="batch")
+    run_cell(mesh_probe_spec(), engine="batch")
     elapsed = time.perf_counter() - started
     measurements["mesh_packets_per_second"] = (
         MESH_PATHS * MESH_PACKETS_PER_PATH / elapsed

@@ -41,7 +41,6 @@ REFERRERS = ("src", "examples", "benchmarks", "scripts", "perfbench")
 # Unreached definitions kept on purpose: "<path under src/>::<qualname>" -> reason.
 _PRESET = "decorator-registered preset: specs reach it by registry key"
 KEEP: dict[str, str] = {
-    "repro/api/registry.py::_figure1_scenario": _PRESET,
     "repro/api/registry.py::_figure1_topology_entry": _PRESET,
     "repro/api/registry.py::_star_topology_entry": _PRESET,
     "repro/api/registry.py::_mesh_random_topology_entry": _PRESET,

@@ -7,10 +7,11 @@ that altitude directly:
 * :mod:`repro.api.spec` — frozen, JSON-round-trippable experiment specs
   (:class:`ExperimentSpec` and its parts) with deterministic seed spacing;
 * :mod:`repro.api.registry` — the string-keyed component registries third
-  parties plug new delay/loss models, adversaries and scenarios into;
+  parties plug new delay/loss models, adversaries and topologies into;
 * :mod:`repro.api.runner` — :class:`Experiment`, with ``.run()`` for one cell
-  (batch fast path by default) and ``.sweep(grid, workers=N)`` for parallel
-  cartesian sweeps that are bit-identical to serial execution;
+  of either spelling (batch fast path by default) and
+  ``.sweep(grid, workers=N)`` for parallel cartesian sweeps that are
+  bit-identical to serial execution;
 * :mod:`repro.api.results` — typed per-cell results with byte-stable JSON for
   cross-run comparison.
 
@@ -30,13 +31,14 @@ A complete experiment in a few declarative lines:
 >>> cell.target("X").estimate.loss_rate          # receipt-based estimate
 >>> cell.target("X").truth.loss_rate             # simulation ground truth
 
-The engine underneath (:class:`~repro.simulation.scenario.PathScenario` and
-one session, :class:`~repro.core.protocol.MeshSession`, whose one-path
-spelling is :class:`~repro.core.protocol.VPMSession`, over one
+The engine underneath (:class:`~repro.simulation.mesh.MeshScenario` and one
+session, :class:`~repro.core.protocol.MeshSession`, over one
 :class:`~repro.reporting.dissemination.ReceiptBus`) remains importable for
-code that needs the lower altitude.  Both spec spellings run through one
-cell builder, and :func:`run_cell_full` / :func:`run_mesh_cell_full` both
-return a :class:`CellRun`.
+code that needs the lower altitude.  A cell has one kind: an
+:class:`ExperimentSpec` is the one-path spelling of a mesh cell, and both
+spellings lower to one plan, one cell builder and one summariser, so
+:func:`run_cell` and :func:`run_cell_full` take either (a :class:`MeshSpec`
+yields a :class:`MeshResult`).
 """
 
 from repro.api.registry import (
@@ -44,11 +46,9 @@ from repro.api.registry import (
     DELAY_MODELS,
     LOSS_MODELS,
     REORDERING_MODELS,
-    SCENARIOS,
     TOPOLOGIES,
     Registry,
     register_adversary,
-    register_scenario,
     register_topology,
 )
 from repro.api.results import (
@@ -70,7 +70,6 @@ from repro.api.runner import (
     Experiment,
     run_cell,
     run_cell_full,
-    run_mesh_cell,
     run_mesh_cell_full,
 )
 from repro.api.spec import (
@@ -114,7 +113,6 @@ __all__ = [
     "QuantileEstimate",
     "REORDERING_MODELS",
     "Registry",
-    "SCENARIOS",
     "SLATargetSpec",
     "SweepCell",
     "SweepResult",
@@ -127,10 +125,8 @@ __all__ = [
     "VerificationSummary",
     "derive_seed",
     "register_adversary",
-    "register_scenario",
     "register_topology",
     "run_cell",
     "run_cell_full",
-    "run_mesh_cell",
     "run_mesh_cell_full",
 ]

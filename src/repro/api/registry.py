@@ -1,7 +1,7 @@
 """String-keyed component registries behind the declarative experiment API.
 
 Specs (:mod:`repro.api.spec`) name their components — delay models, loss
-models, reordering models, adversaries, scenarios — by registry key instead of
+models, reordering models, adversaries, topologies — by registry key instead of
 importing classes, which is what makes an :class:`~repro.api.spec.ExperimentSpec`
 a plain, JSON-round-trippable value.  Third parties plug in new components
 with the registries exported here (``Registry.register`` doubles as a
@@ -48,7 +48,6 @@ from repro.net.topology import (
     generate_mesh_topology,
     star_topology,
 )
-from repro.simulation.scenario import PathScenario
 from repro.traffic.delay_models import (
     CongestionDelayModel,
     ConstantDelayModel,
@@ -68,10 +67,8 @@ __all__ = [
     "LOSS_MODELS",
     "REORDERING_MODELS",
     "ADVERSARIES",
-    "SCENARIOS",
     "TOPOLOGIES",
     "register_adversary",
-    "register_scenario",
     "register_topology",
 ]
 
@@ -134,7 +131,6 @@ DELAY_MODELS = Registry("delay model")
 LOSS_MODELS = Registry("loss model")
 REORDERING_MODELS = Registry("reordering model")
 ADVERSARIES = Registry("adversary")
-SCENARIOS = Registry("scenario")
 TOPOLOGIES = Registry("topology")
 
 
@@ -155,17 +151,13 @@ def register_adversary(name: str, *, role: str = "agent", **kwargs):
     return decorate
 
 
-def register_scenario(name: str, factory: Callable | None = None, **kwargs):
-    """Register a scenario factory (``seed=..., **params -> PathScenario``)."""
-    return SCENARIOS.register(name, factory, **kwargs)
-
-
 def register_topology(name: str, factory: Callable | None = None, **kwargs):
     """Register a topology factory for use in ``TopologySpec.kind``.
 
     The factory signature is ``seed=..., **params -> (Topology, tuple[HOPPath, ...])``:
     it returns the topology and the HOP paths (distinct prefix pairs) a mesh
-    workload drives over it.
+    workload drives over it.  A one-path topology also serves as a
+    ``PathSpec.scenario``.
     """
     return TOPOLOGIES.register(name, factory, **kwargs)
 
@@ -184,15 +176,6 @@ LOSS_MODELS.register("gilbert-elliott-rate", GilbertElliottLossModel.from_target
 
 REORDERING_MODELS.register("none", NoReordering)
 REORDERING_MODELS.register("window", WindowReordering)
-
-
-# -- built-in scenarios --------------------------------------------------------------
-
-
-@register_scenario("figure1")
-def _figure1_scenario(seed: int = 0) -> PathScenario:
-    """The paper's Figure-1 path S → L → X → N → D (HOPs 1..8)."""
-    return PathScenario(seed=seed)
 
 
 # -- built-in topologies -------------------------------------------------------------

@@ -1,14 +1,21 @@
 """The experiment orchestrator: one cell, or a parallel sweep of cells.
 
-:class:`Experiment` turns a declarative :class:`~repro.api.spec.ExperimentSpec`
-into results:
+:class:`Experiment` turns a declarative spec into results:
 
 * :meth:`Experiment.run` executes one cell — synthesize traffic, drive the
-  path scenario (batch fast path by default), run every domain's HOPs, and
-  answer the spec's estimation question — returning a
-  :class:`~repro.api.results.CellResult`;
+  scenario (batch fast path by default), run every domain's HOPs, and answer
+  the spec's estimation question — returning a
+  :class:`~repro.api.results.CellResult` (a
+  :class:`~repro.api.results.MeshResult` for a mesh spec);
 * :meth:`Experiment.sweep` executes a cartesian parameter grid of cells,
   serially or fanned across a :class:`~concurrent.futures.ProcessPoolExecutor`.
+
+A cell has one kind.  :func:`lower_cell` is the only code that asks which
+spelling it holds: an :class:`~repro.api.spec.ExperimentSpec` lowers to a
+one-path mesh cell and a :class:`~repro.api.spec.MeshSpec` to a cell of all
+its paths, each as a :class:`CellPlan`.  One builder turns the plan into a
+:class:`~repro.engine.streaming.StreamingCell` and one summariser reads the
+fed session back through the plan's per-path views.
 
 Every cell is a pure function of its spec (all randomness is seeded from the
 spec), so a parallel sweep is **bit-identical** to a serial one: results come
@@ -17,7 +24,6 @@ back in grid order and serialize to the same bytes regardless of ``workers``.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -46,27 +52,30 @@ from repro.api.spec import (
     MeshSpec,
 )
 from repro.core.hop import HOPConfig, HOPReport
-from repro.core.protocol import MeshSession, VPMSession
+from repro.core.protocol import MeshSession
 from repro.core.verifier import Verifier
 from repro.engine.streaming import (
     DEFAULT_CHUNK_SIZE,
     RunnerCheckpoint,
     StreamingCell,
-    StreamingResult,
     StreamingRunner,
     StreamingTruth,
 )
-from repro.net.topology import HOPPath
+from repro.net.topology import HOPPath, Topology
 from repro.simulation.mesh import MeshScenario
+from repro.simulation.scenario import SegmentCondition
 from repro.traffic.trace import SyntheticTrace
 
 __all__ = [
+    "CellPlan",
     "CellRun",
     "Experiment",
+    "PathRun",
+    "PathView",
     "clear_trace_cache",
+    "lower_cell",
     "run_cell",
     "run_cell_full",
-    "run_mesh_cell",
     "run_mesh_cell_full",
 ]
 
@@ -80,11 +89,99 @@ def clear_trace_cache() -> None:
     """
 
 
-def _condition_overrides(adversary: AdversarySpec) -> dict[str, Any]:
-    """The :class:`SegmentCondition` overrides a condition-role adversary installs."""
-    factory = ADVERSARIES.get(adversary.kind)
+class PathView(NamedTuple):
+    """What one path of a cell is asked: who observes it, whom it estimates, how."""
+
+    observer: str
+    targets: tuple[str, ...]
+    verify: bool
+    independent: bool
+
+
+class CellPlan(NamedTuple):
+    """A spec of either spelling, lowered to a mesh cell of one or more paths.
+
+    ``conditions`` maps a domain to a condition factory of the path index.
+    ``trace_seeds[i]`` and ``views[i]`` belong to ``paths[i]``.  ``mesh``
+    selects the result: a :class:`MeshResult`, or the one path's
+    :class:`CellResult`.
+    """
+
+    topology: Topology
+    paths: tuple[HOPPath, ...]
+    conditions: dict[str, Callable[[int], SegmentCondition]]
+    trace_seeds: tuple[int, ...]
+    views: tuple[PathView, ...]
+    quantiles: tuple[float, ...]
+    mode: str
+    sketch_size: int
+    mesh: bool
+
+
+def _transit_names(path: HOPPath) -> list[str]:
+    return [domain.name for domain, _, _ in path.domain_segments()]
+
+
+def lower_cell(spec: ExperimentSpec | MeshSpec) -> CellPlan:
+    """Lower either spelling to the :class:`CellPlan` every cell runs from.
+
+    Each spelling keeps its seed labels, so its draws are unchanged: a single
+    path builds condition models at ``ConditionSpec.build(seed, domain)``
+    and its trace at ``traffic.effective_seed``; a mesh labels them
+    ``f"{domain}.path{i}"`` and ``traffic_seed(i)``.  A single path is
+    observed as its :class:`~repro.api.spec.EstimationSpec` says; each mesh
+    path by its source domain, over every transit domain.
+    """
+    if isinstance(spec, MeshSpec):
+        topology, paths = spec.topology.build(spec.seed)
+        return CellPlan(
+            topology=topology,
+            paths=paths,
+            conditions={
+                domain: lambda index, name=domain, built=condition: built.build(
+                    spec.seed, domain=f"{name}.path{index}"
+                )
+                for domain, condition in spec.conditions.items()
+            },
+            trace_seeds=tuple(spec.traffic_seed(index) for index in range(len(paths))),
+            views=tuple(
+                PathView(path.domains[0].name, tuple(_transit_names(path)), True, True)
+                for path in paths
+            ),
+            quantiles=spec.quantiles,
+            mode=spec.estimation_mode,
+            sketch_size=spec.sketch_size,
+            mesh=True,
+        )
+    topology, paths = spec.path.build(spec.seed)
+    estimation = spec.estimation
+    return CellPlan(
+        topology=topology,
+        paths=paths,
+        conditions={
+            domain: lambda index, name=domain, built=condition: built.build(spec.seed, name)
+            for domain, condition in spec.path.conditions.items()
+        },
+        trace_seeds=(spec.traffic.effective_seed(spec.seed),),
+        views=(
+            PathView(
+                estimation.observer,
+                estimation.targets,
+                estimation.verify,
+                estimation.independent,
+            ),
+        ),
+        quantiles=estimation.quantiles,
+        mode=estimation.mode,
+        sketch_size=estimation.sketch_size,
+        mesh=False,
+    )
+
+
+def _adversary(adversary: AdversarySpec, *args: Any) -> Any:
+    """Call the adversary's registry factory; bad parameters raise ``ValueError``."""
     try:
-        return factory(**adversary.params)
+        return ADVERSARIES.get(adversary.kind)(*args, **adversary.params)
     except TypeError as exc:
         raise ValueError(
             f"invalid parameters for adversary {adversary.kind!r}: {exc}"
@@ -121,68 +218,37 @@ def _build_agent_adversaries(
                 f"fabricates receipts, but the protocol spec declares that "
                 f"domain non-deployed (config None)"
             )
-        factory = ADVERSARIES.get(adversary.kind)
         crossing = tuple(path for path in paths if path.hops_of(adversary.domain))
-        try:
-            agents[adversary.domain] = factory(
-                adversary.domain,
-                crossing,
-                config,
-                spec.protocol.max_diff,
-                agents,
-                **adversary.params,
-            )
-        except TypeError as exc:
-            raise ValueError(
-                f"invalid parameters for adversary {adversary.kind!r}: {exc}"
-            ) from exc
+        agents[adversary.domain] = _adversary(
+            adversary, adversary.domain, crossing, config, spec.protocol.max_diff, agents
+        )
     return agents
 
 
-def _build_cell(spec: ExperimentSpec | MeshSpec) -> StreamingCell:
+def _build_cell(spec: ExperimentSpec | MeshSpec, plan: CellPlan | None = None) -> StreamingCell:
     """Build the (per-path scenarios, per-path traces, session) cell every engine drives.
 
-    The single construction path for both engines and both spec spellings —
-    any spec field that must influence cell construction is wired here
-    exactly once, which is what keeps the engines' byte-identical contract
-    honest.  A cell is a pure function of the spec's seeds, so every rebuild
-    is identical.
+    The single construction path for both engines and both spec spellings,
+    from the spec's :class:`CellPlan` (lowered here when not given) — any
+    spec field that must influence cell construction is wired here exactly
+    once, which is what keeps the engines' byte-identical contract honest.
+    Every check runs before any trace is built.
     """
-    if isinstance(spec, MeshSpec):
-        topology, paths = spec.topology.build(spec.seed)
-        scenario = MeshScenario(topology, paths, seed=spec.seed)
-        transit_names = set(scenario.transit_domain_names())
-        for domain in sorted(spec.conditions):
-            if domain not in transit_names:
-                known = ", ".join(sorted(transit_names)) or "<none>"
-                raise ValueError(
-                    f"MeshSpec.conditions names {domain!r}, which is a transit "
-                    f"domain of no path (transit domains: {known})"
-                )
-            condition_spec = spec.conditions[domain]
-            scenario.configure_domain(
-                domain,
-                lambda index, name=domain, built=condition_spec: built.build(
-                    spec.seed, domain=f"{name}.path{index}"
-                ),
-            )
-        scenarios = scenario.path_scenarios
-        trace_seeds = [spec.traffic_seed(index) for index in range(len(paths))]
-        where = "the mesh"
-    else:
-        scenario = spec.path.build(spec.seed)
-        paths = (scenario.path,)
-        scenarios = (scenario,)
-        trace_seeds = [spec.traffic.effective_seed(spec.seed)]
-        where = "the path"
-        on_path = sorted(domain.name for domain in scenario.path.domains)
-        if spec.estimation.observer not in on_path:
+    if plan is None:
+        plan = lower_cell(spec)
+    where = "the mesh" if plan.mesh else "the path"
+    scenario = MeshScenario(plan.topology, plan.paths)
+    for domain in sorted(plan.conditions):
+        scenario.configure_domain(domain, plan.conditions[domain])
+    for path, view in zip(plan.paths, plan.views):
+        on_path = sorted(domain.name for domain in path.domains)
+        if view.observer not in on_path:
             raise ValueError(
-                f"estimation observer {spec.estimation.observer!r} is not on "
-                f"the path, so it would see no receipts (path domains: {on_path})"
+                f"estimation observer {view.observer!r} is not on the path, so "
+                f"it would see no receipts (path domains: {on_path})"
             )
-        transit = sorted(domain.name for domain, _, _ in scenario.path.domain_segments())
-        for target in spec.estimation.targets:
+        transit = sorted(_transit_names(path))
+        for target in view.targets:
             if target not in transit:
                 raise ValueError(
                     f"estimation target {target!r} is not a transit domain of the "
@@ -190,7 +256,7 @@ def _build_cell(spec: ExperimentSpec | MeshSpec) -> StreamingCell:
                     f"between (transit domains: {transit})"
                 )
 
-    domains = list(dict.fromkeys(d.name for path in paths for d in path.domains))
+    domains = list(dict.fromkeys(d.name for path in plan.paths for d in path.domains))
     for adversary in spec.adversaries:
         if adversary.domain not in domains:
             raise ValueError(
@@ -198,35 +264,23 @@ def _build_cell(spec: ExperimentSpec | MeshSpec) -> StreamingCell:
                 f"{adversary.domain!r}, which is not on {where} "
                 f"(domains: {sorted(domains)})"
             )
-        if adversary.role != "condition":
-            continue
-        overrides = _condition_overrides(adversary)
-        if isinstance(scenario, MeshScenario):
-            scenario.override_domain(adversary.domain, **overrides)
-        else:
-            condition = scenario.condition_for(adversary.domain)
-            scenario.configure_domain(
-                adversary.domain, dataclasses.replace(condition, **overrides)
-            )
+        if adversary.role == "condition":
+            scenario.override_domain(adversary.domain, **_adversary(adversary))
 
     configs = spec.protocol.build_configs_for(domains, where=where)
-    session_args = dict(
+    session = MeshSession(
+        plan.paths,
         configs=configs,
-        agents=_build_agent_adversaries(spec, paths, configs),
+        agents=_build_agent_adversaries(spec, plan.paths, configs),
         max_diff=spec.protocol.max_diff,
-    )
-    session = (
-        MeshSession(paths, **session_args)
-        if isinstance(spec, MeshSpec)
-        else VPMSession(paths[0], **session_args)
     )
     traces = tuple(
         SyntheticTrace(
             config=spec.traffic.trace_config(), prefix_pair=path.prefix_pair, seed=seed
         )
-        for path, seed in zip(paths, trace_seeds)
+        for path, seed in zip(plan.paths, plan.trace_seeds)
     )
-    return StreamingCell(scenarios=tuple(scenarios), traces=traces, session=session)
+    return StreamingCell(scenarios=scenario.path_scenarios, traces=traces, session=session)
 
 
 def _target_result(
@@ -234,17 +288,16 @@ def _target_result(
     target: str,
     truth: StreamingTruth | None,
     quantiles: Sequence[float],
-    verify: bool,
-    independent: bool,
+    view: PathView,
 ) -> TargetResult:
     """One target's estimate, truth, verdict and independent neighbor view."""
     performance = verifier.estimate_domain(target)
     truth_summary = TruthSummary.from_truth(truth, quantiles) if truth is not None else None
     verification = None
-    if verify:
+    if view.verify:
         verification = VerificationSummary.from_result(verifier.verify_domain(target))
     neighbor_estimate = None
-    if independent:
+    if view.independent:
         neighbor_view = verifier.estimate_domain_via_neighbors(target)
         if neighbor_view is not None:
             neighbor_estimate = DomainEstimate.from_performance(neighbor_view)
@@ -256,92 +309,87 @@ def _target_result(
     )
 
 
-def _summarize_cell(spec: ExperimentSpec, session: VPMSession, truth_source) -> CellResult:
-    """Turn a fed session (+ ground truth) into a :class:`CellResult`."""
-    estimation = spec.estimation
-    verifier = session.verifier_for(estimation.observer, quantiles=estimation.quantiles)
-    consistency_findings = len(verifier.check_consistency()) if estimation.verify else 0
-    targets = tuple(
-        _target_result(
-            verifier,
-            target,
-            truth_source.truth_for(target)
-            if target in truth_source.domain_truth
-            else None,
-            estimation.quantiles,
-            estimation.verify,
-            estimation.independent,
-        )
-        for target in estimation.targets
-    )
-    return CellResult(
-        spec=spec.to_dict(),
-        targets=targets,
-        consistency_findings=consistency_findings,
-        overhead=OverheadSummary.from_overhead(session.overhead()),
-    )
+class PathRun(NamedTuple):
+    """One path of an executed cell: its observer's verifier and what it found."""
 
-
-def _summarize_mesh(
-    spec: MeshSpec, session: MeshSession, streamed: StreamingResult
-) -> MeshResult:
-    """Turn a fed mesh session (+ per-path ground truth) into a :class:`MeshResult`."""
-    path_results: list[MeshPathResult] = []
-    suspects_by_path: dict[str, tuple] = {}
-    for index, path in enumerate(session.paths):
-        observer = path.domains[0].name
-        verifier = session.verifier_for(observer, path, quantiles=spec.quantiles)
-        findings = verifier.check_consistency()
-        suspects = identify_suspects(path, findings)
-        suspects_by_path[str(path.prefix_pair)] = suspects
-        targets = tuple(
-            _target_result(
-                verifier,
-                domain.name,
-                streamed.truth_for(domain.name, index),
-                spec.quantiles,
-                verify=True,
-                independent=True,
-            )
-            for domain, _, _ in path.domain_segments()
-        )
-        path_results.append(
-            MeshPathResult(
-                pair=str(path.prefix_pair),
-                observer=observer,
-                targets=targets,
-                consistency_findings=len(findings),
-                suspect_links=tuple(
-                    (entry.upstream_domain, entry.downstream_domain)
-                    for entry in suspects
-                ),
-            )
-        )
-
-    triangulation = TriangulationSummary.from_triangulation(
-        triangulate_suspects(suspects_by_path)
-    )
-    return MeshResult(
-        spec=spec.to_dict(),
-        paths=tuple(path_results),
-        triangulation=triangulation,
-        overhead=OverheadSummary.from_overhead(session.overhead()),
-    )
+    verifier: Verifier
+    result: MeshPathResult
 
 
 class CellRun(NamedTuple):
     """One executed cell with its engine-layer artefacts still attached.
 
-    ``result`` is the summarized :class:`CellResult` (a :class:`MeshResult`
-    for a mesh spec); ``session`` is the fed session (its bus holds the
-    published reports, so callers can build further verifiers); ``reports``
-    are the per-HOP receipts — what the campaign engine digests into its
-    per-interval audit records.
+    ``result`` is a :class:`CellResult` for a single-path spec and a
+    :class:`MeshResult` for a mesh spec; ``session`` is the fed session (its
+    bus holds the published reports, so callers can build further
+    verifiers); ``reports`` are the per-HOP receipts — what the campaign
+    engine digests into its per-interval audit records.  ``plan`` is the
+    lowered cell, and ``paths`` holds one :class:`PathRun` per path.
     """
 
     result: CellResult | MeshResult
     session: MeshSession
     reports: dict[int, HOPReport]
+    plan: CellPlan
+    paths: tuple[PathRun, ...]
+
+
+def _summarize(
+    spec: ExperimentSpec | MeshSpec,
+    plan: CellPlan,
+    session: MeshSession,
+    path_truth: Sequence[Mapping[str, Any]],
+    reports: dict[int, HOPReport],
+) -> CellRun:
+    """Read a fed session (+ per-path ground truth) through the plan's views.
+
+    One verifier per view; the consistency check runs only where the view
+    verifies.  A mesh projects a :class:`MeshResult`, its per-path suspect
+    links triangulated across paths; a single path projects its one path as
+    a :class:`CellResult`.
+    """
+    runs: list[PathRun] = []
+    suspects_by_path: dict[str, tuple] = {}
+    for index, (path, view) in enumerate(zip(session.paths, plan.views)):
+        verifier = session.verifier_for(view.observer, path, quantiles=plan.quantiles)
+        findings = verifier.check_consistency() if view.verify else []
+        pair = str(path.prefix_pair)
+        suspects_by_path[pair] = identify_suspects(path, findings) if plan.mesh else ()
+        targets = tuple(
+            _target_result(verifier, target, path_truth[index].get(target), plan.quantiles, view)
+            for target in view.targets
+        )
+        result = MeshPathResult(
+            pair=pair,
+            observer=view.observer,
+            targets=targets,
+            consistency_findings=len(findings),
+            suspect_links=tuple(
+                (entry.upstream_domain, entry.downstream_domain)
+                for entry in suspects_by_path[pair]
+            ),
+        )
+        runs.append(PathRun(verifier, result))
+
+    overhead = OverheadSummary.from_overhead(session.overhead())
+    if plan.mesh:
+        result = MeshResult(
+            spec=spec.to_dict(),
+            paths=tuple(run.result for run in runs),
+            triangulation=TriangulationSummary.from_triangulation(
+                triangulate_suspects(suspects_by_path)
+            ),
+            overhead=overhead,
+        )
+    else:
+        (run,) = runs
+        result = CellResult(
+            spec=spec.to_dict(),
+            targets=run.result.targets,
+            consistency_findings=run.result.consistency_findings,
+            overhead=overhead,
+        )
+    return CellRun(result, session, reports, plan, tuple(runs))
 
 
 def _chunk_size(policy: ExecutionPolicy) -> int | None:
@@ -359,17 +407,16 @@ def _run_full(
 ) -> CellRun:
     """Execute one cell of either spelling: the body of both ``*_full`` entry points."""
     policy = policy.bind(spec)
+    plan = lower_cell(spec)
     runner = StreamingRunner(
-        _build_cell(spec),
+        _build_cell(spec, plan),
         chunk_size=_chunk_size(policy),
         checkpoint_every=policy.checkpoint_every,
         checkpoint_sink=checkpoint_sink,
         resume_from=resume_from,
     )
     streamed = runner.run()
-    summarize = _summarize_mesh if isinstance(spec, MeshSpec) else _summarize_cell
-    result = summarize(spec, streamed.session, streamed)
-    return CellRun(result=result, session=streamed.session, reports=streamed.reports)
+    return _summarize(spec, plan, streamed.session, streamed.path_truth, streamed.reports)
 
 
 def run_cell_full(
@@ -399,19 +446,19 @@ def run_cell_full(
 
 
 def run_cell(
-    spec: ExperimentSpec,
+    spec: ExperimentSpec | MeshSpec,
     engine: str | None = None,
     chunk_size: int | None = None,
     policy: ExecutionPolicy | None = None,
-) -> CellResult:
-    """Execute one experiment cell and summarize everything it produced.
+) -> CellResult | MeshResult:
+    """Execute one experiment cell of either spelling and summarize it.
 
     ``engine`` overrides the spec's engine *for execution only* — the result
     still embeds the spec unchanged, so the same spec run under different
-    engines yields byte-identical ``CellResult.to_json()`` (the engines'
-    exactness guarantee, asserted by the conformance suite).  ``chunk_size``
-    applies to the streaming engine; ``policy`` is the declarative
-    equivalent of both.
+    engines yields byte-identical ``to_json()`` (the engines' exactness
+    guarantee, asserted by the conformance suite).  ``chunk_size`` applies
+    to the streaming engine; ``policy`` is the declarative equivalent of
+    both.  A :class:`MeshSpec` yields a :class:`MeshResult`.
     """
     return run_cell_full(spec, engine=engine, chunk_size=chunk_size, policy=policy).result
 
@@ -424,25 +471,11 @@ def run_mesh_cell_full(
 ) -> CellRun:
     """Execute one mesh cell and return the result *and* its session/receipts.
 
-    The mesh spelling of :func:`run_cell_full`, over the same body.
+    :func:`run_cell_full` over the same body.  Kept defined because the
+    benchmark's layer tracer (``perfbench/layers.py``) patches it by name.
     """
     policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
     return _run_full(spec, policy, None, None)
-
-
-def run_mesh_cell(
-    spec: MeshSpec,
-    engine: str | None = None,
-    chunk_size: int | None = None,
-    policy: ExecutionPolicy | None = None,
-) -> MeshResult:
-    """Execute one mesh cell and summarize everything it produced.
-
-    Like :func:`run_cell`, ``engine`` overrides the spec's engine for
-    execution only; batch and streaming (any ``chunk_size``) produce
-    byte-identical ``MeshResult.to_json()``.
-    """
-    return run_mesh_cell_full(spec, engine=engine, chunk_size=chunk_size, policy=policy).result
 
 
 def _run_cell_payload(
@@ -460,10 +493,7 @@ def _run_cell_payload(
         if policy_payload is not None
         else None
     )
-    spec = decode(ExperimentSpec | MeshSpec, payload)
-    if isinstance(spec, MeshSpec):
-        return run_mesh_cell(spec, policy=policy)
-    return run_cell(spec, policy=policy)
+    return run_cell(decode(ExperimentSpec | MeshSpec, payload), policy=policy)
 
 
 class Experiment:
@@ -510,13 +540,6 @@ class Experiment:
         The override affects execution only — the returned result embeds the
         spec unchanged, so results are directly comparable across engines.
         """
-        if isinstance(self.spec, MeshSpec):
-            return run_mesh_cell(
-                self.spec,
-                engine=engine,
-                chunk_size=chunk_size,
-                policy=policy,
-            )
         return run_cell(
             self.spec,
             engine=engine,
@@ -576,12 +599,7 @@ class Experiment:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(runner, payloads))
         else:
-            results = [
-                run_mesh_cell(cell_spec, policy=policy)
-                if isinstance(cell_spec, MeshSpec)
-                else run_cell(cell_spec, policy=policy)
-                for cell_spec in specs
-            ]
+            results = [run_cell(cell_spec, policy=policy) for cell_spec in specs]
 
         return SweepResult(
             cells=tuple(

@@ -54,7 +54,6 @@ from repro.api.registry import (
     DELAY_MODELS,
     LOSS_MODELS,
     REORDERING_MODELS,
-    SCENARIOS,
     TOPOLOGIES,
     Registry,
 )
@@ -64,7 +63,7 @@ from repro.core.estimation import DEFAULT_QUANTILES
 from repro.core.hop import HOPConfig
 from repro.core.sampling import DEFAULT_MARKER_RATE, SamplerConfig
 from repro.net.topology import HOPPath, Topology
-from repro.simulation.scenario import PathScenario, SegmentCondition
+from repro.simulation.scenario import SegmentCondition
 from repro.traffic.flows import FlowGeneratorConfig
 from repro.traffic.trace import SyntheticTrace, TraceConfig, default_prefix_pair
 from repro.traffic.workload import WORKLOADS
@@ -307,7 +306,10 @@ class ConditionSpec(Spec):
 
 @dataclass(frozen=True)
 class PathSpec(Spec):
-    """Which scenario to drive and the per-domain conditions to install."""
+    """Which one-path topology to drive and the per-domain conditions to install.
+
+    ``scenario`` names a one-path :data:`~repro.api.registry.TOPOLOGIES` entry.
+    """
 
     scenario: str = "figure1"
     scenario_params: dict[str, Any] = field(default_factory=dict)
@@ -316,7 +318,7 @@ class PathSpec(Spec):
 
     def __post_init__(self) -> None:
         _normalize_params(self, "scenario_params")
-        _check_factory_signature(SCENARIOS, self.scenario, self.scenario_params)
+        _check_factory_signature(TOPOLOGIES, self.scenario, self.scenario_params)
         for domain, condition in self.conditions.items():
             if not isinstance(condition, ConditionSpec):
                 raise ValueError(
@@ -327,22 +329,19 @@ class PathSpec(Spec):
     def effective_seed(self, root_seed: int) -> int:
         return self.seed if self.seed is not None else derive_seed(root_seed, "path")
 
-    def build(self, root_seed: int = 0) -> PathScenario:
-        """Build the scenario and configure every listed domain."""
-        factory = SCENARIOS.get(self.scenario)
-        try:
-            scenario = factory(
-                seed=self.effective_seed(root_seed), **self.scenario_params
-            )
-        except TypeError as exc:
+    def build(self, root_seed: int = 0) -> tuple[Topology, tuple[HOPPath, ...]]:
+        """The scenario's topology and its one path; a ``ValueError`` for more."""
+        topology, paths = TopologySpec(
+            kind=self.scenario,
+            params=self.scenario_params,
+            seed=self.effective_seed(root_seed),
+        ).build()
+        if len(paths) > 1:
             raise ValueError(
-                f"invalid parameters for scenario {self.scenario!r}: {exc}"
-            ) from exc
-        for domain in sorted(self.conditions):
-            scenario.configure_domain(
-                domain, self.conditions[domain].build(root_seed, domain)
+                f"scenario {self.scenario!r} yields {len(paths)} paths; a "
+                f"PathSpec drives exactly one (use a MeshSpec for several)"
             )
-        return scenario
+        return topology, paths
 
 
 @dataclass(frozen=True)
@@ -748,11 +747,9 @@ class CampaignSpec(Spec):
             # compliant) when the SLA's quantile is never estimated — refuse
             # the mismatch up front instead of certifying compliance on a
             # quantile nobody measured.
-            estimated = (
-                self.cell.quantiles
-                if isinstance(self.cell, MeshSpec)
-                else self.cell.estimation.quantiles
-            )
+            from repro.api.runner import lower_cell
+
+            estimated = lower_cell(self.cell).quantiles
             if self.sla.delay_quantile not in estimated:
                 raise ValueError(
                     f"CampaignSpec.sla checks delay at quantile "

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
@@ -847,7 +848,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        status = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (``repro report ... | head``): point stdout at
+        # the null device, so the flush at exit cannot fail again, and exit
+        # non-zero without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -216,7 +216,9 @@ class VPMSession(MeshSession):
     """The one-path spelling of :class:`MeshSession`.
 
     ``VPMSession(path, ...)`` is ``MeshSession((path,), ...)``; :attr:`path`
-    is its only path, which the verification helpers use by default.
+    is its only path, which the verification helpers use by default.  Spec
+    cells build a :class:`MeshSession` on every path count; this class stays
+    for hand-wired sessions and because ``perfbench/layers.py`` patches it.
     """
 
     def __init__(

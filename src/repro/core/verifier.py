@@ -228,20 +228,31 @@ class Verifier:
             lambda: self._compute_performance(name, ingress_hop, egress_hop),
         )
 
+    def matched_delays(self, domain: Domain | str) -> np.ndarray:
+        """A transit domain's matched ingress/egress delay samples (read-only)."""
+        return self._delays_between(*self._domain_hops(domain))
+
+    def _delays_between(self, ingress_hop: int, egress_hop: int) -> np.ndarray:
+        def match() -> np.ndarray:
+            ingress = self.sample_receipt_for(ingress_hop)
+            egress = self.sample_receipt_for(egress_hop)
+            if ingress is None or egress is None:
+                delays = np.empty(0, dtype=np.float64)
+            else:
+                delays = match_sample_delays(ingress, egress)
+            delays.flags.writeable = False
+            return delays
+
+        return self._memoised(("delays", ingress_hop, egress_hop), match)
+
     def _compute_performance(
         self, name: str, ingress_hop: int, egress_hop: int
     ) -> DomainPerformance:
-        ingress_samples = self.sample_receipt_for(ingress_hop)
-        egress_samples = self.sample_receipt_for(egress_hop)
+        delays = self._delays_between(ingress_hop, egress_hop)
+        sample_count = int(delays.size)
         delay_quantiles: dict[float, DelayQuantileEstimate] = {}
-        sample_count = 0
-        if ingress_samples is not None and egress_samples is not None:
-            delays = match_sample_delays(ingress_samples, egress_samples)
-            sample_count = int(delays.size)
-            if sample_count:
-                delay_quantiles = estimate_delay_quantiles(
-                    delays, self.quantiles, self.confidence
-                )
+        if sample_count:
+            delay_quantiles = estimate_delay_quantiles(delays, self.quantiles, self.confidence)
 
         aligned = self._aligned(ingress_hop, egress_hop)
         offered = sum(pair.upstream.pkt_count for pair in aligned)

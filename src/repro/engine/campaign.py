@@ -44,16 +44,11 @@ import numpy as np
 from repro.analysis.quantiles import MergedDelayPool
 from repro.analysis.sketch import DelayQuantileSketch
 from repro.analysis.sla import SLAVerdict, check_sla
-from repro.api.spec import CampaignSpec, ExecutionPolicy, ExperimentSpec, MeshSpec
+from repro.api.spec import CampaignSpec, ExecutionPolicy
 from repro.engine.streaming import DEFAULT_CHUNK_SIZE, RunnerCheckpoint
-from repro.core.estimation import (
-    DelayQuantileEstimate,
-    estimate_delay_quantiles,
-    match_sample_delays,
-)
+from repro.core.estimation import DelayQuantileEstimate, estimate_delay_quantiles
 from repro.core.hop import HOPCollector
-from repro.core.verifier import DomainPerformance, Verifier
-from repro.net.topology import HOPPath
+from repro.core.verifier import DomainPerformance
 from repro.reporting.serialization import receipts_digest
 from repro.store import RunStore, RunStoreError
 from repro.store.runstore import _atomic_write
@@ -67,7 +62,6 @@ __all__ = [
     "IntervalCommitted",
     "RunComplete",
     "appendable_records",
-    "estimation_settings",
     "interval_record",
 ]
 
@@ -108,25 +102,6 @@ class RunComplete:
 CampaignEvent = IntervalCommitted | CheckpointWritten | RunComplete
 
 
-def estimation_settings(cell: ExperimentSpec | MeshSpec) -> tuple[str, int]:
-    """The estimation tier ``(mode, sketch_size)`` one cell spec selects."""
-    if isinstance(cell, MeshSpec):
-        return cell.estimation_mode, cell.sketch_size
-    return cell.estimation.mode, cell.estimation.sketch_size
-
-
-def _matched_delays(verifier: Verifier, path: HOPPath, domain: str) -> np.ndarray:
-    """The domain's matched ingress/egress delay samples on one path."""
-    hops = path.hops_of(domain)
-    if len(hops) < 2:
-        return np.empty(0, dtype=np.float64)
-    ingress = verifier.sample_receipt_for(hops[0].hop_id)
-    egress = verifier.sample_receipt_for(hops[-1].hop_id)
-    if ingress is None or egress is None:
-        return np.empty(0, dtype=np.float64)
-    return match_sample_delays(ingress, egress)
-
-
 def _performance_from(
     domain: str,
     delays: np.ndarray,
@@ -163,84 +138,6 @@ def _quantile_payload(
     }
 
 
-class _IntervalOutcome(NamedTuple):
-    """Per-domain raw material of one executed interval."""
-
-    delays: dict[str, np.ndarray]
-    offered: dict[str, int]
-    lost: dict[str, int]
-    accepted: dict[str, bool | None]
-    receipts_digest: str
-    result_digest: str
-
-
-def _run_interval(
-    cell: ExperimentSpec | MeshSpec,
-    policy: ExecutionPolicy,
-    checkpoint_sink: Callable[[RunnerCheckpoint], None] | None = None,
-    resume_from: RunnerCheckpoint | None = None,
-) -> _IntervalOutcome:
-    """Run one interval's cell and pool its per-domain raw material.
-
-    A cell is read through per-path views ``(path, observer, targets, path
-    result)``: a single path is the one view its spec's estimation names, a
-    mesh has one view per path, observed from its source over every transit
-    domain.  A domain crossed by several paths pools their delays, sums their
-    counts, and is accepted only if every crossing path accepted it.
-    """
-    from repro.api.runner import run_cell_full
-
-    run = run_cell_full(
-        cell, policy=policy, checkpoint_sink=checkpoint_sink, resume_from=resume_from
-    )
-    if isinstance(cell, MeshSpec):
-        views = [
-            (
-                path,
-                path.domains[0].name,
-                [domain.name for domain, _, _ in path.domain_segments()],
-                run.result.paths[index],
-            )
-            for index, path in enumerate(run.session.paths)
-        ]
-    else:
-        views = [
-            (run.session.path, cell.estimation.observer, cell.estimation.targets, run.result)
-        ]
-
-    delays: dict[str, list[np.ndarray]] = {}
-    offered: dict[str, int] = {}
-    lost: dict[str, int] = {}
-    accepted: dict[str, bool | None] = {}
-    for path, observer, targets, path_result in views:
-        verifier = run.session.verifier_for(observer, path)
-        for name in targets:
-            entry = path_result.target(name)
-            delays.setdefault(name, []).append(_matched_delays(verifier, path, name))
-            offered[name] = offered.get(name, 0) + entry.estimate.offered_packets
-            lost[name] = lost.get(name, 0) + entry.estimate.lost_packets
-            path_accepted = (
-                entry.verification.accepted if entry.verification is not None else None
-            )
-            if path_accepted is not None:
-                previous = accepted.get(name)
-                accepted[name] = (
-                    path_accepted if previous is None else (previous and path_accepted)
-                )
-            else:
-                accepted.setdefault(name, None)
-    return _IntervalOutcome(
-        delays={name: np.concatenate(spans) for name, spans in delays.items()},
-        offered=offered,
-        lost=lost,
-        accepted=accepted,
-        receipts_digest=receipts_digest(run.reports),
-        result_digest=hashlib.blake2b(
-            run.result.to_json().encode("utf-8"), digest_size=16
-        ).hexdigest(),
-    )
-
-
 def interval_record(
     spec: CampaignSpec,
     index: int,
@@ -262,41 +159,61 @@ def interval_record(
     checkpoints (single-path streaming cells): resuming from a sink-fed
     :class:`~repro.engine.streaming.RunnerCheckpoint` yields the identical
     record.
-    """
-    policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
-    cell = spec.interval_cell(index)
-    outcome = _run_interval(
-        cell, policy, checkpoint_sink=checkpoint_sink, resume_from=resume_from
-    )
-    quantiles = cell.quantiles if isinstance(cell, MeshSpec) else cell.estimation.quantiles
 
-    mode, sketch_size = estimation_settings(cell)
+    The cell is read through its per-path runs.  A domain crossed by several
+    paths pools their delays, sums their counts, and is accepted only if
+    every crossing path accepted it.
+    """
+    from repro.api.runner import run_cell_full
+
+    policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
+    run = run_cell_full(
+        spec.interval_cell(index),
+        policy=policy,
+        checkpoint_sink=checkpoint_sink,
+        resume_from=resume_from,
+    )
+    spans: dict[str, list[np.ndarray]] = {}
+    offered: dict[str, int] = {}
+    lost: dict[str, int] = {}
+    accepted: dict[str, bool | None] = {}
+    for path_run in run.paths:
+        for entry in path_run.result.targets:
+            name = entry.domain
+            spans.setdefault(name, []).append(path_run.verifier.matched_delays(name))
+            offered[name] = offered.get(name, 0) + entry.estimate.offered_packets
+            lost[name] = lost.get(name, 0) + entry.estimate.lost_packets
+            previous = accepted.get(name)
+            if entry.verification is None:
+                accepted[name] = previous
+            else:
+                verdict = entry.verification.accepted
+                accepted[name] = verdict if previous is None else (previous and verdict)
+
+    quantiles, mode = run.plan.quantiles, run.plan.mode
     estimates: dict[str, Any] = {}
     verdicts: dict[str, Any] = {}
     delay_samples: dict[str, list[str]] = {}
     delay_sketch: dict[str, dict[str, Any]] = {}
-    for domain in sorted(outcome.delays):
-        delays = outcome.delays[domain]
-        offered = outcome.offered[domain]
-        lost = outcome.lost[domain]
+    for domain in sorted(spans):
+        delays = np.concatenate(spans[domain])
         estimates[domain] = {
-            "offered_packets": offered,
-            "lost_packets": lost,
-            "loss_rate": (lost / offered) if offered else 0.0,
+            "offered_packets": offered[domain],
+            "lost_packets": lost[domain],
+            "loss_rate": (lost[domain] / offered[domain]) if offered[domain] else 0.0,
             "delay_sample_count": int(len(delays)),
             "quantiles": _quantile_payload(delays, quantiles),
         }
         sla_compliant: bool | None = None
         if spec.sla is not None:
-            performance = _performance_from(domain, delays, quantiles, offered, lost)
+            performance = _performance_from(
+                domain, delays, quantiles, offered[domain], lost[domain]
+            )
             sla_compliant = check_sla(performance, spec.sla.build()).compliant
-        verdicts[domain] = {
-            "accepted": outcome.accepted[domain],
-            "sla_compliant": sla_compliant,
-        }
+        verdicts[domain] = {"accepted": accepted[domain], "sla_compliant": sla_compliant}
         if mode == "sketch":
             delay_sketch[domain] = DelayQuantileSketch(
-                sketch_size, delays
+                run.plan.sketch_size, delays
             ).to_state()
         else:
             delay_samples[domain] = [value.hex() for value in delays.tolist()]
@@ -306,8 +223,10 @@ def interval_record(
         "interval": index,
         "spec_hash": spec.spec_hash(),
         "seed": spec.interval_seed(index),
-        "receipts_digest": outcome.receipts_digest,
-        "result_digest": outcome.result_digest,
+        "receipts_digest": receipts_digest(run.reports),
+        "result_digest": hashlib.blake2b(
+            run.result.to_json().encode("utf-8"), digest_size=16
+        ).hexdigest(),
         "estimates": estimates,
         "verdicts": verdicts,
     }
@@ -332,21 +251,19 @@ class CampaignAccumulator:
     """
 
     def __init__(self, spec: CampaignSpec) -> None:
+        from repro.api.runner import lower_cell
+
         self.spec = spec
-        self.mode, self.sketch_size = estimation_settings(spec.cell)
+        plan = lower_cell(spec.cell)
+        self.quantiles, self.mode, self.sketch_size = (
+            plan.quantiles, plan.mode, plan.sketch_size
+        )
         self.pools: dict[str, MergedDelayPool | DelayQuantileSketch] = {}
         self.offered: dict[str, int] = {}
         self.lost: dict[str, int] = {}
         self.accepted_intervals: dict[str, int] = {}
         self.verified_intervals: dict[str, int] = {}
         self.intervals_folded = 0
-
-    @property
-    def quantiles(self) -> tuple[float, ...]:
-        cell = self.spec.cell
-        if isinstance(cell, MeshSpec):
-            return cell.quantiles
-        return cell.estimation.quantiles
 
     def _new_pool(self) -> MergedDelayPool | DelayQuantileSketch:
         if self.mode == "sketch":

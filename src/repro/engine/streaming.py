@@ -74,11 +74,9 @@ DEFAULT_CHUNK_SIZE = 1 << 18
 class StreamingCell(NamedTuple):
     """Everything one run needs: one scenario and one trace per path, a session.
 
-    A single-path cell holds one :class:`PathScenario`, its trace and a
-    :class:`~repro.core.protocol.VPMSession` (the one-path
-    :class:`MeshSession`); a mesh cell holds the mesh's per-path scenarios
-    (:attr:`~repro.simulation.mesh.MeshScenario.path_scenarios`), one trace
-    per path and a :class:`MeshSession`.
+    Every spec cell, one path or many, holds its
+    :attr:`~repro.simulation.mesh.MeshScenario.path_scenarios`, one trace
+    per path and one :class:`MeshSession` over all of its paths.
     """
 
     scenarios: tuple[PathScenario, ...]
@@ -502,12 +500,10 @@ def check_scenario_streamable(scenario: PathScenario) -> None:
 class StreamingResult:
     """Everything a run produced.
 
-    ``path_truth[i]`` and ``link_losses[i]`` are path ``i``'s ground truth.
-    ``domain_truth`` and :meth:`truth_for` read path 0 by default, the only
-    path of a single-path cell, so result summarization code reads this and
-    a :class:`~repro.simulation.scenario.BatchPathObservation` alike.
-    ``session`` is the VPM session whose bus now holds the published reports.
-    ``chunk_size`` is ``None`` for a one-pass run, which counts as one chunk.
+    ``path_truth[i]`` and ``link_losses[i]`` are path ``i``'s ground truth;
+    :meth:`truth_for` reads path 0, the only path of a single-path cell, by
+    default.  ``session`` is the VPM session whose bus now holds the
+    published reports.  ``chunk_size`` is ``None`` for a one-pass run, which counts as one chunk.
     """
 
     reports: dict[int, HOPReport]
@@ -516,11 +512,6 @@ class StreamingResult:
     link_losses: tuple[dict[tuple[int, int], set[int]], ...]
     chunk_size: int | None
     chunks: int
-
-    @property
-    def domain_truth(self) -> dict[str, StreamingTruth]:
-        """Path 0's per-domain ground truth."""
-        return self.path_truth[0]
 
     def truth_for(self, domain: Domain | str, path_index: int = 0) -> StreamingTruth:
         name = domain.name if isinstance(domain, Domain) else domain

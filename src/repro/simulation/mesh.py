@@ -68,11 +68,6 @@ class MeshScenario:
         The shared topology and the HOP paths to drive; prefix pairs must be
         distinct (they are what classifies shared-HOP traffic back into
         paths).
-    seed:
-        Seeds :func:`~repro.net.topology.generate_mesh_topology` when no
-        topology is given.  It is also kept on every per-path
-        :class:`PathScenario` for reference, but nothing there draws from it:
-        the configured models and the topology's links carry their own seeds.
 
     Conditions are configured per domain via a *factory* called once per
     crossing path (:meth:`configure_domain`), because condition models carry
@@ -80,18 +75,7 @@ class MeshScenario:
     module docstring.
     """
 
-    def __init__(
-        self,
-        topology: Topology | None = None,
-        paths: Sequence[HOPPath] | None = None,
-        seed: int = 0,
-    ) -> None:
-        if (topology is None) != (paths is None):
-            raise ValueError("provide both topology and paths, or neither")
-        if topology is None:
-            from repro.net.topology import generate_mesh_topology
-
-            topology, paths = generate_mesh_topology(seed=seed)
+    def __init__(self, topology: Topology, paths: Sequence[HOPPath]) -> None:
         paths = tuple(paths)
         if not paths:
             raise ValueError("a mesh scenario needs at least one path")
@@ -103,9 +87,8 @@ class MeshScenario:
             )
         self.topology = topology
         self.paths = paths
-        self.seed = int(seed)
         self.path_scenarios: tuple[PathScenario, ...] = tuple(
-            PathScenario(topology, path, seed=seed) for path in paths
+            PathScenario(topology, path) for path in paths
         )
 
     # -- configuration -----------------------------------------------------------------
@@ -119,14 +102,20 @@ class MeshScenario:
         }
         return tuple(sorted(names))
 
-    def crossing_path_indices(self, domain: Domain | str) -> tuple[int, ...]:
-        """Indices of the paths on which ``domain`` is a transit domain."""
-        name = domain.name if isinstance(domain, Domain) else domain
-        return tuple(
+    def _crossing(self, name: str, verb: str) -> tuple[int, ...]:
+        """Indices of the paths on which ``name`` is a transit domain; never empty."""
+        indices = tuple(
             index
             for index, path in enumerate(self.paths)
             if any(segment[0].name == name for segment in path.domain_segments())
         )
+        if not indices:
+            known = ", ".join(self.transit_domain_names()) or "<none>"
+            raise ValueError(
+                f"domain {name!r} is a transit domain of no mesh path, so its "
+                f"forwarding behaviour cannot be {verb} (transit domains: {known})"
+            )
+        return indices
 
     def configure_domain(
         self,
@@ -139,18 +128,9 @@ class MeshScenario:
         :class:`SegmentCondition` per call — per-path model instances are what
         keep each path's RNG stream independent of which other paths run.
         """
-        indices = self.crossing_path_indices(domain)
         name = domain.name if isinstance(domain, Domain) else domain
-        if not indices:
-            known = ", ".join(self.transit_domain_names()) or "<none>"
-            raise ValueError(
-                f"domain {name!r} is a transit domain of no mesh path "
-                f"(transit domains: {known})"
-            )
-        for index in indices:
-            self.path_scenarios[index].configure_domain(
-                name, condition_factory(index)
-            )
+        for index in self._crossing(name, "configured"):
+            self.path_scenarios[index].configure_domain(name, condition_factory(index))
 
     def override_domain(self, domain: Domain | str, **overrides) -> None:
         """Apply :class:`SegmentCondition` field overrides on every crossing path.
@@ -158,19 +138,11 @@ class MeshScenario:
         Used for condition-role adversaries (marker dropping, biased
         treatment), whose stateless predicates may be shared across paths.
         """
-        indices = self.crossing_path_indices(domain)
-        if not indices:
-            name = domain.name if isinstance(domain, Domain) else domain
-            known = ", ".join(self.transit_domain_names()) or "<none>"
-            raise ValueError(
-                f"domain {name!r} is a transit domain of no mesh path, so its "
-                f"forwarding behaviour cannot be overridden "
-                f"(transit domains: {known})"
-            )
-        for index in indices:
+        name = domain.name if isinstance(domain, Domain) else domain
+        for index in self._crossing(name, "overridden"):
             scenario = self.path_scenarios[index]
             scenario.configure_domain(
-                domain, dataclasses.replace(scenario.condition_for(domain), **overrides)
+                name, dataclasses.replace(scenario.condition_for(name), **overrides)
             )
 
     # -- execution ---------------------------------------------------------------------

@@ -21,11 +21,12 @@ as the stages emit; :meth:`PathScenario.run_batch` is the same stream run as
 one whole-trace pass that keeps every HOP's observation, for code that
 inspects propagation itself.
 
-Scenarios are the engine layer under the declarative experiment API: the
-Figure-1 builder is registered as the ``"figure1"`` scenario in
-:mod:`repro.api.registry`, per-domain :class:`SegmentCondition` values are
-described by :class:`repro.api.ConditionSpec`, and alternative topologies plug
-in via :func:`repro.api.register_scenario`.
+Scenarios are the engine layer under the declarative experiment API: every
+spec cell drives the per-path scenarios of one
+:class:`~repro.simulation.mesh.MeshScenario` (a single path is a one-path
+mesh) over a :data:`repro.api.TOPOLOGIES` entry, with per-domain
+:class:`SegmentCondition` values described by :class:`repro.api.ConditionSpec`.
+A scenario holds no seed: its models and links draw from their own.
 """
 
 from __future__ import annotations
@@ -126,16 +127,12 @@ class PathScenario:
     topology, path:
         The topology and the HOP path to drive.  When omitted, the Figure-1
         topology is built.
-    seed:
-        The scenario's seed, kept for reference: the configured models and
-        the topology's links draw from their own seeds.
     """
 
     def __init__(
         self,
         topology: Topology | None = None,
         path: HOPPath | None = None,
-        seed: int = 0,
     ) -> None:
         if (topology is None) != (path is None):
             raise ValueError("provide both topology and path, or neither")
@@ -143,7 +140,6 @@ class PathScenario:
             topology, path = figure1_topology()
         self.topology = topology
         self.path = path
-        self.seed = int(seed)
         self._segment_conditions: dict[str, SegmentCondition] = {}
 
     # -- configuration -----------------------------------------------------------

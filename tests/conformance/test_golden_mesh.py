@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.runner import _build_cell, run_mesh_cell
+from repro.api.runner import _build_cell, run_cell
 from repro.engine import StreamingRunner
 
 from tests.conformance.canon import (
@@ -57,7 +57,7 @@ def regen(request) -> bool:
 class TestMeshConformance:
     def test_batch_matches_golden(self, name, regen):
         spec = MESH_CONFORMANCE_SCENARIOS[name]
-        mesh_json = run_mesh_cell(spec, engine="batch").to_json()
+        mesh_json = run_cell(spec, engine="batch").to_json()
         receipts = canonical_receipts(run_batch_mesh_reports(spec))
         golden_path = GOLDEN_DIR / f"{name}.json"
 
@@ -89,7 +89,7 @@ class TestMeshConformance:
         if regen:
             pytest.skip("regenerating goldens")
         spec = MESH_CONFORMANCE_SCENARIOS[name]
-        result = run_mesh_cell(spec, engine="batch")
+        result = run_cell(spec, engine="batch")
         lying_domains = {adversary.domain for adversary in spec.adversaries}
         if not lying_domains:
             assert result.triangulation.exposed_domains == ()
@@ -107,8 +107,8 @@ class TestMeshConformance:
         if regen:
             pytest.skip("regenerating goldens")
         spec = MESH_CONFORMANCE_SCENARIOS[name]
-        batch_json = run_mesh_cell(spec, engine="batch").to_json()
-        streaming_json = run_mesh_cell(
+        batch_json = run_cell(spec, engine="batch").to_json()
+        streaming_json = run_cell(
             spec, engine="streaming", chunk_size=CHUNK_SIZE
         ).to_json()
         assert streaming_json == batch_json
@@ -127,7 +127,7 @@ class TestMeshConformance:
         assert canonical_receipts(streamed.reports) == canonical_receipts(
             run_batch_mesh_reports(spec)
         )
-        streaming_json = run_mesh_cell(
+        streaming_json = run_cell(
             spec, engine="streaming", chunk_size=ONE_ROUND_CHUNK_SIZE
         ).to_json()
-        assert streaming_json == run_mesh_cell(spec, engine="batch").to_json()
+        assert streaming_json == run_cell(spec, engine="batch").to_json()

@@ -76,7 +76,7 @@ class TestCellEquivalence:
         # (the spec derives them, so we build the spec's own condition), same
         # protocol knobs.
         trace = spec.traffic.build(spec.seed)
-        scenario = PathScenario(seed=spec.path.effective_seed(spec.seed))
+        scenario = PathScenario()
         scenario.configure_domain("X", spec.path.conditions["X"].build(spec.seed, "X"))
         session = VPMSession(
             scenario.path,
@@ -344,7 +344,7 @@ class TestSessionErgonomics:
         from repro.core.sampling import SamplerConfig
 
         batch = make_workload("smoke-sequence", seed=1).packet_batch()
-        scenario = PathScenario(seed=2)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X",
             SegmentCondition(

@@ -23,7 +23,7 @@ from tests.helpers import feed_session
 @pytest.fixture(scope="module")
 def congested_run(path, integration_batch, default_hop_config):
     """One full run with X congested (UDP burst) and losing ~10% of traffic."""
-    scenario = PathScenario(seed=201)
+    scenario = PathScenario()
     scenario.configure_domain(
         "X",
         SegmentCondition(

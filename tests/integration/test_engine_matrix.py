@@ -31,7 +31,7 @@ import pytest
 
 from repro.api import ExperimentSpec
 from repro.api.registry import ADVERSARIES, DELAY_MODELS, LOSS_MODELS, TOPOLOGIES
-from repro.api.runner import _build_cell, run_cell, run_mesh_cell
+from repro.api.runner import _build_cell, run_cell
 from repro.api.spec import (
     AdversarySpec,
     ConditionSpec,
@@ -229,8 +229,8 @@ def _mesh_spec(name: str, lying_domain: str | None = None) -> MeshSpec:
 
 
 def _assert_mesh_two_way(spec: MeshSpec) -> None:
-    batch = run_mesh_cell(spec, engine="batch")
-    streaming = run_mesh_cell(spec, engine="streaming", chunk_size=MESH_CHUNK_SIZE)
+    batch = run_cell(spec, engine="batch")
+    streaming = run_cell(spec, engine="streaming", chunk_size=MESH_CHUNK_SIZE)
     assert streaming.to_json() == batch.to_json()
     assert canonical_receipts(
         run_mesh_streaming_reports(spec, chunk_size=MESH_CHUNK_SIZE)
@@ -277,15 +277,15 @@ def test_star_mesh_congestion_runs_one_pass_only():
             "X": ConditionSpec(delay="congestion", delay_params=DELAY_PARAMS["congestion"])
         },
     )
-    batch = run_mesh_cell(spec, engine="batch")
-    assert batch.to_json() == run_mesh_cell(spec, engine="batch").to_json()
+    batch = run_cell(spec, engine="batch")
+    assert batch.to_json() == run_cell(spec, engine="batch").to_json()
     for path in batch.paths:
         (congested,) = [target for target in path.targets if target.estimate.domain == "X"]
         assert congested.estimate.offered_packets == congested.truth.offered_packets > 0
     with pytest.raises(
         ValueError, match="domain 'X': delay model CongestionDelayModel is not streamable"
     ):
-        run_mesh_cell(spec, engine="streaming", chunk_size=MESH_CHUNK_SIZE)
+        run_cell(spec, engine="streaming", chunk_size=MESH_CHUNK_SIZE)
 
 
 def test_acceptance_scale_mesh_byte_identical():

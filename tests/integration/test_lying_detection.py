@@ -23,7 +23,7 @@ from tests.helpers import feed_session
 @pytest.fixture(scope="module")
 def lossy_observation(integration_batch):
     """X drops 20% of the traffic and delays the rest by 15 ms."""
-    scenario = PathScenario(seed=301)
+    scenario = PathScenario()
     scenario.configure_domain(
         "X",
         SegmentCondition(

@@ -127,8 +127,8 @@ class TestResumeZeroReplay:
         ).run()
         assert materialized == [(256, 512), (512, 768), (768, 900)]
         assert receipts_digest(resumed.reports) == receipts_digest(reference.reports)
-        for name, truth in reference.domain_truth.items():
-            _assert_truth_equal(truth, resumed.domain_truth[name])
+        for name, truth in reference.path_truth[0].items():
+            _assert_truth_equal(truth, resumed.path_truth[0][name])
         assert resumed.link_losses == reference.link_losses
 
     def test_resume_from_every_boundary_matches_uninterrupted(self):
@@ -143,8 +143,8 @@ class TestResumeZeroReplay:
             assert receipts_digest(resumed.reports) == receipts_digest(
                 reference.reports
             )
-            for name, truth in reference.domain_truth.items():
-                _assert_truth_equal(truth, resumed.domain_truth[name])
+            for name, truth in reference.path_truth[0].items():
+                _assert_truth_equal(truth, resumed.path_truth[0][name])
 
     def test_resume_rejects_checkpoint_from_another_chunk_size(self):
         spec = _spec()

@@ -16,7 +16,7 @@ from tests.helpers import feed_session
 class TestPartialDeployment:
     @pytest.fixture(scope="class")
     def lossy_x_observation(self, integration_batch):
-        scenario = PathScenario(seed=601)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X",
             SegmentCondition(
@@ -68,7 +68,7 @@ class TestFaultyLink:
     def test_lossy_interdomain_link_flagged_for_both_neighbors(
         self, path, integration_batch, default_hop_config
     ):
-        scenario = PathScenario(seed=611)
+        scenario = PathScenario()
         topology = scenario.topology
         topology.add_link(
             topology.hop(5),
@@ -93,7 +93,7 @@ class TestFaultyLink:
     def test_slow_interdomain_link_violates_max_diff(
         self, path, integration_batch, default_hop_config
     ):
-        scenario = PathScenario(seed=621)
+        scenario = PathScenario()
         topology = scenario.topology
         topology.add_link(
             topology.hop(5),
@@ -113,7 +113,7 @@ class TestFaultyLink:
         assert any(finding.kind == "delay-bound-violation" for finding in findings)
 
     def test_healthy_links_raise_nothing(self, path, integration_batch, default_hop_config):
-        scenario = PathScenario(seed=631)
+        scenario = PathScenario()
         observation = scenario.run_batch(integration_batch)
         session = VPMSession(
             path, configs={d.name: default_hop_config for d in path.domains}

@@ -35,7 +35,7 @@ class TestReorderingPatchUp:
     @pytest.fixture(scope="class")
     def reordered_run(self, path, integration_batch):
         """X reorders packets (within 1 ms) but loses nothing."""
-        scenario = PathScenario(seed=501)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X",
             SegmentCondition(
@@ -88,7 +88,7 @@ class TestBiasResistance:
         )
 
     def _run_vpm(self, path, packets, predicate, seed):
-        scenario = PathScenario(seed=seed)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X",
             SegmentCondition(
@@ -125,7 +125,7 @@ class TestBiasResistance:
         attack = BiasedTreatmentAttack(digester=digester)
         predicate = attack.predicate_against(protocol)
 
-        scenario = PathScenario(seed=530)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X",
             SegmentCondition(
@@ -150,7 +150,7 @@ class TestBiasResistance:
         """The blind guess overlaps the actually sampled set only at chance level."""
         attack = BiasedTreatmentAttack(digester=digester, guess_rate=0.05)
         predicate = attack.blind_guess_predicate()
-        scenario = PathScenario(seed=540)
+        scenario = PathScenario()
         observation = scenario.run_batch(integration_batch)
         session = VPMSession(
             path, configs={d.name: make_config(sampling_rate=0.05) for d in path.domains}

@@ -30,7 +30,7 @@ def make_config(sampling_rate: float, aggregate_size: int = 1000) -> HOPConfig:
 
 @pytest.fixture(scope="module")
 def congested_observation(integration_batch):
-    scenario = PathScenario(seed=401)
+    scenario = PathScenario()
     scenario.configure_domain(
         "X",
         SegmentCondition(

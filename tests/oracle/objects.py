@@ -10,7 +10,7 @@ dropped where and on every observation time.  Segment predicates are the
 engines' batch predicates, evaluated on a :class:`PacketBatch` of the
 packets entering the domain.
 
-:func:`run_session` feeds a :class:`~repro.core.protocol.VPMSession` from a
+:func:`run_session` feeds a one-path :class:`~repro.core.protocol.MeshSession` from a
 :class:`PathObservation` through per-packet
 :class:`~tests.oracle.collectors.ReferenceCollector` twins of its collectors
 and returns its reports; :func:`run_oracle_reports` and
@@ -25,10 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.api.runner import _build_cell, _summarize_cell
+from repro.api.runner import _build_cell, _summarize, lower_cell
 from repro.core.domain import DomainAgent
 from repro.core.hop import HOPCollector, HOPReport
-from repro.core.protocol import VPMSession
+from repro.core.protocol import MeshSession
 from repro.net.packet import Packet
 from repro.net.topology import HOP, Domain, HOPPath
 from repro.simulation.scenario import PathScenario, SegmentCondition
@@ -230,7 +230,7 @@ def observe_agent(agent: DomainAgent, observation: PathObservation) -> None:
         agent.replace_collector(hop_id, reference)
 
 
-def run_session(session: VPMSession, observation: PathObservation) -> dict[int, HOPReport]:
+def run_session(session: MeshSession, observation: PathObservation) -> dict[int, HOPReport]:
     """Feed every agent of ``session`` and collect the interval's reports."""
     for agent in session.agents.values():
         observe_agent(agent, observation)
@@ -238,22 +238,23 @@ def run_session(session: VPMSession, observation: PathObservation) -> dict[int, 
 
 
 def _run_cell(spec):
-    cell = _build_cell(spec)
+    plan = lower_cell(spec)
+    cell = _build_cell(spec, plan)
     trace = cell.traces[0]
     observation = run_path(cell.scenarios[0], trace.packet_batch().to_packets())
     reports = run_session(cell.session, observation)
-    return cell.session, observation, reports
+    return plan, cell.session, observation, reports
 
 
 def run_oracle_reports(spec) -> dict[int, HOPReport]:
     """The object path's receipts for an :class:`~repro.api.ExperimentSpec`."""
-    return _run_cell(spec)[2]
+    return _run_cell(spec)[3]
 
 
 def run_oracle_cell(spec):
     """The object path's :class:`~repro.api.results.CellResult` for a spec."""
-    session, observation, _ = _run_cell(spec)
-    return _summarize_cell(spec, session, observation)
+    plan, session, observation, reports = _run_cell(spec)
+    return _summarize(spec, plan, session, (observation.domain_truth,), reports).result
 
 
 def assert_same_propagation(observation: PathObservation, batch_observation) -> None:

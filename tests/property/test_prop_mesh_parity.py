@@ -107,7 +107,7 @@ def mesh_case(draw):
 def _spec_for(topology, traffic, condition_seed, root_seed) -> MeshSpec:
     """Build the mesh spec, with conditions on every transit domain."""
     built_topology, paths = topology.build(root_seed)
-    scenario = MeshScenario(built_topology, paths, seed=root_seed)
+    scenario = MeshScenario(built_topology, paths)
     conditions = {}
     for offset, name in enumerate(scenario.transit_domain_names()):
         pick = condition_seed + offset
@@ -144,7 +144,7 @@ class TestMeshIsolationParity:
         mesh_reports = StreamingRunner(cell, chunk_size=None).run().reports
 
         for index, path in enumerate(cell.session.paths):
-            isolated = PathScenario(cell.scenarios[index].topology, path, seed=spec.seed)
+            isolated = PathScenario(cell.scenarios[index].topology, path)
             for name in sorted(spec.conditions):
                 if any(seg[0].name == name for seg in path.domain_segments()):
                     isolated.configure_domain(

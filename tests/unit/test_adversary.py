@@ -68,7 +68,7 @@ class TestLyingDomainAgent:
             LyingDomainAgent("S", path)
 
     def test_fabricated_egress_hides_loss(self, path, trace_batch):
-        scenario = PathScenario(seed=52)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X", SegmentCondition(loss_model=BernoulliLossModel(0.3, seed=53))
         )
@@ -86,7 +86,7 @@ class TestLyingDomainAgent:
     def test_fabricated_egress_hides_delay(self, path, trace_batch):
         from repro.traffic.delay_models import ConstantDelayModel
 
-        scenario = PathScenario(seed=54)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X", SegmentCondition(delay_model=ConstantDelayModel(20e-3))
         )
@@ -102,7 +102,7 @@ class TestLyingDomainAgent:
         assert np.mean(claimed) == pytest.approx(0.5e-3, abs=1e-6)
 
     def test_fabricated_report_uses_egress_path_id(self, path, trace_batch):
-        scenario = PathScenario(seed=55)
+        scenario = PathScenario()
         observation = scenario.run_batch(trace_batch)
         liar = LyingDomainAgent("X", path, config=TEST_CONFIG)
         feed_agent(liar, observation)
@@ -127,7 +127,7 @@ class TestMarkerDropAttack:
 
     def test_exposure_rate_is_total(self, path, trace_batch, digester):
         attack = MarkerDropAttack(digester=digester, marker_rate=0.05)
-        scenario = PathScenario(seed=56)
+        scenario = PathScenario()
         scenario.configure_domain("X", SegmentCondition(drop_predicate=attack.drop_predicate()))
         observation = scenario.run_batch(trace_batch)
         # Every dropped marker entered X (seen by L's egress) and never
@@ -137,7 +137,7 @@ class TestMarkerDropAttack:
 
     def test_exposure_requires_transit_domain(self, trace_batch, digester):
         attack = MarkerDropAttack(digester=digester)
-        scenario = PathScenario(seed=57)
+        scenario = PathScenario()
         observation = scenario.run_batch(trace_batch)
         with pytest.raises(ValueError):
             marker_exposure_rate(observation, "S", attack)

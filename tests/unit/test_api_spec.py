@@ -14,7 +14,7 @@ from repro.api import (
     DELAY_MODELS,
     LOSS_MODELS,
     REORDERING_MODELS,
-    SCENARIOS,
+    TOPOLOGIES,
     AdversarySpec,
     ConditionSpec,
     EstimationSpec,
@@ -44,7 +44,7 @@ class TestRegistry:
         assert {"lying", "colluding", "marker-drop", "biased-treatment"} <= set(
             ADVERSARIES.names()
         )
-        assert "figure1" in SCENARIOS
+        assert "figure1" in TOPOLOGIES
 
     def test_unknown_key_error_lists_known_keys(self):
         with pytest.raises(ValueError, match="unknown delay model 'nope'"):
@@ -169,9 +169,9 @@ class TestConditionSpec:
             ConditionSpec(delay="constant", delay_params={"delay": object()})
 
     def test_scenario_params_validated_eagerly(self):
-        with pytest.raises(ValueError, match="invalid parameters for scenario"):
+        with pytest.raises(ValueError, match="invalid parameters for topology"):
             PathSpec(scenario_params={"topology": "bad"})
-        with pytest.raises(ValueError, match="unknown scenario"):
+        with pytest.raises(ValueError, match="unknown topology"):
             PathSpec(scenario="figure9")
 
     def test_identical_specs_build_identical_random_models(self):
@@ -228,7 +228,7 @@ class TestFactorySignatureCache:
 
 class TestProtocolSpec:
     def test_build_configs_with_default_and_overrides(self):
-        scenario = PathScenario(seed=0)
+        scenario = PathScenario()
         spec = ProtocolSpec(
             default=HOPSpec(sampling_rate=0.02),
             domains={"S": None, "X": HOPSpec(sampling_rate=0.05)},
@@ -239,14 +239,14 @@ class TestProtocolSpec:
         assert configs["L"].sampler.sampling_rate == 0.02
 
     def test_none_default_means_undeployed(self):
-        scenario = PathScenario(seed=0)
+        scenario = PathScenario()
         spec = ProtocolSpec(default=None, domains={"X": HOPSpec()})
         configs = spec.build_configs_for([d.name for d in scenario.path.domains])
         assert configs["L"] is None
         assert isinstance(configs["X"], HOPConfig)
 
     def test_unknown_domain_override_rejected_at_build(self):
-        scenario = PathScenario(seed=0)
+        scenario = PathScenario()
         spec = ProtocolSpec(domains={"x": HOPSpec(sampling_rate=0.05)})
         with pytest.raises(ValueError, match=r"names \['x'\], which are not on"):
             spec.build_configs_for([d.name for d in scenario.path.domains])

@@ -190,7 +190,7 @@ class TestCollectorBatch:
 class TestScenarioBatch:
     def test_run_batch_matches_run(self, small_batch):
         def build():
-            scenario = PathScenario(seed=5)
+            scenario = PathScenario()
             scenario.configure_domain(
                 "X",
                 SegmentCondition(
@@ -207,7 +207,7 @@ class TestScenarioBatch:
 
     def test_session_reports_identical_for_both_paths(self, small_batch):
         def build():
-            scenario = PathScenario(seed=5)
+            scenario = PathScenario()
             scenario.configure_domain(
                 "X",
                 SegmentCondition(
@@ -246,7 +246,7 @@ class TestScenarioBatch:
         )
 
     def test_batch_predicates_must_return_masks(self, small_batch):
-        scenario = PathScenario(seed=5)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X",
             SegmentCondition(drop_predicate=lambda batch: True),  # not a mask
@@ -255,7 +255,7 @@ class TestScenarioBatch:
             scenario.run_batch(small_batch)
 
     def test_batch_drop_predicate_drops_marked_packets(self, small_batch):
-        scenario = PathScenario(seed=5)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X",
             SegmentCondition(drop_predicate=lambda batch: batch.uid % 100 == 0),
@@ -271,14 +271,14 @@ class TestScenarioBatch:
 
     def test_run_batch_on_empty_batch(self, small_batch):
         empty = small_batch.take(np.empty(0, dtype=np.int64))
-        observation = PathScenario(seed=5).run_batch(empty)
+        observation = PathScenario().run_batch(empty)
         assert all(len(observation.at_hop(hop)[0]) == 0 for hop in observation.path.hops)
         # Equal to the object oracle: empty spans and zero offered packets everywhere.
-        assert_same_propagation(run_path(PathScenario(seed=5), []), observation)
+        assert_same_propagation(run_path(PathScenario(), []), observation)
 
     def test_run_batch_all_lost_interval(self, small_batch):
         def build():
-            scenario = PathScenario(seed=5)
+            scenario = PathScenario()
             scenario.configure_domain(
                 "X", SegmentCondition(loss_model=BernoulliLossModel(1.0, seed=7))
             )

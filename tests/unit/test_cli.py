@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -279,6 +283,42 @@ class TestResumeAndReport:
         assert payload["intervals"] == {"total": 3, "completed": 3, "complete": True}
         assert payload["summary_matches_store"] is True
         assert "delay_samples" not in payload["records"][0]
+
+
+# Prints one line, waits for stdin to close, then runs ``repro`` on argv.
+_AFTER_ONE_LINE = (
+    "import sys\n"
+    "print('ready', flush=True)\n"
+    "sys.stdin.read()\n"
+    "from repro.cli import main\n"
+    "raise SystemExit(main(sys.argv[1:]))\n"
+)
+
+
+class TestClosedStdout:
+    def test_report_into_a_closed_pipe_exits_non_zero_without_traceback(
+        self, tmp_path, spec_file
+    ):
+        main(["run", str(spec_file), "--run-dir", str(tmp_path / "run"), "--quiet"])
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", _AFTER_ONE_LINE, "report", str(tmp_path / "run")],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # The reader takes one line and goes away before the report is written.
+        assert child.stdout.readline() == b"ready\n"
+        child.stdout.close()
+        child.stdin.close()
+        status = child.wait(timeout=60)
+        with child.stderr:
+            stderr = child.stderr.read().decode()
+        assert status == 1, stderr
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
 
 class TestListCommand:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.api.runner import run_cell_full
@@ -39,7 +40,7 @@ TEST_CONFIG = HOPConfig(
 @pytest.fixture(scope="module")
 def congested_observation(small_trace_batch):
     """An observation where X adds 5 ms (+/- jitter) delay and 10% loss."""
-    scenario = PathScenario(seed=21)
+    scenario = PathScenario()
     scenario.configure_domain(
         "X",
         SegmentCondition(
@@ -280,7 +281,7 @@ class TestVerifierMemo:
         )
         session = run_cell_full(spec).session
         memoised = session.verifier_for("L")
-        reference = _Unmemoised(session.path)
+        reference = _Unmemoised(session.paths[0])
         reference.add_reports(session.bus.reports_visible_to("L"))
         # Query the memoised verifier repeatedly and in a different order.
         for _ in range(2):
@@ -290,5 +291,9 @@ class TestVerifierMemo:
                 memoised.check_consistency()
         for target in ("X", "N"):
             assert memoised.verify_domain(target) == reference.verify_domain(target)
+            delays = memoised.matched_delays(target)
+            assert delays.size and not delays.flags.writeable
+            assert delays is memoised.matched_delays(target)
+            assert np.array_equal(delays, reference.matched_delays(target))
         assert not memoised.verify_domain("N").accepted
         assert memoised.check_consistency() == reference.check_consistency()

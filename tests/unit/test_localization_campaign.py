@@ -47,7 +47,7 @@ def trace_batch(prefix_pair):
 
 def configured_scenario(seed: int) -> PathScenario:
     """X is slow and lossy; L and N are healthy."""
-    scenario = PathScenario(seed=seed)
+    scenario = PathScenario()
     scenario.configure_domain(
         "L", SegmentCondition(delay_model=JitterDelayModel(0.5e-3, 0.1e-3, seed=seed + 1))
     )

@@ -7,16 +7,28 @@ the mesh lying agent, and MeshSpec round-tripping.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import repro.api.runner as runner_module
 from repro.adversary.lying import LyingDomainAgent
 from repro.analysis.localization import SuspectLink, triangulate_suspects
-from repro.api.spec import ConditionSpec, MeshSpec, TopologySpec, TrafficSpec
-from repro.api.runner import _build_cell
+from repro.api.results import CellResult, MeshResult
+from repro.api.spec import (
+    ConditionSpec,
+    ExperimentSpec,
+    MeshSpec,
+    PathSpec,
+    TopologySpec,
+    TrafficSpec,
+    derive_seed,
+)
+from repro.api.runner import _build_cell, lower_cell, run_cell, run_cell_full
 from repro.core.protocol import MeshSession
 from repro.engine.streaming import StreamingRunner
 from repro.net.topology import star_topology
 from repro.reporting.dissemination import ReceiptBus, _report_for_pair
+from repro.reporting.serialization import receipts_digest
 from repro.simulation.mesh import MeshScenario
 from repro.simulation.scenario import SegmentCondition
 
@@ -336,5 +348,66 @@ class TestMeshSpec:
             topology=TopologySpec(kind="star", params={"path_count": 2}, seed=0),
             conditions={"S1": ConditionSpec()},
         )
-        with pytest.raises(ValueError, match="transit domain of no path"):
+        with pytest.raises(ValueError, match="transit domain of no mesh path"):
             _build_cell(spec)
+
+
+class TestOneCellKind:
+    """Both spellings lower to one mesh cell, and each keeps its own draws."""
+
+    CONDITION = ConditionSpec(
+        delay="jitter",
+        delay_params={"base_delay": 1e-3, "jitter_std": 0.3e-3},
+        loss="bernoulli",
+        loss_params={"loss_rate": 0.2},
+    )
+    TRAFFIC = TrafficSpec(workload=None, packet_count=600)
+
+    def _spellings(self):
+        single = ExperimentSpec(
+            seed=5, traffic=self.TRAFFIC, path=PathSpec(conditions={"X": self.CONDITION})
+        )
+        mesh = MeshSpec(
+            seed=5,
+            topology=TopologySpec(kind="figure1"),
+            traffic=self.TRAFFIC,
+            conditions={"X": self.CONDITION},
+        )
+        return single, mesh
+
+    def test_single_path_keeps_its_seed_labels(self):
+        single, mesh = self._spellings()
+        single_plan, mesh_plan = lower_cell(single), lower_cell(mesh)
+        assert single_plan.trace_seeds == (derive_seed(5, "traffic"),)
+        assert mesh_plan.trace_seeds == (derive_seed(5, "mesh.traffic.0"),)
+
+        def drops(condition):
+            return condition.loss_model.drops_batch(0, 256)
+
+        single_drops = drops(single_plan.conditions["X"](0))
+        mesh_drops = drops(mesh_plan.conditions["X"](0))
+        assert np.array_equal(single_drops, drops(self.CONDITION.build(5, "X")))
+        assert np.array_equal(mesh_drops, drops(self.CONDITION.build(5, "X.path0")))
+        assert not np.array_equal(single_drops, mesh_drops)
+
+    def test_equivalent_spellings_draw_differently(self):
+        single, mesh = self._spellings()
+        single_run, mesh_run = run_cell_full(single), run_cell_full(mesh)
+        assert isinstance(single_run.result, CellResult)
+        assert isinstance(mesh_run.result, MeshResult)
+        assert [path.prefix_pair for path in single_run.session.paths] == [
+            path.prefix_pair for path in mesh_run.session.paths
+        ]
+        assert sorted(single_run.reports) == sorted(mesh_run.reports)
+        assert receipts_digest(single_run.reports) != receipts_digest(mesh_run.reports)
+        assert run_cell(single).to_json() == single_run.result.to_json()
+
+    def test_multi_path_scenario_rejected_before_any_trace(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            runner_module, "SyntheticTrace", lambda *args, **kwargs: built.append(kwargs)
+        )
+        spec = ExperimentSpec(path=PathSpec(scenario="star"))
+        with pytest.raises(ValueError, match="yields 3 paths; a PathSpec drives exactly one"):
+            run_cell(spec)
+        assert built == []

@@ -35,7 +35,7 @@ def trace_batch(prefix_pair):
 
 @pytest.fixture(scope="module")
 def observation(trace_batch):
-    scenario = PathScenario(seed=42)
+    scenario = PathScenario()
     scenario.configure_domain(
         "X",
         SegmentCondition(

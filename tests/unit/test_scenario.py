@@ -14,7 +14,7 @@ from repro.traffic.reordering import WindowReordering
 
 class TestPathScenarioBasics:
     def test_default_is_figure1(self):
-        scenario = PathScenario(seed=1)
+        scenario = PathScenario()
         assert [domain.name for domain in scenario.path.domains] == ["S", "L", "X", "N", "D"]
 
     def test_mismatched_arguments_rejected(self, topology):
@@ -22,20 +22,20 @@ class TestPathScenarioBasics:
             PathScenario(topology=topology, path=None)
 
     def test_all_hops_observe_without_impairment(self, small_trace_batch):
-        scenario = PathScenario(seed=2)
+        scenario = PathScenario()
         observation = scenario.run_batch(small_trace_batch)
         counts = {hop.hop_id: len(observation.at_hop(hop)[0]) for hop in scenario.path}
         assert set(counts.values()) == {len(small_trace_batch)}
 
     def test_observation_times_monotone_at_each_hop(self, small_trace_batch):
-        scenario = PathScenario(seed=3)
+        scenario = PathScenario()
         observation = scenario.run_batch(small_trace_batch)
         for hop in scenario.path:
             _, times = observation.at_hop(hop)
             assert np.all(np.diff(times) >= 0)
 
     def test_times_increase_along_path(self, small_trace_batch):
-        scenario = PathScenario(seed=4)
+        scenario = PathScenario()
         observation = scenario.run_batch(small_trace_batch)
         first_uid = int(small_trace_batch.uid[0])
         times_by_hop = []
@@ -46,7 +46,7 @@ class TestPathScenarioBasics:
         assert len(times_by_hop) == 8
 
     def test_configure_unknown_domain_rejected(self):
-        scenario = PathScenario(seed=5)
+        scenario = PathScenario()
         with pytest.raises(ValueError):
             scenario.configure_domain("S", SegmentCondition())  # stub, not transit
         with pytest.raises(ValueError):
@@ -59,7 +59,7 @@ def _uids(observation, hop_id: int) -> set[int]:
 
 class TestLossAndDelayGroundTruth:
     def test_domain_loss_recorded(self, small_trace_batch):
-        scenario = PathScenario(seed=6)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X", SegmentCondition(loss_model=BernoulliLossModel(0.2, seed=7))
         )
@@ -73,7 +73,7 @@ class TestLossAndDelayGroundTruth:
         assert len(observation.at_hop(8)[0]) == truth.delivered_packets
 
     def test_domain_delay_recorded(self, small_trace_batch):
-        scenario = PathScenario(seed=8)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X", SegmentCondition(delay_model=ConstantDelayModel(4e-3))
         )
@@ -84,7 +84,7 @@ class TestLossAndDelayGroundTruth:
         assert truth.delay_quantiles([0.5])[0.5] == pytest.approx(4e-3)
 
     def test_link_loss_recorded_separately(self, small_trace_batch):
-        scenario = PathScenario(seed=9)
+        scenario = PathScenario()
         topology = scenario.topology
         topology.add_link(
             topology.hop(5),
@@ -98,7 +98,7 @@ class TestLossAndDelayGroundTruth:
         assert observation.truth_for("N").loss_rate == 0.0
 
     def test_preferential_treatment_bypasses_loss_and_delay(self, small_trace_batch):
-        scenario = PathScenario(seed=11)
+        scenario = PathScenario()
         favored = small_trace_batch.uid[::10]
         scenario.configure_domain(
             "X",
@@ -120,7 +120,7 @@ class TestLossAndDelayGroundTruth:
                 assert left - entered[uid] == pytest.approx(0.1e-3)
 
     def test_drop_predicate_always_drops(self, small_trace_batch):
-        scenario = PathScenario(seed=13)
+        scenario = PathScenario()
         targeted = small_trace_batch.uid[:50]
         scenario.configure_domain(
             "X",
@@ -131,7 +131,7 @@ class TestLossAndDelayGroundTruth:
         assert observation.truth_for("X").lost_packets == len(targeted)
 
     def test_reordering_changes_order_only_within_window(self, small_trace_batch):
-        scenario = PathScenario(seed=14)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X",
             SegmentCondition(
@@ -146,7 +146,7 @@ class TestLossAndDelayGroundTruth:
         assert egress_uids != ingress_uids
 
     def test_ground_truth_offered_packets_conservation(self, small_trace_batch):
-        scenario = PathScenario(seed=16)
+        scenario = PathScenario()
         scenario.configure_domain(
             "X", SegmentCondition(loss_model=BernoulliLossModel(0.3, seed=17))
         )

@@ -311,7 +311,7 @@ class TestEndToEndSerialization:
         from repro.core.sampling import SamplerConfig
         from repro.simulation.scenario import PathScenario
 
-        scenario = PathScenario(seed=71)
+        scenario = PathScenario()
         observation = scenario.run_batch(small_trace_batch.take(slice(0, 500)))
         config = HOPConfig(
             sampler=SamplerConfig(sampling_rate=0.2, marker_rate=0.05),
