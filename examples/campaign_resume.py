@@ -71,7 +71,11 @@ SPEC = CampaignSpec(
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-campaign-"))
+    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as workdir:
+        demo(Path(workdir))
+
+
+def demo(workdir: Path) -> None:
 
     # --- the reference: one uninterrupted run -------------------------------
     uninterrupted = RunStore.create(workdir / "uninterrupted", SPEC)

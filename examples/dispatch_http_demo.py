@@ -90,7 +90,11 @@ def upload(base: str, interval: int, body: bytes, digest: str) -> tuple[int, dic
 
 
 def main() -> None:
-    root = Path(tempfile.mkdtemp(prefix="repro-dispatch-http-"))
+    with tempfile.TemporaryDirectory(prefix="repro-dispatch-http-") as root:
+        demo(Path(root))
+
+
+def demo(root: Path) -> None:
 
     # --- 1. a commit-only coordinator serving the dispatch protocol ---------
     store = RunStore.create(root / "dispatched", SPEC)

@@ -93,7 +93,11 @@ def call(base: str, path: str, body: dict | None = None) -> tuple[int, dict]:
 
 
 def main() -> None:
-    store_root = Path(tempfile.mkdtemp(prefix="repro-service-"))
+    with tempfile.TemporaryDirectory(prefix="repro-service-") as store_root:
+        demo(Path(store_root))
+
+
+def demo(store_root: Path) -> None:
 
     # --- 1. the service: WSGI app + job queue on an ephemeral port ----------
     queue = JobQueue(store_root, workers=2)
@@ -159,7 +163,9 @@ def main() -> None:
     finally:
         server.shutdown()
         server.server_close()
-        queue.shutdown(wait=False)
+        # Wait for the job's child process, so nothing writes into the store
+        # root while it is removed.
+        queue.shutdown(wait=True)
 
 
 if __name__ == "__main__":

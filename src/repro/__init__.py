@@ -48,7 +48,6 @@ from repro.core.receipts import (
     AggregateReceipt,
     PathID,
     SampleReceipt,
-    SampleRecord,
 )
 from repro.core.sampling import DelaySampler
 from repro.core.verifier import Verifier
@@ -94,7 +93,6 @@ __all__ = [
     "RunStore",
     "SLATargetSpec",
     "SampleReceipt",
-    "SampleRecord",
     "ScenarioStream",
     "StreamingResult",
     "StreamingRunner",

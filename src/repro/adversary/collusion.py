@@ -23,7 +23,9 @@ from typing import Sequence
 from repro.adversary.lying import LyingDomainAgent
 from repro.core.domain import DomainAgent
 from repro.core.hop import HOPConfig, HOPReport
-from repro.core.receipts import SampleReceipt, SampleRecord
+import numpy as np
+
+from repro.core.receipts import SampleReceipt, distinct_samples, sample_array
 from repro.net.topology import Domain, HOPPath
 
 __all__ = ["ColludingDomainAgent"]
@@ -71,12 +73,12 @@ class ColludingDomainAgent(DomainAgent):
         # contradict the liar's hidden delay and trip the MaxDiff check — and
         # it must suppress any extra samples of its own that the liar did not
         # claim, otherwise they would be inconsistent with the liar's receipts.
-        claimed_records: dict[int, SampleRecord] = {}
-        for receipt in liar_report.sample_receipts:
-            for record in receipt.samples:
-                claimed_records[record.pkt_id] = SampleRecord(
-                    pkt_id=record.pkt_id, time=record.time + self.link_delay
-                )
+        # Each claimed ID once (where it was first claimed, at its last claimed
+        # time), then in time order; the stable sort keeps ties in claim order.
+        claims = [sample_array((), ())] + [r.samples for r in liar_report.sample_receipts]
+        claimed = distinct_samples(np.concatenate(claims))
+        claimed = sample_array(claimed["pkt_id"], claimed["time"] + self.link_delay)
+        claimed = claimed[np.argsort(claimed["time"], kind="stable")]
         threshold = None
         for receipt in honest_ingress.sample_receipts:
             threshold = receipt.sampling_threshold
@@ -85,7 +87,7 @@ class ColludingDomainAgent(DomainAgent):
                 threshold = receipt.sampling_threshold
         covered_samples = SampleReceipt(
             path_id=ingress_path_id,
-            samples=tuple(sorted(claimed_records.values(), key=lambda record: record.time)),
+            samples=claimed,
             sampling_threshold=threshold,
         )
 
@@ -108,7 +110,7 @@ class ColludingDomainAgent(DomainAgent):
 
         return HOPReport(
             hop_id=honest_ingress.hop_id,
-            sample_receipts=(covered_samples,) if covered_samples.samples else (),
+            sample_receipts=(covered_samples,) if len(covered_samples.samples) else (),
             aggregate_receipts=covered_aggregates or honest_ingress.aggregate_receipts,
         )
 

@@ -23,12 +23,7 @@ from typing import Sequence
 
 from repro.core.domain import DomainAgent
 from repro.core.hop import HOPConfig, HOPReport
-from repro.core.receipts import (
-    AggregateReceipt,
-    PathID,
-    SampleReceipt,
-    SampleRecord,
-)
+from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt, sample_array
 from repro.net.topology import Domain, HOPPath
 
 __all__ = ["LyingDomainAgent"]
@@ -41,22 +36,18 @@ def _fabricated_samples(
     hide_delay: bool,
 ) -> list[SampleReceipt]:
     """Sample receipts re-labelled as the egress's, shifted by the claimed delay."""
-    fabricated: list[SampleReceipt] = []
-    for receipt in receipts:
-        records = tuple(
-            SampleRecord(pkt_id=record.pkt_id, time=record.time + claimed_delay)
-            if hide_delay
-            else record
-            for record in receipt.samples
+    return [
+        replace(
+            receipt,
+            path_id=egress_path_id,
+            samples=(
+                sample_array(receipt.samples["pkt_id"], receipt.samples["time"] + claimed_delay)
+                if hide_delay
+                else receipt.samples
+            ),
         )
-        fabricated.append(
-            SampleReceipt(
-                path_id=egress_path_id,
-                samples=records,
-                sampling_threshold=receipt.sampling_threshold,
-            )
-        )
-    return fabricated
+        for receipt in receipts
+    ]
 
 
 def _fabricated_aggregates(

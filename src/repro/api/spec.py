@@ -919,10 +919,13 @@ class ExecutionPolicy(Spec):
         eagerly, before any trace is synthesized.
         """
         engine = self.engine if self.engine is not None else spec.engine
-        if isinstance(spec, MeshSpec) and self.checkpoint_every is not None:
-            raise ValueError(
-                "checkpoint_every applies to single-path streaming cells "
-                "only; mesh intervals checkpoint at interval boundaries"
-            )
+        if self.checkpoint_every is not None:
+            from repro.api.runner import lower_cell
+
+            if len(lower_cell(spec).paths) > 1:
+                raise ValueError(
+                    "checkpoint_every applies to single-path streaming cells "
+                    "only; mesh intervals checkpoint at interval boundaries"
+                )
         self._check_streaming_knobs(engine)
         return dataclasses.replace(self, engine=engine)

@@ -54,7 +54,6 @@ from repro.core.receipts import (
     AggregateReceipt,
     PathID,
     SampleReceipt,
-    SampleRecord,
     combine_aggregate_receipts,
     combine_sample_receipts,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "Inconsistency",
     "PathID",
     "SampleReceipt",
-    "SampleRecord",
     "SamplerConfig",
     "VPMSession",
     "Verifier",

@@ -18,10 +18,19 @@ driver used by :class:`repro.core.verifier.Verifier`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.receipts import AggregateReceipt, SampleReceipt
+import numpy as np
+
+from repro.core.receipts import (
+    AggregateReceipt,
+    SampleReceipt,
+    combine_sample_receipts,
+    distinct_samples,
+    locate_ids,
+)
 
 __all__ = [
     "Inconsistency",
@@ -77,76 +86,63 @@ def check_sample_consistency(
     packet cannot legitimately appear downstream without having been delivered
     upstream.
     """
+    finding = functools.partial(
+        Inconsistency,
+        upstream_hop=upstream.path_id.reporting_hop,
+        downstream_hop=downstream.path_id.reporting_hop,
+    )
     findings: list[Inconsistency] = []
-    up_hop = upstream.path_id.reporting_hop
-    down_hop = downstream.path_id.reporting_hop
-
-    if upstream.path_id.max_diff != downstream.path_id.max_diff:
+    up_max_diff, down_max_diff = upstream.path_id.max_diff, downstream.path_id.max_diff
+    if up_max_diff != down_max_diff:
         findings.append(
-            Inconsistency(
+            finding(
                 kind="max-diff-mismatch",
-                upstream_hop=up_hop,
-                downstream_hop=down_hop,
-                detail=(
-                    f"MaxDiff disagreement: {upstream.path_id.max_diff} (upstream) vs "
-                    f"{downstream.path_id.max_diff} (downstream)"
-                ),
+                detail=f"MaxDiff disagreement: {up_max_diff} (upstream) vs "
+                f"{down_max_diff} (downstream)",
             )
         )
-    max_diff = max(upstream.path_id.max_diff, downstream.path_id.max_diff)
-
-    upstream_records = {record.pkt_id: record for record in upstream.samples}
-    downstream_records = {record.pkt_id: record for record in downstream.samples}
+    max_diff = max(up_max_diff, down_max_diff)
 
     # When the downstream HOP's sampling threshold is higher (it samples a
     # subset), an upstream-only packet is expected, not an inconsistency.
-    downstream_samples_superset = (
-        upstream.sampling_threshold is None
-        or downstream.sampling_threshold is None
-        or downstream.sampling_threshold <= upstream.sampling_threshold
-    )
-    upstream_samples_superset = (
-        upstream.sampling_threshold is None
-        or downstream.sampling_threshold is None
-        or upstream.sampling_threshold <= downstream.sampling_threshold
-    )
+    up_sigma, down_sigma = upstream.sampling_threshold, downstream.sampling_threshold
+    unknown = up_sigma is None or down_sigma is None
+    downstream_samples_superset = unknown or down_sigma <= up_sigma
+    upstream_samples_superset = unknown or up_sigma <= down_sigma
 
-    for pkt_id, up_record in upstream_records.items():
-        down_record = downstream_records.get(pkt_id)
-        if down_record is None:
-            if downstream_samples_superset:
-                findings.append(
-                    Inconsistency(
-                        kind="missing-downstream",
-                        upstream_hop=up_hop,
-                        downstream_hop=down_hop,
-                        pkt_id=pkt_id,
-                        detail="upstream HOP reports delivering a sampled packet the "
-                        "downstream HOP does not report receiving",
-                    )
-                )
-            continue
-        difference = down_record.time - up_record.time
-        if difference > max_diff or difference < 0:
+    # Each side as a dict keyed by pkt_id would hold it, upstream order first.
+    up = distinct_samples(upstream.samples)
+    down = distinct_samples(downstream.samples)
+    found, index = locate_ids(up["pkt_id"], down["pkt_id"])
+    differences = np.zeros(len(up))
+    differences[found] = down["time"][index[found]] - up["time"][found]
+    flagged = ~found & downstream_samples_superset
+    flagged |= found & ((differences > max_diff) | (differences < 0))
+    for position in np.flatnonzero(flagged).tolist():
+        pkt_id = int(up["pkt_id"][position])
+        if found[position]:
             findings.append(
-                Inconsistency(
+                finding(
                     kind="delay-bound-violation",
-                    upstream_hop=up_hop,
-                    downstream_hop=down_hop,
                     pkt_id=pkt_id,
-                    detail=(
-                        f"timestamp difference {difference * 1e3:.3f} ms outside "
-                        f"[0, MaxDiff={max_diff * 1e3:.3f} ms]"
-                    ),
+                    detail=f"timestamp difference {float(differences[position]) * 1e3:.3f} "
+                    f"ms outside [0, MaxDiff={max_diff * 1e3:.3f} ms]",
                 )
             )
-    for pkt_id in downstream_records:
-        if pkt_id not in upstream_records and upstream_samples_superset:
+        else:
             findings.append(
-                Inconsistency(
+                finding(
+                    kind="missing-downstream",
+                    pkt_id=pkt_id,
+                    detail="upstream HOP reports delivering a sampled packet the "
+                    "downstream HOP does not report receiving",
+                )
+            )
+    if upstream_samples_superset:
+        for pkt_id in down["pkt_id"][~np.isin(down["pkt_id"], up["pkt_id"])].tolist():
+            findings.append(
+                finding(
                     kind="missing-upstream",
-                    upstream_hop=up_hop,
-                    downstream_hop=down_hop,
                     pkt_id=pkt_id,
                     detail="downstream HOP reports receiving a sampled packet the "
                     "upstream HOP does not report delivering",
@@ -191,8 +187,6 @@ def check_link_consistency(
     positionally by their ``AggID`` boundaries.
     """
     findings: list[Inconsistency] = []
-    from repro.core.receipts import combine_sample_receipts
-
     if upstream_samples and downstream_samples:
         up = combine_sample_receipts(list(upstream_samples))
         down = combine_sample_receipts(list(downstream_samples))

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.receipts import SampleReceipt
+from repro.core.receipts import SampleReceipt, distinct_samples, locate_ids
 from repro.util.validation import check_probability
 
 __all__ = [
@@ -157,13 +157,9 @@ def match_sample_delays(
     HOP timestamps badly out of step) are kept — they are informative to the
     caller — but ``NaN`` never appears.
     """
-    ingress_times = {record.pkt_id: record.time for record in ingress.samples}
-    delays = [
-        record.time - ingress_times[record.pkt_id]
-        for record in egress.samples
-        if record.pkt_id in ingress_times
-    ]
-    return np.asarray(delays, dtype=float)
+    ingress_samples = distinct_samples(ingress.samples)
+    found, index = locate_ids(egress.samples["pkt_id"], ingress_samples["pkt_id"])
+    return egress.samples["time"][found] - ingress_samples["time"][index[found]]
 
 
 def delay_accuracy(

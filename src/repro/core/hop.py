@@ -92,11 +92,11 @@ class HOPCollector:
     """
 
     #: Names the in-memory form of the collector's carried state (the
-    #: samplers' TempBuffers, the aggregators' windows and pending AggTrans,
-    #: and the counters beside them).
+    #: samplers' TempBuffers and samples, the aggregators' windows and
+    #: pending AggTrans, and the counters beside them).
     #: Pickled collectors are only reloaded under the same tag; change it
     #: whenever that form changes.
-    STATE_TAG = "array-only-3"
+    STATE_TAG = "array-only-4"
 
     def __init__(self, hop: HOP, config: HOPConfig | None = None) -> None:
         self.hop = hop
@@ -290,7 +290,7 @@ class HOPProcessor:
             if flush:
                 state.aggregator.flush()
             sample_receipt = state.sampler.receipt(state.path_id)
-            if sample_receipt.samples:
+            if len(sample_receipt.samples):
                 sample_receipts.append(sample_receipt)
             aggregate_receipts.extend(state.aggregator.receipts(state.path_id))
         return HOPReport(

@@ -11,6 +11,15 @@ Each VPM HOP generates two kinds of receipts for the traffic it observes:
 path the traffic belongs to and carries the ``MaxDiff`` bound agreed with the
 neighboring HOP across the adjacent inter-domain link.
 
+Receipts hold their ID sequences as read-only NumPy arrays, converted once
+on construction: an array of the right dtype that is already read-only is
+taken as it is, a writable one is copied (so a receipt never shares a buffer
+its caller can still write), and any other sequence is converted, or
+rejected with a ``ValueError`` naming the field.  ``Samples`` is one 1-D
+structured array of :data:`SAMPLE_DTYPE` records ``(pkt_id, time)`` in
+report order; a time must be finite.  Receipts compare by value and are not
+hashable.
+
 Implementation extensions (documented, content-preserving):
 
 * Aggregate receipts additionally carry the aggregate's first/last observation
@@ -23,16 +32,15 @@ Implementation extensions (documented, content-preserving):
   ``trans_before`` and ``trans_after`` (packet IDs observed within ``J``
   before/after the cutting point, in observation order); the paper stores one
   ordered sequence of 2``J`` worth of IDs, from which the same two sets are
-  recoverable given the cutting packet's ID.  The aggregator hands its arrays
-  over as they are; a tuple or list of IDs is converted once, on
-  construction.  Receipts compare by value and are not hashable.
+  recoverable given the cutting packet's ID.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter, index
+from numbers import Real
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -42,9 +50,12 @@ from repro.util.validation import check_non_negative
 
 __all__ = [
     "PathID",
-    "SampleRecord",
+    "SAMPLE_DTYPE",
     "SampleReceipt",
     "AggregateReceipt",
+    "sample_array",
+    "distinct_samples",
+    "locate_ids",
     "combine_sample_receipts",
     "combine_aggregate_receipts",
     "SAMPLE_RECORD_BYTES",
@@ -57,7 +68,8 @@ __all__ = [
 SAMPLE_RECORD_BYTES = 7
 AGGREGATE_RECEIPT_BYTES = 22
 
-_TIME = attrgetter("time")
+#: One ``<PktID, Time>`` sample record; ``SampleReceipt.samples`` is a 1-D array of these.
+SAMPLE_DTYPE = np.dtype([("pkt_id", "<u8"), ("time", "<f8")])
 
 
 @dataclass(frozen=True)
@@ -91,22 +103,79 @@ class PathID:
             raise ValueError("a PathID needs at least one of previous_hop/next_hop")
 
 
-@dataclass(frozen=True, order=True)
-class SampleRecord:
-    """One sampled measurement: ``<PktID, Time>``."""
-
-    pkt_id: int
-    time: float
-
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes this record contributes to a disseminated receipt."""
-        return SAMPLE_RECORD_BYTES
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself when it is read-only, else a read-only copy."""
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
 
 
-@dataclass(frozen=True)
+def sample_array(ids, times) -> np.ndarray:
+    """A read-only :data:`SAMPLE_DTYPE` array from an ID column and a time column."""
+    samples = np.empty(len(ids), dtype=SAMPLE_DTYPE)
+    samples["pkt_id"] = ids
+    samples["time"] = times
+    samples.flags.writeable = False
+    return samples
+
+
+def distinct_samples(samples: np.ndarray) -> np.ndarray:
+    """The records ``dict(samples.tolist())`` would hold, in its order.
+
+    Each ID appears once, at the position of its first record and with the
+    time of its last.  Without repeated IDs, ``samples`` is returned as it is.
+    """
+    ids = samples["pkt_id"]
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.append(True, sorted_ids[1:] != sorted_ids[:-1]))
+    if len(starts) >= len(ids):
+        return samples
+    first = order[starts]
+    last = order[np.append(starts[1:], len(ids)) - 1]
+    keep = np.argsort(first)
+    return sample_array(ids[first[keep]], samples["time"][last[keep]])
+
+
+def locate_ids(ids: np.ndarray, table_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``ids``: whether the distinct ``table_ids`` hold it, and at which index."""
+    if not len(table_ids):
+        return np.zeros(len(ids), dtype=bool), np.zeros(len(ids), dtype=np.intp)
+    order = np.argsort(table_ids)
+    sorted_ids = table_ids[order]
+    positions = np.searchsorted(sorted_ids, ids).clip(max=len(order) - 1)
+    return sorted_ids[positions] == ids, order[positions]
+
+
+def _sample_records(value) -> np.ndarray:
+    """``value`` as a read-only 1-D :data:`SAMPLE_DTYPE` array (see the module docstring)."""
+    if isinstance(value, np.ndarray) and value.dtype == SAMPLE_DTYPE:
+        if value.ndim != 1:
+            raise ValueError(f"samples must be 1-D, got shape {value.shape}")
+        return _read_only(value)
+    try:
+        pairs = [(pkt_id, time) for pkt_id, time in value]
+    except (TypeError, ValueError):
+        raise ValueError("samples must be a 1-D sequence of (pkt_id, time) pairs") from None
+    try:
+        ids = np.fromiter((index(pkt_id) for pkt_id, _ in pairs), np.uint64, len(pairs))
+    except (OverflowError, TypeError):
+        raise ValueError("samples hold a pkt_id that is not an integer in [0, 2**64)") from None
+    if not all(isinstance(time, Real) for _, time in pairs):
+        raise ValueError("samples hold a time that is not a real number")
+    try:
+        return sample_array(ids, [time for _, time in pairs])
+    except OverflowError:
+        raise ValueError("samples hold a time outside the float64 range") from None
+
+
+@dataclass(frozen=True, eq=False)
 class SampleReceipt:
     """A receipt for a set of delay-sampled packets: ``<PathID, Samples>``.
+
+    ``samples`` accepts any sequence of ``(pkt_id, time)`` pairs and holds a
+    read-only :data:`SAMPLE_DTYPE` array (see the module docstring).
 
     ``sampling_threshold`` is the reporting HOP's (public) sampling threshold
     ``σ``; the verifier uses it to distinguish "this HOP legitimately chose not
@@ -117,14 +186,25 @@ class SampleReceipt:
     """
 
     path_id: PathID
-    samples: tuple[SampleRecord, ...] = ()
+    samples: np.ndarray = ()
     sampling_threshold: int | None = None
 
     def __post_init__(self) -> None:
-        # One pass per receipt, not a check per SampleRecord: a receipt holds thousands.
-        if not all(map(math.isfinite, map(_TIME, self.samples))):
-            bad = next(i for i, record in enumerate(self.samples) if not math.isfinite(record.time))
-            raise ValueError(f"samples[{bad}] has time {self.samples[bad].time!r}; must be finite")
+        samples = _sample_records(self.samples)
+        times = samples["time"]
+        if not np.isfinite(times).all():
+            bad = int(np.argmin(np.isfinite(times)))
+            raise ValueError(f"samples[{bad}] has time {float(times[bad])!r}; must be finite")
+        object.__setattr__(self, "samples", samples)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.path_id == other.path_id
+            and self.sampling_threshold == other.sampling_threshold
+            and np.array_equal(self.samples, other.samples)
+        )
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -136,31 +216,16 @@ class SampleReceipt:
 
 
 def _window(name: str, value) -> np.ndarray:
-    """``value`` as a read-only 1-D ``uint64`` AggTrans window.
-
-    A read-only ``uint64`` array is taken as it is; anything else is copied,
-    so a receipt never shares a buffer its caller can still write.
-    """
-    if isinstance(value, np.ndarray):
-        if value.ndim != 1:
-            raise ValueError(f"{name} must be a 1-D window of packet IDs, got shape {value.shape}")
-        if value.dtype == np.uint64:
-            if not value.flags.writeable:
-                return value
-            window = value.copy()
-        elif value.dtype.kind in "iu":
-            if value.size and int(value.min()) < 0:
-                raise ValueError(f"{name} holds a packet ID outside [0, 2**64)")
-            window = value.astype(np.uint64)
-        else:
-            window = _window(name, value.tolist())
-    else:
-        try:
-            window = np.fromiter(map(index, value), dtype=np.uint64)
-        except OverflowError:
-            raise ValueError(f"{name} holds a packet ID outside [0, 2**64)") from None
-        except TypeError:
-            raise ValueError(f"{name} must be a 1-D sequence of integer packet IDs") from None
+    """``value`` as a read-only 1-D ``uint64`` AggTrans window (see the module docstring)."""
+    if isinstance(value, np.ndarray) and value.dtype == np.uint64 and value.ndim == 1:
+        return _read_only(value)
+    try:
+        ids = value.tolist() if isinstance(value, np.ndarray) else value
+        window = np.fromiter(map(index, ids), dtype=np.uint64)
+    except OverflowError:
+        raise ValueError(f"{name} holds a packet ID outside [0, 2**64)") from None
+    except TypeError:
+        raise ValueError(f"{name} must be a 1-D sequence of integer packet IDs") from None
     window.flags.writeable = False
     return window
 
@@ -258,16 +323,10 @@ def combine_sample_receipts(receipts: Sequence[SampleReceipt]) -> SampleReceipt:
                 f"threshold (sampling-function identity); got "
                 f"{threshold!r} vs {receipt.sampling_threshold!r}"
             )
-    merged: dict[int, SampleRecord] = {}
-    for receipt in receipts:
-        for record in receipt.samples:
-            merged[record.pkt_id] = record
-    samples = tuple(sorted(merged.values(), key=attrgetter("time", "pkt_id")))
-    return SampleReceipt(
-        path_id=path_id,
-        samples=samples,
-        sampling_threshold=receipts[0].sampling_threshold,
-    )
+    # The last record of each ID wins, then (time, pkt_id) order.
+    merged = distinct_samples(np.concatenate([receipt.samples for receipt in receipts]))
+    merged = merged[np.lexsort((merged["pkt_id"], merged["time"]))]
+    return SampleReceipt(path_id=path_id, samples=merged, sampling_threshold=threshold)
 
 
 def combine_aggregate_receipts(

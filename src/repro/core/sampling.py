@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.receipts import PathID, SampleReceipt, SampleRecord
+from repro.core.receipts import PathID, SampleReceipt, sample_array
 from repro.net.hashing import as_digest_array, splitmix64_batch, threshold_for_rate
 from repro.util.validation import check_fraction, check_observation_times
 
@@ -96,7 +96,8 @@ class DelaySampler:
         # after the last marker, held only until the next one.
         self._buffer_ids = np.empty(0, dtype=np.uint64)
         self._buffer_times = np.empty(0, dtype=np.float64)
-        self._samples: list[SampleRecord] = []
+        # The samples since the last receipt, one record array per batch.
+        self._samples: list[np.ndarray] = []
         # Bookkeeping for the overhead model (Section 7.1).
         self._observed_packets = 0
         self._max_buffer_occupancy = 0
@@ -165,9 +166,7 @@ class DelaySampler:
         selected[carry + marker_positions] = True
         picked = np.flatnonzero(selected)
         times = np.concatenate([carry_times, time_array[: last + 1]])
-        self._samples.extend(
-            map(SampleRecord, ids[picked].tolist(), times[picked].tolist())
-        )
+        self._samples.append(sample_array(ids[picked], times[picked]))
 
         # Buffer occupancy peaks just before each marker (each run minus its
         # marker) and at the new tail.
@@ -185,21 +184,29 @@ class DelaySampler:
         and counters — the cheap way for tests to assert that feeding a
         stream in chunks reproduced a whole-stream run.
         """
-        buffer = zip(self._buffer_ids.tolist(), self._buffer_times.tolist())
+        samples = self._sample_array()
+        buffer = sample_array(self._buffer_ids, self._buffer_times)
         hasher = hashlib.blake2b(digest_size=16)
         hasher.update(
             repr(
                 (
                     self.config.sampling_rate,
                     self.config.marker_rate,
-                    [(record.pkt_id, record.time.hex()) for record in self._samples],
-                    [(digest, time.hex()) for digest, time in buffer],
+                    len(samples),
+                    len(buffer),
                     self._observed_packets,
                     self._max_buffer_occupancy,
                 )
             ).encode()
         )
+        hasher.update(samples.tobytes() + buffer.tobytes())
         return hasher.hexdigest()
+
+    def _sample_array(self) -> np.ndarray:
+        """The samples since the last receipt, as one read-only array."""
+        samples = np.concatenate([sample_array((), ()), *self._samples])
+        samples.flags.writeable = False
+        return samples
 
     # -- reporting -----------------------------------------------------------
 
@@ -213,7 +220,7 @@ class DelaySampler:
         """
         receipt = SampleReceipt(
             path_id=path_id,
-            samples=tuple(self._samples),
+            samples=self._sample_array(),
             sampling_threshold=self._sampling_threshold,
         )
         if reset:
@@ -235,11 +242,11 @@ class DelaySampler:
     @property
     def sample_count(self) -> int:
         """Number of samples accumulated since the last receipt."""
-        return len(self._samples)
+        return sum(map(len, self._samples))
 
     def __repr__(self) -> str:
         return (
             f"DelaySampler(sampling_rate={self.config.sampling_rate}, "
             f"marker_rate={self.config.marker_rate}, "
-            f"observed={self._observed_packets}, samples={len(self._samples)})"
+            f"observed={self._observed_packets}, samples={self.sample_count})"
         )

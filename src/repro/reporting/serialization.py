@@ -70,8 +70,6 @@ _HEADER = np.dtype(
         ("trans_before", "<u8"),
     ]
 )
-_PKT_ID = attrgetter("pkt_id")
-_TIME = attrgetter("time")
 
 
 def _pack(field: str, layout: str, value: Any) -> bytes:
@@ -136,6 +134,6 @@ def receipts_digest(reports: Mapping[int, HOPReport]) -> str:
             update(struct.pack("<B", threshold is not None))
             update(_pack("sampling_threshold", "<Q", threshold or 0))
             update(struct.pack("<Q", len(samples)))
-            update(_integers("pkt_id", map(_PKT_ID, samples), len(samples)))
-            update(np.fromiter(map(_TIME, samples), dtype="<f8", count=len(samples)))
+            update(samples["pkt_id"].tobytes())
+            update(samples["time"].tobytes())
     return hasher.hexdigest()

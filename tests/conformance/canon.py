@@ -17,7 +17,7 @@ from typing import Any, Mapping
 
 from repro.api.runner import _build_cell
 from repro.core.hop import HOPReport
-from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt, SampleRecord
+from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt
 from repro.engine import DEFAULT_CHUNK_SIZE, StreamingRunner
 from repro.net.prefixes import OriginPrefix, PrefixPair
 
@@ -51,7 +51,7 @@ def canonical_receipts(reports: Mapping[int, HOPReport]) -> dict[str, Any]:
                     "reporting_hop": receipt.path_id.reporting_hop,
                     "threshold": receipt.sampling_threshold,
                     "records": [
-                        [record.pkt_id, record.time.hex()] for record in receipt.samples
+                        [pkt_id, time.hex()] for pkt_id, time in receipt.samples.tolist()
                     ],
                 }
                 for receipt in report.sample_receipts
@@ -102,10 +102,9 @@ def reports_from_canonical(canonical: Mapping[str, Any]) -> dict[int, HOPReport]
             sample_receipts=tuple(
                 SampleReceipt(
                     path_id=_canonical_path_id(sample["path"], sample["reporting_hop"]),
-                    samples=tuple(
-                        SampleRecord(pkt_id=pkt_id, time=float.fromhex(time))
-                        for pkt_id, time in sample["records"]
-                    ),
+                    samples=[
+                        (pkt_id, float.fromhex(time)) for pkt_id, time in sample["records"]
+                    ],
                     sampling_threshold=sample["threshold"],
                 )
                 for sample in form["samples"]

@@ -23,7 +23,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.hop import HOPReport
-from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt, SampleRecord
+from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt
 from repro.net.hashing import MASK64
 from repro.net.prefixes import OriginPrefix, PrefixPair
 from repro.reporting.serialization import receipts_digest
@@ -95,9 +95,9 @@ def _report(prefix_pair, hop: int, threshold: int | None) -> HOPReport:
             SampleReceipt(
                 path_id=path_id,
                 samples=(
-                    SampleRecord(pkt_id=LARGEST_ID, time=-0.0),
-                    SampleRecord(pkt_id=0, time=SUBNORMAL),
-                    SampleRecord(pkt_id=hop, time=2.5),
+                    (LARGEST_ID, -0.0),
+                    (0, SUBNORMAL),
+                    (hop, 2.5),
                 ),
                 sampling_threshold=threshold,
             ),
@@ -163,10 +163,7 @@ def test_signed_zero_subnormal_and_no_threshold(prefix_pair):
             sample_receipts=tuple(
                 SampleReceipt(
                     path_id=receipt.path_id,
-                    samples=tuple(
-                        SampleRecord(pkt_id=record.pkt_id, time=abs(record.time))
-                        for record in receipt.samples
-                    ),
+                    samples=[(pkt_id, abs(time)) for pkt_id, time in receipt.samples.tolist()],
                     sampling_threshold=receipt.sampling_threshold,
                 )
                 for receipt in report.sample_receipts
@@ -222,7 +219,7 @@ def _samples(prefix_pair, *receipts, threshold=9) -> dict[int, HOPReport]:
             sample_receipts=tuple(
                 SampleReceipt(
                     path_id=path_id,
-                    samples=tuple(SampleRecord(*record) for record in records),
+                    samples=records,
                     sampling_threshold=threshold,
                 )
                 for records in receipts
@@ -350,7 +347,7 @@ def build_reports(plan) -> dict[int, HOPReport]:
             sample_receipts=tuple(
                 SampleReceipt(
                     path_id=path_id,
-                    samples=tuple(SampleRecord(pkt_id=i, time=t) for i, t in records),
+                    samples=records,
                     sampling_threshold=threshold,
                 )
                 for threshold, records in samples

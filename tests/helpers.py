@@ -45,7 +45,7 @@ def observe_one(collector, digest: int, time: float) -> bool:
 
 def sampled_ids(receipt: SampleReceipt) -> frozenset[int]:
     """The set of packet identifiers a sample receipt reports."""
-    return frozenset(record.pkt_id for record in receipt.samples)
+    return frozenset(receipt.samples["pkt_id"].tolist())
 
 
 def raw_http_exchange(url: str, request: bytes, timeout: float = 3.0) -> bytes | None:

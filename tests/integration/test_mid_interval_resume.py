@@ -249,7 +249,24 @@ class TestMidIntervalCheckpoint:
         )
 
     def test_kill_inside_interval_resumes_to_identical_store(self, tmp_path):
-        spec = _campaign_spec()
+        self._assert_killed_mid_interval_resumes(tmp_path, _campaign_spec())
+
+    def test_one_path_mesh_killed_inside_interval_resumes_to_identical_store(
+        self, tmp_path
+    ):
+        """A mesh spelling with one path checkpoints mid-interval like a path."""
+        cell = MeshSpec(
+            name="seek-one-path-mesh",
+            seed=17,
+            topology=TopologySpec(kind="figure1"),
+            traffic=TrafficSpec(workload=None, packet_count=500),
+            conditions={"X": _CONDITION},
+        )
+        spec = CampaignSpec(name="seek-one-path-mesh", intervals=2, cell=cell)
+        self._assert_killed_mid_interval_resumes(tmp_path, spec)
+
+    @staticmethod
+    def _assert_killed_mid_interval_resumes(tmp_path, spec) -> None:
         full = RunStore.create(tmp_path / "full", spec)
         CampaignRunner(spec, full).run()
 
@@ -380,15 +397,23 @@ class TestMidIntervalCheckpoint:
         self._assert_discarded_then_rerun(tmp_path, spec, untagged)
 
     def test_checkpoint_with_previous_collector_state_tag_is_discarded(self, tmp_path):
-        """Collectors pickled under ``array-carry-2`` kept a second, per-packet
-        form of their carry; a payload with that tag reruns its interval."""
+        """Samplers pickled under ``array-only-3`` held one record object per
+        sample, not one record array per batch; a payload with that tag reruns
+        its interval."""
         spec = _campaign_spec()
+        checkpoint = self._second_checkpoint(spec)
+        for collector in checkpoint.collectors.values():
+            for state in collector.states():
+                sampler = state.sampler
+                sampler._samples = [
+                    (pkt_id, time) for batch in sampler._samples for pkt_id, time in batch.tolist()
+                ]
         payload = pickle.dumps(
             {
                 "spec_hash": spec.spec_hash(),
                 "interval": 0,
-                "collector_state": "array-carry-2",
-                "checkpoint": self._second_checkpoint(spec),
+                "collector_state": "array-only-3",
+                "checkpoint": checkpoint,
             }
         )
         self._assert_discarded_then_rerun(tmp_path, spec, payload)

@@ -20,12 +20,14 @@ session overhead read, so it can stand in for one inside a
 from __future__ import annotations
 
 import hashlib
+import itertools
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.aggregation import AggregatorConfig
 from repro.core.hop import HOPCollector
-from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt, SampleRecord
+from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt
 from repro.core.sampling import SamplerConfig
 from repro.net.hashing import MASK64, combine64
 from repro.net.packet import Packet
@@ -61,7 +63,7 @@ class ReferenceSampler:
         self._marker_threshold = self.config.marker_threshold
         self._sampling_threshold = self.config.sampling_threshold
         self.buffer: list[tuple[int, float]] = []
-        self.samples: list[SampleRecord] = []
+        self.samples: list[tuple[int, float]] = []
         self.observed_packets = 0
         self.max_buffer_occupancy = 0
 
@@ -72,9 +74,9 @@ class ReferenceSampler:
         if digest > self._marker_threshold:
             for buffered_digest, buffered_time in self.buffer:
                 if sample_function(buffered_digest, digest) > self._sampling_threshold:
-                    self.samples.append(SampleRecord(pkt_id=buffered_digest, time=buffered_time))
+                    self.samples.append((buffered_digest, buffered_time))
             self.buffer.clear()
-            self.samples.append(SampleRecord(pkt_id=digest, time=time))
+            self.samples.append((digest, time))
             return True
         self.buffer.append((digest, time))
         self.max_buffer_occupancy = max(self.max_buffer_occupancy, len(self.buffer))
@@ -88,7 +90,7 @@ class ReferenceSampler:
     def receipt(self, path_id: PathID, reset: bool = True) -> SampleReceipt:
         receipt = SampleReceipt(
             path_id=path_id,
-            samples=tuple(self.samples),
+            samples=self.samples,
             sampling_threshold=self._sampling_threshold,
         )
         if reset:
@@ -103,13 +105,15 @@ class ReferenceSampler:
                 (
                     self.config.sampling_rate,
                     self.config.marker_rate,
-                    [(record.pkt_id, record.time.hex()) for record in self.samples],
-                    [(digest, time.hex()) for digest, time in self.buffer],
+                    len(self.samples),
+                    len(self.buffer),
                     self.observed_packets,
                     self.max_buffer_occupancy,
                 )
             ).encode()
         )
+        records = self.samples + self.buffer
+        hasher.update(struct.pack("<" + "Qd" * len(records), *itertools.chain(*records)))
         return hasher.hexdigest()
 
 

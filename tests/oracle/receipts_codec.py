@@ -50,10 +50,11 @@ def encode_receipts(reports: Mapping[int, HOPReport]) -> bytes:
             threshold = receipt.sampling_threshold
             out += struct.pack("<B", 0 if threshold is None else 1)
             out += struct.pack("<Q", 0 if threshold is None else threshold)
-            count = len(receipt.samples)
+            records = receipt.samples.tolist()
+            count = len(records)
             out += struct.pack("<Q", count)
-            out += struct.pack(f"<{count}Q", *(record.pkt_id for record in receipt.samples))
-            out += struct.pack(f"<{count}d", *(record.time for record in receipt.samples))
+            out += struct.pack(f"<{count}Q", *(pkt_id for pkt_id, _ in records))
+            out += struct.pack(f"<{count}d", *(time for _, time in records))
     return bytes(out)
 
 

@@ -10,7 +10,6 @@ from repro.core.receipts import (
     AggregateReceipt,
     PathID,
     SampleReceipt,
-    SampleRecord,
     combine_aggregate_receipts,
     combine_sample_receipts,
 )
@@ -43,7 +42,7 @@ sample_records = st.lists(
 def make_sample_receipt(records) -> SampleReceipt:
     return SampleReceipt(
         path_id=PATH_ID,
-        samples=tuple(SampleRecord(pkt_id=pkt, time=time) for pkt, time in records),
+        samples=records,
     )
 
 

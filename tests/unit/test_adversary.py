@@ -94,8 +94,12 @@ class TestLyingDomainAgent:
         liar = LyingDomainAgent("X", path, config=TEST_CONFIG, claimed_delay=0.5e-3)
         feed_agent(liar, observation)
         reports = liar.reports(flush=True)
-        ingress_samples = {r.pkt_id: r.time for rc in reports[4].sample_receipts for r in rc.samples}
-        egress_samples = {r.pkt_id: r.time for rc in reports[5].sample_receipts for r in rc.samples}
+        ingress_samples = {
+            pkt: time for rc in reports[4].sample_receipts for pkt, time in rc.samples.tolist()
+        }
+        egress_samples = {
+            pkt: time for rc in reports[5].sample_receipts for pkt, time in rc.samples.tolist()
+        }
         common = set(ingress_samples) & set(egress_samples)
         assert common
         claimed = [egress_samples[pkt] - ingress_samples[pkt] for pkt in common]

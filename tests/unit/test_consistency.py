@@ -9,7 +9,7 @@ from repro.core.consistency import (
     check_link_consistency,
     check_sample_consistency,
 )
-from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt, SampleRecord
+from repro.core.receipts import AggregateReceipt, PathID, SampleReceipt
 
 
 @pytest.fixture()
@@ -31,7 +31,7 @@ def downstream_path_id(prefix_pair) -> PathID:
 def sample_receipt(path_id, records, threshold=1000) -> SampleReceipt:
     return SampleReceipt(
         path_id=path_id,
-        samples=tuple(SampleRecord(pkt_id=pkt, time=time) for pkt, time in records),
+        samples=records,
         sampling_threshold=threshold,
     )
 

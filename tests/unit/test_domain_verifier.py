@@ -21,7 +21,6 @@ from repro.api.spec import (
 from repro.core.aggregation import AggregatorConfig
 from repro.core.domain import DomainAgent
 from repro.core.hop import HOPConfig, HOPReport
-from repro.core.receipts import SampleRecord
 from repro.core.sampling import SamplerConfig
 from repro.core.verifier import Verifier
 from repro.simulation.scenario import PathScenario, SegmentCondition
@@ -230,7 +229,7 @@ class TestVerifierMemo:
             hop_id=6,
             sample_receipts=(
                 dataclasses.replace(
-                    genuine, samples=(SampleRecord(pkt_id=1, time=genuine.samples[-1].time),)
+                    genuine, samples=[(1, genuine.samples["time"][-1])]
                 ),
             ),
         )

@@ -13,7 +13,7 @@ from repro.core.estimation import (
     match_sample_delays,
     quantile_confidence_bounds,
 )
-from repro.core.receipts import PathID, SampleReceipt, SampleRecord
+from repro.core.receipts import PathID, SampleReceipt
 
 
 @pytest.fixture()
@@ -26,7 +26,7 @@ def path_id(prefix_pair) -> PathID:
 def receipt(path_id, records) -> SampleReceipt:
     return SampleReceipt(
         path_id=path_id,
-        samples=tuple(SampleRecord(pkt_id=pkt, time=time) for pkt, time in records),
+        samples=records,
     )
 
 

@@ -168,8 +168,18 @@ class TestBind:
         assert bound.engine == "streaming"
 
     def test_mesh_rejects_mid_interval_checkpointing(self):
-        with pytest.raises(ValueError, match="interval boundaries"):
+        with pytest.raises(
+            ValueError,
+            match="checkpoint_every applies to single-path streaming cells only; "
+            "mesh intervals checkpoint at interval boundaries",
+        ):
             ExecutionPolicy(engine="streaming", checkpoint_every=2).bind(_mesh_spec())
+
+    def test_one_path_mesh_accepts_mid_interval_checkpointing(self):
+        """The rule counts the cell's paths, not which spelling names them."""
+        policy = ExecutionPolicy(engine="streaming", chunk_size=512, checkpoint_every=2)
+        bound = policy.bind(MeshSpec(topology=TopologySpec(kind="figure1")))
+        assert bound.checkpoint_every == 2 and bound.engine == "streaming"
 
 
     def test_deferred_checkpointing_rejected_when_spec_runs_batch(self):

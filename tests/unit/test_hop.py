@@ -76,7 +76,7 @@ class TestObserve:
         collector.register_path(path)
         collector.observe_batch(small_trace_batch.take(np.arange(1)), [1.5])
         report = HOPProcessor(collector).generate_report(flush=True)
-        assert report.sample_receipts[0].samples[0].time == 1.5
+        assert report.sample_receipts[0].samples["time"][0] == 1.5
 
     def test_times_must_match_the_batch(self, collector, small_trace_batch):
         with pytest.raises(ValueError, match=r"times must have shape \(3,\)"):

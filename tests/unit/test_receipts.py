@@ -12,8 +12,8 @@ from repro.core.receipts import (
     SAMPLE_RECORD_BYTES,
     AggregateReceipt,
     PathID,
+    SAMPLE_DTYPE,
     SampleReceipt,
-    SampleRecord,
     combine_aggregate_receipts,
     combine_sample_receipts,
 )
@@ -66,33 +66,32 @@ class TestPathID:
 
 class TestSampleReceipt:
     def test_sampled_ids_and_length(self, path_id):
-        receipt = SampleReceipt(
-            path_id=path_id,
-            samples=(SampleRecord(pkt_id=10, time=1.0), SampleRecord(pkt_id=20, time=2.0)),
-        )
+        receipt = SampleReceipt(path_id=path_id, samples=[(10, 1.0), (20, 2.0)])
         assert sampled_ids(receipt) == frozenset({10, 20})
         assert len(receipt) == 2
+        assert len(receipt.samples) == 2
 
     def test_wire_bytes_grow_with_samples(self, path_id):
-        small = SampleReceipt(path_id=path_id, samples=(SampleRecord(1, 1.0),))
-        large = SampleReceipt(
-            path_id=path_id, samples=tuple(SampleRecord(k, float(k)) for k in range(10))
-        )
+        small = SampleReceipt(path_id=path_id, samples=[(1, 1.0)])
+        large = SampleReceipt(path_id=path_id, samples=[(k, float(k)) for k in range(10)])
         assert large.wire_bytes - small.wire_bytes == 9 * SAMPLE_RECORD_BYTES
 
     def test_combine_unions_samples(self, path_id):
-        first = SampleReceipt(path_id=path_id, samples=(SampleRecord(1, 1.0),))
-        second = SampleReceipt(
-            path_id=path_id, samples=(SampleRecord(2, 2.0), SampleRecord(1, 1.0))
-        )
+        first = SampleReceipt(path_id=path_id, samples=[(1, 1.0)])
+        second = SampleReceipt(path_id=path_id, samples=[(2, 2.0), (1, 1.0)])
         combined = combine_sample_receipts([first, second])
         assert sampled_ids(combined) == frozenset({1, 2})
         assert len(combined) == 2
 
+    def test_combine_keeps_the_last_record_and_orders_by_time_then_id(self, path_id):
+        first = SampleReceipt(path_id=path_id, samples=[(5, 3.0), (1, 9.0), (4, 2.0)])
+        second = SampleReceipt(path_id=path_id, samples=[(1, 2.0), (3, 2.0)])
+        combined = combine_sample_receipts([first, second])
+        assert combined.samples.tolist() == [(1, 2.0), (3, 2.0), (4, 2.0), (5, 3.0)]
+        assert not combined.samples.flags.writeable
+
     def test_combine_preserves_threshold(self, path_id):
-        receipt = SampleReceipt(
-            path_id=path_id, samples=(SampleRecord(1, 1.0),), sampling_threshold=42
-        )
+        receipt = SampleReceipt(path_id=path_id, samples=[(1, 1.0)], sampling_threshold=42)
         assert combine_sample_receipts([receipt]).sampling_threshold == 42
 
     def test_combine_requires_same_path_id(self, path_id, other_path_id):
@@ -106,34 +105,96 @@ class TestSampleReceipt:
             combine_sample_receipts([])
 
     def test_combine_rejects_mismatched_sampling_threshold(self, path_id):
-        first = SampleReceipt(
-            path_id=path_id, samples=(SampleRecord(1, 1.0),), sampling_threshold=42
-        )
-        second = SampleReceipt(
-            path_id=path_id, samples=(SampleRecord(2, 2.0),), sampling_threshold=43
-        )
+        first = SampleReceipt(path_id=path_id, samples=[(1, 1.0)], sampling_threshold=42)
+        second = SampleReceipt(path_id=path_id, samples=[(2, 2.0)], sampling_threshold=43)
         with pytest.raises(ValueError, match="sampling"):
             combine_sample_receipts([first, second])
         # None (unpublished threshold) also differs from a concrete value.
-        third = SampleReceipt(path_id=path_id, samples=(SampleRecord(3, 3.0),))
+        third = SampleReceipt(path_id=path_id, samples=[(3, 3.0)])
         with pytest.raises(ValueError, match="sampling"):
             combine_sample_receipts([first, third])
         # Matching thresholds still combine.
-        fourth = SampleReceipt(
-            path_id=path_id, samples=(SampleRecord(4, 4.0),), sampling_threshold=42
-        )
+        fourth = SampleReceipt(path_id=path_id, samples=[(4, 4.0)], sampling_threshold=42)
         assert sampled_ids(combine_sample_receipts([first, fourth])) == frozenset({1, 4})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_record_time_rejected(self, path_id, value):
         # The first bad record is named, not the later one.
-        samples = (SampleRecord(1, 1.0), SampleRecord(2, value), SampleRecord(3, value))
+        samples = [(1, 1.0), (2, value), (3, value)]
         with pytest.raises(ValueError, match=r"samples\[1\] has time .* must be finite"):
             SampleReceipt(path_id=path_id, samples=samples)
+        array = np.array(samples, dtype=SAMPLE_DTYPE)
+        with pytest.raises(ValueError, match=r"samples\[1\] has time .* must be finite"):
+            SampleReceipt(path_id=path_id, samples=array)
 
     def test_extreme_finite_record_times_accepted(self, path_id):
-        samples = (SampleRecord(1, -0.0), SampleRecord(2, 5e-324), SampleRecord(3, 1.7e308))
-        assert len(SampleReceipt(path_id=path_id, samples=samples)) == 3
+        samples = [(1, -0.0), (2, 5e-324), (3, 1.7e308)]
+        receipt = SampleReceipt(path_id=path_id, samples=samples)
+        assert len(receipt) == 3
+        assert math.copysign(1.0, receipt.samples["time"][0]) == -1.0
+        assert receipt.samples["time"].tolist() == [-0.0, 5e-324, 1.7e308]
+
+    def test_samples_are_a_read_only_structured_array(self, path_id):
+        largest = (1 << 64) - 1
+        receipt = SampleReceipt(path_id=path_id, samples=[(largest, 1.0), (0, 2)])
+        assert receipt.samples.dtype == SAMPLE_DTYPE and receipt.samples.ndim == 1
+        assert not receipt.samples.flags.writeable
+        assert receipt.samples.tolist() == [(largest, 1.0), (0, 2.0)]
+        assert len(SampleReceipt(path_id=path_id).samples) == 0
+
+    def test_read_only_array_is_taken_as_it_is(self, path_id):
+        samples = np.array([(4, 1.0)], dtype=SAMPLE_DTYPE)
+        samples.flags.writeable = False
+        assert SampleReceipt(path_id=path_id, samples=samples).samples is samples
+
+    def test_writable_array_is_copied(self, path_id):
+        mine = np.array([(4, 1.0), (5, 2.0)], dtype=SAMPLE_DTYPE)
+        receipt = SampleReceipt(path_id=path_id, samples=mine)
+        mine["pkt_id"][0] = 99
+        assert receipt.samples.tolist() == [(4, 1.0), (5, 2.0)]
+        assert mine.flags.writeable
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            np.zeros((2, 2), dtype=SAMPLE_DTYPE),
+            np.zeros((), dtype=SAMPLE_DTYPE),
+            np.zeros(3),
+            5,
+            [(1, 1.0, 7)],
+            [(1,)],
+            [[(1, 1.0)]],
+        ],
+        ids=["2-D array", "0-D array", "1-D plain array", "scalar", "triple", "single", "nested"],
+    )
+    def test_samples_not_a_1d_pair_sequence_rejected(self, path_id, samples):
+        with pytest.raises(ValueError, match="samples"):
+            SampleReceipt(path_id=path_id, samples=samples)
+
+    @pytest.mark.parametrize(
+        "pkt_id", [-1, 1 << 64, 1.5, "7", None], ids=["negative", "2**64", "float", "str", "None"]
+    )
+    def test_pkt_id_outside_64_bits_rejected(self, path_id, pkt_id):
+        with pytest.raises(ValueError, match=r"pkt_id that is not an integer in \[0, 2\*\*64\)"):
+            SampleReceipt(path_id=path_id, samples=[(0, 1.0), (pkt_id, 2.0)])
+
+    @pytest.mark.parametrize("time", ["1.0", None, 1j], ids=["str", "None", "complex"])
+    def test_time_not_a_real_number_rejected(self, path_id, time):
+        with pytest.raises(ValueError, match="time"):
+            SampleReceipt(path_id=path_id, samples=[(1, time)])
+
+    def test_compares_by_value_and_is_unhashable(self, path_id):
+        def receipt(samples, threshold=None):
+            return SampleReceipt(path_id=path_id, samples=samples, sampling_threshold=threshold)
+
+        array = np.array([(1, 1.0), (2, 2.0)], dtype=SAMPLE_DTYPE)
+        assert receipt([(1, 1.0), (2, 2.0)]) == receipt(array) == receipt(array[::-1][::-1])
+        assert receipt([(1, 1.0), (2, 2.0)]) != receipt([(2, 2.0), (1, 1.0)])
+        assert receipt([(1, 1.0)]) != receipt([(1, 1.5)])
+        assert receipt([(1, 1.0)]) != receipt([(1, 1.0)], threshold=3)
+        assert receipt([]) != object()
+        with pytest.raises(TypeError):
+            hash(receipt([]))
 
 
 class TestAggregateReceipt:

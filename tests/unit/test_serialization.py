@@ -23,7 +23,6 @@ from repro.core.receipts import (
     AggregateReceipt,
     PathID,
     SampleReceipt,
-    SampleRecord,
 )
 from repro.net.prefixes import OriginPrefix, PrefixPair
 from repro.reporting.serialization import receipts_digest
@@ -45,8 +44,8 @@ def sample_receipt(path_id) -> SampleReceipt:
     return SampleReceipt(
         path_id=path_id,
         samples=(
-            SampleRecord(pkt_id=0xDEADBEEF, time=1.25),
-            SampleRecord(pkt_id=0xFEEDFACE12345678, time=2.5),
+            (0xDEADBEEF, 1.25),
+            (0xFEEDFACE12345678, 2.5),
         ),
         sampling_threshold=12345678901234567,
     )
@@ -90,8 +89,9 @@ def _replace_aggregate(report: HOPReport, **changes) -> HOPReport:
 
 def _replace_record(report: HOPReport, **changes) -> HOPReport:
     (receipt,) = report.sample_receipts
-    first, *rest = receipt.samples
-    return _replace_sample(report, samples=(dataclasses.replace(first, **changes), *rest))
+    (pkt_id, time), *rest = receipt.samples.tolist()
+    first = {"pkt_id": pkt_id, "time": time} | changes
+    return _replace_sample(report, samples=[(first["pkt_id"], first["time"]), *rest])
 
 
 def _other_path(report: HOPReport, **changes) -> HOPReport:
@@ -108,7 +108,7 @@ FIELD_CHANGES = {
     "sample pkt_id": lambda r: _replace_record(r, pkt_id=0xDEADBEF0),
     "sample time": lambda r: _replace_record(r, time=1.25 + 2**-40),
     "sample order": lambda r: _replace_sample(
-        r, samples=tuple(reversed(r.sample_receipts[0].samples))
+        r, samples=r.sample_receipts[0].samples[::-1]
     ),
     "sample dropped": lambda r: _replace_sample(r, samples=r.sample_receipts[0].samples[1:]),
     "sampling threshold": lambda r: _replace_sample(r, sampling_threshold=12345678901234568),
@@ -158,7 +158,7 @@ class TestCanonicalForm:
         times = (1.2345678, 1e-300, 5e-324, 123456.789012345678)
         receipt = SampleReceipt(
             path_id=path_id,
-            samples=tuple(SampleRecord(pkt_id, time) for pkt_id, time in enumerate(times)),
+            samples=list(enumerate(times)),
         )
         form = canonical_receipts({5: HOPReport(hop_id=5, sample_receipts=(receipt,))})
         records = form["5"]["samples"][0]["records"]
@@ -166,7 +166,7 @@ class TestCanonicalForm:
 
     def test_no_threshold_is_null(self, path_id):
         receipt = SampleReceipt(
-            path_id=path_id, samples=(SampleRecord(7, 1.0),), sampling_threshold=None
+            path_id=path_id, samples=[(7, 1.0)], sampling_threshold=None
         )
         form = canonical_receipts({5: HOPReport(hop_id=5, sample_receipts=(receipt,))})
         assert form["5"]["samples"][0]["threshold"] is None
@@ -283,7 +283,8 @@ class TestWireBytes:
 
     def test_sample_record_is_seven_bytes(self, sample_receipt):
         assert SAMPLE_RECORD_BYTES == 7
-        assert SampleRecord(pkt_id=1, time=0.5).wire_bytes == SAMPLE_RECORD_BYTES
+        one = SampleReceipt(path_id=sample_receipt.path_id, samples=[(1, 0.5)])
+        assert one.wire_bytes == 8 + SAMPLE_RECORD_BYTES
         assert sample_receipt.wire_bytes == 8 + 2 * SAMPLE_RECORD_BYTES
 
     def test_report_bytes_sum_its_receipts(self, full_report):
@@ -334,7 +335,7 @@ class TestEndToEndSerialization:
                 [(pkt_id, float.fromhex(time)) for pkt_id, time in sample["records"]]
                 for sample in hop_form["samples"]
             ] == [
-                [(record.pkt_id, record.time) for record in receipt.samples]
+                receipt.samples.tolist()
                 for receipt in report.sample_receipts
             ]
             assert [aggregate["pkt_count"] for aggregate in hop_form["aggregates"]] == [
