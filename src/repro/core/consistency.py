@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.receipts import (
     AggregateReceipt,
     SampleReceipt,
-    combine_sample_receipts,
     distinct_samples,
     locate_ids,
 )
@@ -173,32 +172,21 @@ def check_aggregate_consistency(
 
 
 def check_link_consistency(
-    upstream_samples: Sequence[SampleReceipt],
-    downstream_samples: Sequence[SampleReceipt],
-    upstream_aggregates: Sequence[AggregateReceipt] = (),
-    downstream_aggregates: Sequence[AggregateReceipt] = (),
-    aggregate_pairs: Iterable[tuple[AggregateReceipt, AggregateReceipt]] | None = None,
+    upstream_samples: SampleReceipt | None,
+    downstream_samples: SampleReceipt | None,
+    aggregate_pairs: Iterable[tuple[AggregateReceipt, AggregateReceipt]] = (),
 ) -> list[Inconsistency]:
     """Run every applicable consistency check for one inter-domain link.
 
-    ``aggregate_pairs`` — pre-aligned (upstream, downstream) aggregate pairs —
-    may be supplied when the two HOPs aggregate at different granularities and
-    the caller has already computed the join; otherwise aggregates are matched
-    positionally by their ``AggID`` boundaries.
+    ``upstream_samples`` / ``downstream_samples`` are each HOP's combined
+    sample receipt (``None`` when the HOP reported none, which skips the
+    sample check); ``aggregate_pairs`` are the aligned (upstream, downstream)
+    aggregate pairs, as :func:`~repro.core.partition.aligned_aggregates`
+    joins them.  Sample findings come first, then each pair's, in order.
     """
     findings: list[Inconsistency] = []
-    if upstream_samples and downstream_samples:
-        up = combine_sample_receipts(list(upstream_samples))
-        down = combine_sample_receipts(list(downstream_samples))
-        findings.extend(check_sample_consistency(up, down))
-
-    if aggregate_pairs is None:
-        # Lazy import: the alignment algorithm lives with the partition algebra.
-        from repro.core.partition import align_aggregate_receipts
-
-        aggregate_pairs = align_aggregate_receipts(
-            list(upstream_aggregates), list(downstream_aggregates)
-        )
+    if upstream_samples is not None and downstream_samples is not None:
+        findings.extend(check_sample_consistency(upstream_samples, downstream_samples))
     for up_receipt, down_receipt in aggregate_pairs:
         findings.extend(check_aggregate_consistency(up_receipt, down_receipt))
     return findings

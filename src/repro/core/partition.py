@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.receipts import AggregateReceipt, combine_aggregate_receipts
 
-__all__ = ["align_aggregate_receipts", "AlignedAggregates"]
+__all__ = ["aligned_aggregates", "AlignedAggregates"]
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,11 @@ def _combined(group: Sequence[AggregateReceipt]) -> AggregateReceipt:
     return group[0] if len(group) == 1 else combine_aggregate_receipts(group)
 
 
-def align_aggregate_receipts(
+def aligned_aggregates(
     upstream: Sequence[AggregateReceipt],
     downstream: Sequence[AggregateReceipt],
     apply_reordering_patch: bool = True,
-) -> list[tuple[AggregateReceipt, AggregateReceipt]]:
+) -> list[AlignedAggregates]:
     """Align two HOPs' aggregate receipts over the finest common partition.
 
     The two receipt sequences cover the same packet stream (possibly with loss
@@ -112,19 +112,9 @@ def align_aggregate_receipts(
     (Section 6.3) so packets observed on different sides of a boundary at the
     two HOPs are attributed to the same aggregate.
 
-    Returns a list of (upstream, downstream) combined-receipt pairs, one per
-    joined aggregate; see :func:`aligned_aggregates` for a richer return type.
+    Returns one :class:`AlignedAggregates` (a pair of combined receipts) per
+    joined aggregate.
     """
-    pairs = aligned_aggregates(upstream, downstream, apply_reordering_patch)
-    return [(pair.upstream, pair.downstream) for pair in pairs]
-
-
-def aligned_aggregates(
-    upstream: Sequence[AggregateReceipt],
-    downstream: Sequence[AggregateReceipt],
-    apply_reordering_patch: bool = True,
-) -> list[AlignedAggregates]:
-    """Like :func:`align_aggregate_receipts` but returns :class:`AlignedAggregates`."""
     if not upstream or not downstream:
         return []
 

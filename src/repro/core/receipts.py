@@ -38,7 +38,7 @@ Implementation extensions (documented, content-preserving):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Real
 from operator import index
 from typing import Sequence
@@ -300,8 +300,16 @@ class AggregateReceipt:
         return AGGREGATE_RECEIPT_BYTES + 4 * (len(self.trans_before) + len(self.trans_after))
 
     def with_count(self, pkt_count: int) -> "AggregateReceipt":
-        """Return a copy with a different packet count (verifier alignment)."""
-        return replace(self, pkt_count=pkt_count)
+        """Return a copy with a different packet count (verifier alignment).
+
+        Every other field of ``self`` is already valid, so only the new count
+        is checked; the copy shares the read-only windows.
+        """
+        if pkt_count < 0:
+            raise ValueError(f"pkt_count must be >= 0, got {pkt_count}")
+        copy = object.__new__(self.__class__)
+        copy.__dict__.update(self.__dict__, pkt_count=pkt_count)
+        return copy
 
 
 def combine_sample_receipts(receipts: Sequence[SampleReceipt]) -> SampleReceipt:

@@ -310,10 +310,10 @@ class Verifier:
         findings: list[Inconsistency] = []
         for upstream_hop, downstream_hop in self.path.inter_domain_pairs():
             up, down = upstream_hop.hop_id, downstream_hop.hop_id
-            upstream_samples = self._sample_receipts.get(up, [])
-            downstream_samples = self._sample_receipts.get(down, [])
-            if not (upstream_samples or self._sorted_aggregates(up)) or not (
-                downstream_samples or self._sorted_aggregates(down)
+            upstream_samples = self.sample_receipt_for(up)
+            downstream_samples = self.sample_receipt_for(down)
+            if (upstream_samples is None and not self._sorted_aggregates(up)) or (
+                downstream_samples is None and not self._sorted_aggregates(down)
             ):
                 # One side has not deployed VPM (partial deployment) — nothing
                 # to cross-check on this link.

@@ -20,7 +20,9 @@ on one host, or on hosts that share no filesystem with the store):
   the runner's :meth:`~repro.engine.campaign.CampaignRunner.commit` strictly
   in interval order, the same commit step a single-host run takes, so the
   finished store — records, summary, everything — is **byte-identical** to
-  an uninterrupted ``repro run`` of the same spec.
+  an uninterrupted ``repro run`` of the same spec.  Commits follow uploads:
+  staging a fresh record wakes the coordinator, which commits whatever has
+  become ready at once instead of on its next clock tick.
 * **Duplicates are asserted, not assumed.**  Straggler re-execution (a
   worker SIGKILLed mid-interval, a lease takeover race) can produce the same
   interval twice.  Determinism makes the duplicate byte-identical; both the
@@ -32,7 +34,9 @@ The coordinator also supervises local worker subprocesses (respawning any
 that die while work remains) and hosts the seeded chaos hook the
 ``distributed-smoke`` CI job and the chaos tests drive: ``chaos_seed`` /
 ``chaos_kills`` SIGKILL live workers — preferring one currently holding a
-claim, i.e. mid-interval — on a reproducible schedule.
+claim, i.e. mid-interval — on a reproducible schedule.  Its ``poll`` is the
+cadence of that supervision (and of a rescan when no upload arrives), not a
+delay on any commit.
 """
 
 from __future__ import annotations
@@ -123,11 +127,15 @@ class StagingArea:
     Only the coordinator writes here, one stage at a time (the
     :class:`~repro.dist.net.DispatchHub` serializes uploads), so a single
     fixed scratch name per interval suffices.
+
+    ``fresh`` is set each time a new record lands, so the coordinator's
+    commit loop wakes on an upload instead of on a clock.
     """
 
     def __init__(self, dispatch_dir: Path | str) -> None:
         self.staging_dir = Path(dispatch_dir) / "staging"
         self.staging_dir.mkdir(parents=True, exist_ok=True)
+        self.fresh = threading.Event()
 
     def path(self, interval: int) -> Path:
         return self.staging_dir / f"interval-{interval:06d}.json"
@@ -152,6 +160,7 @@ class StagingArea:
                 )
             return False
         _atomic_write(path, line)
+        self.fresh.set()
         return True
 
     def _read(self, path: Path) -> bytes | None:
@@ -260,6 +269,12 @@ class DispatchCoordinator:
     record in order, then the summary.  The coordinator adds what only
     dispatch needs: the byte-assert of a late duplicate, staging discard and
     claim release, worker supervision, chaos and cleanup.
+
+    Each pass of :meth:`run` commits every record that is ready, then waits
+    until an upload stages a fresh record (:attr:`StagingArea.fresh`) or
+    ``poll`` seconds pass.  ``poll`` therefore bounds only supervision:
+    respawning a crashed worker, the chaos schedule, and a rescan when no
+    upload arrives.
 
     The coordinator embeds a service app serving this run's
     ``/api/v1/dispatch/…`` endpoints (``http_host`` / ``http_port``; port 0
@@ -492,13 +507,15 @@ class DispatchCoordinator:
                 for _ in range(self.workers):
                     self._spawn_worker()
                 while not self.runner.completed:
+                    # Cleared before the scan: a record staged during it leaves the event set.
+                    self.staging.fresh.clear()
                     progressed = self._commit_ready()
                     ran += progressed
                     self._reap_and_respawn()
                     if self.chaos is not None:
                         self._chaos_step(rng, chaos_state)
                     if not progressed:
-                        time.sleep(self.poll)
+                        self.staging.fresh.wait(self.poll)
                 summary = self.runner.finish()
         finally:
             self._terminate_workers()
@@ -532,6 +549,8 @@ def dispatch_campaign(
     resume-a-killed-dispatch path).  The local pool reaches the coordinator
     over loopback HTTP (see :class:`DispatchCoordinator`).  The finished
     store is byte-identical to a single-host ``repro run`` of the same spec.
+    Each record commits as soon as it and every interval before it are
+    staged; ``poll`` is the coordinator's supervision cadence.
 
     ``transport`` is accepted for callers written when a second transport
     existed; ``"http"`` is the only value.

@@ -129,40 +129,43 @@ class TestAggregateConsistency:
 
 class TestLinkConsistency:
     def test_clean_link_has_no_findings(self, upstream_path_id, downstream_path_id):
-        upstream_samples = [sample_receipt(upstream_path_id, [(1, 1.0)])]
-        downstream_samples = [sample_receipt(downstream_path_id, [(1, 1.0002)])]
-        upstream_aggs = [aggregate_receipt(upstream_path_id, 10)]
-        downstream_aggs = [aggregate_receipt(downstream_path_id, 10)]
-        findings = check_link_consistency(
-            upstream_samples, downstream_samples, upstream_aggs, downstream_aggs
-        )
+        upstream_samples = sample_receipt(upstream_path_id, [(1, 1.0)])
+        downstream_samples = sample_receipt(downstream_path_id, [(1, 1.0002)])
+        pairs = [
+            (aggregate_receipt(upstream_path_id, 10), aggregate_receipt(downstream_path_id, 10))
+        ]
+        findings = check_link_consistency(upstream_samples, downstream_samples, pairs)
         assert findings == []
 
     def test_combined_findings_from_both_kinds(self, upstream_path_id, downstream_path_id):
-        upstream_samples = [sample_receipt(upstream_path_id, [(1, 1.0), (2, 1.0)])]
-        downstream_samples = [sample_receipt(downstream_path_id, [(1, 1.05)])]
-        upstream_aggs = [aggregate_receipt(upstream_path_id, 10)]
-        downstream_aggs = [aggregate_receipt(downstream_path_id, 8)]
-        kinds = {
-            finding.kind
-            for finding in check_link_consistency(
-                upstream_samples, downstream_samples, upstream_aggs, downstream_aggs
-            )
-        }
-        assert "delay-bound-violation" in kinds
-        assert "missing-downstream" in kinds
-        assert "count-mismatch" in kinds
+        upstream_samples = sample_receipt(upstream_path_id, [(1, 1.0), (2, 1.0)])
+        downstream_samples = sample_receipt(downstream_path_id, [(1, 1.05)])
+        pairs = [
+            (aggregate_receipt(upstream_path_id, 10), aggregate_receipt(downstream_path_id, 8))
+        ]
+        findings = check_link_consistency(upstream_samples, downstream_samples, pairs)
+        kinds = [finding.kind for finding in findings]
+        assert set(kinds) == {"delay-bound-violation", "missing-downstream", "count-mismatch"}
+        # Sample findings first, then the aggregate pairs'.
+        assert kinds[-1] == "count-mismatch"
 
     def test_missing_side_skips_sample_check(self, upstream_path_id, downstream_path_id):
-        findings = check_link_consistency(
-            [], [sample_receipt(downstream_path_id, [(1, 1.0)])], [], []
-        )
+        findings = check_link_consistency(None, sample_receipt(downstream_path_id, [(1, 1.0)]))
         assert findings == []
+
+    def test_empty_combined_receipts_still_checked(self, upstream_path_id, downstream_path_id):
+        # A HOP that reported an empty sample receipt has deployed VPM: its
+        # silence about a packet the other side sampled is a finding.
+        findings = check_link_consistency(
+            sample_receipt(upstream_path_id, []),
+            sample_receipt(downstream_path_id, [(1, 1.0)]),
+        )
+        assert [finding.kind for finding in findings] == ["missing-upstream"]
 
     def test_prealigned_aggregate_pairs_used(self, upstream_path_id, downstream_path_id):
         pairs = [
             (aggregate_receipt(upstream_path_id, 5), aggregate_receipt(downstream_path_id, 4))
         ]
-        findings = check_link_consistency([], [], aggregate_pairs=pairs)
+        findings = check_link_consistency(None, None, aggregate_pairs=pairs)
         assert len(findings) == 1
         assert findings[0].kind == "count-mismatch"

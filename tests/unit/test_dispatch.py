@@ -10,8 +10,11 @@ and ``tests/integration/test_dispatch_chaos.py``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import sys
+import threading
 import time
 import urllib.request
 
@@ -338,6 +341,83 @@ class TestCommitOnlyCoordinator:
         store = RunStore.create(tmp_path / "run", spec)
         with pytest.raises(ValueError, match="workers"):
             DispatchCoordinator(store, workers=-1)
+
+
+class TestUploadDrivenCommits:
+    """The coordinator commits when a record is staged, not when ``poll`` lapses.
+
+    Each coordinator here polls every 30 s, three times the 10 s join
+    timeout, so a loop that waited out ``poll`` after an empty scan fails.
+    """
+
+    def test_fresh_stage_sets_the_wake_event_and_a_duplicate_does_not(self, tmp_path):
+        staging = StagingArea(tmp_path)
+        assert not staging.fresh.is_set()
+        assert stage_record(staging, 0, {"interval": 0, "value": 1.0}) is True
+        assert staging.fresh.is_set()
+        staging.fresh.clear()
+        assert stage_record(staging, 0, {"interval": 0, "value": 1.0}) is False
+        assert not staging.fresh.is_set()
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _running(coordinator: DispatchCoordinator):
+        """Run ``coordinator`` in a thread; it must finish within 10 s of the body."""
+        thread = threading.Thread(target=coordinator.run, daemon=True)
+        thread.start()
+        try:
+            yield
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "coordinator slept through a staged upload"
+        finally:
+            coordinator.close()
+
+    def test_uploads_wake_a_commit_only_coordinator(self, tmp_path):
+        spec = _spec(intervals=4)
+        store = RunStore.create(tmp_path / "run", spec)
+        coordinator = DispatchCoordinator(store, workers=0, poll=30.0)
+        computed = []
+
+        def work(worker_id: str) -> None:
+            computed.append(_worker(coordinator, worker_id).run())
+
+        workers = [threading.Thread(target=work, args=(f"w{i}",)) for i in range(3)]
+        switch = sys.getswitchinterval()
+        # More workers than cores, switching often: uploads race the scan.
+        sys.setswitchinterval(1e-5)
+        try:
+            with self._running(coordinator):
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=10)
+                assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(computed) == 3 and sum(computed) == 4
+        assert store.digest() == _direct_run(tmp_path, spec).digest()
+
+    def test_record_staged_between_scan_and_wait_is_not_lost(self, tmp_path):
+        spec = _spec(intervals=2)
+        store = RunStore.create(tmp_path / "run", spec)
+        coordinator = DispatchCoordinator(store, workers=0, poll=30.0)
+        scan = coordinator._commit_ready
+        # Interval 1 lands after the first scan and 0 after the second: both
+        # scans commit nothing, so both waits must return at once.
+        late = [1, 0]
+
+        def scan_then_stage() -> int:
+            committed = scan()
+            if late:
+                interval = late.pop(0)
+                stage_record(coordinator.staging, interval, interval_record(spec, interval))
+            return committed
+
+        coordinator._commit_ready = scan_then_stage
+        with self._running(coordinator):
+            pass
+        assert late == []
+        assert store.digest() == _direct_run(tmp_path, spec).digest()
 
 
 class TestDispatchCampaign:

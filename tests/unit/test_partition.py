@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.partition import (
-    AlignedAggregates,
-    align_aggregate_receipts,
-    aligned_aggregates,
-)
+from repro.core.partition import AlignedAggregates, aligned_aggregates
 from repro.core.receipts import AggregateReceipt, PathID
+
+
+def align_pairs(upstream, downstream):
+    """The (upstream, downstream) receipt pairs of :func:`aligned_aggregates`."""
+    return [(pair.upstream, pair.downstream) for pair in aligned_aggregates(upstream, downstream)]
 
 
 @pytest.fixture()
@@ -70,7 +71,7 @@ class TestPartitionAlgebra:
 
     def test_table1_joins(self, path_id):
         def join(upstream, downstream):
-            pairs = align_aggregate_receipts(cut_at(path_id, upstream), cut_at(path_id, downstream))
+            pairs = align_pairs(cut_at(path_id, upstream), cut_at(path_id, downstream))
             return spans(pairs)
 
         a2 = [((1, 2, 2), (1, 2, 2)), ((3, 4, 2), (3, 4, 2))]
@@ -83,7 +84,7 @@ class TestPartitionAlgebra:
         """Joining with a finer partition gives back the coarser one."""
 
         def join(upstream, downstream):
-            pairs = align_aggregate_receipts(cut_at(path_id, upstream), cut_at(path_id, downstream))
+            pairs = align_pairs(cut_at(path_id, upstream), cut_at(path_id, downstream))
             return [up_span for up_span, _ in spans(pairs)]
 
         a4 = [[1, 2, 3, 4]]
@@ -103,14 +104,14 @@ class TestPartitionAlgebra:
     def test_join_single_partition_is_identity(self, path_id):
         for partition in (self.A1, self.A2, self.A3, self.A3_PRIME):
             receipts = cut_at(path_id, partition)
-            pairs = align_aggregate_receipts(receipts, receipts)
+            pairs = align_pairs(receipts, receipts)
             assert [up for up, _ in pairs] == receipts
             assert [down for _, down in pairs] == receipts
 
     def test_join_is_symmetric(self, path_id):
         for first, second in ((self.A1, self.A2), (self.A2, self.A3), (self.A2, self.A3_PRIME)):
-            forward = align_aggregate_receipts(cut_at(path_id, first), cut_at(path_id, second))
-            backward = align_aggregate_receipts(cut_at(path_id, second), cut_at(path_id, first))
+            forward = align_pairs(cut_at(path_id, first), cut_at(path_id, second))
+            backward = align_pairs(cut_at(path_id, second), cut_at(path_id, first))
             assert spans(forward) == [(down, up) for up, down in spans(backward)]
 
 
@@ -124,7 +125,7 @@ class TestReceiptAlignment:
             make_receipt(path_id, 1, 9, 10, 0.0, 0.1),
             make_receipt(path_id, 10, 19, 10, 0.1, 0.2),
         ]
-        pairs = align_aggregate_receipts(upstream, downstream)
+        pairs = align_pairs(upstream, downstream)
         assert len(pairs) == 2
         for up, down in pairs:
             assert up.pkt_count == down.pkt_count
@@ -181,8 +182,8 @@ class TestReceiptAlignment:
         assert pair.migrated_packets == 0 and pair.lost_packets == 1
 
     def test_empty_inputs_give_no_pairs(self, path_id):
-        assert align_aggregate_receipts([], []) == []
-        assert align_aggregate_receipts(
+        assert align_pairs([], []) == []
+        assert align_pairs(
             [make_receipt(path_id, 1, 2, 3, 0.0, 0.1)], []
         ) == []
 

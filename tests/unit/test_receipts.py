@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -323,6 +324,35 @@ class TestAggregateReceipt:
         receipt = AggregateReceipt(path_id=path_id, first_pkt_id=1, last_pkt_id=2, pkt_count=3)
         adjusted = receipt.with_count(7)
         assert adjusted.pkt_count == 7
+        assert receipt.pkt_count == 3
+
+    def test_with_count_equals_a_revalidated_copy(self, path_id):
+        receipt = AggregateReceipt(
+            path_id=path_id,
+            first_pkt_id=1,
+            last_pkt_id=9,
+            pkt_count=3,
+            start_time=0.5,
+            end_time=1.5,
+            time_sum=3.0,
+            trans_before=(1, 2),
+            trans_after=(8, 9),
+        )
+        adjusted = receipt.with_count(0)
+        assert type(adjusted) is AggregateReceipt
+        assert adjusted == replace(receipt, pkt_count=0)
+        assert adjusted._scalars() == replace(receipt, pkt_count=0)._scalars()
+        for window in (adjusted.trans_before, adjusted.trans_after):
+            assert not window.flags.writeable
+        with pytest.raises(ValueError):
+            adjusted.trans_before[0] = 5
+        with pytest.raises(FrozenInstanceError):
+            adjusted.pkt_count = 4
+
+    def test_with_count_rejects_a_negative_count(self, path_id):
+        receipt = AggregateReceipt(path_id=path_id, first_pkt_id=1, last_pkt_id=2, pkt_count=3)
+        with pytest.raises(ValueError, match="pkt_count must be >= 0"):
+            receipt.with_count(-1)
         assert receipt.pkt_count == 3
 
     def test_combine_sums_counts_and_spans(self, path_id):
