@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Checkpointable campaigns: kill a long-horizon run, resume it, lose nothing.
+"""Resumable campaigns: kill a long-horizon run, resume it, lose nothing.
 
 SLAs are contracted over long horizons ("a certain level of packet loss per
 month") while receipts arrive per reporting interval — so a campaign must
@@ -16,7 +16,7 @@ This example:
 
 The same flow is available from the shell::
 
-    repro run spec.json            # checkpointing after every interval
+    repro run spec.json            # commits every interval durably
     repro resume runs/<id>         # continue after a kill; byte-identical
     repro report runs/<id>         # the campaign SLA verdict table
 

@@ -9,9 +9,9 @@ Runs five quick probes:
 * the **mesh** runner on a 4-path star mesh (60k packets per path, shared
   transit core, per-path verification + triangulation) — throughput counted
   over the total packets of all paths, and
-* the **campaign** runner on a 4-interval checkpointed campaign (60k packets
+* the **campaign** runner on a 4-interval campaign (60k packets
   per interval into a scratch run store — per-interval stats folding,
-  receipt digests and atomic checkpoint writes included in the measurement),
+  receipt digests and durable record appends included in the measurement),
 * the **sketch memory** probe: a 200-interval campaign in sketch estimation
   mode plus a variant carrying 8x the samples per interval — the committed
   record bytes must stay under ``max_sketch_record_bytes`` *and* must not
@@ -121,7 +121,7 @@ def mesh_probe_spec() -> MeshSpec:
 def campaign_probe_spec() -> CampaignSpec:
     cell = probe_spec()
     # Same conditions as the single-cell probe, scaled to the per-interval
-    # packet budget; the campaign probe therefore measures the checkpointing
+    # packet budget; the campaign probe therefore measures the campaign
     # machinery (record building, receipt digests, atomic store writes, the
     # mergeable pooled-quantile fold) on top of known engine throughput.
     cell = cell.with_overrides(

@@ -63,7 +63,7 @@ class MergedDelayPool:
     yield the identical sorted array that ``np.sort`` over the concatenation
     of every sample ever added would — order of extends/merges never matters —
     so campaign statistics computed from the pool are bit-identical however
-    the intervals were grouped (run in one go, checkpoint/resumed, dispatched).
+    the intervals were grouped (run in one go, killed and resumed, dispatched).
     """
 
     def __init__(self, samples: Sequence[float] | np.ndarray = ()) -> None:

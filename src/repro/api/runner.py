@@ -56,7 +56,6 @@ from repro.core.protocol import MeshSession
 from repro.core.verifier import Verifier
 from repro.engine.streaming import (
     DEFAULT_CHUNK_SIZE,
-    RunnerCheckpoint,
     StreamingCell,
     StreamingRunner,
     StreamingTruth,
@@ -399,23 +398,11 @@ def _chunk_size(policy: ExecutionPolicy) -> int | None:
     return policy.chunk_size or DEFAULT_CHUNK_SIZE
 
 
-def _run_full(
-    spec: ExperimentSpec | MeshSpec,
-    policy: ExecutionPolicy,
-    checkpoint_sink: Callable[[RunnerCheckpoint], None] | None,
-    resume_from: RunnerCheckpoint | None,
-) -> CellRun:
+def _run_full(spec: ExperimentSpec | MeshSpec, policy: ExecutionPolicy) -> CellRun:
     """Execute one cell of either spelling: the body of both ``*_full`` entry points."""
     policy = policy.bind(spec)
     plan = lower_cell(spec)
-    runner = StreamingRunner(
-        _build_cell(spec, plan),
-        chunk_size=_chunk_size(policy),
-        checkpoint_every=policy.checkpoint_every,
-        checkpoint_sink=checkpoint_sink,
-        resume_from=resume_from,
-    )
-    streamed = runner.run()
+    streamed = StreamingRunner(_build_cell(spec, plan), chunk_size=_chunk_size(policy)).run()
     return _summarize(spec, plan, streamed.session, streamed.path_truth, streamed.reports)
 
 
@@ -424,8 +411,6 @@ def run_cell_full(
     engine: str | None = None,
     chunk_size: int | None = None,
     policy: ExecutionPolicy | None = None,
-    checkpoint_sink: Callable[[RunnerCheckpoint], None] | None = None,
-    resume_from: RunnerCheckpoint | None = None,
 ) -> CellRun:
     """Execute one cell and return the result *and* its session/receipts.
 
@@ -437,12 +422,9 @@ def run_cell_full(
     ``policy`` is the declarative form of the execution knobs
     (:class:`~repro.api.spec.ExecutionPolicy`); the individual ``engine`` /
     ``chunk_size`` keywords keep working and normalize into one.
-    ``checkpoint_sink`` / ``resume_from`` forward to
-    :class:`~repro.engine.streaming.StreamingRunner` for mid-run
-    checkpointing (chunked single-path runs only).
     """
     policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
-    return _run_full(spec, policy, checkpoint_sink, resume_from)
+    return _run_full(spec, policy)
 
 
 def run_cell(
@@ -475,7 +457,7 @@ def run_mesh_cell_full(
     benchmark's layer tracer (``perfbench/layers.py``) patches it by name.
     """
     policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
-    return _run_full(spec, policy, None, None)
+    return _run_full(spec, policy)
 
 
 def _run_cell_payload(

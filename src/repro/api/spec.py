@@ -712,8 +712,9 @@ class CampaignSpec(Spec):
     seed-spacing — so every interval draws fresh, statistically independent
     traffic *and* path randomness while the whole campaign stays a pure
     function of the one root seed.  That purity is what makes campaigns
-    checkpointable: interval ``i`` is a function of ``(spec, i)`` alone, so a
-    resumed campaign reproduces the remaining intervals byte-identically
+    resumable: interval ``i`` is a function of ``(spec, i)`` alone, so a
+    resumed campaign re-runs an interrupted interval from its start and
+    reproduces the remaining intervals byte-identically
     (see :class:`repro.engine.campaign.CampaignRunner` and
     :class:`repro.store.RunStore`).
 
@@ -812,11 +813,10 @@ class ExecutionPolicy(Spec):
     """*How* to execute a cell, as a frozen, JSON-round-trippable value.
 
     Specs above describe *what* to measure; an execution policy describes
-    *how* to run it — engine choice, chunking, pacing and
-    mid-interval checkpointing.  Because every engine is byte-identical, a
-    policy never changes a result: it is deliberately excluded from
-    :meth:`CampaignSpec.spec_hash` and from every stored record, and may vary
-    freely between a run and its resume.
+    *how* to run it — engine choice, chunking and pacing.  Because every
+    engine is byte-identical, a policy never changes a result: it is
+    deliberately excluded from :meth:`CampaignSpec.spec_hash` and from every
+    stored record, and may vary freely between a run and its resume.
 
     Attributes
     ----------
@@ -827,24 +827,19 @@ class ExecutionPolicy(Spec):
         Streaming chunk size in packets; ``None`` uses the engine default.
     throttle:
         Seconds :meth:`~repro.engine.campaign.CampaignRunner.run_interval`
-        sleeps after each committed interval and mid-interval checkpoint
-        write, and a dispatch worker after each upload — the pacing knob
-        long soak runs use.  Finite and non-negative.
-    checkpoint_every:
-        Emit a mid-interval :class:`~repro.engine.streaming.RunnerCheckpoint`
-        every this many chunks (streaming only): a killed run resumes from
-        the last checkpoint bit-identically.
+        sleeps after each committed interval, and a dispatch worker after
+        each upload — the pacing knob long soak runs use.  Finite and
+        non-negative.
 
-    Validation is eager: impossible combinations (``batch`` with a
-    streaming-only knob) are rejected at construction, and :meth:`bind`
-    rejects spec-dependent conflicts (mesh cells checkpoint only at interval
-    boundaries) before any work starts.
+    Validation is eager: ``batch`` with a chunk size is rejected at
+    construction, and :meth:`bind` rejects it against the cell's own engine
+    before any work starts.  There is no resume knob: every run resumes at
+    interval start.
     """
 
     engine: str | None = None
     chunk_size: int | None = None
     throttle: float = 0.0
-    checkpoint_every: int | None = None
 
     def __post_init__(self) -> None:
         if self.engine is not None:
@@ -854,21 +849,16 @@ class ExecutionPolicy(Spec):
         check_non_negative("throttle", self.throttle)
         if not math.isfinite(self.throttle):
             raise ValueError(f"throttle must be finite, got {self.throttle!r}")
-        if self.checkpoint_every is not None:
-            check_positive("checkpoint_every", self.checkpoint_every)
         if self.engine is not None:
             self._check_streaming_knobs(self.engine)
 
     def _check_streaming_knobs(self, engine: str) -> None:
-        """Reject streaming-only knobs when ``engine`` is not streaming."""
-        if engine == "streaming":
-            return
-        for knob in ("chunk_size", "checkpoint_every"):
-            if getattr(self, knob) is not None:
-                raise ValueError(
-                    f"engine {engine!r} does not support {knob}: it applies to the "
-                    f"streaming engine only; use engine='streaming'"
-                )
+        """Reject a chunk size when ``engine`` is not streaming."""
+        if engine != "streaming" and self.chunk_size is not None:
+            raise ValueError(
+                f"engine {engine!r} does not support chunk_size: it applies to the "
+                f"streaming engine only; use engine='streaming'"
+            )
 
     # -- normalization -----------------------------------------------------------------
 
@@ -879,8 +869,6 @@ class ExecutionPolicy(Spec):
         *,
         engine: str | None = None,
         chunk_size: int | None = None,
-        throttle: float = 0.0,
-        checkpoint_every: int | None = None,
     ) -> "ExecutionPolicy":
         """Normalize legacy keyword arguments into a policy.
 
@@ -893,23 +881,13 @@ class ExecutionPolicy(Spec):
                 raise ValueError(
                     f"policy must be an ExecutionPolicy, got {type(policy).__name__}"
                 )
-            if (
-                engine is not None
-                or chunk_size is not None
-                or throttle != 0.0
-                or checkpoint_every is not None
-            ):
+            if engine is not None or chunk_size is not None:
                 raise ValueError(
-                    "pass either policy= or the individual engine/chunk_size/"
-                    "throttle/checkpoint_every arguments, not both"
+                    "pass either policy= or the individual engine/chunk_size "
+                    "arguments, not both"
                 )
             return policy
-        return cls(
-            engine=engine,
-            chunk_size=chunk_size,
-            throttle=throttle,
-            checkpoint_every=checkpoint_every,
-        )
+        return cls(engine=engine, chunk_size=chunk_size)
 
     def bind(self, spec: "ExperimentSpec | MeshSpec") -> "ExecutionPolicy":
         """Resolve this policy against a cell spec.
@@ -919,13 +897,5 @@ class ExecutionPolicy(Spec):
         eagerly, before any trace is synthesized.
         """
         engine = self.engine if self.engine is not None else spec.engine
-        if self.checkpoint_every is not None:
-            from repro.api.runner import lower_cell
-
-            if len(lower_cell(spec).paths) > 1:
-                raise ValueError(
-                    "checkpoint_every applies to single-path streaming cells "
-                    "only; mesh intervals checkpoint at interval boundaries"
-                )
         self._check_streaming_knobs(engine)
         return dataclasses.replace(self, engine=engine)

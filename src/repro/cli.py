@@ -5,9 +5,10 @@ run over N intervals, and its durable store is what a customer audits later.
 The CLI covers that whole lifecycle:
 
 * ``repro run spec.json`` — create a run store and execute the campaign,
-  checkpointing after every interval; safe to kill at any instant.
+  committing every interval; safe to kill at any instant.
 * ``repro resume runs/<id>`` — continue a (possibly killed) run from its last
-  completed interval; the finished store is byte-identical to an
+  completed interval, re-running an interrupted interval from its start; the
+  finished store is byte-identical to an
   uninterrupted run, whatever engine either invocation used.
 * ``repro report runs/<id>`` — the campaign SLA verdict table (per-interval
   history + campaign-level pooled statistics and verdicts); ``--json`` emits
@@ -21,8 +22,8 @@ The CLI covers that whole lifecycle:
 * ``repro serve`` — the measurement service: HTTP API + job queue + browser
   dashboard over a store root (see :mod:`repro.service`).
 
-Engine selection (``--engine``, ``--chunk-size``, ``--checkpoint-every``,
-or one declarative ``--policy policy.json`` — an
+Engine selection (``--engine``, ``--chunk-size``, ``--throttle``, or one
+declarative ``--policy policy.json`` — an
 :class:`~repro.api.spec.ExecutionPolicy`) is an execution-only knob: the
 engines produce byte-identical results, so a store written by one engine
 resumes and verifies under any other.
@@ -41,7 +42,6 @@ from repro.api.spec import ENGINES, CampaignSpec, ExecutionPolicy
 from repro.engine.campaign import (
     CampaignEvent,
     CampaignRunner,
-    CheckpointWritten,
     IntervalCommitted,
 )
 from repro.store import RunStore, RunStoreError, stable_json
@@ -59,7 +59,6 @@ def _knobs_given(args: argparse.Namespace) -> bool:
         args.engine is not None
         or args.chunk_size is not None
         or args.throttle != 0.0
-        or args.checkpoint_every is not None
     )
 
 
@@ -70,7 +69,7 @@ def _build_policy(spec: CampaignSpec, args: argparse.Namespace) -> ExecutionPoli
         if _knobs_given(args):
             _fail(
                 "pass either --policy or the individual --engine/--chunk-size/"
-                "--throttle/--checkpoint-every knobs, not both"
+                "--throttle knobs, not both"
             )
         policy_path = Path(args.policy)
         if not policy_path.exists():
@@ -85,7 +84,6 @@ def _build_policy(spec: CampaignSpec, args: argparse.Namespace) -> ExecutionPoli
                 engine=args.engine,
                 chunk_size=args.chunk_size,
                 throttle=args.throttle,
-                checkpoint_every=args.checkpoint_every,
             )
         except ValueError as exc:
             _fail(str(exc))
@@ -119,15 +117,6 @@ def _execution_knobs(parser: argparse.ArgumentParser) -> None:
         help="trace packets per streaming chunk",
     )
     parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="persist a mid-interval stream checkpoint every N chunks "
-        "(streaming engine); a killed run resumes from the last "
-        "chunk boundary instead of the interval start",
-    )
-    parser.add_argument(
         "--policy",
         default=None,
         metavar="POLICY.JSON",
@@ -147,7 +136,7 @@ def _execution_knobs(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="sleep after each committed interval and mid-interval checkpoint "
+        help="sleep after each committed interval "
         "(lets a test harness kill the run mid-campaign deterministically)",
     )
     parser.add_argument(
@@ -161,13 +150,7 @@ def _progress(spec: CampaignSpec, quiet: bool) -> Callable[[CampaignEvent], None
     def progress(event: CampaignEvent) -> None:
         if quiet:
             return
-        if isinstance(event, CheckpointWritten):
-            print(
-                f"  checkpoint: interval {event.interval + 1} at chunk "
-                f"{event.chunk_index}",
-                flush=True,
-            )
-        elif isinstance(event, IntervalCommitted):
+        if isinstance(event, IntervalCommitted):
             record = event.record
             flags = " ".join(
                 f"{domain}:{'ok' if verdict['accepted'] else 'REJECTED'}"
@@ -278,7 +261,6 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
         ChaosSchedule,
         DispatchCoordinator,
         DispatchError,
-        validate_dispatch_policy,
     )
 
     if args.worker_only:
@@ -321,10 +303,6 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
             "to `repro run`/`repro resume`"
         )
     policy = _build_policy(store.spec(), args)
-    try:
-        policy = validate_dispatch_policy(store.spec(), policy)
-    except ValueError as exc:
-        _fail(str(exc))
     if args.chaos_kills and args.chaos_seed is None:
         _fail("--chaos-kills needs --chaos-seed so the kill schedule reproduces")
     chaos = None
@@ -650,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Verifiable network-performance measurement campaigns "
-        "(checkpointable runs, durable stores).",
+        "(resumable runs, durable stores).",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -97,18 +97,6 @@ class DomainAgent:
         """The collector running at one of the domain's HOPs."""
         return self._collectors[hop_id]
 
-    def replace_collector(self, hop_id: int, collector: HOPCollector) -> None:
-        """Install a collector (e.g. checkpointed state) at one of the HOPs.
-
-        The streaming engine installs the collectors of a mid-interval
-        checkpoint here when it resumes a run; the replacement gets a fresh
-        processor.
-        """
-        if hop_id not in self._collectors:
-            raise KeyError(f"domain {self.domain_name!r} has no HOP {hop_id}")
-        self._collectors[hop_id] = collector
-        self._processors[hop_id] = HOPProcessor(collector)
-
     # -- reporting ----------------------------------------------------------------
 
     def transform_report(self, report: HOPReport) -> HOPReport:

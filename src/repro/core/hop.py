@@ -91,13 +91,6 @@ class HOPCollector:
         The HOP's sampling/aggregation configuration.
     """
 
-    #: Names the in-memory form of the collector's carried state (the
-    #: samplers' TempBuffers and samples, the aggregators' windows and
-    #: pending AggTrans, and the counters beside them).
-    #: Pickled collectors are only reloaded under the same tag; change it
-    #: whenever that form changes.
-    STATE_TAG = "array-only-4"
-
     def __init__(self, hop: HOP, config: HOPConfig | None = None) -> None:
         self.hop = hop
         self.config = config or HOPConfig()

@@ -113,10 +113,14 @@ def aligned_aggregates(
     two HOPs are attributed to the same aggregate.
 
     Returns one :class:`AlignedAggregates` (a pair of combined receipts) per
-    joined aggregate.
+    joined aggregate.  An upstream with receipts against an empty downstream
+    is one pair, every upstream packet lost; an empty upstream gives none.
     """
-    if not upstream or not downstream:
+    if not upstream:
         return []
+    if not downstream:
+        combined = _combined(upstream)
+        return [AlignedAggregates(upstream=combined, downstream=combined.with_count(0))]
 
     upstream_boundaries = _boundary_ids(upstream)
     downstream_boundary_set = set(_boundary_ids(downstream))

@@ -197,7 +197,14 @@ class Verifier:
     def _aligned(
         self, upstream_hop: int, downstream_hop: int
     ) -> tuple[AlignedAggregates, ...]:
-        """The aligned aggregate pairs between two HOPs."""
+        """The aligned aggregate pairs between two HOPs.
+
+        A downstream HOP that published no report aligns with nothing: its
+        loss is unknown, not total.  One that reported no aggregates saw
+        none of the upstream's packets.
+        """
+        if downstream_hop not in self._aggregate_receipts:
+            return ()
         return self._memoised(
             ("aligned", upstream_hop, downstream_hop),
             lambda: tuple(

@@ -14,7 +14,6 @@ from repro.dist.dispatch import (
     DispatchWorker,
     StagingArea,
     dispatch_campaign,
-    validate_dispatch_policy,
 )
 from repro.dist.net import (
     Claim,
@@ -41,5 +40,4 @@ __all__ = [
     "StagingArea",
     "TransportError",
     "dispatch_campaign",
-    "validate_dispatch_policy",
 ]

@@ -77,7 +77,6 @@ __all__ = [
     "StagingArea",
     "committed_line",
     "dispatch_campaign",
-    "validate_dispatch_policy",
 ]
 
 #: Scratch directory inside the run store; removed when the campaign
@@ -91,24 +90,6 @@ DEFAULT_LEASE = 30.0
 
 class DispatchError(RuntimeError):
     """The dispatch protocol hit a state determinism forbids."""
-
-
-def validate_dispatch_policy(
-    spec: CampaignSpec, policy: ExecutionPolicy | None
-) -> ExecutionPolicy:
-    """Resolve (and vet) the execution policy every dispatch worker runs.
-
-    Mid-interval checkpointing is a single-writer feature — a worker's
-    partial stream state has no home in the staging protocol — so
-    ``checkpoint_every`` is rejected up front.
-    """
-    policy = policy if policy is not None else ExecutionPolicy()
-    if policy.checkpoint_every is not None:
-        raise ValueError(
-            "dispatch workers recompute an interval from its start on "
-            "re-claim; checkpoint_every applies to single-host runs only"
-        )
-    return policy.bind(spec.cell)
 
 
 def committed_line(store: RunStore, interval: int) -> bytes:
@@ -306,8 +287,8 @@ class DispatchCoordinator:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.store = store
         self.spec = store.spec()
-        self.policy = validate_dispatch_policy(self.spec, policy)
-        self.runner = CampaignRunner(store=store, policy=self.policy)
+        self.runner = CampaignRunner(store=store, policy=policy)
+        self.policy = self.runner.policy
         self.workers = workers
         self.lease = lease
         self.poll = poll

@@ -63,7 +63,6 @@ from repro.dist.dispatch import (
     DispatchError,
     StagingArea,
     committed_line,
-    validate_dispatch_policy,
 )
 from repro.engine.campaign import CampaignRunner
 from repro.store import stable_json
@@ -273,7 +272,7 @@ class DispatchHub:
         self.runner = runner
         self.store = runner.store
         self.spec = runner.spec
-        self.policy = validate_dispatch_policy(self.spec, runner.policy)
+        self.policy = runner.policy
         self.run_id = Path(self.store.path).resolve().name
         self.claims = claims
         self.staging = staging

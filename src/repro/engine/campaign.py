@@ -1,4 +1,4 @@
-"""Checkpointable long-horizon campaign execution.
+"""Resumable long-horizon campaign execution.
 
 The paper's framing is a contract held over a long horizon ("a certain level
 of packet loss per month") audited from per-interval receipts.
@@ -10,7 +10,7 @@ quantiles live in a :class:`~repro.analysis.quantiles.MergedDelayPool`, never
 re-pooled from raw samples, or (with ``EstimationSpec.mode="sketch"``) in a
 bounded-memory :class:`~repro.analysis.sketch.DelayQuantileSketch` whose
 per-interval record state is O(sketch) bytes regardless of traffic volume —
-and checkpoints after every interval to a :class:`~repro.store.RunStore`.
+and commits every interval's record to a :class:`~repro.store.RunStore`.
 
 Because interval ``i`` is a pure function of ``(spec, i)`` (the spec's
 BLAKE2b seed-spacing) and the store append is atomic, a campaign killed at
@@ -21,22 +21,18 @@ choice never perturbs the store either: the engines' byte-identical results
 contract means a run started on the batch engine may resume on the
 streaming engine, at any chunk size, and still match.
 
-An :class:`~repro.api.spec.ExecutionPolicy` with ``checkpoint_every`` set
-tightens the granularity further: the streaming engine persists a
-mid-interval :class:`~repro.engine.streaming.RunnerCheckpoint` every N
-chunks, so a kill *inside* a long interval resumes from the last chunk
-boundary — seeking the propagation state instead of replaying the prefix —
-and still finishes with the identical store.
+Interval start is the only resume point.  A kill inside an interval loses
+that interval's work and nothing else: the resumed run re-runs it from its
+start to the same bytes.  No shipped interval runs longer than about half a
+second, so a finer resume point would save no measurable work.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -45,20 +41,16 @@ from repro.analysis.quantiles import MergedDelayPool
 from repro.analysis.sketch import DelayQuantileSketch
 from repro.analysis.sla import SLAVerdict, check_sla
 from repro.api.spec import CampaignSpec, ExecutionPolicy
-from repro.engine.streaming import DEFAULT_CHUNK_SIZE, RunnerCheckpoint
 from repro.core.estimation import DelayQuantileEstimate, estimate_delay_quantiles
-from repro.core.hop import HOPCollector
 from repro.core.verifier import DomainPerformance
 from repro.reporting.serialization import receipts_digest
 from repro.store import RunStore, RunStoreError
-from repro.store.runstore import _atomic_write
 
 __all__ = [
     "CampaignAccumulator",
     "CampaignEvent",
     "CampaignRunner",
     "CampaignRunOutcome",
-    "CheckpointWritten",
     "IntervalCommitted",
     "RunComplete",
     "appendable_records",
@@ -79,15 +71,6 @@ class IntervalCommitted:
 
 
 @dataclass(frozen=True)
-class CheckpointWritten:
-    """A mid-interval stream checkpoint landed at a chunk boundary."""
-
-    interval: int
-    intervals: int
-    chunk_index: int
-
-
-@dataclass(frozen=True)
 class RunComplete:
     """The campaign's final interval committed and the summary was written."""
 
@@ -99,7 +82,7 @@ class RunComplete:
 #: the concrete type; the union exists so a sink can be typed once and handed
 #: to any driver (the CLI's progress printer and the measurement service's job
 #: event log both consume exactly this stream).
-CampaignEvent = IntervalCommitted | CheckpointWritten | RunComplete
+CampaignEvent = IntervalCommitted | RunComplete
 
 
 def _performance_from(
@@ -144,8 +127,6 @@ def interval_record(
     engine: str | None = None,
     chunk_size: int | None = None,
     policy: ExecutionPolicy | None = None,
-    checkpoint_sink: Callable[[RunnerCheckpoint], None] | None = None,
-    resume_from: RunnerCheckpoint | None = None,
 ) -> dict[str, Any]:
     """Execute interval ``index`` and build its store record.
 
@@ -154,11 +135,7 @@ def interval_record(
     engine but cannot perturb the record (the engines are byte-identical and
     ``time_sum``, the one tolerant field, is rounded to its 10-digit
     tolerance inside the ``VPM2`` receipts digest).  This purity is the
-    whole checkpoint/resume story.
-    ``checkpoint_sink`` / ``resume_from`` enable *mid-interval* streaming
-    checkpoints (single-path streaming cells): resuming from a sink-fed
-    :class:`~repro.engine.streaming.RunnerCheckpoint` yields the identical
-    record.
+    whole resume story.
 
     The cell is read through its per-path runs.  A domain crossed by several
     paths pools their delays, sums their counts, and is accepted only if
@@ -167,12 +144,7 @@ def interval_record(
     from repro.api.runner import run_cell_full
 
     policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
-    run = run_cell_full(
-        spec.interval_cell(index),
-        policy=policy,
-        checkpoint_sink=checkpoint_sink,
-        resume_from=resume_from,
-    )
+    run = run_cell_full(spec.interval_cell(index), policy=policy)
     spans: dict[str, list[np.ndarray]] = {}
     offered: dict[str, int] = {}
     lost: dict[str, int] = {}
@@ -446,7 +418,7 @@ class CampaignRunOutcome(NamedTuple):
 
 
 class CampaignRunner:
-    """Drives a :class:`~repro.api.spec.CampaignSpec` with per-interval checkpoints.
+    """Drives a :class:`~repro.api.spec.CampaignSpec` one committed interval at a time.
 
     The runner is a store's only writer.  Every record enters the store
     through :meth:`commit` and the summary through :meth:`finish`, whoever
@@ -460,24 +432,15 @@ class CampaignRunner:
         The campaign to run.  May be omitted when ``store`` holds one (the
         resume path); when both are given they must hash identically.
     store:
-        The durable :class:`~repro.store.RunStore` to checkpoint into.  With
+        The durable :class:`~repro.store.RunStore` to commit into.  With
         ``store=None`` the runner keeps records in memory only (useful for
         programmatic one-shot campaigns and tests).
     engine, chunk_size, policy:
         Execution-only knobs forwarded to every interval's cell run — either
         the individual keywords or one declarative
         :class:`~repro.api.spec.ExecutionPolicy` (not both); the stored
-        records never depend on them.  A policy with ``checkpoint_every`` set
-        (streaming, single-path cell, durable store) also
-        persists *mid-interval* stream checkpoints to
-        ``<store>/interval.ckpt``, so a kill inside a long interval resumes
-        from the last chunk boundary instead of the interval's start; the
-        finished store is byte-identical either way (the checkpoint file is
-        removed when its interval commits).
+        records never depend on them.
     """
-
-    #: Mid-interval checkpoint file, inside the run store directory.
-    CHECKPOINT_NAME = "interval.ckpt"
 
     def __init__(
         self,
@@ -495,13 +458,17 @@ class CampaignRunner:
             # The runner is the store's (single) writer: drop any tail a
             # previous life's kill left mid-append before continuing.
             store.repair_torn_tail()
+            # Older builds could leave a mid-interval checkpoint; every
+            # interval now resumes at its start, so it is only clutter.
+            for name in ("interval.ckpt", "interval.ckpt.tmp"):
+                (store.path / name).unlink(missing_ok=True)
         self.spec = spec if spec is not None else store.spec()
         self.store = store
-        self.policy = ExecutionPolicy.coerce(policy, engine=engine, chunk_size=chunk_size)
-        # Resolve against the cell eagerly: impossible combinations (mesh +
-        # checkpoint_every, checkpoint_every off the streaming engine) die
+        # Resolve against the cell eagerly: an impossible combination dies
         # here, not forty intervals into a soak run.
-        self._bound = self.policy.bind(self.spec.cell)
+        self.policy = ExecutionPolicy.coerce(
+            policy, engine=engine, chunk_size=chunk_size
+        ).bind(self.spec.cell)
         self._memory_records: list[dict[str, Any]] = []
         self._event_sink: Callable[[CampaignEvent], None] | None = None
         existing = appendable_records(store) if store is not None else []
@@ -519,9 +486,8 @@ class CampaignRunner:
 
         The store's spec hash is re-validated on open; the accumulated
         campaign state is rebuilt by folding the persisted records, so the
-        eventual summary is byte-identical to an uninterrupted run's.  If the
-        killed run left a compatible mid-interval checkpoint, the next
-        interval picks up at its chunk boundary.
+        eventual summary is byte-identical to an uninterrupted run's.  An
+        interval the kill interrupted re-runs from its start.
         """
         if not isinstance(store, RunStore):
             store = RunStore.open(store)
@@ -532,83 +498,6 @@ class CampaignRunner:
             chunk_size=chunk_size,
             policy=policy,
         )
-
-    # -- mid-interval checkpoints ------------------------------------------------------
-
-    @property
-    def _checkpoint_path(self) -> Path | None:
-        if self.store is None:
-            return None
-        return Path(self.store.path) / self.CHECKPOINT_NAME
-
-    def _clear_interval_checkpoint(self) -> None:
-        path = self._checkpoint_path
-        if path is not None:
-            path.unlink(missing_ok=True)
-
-    def _load_interval_checkpoint(self, index: int) -> RunnerCheckpoint | None:
-        """The persisted mid-interval checkpoint for ``index``, if compatible.
-
-        Compatibility is strict — same spec hash, same interval, collectors
-        pickled under the current
-        :attr:`~repro.core.hop.HOPCollector.STATE_TAG`, a streaming policy
-        with the same chunk size — and anything else (including an
-        unreadable file) discards the checkpoint and re-runs the interval
-        from its start, which is always correct.
-        """
-        path = self._checkpoint_path
-        if path is None or not path.exists():
-            return None
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            checkpoint = payload["checkpoint"]
-            compatible = (
-                payload["spec_hash"] == self.spec.spec_hash()
-                and payload["interval"] == index
-                and payload.get("collector_state") == HOPCollector.STATE_TAG
-                and isinstance(checkpoint, RunnerCheckpoint)
-                and self._bound.engine == "streaming"
-                and checkpoint.chunk_size
-                == (self._bound.chunk_size or DEFAULT_CHUNK_SIZE)
-            )
-        except Exception:
-            compatible = False
-        if not compatible:
-            self._clear_interval_checkpoint()
-            return None
-        return checkpoint
-
-    def _interval_checkpoint_sink(
-        self, index: int
-    ) -> Callable[[RunnerCheckpoint], None] | None:
-        if self._bound.checkpoint_every is None or self.store is None:
-            return None
-        path = self._checkpoint_path
-        spec_hash = self.spec.spec_hash()
-        throttle = self.policy.throttle
-
-        def sink(checkpoint: RunnerCheckpoint) -> None:
-            payload = {
-                "spec_hash": spec_hash,
-                "interval": index,
-                "collector_state": HOPCollector.STATE_TAG,
-                "checkpoint": checkpoint,
-            }
-            _atomic_write(path, pickle.dumps(payload))
-            self._emit(
-                CheckpointWritten(
-                    interval=index,
-                    intervals=self.spec.intervals,
-                    chunk_index=checkpoint.stream.chunk_index,
-                )
-            )
-            if throttle > 0:
-                # The checkpoint is durable; sleeping here gives a kill
-                # signal a deterministic window at every chunk boundary.
-                time.sleep(throttle)
-
-        return sink
 
     # -- progress ----------------------------------------------------------------------
 
@@ -645,11 +534,7 @@ class CampaignRunner:
             self._event_sink = previous
 
     def commit(self, record: dict[str, Any]) -> None:
-        """Append the next interval's ``record``, fold it, emit :class:`IntervalCommitted`.
-
-        Once the record is durable a mid-interval ``interval.ckpt`` is stale;
-        it is removed so the finished store diffs clean against any other.
-        """
+        """Append the next interval's ``record``, fold it, emit :class:`IntervalCommitted`."""
         # The append (or, without a store, the fold) refuses an out-of-order
         # record before anything is written.
         if self.store is not None:
@@ -657,7 +542,6 @@ class CampaignRunner:
         self.accumulator.fold(record)
         if self.store is None:
             self._memory_records.append(record)
-        self._clear_interval_checkpoint()
         self._emit(
             IntervalCommitted(
                 interval=record["interval"], intervals=self.spec.intervals, record=record
@@ -686,13 +570,7 @@ class CampaignRunner:
                 f"intervals run strictly in order; next is {self.next_interval}, "
                 f"got {index}"
             )
-        record = interval_record(
-            self.spec,
-            index,
-            policy=self.policy,
-            checkpoint_sink=self._interval_checkpoint_sink(index),
-            resume_from=self._load_interval_checkpoint(index),
-        )
+        record = interval_record(self.spec, index, policy=self.policy)
         self.commit(record)
         if self.policy.throttle > 0:
             time.sleep(self.policy.throttle)
@@ -703,7 +581,7 @@ class CampaignRunner:
         max_intervals: int | None = None,
         on_event: Callable[[CampaignEvent], None] | None = None,
     ) -> CampaignRunOutcome:
-        """Run remaining intervals (up to ``max_intervals``) with checkpoints.
+        """Run remaining intervals (up to ``max_intervals``), committing each.
 
         On completion the campaign summary is written to the store.  The
         runner may be killed at any point; a later :meth:`resume` continues
@@ -711,8 +589,7 @@ class CampaignRunner:
 
         ``on_event`` receives the typed :data:`CampaignEvent` stream —
         :class:`IntervalCommitted` after each durable interval append,
-        :class:`CheckpointWritten` at every persisted mid-interval chunk
-        boundary, :class:`RunComplete` once the summary lands.  Every event
+        :class:`RunComplete` once the summary lands.  Every event
         fires *after* its state is durable, so a consumer that dies inside a
         handler never observes progress the store does not hold.
         """

@@ -13,20 +13,13 @@ The one traversal of a :class:`~repro.simulation.scenario.PathScenario`:
   is one pass: every stage emits everything in one call and each model sees
   the whole series at once.
 
-* :class:`ScenarioStream` is **seekable**: :meth:`ScenarioStream.checkpoint`
-  freezes the complete propagation state at a chunk boundary (every model RNG
-  cursor, every holdback buffer, the watermark) as a
-  :class:`~repro.engine.checkpoint.StreamCheckpoint`, and
-  :meth:`ScenarioStream.seek` restores a fresh stream to that point so it
-  continues bit-identically — in another process, or in a later run.
-
 * :class:`StreamingRunner` is the only code in the engines that feeds the
   VPM collectors.  It drives one stream per path in lockstep and
   feeds every HOP the timestamp-merged union of the paths' emissions.
   ``chunk_size=None`` is the **batch** engine (each trace is its stream's
-  final chunk); a chunk size is the **streaming** engine, which can hand a
-  :class:`RunnerCheckpoint` (stream state plus collector state) to a sink
-  every N chunks, so a killed single-path run resumes mid-interval.
+  final chunk); a chunk size is the **streaming** engine.  A run has no
+  resume point inside it: an interval is a pure function of its spec and
+  index, so a killed run re-runs the interval from its start.
 
 Exactness contract: every component must be *streamable* for a chunked run —
 delay and loss models declare it
@@ -42,13 +35,12 @@ engine).  The one documented deviation is ``AggregateReceipt.time_sum``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.hop import HOPCollector, HOPReport
 from repro.core.protocol import MeshSession
-from repro.engine.checkpoint import StreamCheckpoint
 from repro.net.batch import PacketBatch
 from repro.net.hashing import PacketDigester
 from repro.net.topology import HOP, Domain
@@ -58,7 +50,6 @@ from repro.traffic.trace import SyntheticTrace
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "RunnerCheckpoint",
     "ScenarioStream",
     "StreamingCell",
     "StreamingResult",
@@ -144,22 +135,6 @@ class StreamingTruth:
         quantiles = list(quantiles)
         return dict(zip(quantiles, np.quantile(delays, quantiles).tolist()))
 
-    def snapshot(self) -> dict:
-        """A picklable snapshot of the accumulated ground truth."""
-        return {
-            "lost_packets": int(self.lost_packets),
-            "delivered_packets": int(self.delivered_packets),
-            "delays": self.delays().copy(),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Restore the accumulator to a :meth:`snapshot` (in place)."""
-        self.lost_packets = int(state["lost_packets"])
-        self.delivered_packets = int(state["delivered_packets"])
-        delays = np.asarray(state["delays"], dtype=float)
-        self._delay_chunks = [delays] if len(delays) else []
-        self._delays = None
-
 
 class _StreamSorter:
     """Stable time-sort over an append-only stream, emitted up to a watermark.
@@ -218,14 +193,6 @@ class _StreamSorter:
         self._batch = rows.detach_root()
         self._keys = keys.copy()
 
-    def snapshot(self) -> dict:
-        """The held rows and their keys (shared, never mutated in place)."""
-        return {"batch": self._batch, "keys": self._keys}
-
-    def restore(self, state: dict) -> None:
-        self._batch = state["batch"]
-        self._keys = state["keys"]
-
 
 class _DomainStage:
     """One domain segment: delay, loss, egress sort and extra reordering."""
@@ -270,26 +237,6 @@ class _DomainStage:
         perturbed = self._reordering.perturb(emitted_times)
         return self._reorder_sorter.push(emitted, perturbed, watermark)
 
-    def snapshot(self) -> dict:
-        state = {
-            "delay": self._condition.delay_model.state_snapshot(),
-            "loss": self._condition.loss_model.state_snapshot(),
-            "reordering": self._reordering.state_snapshot(),
-            "egress": self._egress_sorter.snapshot(),
-            "reorder": None,
-        }
-        if self._reorder_sorter is not None:
-            state["reorder"] = self._reorder_sorter.snapshot()
-        return state
-
-    def restore(self, state: dict) -> None:
-        self._condition.delay_model.state_restore(state["delay"])
-        self._condition.loss_model.state_restore(state["loss"])
-        self._reordering.state_restore(state["reordering"])
-        self._egress_sorter.restore(state["egress"])
-        if self._reorder_sorter is not None:
-            self._reorder_sorter.restore(state["reorder"])
-
 
 class _LinkStage:
     """One inter-domain link: transfer losses and arrival-time sort."""
@@ -309,21 +256,6 @@ class _LinkStage:
                 batch = batch.take(np.flatnonzero(delivered))
             times = far_times
         return self._sorter.push(batch, times, watermark)
-
-    def snapshot(self) -> dict:
-        return {
-            "link": self._link.state_snapshot(),
-            "sorter": self._sorter.snapshot(),
-            "lost": set(self._lost),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._link.state_restore(state["link"])
-        self._sorter.restore(state["sorter"])
-        # ``_lost`` aliases the stream's ``link_losses`` entry; mutate in
-        # place so both views stay the same set object.
-        self._lost.clear()
-        self._lost.update(state["lost"])
 
 
 class ScenarioStream:
@@ -349,8 +281,6 @@ class ScenarioStream:
         self.scenario = scenario
         self.link_losses: dict[tuple[int, int], set[int]] = {}
         self.domain_truth: dict[str, StreamingTruth] = {}
-        #: Chunks consumed so far — the chunk index the stream expects next.
-        self.chunks_pushed = 0
         self._predigest = tuple(dict.fromkeys(predigest))
         self._watermark = -np.inf
         self._template: PacketBatch | None = None
@@ -384,7 +314,6 @@ class ScenarioStream:
         check_scenario_streamable(self.scenario)
         for digester in self._predigest:
             digester.digest_batch(chunk)
-        self.chunks_pushed += 1
         self._template = chunk
         self._watermark = float(chunk.send_time[-1])
         return self._advance(chunk, chunk.send_time.copy(), self._watermark)
@@ -416,55 +345,6 @@ class ScenarioStream:
             )
             emissions.append((next_hop.hop_id, current_batch, current_times))
         return emissions
-
-    def checkpoint(self) -> StreamCheckpoint:
-        """Freeze the complete propagation state at the current chunk boundary.
-
-        The checkpoint is a plain picklable value; a fresh stream over the
-        same scenario spec that :meth:`seek`\\ s to it continues the run
-        bit-identically — same emissions, same holdback contents, same model
-        draws — and keeps accumulating the same ground truth, which the
-        checkpoint snapshots too.
-        """
-        template = None
-        if self._template is not None:
-            template = self._template.take(np.empty(0, dtype=np.int64)).detach_root()
-        truth = {
-            name: accumulator.snapshot()
-            for name, accumulator in self.domain_truth.items()
-        }
-        return StreamCheckpoint(
-            chunk_index=self.chunks_pushed,
-            watermark=float(self._watermark),
-            template=template,
-            stages=tuple(stage.snapshot() for stage, _ in self._stages),
-            truth=truth,
-        )
-
-    def seek(self, checkpoint: StreamCheckpoint) -> None:
-        """Restore a freshly constructed stream to ``checkpoint``'s state.
-
-        After seeking, the next :meth:`push` must carry chunk
-        ``checkpoint.chunk_index`` of the same trace
-        (:meth:`SyntheticTrace.iter_batches` with ``start_chunk``) — from
-        there on the stream is bit-identical to one that processed the whole
-        prefix.  Only a pristine stream may seek; the stream must be built
-        over the same scenario spec the checkpoint was captured from.
-        """
-        if self.chunks_pushed or self._template is not None:
-            raise ValueError("seek requires a freshly constructed stream")
-        if len(checkpoint.stages) != len(self._stages):
-            raise ValueError(
-                f"checkpoint has {len(checkpoint.stages)} stage snapshots, "
-                f"stream has {len(self._stages)} stages — different scenario?"
-            )
-        for (stage, _), state in zip(self._stages, checkpoint.stages):
-            stage.restore(state)
-        self._watermark = checkpoint.watermark
-        self._template = checkpoint.template
-        self.chunks_pushed = checkpoint.chunk_index
-        for name, state in checkpoint.truth.items():
-            self.domain_truth[name].restore(state)
 
 
 def check_scenario_streamable(scenario: PathScenario) -> None:
@@ -557,24 +437,6 @@ def _feed(
             collector.observe_batch(*merge_hop_streams(spans))
 
 
-@dataclass
-class RunnerCheckpoint:
-    """A mid-interval resume point for a chunked single-path run.
-
-    Couples the stream's propagation state (with ground truth) to the VPM
-    collectors' state at the same chunk boundary, so a killed run can resume
-    exactly where it stopped: install the collectors, seek the stream, and
-    continue — receipts, estimates and truth come out byte-identical to an
-    uninterrupted run.  A checkpoint handed to a ``checkpoint_sink`` holds
-    *live* collector references; persist it (pickle) before the run
-    continues, or the state will advance underneath it.
-    """
-
-    stream: StreamCheckpoint
-    collectors: dict[int, HOPCollector]
-    chunk_size: int
-
-
 class StreamingRunner:
     """Drives a VPM measurement interval over N >= 1 paths in one process.
 
@@ -594,18 +456,6 @@ class StreamingRunner:
         depend on it.  ``None`` runs one pass: each path's whole trace is its
         stream's final chunk (:meth:`ScenarioStream.flush`).  That pass is the
         batch engine, and it runs non-streamable components too.
-    checkpoint_every:
-        Hand a :class:`RunnerCheckpoint` to ``checkpoint_sink`` after every
-        ``checkpoint_every`` chunks (skipping the final boundary, where
-        finishing beats resuming).  Chunked single-path runs only.
-    checkpoint_sink:
-        Callable receiving those mid-interval checkpoints.  Chunked
-        single-path runs only.
-    resume_from:
-        A previously captured :class:`RunnerCheckpoint` (typically pickled
-        across a process boundary); the run installs its collectors, seeks
-        its stream state, and continues from its chunk boundary.  Chunked
-        single-path runs only.
 
     :meth:`run` returns a :class:`StreamingResult`; afterwards the session's
     receipt bus holds the published reports.
@@ -615,9 +465,6 @@ class StreamingRunner:
         self,
         cell: StreamingCell,
         chunk_size: int | None = DEFAULT_CHUNK_SIZE,
-        checkpoint_every: int | None = None,
-        checkpoint_sink: Callable[[RunnerCheckpoint], None] | None = None,
-        resume_from: RunnerCheckpoint | None = None,
     ) -> None:
         if not cell.scenarios or len(cell.scenarios) != len(cell.traces):
             raise ValueError(
@@ -626,51 +473,12 @@ class StreamingRunner:
             )
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
-        # The one owner of the rule: mid-interval checkpoints need a chunked,
-        # single-path run.
-        for name, value in (
-            ("checkpoint_every", checkpoint_every),
-            ("checkpoint_sink", checkpoint_sink),
-            ("resume_from", resume_from),
-        ):
-            if value is None:
-                continue
-            if chunk_size is None:
-                raise ValueError(
-                    f"{name} needs a chunked run; chunk_size=None is one "
-                    f"whole-trace pass with no chunk boundary to resume at"
-                )
-            if len(cell.scenarios) > 1:
-                raise ValueError(
-                    f"{name} applies to single-path streaming cells only; this "
-                    f"cell has {len(cell.scenarios)} paths"
-                )
-        if resume_from is not None and resume_from.chunk_size != chunk_size:
-            raise ValueError(
-                f"resume checkpoint was captured at chunk_size="
-                f"{resume_from.chunk_size}, runner uses {chunk_size}"
-            )
         self._cell = cell
         self.chunk_size = chunk_size
-        self.checkpoint_every = checkpoint_every
-        self._checkpoint_sink = checkpoint_sink
-        self._resume_from = resume_from
 
     def run(self) -> StreamingResult:
         cell = self._cell
         session = cell.session
-        resume = self._resume_from
-        if resume is not None:
-            # Install the checkpointed collectors *before* wiring digesters,
-            # so predigested chunks land in the caches the restored
-            # collectors actually consult.
-            for agent in session.agents.values():
-                for hop_id in agent.hop_ids:
-                    agent.replace_collector(hop_id, resume.collectors[hop_id])
         collectors = _collectors_by_hop(session)
         digesters = _session_digesters(session)
         streams = [
@@ -704,32 +512,12 @@ class StreamingRunner:
         total_chunks = max(
             -(-trace.config.packet_count // self.chunk_size) for trace in traces
         )
-        start_chunk = 0
-        if self._resume_from is not None:
-            streams[0].seek(self._resume_from.stream)
-            start_chunk = self._resume_from.stream.chunk_index
-        iterators = [
-            trace.iter_batches(self.chunk_size, start_chunk=start_chunk)
-            for trace in traces
-        ]
-        for pushed in range(start_chunk + 1, total_chunks + 1):
+        iterators = [trace.iter_batches(self.chunk_size) for trace in traces]
+        for _ in range(total_chunks):
             rounds = []
             for stream, iterator in zip(streams, iterators):
                 chunk = next(iterator, None)
                 rounds.append(stream.push(chunk) if chunk is not None else [])
             _feed(collectors, rounds)
-            if (
-                self._checkpoint_sink is not None
-                and self.checkpoint_every
-                and pushed < total_chunks
-                and pushed % self.checkpoint_every == 0
-            ):
-                self._checkpoint_sink(
-                    RunnerCheckpoint(
-                        stream=streams[0].checkpoint(),
-                        collectors=collectors,
-                        chunk_size=self.chunk_size,
-                    )
-                )
         _feed(collectors, [stream.flush() for stream in streams])
         return total_chunks

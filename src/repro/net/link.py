@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.util.rng import RNGStateMixin, make_rng
+from repro.util.rng import make_rng
 from repro.util.validation import check_non_negative, check_probability
 
 __all__ = ["LinkSpec", "InterDomainLink"]
@@ -43,7 +43,7 @@ class LinkSpec:
 
 
 @dataclass
-class InterDomainLink(RNGStateMixin):
+class InterDomainLink:
     """A (possibly faulty) inter-domain link between two adjacent HOPs.
 
     The link applies its nominal delay plus optional jitter to every packet,

@@ -140,11 +140,6 @@ class JobQueue:
         policy = policy if policy is not None else ExecutionPolicy()
         # Impossible spec/policy pairings die at submission, not in a worker.
         policy = policy.bind(spec.cell)
-        if self.dispatch_workers is not None and policy.checkpoint_every is not None:
-            raise JobRejected(
-                "dispatch execution re-claims intervals from their start; "
-                "checkpoint_every applies to single-host execution only"
-            )
         run_id = validate_run_id(
             run_id if run_id is not None else f"{spec.name}-{spec.spec_hash()[:10]}"
         )
@@ -308,8 +303,6 @@ class JobQueue:
             argv += ["--engine", policy.engine]
         if policy.chunk_size is not None:
             argv += ["--chunk-size", str(policy.chunk_size)]
-        if policy.checkpoint_every is not None:
-            argv += ["--checkpoint-every", str(policy.checkpoint_every)]
         if policy.throttle:
             argv += ["--throttle", repr(policy.throttle)]
         return argv

@@ -78,8 +78,8 @@ def _fsync_dir(path: Path) -> None:
 def _atomic_write(path: Path, payload: bytes) -> None:
     """Write ``payload`` to ``path`` via a fsynced ``<name>.tmp``, a rename and a directory fsync.
 
-    The one durable whole-file write: spec, summary, torn-tail repair, dispatch
-    staged records and the mid-interval ``interval.ckpt`` all go through it.
+    The one durable whole-file write: spec, summary, torn-tail repair and
+    dispatch staged records all go through it.
     """
     tmp_path = path.with_name(path.name + ".tmp")
     with open(tmp_path, "wb") as handle:
@@ -268,12 +268,12 @@ class RunStore:
         """Append one completed interval's record durably, in O(1).
 
         The record must carry this store's spec hash and the next expected
-        interval index — a checkpoint written out of order or for a different
+        interval index — a record written out of order or for a different
         spec is a logic error upstream, not something to paper over.  The
         write is a single ``O_APPEND`` line, flushed and fsynced; the record
         commits when its newline reaches disk (a kill mid-write leaves a torn
         tail that :meth:`open` truncates), so a month-long campaign never
-        rewrites its history to checkpoint one more interval.
+        rewrites its history to commit one more interval.
         """
         expected = self.next_interval
         if record.get("interval") != expected:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.util.rng import RNGStateMixin, make_rng
+from repro.util.rng import make_rng
 from repro.util.validation import check_non_negative, check_positive
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-class DelayModel(RNGStateMixin):
+class DelayModel:
     """Produces the delay a domain adds to each packet of a sequence.
 
     ``streamable`` declares whether :meth:`delays` may be called on
@@ -38,11 +38,6 @@ class DelayModel(RNGStateMixin):
     models); models that derive delays from the *whole* arrival series at once
     (:class:`CongestionDelayModel`) must set it ``False``, which excludes them
     from the streaming execution engine.
-
-    Streamable models also inherit ``state_snapshot``/``state_restore`` from
-    :class:`~repro.util.rng.RNGStateMixin`; a model with sequential state
-    beyond ``self._rng`` (e.g. :class:`EmpiricalDelayModel`'s replay cursor)
-    must extend both so stream checkpoints capture it.
     """
 
     streamable: bool = True
@@ -98,8 +93,8 @@ class EmpiricalDelayModel(DelayModel):
     output plays in the paper — into the path simulation.  The model keeps a
     position cursor: consecutive :meth:`delays` calls continue the series
     where the previous call stopped, so feeding a sequence in chunks replays
-    exactly the delays one whole-sequence call would (call :meth:`reset` to
-    rewind for an independent run).
+    exactly the delays one whole-sequence call would.  An independent run
+    builds a fresh model.
     """
 
     series: np.ndarray = field(default_factory=lambda: np.array([1e-3]))
@@ -118,15 +113,6 @@ class EmpiricalDelayModel(DelayModel):
         offsets = (self._cursor + np.arange(count)) % period
         self._cursor = (self._cursor + count) % period
         return self.series[offsets]
-
-    def state_snapshot(self) -> dict:
-        state = super().state_snapshot()
-        state["cursor"] = int(self._cursor)
-        return state
-
-    def state_restore(self, state) -> None:
-        super().state_restore(state)
-        self._cursor = int(state["cursor"])
 
 
 class CongestionDelayModel(DelayModel):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.rng import RNGStateMixin, make_rng
+from repro.util.rng import make_rng
 from repro.util.validation import check_probability
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
 _RUN_BLOCK = 1 << 14
 
 
-class LossModel(RNGStateMixin):
+class LossModel:
     """Decides, packet by packet, whether a packet is dropped.
 
     ``streamable`` declares that consecutive :meth:`drops`/:meth:`drops_batch`
@@ -256,15 +256,6 @@ class GilbertElliottLossModel(LossModel):
                 rng.random(out=uniforms[:position])
         self._in_bad_state = bool(bad)
         return lost
-
-    def state_snapshot(self) -> dict:
-        state = super().state_snapshot()
-        state["in_bad_state"] = bool(self._in_bad_state)
-        return state
-
-    def state_restore(self, state) -> None:
-        super().state_restore(state)
-        self._in_bad_state = bool(state["in_bad_state"])
 
     def __repr__(self) -> str:
         return (

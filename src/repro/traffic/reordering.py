@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.rng import RNGStateMixin, make_rng
+from repro.util.rng import make_rng
 from repro.util.validation import check_non_negative, check_probability
 
 __all__ = ["ReorderingModel", "NoReordering", "WindowReordering"]
 
 
-class ReorderingModel(RNGStateMixin):
+class ReorderingModel:
     """Permutes the arrival order (and times) of a packet sequence.
 
     Models define :meth:`perturb` — assign each packet a (possibly perturbed)

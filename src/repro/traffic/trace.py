@@ -280,12 +280,13 @@ class SyntheticTrace:
         drive a scenario in bounded memory while reproducing the batch
         engine's results exactly.
 
-        ``start_chunk`` seeks to a chunk boundary: the iterator yields chunk
+        ``start_chunk`` starts at a chunk boundary: the iterator yields chunk
         ``start_chunk`` onward, bit-identical to the tail of a full pass.
-        Seeking only fast-forwards the plan's per-flow sequence counters
-        (a vectorized count over the skipped flow-id prefix) — it never
-        materializes the skipped packets, so a run resuming deep into a
-        long trace pays a small fraction of the replay it would otherwise.
+        Skipping only fast-forwards the plan's per-flow sequence counters
+        (a vectorized count over the skipped flow-id prefix); it never
+        materializes the skipped packets.  The engine always starts at chunk
+        0; the parameter stays because the benchmark's layer tracer
+        (``perfbench/layers.py``) wraps this method with this signature.
 
         Like :meth:`packet_batch`, this consumes the trace's RNG — use a
         fresh :class:`SyntheticTrace` (same seed) per generation pass.

@@ -9,18 +9,13 @@ lets independent components be re-seeded without interfering with each other.
 
 from __future__ import annotations
 
-import copy
 import hashlib
-from typing import Any, Mapping
 
 import numpy as np
 
 __all__ = [
     "make_rng",
     "derive_seed",
-    "snapshot_rng",
-    "restore_rng",
-    "RNGStateMixin",
 ]
 
 
@@ -56,45 +51,3 @@ def derive_seed(base_seed: int, *labels: object) -> int:
     material = repr((int(base_seed),) + tuple(str(label) for label in labels))
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def snapshot_rng(rng: np.random.Generator) -> dict[str, Any]:
-    """A picklable snapshot of a generator's exact stream position.
-
-    Restoring it with :func:`restore_rng` makes the generator produce the
-    same draws it would have produced from the snapshot point, so a
-    component's randomness can be resumed mid-stream bit-identically.
-    """
-    return copy.deepcopy(rng.bit_generator.state)
-
-
-def restore_rng(rng: np.random.Generator, state: Mapping[str, Any]) -> None:
-    """Restore a generator to a position captured by :func:`snapshot_rng`."""
-    rng.bit_generator.state = copy.deepcopy(dict(state))
-
-
-class RNGStateMixin:
-    """Snapshot/restore of a stochastic component's mutable stream state.
-
-    The streaming engine's :class:`~repro.engine.checkpoint.StreamCheckpoint`
-    captures every propagation model's position in its random stream so a
-    scenario stream can be resumed at a chunk boundary bit-identically.  The
-    base implementation covers the one convention every built-in component
-    follows — a single ``self._rng`` generator (absent on deterministic
-    components).  A custom model with *additional* sequential state (a Markov
-    chain, a replay cursor) must override both methods and include that state
-    too, just as it must keep ``streamable`` honest.
-    """
-
-    def state_snapshot(self) -> dict[str, Any]:
-        """Return a picklable snapshot of all mutable stream state."""
-        rng = getattr(self, "_rng", None)
-        if rng is None:
-            return {}
-        return {"rng": snapshot_rng(rng)}
-
-    def state_restore(self, state: Mapping[str, Any]) -> None:
-        """Restore stream state captured by :meth:`state_snapshot`."""
-        rng = getattr(self, "_rng", None)
-        if rng is not None:
-            restore_rng(rng, state["rng"])

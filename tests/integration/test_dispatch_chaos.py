@@ -288,7 +288,7 @@ class TestCLI:
             timeout=120.0,
         )
         assert checkpoint.returncode != 0
-        assert "checkpoint_every" in checkpoint.stderr
+        assert "unrecognized arguments: --checkpoint-every 1" in checkpoint.stderr
         chaos = subprocess.run(
             [*base, "--chaos-kills", "2"],
             env=env,

@@ -10,7 +10,11 @@ in two shapes:
   aggregate 800, estimates for ``X`` and ``N`` (a few hundred matched
   samples per target);
 * ``mesh_dispatch`` — a 4-path star mesh through a congested ``X``, 2%
-  sampling, aggregate 2000 (about 150 matched samples per path).
+  sampling, aggregate 2000 (about 150 matched samples per path);
+* ``bursty_loss`` — ``fine_batch`` with ``X`` losing 10% of its packets in
+  bursts of 64 on average;
+* ``reordering`` — ``fine_batch`` with ``X`` also reordering 5% of its
+  packets within 2 ms.
 
 For each quantile they count the (cell, target) trials whose interval holds
 the true quantile of the delays that crossed the domain
@@ -62,7 +66,7 @@ def _congested_x() -> ConditionSpec:
     )
 
 
-def _fine_batch(seed: int) -> ExperimentSpec:
+def _fine_batch(seed: int, x: ConditionSpec | None = None) -> ExperimentSpec:
     return ExperimentSpec(
         seed=seed,
         traffic=TrafficSpec(workload=None, packet_count=10_000, payload_bytes=8),
@@ -73,7 +77,7 @@ def _fine_batch(seed: int) -> ExperimentSpec:
                     loss="bernoulli",
                     loss_params={"loss_rate": 0.005},
                 ),
-                "X": _congested_x(),
+                "X": x if x is not None else _congested_x(),
                 "N": ConditionSpec(
                     **_jitter(0.8e-3, 0.2e-3),
                     loss="bernoulli",
@@ -97,7 +101,32 @@ def _mesh_dispatch(seed: int) -> MeshSpec:
     )
 
 
-SHAPES = {"fine_batch": _fine_batch, "mesh_dispatch": _mesh_dispatch}
+def _bursty_loss(seed: int) -> ExperimentSpec:
+    bursty_x = ConditionSpec(
+        **_jitter(1.2e-3, 0.4e-3),
+        loss="gilbert-elliott-rate",
+        loss_params={"target_rate": 0.1, "mean_burst_length": 64},
+    )
+    return _fine_batch(seed, bursty_x)
+
+
+def _reordering(seed: int) -> ExperimentSpec:
+    reordering_x = ConditionSpec(
+        **_jitter(1.2e-3, 0.4e-3),
+        loss="gilbert-elliott-rate",
+        loss_params={"target_rate": 0.02},
+        reordering="window",
+        reordering_params={"window": 0.002, "reorder_probability": 0.05},
+    )
+    return _fine_batch(seed, reordering_x)
+
+
+SHAPES = {
+    "fine_batch": _fine_batch,
+    "mesh_dispatch": _mesh_dispatch,
+    "bursty_loss": _bursty_loss,
+    "reordering": _reordering,
+}
 
 
 def _targets(result):
@@ -142,10 +171,28 @@ CLAMP = pytest.mark.xfail(
             marks=CLAMP if (shape, quantile) == ("mesh_dispatch", 0.99) else (),
         )
         for shape in SHAPES
+        if shape != "reordering"
         for quantile in QUANTILES
     ],
 )
 def test_bounds_cover_the_true_quantile(coverage, shape, quantile):
+    _assert_covers(coverage, shape, quantile)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the streaming engine records a domain's truth before its "
+    "reordering perturbation (engine/streaming.py, _DomainStage.push), while "
+    "the egress HOP sees the perturbed time, so the truth X is compared with "
+    "lies below the delays its HOPs measure",
+)
+def test_reordering_bounds_cover_the_true_quantile(coverage):
+    for quantile in QUANTILES:
+        _assert_covers(coverage, "reordering", quantile)
+
+
+def _assert_covers(coverage, shape: str, quantile: float) -> None:
     trials, hits = coverage[shape]
     n = trials[quantile]
     assert n >= 40, f"{shape}: only {n} trials at q={quantile}"

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.api.runner import _build_cell, _summarize, lower_cell
 from repro.core.domain import DomainAgent
-from repro.core.hop import HOPCollector, HOPReport
+from repro.core.hop import HOPCollector, HOPProcessor, HOPReport
 from repro.core.protocol import MeshSession
 from repro.net.packet import Packet
 from repro.net.topology import HOP, Domain, HOPPath
@@ -224,10 +224,15 @@ def observe_sequence(collector: HOPCollector, observations) -> ReferenceCollecto
 
 
 def observe_agent(agent: DomainAgent, observation: PathObservation) -> None:
-    """Replace each of the agent's collectors with a reference fed its HOP's traffic."""
+    """Replace each of the agent's collectors with a reference fed its HOP's traffic.
+
+    The agent reads its reports through one processor per HOP, so the swap
+    installs the reference in both of the agent's tables.
+    """
     for hop_id in agent.hop_ids:
         reference = observe_sequence(agent.collector(hop_id), observation.at_hop(hop_id))
-        agent.replace_collector(hop_id, reference)
+        agent._collectors[hop_id] = reference
+        agent._processors[hop_id] = HOPProcessor(reference)
 
 
 def run_session(session: MeshSession, observation: PathObservation) -> dict[int, HOPReport]:

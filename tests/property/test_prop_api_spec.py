@@ -290,7 +290,6 @@ def execution_policies(draw) -> ExecutionPolicy:
         engine=engine,
         chunk_size=draw(optional_counts) if chunked else None,
         throttle=draw(st.floats(min_value=0.0, max_value=60.0, allow_nan=False)),
-        checkpoint_every=draw(optional_counts) if chunked else None,
     )
 
 

@@ -9,7 +9,7 @@ of orders of magnitude):
   sketch's;
 * the digest is invariant to the order samples were folded in;
 * serialization round trips bit-exactly through ``to_state()`` (the JSON
-  checkpoint form) and pickle, so state rebuilt in another process is
+  record form) and pickle, so state rebuilt in another process is
   indistinguishable from the original;
 * every quantile estimate satisfies the documented relative error bound
   against the exact order statistics.
@@ -106,7 +106,7 @@ def test_state_round_trips_are_bit_exact(samples, size):
     sketch = DelayQuantileSketch(size, samples)
     digest = sketch.state_digest()
 
-    # the JSON checkpoint form survives serialization to text and back
+    # the JSON record form survives serialization to text and back
     payload = json.loads(json.dumps(sketch.to_state()))
     rebuilt = DelayQuantileSketch.from_state(payload)
     assert rebuilt.state_digest() == digest

@@ -10,10 +10,12 @@ hypothesis-generated streams and arbitrary chunk boundaries:
   stream in a single call, and to the per-packet reference of
   :mod:`tests.oracle.collectors`;
 * **state survives pickling at every chunk boundary** — round-tripping a
-  sampler/aggregator/collector through :mod:`pickle` between chunks (what a
-  mid-interval :class:`RunnerCheckpoint` does) changes nothing downstream;
+  sampler/aggregator/collector through :mod:`pickle` between chunks changes
+  nothing downstream;
 * **trace chunking is invariant** — ``SyntheticTrace.iter_batches`` yields
-  chunks whose concatenation equals ``packet_batch()`` for every chunk size.
+  chunks whose concatenation equals ``packet_batch()`` for every chunk size,
+  and ``iter_batches(start_chunk=k)`` yields a bit-identical suffix of that
+  pass.
 
 ``time_sum`` is covered by the ``state_digest`` comparison at its documented
 10-significant-digit tolerance; every other quantity is exact.
@@ -261,3 +263,39 @@ class TestTraceChunking:
         assert np.array_equal(
             np.concatenate([part.payload for part in parts]), full.payload
         )
+
+
+class TestTraceSeekSuffix:
+    """``iter_batches(start_chunk=k)`` yields a bit-identical suffix of the
+    full pass for arbitrary chunk sizes."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chunk_size=st.integers(min_value=1, max_value=900),
+        process=st.sampled_from(["poisson", "cbr", "mmpp"]),
+        data=st.data(),
+    )
+    def test_start_chunk_suffix_is_bitwise_identical(
+        self, seed, chunk_size, process, data
+    ):
+        config = TraceConfig(packet_count=800, arrival_process=process)
+        full = list(SyntheticTrace(config=config, seed=seed).iter_batches(chunk_size))
+        start = data.draw(
+            st.integers(min_value=0, max_value=len(full)), label="start_chunk"
+        )
+        suffix = list(
+            SyntheticTrace(config=config, seed=seed).iter_batches(
+                chunk_size, start_chunk=start
+            )
+        )
+        assert len(suffix) == len(full) - start
+        for expected, actual in zip(full[start:], suffix):
+            for column in (
+                "src_ip", "dst_ip", "src_port", "dst_port", "protocol",
+                "ip_id", "length", "uid", "send_time", "flow_id",
+            ):
+                assert np.array_equal(
+                    getattr(actual, column), getattr(expected, column)
+                ), column
+            assert np.array_equal(actual.payload, expected.payload)

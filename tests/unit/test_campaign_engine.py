@@ -1,4 +1,4 @@
-"""Unit tests for the checkpointable campaign engine (CampaignRunner)."""
+"""Unit tests for the resumable campaign engine (CampaignRunner)."""
 
 from __future__ import annotations
 
@@ -292,6 +292,34 @@ class TestCampaignStatistics:
         assert estimate["delay_sample_count"] == len(record["delay_samples"]["X"])
         assert record["verdicts"]["X"]["accepted"] is True
         assert record["verdicts"]["X"]["sla_compliant"] is True
+
+    def test_domain_that_drops_every_packet_reports_total_loss(self):
+        """X's egress HOP saw none of its ingress HOP's packets: all of them were lost."""
+        cell = ExperimentSpec(
+            name="all-lost",
+            seed=3,
+            traffic=TrafficSpec(workload=None, packet_count=2000),
+            path=PathSpec(
+                conditions={
+                    "X": ConditionSpec(loss="bernoulli", loss_params={"loss_rate": 1.0})
+                }
+            ),
+            protocol=ProtocolSpec(default=HOPSpec(sampling_rate=0.05)),
+        )
+        spec = CampaignSpec(
+            name="all-lost",
+            intervals=2,
+            cell=cell,
+            sla=SLATargetSpec(delay_bound=10e-3, delay_quantile=0.9, loss_bound=0.1),
+        )
+        record = interval_record(spec, 0)
+        assert record["estimates"]["X"]["offered_packets"] == 2000
+        assert record["estimates"]["X"]["loss_rate"] == 1.0
+        assert record["verdicts"]["X"]["sla_compliant"] is False
+        summary = CampaignRunner(spec).run().summary["domains"]["X"]
+        assert summary["offered_packets"] == summary["lost_packets"] == 4000
+        assert summary["loss_rate"] == 1.0
+        assert summary["sla_compliant"] is False
 
     def test_summary_pools_across_intervals(self):
         spec = _spec(intervals=3)

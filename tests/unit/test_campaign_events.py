@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.api.spec import (
     CampaignSpec,
     ConditionSpec,
-    ExecutionPolicy,
     ExperimentSpec,
     HOPSpec,
     PathSpec,
@@ -17,7 +14,6 @@ from repro.api.spec import (
 )
 from repro.engine.campaign import (
     CampaignRunner,
-    CheckpointWritten,
     IntervalCommitted,
     RunComplete,
 )
@@ -80,31 +76,6 @@ def test_events_fire_after_durable_state(tmp_path):
 
     CampaignRunner(spec, store).run(on_event=sink)
     assert observed == [("records", 1), ("records", 2), ("summary", 2)]
-
-
-def test_checkpoint_events_on_streaming_policy(tmp_path):
-    spec = _spec(intervals=1, packet_count=300)
-    store = RunStore.create(tmp_path / "run", spec)
-    policy = ExecutionPolicy(engine="streaming", chunk_size=100, checkpoint_every=1)
-    events = []
-    CampaignRunner(spec, store, policy=policy).run(on_event=events.append)
-
-    checkpoints = [e for e in events if isinstance(e, CheckpointWritten)]
-    assert checkpoints, "checkpoint_every=1 must surface CheckpointWritten events"
-    assert all(event.interval == 0 for event in checkpoints)
-    chunk_indices = [event.chunk_index for event in checkpoints]
-    assert chunk_indices == sorted(chunk_indices)
-    # Checkpoints interleave inside the interval: all precede its commit.
-    commit_position = next(
-        i for i, e in enumerate(events) if isinstance(e, IntervalCommitted)
-    )
-    assert all(
-        i < commit_position
-        for i, e in enumerate(events)
-        if isinstance(e, CheckpointWritten)
-    )
-    # The finished store carries no checkpoint residue.
-    assert not (Path(store.path) / CampaignRunner.CHECKPOINT_NAME).exists()
 
 
 def test_event_sink_restored_after_run(tmp_path):

@@ -100,24 +100,6 @@ class TestRun:
         with pytest.raises(SystemExit, match="cannot load campaign spec"):
             main(["run", str(bad), "--quiet"])
 
-    def test_run_rejects_mid_interval_checkpointing_for_mesh_cell(self, tmp_path):
-        from repro.api.spec import MeshSpec, TopologySpec
-
-        mesh_spec = CampaignSpec(
-            name="cli-mesh",
-            intervals=1,
-            cell=MeshSpec(
-                topology=TopologySpec(kind="star", params={"path_count": 2}, seed=1),
-                traffic=TrafficSpec(workload=None, packet_count=300),
-            ),
-        )
-        spec_path = tmp_path / "mesh.json"
-        spec_path.write_text(mesh_spec.to_json())
-        with pytest.raises(SystemExit, match="interval boundaries"):
-            main(["run", str(spec_path), "--run-dir", str(tmp_path / "run"),
-                  "--engine", "streaming", "--checkpoint-every", "2", "--quiet"])
-        assert not (tmp_path / "run").exists()  # rejected before any work
-
     def test_run_rejects_chunk_size_without_streaming(self, tmp_path, spec_file):
         with pytest.raises(SystemExit, match="streaming engine only"):
             main(["run", str(spec_file), "--run-dir", str(tmp_path / "run"),
@@ -159,22 +141,6 @@ class TestPolicyOption:
         with pytest.raises(SystemExit, match="cannot load execution policy"):
             main(["run", str(spec_file), "--run-dir", str(tmp_path / "run"),
                   "--policy", str(policy_path), "--quiet"])
-
-    def test_checkpoint_every_leaves_clean_identical_store(self, tmp_path, spec_file):
-        main(["run", str(spec_file), "--run-dir", str(tmp_path / "plain"), "--quiet"])
-        main(["run", str(spec_file), "--run-dir", str(tmp_path / "ckpt"),
-              "--engine", "streaming", "--chunk-size", "128",
-              "--checkpoint-every", "1", "--quiet"])
-        assert not (tmp_path / "ckpt" / "interval.ckpt").exists()
-        assert (
-            RunStore.open(tmp_path / "ckpt").digest()
-            == RunStore.open(tmp_path / "plain").digest()
-        )
-
-    def test_checkpoint_every_requires_streaming(self, tmp_path, spec_file):
-        with pytest.raises(SystemExit, match="streaming engine only"):
-            main(["run", str(spec_file), "--run-dir", str(tmp_path / "run"),
-                  "--checkpoint-every", "2", "--quiet"])
 
 
 class TestResumeAndReport:

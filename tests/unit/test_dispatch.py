@@ -23,7 +23,6 @@ import pytest
 from repro.api.spec import (
     CampaignSpec,
     ConditionSpec,
-    ExecutionPolicy,
     ExperimentSpec,
     HOPSpec,
     PathSpec,
@@ -39,7 +38,6 @@ from repro.dist import (
     HTTPTransport,
     StagingArea,
     dispatch_campaign,
-    validate_dispatch_policy,
 )
 from repro.dist.dispatch import DEFAULT_LEASE
 from repro.engine.campaign import CampaignRunner, IntervalCommitted, interval_record
@@ -104,15 +102,15 @@ class TestStagingArea:
 
 
 class TestPolicyValidation:
-    def test_checkpoint_every_rejected(self):
+    def test_plain_policy_bound(self, tmp_path):
         spec = _spec()
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            validate_dispatch_policy(spec, ExecutionPolicy(checkpoint_every=1))
-
-    def test_plain_policy_bound(self):
-        spec = _spec()
-        bound = validate_dispatch_policy(spec, None)
-        assert bound.engine is not None  # bind() resolved the engine
+        store = RunStore.create(tmp_path / "run", spec)
+        coordinator = DispatchCoordinator(store, workers=0)
+        try:
+            # bind() resolved the engine workers are told to run
+            assert coordinator.policy.engine == spec.cell.engine
+        finally:
+            coordinator.close()
 
 
 @pytest.fixture
@@ -325,15 +323,16 @@ class TestCommitOnlyCoordinator:
         ]
 
     def test_commit_clears_a_stale_interval_checkpoint(self, tmp_path):
-        # A killed single-host --checkpoint-every run can leave interval.ckpt
-        # behind; the dispatch commit step removes it like a resume would.
+        # An older build's mid-interval checkpoint can still sit in a store;
+        # the coordinator's runner removes it when it opens the store.
         spec = _spec(intervals=1)
         store = RunStore.create(tmp_path / "run", spec)
-        stale = tmp_path / "run" / CampaignRunner.CHECKPOINT_NAME
-        stale.write_bytes(b"stale")
+        stale = [tmp_path / "run" / "interval.ckpt", tmp_path / "run" / "interval.ckpt.tmp"]
+        for path in stale:
+            path.write_bytes(b"stale")
         stage_record(StagingArea(tmp_path / "run" / DISPATCH_DIR), 0, interval_record(spec, 0))
         DispatchCoordinator(store, workers=0).run()
-        assert not stale.exists()
+        assert not any(path.exists() for path in stale)
         assert store.digest() == _direct_run(tmp_path, spec).digest()
 
     def test_negative_workers_rejected(self, tmp_path):

@@ -46,7 +46,6 @@ class TestValidation:
         assert policy.engine is None
         assert policy.chunk_size is None
         assert policy.throttle == 0.0
-        assert policy.checkpoint_every is None
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine must be"):
@@ -57,16 +56,14 @@ class TestValidation:
         [
             {"chunk_size": 0},
             {"throttle": -1.0},
-            {"checkpoint_every": 0},
             {"chunk_size": -5},
-            {"checkpoint_every": -2},
         ],
     )
     def test_out_of_range_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExecutionPolicy(engine="streaming", **kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"chunk_size": 64}, {"checkpoint_every": 2}])
+    @pytest.mark.parametrize("kwargs", [{"chunk_size": 64}])
     def test_streaming_knobs_rejected_on_explicit_batch(self, kwargs):
         with pytest.raises(ValueError, match="use engine='streaming'"):
             ExecutionPolicy(engine="batch", **kwargs)
@@ -167,32 +164,11 @@ class TestBind:
         bound = ExecutionPolicy(engine="streaming").bind(_path_spec(engine="batch"))
         assert bound.engine == "streaming"
 
-    def test_mesh_rejects_mid_interval_checkpointing(self):
-        with pytest.raises(
-            ValueError,
-            match="checkpoint_every applies to single-path streaming cells only; "
-            "mesh intervals checkpoint at interval boundaries",
-        ):
-            ExecutionPolicy(engine="streaming", checkpoint_every=2).bind(_mesh_spec())
-
-    def test_one_path_mesh_accepts_mid_interval_checkpointing(self):
-        """The rule counts the cell's paths, not which spelling names them."""
-        policy = ExecutionPolicy(engine="streaming", chunk_size=512, checkpoint_every=2)
-        bound = policy.bind(MeshSpec(topology=TopologySpec(kind="figure1")))
-        assert bound.checkpoint_every == 2 and bound.engine == "streaming"
-
-
-    def test_deferred_checkpointing_rejected_when_spec_runs_batch(self):
-        policy = ExecutionPolicy(checkpoint_every=2)
-        assert policy.bind(_path_spec(engine="streaming")).checkpoint_every == 2
-        with pytest.raises(ValueError, match="does not support checkpoint_every"):
-            policy.bind(_path_spec(engine="batch"))
-
 
 class TestRoundTrip:
     def test_json_round_trip_is_identity(self):
         policy = ExecutionPolicy(
-            engine="streaming", chunk_size=512, throttle=0.5, checkpoint_every=8,
+            engine="streaming", chunk_size=512, throttle=0.5,
         )
         assert ExecutionPolicy.from_json(policy.to_json()) == policy
         assert ExecutionPolicy.from_dict(policy.to_dict()) == policy
@@ -210,26 +186,30 @@ class TestRoundTrip:
         assert policy.engine == "streaming"
 
 
-class TestShardsRemoved:
-    """``shards`` is no execution knob: every outside input rejects it by name."""
+class TestRemovedKnobs:
+    """``shards`` and ``checkpoint_every`` are no execution knobs: every
+    outside input rejects them by name, before any store exists."""
 
-    def test_shards_rejected_on_every_outside_input(self, tmp_path, capsys):
+    def test_policy_fields(self):
         assert [field.name for field in dataclasses.fields(ExecutionPolicy)] == [
-            "engine", "chunk_size", "throttle", "checkpoint_every"
+            "engine", "chunk_size", "throttle"
         ]
 
+    @pytest.mark.parametrize("knob", ["shards", "checkpoint_every"])
+    def test_knob_rejected_on_every_outside_input(self, tmp_path, capsys, knob):
         # 1. the declarative policy
-        with pytest.raises(ValueError, match="'shards'"):
-            ExecutionPolicy.from_dict({"shards": 2})
+        with pytest.raises(ValueError, match=f"'{knob}'"):
+            ExecutionPolicy.from_dict({knob: 2})
 
         # 2. the CLI
-        spec = CampaignSpec(name="no-shards", intervals=1, cell=_path_spec())
+        flag = "--" + knob.replace("_", "-")
+        spec = CampaignSpec(name="no-removed-knob", intervals=1, cell=_path_spec())
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(spec.to_json())
         with pytest.raises(SystemExit):
             main(["run", str(spec_file), "--run-dir", str(tmp_path / "run"),
-                  "--shards", "2", "--quiet"])
-        assert "--shards" in capsys.readouterr().err
+                  "--engine", "streaming", flag, "2", "--quiet"])
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
         # 3. the service: the uniform 400 error envelope, not a 500
@@ -237,7 +217,7 @@ class TestShardsRemoved:
         try:
             app = ServiceApp(tmp_path / "runs", queue=queue)
             body = json.dumps(
-                {"spec": spec.to_dict(), "policy": {"engine": "streaming", "shards": 2}}
+                {"spec": spec.to_dict(), "policy": {"engine": "streaming", knob: 2}}
             ).encode("utf-8")
             environ = {
                 "REQUEST_METHOD": "POST",
@@ -257,5 +237,5 @@ class TestShardsRemoved:
         error = json.loads(payload)["error"]
         assert error["code"] == "bad_request"
         assert error["message"].startswith("invalid execution policy: ")
-        assert "'shards'" in error["message"]
+        assert f"'{knob}'" in error["message"]
         assert not list((tmp_path / "runs").glob("*"))  # no store created

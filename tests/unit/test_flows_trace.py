@@ -221,7 +221,7 @@ class TestSyntheticTrace:
 
 
 class TestTraceSeek:
-    """``iter_batches(start_chunk=k)`` — the trace side of mid-interval resume."""
+    """``iter_batches(start_chunk=k)`` starts a pass at a chunk boundary."""
 
     _COLUMNS = (
         "src_ip", "dst_ip", "src_port", "dst_port", "protocol",
@@ -259,7 +259,7 @@ class TestTraceSeek:
 
 
 class TestChunkSpans:
-    """The chunk arithmetic that checkpoint indices and resume offsets rely on."""
+    """The chunk arithmetic the streaming engine and ``start_chunk`` rely on."""
 
     @pytest.mark.parametrize("packet_count", [1, 5, 17, 100])
     @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7])

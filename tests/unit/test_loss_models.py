@@ -157,24 +157,3 @@ class TestGilbertElliottRunLengthBatch:
         scalar = GilbertElliottLossModel(seed=11, **corner)
         assert np.array_equal(batched.drops_batch(0, count), _per_packet(scalar, count))
         _assert_same_chain(batched, scalar)
-
-    def test_snapshot_restore_mid_chain(self):
-        corner = dict(p=0.2, r=0.3, loss_good=0.05)
-        original = GilbertElliottLossModel(seed=12, **corner)
-        original.drops_batch(0, 333)
-        while not original._in_bad_state:
-            original.drops_batch(0, 1)
-        snapshot = original.state_snapshot()
-        continuation = original.drops_batch(0, 501)
-
-        batched = GilbertElliottLossModel(seed=98, **corner)
-        scalar = GilbertElliottLossModel(seed=99, **corner)
-        batched.state_restore(snapshot)
-        scalar.state_restore(snapshot)
-        masks = []
-        for count in (200, 301):
-            masks.append(batched.drops_batch(0, count))
-            assert np.array_equal(masks[-1], _per_packet(scalar, count))
-            _assert_same_chain(batched, scalar)
-        assert np.array_equal(np.concatenate(masks), continuation)
-        _assert_same_chain(batched, original)

@@ -183,9 +183,19 @@ class TestReceiptAlignment:
 
     def test_empty_inputs_give_no_pairs(self, path_id):
         assert align_pairs([], []) == []
-        assert align_pairs(
-            [make_receipt(path_id, 1, 2, 3, 0.0, 0.1)], []
-        ) == []
+        assert align_pairs([], [make_receipt(path_id, 1, 2, 3, 0.0, 0.1)]) == []
+
+    def test_upstream_against_empty_downstream_is_one_all_lost_pair(self, path_id):
+        """A downstream HOP that saw none of the upstream's packets lost them all."""
+        upstream = [
+            make_receipt(path_id, 1, 9, 10, 0.0, 0.1),
+            make_receipt(path_id, 10, 19, 7, 0.1, 0.2),
+        ]
+        (pair,) = aligned_aggregates(upstream, [])
+        assert (pair.upstream.first_pkt_id, pair.upstream.last_pkt_id) == (1, 19)
+        assert pair.upstream.pkt_count == 17
+        assert pair.downstream.pkt_count == 0
+        assert pair.lost_packets == 17 and pair.migrated_packets == 0
 
     def test_reordering_patch_migrates_packet(self, path_id):
         # Packet 77 was observed just before the cut upstream but just after

@@ -149,10 +149,10 @@ class TestSubmission:
             queue.submit(_spec(), run_id="ghost", resume=True)
 
     def test_impossible_policy_dies_at_submission(self, queue):
-        with pytest.raises(ValueError):
-            queue.submit(
-                _spec(), policy=ExecutionPolicy(engine="batch", checkpoint_every=1)
-            )
+        # A chunk size against the spec's own batch engine.
+        with pytest.raises(ValueError, match="does not support chunk_size"):
+            queue.submit(_spec(), policy=ExecutionPolicy(chunk_size=64))
+        assert queue.jobs() == []
 
     def test_path_escaping_run_id_rejected(self, queue):
         with pytest.raises(ValueError, match="invalid run id"):
@@ -276,17 +276,6 @@ class TestShutdownRequeueRace:
 
 
 class TestDispatchMode:
-    def test_dispatch_rejects_checkpointing_at_submission(self, tmp_path):
-        queue = JobQueue(tmp_path / "runs", workers=1, dispatch_workers=2)
-        try:
-            with pytest.raises(JobRejected, match="checkpoint_every"):
-                queue.submit(
-                    _spec(),
-                    policy=ExecutionPolicy(engine="streaming", checkpoint_every=1),
-                )
-        finally:
-            queue.shutdown(wait=True)
-
     def test_dispatch_workers_validated(self, tmp_path):
         with pytest.raises(ValueError, match="dispatch_workers"):
             JobQueue(tmp_path, dispatch_workers=0)

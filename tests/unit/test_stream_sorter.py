@@ -92,7 +92,7 @@ class TestSortedFastPath:
 
         assert len(emitted) == 600 and sorter.pending == 400
         assert np.shares_memory(emitted.payload, chunk.payload)  # zero-copy prefix
-        held, held_keys = sorter.snapshot()["batch"], sorter.snapshot()["keys"]
+        held, held_keys = sorter._batch, sorter._keys
         assert held._digest_root is None
         for name in _COLUMNS:
             assert not np.shares_memory(getattr(held, name), getattr(chunk, name)), name
@@ -106,7 +106,7 @@ class TestSortedFastPath:
         keys = chunk.send_time + np.random.default_rng(2).uniform(0.0, 4e-3, len(chunk))
         sorter = _StreamSorter()
         sorter.push(chunk, keys, float(np.median(keys)))
-        held, held_keys = sorter.snapshot()["batch"], sorter.snapshot()["keys"]
+        held, held_keys = sorter._batch, sorter._keys
         assert sorter.pending and held._digest_root is None
         for name in _COLUMNS:
             assert not np.shares_memory(getattr(held, name), getattr(chunk, name)), name
