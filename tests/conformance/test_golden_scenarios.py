@@ -12,7 +12,8 @@ For each canonical scenario the suite freezes, as JSON fixtures under
 ``pytest --regen-goldens`` rewrites the fixtures from the current batch
 engine instead of comparing.  On top of the golden comparison, the streaming
 engine must reproduce the batch engine's cell result **byte-identically** and
-its receipts exactly.
+its receipts exactly — also when a campaign over the scenario is killed
+between two chunks of an interval and resumed at that interval's start.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from pathlib import Path
 import pytest
 
 from repro.api.runner import run_cell
+from repro.api.spec import CampaignSpec, ExecutionPolicy
+from repro.engine.campaign import CampaignRunner
+from repro.engine.streaming import ScenarioStream
+from repro.store import RunStore
 
 from tests.conformance.canon import (
     canonical_receipts,
@@ -94,3 +99,40 @@ class TestConformance:
         assert canonical_receipts(run_streaming_reports(spec, chunk_size=CHUNK_SIZE)) == (
             canonical_receipts(run_batch_reports(spec))
         )
+
+    def test_streaming_resumed_mid_run_byte_identical(
+        self, name, regen, tmp_path, monkeypatch
+    ):
+        if regen:
+            pytest.skip("regenerating goldens")
+        spec = CampaignSpec(
+            name=f"golden-{name}", intervals=2, cell=CONFORMANCE_SCENARIOS[name]
+        )
+        full = RunStore.create(tmp_path / "full", spec)
+        CampaignRunner(spec, full, engine="batch").run()
+
+        part = RunStore.create(tmp_path / "part", spec)
+        policy = ExecutionPolicy(engine="streaming", chunk_size=CHUNK_SIZE)
+        killed = CampaignRunner(spec, part, policy=policy)
+        original_push = ScenarioStream.push
+        pushes: list[int] = []
+
+        def push_then_kill(stream, chunk):
+            if killed.next_interval == 1:
+                pushes.append(1)
+                if len(pushes) == 3:
+                    raise KeyboardInterrupt  # between chunks 2 and 3 of interval 1
+            return original_push(stream, chunk)
+
+        monkeypatch.setattr(ScenarioStream, "push", push_then_kill)
+        with pytest.raises(KeyboardInterrupt):
+            killed.run()
+        monkeypatch.setattr(ScenarioStream, "push", original_push)
+        assert part.record_count == 1 and part.summary() is None
+
+        outcome = CampaignRunner.resume(part.path, policy=policy).run()
+        assert outcome.completed and outcome.intervals_run == 1
+        for file_name in ("records.jsonl", "summary.json"):
+            assert (part.path / file_name).read_bytes() == (
+                full.path / file_name
+            ).read_bytes()

@@ -147,54 +147,105 @@ def _assert_same_store(part: RunStore, full: RunStore) -> None:
     assert part.digest() == full.digest()
 
 
-class TestKillInsideInterval:
-    def test_kill_inside_interval_resumes_to_identical_store(
-        self, tmp_path, monkeypatch
-    ):
-        self._assert_killed_mid_interval_resumes(tmp_path, monkeypatch, _campaign_spec())
+def _one_path_mesh_spec() -> CampaignSpec:
+    cell = MeshSpec(
+        name="seek-one-path-mesh",
+        seed=17,
+        topology=TopologySpec(kind="figure1"),
+        traffic=TrafficSpec(workload=None, packet_count=500),
+        conditions={"X": _CONDITION},
+    )
+    return CampaignSpec(name="seek-one-path-mesh", intervals=3, cell=cell)
 
+
+def _kill_at(monkeypatch, runner: CampaignRunner, interval: int, push: int) -> list[int]:
+    """Raise ``KeyboardInterrupt`` instead of the ``push``-th chunk push of ``interval``.
+
+    Counts pushes on every path of the cell, so in a mesh round the kill can
+    land between two paths' pushes of the same chunk.  ``push=0`` kills the
+    interval's end-of-stream flush instead, after every chunk was pushed.
+    """
+    pushes: list[int] = []
+    method = "flush" if push == 0 else "push"
+    original = getattr(ScenarioStream, method)
+
+    def run_then_kill(self, *args):
+        if runner.next_interval == interval:
+            pushes.append(1)
+            if push == 0 or len(pushes) == push:
+                raise KeyboardInterrupt
+        return original(self, *args)
+
+    monkeypatch.setattr(ScenarioStream, method, run_then_kill)
+    return pushes
+
+
+class TestKillInsideInterval:
+    @pytest.mark.parametrize(
+        ("interval", "push"),
+        [(0, 1), (1, 2), (1, 4), (2, 3), (1, 0)],
+        ids=[
+            "first-chunk-of-first-interval",
+            "between-chunks-1-and-2",
+            "last-chunk",
+            "inside-last-interval",
+            "in-end-of-stream-flush",
+        ],
+    )
+    def test_kill_inside_interval_resumes_to_identical_store(
+        self, tmp_path, monkeypatch, interval, push
+    ):
+        self._assert_killed_mid_interval_resumes(
+            tmp_path, monkeypatch, _campaign_spec(), interval, push
+        )
+
+    @pytest.mark.parametrize("interval", [0, 1, 2])
     def test_one_path_mesh_killed_inside_interval_resumes_to_identical_store(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, interval
     ):
         """A mesh spelling with one path resumes at interval start like a path."""
-        cell = MeshSpec(
-            name="seek-one-path-mesh",
-            seed=17,
-            topology=TopologySpec(kind="figure1"),
-            traffic=TrafficSpec(workload=None, packet_count=500),
-            conditions={"X": _CONDITION},
+        self._assert_killed_mid_interval_resumes(
+            tmp_path, monkeypatch, _one_path_mesh_spec(), interval, push=2
         )
-        spec = CampaignSpec(name="seek-one-path-mesh", intervals=3, cell=cell)
-        self._assert_killed_mid_interval_resumes(tmp_path, monkeypatch, spec)
+
+    @pytest.mark.parametrize("push", [4, 8])
+    def test_two_path_mesh_killed_inside_interval_resumes_to_identical_store(
+        self, tmp_path, monkeypatch, push
+    ):
+        """Push 4 falls between the two paths' pushes of chunk 2; push 8 is the
+        second path's last chunk."""
+        spec = CampaignSpec(name="seek-two-path-mesh", intervals=3, cell=_mesh_spec())
+        self._assert_killed_mid_interval_resumes(
+            tmp_path, monkeypatch, spec, interval=1, push=push
+        )
 
     @staticmethod
-    def _assert_killed_mid_interval_resumes(tmp_path, monkeypatch, spec) -> None:
+    def _assert_killed_mid_interval_resumes(
+        tmp_path, monkeypatch, spec, interval: int = 1, push: int = 2
+    ) -> None:
         full = RunStore.create(tmp_path / "full", spec)
         CampaignRunner(spec, full).run()
 
         part = RunStore.create(tmp_path / "part", spec)
         killed = CampaignRunner(spec, part, policy=STREAMING_POLICY)
-        original_push = ScenarioStream.push
-        pushes_in_interval_1: list[int] = []
-
-        def push_then_kill(self, chunk):
-            if killed.next_interval == 1:
-                pushes_in_interval_1.append(1)
-                if len(pushes_in_interval_1) == 2:
-                    raise KeyboardInterrupt  # between chunks 1 and 2 of interval 1
-            return original_push(self, chunk)
-
-        monkeypatch.setattr(ScenarioStream, "push", push_then_kill)
-        with pytest.raises(KeyboardInterrupt):
-            killed.run()
-        monkeypatch.setattr(ScenarioStream, "push", original_push)
-        assert part.record_count == 1 and len(pushes_in_interval_1) == 2
+        with monkeypatch.context() as patch:
+            pushes = _kill_at(patch, killed, interval, push)
+            with pytest.raises(KeyboardInterrupt):
+                killed.run()
+        assert part.record_count == interval
+        assert len(pushes) == max(push, 1)
+        assert part.summary() is None
 
         outcome = CampaignRunner.resume(part, policy=STREAMING_POLICY).run()
-        assert outcome.completed and outcome.intervals_run == spec.intervals - 1
+        assert outcome.completed and outcome.intervals_run == spec.intervals - interval
         _assert_same_store(part, full)
 
-    def test_store_with_stale_checkpoint_files_resumes_clean(self, tmp_path):
+    @pytest.mark.parametrize(
+        "stale",
+        [STALE_CHECKPOINT_FILES, STALE_CHECKPOINT_FILES[:1], STALE_CHECKPOINT_FILES[1:]],
+        ids=["both", "checkpoint-only", "tmp-only"],
+    )
+    def test_store_with_stale_checkpoint_files_resumes_clean(self, tmp_path, stale):
         """An older build's ``interval.ckpt`` pair is removed when a run reopens the store."""
         spec = _campaign_spec()
         full = RunStore.create(tmp_path / "full", spec)
@@ -202,7 +253,7 @@ class TestKillInsideInterval:
 
         part = RunStore.create(tmp_path / "part", spec)
         CampaignRunner(spec, part).run(max_intervals=1)
-        for name in STALE_CHECKPOINT_FILES:
+        for name in stale:
             (part.path / name).write_bytes(b"\x80\x04 a pickle from an older build")
 
         outcome = CampaignRunner.resume(part.path, policy=STREAMING_POLICY).run()
@@ -210,3 +261,19 @@ class TestKillInsideInterval:
         for name in STALE_CHECKPOINT_FILES:
             assert not (part.path / name).exists()
         _assert_same_store(part, full)
+
+    def test_completed_store_with_stale_checkpoint_files_reopens_clean(self, tmp_path):
+        """A finished store re-opened for resume runs nothing and keeps its bytes."""
+        spec = _campaign_spec()
+        store = RunStore.create(tmp_path / "run", spec)
+        CampaignRunner(spec, store).run()
+        before = {name: (store.path / name).read_bytes()
+                  for name in ("spec.json", "records.jsonl", "summary.json")}
+        for name in STALE_CHECKPOINT_FILES:
+            (store.path / name).write_bytes(b"stale")
+
+        outcome = CampaignRunner.resume(store.path).run()
+        assert outcome.completed and outcome.intervals_run == 0
+        for name in STALE_CHECKPOINT_FILES:
+            assert not (store.path / name).exists()
+        assert {name: (store.path / name).read_bytes() for name in before} == before

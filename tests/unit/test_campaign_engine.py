@@ -321,6 +321,29 @@ class TestCampaignStatistics:
         assert summary["loss_rate"] == 1.0
         assert summary["sla_compliant"] is False
 
+    def test_mesh_domain_that_drops_every_packet_reports_total_loss(self):
+        """Every path across an all-dropping X adds its offered packets as lost."""
+        cell = MeshSpec(
+            name="all-lost-mesh",
+            seed=3,
+            topology=TopologySpec(kind="star", params={"path_count": 2}, seed=0),
+            traffic=TrafficSpec(workload=None, packet_count=1000),
+            conditions={
+                "X": ConditionSpec(loss="bernoulli", loss_params={"loss_rate": 1.0})
+            },
+            protocol=ProtocolSpec(default=HOPSpec(sampling_rate=0.05)),
+        )
+        spec = CampaignSpec(
+            name="all-lost-mesh",
+            intervals=1,
+            cell=cell,
+            sla=SLATargetSpec(delay_bound=10e-3, delay_quantile=0.9, loss_bound=0.1),
+        )
+        record = interval_record(spec, 0)
+        assert record["estimates"]["X"]["offered_packets"] == 2000
+        assert record["estimates"]["X"]["loss_rate"] == 1.0
+        assert record["verdicts"]["X"]["sla_compliant"] is False
+
     def test_summary_pools_across_intervals(self):
         spec = _spec(intervals=3)
         runner = CampaignRunner(spec)

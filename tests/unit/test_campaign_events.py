@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.api.spec import (
     CampaignSpec,
     ConditionSpec,
+    ExecutionPolicy,
     ExperimentSpec,
     HOPSpec,
     PathSpec,
@@ -17,6 +20,7 @@ from repro.engine.campaign import (
     IntervalCommitted,
     RunComplete,
 )
+from repro.engine.streaming import ScenarioStream
 from repro.store import RunStore
 
 
@@ -87,3 +91,34 @@ def test_event_sink_restored_after_run(tmp_path):
     # A second run without a sink emits nothing and completes normally.
     outcome = runner.run()
     assert outcome.completed
+
+
+def test_kill_inside_interval_fires_no_event_for_it(tmp_path, monkeypatch):
+    """An interval killed between two chunks announces nothing; its resume does."""
+    spec = _spec(intervals=2, packet_count=300)
+    store = RunStore.create(tmp_path / "run", spec)
+    policy = ExecutionPolicy(engine="streaming", chunk_size=100)
+    runner = CampaignRunner(spec, store, policy=policy)
+    original_push = ScenarioStream.push
+
+    def push_then_kill(stream, chunk):
+        if runner.next_interval == 1:
+            raise KeyboardInterrupt
+        return original_push(stream, chunk)
+
+    events = []
+    with monkeypatch.context() as patch:
+        patch.setattr(ScenarioStream, "push", push_then_kill)
+        with pytest.raises(KeyboardInterrupt):
+            runner.run(on_event=events.append)
+    assert [(type(e).__name__, e.interval) for e in events] == [("IntervalCommitted", 0)]
+    assert runner._event_sink is None
+
+    resumed: list = []
+    CampaignRunner.resume(store, policy=policy).run(on_event=resumed.append)
+    assert [type(event).__name__ for event in resumed] == [
+        "IntervalCommitted", "RunComplete"
+    ]
+    assert resumed[0].interval == 1
+    assert resumed[1].summary == store.summary()
+

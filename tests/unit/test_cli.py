@@ -142,6 +142,28 @@ class TestPolicyOption:
             main(["run", str(spec_file), "--run-dir", str(tmp_path / "run"),
                   "--policy", str(policy_path), "--quiet"])
 
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_policy_file_with_checkpoint_every_rejected(
+        self, tmp_path, spec_file, command
+    ):
+        """A policy file from a build that checkpointed mid-interval is refused by name."""
+        run_dir = tmp_path / "run"
+        if command == "resume":
+            main(["run", str(spec_file), "--run-dir", str(run_dir),
+                  "--max-intervals", "1", "--quiet"])
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text('{"engine": "streaming", "checkpoint_every": 2}')
+        target = str(spec_file) if command == "run" else str(run_dir)
+        args = [command, target, "--policy", str(policy_path), "--quiet"]
+        if command == "run":
+            args[2:2] = ["--run-dir", str(run_dir)]
+        with pytest.raises(SystemExit, match="cannot load execution policy.*'checkpoint_every'"):
+            main(args)
+        if command == "run":
+            assert not run_dir.exists()
+        else:
+            assert RunStore.open(run_dir).record_count == 1
+
 
 class TestResumeAndReport:
     def test_kill_resume_byte_identical(self, tmp_path, spec_file, capsys):
@@ -162,6 +184,38 @@ class TestResumeAndReport:
         full = RunStore.open(tmp_path / "full")
         part = RunStore.open(tmp_path / "part")
         assert full.digest() == part.digest()
+
+    def test_kill_inside_interval_resume_byte_identical(
+        self, tmp_path, spec_file, capsys, monkeypatch
+    ):
+        """Ctrl-C between two chunks of interval 2: resume re-runs it from its start."""
+        from repro.engine.streaming import ScenarioStream
+
+        main(["run", str(spec_file), "--run-dir", str(tmp_path / "full"), "--quiet"])
+        original_push = ScenarioStream.push
+        pushes: list[int] = []
+
+        def push_then_kill(self, chunk):
+            pushes.append(1)
+            if len(pushes) == 6:  # 400 packets in 128-packet chunks: 4 per interval
+                raise KeyboardInterrupt
+            return original_push(self, chunk)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ScenarioStream, "push", push_then_kill)
+            status = main(["run", str(spec_file), "--run-dir", str(tmp_path / "part"),
+                           "--engine", "streaming", "--chunk-size", "128", "--quiet"])
+        assert status == 130
+        assert "interrupted after 1 completed interval(s)" in capsys.readouterr().err
+        assert RunStore.open(tmp_path / "part").record_count == 1
+
+        status = main(["resume", str(tmp_path / "part"), "--engine", "streaming",
+                       "--chunk-size", "128", "--quiet"])
+        assert status == 0
+        for name in ("records.jsonl", "summary.json"):
+            assert (tmp_path / "part" / name).read_bytes() == (
+                tmp_path / "full" / name
+            ).read_bytes()
 
     def test_resume_with_engine_override(self, tmp_path, spec_file):
         main(["run", str(spec_file), "--run-dir", str(tmp_path / "full"), "--quiet"])

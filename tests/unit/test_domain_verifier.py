@@ -167,6 +167,26 @@ class TestVerifierEstimation:
         assert performance.offered_packets == 0
         assert performance.delay_quantiles == {}
 
+    def test_egress_report_without_aggregates_reads_total_loss(
+        self, path, all_reports, congested_observation
+    ):
+        """X's egress HOP reported, but saw none of its ingress HOP's packets."""
+        reports = dict(all_reports)
+        reports[5] = HOPReport(hop_id=5)
+        verifier = Verifier(path)
+        verifier.add_reports(reports)
+        performance = verifier.estimate_domain("X")
+        offered = congested_observation.truth_for("X").offered_packets
+        assert performance.offered_packets == performance.lost_packets == offered
+        assert performance.loss_rate == 1.0
+
+    def test_missing_egress_report_leaves_loss_unknown(self, path, all_reports):
+        """No report from X's egress HOP is no evidence of loss at all."""
+        verifier = Verifier(path)
+        verifier.add_reports({hop: r for hop, r in all_reports.items() if hop != 5})
+        performance = verifier.estimate_domain("X")
+        assert performance.offered_packets == performance.lost_packets == 0
+
     def test_sample_receipt_for_unknown_hop_is_none(self, path):
         assert Verifier(path).sample_receipt_for(4) is None
 

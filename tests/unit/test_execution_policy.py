@@ -57,13 +57,17 @@ class TestValidation:
             {"chunk_size": 0},
             {"throttle": -1.0},
             {"chunk_size": -5},
+            {"throttle": float("nan")},
+            {"throttle": float("inf")},
         ],
     )
     def test_out_of_range_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExecutionPolicy(engine="streaming", **kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"chunk_size": 64}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"chunk_size": 64}, {"chunk_size": 64, "throttle": 0.5}]
+    )
     def test_streaming_knobs_rejected_on_explicit_batch(self, kwargs):
         with pytest.raises(ValueError, match="use engine='streaming'"):
             ExecutionPolicy(engine="batch", **kwargs)

@@ -7,6 +7,8 @@ Every attempt is one child ``repro`` process.  Tests of queue logic
 
 from __future__ import annotations
 
+import io
+import json
 import threading
 import time
 
@@ -24,6 +26,7 @@ from repro.api.spec import (
     TrafficSpec,
 )
 from repro.engine.campaign import CampaignRunner
+from repro.service import ServiceApp
 from repro.service.jobs import JobQueue, JobRejected
 from repro.store import RunStore
 from repro.store.runstore import SPEC_FILE
@@ -276,6 +279,36 @@ class TestShutdownRequeueRace:
 
 
 class TestDispatchMode:
+    def test_dispatch_rejects_checkpointing_at_submission(self, tmp_path):
+        """A dispatch-mode service answers a removed knob with the 400 envelope."""
+        queue = JobQueue(tmp_path / "runs", workers=1, dispatch_workers=2)
+        try:
+            app = ServiceApp(tmp_path / "runs", queue=queue)
+            body = json.dumps(
+                {"spec": _spec().to_dict(),
+                 "policy": {"engine": "streaming", "checkpoint_every": 1}}
+            ).encode("utf-8")
+            environ = {
+                "REQUEST_METHOD": "POST",
+                "PATH_INFO": "/api/v1/jobs",
+                "QUERY_STRING": "",
+                "CONTENT_TYPE": "application/json",
+                "CONTENT_LENGTH": str(len(body)),
+                "wsgi.input": io.BytesIO(body),
+            }
+            statuses: list[str] = []
+            payload = b"".join(
+                app(environ, lambda status, headers, *_: statuses.append(status))
+            )
+            assert queue.jobs() == []
+        finally:
+            queue.shutdown(wait=True)
+        assert statuses[0].startswith("400")
+        error = json.loads(payload)["error"]
+        assert error["code"] == "bad_request"
+        assert "'checkpoint_every'" in error["message"]
+        assert not list((tmp_path / "runs").glob("*"))
+
     def test_dispatch_workers_validated(self, tmp_path):
         with pytest.raises(ValueError, match="dispatch_workers"):
             JobQueue(tmp_path, dispatch_workers=0)
